@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ergotropy import ergotropy_report
+from .ergotropy import clamp_ergotropy, ergotropy_report
 from .exceptions import NumericError, UnphysicalStateError
 from .measurement import GeneralDyneSetting, Partition, condition, heterodyne, homodyne
 from .symplectic import (
@@ -237,11 +237,7 @@ def _daemonic_value(sf: TwoModeStandardForm, mean_a, det_c: float) -> float:
         - 0.5 * math.sqrt(det_c)
     )
     # det sigma_A^c <= det sigma_A makes this non-negative; clamp roundoff only.
-    if value < 0.0:
-        if value < -1e-9:
-            raise NumericError(f"daemonic ergotropy evaluated to {value:.3e}")
-        value = 0.0
-    return value
+    return clamp_ergotropy(value, "daemonic ergotropy")
 
 
 @dataclass(frozen=True)
@@ -268,10 +264,7 @@ def daemonic_ergotropy(state: GaussianState, setting: GeneralDyneSetting) -> Dae
     mean_a = state.mean[:2]
     sigma_a = state.cm[:2, :2]
     value = 0.5 * float(mean_a @ mean_a) + 0.25 * float(np.trace(sigma_a)) - 0.5 * math.sqrt(det_c)
-    if value < 0.0:
-        if value < -1e-9:
-            raise NumericError(f"daemonic ergotropy evaluated to {value:.3e}")
-        value = 0.0
+    value = clamp_ergotropy(value, "daemonic ergotropy")
     return DaemonicResult(value=value, setting=setting, conditional_purity=1.0 / math.sqrt(det_c))
 
 

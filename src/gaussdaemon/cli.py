@@ -296,9 +296,7 @@ def cmd_trajectories(args) -> int:
     mm = monitored(model, setting)
     n_steps = int(round(args.T / args.dt))
     stride = _pick_stride(max(n_steps, 1))
-    batch = simulate_trajectories(
-        mm, state0, args.dt, args.T, args.n_traj, seed, n_threads=args.threads, store_stride=stride
-    )
+    batch = simulate_trajectories(mm, state0, args.dt, args.T, args.n_traj, seed, store_stride=stride)
 
     two_n = batch.means.shape[2]
     ensemble = batch.means.mean(axis=0)
@@ -319,7 +317,6 @@ def cmd_trajectories(args) -> int:
         rows,
         comments=[
             "monitored trajectory ensemble: means, conditional CM, excess noise",
-            # threads deliberately omitted: output is byte-identical across counts
             f"config: dt={_fmt(args.dt)} T={_fmt(args.T)} n_traj={args.n_traj} "
             f"seed={seed} stride={stride}",
             f"measurement: {_describe(setting)}",
@@ -407,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--n-traj", type=int, default=100)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     add_seed(p)
     p.set_defaults(func=cmd_trajectories)

@@ -30,6 +30,13 @@ the convention enters; it is guarded by the ensemble identity
 sigma_unc = sigma_c + Sigma with Sigma the excess noise of the conditional
 means across trajectories.
 
+Covariances are propagated exactly, not by a fixed-step integrator: both
+flows are Riccati flows (the unconditional Lyapunov flow has no quadratic
+term) and are stepped through the exponential of their Hamiltonian matrix,
+so the results do not depend on the time grid.  The conditional steady state
+solves the continuous algebraic Riccati equation (Schur method), refined by
+one Newton-Kleinman step.
+
 The homodyne limit of (sigma_in + sigma_m)^(-1/2) is rank-deficient: the
 diverging pointer directions drop out and the kept directions contribute
 K (K^T (sigma_in + sigma_m,fin) K)^(-1/2) K^T with K the orthonormal basis of
@@ -45,22 +52,17 @@ measurement settings are interpreted in the normalized basis.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import expm, solve_continuous_are, solve_continuous_lyapunov
 
-from .exceptions import (
-    ConvergenceError,
-    NoSteadyStateError,
-    NumericError,
-    StepSizeError,
-    SymmetryError,
-)
+from .ergotropy import clamp_ergotropy
+from .exceptions import ConvergenceError, NoSteadyStateError, NumericError, SymmetryError
 from .measurement import GeneralDyneSetting, measured_quadrature, measurement_cm
 from .symplectic import (
     TOL_HURWITZ,
+    TOL_PSD,
     TOL_SYM,
     GaussianState,
     symplectic_eigenvalues,
@@ -69,13 +71,12 @@ from .symplectic import (
     williamson_single_mode,
 )
 
-# Conditional-CM transient integration: validity slack for fixed-step output.
-STEP_VALIDITY_TOL = 1e-6
-# Steady-state Riccati iteration: flow-derivative threshold, step cap, block size.
-SS_FLOW_TOL = 1e-12
+# Gate on the algebraic Riccati residual of a conditional steady state.
 SS_RESIDUAL_TOL = 1e-9
-SS_STEP_CAP = 10_000_000
-_SS_BLOCK = 50
+# Newton-Kleinman refinements of the Schur CARE solution: each squares the
+# error, so a residual still above the gate after this many is a failure.
+SS_NEWTON_STEPS = 3
+# Trajectories advanced together per vectorized chunk.
 _TRAJ_CHUNK = 256
 
 
@@ -249,137 +250,128 @@ def monitored(model: DiffusiveModel, setting) -> MonitoredModel:
     return MonitoredModel(base=model, settings=settings, b=b, e=e)
 
 
-def _riccati_rhs(dd: DriftDiffusion, mm: MonitoredModel):
-    a, d, b, e = dd.a, dd.d, mm.b, mm.e
+def _riccati_terms(dd: DriftDiffusion, mm: MonitoredModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(At, Dt, B B^T) of the rearranged flow At s + s At^T + Dt - s B B^T s.
 
-    def rhs(sigma):
-        gain = e - sigma @ b
-        out = a @ sigma + sigma @ a.T + d - gain @ gain.T
-        return 0.5 * (out + out.T)
-
-    return rhs
-
-
-def _rk4(rhs, y, h):
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * h * k1)
-    k3 = rhs(y + 0.5 * h * k2)
-    k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def evolve_conditional_cm(mm: MonitoredModel, sigma0: np.ndarray, t_grid) -> np.ndarray:
-    """Integrate the conditional-CM Riccati flow along a time grid.
-
-    Fixed-step classical 4th-order integration with one step per grid
-    interval; the grid spacing is the step size.  Every output CM is checked
-    for validity within STEP_VALIDITY_TOL; a violation raises StepSizeError.
+    At = A + E B^T and Dt = D - E E^T make this algebraically identical to
+    the filter's right-hand side A s + s A^T + D - (E - s B)(E - s B)^T.
     """
+    return dd.a + mm.e @ mm.b.T, dd.d - mm.e @ mm.e.T, mm.b @ mm.b.T
+
+
+def _grid_steps(t_grid) -> np.ndarray:
+    """Step lengths of a one-dimensional, strictly increasing time grid."""
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1 or (t.size > 1 and np.diff(t).min() <= 0):
         raise ValueError("time grid must be one-dimensional and strictly increasing")
+    return np.diff(t)
+
+
+def _propagate_riccati(a, q, r, sigma0, t_grid) -> np.ndarray:
+    """Exact solution of sigma' = A sigma + sigma A^T + Q - sigma R sigma on a time grid.
+
+    The linear system [X; Y]' = H [X; Y] with H = [[-A^T, R], [Q, A]] carries
+    sigma = Y X^-1 along the flow (Radon's lemma), so a step of length h is
+    sigma <- (P21 + P22 sigma)(P11 + P12 sigma)^-1 with P = expm(H h).  Each
+    grid interval is split into k = ceil(h ||H||_2) equal sub-steps, which
+    keeps X well conditioned over long intervals; one exponential is computed
+    per distinct step length.  R = 0 gives the linear Lyapunov flow.
+    """
+    steps = _grid_steps(t_grid)
+    dim = a.shape[0]
+    ham = np.block([[-a.T, r], [q, a]])
+    norm = float(np.linalg.norm(ham, 2))
+    n_sub = {h: max(1, math.ceil(h * norm)) for h in set(steps.tolist())}
+    props = {h: expm(ham * (h / k)) for h, k in n_sub.items()}
     sigma = np.asarray(sigma0, dtype=float)
-    validate_state(np.zeros(sigma.shape[0]), sigma)
-    dd = drift_diffusion(mm.base)
-    rhs = _riccati_rhs(dd, mm)
-    omega = symplectic_form(mm.base.n)
-    out = np.empty((t.size,) + sigma.shape)
+    out = np.empty((steps.size + 1, dim, dim))
     out[0] = sigma
-    for i in range(1, t.size):
-        sigma = _rk4(rhs, sigma, t[i] - t[i - 1])
-        sigma = 0.5 * (sigma + sigma.T)
-        wmin = np.linalg.eigvalsh(sigma + 1j * omega).min()
-        if wmin < -STEP_VALIDITY_TOL:
-            raise StepSizeError(
-                f"conditional CM left the physical set at t = {t[i]:.6g} "
-                f"(min eig(sigma + i Omega) = {wmin:.3e}); refine the time grid"
-            )
-        out[i] = sigma
+    for i, h in enumerate(steps.tolist()):
+        p = props[h]
+        for _ in range(n_sub[h]):
+            x = p[:dim, :dim] + p[:dim, dim:] @ sigma
+            y = p[dim:, :dim] + p[dim:, dim:] @ sigma
+            sigma = np.linalg.solve(x.T, y.T)
+            sigma = 0.5 * (sigma + sigma.T)
+        out[i + 1] = sigma
     return out
 
 
-def riccati_residual(mm: MonitoredModel, sigma: np.ndarray) -> float:
-    """Max-norm residual of the algebraic Riccati equation at sigma.
+def evolve_conditional_cm(mm: MonitoredModel, sigma0: np.ndarray, t_grid) -> np.ndarray:
+    """Conditional CM along a time grid, from the exact Riccati-flow propagator.
 
-    Uses the rearranged form At sigma + sigma At^T + Dt - sigma B B^T sigma
-    with At = A + E B^T and Dt = D - E E^T, algebraically identical to the
-    flow right-hand side.
+    The result does not depend on the grid spacing: every grid point carries
+    the exact flow value up to round-off, however coarse the grid.
     """
-    dd = drift_diffusion(mm.base)
-    at = dd.a + mm.e @ mm.b.T
-    dt = dd.d - mm.e @ mm.e.T
-    bbt = mm.b @ mm.b.T
-    return float(np.abs(at @ sigma + sigma @ at.T + dt - sigma @ bbt @ sigma).max())
+    sigma = np.asarray(sigma0, dtype=float)
+    validate_state(np.zeros(sigma.shape[0]), sigma)
+    at, dtilde, bbt = _riccati_terms(drift_diffusion(mm.base), mm)
+    return _propagate_riccati(at, dtilde, bbt, sigma, t_grid)
 
 
-def steady_state_conditional(mm: MonitoredModel, sigma0: np.ndarray | None = None) -> np.ndarray:
-    """Steady-state conditional CM by integrating the Riccati flow to convergence.
+def riccati_residual(mm: MonitoredModel, sigma: np.ndarray) -> float:
+    """Max-norm residual of the algebraic Riccati equation At s + s At^T + Dt - s B B^T s at sigma."""
+    at, dtilde, bbt = _riccati_terms(drift_diffusion(mm.base), mm)
+    return float(np.abs(at @ sigma + sigma @ at.T + dtilde - sigma @ bbt @ sigma).max())
 
-    Starts from the unconditional steady state (or ``sigma0``, e.g. to warm
-    start a parameter sweep) and advances in blocks with a step size set by
-    the local stiffness until the flow derivative falls below SS_FLOW_TOL.
-    Integrate-to-convergence is robust in the rank-deficient homodyne limit
-    where direct algebraic solvers need special care.
+
+def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
+    """Steady-state conditional CM from the continuous algebraic Riccati equation.
+
+    Solves At s + s At^T + Dt - s B B^T s = 0 by the Schur method, as the
+    standard CARE A^T X + X A - X B B^T X + Q = 0 with A = At^T and Q = Dt,
+    then refines it by Newton-Kleinman steps, each a Lyapunov solve with the
+    closed-loop matrix At - s B B^T.  One step is always taken: the Schur
+    solution alone can leave residuals of 1e-7 in the rank-deficient homodyne
+    limit, and 6e-5 on the OPO at chi~ = 0 under homodyne at phase pi/2,
+    where one quadrature is unobserved up to round-off (that case needs a
+    second step).  Steps stop once the residual passes SS_RESIDUAL_TOL, at
+    most SS_NEWTON_STEPS of them.
+    The result must be the stabilizing solution (Hurwitz closed loop), pass
+    the residual gate and be a physical covariance matrix.
     """
     dd = drift_diffusion(mm.base)
     if not is_hurwitz(dd.a):
         raise NoSteadyStateError("drift matrix is not Hurwitz; conditional steady state undefined")
-    if sigma0 is None:
-        sigma = steady_state_unconditional(dd).cm
-    else:
-        sigma = np.asarray(sigma0, dtype=float)
-        sigma = 0.5 * (sigma + sigma.T)
-    rhs = _riccati_rhs(dd, mm)
-    at = dd.a + mm.e @ mm.b.T
-    bbt = mm.b @ mm.b.T
-    at_norm = np.linalg.norm(at, 2)
-    steps = 0
-    while steps < SS_STEP_CAP:
-        scale = at_norm + np.linalg.norm(bbt @ sigma, 2)
-        h = 0.25 / max(scale, 1e-12)
-        for _ in range(_SS_BLOCK):
-            sigma = _rk4(rhs, sigma, h)
+    at, dtilde, bbt = _riccati_terms(dd, mm)
+    try:
+        sigma = solve_continuous_are(at.T, mm.b, dtilde, np.eye(mm.b.shape[1]))
+        for _ in range(SS_NEWTON_STEPS):
+            sigma = solve_continuous_lyapunov(at - sigma @ bbt, -(dtilde + sigma @ bbt @ sigma))
             sigma = 0.5 * (sigma + sigma.T)
-        steps += _SS_BLOCK
-        if np.abs(rhs(sigma)).max() < SS_FLOW_TOL:
-            break
-    else:
-        raise ConvergenceError(
-            f"Riccati flow not converged after {SS_STEP_CAP} steps; "
-            f"residual {riccati_residual(mm, sigma):.3e}"
-        )
-    res = riccati_residual(mm, sigma)
+            res = riccati_residual(mm, sigma)
+            if res <= SS_RESIDUAL_TOL:
+                break
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"algebraic Riccati solve failed: {exc}") from exc
+    if not is_hurwitz(at - sigma @ bbt):
+        raise NumericError("Riccati solution is not stabilizing: At - sigma B B^T is not Hurwitz")
     if res > SS_RESIDUAL_TOL:
         raise ConvergenceError(f"Riccati steady state has algebraic residual {res:.3e} > {SS_RESIDUAL_TOL:.1e}")
+    wmin = float(np.linalg.eigvalsh(sigma + 1j * symplectic_form(mm.base.n)).min())
+    if wmin < -TOL_PSD:
+        raise NumericError(f"Riccati steady state is unphysical: min eig(sigma + i Omega) = {wmin:.3e}")
     return sigma
 
 
 def unconditional_path(dd: DriftDiffusion, state0: GaussianState, t_grid) -> tuple[np.ndarray, np.ndarray]:
-    """Unconditional first and second moments along a time grid (fixed-step RK4)."""
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 1 or (t.size > 1 and np.diff(t).min() <= 0):
-        raise ValueError("time grid must be one-dimensional and strictly increasing")
-    means = np.empty((t.size, state0.mean.size))
-    cms = np.empty((t.size,) + state0.cm.shape)
-    mean = state0.mean.copy()
-    cm = state0.cm.copy()
-    means[0] = mean
-    cms[0] = cm
+    """Unconditional first and second moments along a time grid, exactly.
 
-    def rhs_cm(sigma):
-        out = dd.a @ sigma + sigma @ dd.a.T + dd.d
-        return 0.5 * (out + out.T)
-
-    def rhs_mean(r):
-        return dd.a @ r + dd.drive
-
-    for i in range(1, t.size):
-        h = t[i] - t[i - 1]
-        cm = _rk4(rhs_cm, cm, h)
-        cm = 0.5 * (cm + cm.T)
-        mean = _rk4(rhs_mean, mean, h)
-        means[i] = mean
-        cms[i] = cm
+    The CM follows sigma' = A sigma + sigma A^T + D through the shared
+    propagator; the mean follows r' = A r + d through the exponential of the
+    augmented matrix [[A, d], [0, 0]] (Van Loan), one per distinct step.
+    """
+    cms = _propagate_riccati(dd.a, dd.d, np.zeros_like(dd.a), state0.cm, t_grid)
+    steps = _grid_steps(t_grid).tolist()
+    dim = dd.a.shape[0]
+    aug = np.zeros((dim + 1, dim + 1))
+    aug[:dim, :dim] = dd.a
+    aug[:dim, dim] = dd.drive
+    props = {h: expm(aug * h) for h in set(steps)}
+    means = np.empty((len(steps) + 1, dim))
+    means[0] = state0.mean
+    for i, h in enumerate(steps):
+        means[i + 1] = props[h][:dim, :dim] @ means[i] + props[h][:dim, dim]
     return means, cms
 
 
@@ -411,17 +403,16 @@ def simulate_trajectories(
     n_traj: int,
     master_seed: int,
     *,
-    n_threads: int = 1,
     store_stride: int = 1,
 ) -> TrajectoryBatch:
     """Euler-Maruyama ensemble of conditional means with the shared Riccati CM path.
 
     Trajectory k draws its Wiener increments from an independent substream
     keyed by (master_seed, k), so results are byte-identical for a fixed seed
-    regardless of ``n_threads`` or chunking.  Increments have per-component
-    variance dt/2 (see module docstring).  ``store_stride`` decimates storage:
-    means are stored every ``store_stride`` steps and records are summed over
-    each storage window.
+    regardless of chunking.  Increments have per-component variance dt/2 (see
+    module docstring).  ``store_stride`` decimates storage: means are stored
+    every ``store_stride`` steps and records are summed over each storage
+    window.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -438,22 +429,14 @@ def simulate_trajectories(
         raise ValueError(f"initial state has {state0.n} modes, model has {mm.base.n}")
 
     dd = drift_diffusion(mm.base)
-    rhs = _riccati_rhs(dd, mm)
     two_n = 2 * mm.base.n
     two_m = mm.b.shape[1]
     n_stored = n_steps // stride + 1
 
     # Shared deterministic CM path and per-step noise gains at full resolution.
-    gains = np.empty((n_steps, two_n, two_m))
-    sigma_c = np.empty((n_stored, two_n, two_n))
-    sigma = state0.cm.copy()
-    sigma_c[0] = sigma
-    for t in range(n_steps):
-        gains[t] = mm.e - sigma @ mm.b
-        sigma = _rk4(rhs, sigma, dt)
-        sigma = 0.5 * (sigma + sigma.T)
-        if (t + 1) % stride == 0:
-            sigma_c[(t + 1) // stride] = sigma
+    full_times = np.arange(n_steps + 1) * dt
+    sigma_path = _propagate_riccati(*_riccati_terms(dd, mm), state0.cm, full_times)
+    gains = mm.e - sigma_path[:-1] @ mm.b
 
     means = np.empty((n_traj, n_stored, two_n))
     records = np.empty((n_traj, n_stored - 1, two_m))
@@ -482,17 +465,17 @@ def simulate_trajectories(
                 records[k0:k1, j - 1] = acc
                 acc[:] = 0.0
 
-    chunks = [(k, min(k + _TRAJ_CHUNK, n_traj)) for k in range(0, n_traj, _TRAJ_CHUNK)]
-    if n_threads <= 1:
-        for k0, k1 in chunks:
-            run_chunk(k0, k1)
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(lambda span: run_chunk(*span), chunks))
+    for k0 in range(0, n_traj, _TRAJ_CHUNK):
+        run_chunk(k0, min(k0 + _TRAJ_CHUNK, n_traj))
 
-    # Slice of the full step grid, so runs with different strides share times.
-    times = (np.arange(n_steps + 1) * dt)[::stride]
-    return TrajectoryBatch(times=times, means=means, records=records, sigma_c=sigma_c, seed=master_seed)
+    # Slices of the full step grid, so runs with different strides share times.
+    return TrajectoryBatch(
+        times=full_times[::stride],
+        means=means,
+        records=records,
+        sigma_c=sigma_path[::stride],
+        seed=master_seed,
+    )
 
 
 def excess_noise(batch: TrajectoryBatch, t_index: int = -1) -> np.ndarray:
@@ -521,23 +504,13 @@ def daemonic_ergotropy_path(mm: MonitoredModel, state0: GaussianState, t_grid) -
     for i in range(len(sig_c)):
         e = 0.25 * float(np.trace(cms[i])) + 0.5 * float(means[i] @ means[i])
         passive = 0.5 * float(symplectic_eigenvalues(sig_c[i]).sum())
-        v = e - passive
-        if v < 0.0:
-            if v < -1e-9:
-                raise NumericError(f"daemonic ergotropy evaluated to {v:.3e} at t = {t_grid[i]:.6g}")
-            v = 0.0
-        out[i] = v
+        out[i] = clamp_ergotropy(e - passive, f"daemonic ergotropy at t = {t_grid[i]:.6g}")
     return out
 
 
-def daemonic_ergotropy_t(mm: MonitoredModel, state0: GaussianState, t: float, dt: float | None = None) -> float:
-    """Daemonic ergotropy at a single time t (uniform grid from 0, default t/10000 step)."""
+def daemonic_ergotropy_t(mm: MonitoredModel, state0: GaussianState, t: float) -> float:
+    """Daemonic ergotropy at a single time t, from the exact propagators on the grid [0, t]."""
     if t < 0:
         raise ValueError(f"time must be non-negative, got {t}")
-    if t == 0:
-        grid = np.array([0.0])
-    else:
-        h = dt if dt is not None else t / 10000.0
-        n = max(1, int(round(t / h)))
-        grid = np.linspace(0.0, t, n + 1)
+    grid = [0.0] if t == 0 else [0.0, t]
     return float(daemonic_ergotropy_path(mm, state0, grid)[-1])

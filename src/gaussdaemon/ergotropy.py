@@ -33,16 +33,20 @@ class ErgotropyReport:
     passive_energy: float
 
 
+def clamp_ergotropy(value: float, what: str = "ergotropy") -> float:
+    """Clamp a round-off negative in [-CLAMP_NEG, 0) to 0; raise NumericError below it."""
+    if value < 0.0:
+        if value < -CLAMP_NEG:
+            raise NumericError(f"{what} evaluated to {value:.3e} < -{CLAMP_NEG:.1e}")
+        return 0.0
+    return value
+
+
 def ergotropy_report(state: GaussianState) -> ErgotropyReport:
     """Full energy/passive-energy/ergotropy report for a state."""
     e = 0.5 * float(state.mean @ state.mean) + 0.25 * float(np.trace(state.cm))
     passive = 0.5 * float(symplectic_eigenvalues(state.cm).sum())
-    erg = e - passive
-    if erg < 0.0:
-        if erg < -CLAMP_NEG:
-            raise NumericError(f"ergotropy evaluated to {erg:.3e} < -{CLAMP_NEG:.1e}; state is inconsistent")
-        erg = 0.0
-    return ErgotropyReport(ergotropy=erg, energy=e, passive_energy=passive)
+    return ErgotropyReport(ergotropy=clamp_ergotropy(e - passive), energy=e, passive_energy=passive)
 
 
 def ergotropy(state: GaussianState) -> float:

@@ -27,10 +27,6 @@ class NoSteadyStateError(GaussDaemonError, ValueError):
     """The drift matrix is not Hurwitz, so no steady state exists."""
 
 
-class StepSizeError(GaussDaemonError, ValueError):
-    """A fixed-step integration produced invalid output; the step is too large."""
-
-
 class ParseError(GaussDaemonError, ValueError):
     """Malformed input file."""
 
@@ -40,4 +36,4 @@ class NumericError(GaussDaemonError, RuntimeError):
 
 
 class ConvergenceError(NumericError):
-    """An iterative solver did not converge within its step cap."""
+    """A solver's result missed its residual gate."""

@@ -162,18 +162,15 @@ def opo_zopt_numeric(
 ) -> float:
     """Golden-section cross-validation of opo_zopt on the Riccati steady state.
 
-    Minimizes det sigma_c^ss over z at theta = 0 in log space, warm-starting
-    each solve from the previous one.  Meaningful for nu_in > 1; at nu_in = 1
-    every efficient setting purifies completely and the landscape is flat.
+    Minimizes det sigma_c^ss over z at theta = 0 in log space.  Meaningful
+    for nu_in > 1; at nu_in = 1 every efficient setting purifies completely
+    and the landscape is flat.
     """
     model = opo_model(params)
-    warm: list[np.ndarray | None] = [None]
 
     def det_at(log_z: float) -> float:
         mm = monitored(model, GeneralDyneSetting(nu_m=1.0, theta_m=0.0, z_m=math.exp(log_z)))
-        sig = steady_state_conditional(mm, sigma0=warm[0])
-        warm[0] = sig
-        return float(np.linalg.det(sig))
+        return float(np.linalg.det(steady_state_conditional(mm)))
 
     lo, hi = math.log(z_floor), 0.0
     grid = np.linspace(lo, hi, n_scan)
@@ -210,9 +207,8 @@ class ZSweepData(NamedTuple):
 def zsweep_table(params: OpoParams | None = None, z_grid=None) -> ZSweepData:
     """Ergotropy-vs-z_m sweep at theta = 0 (defaults: chi_tilde = 0.99, nu_in = 3).
 
-    The sweep ascends in z so each Riccati solve warm-starts from its
-    neighbor.  Returns the raw table plus the closed-form z_opt marker and the
-    heterodyne reference value.
+    Returns the raw table in ascending z plus the closed-form z_opt marker and
+    the heterodyne reference value.
     """
     if params is None:
         params = OpoParams.from_tilde(0.99, nu_in=3.0)
@@ -225,11 +221,10 @@ def zsweep_table(params: OpoParams | None = None, z_grid=None) -> ZSweepData:
     e_unc = 0.25 * float(np.trace(opo_unconditional_ss(params).cm))
 
     table = np.empty((z_grid.size, 2))
-    warm: np.ndarray | None = None
     for i, z in enumerate(np.sort(z_grid)):
         mm = monitored(model, GeneralDyneSetting(nu_m=1.0, theta_m=0.0, z_m=float(z)))
-        warm = steady_state_conditional(mm, sigma0=warm)
-        table[i] = (z, e_unc - 0.5 * math.sqrt(float(np.linalg.det(warm))))
+        sigma = steady_state_conditional(mm)
+        table[i] = (z, e_unc - 0.5 * math.sqrt(float(np.linalg.det(sigma))))
 
     z_opt = opo_zopt(params)
     z_opt_value = opo_steady_daemonic(params, GeneralDyneSetting(nu_m=1.0, theta_m=0.0, z_m=z_opt))
@@ -249,8 +244,9 @@ class TransientTable(NamedTuple):
 def transient_table(params: OpoParams, t_max: float = 10.0, dt: float = 1e-3) -> TransientTable:
     """Transient daemonic ergotropy from a thermal state nu_0 I for hom0/hom90/het.
 
-    Fixed-step grid with spacing dt up to t_max (in units of 1/kappa when
-    kappa = 1); t_max must be an integer multiple of dt.
+    Uniform grid with spacing dt up to t_max (in units of 1/kappa when
+    kappa = 1); t_max must be an integer multiple of dt.  The propagators
+    are exact, so dt sets only the resolution of the table.
     """
     n_steps = int(round(t_max / dt))
     if n_steps < 1 or abs(n_steps * dt - t_max) > 1e-9 * max(1.0, t_max):

@@ -288,7 +288,7 @@ def test_criterion_7_steady_state_diagnostic(transients_cold):
 # -- 8: stochastic consistency ------------------------------------------------------
 
 
-def test_criterion_8_trajectory_consistency():
+def test_criterion_8_trajectory_consistency(monkeypatch):
     """5000-trajectory ensemble reproduces the unconditional moments within 3 SE."""
     p = gd.OpoParams.from_tilde(0.6, nu_in=3.0)
     mm = gd.monitored(gd.opo_model(p), gd.heterodyne())
@@ -310,7 +310,8 @@ def test_criterion_8_trajectory_consistency():
     )
     cm_dev = np.abs(recon - cms_unc[-1]) / se_cov
 
-    rerun = gd.simulate_trajectories(mm, state0, n_threads=4, **kw)
+    monkeypatch.setattr(gd.dynamics, "_TRAJ_CHUNK", 700)
+    rerun = gd.simulate_trajectories(mm, state0, **kw)
     identical = all(
         np.array_equal(getattr(batch, f), getattr(rerun, f))
         for f in ("times", "means", "records", "sigma_c")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_continuous_are
+from scipy.linalg import expm, solve_continuous_are, solve_continuous_lyapunov
 
 import gaussdaemon as gd
 from gaussdaemon import (
@@ -11,7 +11,6 @@ from gaussdaemon import (
     GaussianState,
     GeneralDyneSetting,
     NoSteadyStateError,
-    StepSizeError,
 )
 
 
@@ -117,6 +116,37 @@ def test_conditional_steady_state_against_care():
         assert gd.riccati_residual(mm, sigma) < 1e-9
 
 
+def test_steady_state_is_the_flow_limit():
+    """The algebraic steady state is where the Riccati flow ends, with a Hurwitz closed loop.
+
+    The reference needs no CARE solver: evolve_conditional_cm run from the
+    unconditional steady state over a long horizon.  The OPO homodyne
+    phase-0 cases at nu_in = 3 are where a bare Schur solve leaves residuals
+    above the 1e-9 gate; they also have the closed form nu diag(1 - chi~, 1/(1 - chi~)).
+    The chi~ = 0 phase-pi/2 case, whose x quadrature is unobserved up to
+    round-off, needs a second Newton step.
+    """
+    rng = np.random.default_rng(89)
+    cases = [(gd.opo_model(gd.OpoParams.from_tilde(ct, nu_in=3.0)), gd.homodyne(0.0)) for ct in (0.3, 0.6)]
+    cases.append((gd.opo_model(gd.OpoParams.from_tilde(0.0)), gd.homodyne(0.5 * np.pi)))
+    cases += [
+        (gd.random_stable_model(rng, nu_in=1.0 + rng.exponential(1.0)), gd.random_setting(rng)) for _ in range(8)
+    ]
+    for model, setting in cases:
+        mm = gd.monitored(model, setting)
+        sigma = gd.steady_state_conditional(mm)
+        dd = gd.drift_diffusion(model)
+        start = gd.steady_state_unconditional(dd).cm
+        flow = gd.evolve_conditional_cm(mm, start, np.linspace(0.0, 2000.0, 9))[-1]
+        assert np.abs(sigma - flow).max() <= 1e-8, np.abs(sigma - flow).max()
+        closed = dd.a + mm.e @ mm.b.T - sigma @ mm.b @ mm.b.T
+        assert np.linalg.eigvals(closed).real.max() < 0.0
+    for ct in (0.3, 0.6):
+        mm = gd.monitored(gd.opo_model(gd.OpoParams.from_tilde(ct, nu_in=3.0)), gd.homodyne(0.0))
+        exact = 3.0 * np.diag([1.0 - ct, 1.0 / (1.0 - ct)])
+        assert np.abs(gd.steady_state_conditional(mm) - exact).max() <= 1e-9
+
+
 def test_homodyne_limit_matches_small_z():
     """The exact homodyne steady state is the z_m -> 0 limit of general-dyne."""
     rng = np.random.default_rng(73)
@@ -166,12 +196,43 @@ def test_transient_reaches_steady_state():
         gd.evolve_conditional_cm(mm, np.eye(2), [0.0, 0.0, 1.0])
 
 
-def test_coarse_grid_detected():
-    """A grid too coarse for the Riccati stiffness raises StepSizeError."""
+def test_conditional_cm_is_grid_independent():
+    """Two 20-unit steps land on the values of a 40 001-point grid."""
     p = gd.OpoParams.from_tilde(0.9, nu_in=1.0)
     mm = gd.monitored(gd.opo_model(p), gd.homodyne(0.0))
-    with pytest.raises(StepSizeError, match="refine the time grid"):
-        gd.evolve_conditional_cm(mm, 100.0 * np.eye(2), np.linspace(0.0, 40.0, 3))
+    coarse = gd.evolve_conditional_cm(mm, 100.0 * np.eye(2), [0.0, 20.0, 40.0])
+    fine = gd.evolve_conditional_cm(mm, 100.0 * np.eye(2), np.linspace(0.0, 40.0, 40001))
+    assert np.abs(coarse[1] - fine[20000]).max() <= 1e-9
+    assert np.abs(coarse[2] - fine[-1]).max() <= 1e-9
+
+
+def _random_two_mode_model(rng):
+    """Random Hurwitz two-mode model with a driven, thermal two-mode environment."""
+    while True:
+        h_s = rng.standard_normal((4, 4))
+        model = DiffusiveModel(
+            0.5 * (h_s + h_s.T),
+            rng.standard_normal((4, 4)),
+            np.kron(np.diag(rng.uniform(1.0, 3.0, size=2)), np.eye(2)),
+            rng.standard_normal(4),
+        )
+        if gd.is_hurwitz(gd.drift_diffusion(model).a):
+            return model
+
+
+def test_unconditional_path_is_grid_independent():
+    """A single step of any length gives F (s0 - s_inf) F^T + s_inf and F (r0 - r_inf) + r_inf."""
+    rng = np.random.default_rng(97)
+    model = _random_two_mode_model(rng)
+    dd = gd.drift_diffusion(model)
+    state0 = GaussianState(rng.standard_normal(4), 3.0 * np.eye(4))
+    sigma_inf = solve_continuous_lyapunov(dd.a, -dd.d)
+    mean_inf = -np.linalg.solve(dd.a, dd.drive)
+    for t in (2.5, 200.0):
+        means, cms = gd.unconditional_path(dd, state0, [0.0, t])
+        f = expm(t * dd.a)
+        assert np.abs(cms[-1] - (f @ (state0.cm - sigma_inf) @ f.T + sigma_inf)).max() <= 1e-9
+        assert np.abs(means[-1] - (f @ (state0.mean - mean_inf) + mean_inf)).max() <= 1e-9
 
 
 class TestTrajectories:
@@ -182,15 +243,16 @@ class TestTrajectories:
         self.mm = gd.monitored(gd.opo_model(p), gd.heterodyne())
         self.state0 = GaussianState(np.array([1.0, -0.5]), 3.0 * np.eye(2))
 
-    def test_reproducibility(self):
-        """Same master seed gives byte-identical batches for any thread count."""
+    def test_reproducibility(self, monkeypatch):
+        """Same master seed gives byte-identical batches for any chunk size."""
         kw = dict(dt=1e-3, T=0.5, n_traj=64, master_seed=11)
         b1 = gd.simulate_trajectories(self.mm, self.state0, **kw)
         b2 = gd.simulate_trajectories(self.mm, self.state0, **kw)
-        b4 = gd.simulate_trajectories(self.mm, self.state0, n_threads=4, **kw)
+        monkeypatch.setattr(gd.dynamics, "_TRAJ_CHUNK", 5)
+        b5 = gd.simulate_trajectories(self.mm, self.state0, **kw)
         for field in ("times", "means", "records", "sigma_c"):
             assert np.array_equal(getattr(b1, field), getattr(b2, field))
-            assert np.array_equal(getattr(b1, field), getattr(b4, field))
+            assert np.array_equal(getattr(b1, field), getattr(b5, field))
         b3 = gd.simulate_trajectories(self.mm, self.state0, dt=1e-3, T=0.5, n_traj=64, master_seed=12)
         assert not np.array_equal(b1.means, b3.means)
 

@@ -154,6 +154,17 @@ class TestCli:
         assert main(["ergotropy", "--state", str(path)]) == 3
         assert "solver broke down" in capsys.readouterr().err
 
+    def test_riccati_solver_failure_exits_3(self, capsys, monkeypatch):
+        """A LinAlgError (a ValueError) from the CARE solver is a numeric failure, not bad input."""
+
+        def broken(*args):
+            raise np.linalg.LinAlgError("Failed to find a finite solution.")
+
+        monkeypatch.setattr(gd.dynamics, "solve_continuous_are", broken)
+        args = ["opo-ss", "--chi-tilde", "0.6", "--nu-in", "3", "--strategy", "gendyne", "--z-m", "0.4"]
+        assert main(args + ["--theta-m", "0.7"]) == 3
+        assert "algebraic Riccati solve failed" in capsys.readouterr().err
+
     def test_daemonic_cross_checks(self, tmp_path, capsys):
         """The daemonic command reports closed form and pipeline side by side."""
         path = tmp_path / "state.txt"
@@ -215,8 +226,8 @@ class TestCli:
         last = [float(tok) for tok in data[-1].split(",")]
         assert last[0] == pytest.approx(0.25)  # (1 - 0.6)/(1 + 0.6)
 
-    def test_trajectories_csv(self, tmp_path):
-        """Trajectory ensembles are reproducible byte for byte per seed."""
+    def test_trajectories_csv(self, tmp_path, monkeypatch):
+        """Trajectory ensembles are reproducible byte for byte per seed, for any chunk size."""
         args = [
             "trajectories", "--chi-tilde", "0.6", "--nu-in", "3", "--strategy", "het",
             "--T", "0.2", "--dt", "1e-3", "--n-traj", "16", "--seed", "5",
@@ -226,7 +237,8 @@ class TestCli:
         out3 = tmp_path / "t3.csv"
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
-        assert main(args + ["--threads", "3", "--out", str(out3)]) == 0
+        monkeypatch.setattr(gd.dynamics, "_TRAJ_CHUNK", 5)
+        assert main(args + ["--out", str(out3)]) == 0
         assert out1.read_bytes() == out2.read_bytes() == out3.read_bytes()
         data = [ln for ln in out1.read_text().splitlines() if not ln.startswith("#")]
         assert data[0].startswith("kappa_t,mean_0,mean_1,sc_0_0")

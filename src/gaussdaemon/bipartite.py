@@ -29,9 +29,10 @@ consequences drive the optimizers below:
 
 * the optimal phase 2 theta* = atan2(-Q, -P) does not depend on z_m (P and Q
   share their full z_m dependence through a common positive factor);
-* maximizing over the measurement therefore reduces to a one-dimensional
-  search over z_m in (0, 1] at theta*, with z_m = 0 the exact homodyne limit
-  and z_m = 1 heterodyne.
+* at theta* the determinant is a rational function of z_m whose stationary
+  points solve a quadratic, so the maximum over the measurement is that
+  quadratic's root in (0, 1), the exact homodyne limit z_m = 0 or
+  heterodyne z_m = 1.
 
 The closed forms and the generic conditioning pipeline are kept as two
 independent routes and are cross-checked against each other at every
@@ -59,9 +60,6 @@ from .symplectic import (
 
 _PARTITION = Partition(a_modes=(0,), b_modes=(1,))
 
-# Golden-section search domain and tolerances for the z_m optimization.
-Z_MIN = 1e-6
-_LOG_TOL = 1e-10
 _TIE_TOL = 1e-12
 _CROSS_CHECK_TOL = 1e-9
 
@@ -306,63 +304,78 @@ def max_daemonic_homodyne(sf: TwoModeStandardForm, mean_a=(0.0, 0.0)) -> Daemoni
     return DaemonicResult(value=value, setting=homodyne(theta), conditional_purity=1.0 / math.sqrt(det_c))
 
 
+def _optimal_det_coefficients(sf: TwoModeStandardForm) -> tuple[float, float, float]:
+    """(u, v, w) with det sigma_A^c(theta*, z_m) = a^2 - u g1 - v g2 + w g1 g2.
+
+    In :func:`_det_coefficients` the gbar terms cancel from P and Q, leaving
+    P = (g1 - g2) P0 and Q = (g1 - g2) Q0 with g1 - g2 >= 0, while
+    C0 = a^2 - gbar S + c_+^2 c_-^2 g1 g2.  The phase-minimized determinant
+    C0 - hypot(P, Q) then has u = S/2 + K, v = S/2 - K and w = c_+^2 c_-^2,
+    where K = hypot(P0, Q0).
+    """
+    a, z_a = sf.a, sf.z_a
+    cp2, cm2 = sf.c_plus * sf.c_plus, sf.c_minus * sf.c_minus
+    ce, se = math.cos(sf.eta), math.sin(sf.eta)
+    s_half = 0.5 * a * (z_a * (cp2 * se * se + cm2 * ce * ce) + (cp2 * ce * ce + cm2 * se * se) / z_a)
+    p0 = 0.5 * a * (cm2 * (z_a * ce * ce + se * se / z_a) - cp2 * (z_a * se * se + ce * ce / z_a))
+    q0 = -sf.c_plus * sf.c_minus * a * (z_a - 1.0 / z_a) * ce * se
+    k = math.hypot(p0, q0)
+    return s_half + k, s_half - k, cp2 * cm2
+
+
+def _interior_minimum(sf: TwoModeStandardForm) -> float | None:
+    """The z_m in (0, 1) minimizing det sigma_A^c(theta*, z_m), if there is one.
+
+    Multiplying d det*/d z_m by (b + z)^2 (1 + b z)^2 leaves the quadratic
+    f(z) = u (1 + b z)^2 - v (b + z)^2 + w b (1 - z^2) = qa z^2 + qb z + qc.
+    Since f(1) = 2K (1 + b)^2 >= 0, f(-1) = 2K (b - 1)^2 >= 0 and the roots
+    sum to -qb/qa = -4bK/qa, f has a root in (0, 1) only when f(0) = qc < 0,
+    and then exactly one, where det* stops falling and starts rising.  It is
+    taken in the cancellation-free form -2 qc / (qb + sqrt(qb^2 - 4 qa qc)),
+    which also covers the linear case qa = 0.  For c_+ = 0 every coefficient
+    vanishes and the landscape is flat.
+    """
+    u, v, w = _optimal_det_coefficients(sf)
+    b = sf.b
+    qa = u * b * b - v - w * b
+    qb = 2.0 * b * (u - v)
+    qc = u - v * b * b + w * b
+    disc = qb * qb - 4.0 * qa * qc
+    if qc >= 0.0 or disc <= 0.0:  # with qc < 0, disc <= 0 only through roundoff
+        return None
+    z = -2.0 * qc / (qb + math.sqrt(disc))
+    return z if z < 1.0 else None
+
+
 def max_daemonic(sf: TwoModeStandardForm, mean_a=(0.0, 0.0)) -> DaemonicResult:
     """Daemonic ergotropy maximized over efficient general-dyne measurements.
 
-    The phase is set to the closed-form optimum (z_m-independent); z_m is then
-    optimized by golden-section search on log z_m over [Z_MIN, 1], bracketed by
-    a coarse scan that includes both endpoints.  The exact homodyne boundary
-    z_m = 0 is evaluated separately so the result never falls below
-    ``max_daemonic_homodyne``.  Ties against the heterodyne endpoint resolve
-    toward z_m = 1.  The returned value is cross-checked against the
+    The phase is set to the closed-form optimum (z_m-independent).  At that
+    phase the stationary points of the determinant in z_m are the roots of a
+    quadratic (see :func:`_interior_minimum`), so the candidates are its root
+    in (0, 1), the exact homodyne limit z_m = 0 and heterodyne z_m = 1.  Ties
+    against heterodyne resolve toward z_m = 1; homodyne wins only when
+    strictly better.  The returned value is cross-checked against the
     conditioning pipeline.
     """
     theta = optimal_phase(sf, 0.0).angle
 
-    def value_at(log_z: float) -> float:
-        return _daemonic_value(sf, mean_a, conditional_determinant(sf, theta, math.exp(log_z)))
+    def value_at(z: float) -> float:
+        return _daemonic_value(sf, mean_a, conditional_determinant(sf, theta, z))
 
-    lo, hi = math.log(Z_MIN), 0.0
-    grid = np.linspace(lo, hi, 25)
-    vals = [value_at(x) for x in grid]
-    k = int(np.argmax(vals))
-    a_br = grid[max(k - 1, 0)]
-    b_br = grid[min(k + 1, len(grid) - 1)]
-
-    inv_phi = 0.5 * (math.sqrt(5.0) - 1.0)
-    x1 = b_br - inv_phi * (b_br - a_br)
-    x2 = a_br + inv_phi * (b_br - a_br)
-    f1, f2 = value_at(x1), value_at(x2)
-    while b_br - a_br > _LOG_TOL:
-        if f1 < f2:
-            a_br, x1, f1 = x1, x2, f2
-            x2 = a_br + inv_phi * (b_br - a_br)
-            f2 = value_at(x2)
-        else:
-            b_br, x2, f2 = x2, x1, f1
-            x1 = b_br - inv_phi * (b_br - a_br)
-            f1 = value_at(x1)
-    log_z = 0.5 * (a_br + b_br)
-    z_m = math.exp(log_z)
-    value = value_at(log_z)
-
-    # Endpoint guards; ties resolve toward heterodyne.  The homodyne boundary
-    # is evaluated with the exact z_m = 0 form, not the Z_MIN approximation.
-    v_het = value_at(0.0)
-    if v_het >= value - _TIE_TOL:
-        z_m, value = 1.0, v_het
-    v_hom = _daemonic_value(sf, mean_a, conditional_determinant(sf, theta, 0.0))
+    z_m, value = 1.0, value_at(1.0)
+    z_int = _interior_minimum(sf)
+    if z_int is not None:
+        v_int = value_at(z_int)
+        if v_int > value + _TIE_TOL:
+            z_m, value = z_int, v_int
+    v_hom = value_at(0.0)
     if v_hom > value:
         z_m, value = 0.0, v_hom
 
     _cross_check(sf, mean_a, theta, z_m, value)
     det_c = conditional_determinant(sf, theta, z_m)
-    if z_m == 1.0:
-        setting = heterodyne()
-    elif z_m == 0.0:
-        setting = homodyne(theta)
-    else:
-        setting = _setting_for(theta, z_m)
+    setting = heterodyne() if z_m == 1.0 else _setting_for(theta, z_m)
     return DaemonicResult(value=value, setting=setting, conditional_purity=1.0 / math.sqrt(det_c))
 
 

@@ -153,48 +153,6 @@ def opo_zopt(params: OpoParams) -> float:
     return (1.0 - ct) / (1.0 + ct)
 
 
-def opo_zopt_numeric(
-    params: OpoParams,
-    *,
-    z_floor: float = _Z_SWEEP_FLOOR,
-    log_tol: float = 1e-6,
-    n_scan: int = 9,
-) -> float:
-    """Golden-section cross-validation of opo_zopt on the Riccati steady state.
-
-    Minimizes det sigma_c^ss over z at theta = 0 in log space.  Meaningful
-    for nu_in > 1; at nu_in = 1 every efficient setting purifies completely
-    and the landscape is flat.
-    """
-    model = opo_model(params)
-
-    def det_at(log_z: float) -> float:
-        mm = monitored(model, GeneralDyneSetting(nu_m=1.0, theta_m=0.0, z_m=math.exp(log_z)))
-        return float(np.linalg.det(steady_state_conditional(mm)))
-
-    lo, hi = math.log(z_floor), 0.0
-    grid = np.linspace(lo, hi, n_scan)
-    vals = [det_at(x) for x in grid]
-    k = int(np.argmin(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, n_scan - 1)]
-
-    inv_phi = 0.5 * (math.sqrt(5.0) - 1.0)
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = det_at(x1), det_at(x2)
-    while b - a > log_tol:
-        if f1 > f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = det_at(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = det_at(x1)
-    return math.exp(0.5 * (a + b))
-
-
 class ZSweepData(NamedTuple):
     """Steady-state daemonic ergotropy sweep over the general-dyne parameter."""
 

@@ -12,6 +12,7 @@ import pytest
 
 import gaussdaemon as gd
 from gaussdaemon import GeneralDyneSetting
+from zopt_search import opo_zopt_numeric
 
 
 def _report(name: str, ok: bool, detail: str) -> bool:
@@ -149,7 +150,7 @@ def test_criterion_5_opo_finite_temperature_homodyne():
 
 
 def test_criterion_6_optimal_z():
-    """Golden-section optimum matches (1 - chi~)/(1 + chi~); Fig. 1 ordering at 0.99.
+    """Test-side golden-section optimum (``zopt_search``) matches (1 - chi~)/(1 + chi~); Fig. 1 ordering at 0.99.
 
     Validated at nu_in = 3: for nu_in = 1 every efficient setting purifies
     completely, so the landscape is exactly flat and carries no optimum.
@@ -157,7 +158,7 @@ def test_criterion_6_optimal_z():
     worst = 0.0
     for chi_t in (0.3, 0.6, 0.9, 0.99):
         p = gd.OpoParams.from_tilde(chi_t, nu_in=3.0)
-        worst = max(worst, abs(gd.opo_zopt_numeric(p) - gd.opo_zopt(p)))
+        worst = max(worst, abs(opo_zopt_numeric(p) - gd.opo_zopt(p)))
     p99 = gd.OpoParams.from_tilde(0.99, nu_in=3.0)
     e_zopt = gd.opo_steady_daemonic(p99, GeneralDyneSetting(theta_m=0.0, z_m=gd.opo_zopt(p99)))
     e_het = gd.opo_steady_daemonic(p99, gd.heterodyne())

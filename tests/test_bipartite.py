@@ -1,11 +1,16 @@
 """Unit tests for two-mode standard forms and daemonic ergotropy closed forms."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 from scipy.linalg import block_diag
 
 import gaussdaemon as gd
 from gaussdaemon import GeneralDyneSetting, UnphysicalStateError
+from gaussdaemon.bipartite import _optimal_det_coefficients
 
 N_RANDOM = 100
 
@@ -120,6 +125,96 @@ def test_max_daemonic_dominates_random_settings():
         for _ in range(20):
             setting = gd.random_setting(rng, efficient=True)
             assert best.value >= gd.daemonic_ergotropy(st, setting).value - 1e-9
+
+
+def _det_star(sf, z):
+    """Phase-minimized determinant a^2 - u g1 - v g2 + w g1 g2 from the reduced coefficients."""
+    u, v, w = _optimal_det_coefficients(sf)
+    g1, g2 = 1.0 / (sf.b + z), z / (1.0 + sf.b * z)
+    return sf.a**2 - u * g1 - v * g2 + w * g1 * g2
+
+
+def test_reduced_determinant_identity():
+    """The reduced det*(z) equals the full closed form at the optimal phase."""
+    rng = np.random.default_rng(149)
+    for _ in range(N_RANDOM):
+        sf = gd.random_standard_form(rng)
+        theta = gd.optimal_phase(sf, 0.0).angle
+        for z in (0.0, 1e-9, 0.3, 1.0):
+            assert _det_star(sf, z) == pytest.approx(gd.conditional_determinant(sf, theta, z), rel=1e-12, abs=0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st_.integers(min_value=0, max_value=2**32 - 1))
+def test_max_daemonic_dominates_z_grid(seed):
+    """The closed-form optimum beats every z_m on a dense grid at the optimal phase."""
+    sf = gd.random_standard_form(np.random.default_rng(seed))
+    theta = gd.optimal_phase(sf, 0.0).angle
+    trace_term = 0.25 * sf.a * (sf.z_a + 1.0 / sf.z_a)
+    zs = np.concatenate([[0.0], np.logspace(-12, 0, 400), [1.0]])
+    grid = max(trace_term - 0.5 * math.sqrt(gd.conditional_determinant(sf, theta, float(z))) for z in zs)
+    assert gd.max_daemonic(sf).value >= grid - 1e-12
+
+
+def test_interior_optimum_is_stationary():
+    """An interior z_m* is a local minimum of the determinant at the optimal phase."""
+    rng = np.random.default_rng(151)
+    count = 0
+    for _ in range(N_RANDOM):
+        sf = gd.random_standard_form(rng)
+        best = gd.max_daemonic(sf).setting
+        if best.homodyne or best.z_m == 1.0:
+            continue
+        count += 1
+        det_star = gd.conditional_determinant(sf, best.theta_m, best.z_m)
+        for factor in (1.0 - 1e-4, 1.0 + 1e-4):
+            assert gd.conditional_determinant(sf, best.theta_m, min(best.z_m * factor, 1.0)) >= det_star - 1e-12
+    assert count > 25  # interior optima are common among random forms
+
+
+class TestOptimumSelection:
+    """Which measurement max_daemonic reports, including its tie rule."""
+
+    def test_uncorrelated_is_heterodyne(self):
+        """c_+ = 0 makes every setting equal; the tie goes to heterodyne."""
+        sf = gd.TwoModeStandardForm(a=2.0, z_a=1.3, b=1.5, c_plus=0.0, c_minus=0.0, eta=0.0)
+        assert gd.max_daemonic(sf).setting == gd.heterodyne()
+
+    def test_pure_tmsts_is_heterodyne(self):
+        """A pure TMSTS purifies under every efficient setting, so all settings tie.
+
+        At these squeezings roundoff leaves a spurious stationary point in
+        (0, 1), at r = 1.8404 about 2e-15 above heterodyne; neither it nor
+        homodyne may win the tie.
+        """
+        for r in (0.7, 1.0324, 1.8404):
+            sf, _, _ = gd.standard_form(gd.tmsts(0.0, r))
+            assert gd.max_daemonic(sf).setting == gd.heterodyne(), r
+
+    def test_thermal_tmsts_is_heterodyne(self):
+        """The README example: heterodyne is optimal for TMSTS(1, 0.5)."""
+        sf, _, _ = gd.standard_form(gd.tmsts(1.0, 0.5))
+        best = gd.max_daemonic(sf)
+        assert best.setting == gd.heterodyne()
+        assert best.value == pytest.approx(gd.tmsts_heterodyne(1.0, 0.5), abs=1e-12)
+
+    def test_homodyne_strictly_optimal(self):
+        """Correlations in one quadrature only (c_- = 0): homodyne at z_m = 0 wins."""
+        sf = gd.TwoModeStandardForm(a=2.0, z_a=1.0, b=1.5, c_plus=1.0, c_minus=0.0, eta=0.0)
+        best = gd.max_daemonic(sf)
+        assert best.setting.homodyne
+        assert best.setting == gd.homodyne(gd.optimal_phase(sf, 0.0).angle)
+        assert best.value == pytest.approx(gd.max_daemonic_homodyne(sf).value, abs=1e-15)
+        assert best.value > gd.daemonic_heterodyne(sf).value + 0.05
+
+    def test_interior_optimum(self):
+        """A state whose optimum is a proper general-dyne measurement, 0 < z_m < 1."""
+        sf = gd.TwoModeStandardForm(a=2.0, z_a=1.0, b=3.0, c_plus=1.0, c_minus=-0.5, eta=0.0)
+        best = gd.max_daemonic(sf)
+        assert isinstance(best.setting, GeneralDyneSetting)
+        assert not best.setting.homodyne and 0.0 < best.setting.z_m < 1.0
+        assert best.value > gd.max_daemonic_homodyne(sf).value + 1e-3
+        assert best.value > gd.daemonic_heterodyne(sf).value + 1e-3
 
 
 def test_daemonic_beats_unconditional():

@@ -5,6 +5,7 @@ import pytest
 
 import gaussdaemon as gd
 from gaussdaemon import GeneralDyneSetting, NoSteadyStateError, OpoParams
+from zopt_search import opo_zopt_numeric
 
 
 def test_params_validation():
@@ -100,7 +101,7 @@ def test_zopt_closed_form():
     """Numeric golden-section optimum matches (1 - chi_t)/(1 + chi_t) at nu_in > 1."""
     for chi_t in (0.3, 0.7):
         p = OpoParams.from_tilde(chi_t, nu_in=2.0)
-        assert gd.opo_zopt_numeric(p) == pytest.approx(gd.opo_zopt(p), abs=1e-5)
+        assert opo_zopt_numeric(p) == pytest.approx(gd.opo_zopt(p), abs=1e-5)
 
 
 def test_zero_temperature_landscape_is_flat():

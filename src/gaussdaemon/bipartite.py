@@ -42,7 +42,7 @@ optimized evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -53,8 +53,7 @@ from .measurement import GeneralDyneSetting, Partition, condition, heterodyne, h
 from .symplectic import (
     TOL_PSD,
     GaussianState,
-    rotation,
-    symplectic_form,
+    _omega,
     williamson_single_mode,
 )
 
@@ -66,7 +65,10 @@ _CROSS_CHECK_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TwoModeStandardForm:
-    """Standard-form parameters (a, z_a, b, c_plus, c_minus, eta) of a two-mode state."""
+    """Standard-form parameters (a, z_a, b, c_plus, c_minus, eta) of a two-mode state.
+
+    ``cm`` is the read-only 4x4 covariance matrix of the form, built once.
+    """
 
     a: float
     z_a: float
@@ -74,6 +76,7 @@ class TwoModeStandardForm:
     c_plus: float
     c_minus: float
     eta: float
+    cm: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.a < 1.0 - TOL_PSD or self.b < 1.0 - TOL_PSD:
@@ -85,21 +88,27 @@ class TwoModeStandardForm:
                 f"correlation ordering violated: need c_plus >= |c_minus| >= 0, got "
                 f"c_plus={self.c_plus}, c_minus={self.c_minus}"
             )
-        omega = symplectic_form(2)
-        w = np.linalg.eigvalsh(self.to_state().cm + 1j * omega)
+        ce, se = np.cos(self.eta), np.sin(self.eta)
+        cm = np.zeros((4, 4))
+        cm[0, 0], cm[1, 1] = self.a * self.z_a, self.a * (1.0 / self.z_a)
+        cm[2, 2] = cm[3, 3] = self.b
+        # sigma_AB = R_eta diag(c_plus, c_minus)
+        cm[0, 2] = cm[2, 0] = ce * self.c_plus
+        cm[0, 3] = cm[3, 0] = se * self.c_minus
+        cm[1, 2] = cm[2, 1] = -se * self.c_plus
+        cm[1, 3] = cm[3, 1] = ce * self.c_minus
+        cm.flags.writeable = False
+        object.__setattr__(self, "cm", cm)
+        w = np.linalg.eigvalsh(cm + 1j * _omega(2))
         if w.min() < -TOL_PSD:
             raise UnphysicalStateError(
                 f"standard form is unphysical: min eig(sigma + i Omega) = {w.min():.3e}"
             )
 
     def to_state(self, mean_a=(0.0, 0.0)) -> GaussianState:
-        """Reconstruct the two-mode state (mode 0 = A, mode 1 = B, B with zero mean)."""
-        sa = self.a * np.diag([self.z_a, 1.0 / self.z_a])
-        sb = self.b * np.eye(2)
-        sab = rotation(self.eta) @ np.diag([self.c_plus, self.c_minus])
-        cm = np.block([[sa, sab], [sab.T, sb]])
+        """The two-mode state (mode 0 = A, mode 1 = B, B with zero mean); its CM is read-only."""
         mean = np.concatenate([np.asarray(mean_a, dtype=float).reshape(2), np.zeros(2)])
-        return GaussianState(mean, cm)
+        return GaussianState(mean, self.cm)
 
 
 def standard_form(state: GaussianState) -> tuple[TwoModeStandardForm, np.ndarray, np.ndarray]:

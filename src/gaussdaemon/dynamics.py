@@ -65,8 +65,8 @@ from .symplectic import (
     TOL_PSD,
     TOL_SYM,
     GaussianState,
+    _omega,
     symplectic_eigenvalues,
-    symplectic_form,
     validate_state,
     williamson_single_mode,
 )
@@ -166,8 +166,8 @@ class DriftDiffusion:
 
 def drift_diffusion(model: DiffusiveModel) -> DriftDiffusion:
     """Drift, diffusion and drive of the unconditional diffusive dynamics."""
-    om_n = symplectic_form(model.n)
-    om_m = symplectic_form(model.m)
+    om_n = _omega(model.n)
+    om_m = _omega(model.m)
     a = om_n @ model.h_s + 0.5 * om_n @ model.c @ om_m @ model.c.T
     d = om_n @ model.c @ model.sigma_in @ model.c.T @ om_n.T
     drive = om_n @ model.c @ model.mean_in
@@ -243,8 +243,8 @@ def monitored(model: DiffusiveModel, setting) -> MonitoredModel:
     if len(settings) != model.m:
         raise ValueError(f"expected {model.m} measurement settings, got {len(settings)}")
     isq = _inverse_sqrt_sum(model.sigma_in, settings)
-    om_n = symplectic_form(model.n)
-    om_m = symplectic_form(model.m)
+    om_n = _omega(model.n)
+    om_m = _omega(model.m)
     b = model.c @ om_m @ isq
     e = om_n @ model.c @ model.sigma_in @ isq
     return MonitoredModel(base=model, settings=settings, b=b, e=e)
@@ -257,6 +257,11 @@ def _riccati_terms(dd: DriftDiffusion, mm: MonitoredModel) -> tuple[np.ndarray, 
     the filter's right-hand side A s + s A^T + D - (E - s B)(E - s B)^T.
     """
     return dd.a + mm.e @ mm.b.T, dd.d - mm.e @ mm.e.T, mm.b @ mm.b.T
+
+
+def _require_modes(n_state: int, n_model: int) -> None:
+    if n_state != n_model:
+        raise ValueError(f"initial state has {n_state} modes, model has {n_model}")
 
 
 def _grid_steps(t_grid) -> np.ndarray:
@@ -305,6 +310,7 @@ def evolve_conditional_cm(mm: MonitoredModel, sigma0: np.ndarray, t_grid) -> np.
     """
     sigma = np.asarray(sigma0, dtype=float)
     validate_state(np.zeros(sigma.shape[0]), sigma)
+    _require_modes(sigma.shape[0] // 2, mm.base.n)
     at, dtilde, bbt = _riccati_terms(drift_diffusion(mm.base), mm)
     return _propagate_riccati(at, dtilde, bbt, sigma, t_grid)
 
@@ -348,7 +354,7 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
         raise NumericError("Riccati solution is not stabilizing: At - sigma B B^T is not Hurwitz")
     if res > SS_RESIDUAL_TOL:
         raise ConvergenceError(f"Riccati steady state has algebraic residual {res:.3e} > {SS_RESIDUAL_TOL:.1e}")
-    wmin = float(np.linalg.eigvalsh(sigma + 1j * symplectic_form(mm.base.n)).min())
+    wmin = float(np.linalg.eigvalsh(sigma + 1j * _omega(mm.base.n)).min())
     if wmin < -TOL_PSD:
         raise NumericError(f"Riccati steady state is unphysical: min eig(sigma + i Omega) = {wmin:.3e}")
     return sigma
@@ -361,6 +367,7 @@ def unconditional_path(dd: DriftDiffusion, state0: GaussianState, t_grid) -> tup
     propagator; the mean follows r' = A r + d through the exponential of the
     augmented matrix [[A, d], [0, 0]] (Van Loan), one per distinct step.
     """
+    _require_modes(state0.n, dd.a.shape[0] // 2)
     cms = _propagate_riccati(dd.a, dd.d, np.zeros_like(dd.a), state0.cm, t_grid)
     steps = _grid_steps(t_grid).tolist()
     dim = dd.a.shape[0]
@@ -425,8 +432,7 @@ def simulate_trajectories(
     if stride < 1 or n_steps % stride:
         raise ValueError(f"store_stride = {store_stride} must divide the {n_steps} steps")
     validate_state(state0.mean, state0.cm)
-    if state0.n != mm.base.n:
-        raise ValueError(f"initial state has {state0.n} modes, model has {mm.base.n}")
+    _require_modes(state0.n, mm.base.n)
 
     dd = drift_diffusion(mm.base)
     two_n = 2 * mm.base.n
@@ -497,14 +503,22 @@ def daemonic_ergotropy_path(mm: MonitoredModel, state0: GaussianState, t_grid) -
     The outcome-averaged conditional energy equals the unconditional energy,
     so only the passive energy reflects the monitoring.
     """
-    dd = drift_diffusion(mm.base)
-    means, cms = unconditional_path(dd, state0, t_grid)
-    sig_c = evolve_conditional_cm(mm, state0.cm, t_grid)
-    out = np.empty(len(sig_c))
-    for i in range(len(sig_c)):
-        e = 0.25 * float(np.trace(cms[i])) + 0.5 * float(means[i] @ means[i])
-        passive = 0.5 * float(symplectic_eigenvalues(sig_c[i]).sum())
-        out[i] = clamp_ergotropy(e - passive, f"daemonic ergotropy at t = {t_grid[i]:.6g}")
+    means, cms = unconditional_path(drift_diffusion(mm.base), state0, t_grid)
+    return _daemonic_curve(mm, means, cms, state0.cm, t_grid)
+
+
+def _daemonic_curve(mm: MonitoredModel, means, cms, sigma0, t_grid) -> np.ndarray:
+    """Daemonic ergotropy on t_grid from the unconditional moments on that grid.
+
+    The unconditional path does not depend on the measurement, so callers
+    comparing strategies compute it once and pass it to each.  The passive
+    energies come from one stacked symplectic-spectrum call.
+    """
+    sig_c = evolve_conditional_cm(mm, sigma0, t_grid)
+    energy = 0.25 * np.trace(cms, axis1=1, axis2=2) + 0.5 * np.einsum("ij,ij->i", means, means)
+    out = energy - 0.5 * symplectic_eigenvalues(sig_c).sum(axis=-1)
+    for i in np.flatnonzero(out < 0.0):
+        out[i] = clamp_ergotropy(float(out[i]), f"daemonic ergotropy at t = {t_grid[i]:.6g}")
     return out
 
 

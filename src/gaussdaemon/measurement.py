@@ -115,10 +115,17 @@ def inverse_sum(sigma_b: np.ndarray, setting: GeneralDyneSetting) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Partition:
-    """Split of an n-mode state into a kept subsystem A and a measured mode B."""
+    """Split of an n-mode state into a kept subsystem A and a measured mode B.
+
+    The quadrature index arrays of both subsystems and the block selectors
+    of sigma_A, sigma_B and sigma_AB are computed once, at construction.
+    """
 
     a_modes: tuple
     b_modes: tuple
+    a_idx: np.ndarray = field(init=False, repr=False, compare=False)
+    b_idx: np.ndarray = field(init=False, repr=False, compare=False)
+    _ix: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = tuple(int(m) for m in self.a_modes)
@@ -129,19 +136,20 @@ class Partition:
             raise ValueError(f"subsystems overlap: {set(a) & set(b)}")
         if len(set(a)) != len(a) or not a:
             raise ValueError(f"kept modes must be a non-empty set, got {a}")
+        ia, ib = _mode_indices(a), _mode_indices(b)
+        ia.flags.writeable = ib.flags.writeable = False
         object.__setattr__(self, "a_modes", a)
         object.__setattr__(self, "b_modes", b)
+        object.__setattr__(self, "a_idx", ia)
+        object.__setattr__(self, "b_idx", ib)
+        object.__setattr__(self, "_ix", (np.ix_(ia, ia), np.ix_(ib, ib), np.ix_(ia, ib)))
 
 
 def _blocks(state: GaussianState, partition: Partition):
-    ia = _mode_indices(partition.a_modes)
-    ib = _mode_indices(partition.b_modes)
     if max(partition.a_modes + partition.b_modes) >= state.n:
         raise ValueError(f"partition refers to modes outside the {state.n}-mode state")
-    sa = state.cm[np.ix_(ia, ia)]
-    sb = state.cm[np.ix_(ib, ib)]
-    sab = state.cm[np.ix_(ia, ib)]
-    return sa, sb, sab, state.mean[ia], state.mean[ib]
+    aa, bb, ab = partition._ix
+    return state.cm[aa], state.cm[bb], state.cm[ab], state.mean[partition.a_idx], state.mean[partition.b_idx]
 
 
 def condition(

@@ -32,13 +32,15 @@ import numpy as np
 
 from .dynamics import (
     DiffusiveModel,
-    daemonic_ergotropy_path,
+    _daemonic_curve,
+    drift_diffusion,
     monitored,
     steady_state_conditional,
+    unconditional_path,
 )
 from .exceptions import NoSteadyStateError
 from .measurement import GeneralDyneSetting, heterodyne, homodyne
-from .symplectic import GaussianState, symplectic_form
+from .symplectic import GaussianState, _omega
 
 _THETA_TOL = 1e-12
 _Z_SWEEP_FLOOR = 1e-6
@@ -89,7 +91,7 @@ class OpoParams:
 def opo_model(params: OpoParams) -> DiffusiveModel:
     """Diffusive model of the OPO; reproduces A = diag(-k/2 - chi, -k/2 + chi), D = k nu_in I."""
     h_s = -params.chi * np.array([[0.0, 1.0], [1.0, 0.0]])
-    c = math.sqrt(params.kappa) * symplectic_form(1)
+    c = math.sqrt(params.kappa) * _omega(1)
     return DiffusiveModel(h_s=h_s, c=c, sigma_in=params.nu_in * np.eye(2), mean_in=np.zeros(2))
 
 
@@ -204,7 +206,9 @@ def transient_table(params: OpoParams, t_max: float = 10.0, dt: float = 1e-3) ->
 
     Uniform grid with spacing dt up to t_max (in units of 1/kappa when
     kappa = 1); t_max must be an integer multiple of dt.  The propagators
-    are exact, so dt sets only the resolution of the table.
+    are exact, so dt sets only the resolution of the table.  The
+    unconditional moments do not depend on the strategy and are propagated
+    once for all three curves.
     """
     n_steps = int(round(t_max / dt))
     if n_steps < 1 or abs(n_steps * dt - t_max) > 1e-9 * max(1.0, t_max):
@@ -212,8 +216,9 @@ def transient_table(params: OpoParams, t_max: float = 10.0, dt: float = 1e-3) ->
     grid = np.linspace(0.0, t_max, n_steps + 1)
     state0 = GaussianState(np.zeros(2), params.nu_0 * np.eye(2))
     model = opo_model(params)
-    curves = {}
-    for name in ("hom0", "hom90", "het"):
-        mm = monitored(model, strategy_setting(name))
-        curves[name] = daemonic_ergotropy_path(mm, state0, grid)
-    return TransientTable(times=grid, hom0=curves["hom0"], hom90=curves["hom90"], het=curves["het"])
+    means, cms = unconditional_path(drift_diffusion(model), state0, grid)
+    curves = {
+        name: _daemonic_curve(monitored(model, strategy_setting(name)), means, cms, state0.cm, grid)
+        for name in ("hom0", "hom90", "het")
+    }
+    return TransientTable(times=grid, **curves)

@@ -17,6 +17,7 @@ collected in the 2n-vector mean.  The free Hamiltonian is the sum of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,11 +32,19 @@ TOL_HURWITZ = 1e-12     # strict-stability margin for drift matrices
 _OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def symplectic_form(n: int) -> np.ndarray:
-    """Return the 2n x 2n symplectic form for n modes."""
+@lru_cache(maxsize=None)
+def _omega(n: int) -> np.ndarray:
+    """Read-only 2n x 2n symplectic form, built once per n."""
     if n < 1:
         raise ValueError(f"number of modes must be positive, got {n}")
-    return np.kron(np.eye(n), _OMEGA_1)
+    form = np.kron(np.eye(n), _OMEGA_1)
+    form.flags.writeable = False
+    return form
+
+
+def symplectic_form(n: int) -> np.ndarray:
+    """Return the 2n x 2n symplectic form for n modes (a fresh, writable array)."""
+    return _omega(n).copy()
 
 
 def rotation(phi: float) -> np.ndarray:
@@ -99,8 +108,7 @@ def validate_state(mean, cm, *, tol_sym: float = TOL_SYM, tol_psd: float = TOL_P
     ws = np.linalg.eigvalsh(0.5 * (state.cm + state.cm.T))
     if ws.min() <= 0:
         raise UnphysicalStateError(f"covariance matrix not positive definite: min eig = {ws.min():.3e}")
-    omega = symplectic_form(state.n)
-    w = np.linalg.eigvalsh(state.cm + 1j * omega)
+    w = np.linalg.eigvalsh(state.cm + 1j * _omega(state.n))
     if w.min() < -tol_psd:
         raise UnphysicalStateError(
             f"uncertainty principle violated: min eig(sigma + i Omega) = {w.min():.3e} < -{tol_psd:.1e}"
@@ -125,7 +133,7 @@ def check_symplectic(S: np.ndarray, tol: float = TOL_SYMPLECTIC) -> None:
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2:
         raise SymplecticityError(f"symplectic matrix must be square of even size, got {S.shape}")
-    omega = symplectic_form(S.shape[0] // 2)
+    omega = _omega(S.shape[0] // 2)
     dev = np.abs(S @ omega @ S.T - omega).max()
     if dev > tol:
         raise SymplecticityError(f"matrix is not symplectic: max |S Omega S^T - Omega| = {dev:.3e}")
@@ -169,20 +177,23 @@ def symplectic_eigenvalues(cm: np.ndarray, *, tol_psd: float = TOL_PSD) -> np.nd
     whose eigenvalues are the squared symplectic eigenvalues, each doubly
     degenerate; pairs are matched by sorting.  Values within ``tol_psd`` below 1
     are clamped to exactly 1 so that pure states report unit eigenvalues.
+
+    ``cm`` may also be a stack of shape (k, 2n, 2n); the spectra are then
+    computed in one batched pass and returned as a (k, n) array, row i being
+    the spectrum of ``cm[i]``.  A stack with any non-positive member raises.
     """
     cm = np.asarray(cm, dtype=float)
-    n = cm.shape[0] // 2
-    w, Q = np.linalg.eigh(0.5 * (cm + cm.T))
+    n = cm.shape[-1] // 2
+    w, Q = np.linalg.eigh(0.5 * (cm + np.swapaxes(cm, -1, -2)))
     if w.min() <= 0:
-        raise UnphysicalStateError(f"covariance matrix not positive definite: min eig = {w.min():.3e}")
-    root = Q @ np.diag(np.sqrt(w)) @ Q.T
-    omega = symplectic_form(n)
-    m = root @ omega @ root
-    w2 = np.linalg.eigvalsh(-m @ m)  # = (Omega sigma)^2 spectrum, made symmetric
-    w2 = np.sort(w2)
-    nus = np.sqrt(0.5 * (w2[0::2] + w2[1::2]))
+        where = "" if cm.ndim == 2 else f" at stack index {int(np.argmin(w.min(axis=-1)))}"
+        raise UnphysicalStateError(f"covariance matrix not positive definite{where}: min eig = {w.min():.3e}")
+    root = (Q * np.sqrt(w)[..., None, :]) @ np.swapaxes(Q, -1, -2)
+    m = root @ _omega(n) @ root
+    w2 = np.sort(np.linalg.eigvalsh(-m @ m), axis=-1)  # = (Omega sigma)^2 spectrum, made symmetric
+    nus = np.sqrt(0.5 * (w2[..., 0::2] + w2[..., 1::2]))
     nus = np.where((nus < 1.0) & (nus > 1.0 - tol_psd), 1.0, nus)
-    return np.sort(nus)[::-1]
+    return np.sort(nus, axis=-1)[..., ::-1]
 
 
 def energy(state: GaussianState) -> float:

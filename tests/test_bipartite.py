@@ -52,6 +52,19 @@ def test_standard_form_validation():
         gd.standard_form(gd.vacuum(1))
 
 
+def test_standard_form_cm_is_read_only():
+    """The form's CM is built once; writing through to_state() raises and leaves it intact."""
+    sf = gd.TwoModeStandardForm(a=2.0, z_a=1.5, b=3.0, c_plus=1.0, c_minus=-0.5, eta=0.4)
+    before = sf.cm.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        sf.to_state().cm[0, 0] = 100.0
+    assert np.array_equal(sf.cm, before)
+    assert np.array_equal(sf.to_state().cm, before)
+    r = gd.rotation(0.4) @ np.diag([1.0, -0.5])
+    expected = np.block([[2.0 * np.diag([1.5, 1.0 / 1.5]), r], [r.T, 3.0 * np.eye(2)]])
+    assert np.array_equal(before, expected)
+
+
 def test_conditional_determinant_matches_pipeline():
     """Closed-form det sigma_A^c equals the conditioning pipeline everywhere."""
     rng = np.random.default_rng(107)

@@ -320,3 +320,33 @@ def test_daemonic_path_reaches_steady_value():
     assert path[0] == pytest.approx(0.0, abs=1e-12)  # thermal start is passive
     assert path[-1] == pytest.approx(target, abs=1e-6)
     assert gd.daemonic_ergotropy_t(mm, gd.thermal(5.0), 40.0) == pytest.approx(target, abs=1e-5)
+
+
+def test_daemonic_path_matches_per_step_loop():
+    """The batched curve equals energy minus passive energy evaluated one time step at a time."""
+    rng = np.random.default_rng(131)
+    model = _random_two_mode_model(rng)
+    mm = gd.monitored(model, (gd.random_setting(rng), gd.random_setting(rng)))
+    state0 = GaussianState(rng.standard_normal(4), 2.0 * np.eye(4))
+    t_grid = np.linspace(0.0, 3.0, 61)
+    means, cms = gd.unconditional_path(gd.drift_diffusion(model), state0, t_grid)
+    sig_c = gd.evolve_conditional_cm(mm, state0.cm, t_grid)
+    loop = [
+        0.25 * np.trace(cms[i]) + 0.5 * means[i] @ means[i] - 0.5 * gd.symplectic_eigenvalues(sig_c[i]).sum()
+        for i in range(t_grid.size)
+    ]
+    assert np.abs(gd.daemonic_ergotropy_path(mm, state0, t_grid) - loop).max() <= 1e-13
+
+
+@pytest.mark.parametrize("func", ["evolve_conditional_cm", "unconditional_path", "daemonic_ergotropy_path"])
+def test_mode_count_mismatch_is_named(func):
+    """A two-mode initial state on a one-mode model is rejected with both mode counts."""
+    mm = gd.monitored(gd.opo_model(gd.OpoParams.from_tilde(0.5)), gd.heterodyne())
+    state0 = gd.vacuum(2)
+    calls = {
+        "evolve_conditional_cm": lambda: gd.evolve_conditional_cm(mm, state0.cm, [0.0, 1.0]),
+        "unconditional_path": lambda: gd.unconditional_path(gd.drift_diffusion(mm.base), state0, [0.0, 1.0]),
+        "daemonic_ergotropy_path": lambda: gd.daemonic_ergotropy_path(mm, state0, [0.0, 1.0]),
+    }
+    with pytest.raises(ValueError, match="initial state has 2 modes, model has 1"):
+        calls[func]()

@@ -92,6 +92,16 @@ def test_condition_validation():
         gd.condition(st, PART, gd.heterodyne(), [0.0, 0.0, 0.0])
 
 
+def test_partition_indices():
+    """Index arrays are computed at construction, in mode order, and are read-only."""
+    part = Partition((2, 0), (1,))
+    assert np.array_equal(part.a_idx, [4, 5, 0, 1])
+    assert np.array_equal(part.b_idx, [2, 3])
+    with pytest.raises(ValueError, match="read-only"):
+        part.a_idx[0] = 0
+    assert part == Partition([2, 0], [1])
+
+
 def test_sample_outcome_statistics():
     """Outcome samples have mean mean_B and covariance (sigma_B + sigma_m)/2."""
     rng = np.random.default_rng(43)

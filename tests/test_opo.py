@@ -134,3 +134,14 @@ def test_transient_table_consistency():
     assert np.all(np.diff(tab.hom90) > -1e-9)  # monotone rise at these parameters
     with pytest.raises(ValueError, match="integer multiple"):
         gd.transient_table(p, t_max=0.5, dt=0.3)
+
+
+def test_transient_table_matches_daemonic_paths():
+    """Sharing one unconditional path leaves each curve equal to its own daemonic_ergotropy_path."""
+    for nu_in in (1.0, 3.0):
+        p = OpoParams.from_tilde(0.8, nu_in=nu_in, nu_0=5.0)
+        tab = gd.transient_table(p, t_max=2.0, dt=1e-2)
+        state0 = gd.thermal(5.0)
+        for name in ("hom0", "hom90", "het"):
+            mm = gd.monitored(gd.opo_model(p), gd.strategy_setting(name))
+            assert np.array_equal(getattr(tab, name), gd.daemonic_ergotropy_path(mm, state0, tab.times)), name

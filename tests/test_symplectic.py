@@ -26,6 +26,14 @@ def test_symplectic_form_blocks():
         gd.symplectic_form(0)
 
 
+def test_symplectic_form_is_a_fresh_copy():
+    """Writing into a returned form does not change later calls."""
+    omega = gd.symplectic_form(2)
+    omega[0, 1] = 7.0
+    assert gd.symplectic_form(2)[0, 1] == 1.0
+    assert np.array_equal(gd.symplectic_form(2), np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]))
+
+
 def test_rotation_and_squeezer_are_symplectic():
     """Phase rotations and squeezers satisfy S Omega S^T = Omega."""
     rng = np.random.default_rng(7)
@@ -137,6 +145,25 @@ def test_symplectic_eigenvalues_invariance():
         nus_t = gd.symplectic_eigenvalues(S @ st.cm @ S.T)
         assert np.allclose(nus, nus_t, atol=1e-9), (n, nus, nus_t)
         assert np.all(nus >= 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_symplectic_eigenvalues(n):
+    """A (k, 2n, 2n) stack gives row i = the spectrum of member i."""
+    rng = np.random.default_rng(300 + n)
+    cms = np.stack([gd.random_state(rng, n).cm for _ in range(40)])
+    stacked = gd.symplectic_eigenvalues(cms)
+    single = np.stack([gd.symplectic_eigenvalues(cm) for cm in cms])
+    assert stacked.shape == (40, n)
+    assert single.shape == (40, n)
+    assert np.abs(stacked - single).max() <= 1e-13
+
+
+def test_stacked_symplectic_eigenvalues_reject_nonpositive_member():
+    """One non-positive member makes the whole stack raise, naming its index."""
+    cms = np.stack([np.eye(2), np.diag([1.0, 0.0]), 2.0 * np.eye(2)])
+    with pytest.raises(UnphysicalStateError, match="stack index 1"):
+        gd.symplectic_eigenvalues(cms)
 
 
 def test_energy_and_purity():

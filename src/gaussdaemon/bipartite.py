@@ -24,11 +24,15 @@ measurement (phase theta, squeezing z_m) is an exact trigonometric polynomial
 
     det sigma_A^c(theta, z_m) = C0(z_m) + P(z_m) cos(2 theta) + Q(z_m) sin(2 theta),
 
-with scalar coefficients assembled in :func:`_det_coefficients`.  Two useful
-consequences drive the optimizers below:
+where the pointer enters only through g1 = 1/(b + z_m) and g2 = z_m/(1 + b z_m):
+
+    C0 = a^2 - (g1 + g2) S/2 + w g1 g2,   P = (g1 - g2) P0,   Q = (g1 - g2) Q0,
+
+with (S/2, P0, Q0, w) independent of the measurement (:func:`_det_invariants`).
+Two useful consequences drive the optimizers below:
 
 * the optimal phase 2 theta* = atan2(-Q, -P) does not depend on z_m (P and Q
-  share their full z_m dependence through a common positive factor);
+  share their full z_m dependence through the factor g1 - g2 >= 0);
 * at theta* the determinant is a rational function of z_m whose stationary
   points solve a quadratic, so the maximum over the measurement is that
   quadratic's root in (0, 1), the exact homodyne limit z_m = 0 or
@@ -36,7 +40,9 @@ consequences drive the optimizers below:
 
 The closed forms and the generic conditioning pipeline are kept as two
 independent routes and are cross-checked against each other at every
-optimized evaluation.
+closed-form evaluation.  A single mode's daemonic ergotropy depends only on
+its energy and conditional purity, E - 1/(2 mu_c) with mu_c = 1/sqrt(det
+sigma_A^c), which both routes evaluate through the ergotropy module.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ergotropy import clamp_ergotropy, ergotropy_report
+from .ergotropy import _single_mode_ergotropy, ergotropy_report
 from .exceptions import NumericError, UnphysicalStateError
 from .measurement import GeneralDyneSetting, Partition, condition, heterodyne, homodyne
 from .symplectic import (
@@ -160,40 +166,33 @@ class _DetCoefficients(NamedTuple):
     q: float
 
 
+def _det_invariants(sf: TwoModeStandardForm) -> tuple[float, float, float, float]:
+    """The z_m-independent parts (S/2, P0, Q0, w) of C0, P and Q (see the module docstring).
+
+    Derived by expanding the Schur complement of the measured block in the
+    standard form; w = c_+^2 c_-^2 and S, P0, Q0 are quadratic in the
+    correlations.
+    """
+    a, z_a = sf.a, sf.z_a
+    cp2, cm2 = sf.c_plus * sf.c_plus, sf.c_minus * sf.c_minus
+    ce, se = math.cos(sf.eta), math.sin(sf.eta)
+    s_half = 0.5 * a * (z_a * (cp2 * se * se + cm2 * ce * ce) + (cp2 * ce * ce + cm2 * se * se) / z_a)
+    p0 = 0.5 * a * (cm2 * (z_a * ce * ce + se * se / z_a) - cp2 * (z_a * se * se + ce * ce / z_a))
+    q0 = -sf.c_plus * sf.c_minus * a * (z_a - 1.0 / z_a) * ce * se
+    return s_half, p0, q0, cp2 * cm2
+
+
 def _det_coefficients(sf: TwoModeStandardForm, z_m: float) -> _DetCoefficients:
     """Coefficients of det sigma_A^c = C0 + P cos(2 theta) + Q sin(2 theta).
 
     ``z_m = 0`` gives the exact homodyne limit; ``z_m = 1`` is heterodyne
-    (P = Q = 0).  Derived by expanding the Schur complement of the measured
-    block; the pointer enters only through g1 = 1/(b + z_m) and
-    g2 = z_m/(1 + b z_m).
+    (g1 = g2, so P = Q = 0).  See :func:`_det_invariants`.
     """
-    a, z_a, b = sf.a, sf.z_a, sf.b
-    cp, cm, eta = sf.c_plus, sf.c_minus, sf.eta
-    g1 = 1.0 / (b + z_m)
-    g2 = z_m / (1.0 + b * z_m)
-    gbar = 0.5 * (g1 + g2)
+    s_half, p0, q0, w = _det_invariants(sf)
+    g1 = 1.0 / (sf.b + z_m)
+    g2 = z_m / (1.0 + sf.b * z_m)
     dlt = g1 - g2
-    ce, se = math.cos(eta), math.sin(eta)
-
-    # X0 = sigma_A - gbar R_eta diag(cp^2, cm^2) R_eta^T (the theta-independent part)
-    e11 = cp * cp * ce * ce + cm * cm * se * se
-    e22 = cp * cp * se * se + cm * cm * ce * ce
-    e12 = (cm * cm - cp * cp) * ce * se
-    x11 = a * z_a - gbar * e11
-    x22 = a / z_a - gbar * e22
-    x12 = -gbar * e12
-    det_x0 = x11 * x22 - x12 * x12
-
-    # Y = R_eta^T sigma_A R_eta - gbar diag(cp^2, cm^2)
-    y11 = a * z_a * ce * ce + a * se * se / z_a - gbar * cp * cp
-    y22 = a * z_a * se * se + a * ce * ce / z_a - gbar * cm * cm
-    y12 = a * (z_a - 1.0 / z_a) * ce * se
-
-    p = 0.5 * dlt * (cm * cm * y11 - cp * cp * y22)
-    q = -dlt * cp * cm * y12
-    c0 = det_x0 - 0.25 * dlt * dlt * cp * cp * cm * cm
-    return _DetCoefficients(c0, p, q)
+    return _DetCoefficients(sf.a * sf.a - (g1 + g2) * s_half + w * g1 * g2, dlt * p0, dlt * q0)
 
 
 def conditional_determinant(sf: TwoModeStandardForm, theta_m: float, z_m: float) -> float:
@@ -232,21 +231,6 @@ def optimal_phase(sf: TwoModeStandardForm, z_m: float) -> OptimalPhase:
     return OptimalPhase(0.5 * math.atan2(-q, -p) % math.pi, False)
 
 
-def _daemonic_value(sf: TwoModeStandardForm, mean_a, det_c: float) -> float:
-    if det_c < 0:
-        if det_c < -1e-12:
-            raise NumericError(f"conditional determinant evaluated to {det_c:.3e}")
-        det_c = 0.0
-    mean_a = np.asarray(mean_a, dtype=float).reshape(2)
-    value = (
-        0.25 * sf.a * (sf.z_a + 1.0 / sf.z_a)
-        + 0.5 * float(mean_a @ mean_a)
-        - 0.5 * math.sqrt(det_c)
-    )
-    # det sigma_A^c <= det sigma_A makes this non-negative; clamp roundoff only.
-    return clamp_ergotropy(value, "daemonic ergotropy")
-
-
 @dataclass(frozen=True)
 class DaemonicResult:
     """Daemonic ergotropy together with the measurement that achieves it."""
@@ -266,12 +250,9 @@ def daemonic_ergotropy(state: GaussianState, setting: GeneralDyneSetting) -> Dae
         raise ValueError(f"daemonic ergotropy requires a two-mode state, got {state.n} modes")
     conditional = condition(state, _PARTITION, setting, outcome=np.zeros(2))
     det_c = float(np.linalg.det(conditional.cm))
-    if det_c <= 0:
-        raise NumericError(f"conditional covariance matrix has determinant {det_c:.3e}")
     mean_a = state.mean[:2]
-    sigma_a = state.cm[:2, :2]
-    value = 0.5 * float(mean_a @ mean_a) + 0.25 * float(np.trace(sigma_a)) - 0.5 * math.sqrt(det_c)
-    value = clamp_ergotropy(value, "daemonic ergotropy")
+    energy = 0.5 * float(mean_a @ mean_a) + 0.25 * float(np.trace(state.cm[:2, :2]))
+    value = _single_mode_ergotropy(energy, det_c, "daemonic ergotropy")
     return DaemonicResult(value=value, setting=setting, conditional_purity=1.0 / math.sqrt(det_c))
 
 
@@ -281,55 +262,54 @@ def unconditional_ergotropy_a(state: GaussianState) -> float:
 
 
 def _setting_for(theta: float, z_m: float) -> GeneralDyneSetting:
+    if z_m == 1.0:
+        return heterodyne()
     if z_m == 0.0:
         return homodyne(theta)
     return GeneralDyneSetting(nu_m=1.0, theta_m=theta, z_m=z_m)
 
 
-def _cross_check(sf: TwoModeStandardForm, mean_a, theta: float, z_m: float, value: float) -> None:
-    """Permanent guard: closed form must match the conditioning pipeline."""
-    pipeline = daemonic_ergotropy(sf.to_state(mean_a), _setting_for(theta, z_m)).value
+def _energy_a(sf: TwoModeStandardForm, mean_a) -> float:
+    mean_a = np.asarray(mean_a, dtype=float).reshape(2)
+    return 0.25 * sf.a * (sf.z_a + 1.0 / sf.z_a) + 0.5 * float(mean_a @ mean_a)
+
+
+def _closed_form(sf: TwoModeStandardForm, mean_a, setting: GeneralDyneSetting) -> tuple[DaemonicResult, float]:
+    """Closed-form daemonic result at an efficient setting, with the pipeline value it was checked against.
+
+    Permanent guard: the closed form must match the conditioning pipeline
+    within _CROSS_CHECK_TOL, otherwise NumericError.
+    """
+    det_c = conditional_determinant(sf, setting.theta_m, setting.z_m)
+    value = _single_mode_ergotropy(_energy_a(sf, mean_a), det_c, "daemonic ergotropy")
+    pipeline = daemonic_ergotropy(sf.to_state(mean_a), setting).value
     if abs(pipeline - value) > _CROSS_CHECK_TOL:
         raise NumericError(
             f"closed form and conditioning pipeline disagree: {value!r} vs {pipeline!r} "
-            f"at theta={theta}, z_m={z_m}"
+            f"at theta={setting.theta_m}, z_m={setting.z_m}"
         )
+    return DaemonicResult(value=value, setting=setting, conditional_purity=1.0 / math.sqrt(det_c)), pipeline
 
 
 def daemonic_heterodyne(sf: TwoModeStandardForm, mean_a=(0.0, 0.0)) -> DaemonicResult:
     """Closed-form daemonic ergotropy under efficient heterodyne detection."""
-    det_c = conditional_determinant(sf, 0.0, 1.0)
-    value = _daemonic_value(sf, mean_a, det_c)
-    _cross_check(sf, mean_a, 0.0, 1.0, value)
-    return DaemonicResult(value=value, setting=heterodyne(), conditional_purity=1.0 / math.sqrt(det_c))
+    return _closed_form(sf, mean_a, heterodyne())[0]
 
 
 def max_daemonic_homodyne(sf: TwoModeStandardForm, mean_a=(0.0, 0.0)) -> DaemonicResult:
     """Closed-form daemonic ergotropy under phase-optimized efficient homodyne."""
-    theta = optimal_phase(sf, 0.0).angle
-    det_c = conditional_determinant(sf, theta, 0.0)
-    value = _daemonic_value(sf, mean_a, det_c)
-    _cross_check(sf, mean_a, theta, 0.0, value)
-    return DaemonicResult(value=value, setting=homodyne(theta), conditional_purity=1.0 / math.sqrt(det_c))
+    return _closed_form(sf, mean_a, homodyne(optimal_phase(sf, 0.0).angle))[0]
 
 
 def _optimal_det_coefficients(sf: TwoModeStandardForm) -> tuple[float, float, float]:
     """(u, v, w) with det sigma_A^c(theta*, z_m) = a^2 - u g1 - v g2 + w g1 g2.
 
-    In :func:`_det_coefficients` the gbar terms cancel from P and Q, leaving
-    P = (g1 - g2) P0 and Q = (g1 - g2) Q0 with g1 - g2 >= 0, while
-    C0 = a^2 - gbar S + c_+^2 c_-^2 g1 g2.  The phase-minimized determinant
-    C0 - hypot(P, Q) then has u = S/2 + K, v = S/2 - K and w = c_+^2 c_-^2,
-    where K = hypot(P0, Q0).
+    Since g1 - g2 >= 0, the phase-minimized determinant C0 - hypot(P, Q) has
+    u = S/2 + K and v = S/2 - K with K = hypot(P0, Q0) (see :func:`_det_invariants`).
     """
-    a, z_a = sf.a, sf.z_a
-    cp2, cm2 = sf.c_plus * sf.c_plus, sf.c_minus * sf.c_minus
-    ce, se = math.cos(sf.eta), math.sin(sf.eta)
-    s_half = 0.5 * a * (z_a * (cp2 * se * se + cm2 * ce * ce) + (cp2 * ce * ce + cm2 * se * se) / z_a)
-    p0 = 0.5 * a * (cm2 * (z_a * ce * ce + se * se / z_a) - cp2 * (z_a * se * se + ce * ce / z_a))
-    q0 = -sf.c_plus * sf.c_minus * a * (z_a - 1.0 / z_a) * ce * se
+    s_half, p0, q0, w = _det_invariants(sf)
     k = math.hypot(p0, q0)
-    return s_half + k, s_half - k, cp2 * cm2
+    return s_half + k, s_half - k, w
 
 
 def _interior_minimum(sf: TwoModeStandardForm) -> float | None:
@@ -368,9 +348,10 @@ def max_daemonic(sf: TwoModeStandardForm, mean_a=(0.0, 0.0)) -> DaemonicResult:
     conditioning pipeline.
     """
     theta = optimal_phase(sf, 0.0).angle
+    energy = _energy_a(sf, mean_a)
 
     def value_at(z: float) -> float:
-        return _daemonic_value(sf, mean_a, conditional_determinant(sf, theta, z))
+        return _single_mode_ergotropy(energy, conditional_determinant(sf, theta, z), "daemonic ergotropy")
 
     z_m, value = 1.0, value_at(1.0)
     z_int = _interior_minimum(sf)
@@ -378,14 +359,9 @@ def max_daemonic(sf: TwoModeStandardForm, mean_a=(0.0, 0.0)) -> DaemonicResult:
         v_int = value_at(z_int)
         if v_int > value + _TIE_TOL:
             z_m, value = z_int, v_int
-    v_hom = value_at(0.0)
-    if v_hom > value:
-        z_m, value = 0.0, v_hom
-
-    _cross_check(sf, mean_a, theta, z_m, value)
-    det_c = conditional_determinant(sf, theta, z_m)
-    setting = heterodyne() if z_m == 1.0 else _setting_for(theta, z_m)
-    return DaemonicResult(value=value, setting=setting, conditional_purity=1.0 / math.sqrt(det_c))
+    if value_at(0.0) > value:
+        z_m = 0.0
+    return _closed_form(sf, mean_a, _setting_for(theta, z_m))[0]
 
 
 def tmsts(n_th: float, r: float) -> GaussianState:

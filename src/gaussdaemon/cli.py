@@ -19,7 +19,6 @@ computed side by side and any disagreement beyond 1e-9 is a numeric failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -27,7 +26,9 @@ import numpy as np
 
 from . import __version__
 from .bipartite import (
-    conditional_determinant,
+    _CROSS_CHECK_TOL,
+    _closed_form,
+    _setting_for,
     daemonic_ergotropy,
     daemonic_heterodyne,
     max_daemonic,
@@ -55,6 +56,7 @@ from .opo import (
     zsweep_table,
     transient_table,
     opo_conditional_ss,
+    opo_model,
     opo_steady_daemonic,
     opo_unconditional_ergotropy,
     opo_unconditional_ss,
@@ -63,8 +65,6 @@ from .opo import (
 )
 from .randomized import invariant_suite
 from .symplectic import GaussianState, purity
-
-_CROSS_TOL = 1e-9
 
 
 def _fmt(value: float) -> str:
@@ -127,9 +127,9 @@ def cmd_ergotropy(args) -> int:
 
 
 def _check_cross(closed: float, pipeline: float, label: str) -> None:
-    if abs(closed - pipeline) > _CROSS_TOL:
+    if abs(closed - pipeline) > _CROSS_CHECK_TOL:
         raise NumericError(
-            f"{label}: closed form {closed!r} and pipeline {pipeline!r} disagree beyond {_CROSS_TOL:.1e}"
+            f"{label}: closed form {closed!r} and pipeline {pipeline!r} disagree beyond {_CROSS_CHECK_TOL:.1e}"
         )
 
 
@@ -139,7 +139,6 @@ def cmd_daemonic(args) -> int:
         raise ValueError(f"daemonic requires a two-mode state, got {state.n} modes")
     sf, s_a, _ = standard_form(state)
     mean_a = s_a @ state.mean[:2]
-    std_state = sf.to_state(mean_a)
     print(
         f"standard form: a={_fmt(sf.a)} z_A={_fmt(sf.z_a)} b={_fmt(sf.b)} "
         f"c+={_fmt(sf.c_plus)} c-={_fmt(sf.c_minus)} eta={_fmt(sf.eta)}"
@@ -148,18 +147,8 @@ def cmd_daemonic(args) -> int:
 
     setting = _setting_from_args(args)
     if setting is not None:
-        pipeline = daemonic_ergotropy(std_state, setting).value
-        if setting.nu_m == 1.0:
-            closed_det = conditional_determinant(sf, setting.theta_m, setting.z_m)
-            closed = (
-                0.25 * sf.a * (sf.z_a + 1.0 / sf.z_a)
-                + 0.5 * float(mean_a @ mean_a)
-                - 0.5 * math.sqrt(max(closed_det, 0.0))
-            )
-            _check_cross(closed, pipeline, "daemonic")
-            print(f"daemonic ergotropy [{_describe(setting)}]: closed = {_fmt(closed)}, pipeline = {_fmt(pipeline)}")
-        else:
-            print(f"daemonic ergotropy [{_describe(setting)}]: pipeline = {_fmt(pipeline)}")
+        closed, pipeline = _closed_form(sf, mean_a, setting)
+        print(f"daemonic ergotropy [{_describe(setting)}]: closed = {_fmt(closed.value)}, pipeline = {_fmt(pipeline)}")
         return 0
 
     best = max_daemonic(sf, mean_a)
@@ -190,10 +179,7 @@ def cmd_tmsts_sweep(args) -> int:
     if args.out is not None:
         z_grid = np.logspace(-6, 0, 50)
         theta = optimal_phase(sf, 0.0).angle
-        rows = np.empty((z_grid.size, 2))
-        for i, z in enumerate(z_grid):
-            det_c = conditional_determinant(sf, theta, float(z))
-            rows[i] = (z, 0.25 * sf.a * (sf.z_a + 1.0 / sf.z_a) - 0.5 * math.sqrt(max(det_c, 0.0)))
+        rows = np.array([(z, _closed_form(sf, (0.0, 0.0), _setting_for(theta, float(z)))[0].value) for z in z_grid])
         write_csv(
             args.out,
             ["z_m", "ergotropy"],
@@ -284,8 +270,6 @@ def cmd_trajectories(args) -> int:
         state0 = read_state(args.state) if args.state else GaussianState(np.zeros(2 * model.n), np.eye(2 * model.n))
     elif args.chi_tilde is not None:
         params = _opo_params(args)
-        from .opo import opo_model
-
         model = opo_model(params)
         setting = _setting_from_args(args, default=heterodyne())
         state0 = read_state(args.state) if args.state else GaussianState(np.zeros(2), params.nu_0 * np.eye(2))

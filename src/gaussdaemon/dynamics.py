@@ -35,13 +35,13 @@ flows are Riccati flows (the unconditional Lyapunov flow has no quadratic
 term) and are stepped through the exponential of their Hamiltonian matrix,
 so the results do not depend on the time grid.  The conditional steady state
 solves the continuous algebraic Riccati equation (Schur method), refined by
-one Newton-Kleinman step.
+Newton-Kleinman steps (at least one, at most SS_NEWTON_STEPS).
 
-The homodyne limit of (sigma_in + sigma_m)^(-1/2) is rank-deficient: the
-diverging pointer directions drop out and the kept directions contribute
-K (K^T (sigma_in + sigma_m,fin) K)^(-1/2) K^T with K the orthonormal basis of
-the non-diverging directions.  For a single homodyned mode this reduces to
-u u^T / sqrt(u^T sigma_in u).
+The input modes are uncorrelated, so (sigma_in + sigma_m)^(-1/2) is formed
+one mode at a time as the PSD square root of measurement.inverse_sum, the
+single place the homodyne limit is handled.  There (sigma_in + sigma_m)^(-1)
+tends to the rank-one u u^T / s with s = u^T sigma_in u, whose root is
+u u^T / sqrt(s): the diverging pointer direction drops out of B and E.
 
 The environment is normalized at model construction: a symplectic pre-pass
 brings sigma_in to thermal-diagonal form (nu_j I per mode), folding the
@@ -59,7 +59,7 @@ from scipy.linalg import expm, solve_continuous_are, solve_continuous_lyapunov
 
 from .ergotropy import clamp_ergotropy
 from .exceptions import ConvergenceError, NoSteadyStateError, NumericError, SymmetryError
-from .measurement import GeneralDyneSetting, measured_quadrature, measurement_cm
+from .measurement import GeneralDyneSetting, inverse_sum
 from .symplectic import (
     TOL_HURWITZ,
     TOL_PSD,
@@ -84,7 +84,7 @@ _TRAJ_CHUNK = 256
 class DiffusiveModel:
     """System-environment model (H_S, C, sigma_in, mean_in) for n system and m input modes.
 
-    The constructor validates shapes and physicality and normalizes the
+    The constructor validates shapes, finiteness and physicality and normalizes the
     environment to thermal-diagonal form; the stored ``c``, ``sigma_in`` and
     ``mean_in`` refer to the normalized basis.  Correlations between input
     modes are not supported.
@@ -105,6 +105,8 @@ class DiffusiveModel:
         if h_s.ndim != 2 or h_s.shape[0] != h_s.shape[1] or h_s.shape[0] % 2:
             raise ValueError(f"H_S must be square of even size, got {h_s.shape}")
         n = h_s.shape[0] // 2
+        if not (np.isfinite(h_s).all() and np.isfinite(c).all()):
+            raise ValueError("H_S and the coupling matrix must be finite")
         if np.abs(h_s - h_s.T).max() > TOL_SYM:
             raise SymmetryError("Hamiltonian matrix H_S must be symmetric")
         if c.ndim != 2 or c.shape[0] != 2 * n or c.shape[1] % 2 or c.shape[1] == 0:
@@ -114,7 +116,7 @@ class DiffusiveModel:
             raise ValueError(f"input CM shape {sigma_in.shape} does not match m = {m} input modes")
         if mean_in.size != 2 * m:
             raise ValueError(f"input mean length {mean_in.size} does not match m = {m} input modes")
-        validate_state(np.zeros(2 * m), sigma_in)
+        validate_state(mean_in, sigma_in)
 
         c, sigma_in, mean_in = _normalize_environment(c, sigma_in, mean_in, m)
         object.__setattr__(self, "h_s", 0.5 * (h_s + h_s.T))
@@ -196,32 +198,19 @@ def steady_state_unconditional(dd: DriftDiffusion) -> GaussianState:
 
 
 def _inverse_sqrt_sum(sigma_in: np.ndarray, settings) -> np.ndarray:
-    """(sigma_in + sigma_m)^(-1/2) with the exact rank-deficient homodyne limit.
+    """(sigma_in + sigma_m)^(-1/2), one 2x2 block per (uncorrelated) input mode.
 
-    Diverging pointer directions are dropped; the kept orthonormal directions
-    K contribute K (K^T (sigma_in + sigma_m,fin) K)^(-1/2) K^T.
+    Each block is the PSD square root (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M))
+    of M = inverse_sum(sigma_in,j, setting_j), which owns the homodyne limit.
     """
-    dim = sigma_in.shape[0]
-    fin = np.zeros((dim, dim))
-    cols = []
+    out = np.zeros_like(sigma_in)
     for j, setting in enumerate(settings):
         sl = slice(2 * j, 2 * j + 2)
-        if setting.homodyne:
-            u = np.zeros(dim)
-            u[sl] = measured_quadrature(setting)
-            cols.append(u)
-        else:
-            fin[sl, sl] = measurement_cm(setting)
-            for q in (0, 1):
-                e = np.zeros(dim)
-                e[2 * j + q] = 1.0
-                cols.append(e)
-    k = np.column_stack(cols)
-    kept = k.T @ (sigma_in + fin) @ k
-    w, q = np.linalg.eigh(0.5 * (kept + kept.T))
-    if w.min() <= 0:
-        raise NumericError(f"sigma_in + sigma_m is singular on the kept directions: min eig = {w.min():.3e}")
-    return k @ q @ np.diag(w**-0.5) @ q.T @ k.T
+        m = inverse_sum(sigma_in[sl, sl], setting)
+        # det M is exactly 0 for homodyne; clamp its round-off negatives.
+        sd = math.sqrt(max(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0], 0.0))
+        out[sl, sl] = (m + sd * np.eye(2)) / math.sqrt(m[0, 0] + m[1, 1] + 2.0 * sd)
+    return out
 
 
 @dataclass(frozen=True)

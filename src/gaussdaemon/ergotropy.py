@@ -13,6 +13,7 @@ nu (z^2 + 1/z^2 - 2)/4 + |mean|^2/2, independent of the rotation phase.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,17 @@ def clamp_ergotropy(value: float, what: str = "ergotropy") -> float:
             raise NumericError(f"{what} evaluated to {value:.3e} < -{CLAMP_NEG:.1e}")
         return 0.0
     return value
+
+
+def _single_mode_ergotropy(energy: float, det: float, what: str = "ergotropy") -> float:
+    """Ergotropy E - sqrt(det sigma)/2 = E - 1/(2 mu) of one mode from its energy and purity.
+
+    A non-positive (or NaN) determinant raises NumericError; round-off
+    negatives of the result go through :func:`clamp_ergotropy`.
+    """
+    if not det > 0.0:
+        raise NumericError(f"{what}: covariance determinant {det:.3e} is not positive")
+    return clamp_ergotropy(energy - 0.5 * math.sqrt(det), what)
 
 
 def ergotropy_report(state: GaussianState) -> ErgotropyReport:

@@ -8,7 +8,9 @@ matrix of the (generally noisy) pure-state pointer,
 with nu_m = 1 for an efficient measurement.  z_m = 1 is heterodyne; the
 homodyne limit z_m -> 0 measures the quadrature u = R_theta (1, 0)^T with
 infinite precision and is handled exactly through the rank-one limit of
-(sigma_B + sigma_m)^{-1}, never by plugging in a tiny z_m.
+(sigma_B + sigma_m)^{-1}, never by plugging in a tiny z_m.  :func:`inverse_sum`
+is the one implementation of that limit; the monitored dynamics builds its
+measurement gains from it too.
 
 Measuring subsystem B of a bipartite state with outcome r_m updates subsystem
 A according to
@@ -58,6 +60,8 @@ class GeneralDyneSetting:
     homodyne: bool = False
 
     def __post_init__(self):
+        if not (math.isfinite(self.nu_m) and math.isfinite(self.theta_m)):
+            raise ValueError(f"nu_m and theta_m must be finite, got nu_m = {self.nu_m}, theta_m = {self.theta_m}")
         if self.nu_m < 1.0:
             raise ValueError(f"measurement noise must satisfy nu_m >= 1, got {self.nu_m}")
         if not self.homodyne:
@@ -98,7 +102,9 @@ def inverse_sum(sigma_b: np.ndarray, setting: GeneralDyneSetting) -> np.ndarray:
     """(sigma_B + sigma_m)^{-1}, with the exact rank-one form in the homodyne limit.
 
     For homodyne the limit is u u^T / (u^T sigma_B u); the measurement noise
-    nu_m drops out of the limit.
+    nu_m drops out of the limit.  Finite z_m is inverted in the pointer frame,
+    where sigma_m is diagonal, so the result keeps full precision as z_m -> 0
+    and meets the limit continuously.
     """
     sigma_b = np.asarray(sigma_b, dtype=float)
     if setting.homodyne:
@@ -107,10 +113,15 @@ def inverse_sum(sigma_b: np.ndarray, setting: GeneralDyneSetting) -> np.ndarray:
         if s <= 0:
             raise NumericError(f"measured-quadrature variance {s:.3e} is not positive")
         return np.outer(u, u) / s
-    try:
-        return np.linalg.inv(sigma_b + measurement_cm(setting))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"sigma_B + sigma_m is singular: {exc}") from exc
+    # In the lab frame, the rounding of nu_m / z_m would swamp sigma_B's entries.
+    r = rotation(setting.theta_m)
+    t = r.T @ sigma_b @ r
+    t[0, 0] += setting.nu_m * setting.z_m
+    t[1, 1] += setting.nu_m / setting.z_m
+    det = t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
+    if not det > 0.0:
+        raise NumericError(f"sigma_B + sigma_m is singular: determinant {det:.3e}")
+    return r @ (np.array([[t[1, 1], -t[0, 1]], [-t[1, 0], t[0, 0]]]) / det) @ r.T
 
 
 @dataclass(frozen=True)
@@ -132,6 +143,8 @@ class Partition:
         b = tuple(int(m) for m in self.b_modes)
         if len(b) != 1:
             raise ValueError(f"exactly one measured mode is supported, got {len(b)}")
+        if min(a + b) < 0:
+            raise ValueError(f"mode indices must be non-negative, got a_modes={a}, b_modes={b}")
         if set(a) & set(b):
             raise ValueError(f"subsystems overlap: {set(a) & set(b)}")
         if len(set(a)) != len(a) or not a:

@@ -38,6 +38,7 @@ from .dynamics import (
     steady_state_conditional,
     unconditional_path,
 )
+from .ergotropy import _single_mode_ergotropy
 from .exceptions import NoSteadyStateError
 from .measurement import GeneralDyneSetting, heterodyne, homodyne
 from .symplectic import GaussianState, _omega
@@ -61,6 +62,11 @@ class OpoParams:
     nu_0: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.chi, self.kappa, self.n_th, self.nu_0)):
+            raise ValueError(
+                f"OPO parameters must be finite, got chi = {self.chi}, kappa = {self.kappa}, "
+                f"n_th = {self.n_th}, nu_0 = {self.nu_0}"
+            )
         if self.kappa <= 0:
             raise ValueError(f"loss rate must be positive, got kappa = {self.kappa}")
         if self.chi < 0:
@@ -146,7 +152,7 @@ def opo_steady_daemonic(params: OpoParams, setting: GeneralDyneSetting) -> float
     """Steady-state daemonic ergotropy tr sigma_unc / 4 - (1/2) sqrt(det sigma_c^ss)."""
     sig_c = opo_conditional_ss(params, setting)
     e = 0.25 * float(np.trace(opo_unconditional_ss(params).cm))
-    return e - 0.5 * math.sqrt(float(np.linalg.det(sig_c)))
+    return _single_mode_ergotropy(e, float(np.linalg.det(sig_c)), "daemonic ergotropy")
 
 
 def opo_zopt(params: OpoParams) -> float:
@@ -184,7 +190,7 @@ def zsweep_table(params: OpoParams | None = None, z_grid=None) -> ZSweepData:
     for i, z in enumerate(np.sort(z_grid)):
         mm = monitored(model, GeneralDyneSetting(nu_m=1.0, theta_m=0.0, z_m=float(z)))
         sigma = steady_state_conditional(mm)
-        table[i] = (z, e_unc - 0.5 * math.sqrt(float(np.linalg.det(sigma))))
+        table[i] = (z, _single_mode_ergotropy(e_unc, float(np.linalg.det(sigma)), "daemonic ergotropy"))
 
     z_opt = opo_zopt(params)
     z_opt_value = opo_steady_daemonic(params, GeneralDyneSetting(nu_m=1.0, theta_m=0.0, z_m=z_opt))

@@ -94,6 +94,8 @@ def validate_state(mean, cm, *, tol_sym: float = TOL_SYM, tol_psd: float = TOL_P
 
     Raises
     ------
+    ValueError
+        Non-finite (NaN or infinite) entries in the mean or covariance matrix.
     SymmetryError
         Covariance matrix asymmetric beyond ``tol_sym`` (the maximum
         asymmetry is reported).
@@ -102,6 +104,8 @@ def validate_state(mean, cm, *, tol_sym: float = TOL_SYM, tol_psd: float = TOL_P
         negative eigenvalue is reported).
     """
     state = GaussianState(mean, cm)
+    if not (np.isfinite(state.mean).all() and np.isfinite(state.cm).all()):
+        raise ValueError("mean and covariance matrix must be finite")
     asym = np.abs(state.cm - state.cm.T).max()
     if asym > tol_sym:
         raise SymmetryError(f"covariance matrix asymmetric: max |sigma - sigma^T| = {asym:.3e} > {tol_sym:.1e}")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import expm, solve_continuous_are, solve_continuous_lyapunov
+from scipy.linalg import block_diag, expm, solve_continuous_are, solve_continuous_lyapunov
 
 import gaussdaemon as gd
 from gaussdaemon import (
@@ -12,6 +12,7 @@ from gaussdaemon import (
     GeneralDyneSetting,
     NoSteadyStateError,
 )
+from gaussdaemon.dynamics import _inverse_sqrt_sum
 
 
 def care_steady_state(mm):
@@ -46,6 +47,17 @@ def test_model_validation():
         DiffusiveModel(np.zeros((2, 2)), np.eye(3), np.eye(2), np.zeros(2))
     with pytest.raises(gd.UnphysicalStateError):
         DiffusiveModel(np.zeros((2, 2)), np.eye(2), 0.3 * np.eye(2), np.zeros(2))
+
+
+def test_model_rejects_non_finite():
+    """NaN or infinite entries in H_S, C, sigma_in or mean_in are rejected."""
+    good = (np.zeros((2, 2)), np.eye(2), np.eye(2), np.zeros(2))
+    for k in range(4):
+        for bad in (np.nan, np.inf):
+            args = [np.array(x, dtype=float) for x in good]
+            args[k].flat[0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                DiffusiveModel(*args)
 
 
 def test_environment_normalization_preserves_dynamics():
@@ -158,6 +170,63 @@ def test_homodyne_limit_matches_small_z():
             gd.monitored(model, GeneralDyneSetting(theta_m=theta, z_m=1e-6))
         )
         assert np.allclose(exact, near, atol=1e-4), np.abs(exact - near).max()
+
+
+def _mixed_settings(rng, m):
+    """One setting per input mode: homodyne, z_m = 1e-12 or a random finite (possibly noisy) setting."""
+    kinds = rng.integers(0, 3, size=m)
+    kinds[rng.integers(m)] = 0  # at least one homodyne
+    out = []
+    for kind in kinds:
+        theta = rng.uniform(0.0, np.pi)
+        if kind == 0:
+            out.append(gd.homodyne(theta))
+        elif kind == 1:
+            out.append(GeneralDyneSetting(theta_m=theta, z_m=1e-12))
+        else:
+            out.append(gd.random_setting(rng, efficient=False, allow_homodyne=False))
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_monitored_gains_are_the_root_of_inverse_sum(m):
+    """B and E come from the per-mode PSD root of measurement.inverse_sum, homodyne included.
+
+    B B^T = C Omega_m (sigma_in + sigma_m)^-1 Omega_m^T C^T and
+    E = Omega C sigma_in (sigma_in + sigma_m)^(-1/2), block by block, and the
+    z_m = 1e-12 root lies within 1e-6 of the homodyne root (the exact gap is
+    (nu_j + 1e12)^(-1/2) < 1e-6 along the unmeasured quadrature).
+    """
+    rng = np.random.default_rng(400 + m)
+    for _ in range(20):
+        n = int(rng.integers(1, 3))
+        h_s = rng.standard_normal((2 * n, 2 * n))
+        sigma_in = block_diag(*[gd.random_state(rng, 1).cm for _ in range(m)])
+        model = DiffusiveModel(0.5 * (h_s + h_s.T), rng.standard_normal((2 * n, 2 * m)), sigma_in, np.zeros(2 * m))
+        settings = _mixed_settings(rng, m)
+        mm = gd.monitored(model, settings)
+        blocks = [slice(2 * j, 2 * j + 2) for j in range(m)]
+        invs = [gd.inverse_sum(model.sigma_in[sl, sl], s) for sl, s in zip(blocks, settings)]
+        om_m = gd.symplectic_form(m)
+        bbt = model.c @ om_m @ block_diag(*invs) @ om_m.T @ model.c.T
+        assert np.abs(mm.b @ mm.b.T - bbt).max() <= 1e-12 * np.abs(bbt).max()
+
+        root = _inverse_sqrt_sum(model.sigma_in, settings)
+        assert np.array_equal(root, block_diag(*[root[sl, sl] for sl in blocks]))
+        for sl, inv in zip(blocks, invs):
+            r = root[sl, sl]
+            scale = np.abs(r).max()
+            assert np.abs(r - r.T).max() <= 1e-15 * scale
+            assert np.linalg.eigvalsh(0.5 * (r + r.T)).min() >= -1e-14 * scale
+            assert np.abs(r @ r - inv).max() <= 1e-12 * np.abs(inv).max()
+        b = model.c @ om_m @ root
+        e = gd.symplectic_form(n) @ model.c @ model.sigma_in @ root
+        assert np.abs(mm.b - b).max() <= 1e-12 * np.abs(b).max()
+        assert np.abs(mm.e - e).max() <= 1e-12 * np.abs(e).max()
+
+        near = [GeneralDyneSetting(theta_m=s.theta_m, z_m=1e-12) if s.homodyne else s for s in settings]
+        gap = np.abs(_inverse_sqrt_sum(model.sigma_in, near) - root).max()
+        assert gap <= 1e-6, gap
 
 
 def test_zero_temperature_purifies():

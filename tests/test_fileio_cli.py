@@ -1,5 +1,8 @@
 """Unit tests for file formats and the command-line interface."""
 
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -259,3 +262,57 @@ class TestCli:
         """Either --model or --chi-tilde must be supplied."""
         assert main(["trajectories", "--out", "/tmp/never.csv"]) == 2
         assert "requires --model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["opo-ss", "--chi-tilde", "nan"],
+        ["opo-ss", "--chi-tilde", "0.6", "--nu-in", "nan"],
+        ["opo-ss", "--chi-tilde", "0.6", "--nu0", "inf"],
+        ["opo-ss", "--chi-tilde", "0.6", "--strategy", "gendyne", "--z-m", "0.5", "--theta-m", "nan"],
+        ["daemonic", "--state", "STATE", "--strategy", "gendyne", "--z-m", "0.5", "--theta-m", "inf"],
+        ["ergotropy", "--state", "INF_STATE"],
+        ["ergotropy", "--state", "NAN_MEAN"],
+        ["validate", "--model", "NAN_MODEL"],
+    ],
+)
+def test_non_finite_input_exits_2(args, tmp_path, capsys):
+    """NaN and infinite inputs are invalid input (exit 2), not a printed nan with exit 0."""
+    files = {
+        "STATE": STATE_TMSTS,
+        "INF_STATE": "1\n0 0\ninf 0\n0 1\n",
+        "NAN_MEAN": "1\nnan 0\n1 0\n0 1\n",
+        "NAN_MODEL": MODEL_OPO.replace("0 -0.3\n-0.3 0", "0 nan\nnan 0"),
+    }
+    argv = []
+    for arg in args:
+        if arg in files:
+            path = tmp_path / f"{arg.lower()}.txt"
+            path.write_text(files[arg])
+            arg = str(path)
+        argv.append(arg)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert "nan" not in captured.out
+
+
+def _readme_block(readme: str, marker: str) -> str:
+    """Body of the first fenced code block after ``marker`` in the README."""
+    start = readme.index("```", readme.index(marker))
+    body = readme.index("\n", start) + 1
+    return readme[body : readme.index("```", body)]
+
+
+def test_readme_cli_examples(tmp_path, capsys, monkeypatch):
+    """The README's CLI examples print exactly what the README shows."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tmsts.txt").write_text(_readme_block(readme, "**State file**"))
+    examples = _readme_block(readme, "Examples:").split("\n\n")
+    for command in ("gaussdaemon daemonic --state tmsts.txt", "gaussdaemon opo-ss --chi-tilde 0.6 --nu-in 3"):
+        [example] = [ex for ex in examples if ex.startswith(f"$ {command}\n")]
+        expected = example.split("\n", 1)[1].rstrip("\n") + "\n"
+        assert main(shlex.split(command)[1:]) == 0
+        assert capsys.readouterr().out == expected

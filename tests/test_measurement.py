@@ -23,6 +23,19 @@ def test_setting_validation():
     assert h.homodyne and h.z_m == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_setting_rejects_non_finite(bad):
+    """NaN or infinite nu_m and theta_m are rejected, as z_m already was."""
+    with pytest.raises(ValueError, match="must be finite"):
+        GeneralDyneSetting(nu_m=bad)
+    with pytest.raises(ValueError, match="must be finite"):
+        GeneralDyneSetting(theta_m=bad)
+    with pytest.raises(ValueError, match="must be finite"):
+        gd.homodyne(bad)
+    with pytest.raises(ValueError, match="z_m must lie"):
+        GeneralDyneSetting(z_m=bad)
+
+
 def test_measurement_cm_properties():
     """Pointer CM has determinant nu_m^2; heterodyne is the identity."""
     assert np.allclose(gd.measurement_cm(gd.heterodyne()), np.eye(2))
@@ -100,6 +113,28 @@ def test_partition_indices():
     with pytest.raises(ValueError, match="read-only"):
         part.a_idx[0] = 0
     assert part == Partition([2, 0], [1])
+
+
+def test_partition_rejects_negative_modes():
+    """A negative index would wrap around to the last mode, so it is rejected."""
+    with pytest.raises(ValueError, match="non-negative"):
+        Partition((1,), (-1,))
+    with pytest.raises(ValueError, match="non-negative"):
+        Partition((-2, 0), (1,))
+
+
+def test_inverse_sum_is_accurate_near_homodyne():
+    """Finite z_m keeps full precision as z_m -> 0: at 1e-12 it meets the rank-one homodyne limit."""
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        sb = gd.random_state(rng, 1).cm
+        theta = rng.uniform(0, np.pi)
+        moderate = GeneralDyneSetting(nu_m=1.5, theta_m=theta, z_m=0.3)
+        direct = np.linalg.inv(sb + gd.measurement_cm(moderate))
+        assert np.abs(gd.inverse_sum(sb, moderate) - direct).max() <= 1e-12 * np.abs(direct).max()
+        near = gd.inverse_sum(sb, GeneralDyneSetting(theta_m=theta, z_m=1e-12))
+        exact = gd.inverse_sum(sb, gd.homodyne(theta))
+        assert np.abs(near - exact).max() <= 1e-9 * np.abs(exact).max()
 
 
 def test_sample_outcome_statistics():

@@ -27,6 +27,15 @@ def test_params_validation():
     assert p.n_th == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("field", ["chi", "kappa", "n_th", "nu_0"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_params_reject_non_finite(field, bad):
+    """Every OPO rate must be finite; NaN slipped past each range check."""
+    kwargs = {"chi": 0.1, "kappa": 1.0, "n_th": 0.5, "nu_0": 1.0, field: bad}
+    with pytest.raises(ValueError, match="must be finite"):
+        OpoParams(**kwargs)
+
+
 def test_strategy_settings():
     """Strategy names map to the intended general-dyne settings."""
     assert gd.strategy_setting("hom0") == gd.homodyne(0.0)

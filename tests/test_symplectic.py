@@ -78,6 +78,16 @@ def test_validate_state_physicality():
     gd.validate_state(np.zeros(2), np.diag([z, 1.0 / z]))
 
 
+def test_validate_state_rejects_non_finite():
+    """An infinite variance or a NaN anywhere in the moments is rejected."""
+    for cm in (np.diag([np.inf, 1.0]), np.array([[1.0, np.nan], [np.nan, 1.0]])):
+        with pytest.raises(ValueError, match="must be finite"):
+            gd.validate_state(np.zeros(2), cm)
+    for mean in ([np.nan, 0.0], [0.0, -np.inf]):
+        with pytest.raises(ValueError, match="must be finite"):
+            gd.validate_state(mean, np.eye(2))
+
+
 def test_vacuum_and_thermal():
     """Vacuum is the identity CM; thermal scales it and requires nu >= 1."""
     assert np.array_equal(gd.vacuum(2).cm, np.eye(4))

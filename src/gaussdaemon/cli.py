@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from .bipartite import (
-    _CROSS_CHECK_TOL,
     _closed_form,
     _setting_for,
     daemonic_ergotropy,
@@ -47,8 +46,7 @@ from .dynamics import (
     simulate_trajectories,
     unconditional_path,
 )
-from .ergotropy import ergotropy_report
-from .exceptions import NumericError
+from .ergotropy import _cross_check, ergotropy_report
 from .fileio import read_model, read_state, write_csv
 from .measurement import GeneralDyneSetting, heterodyne
 from .opo import (
@@ -126,13 +124,6 @@ def cmd_ergotropy(args) -> int:
     return 0
 
 
-def _check_cross(closed: float, pipeline: float, label: str) -> None:
-    if abs(closed - pipeline) > _CROSS_CHECK_TOL:
-        raise NumericError(
-            f"{label}: closed form {closed!r} and pipeline {pipeline!r} disagree beyond {_CROSS_CHECK_TOL:.1e}"
-        )
-
-
 def cmd_daemonic(args) -> int:
     state = read_state(args.state)
     if state.n != 2:
@@ -168,10 +159,10 @@ def cmd_tmsts_sweep(args) -> int:
     sf, _, _ = standard_form(state)
     het_closed = tmsts_heterodyne(args.N, args.r)
     het_pipeline = daemonic_ergotropy(state, heterodyne()).value
-    _check_cross(het_closed, het_pipeline, "heterodyne")
+    _cross_check(het_closed, het_pipeline, f"TMSTS heterodyne at N={args.N}, r={args.r}")
     hom_closed = tmsts_homodyne(args.N, args.r)
     hom_pipeline = max_daemonic_homodyne(sf).value
-    _check_cross(hom_closed, hom_pipeline, "homodyne")
+    _cross_check(hom_closed, hom_pipeline, f"TMSTS homodyne at N={args.N}, r={args.r}")
     print(f"TMSTS N={_fmt(args.N)} r={_fmt(args.r)}")
     print(f"heterodyne: closed = {_fmt(het_closed)}, pipeline = {_fmt(het_pipeline)}")
     print(f"homodyne:   closed = {_fmt(hom_closed)}, pipeline = {_fmt(hom_pipeline)}")

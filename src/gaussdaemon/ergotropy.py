@@ -23,6 +23,8 @@ from .symplectic import GaussianState, symplectic_eigenvalues, williamson_single
 
 # Round-off guard: tiny negative ergotropies in [-CLAMP_NEG, 0) are clamped to 0.
 CLAMP_NEG = 1e-9
+# Largest allowed gap between a closed form and its independent route (see _cross_check).
+_CROSS_CHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,12 @@ def _single_mode_ergotropy(energy: float, det: float, what: str = "ergotropy") -
     if not det > 0.0:
         raise NumericError(f"{what}: covariance determinant {det:.3e} is not positive")
     return clamp_ergotropy(energy - 0.5 * math.sqrt(det), what)
+
+
+def _cross_check(closed: float, independent: float, what: str) -> None:
+    """Raise NumericError if a closed form and its independent route differ by more than _CROSS_CHECK_TOL."""
+    if abs(closed - independent) > _CROSS_CHECK_TOL:
+        raise NumericError(f"{what}: closed form {closed!r} and independent route {independent!r} disagree")
 
 
 def ergotropy_report(state: GaussianState) -> ErgotropyReport:

@@ -113,15 +113,20 @@ def inverse_sum(sigma_b: np.ndarray, setting: GeneralDyneSetting) -> np.ndarray:
         if s <= 0:
             raise NumericError(f"measured-quadrature variance {s:.3e} is not positive")
         return np.outer(u, u) / s
-    # In the lab frame, the rounding of nu_m / z_m would swamp sigma_B's entries.
-    r = rotation(setting.theta_m)
-    t = r.T @ sigma_b @ r
-    t[0, 0] += setting.nu_m * setting.z_m
-    t[1, 1] += setting.nu_m / setting.z_m
+    r, t = _pointer_frame(sigma_b, setting)
     det = t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
     if not det > 0.0:
         raise NumericError(f"sigma_B + sigma_m is singular: determinant {det:.3e}")
     return r @ (np.array([[t[1, 1], -t[0, 1]], [-t[1, 0], t[0, 0]]]) / det) @ r.T
+
+
+def _pointer_frame(sigma_b: np.ndarray, setting: GeneralDyneSetting) -> tuple[np.ndarray, np.ndarray]:
+    """(R, R^T (sigma_B + sigma_m) R), R = R_theta: in this frame nu_m / z_m cannot swamp sigma_B's entries."""
+    r = rotation(setting.theta_m)
+    t = r.T @ sigma_b @ r
+    t[0, 0] += setting.nu_m * setting.z_m
+    t[1, 1] += setting.nu_m / setting.z_m
+    return r, t
 
 
 @dataclass(frozen=True)
@@ -196,7 +201,7 @@ def sample_outcome(
 ) -> np.ndarray:
     """Draw a general-dyne outcome for measuring mode B of the state.
 
-    Finite z_m: Gaussian with mean mean_B and covariance (sigma_B + sigma_m)/2.
+    Finite z_m: Gaussian with mean mean_B and covariance (sigma_B + sigma_m)/2, factored in the pointer frame.
     Homodyne: the measured quadrature u carries a Gaussian of variance
     u^T sigma_B u / 2; the orthogonal component is reported at its mean
     projection (it is unobserved and does not affect conditioning).
@@ -207,6 +212,5 @@ def sample_outcome(
         var = 0.5 * float(u @ sb @ u)
         y = float(mb @ u) + math.sqrt(var) * rng.standard_normal()
         return u * y + (mb - u * float(mb @ u))
-    cov = 0.5 * (sb + measurement_cm(setting))
-    chol = np.linalg.cholesky(cov)
-    return mb + chol @ rng.standard_normal(2)
+    r, t = _pointer_frame(sb, setting)
+    return mb + r @ np.linalg.cholesky(0.5 * t) @ rng.standard_normal(2)

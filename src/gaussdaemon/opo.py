@@ -10,9 +10,12 @@ stable for chi_tilde = 2 chi / kappa < 1.  The unconditional steady state is
 sigma = nu_in diag(1/(1 + chi_tilde), 1/(1 - chi_tilde)) with ergotropy
 (nu_in/2) (1/(1 - chi_tilde^2) - 1/sqrt(1 - chi_tilde^2)).
 
-Monitoring the output arbitrarily yields analytic conditional steady states
-for homodyne at phase 0 and pi/2 and for heterodyne; other settings fall back
-to the Riccati solver.  Efficient homodyne always leaves det sigma_c = nu_in^2
+At measurement phase 0 or pi/2, or for z_m = 1, the pointer is diagonal in the
+quadrature basis and each conditional variance solves the scalar Riccati equation
+2 a_i s + kappa nu_in - (e_i - s b_i)^2 = 0 with a_i = -kappa/2 -+ chi, e_i = nu_in b_i
+and b_i = -sqrt(kappa) (nu_in + p_i)^(-1/2), p_i being the pointer variance along
+quadrature i (zero where a homodyne measures, infinite across it); other settings
+go to the Riccati solver.  Efficient homodyne always leaves det sigma_c = nu_in^2
 while heterodyne does strictly better for nu_in > 1; the steady-state daemonic
 ergotropy at measurement phase 0 is maximized at the general-dyne parameter
 
@@ -38,7 +41,7 @@ from .dynamics import (
     steady_state_conditional,
     unconditional_path,
 )
-from .ergotropy import _single_mode_ergotropy
+from .ergotropy import _cross_check, _single_mode_ergotropy
 from .exceptions import NoSteadyStateError
 from .measurement import GeneralDyneSetting, heterodyne, homodyne
 from .symplectic import GaussianState, _omega
@@ -131,21 +134,27 @@ def opo_unconditional_ergotropy(params: OpoParams) -> float:
     return 0.5 * params.nu_in * (1.0 / (1.0 - ct2) - 1.0 / math.sqrt(1.0 - ct2))
 
 
-def opo_conditional_ss(params: OpoParams, setting: GeneralDyneSetting) -> np.ndarray:
-    """Steady-state conditional CM: analytic for hom 0 / hom pi/2 / het, Riccati otherwise."""
-    ct = params.chi_tilde
-    nu = params.nu_in
-    if setting.nu_m == 1.0:
-        if setting.homodyne:
-            if abs(setting.theta_m) < _THETA_TOL:
-                return nu * np.diag([1.0 - ct, 1.0 / (1.0 - ct)])
-            if abs(setting.theta_m - 0.5 * math.pi) < _THETA_TOL:
-                return nu * np.diag([1.0 / (1.0 + ct), 1.0 + ct])
-        elif setting.z_m == 1.0:
-            s11 = 0.5 * (nu - 1.0 - ct * (1.0 + nu) + math.sqrt((1.0 + nu) * (nu * (ct - 1.0) ** 2 + (1.0 + ct) ** 2)))
-            s22 = 0.5 * (nu - 1.0 + ct * (1.0 + nu) + math.sqrt((1.0 + nu) * ((ct - 1.0) ** 2 + nu * (1.0 + ct) ** 2)))
-            return np.diag([s11, s22])
+def _riccati_ss(params: OpoParams, setting: GeneralDyneSetting) -> np.ndarray:
     return steady_state_conditional(monitored(opo_model(params), setting))
+
+
+def opo_conditional_ss(params: OpoParams, setting: GeneralDyneSetting) -> np.ndarray:
+    """Steady-state conditional CM: per-quadrature roots where the pointer is diagonal (see module), else Riccati."""
+    k = round(setting.theta_m / (0.5 * math.pi))
+    if setting.z_m != 1.0 and abs(setting.theta_m - 0.5 * math.pi * k) >= _THETA_TOL:
+        return _riccati_ss(params, setting)
+    # Pointer variance y / x along the measured quadrature and across it (x = 0: unobserved).
+    measured, across = (1.0, setting.nu_m * setting.z_m), (setting.z_m, setting.nu_m)
+    nu, kappa = params.nu_in, params.kappa
+    roots = []
+    for chi, (x, y) in zip((-params.chi, params.chi), (measured, across) if k % 2 == 0 else (across, measured)):
+        # b^2 s^2 - 2 at s - dt = 0 with at = a + e b, dt = kappa nu_in - e^2 >= 0; the stable root, cancellation-free.
+        b2 = kappa * x / (nu * x + y)
+        at = chi - 0.5 * kappa + nu * b2
+        dt = kappa * nu * y / (nu * x + y)
+        r = math.sqrt(at * at + b2 * dt)
+        roots.append((at + r) / b2 if at > 0.0 else dt / (r - at))
+    return np.diag(roots)
 
 
 def opo_steady_daemonic(params: OpoParams, setting: GeneralDyneSetting) -> float:
@@ -174,7 +183,7 @@ def zsweep_table(params: OpoParams | None = None, z_grid=None) -> ZSweepData:
     """Ergotropy-vs-z_m sweep at theta = 0 (defaults: chi_tilde = 0.99, nu_in = 3).
 
     Returns the raw table in ascending z plus the closed-form z_opt marker and
-    the heterodyne reference value.
+    the heterodyne reference value, whose conditional determinants are checked against the Riccati solver.
     """
     if params is None:
         params = OpoParams.from_tilde(0.99, nu_in=3.0)
@@ -183,19 +192,15 @@ def zsweep_table(params: OpoParams | None = None, z_grid=None) -> ZSweepData:
     z_grid = np.asarray(z_grid, dtype=float)
     if z_grid.ndim != 1 or z_grid.size < 1 or np.any(z_grid <= 0) or np.any(z_grid > 1):
         raise ValueError("z grid must be one-dimensional with entries in (0, 1]")
-    model = opo_model(params)
-    e_unc = 0.25 * float(np.trace(opo_unconditional_ss(params).cm))
-
-    table = np.empty((z_grid.size, 2))
-    for i, z in enumerate(np.sort(z_grid)):
-        mm = monitored(model, GeneralDyneSetting(nu_m=1.0, theta_m=0.0, z_m=float(z)))
-        sigma = steady_state_conditional(mm)
-        table[i] = (z, _single_mode_ergotropy(e_unc, float(np.linalg.det(sigma)), "daemonic ergotropy"))
-
+    z_grid = np.sort(z_grid)
+    values = [opo_steady_daemonic(params, GeneralDyneSetting(nu_m=1.0, theta_m=0.0, z_m=float(z))) for z in z_grid]
     z_opt = opo_zopt(params)
-    z_opt_value = opo_steady_daemonic(params, GeneralDyneSetting(nu_m=1.0, theta_m=0.0, z_m=z_opt))
-    het_value = opo_steady_daemonic(params, heterodyne())
-    return ZSweepData(table=table, z_opt=z_opt, z_opt_value=z_opt_value, het_value=het_value)
+    references = (GeneralDyneSetting(nu_m=1.0, theta_m=0.0, z_m=z_opt), heterodyne())
+    z_opt_value, het_value = (opo_steady_daemonic(params, setting) for setting in references)
+    for setting in references:
+        closed, riccati = (float(np.linalg.det(solve(params, setting))) for solve in (opo_conditional_ss, _riccati_ss))
+        _cross_check(closed, riccati, f"OPO conditional determinant at {setting}")
+    return ZSweepData(np.column_stack([z_grid, values]), z_opt=z_opt, z_opt_value=z_opt_value, het_value=het_value)
 
 
 class TransientTable(NamedTuple):

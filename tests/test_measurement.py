@@ -168,3 +168,36 @@ def test_conditioning_averages_to_marginal_mean():
         out = gd.sample_outcome(st, PART, setting, rng)
         means.append(gd.condition(st, PART, setting, out).mean)
     assert np.allclose(np.mean(means, axis=0), st.mean[:2], atol=0.05)
+
+
+class _UnitDraws:
+    """Stand-in generator whose successive standard_normal(2) draws are the unit vectors e_1, e_2."""
+
+    def __init__(self):
+        self.k = 0
+
+    def standard_normal(self, size):
+        self.k += 1
+        return np.eye(2)[self.k - 1]
+
+
+def test_sample_outcome_variance_near_homodyne():
+    """At z_m = 1e-12 the outcome variance along the measured quadrature is (u^T sigma_B u + z_m)/2 to round-off.
+
+    The two draws with unit-vector noise are the columns of the sampling
+    covariance's square-root factor; summing the squares of their u components
+    gives u^T cov u.  Forming sigma_B + sigma_m in the lab frame loses about
+    1e-4 of it to the rounding of the 1e12 pointer variance.
+    """
+    rng = np.random.default_rng(59)
+    worst = 0.0
+    for _ in range(50):
+        st = gd.random_state(rng, 2)
+        setting = GeneralDyneSetting(theta_m=rng.uniform(0, np.pi), z_m=1e-12)
+        u = gd.measured_quadrature(setting)
+        draws = _UnitDraws()
+        cols = [gd.sample_outcome(st, PART, setting, draws) - st.mean[2:] for _ in range(2)]
+        var = sum(float(u @ c) ** 2 for c in cols)
+        target = 0.5 * (float(u @ st.cm[2:, 2:] @ u) + 1e-12)
+        worst = max(worst, abs(var - target) / target)
+    assert worst <= 1e-12

@@ -1,10 +1,15 @@
 """Unit tests for the monitored optical parametric oscillator."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st_
 
 import gaussdaemon as gd
-from gaussdaemon import GeneralDyneSetting, NoSteadyStateError, OpoParams
+from gaussdaemon import GeneralDyneSetting, NoSteadyStateError, NumericError, OpoParams
+from scalar_riccati import opo_quadrature_gains, scalar_riccati_transient
 from zopt_search import opo_zopt_numeric
 
 
@@ -154,3 +159,94 @@ def test_transient_table_matches_daemonic_paths():
         for name in ("hom0", "hom90", "het"):
             mm = gd.monitored(gd.opo_model(p), gd.strategy_setting(name))
             assert np.array_equal(getattr(tab, name), gd.daemonic_ergotropy_path(mm, state0, tab.times)), name
+
+
+def _riccati_solver_ss(p, setting):
+    return gd.steady_state_conditional(gd.monitored(gd.opo_model(p), setting))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    chi_t=st_.floats(0.0, 0.995, exclude_max=True),
+    nu_in=st_.floats(1.0, 10.0),
+    log_z=st_.floats(math.log(1e-12), 0.0),
+    nu_m=st_.floats(1.0, 5.0),
+    quarter=st_.integers(0, 1),
+    sharp=st_.booleans(),
+)
+@example(chi_t=0.0, nu_in=1.0, log_z=0.0, nu_m=1.0, quarter=1, sharp=True)
+def test_closed_form_matches_riccati_solver(chi_t, nu_in, log_z, nu_m, quarter, sharp):
+    """At phase 0 and pi/2 the per-quadrature root is the Riccati solver's steady state, for every setting."""
+    p = OpoParams.from_tilde(chi_t, nu_in=nu_in)
+    theta = 0.5 * math.pi * quarter
+    setting = GeneralDyneSetting(nu_m=nu_m, theta_m=theta, z_m=min(math.exp(log_z), 1.0), homodyne=sharp)
+    closed = gd.opo_conditional_ss(p, setting)
+    reference = _riccati_solver_ss(p, setting)
+    assert closed[0, 1] == closed[1, 0] == 0.0
+    assert np.abs(closed - reference).max() <= 1e-10 * np.abs(reference).max()
+    assert gd.riccati_residual(gd.monitored(gd.opo_model(p), setting), closed) <= 1e-10
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(chi_t=st_.floats(0.01, 0.995, exclude_max=True), nu_in=st_.floats(1.01, 10.0))
+def test_zopt_is_stationary(chi_t, nu_in):
+    """The closed-form value at opo_zopt is at least its value nearby and on a log z grid.
+
+    Needs nu_in > 1 and chi~ > 0: otherwise the landscape is flat.
+    """
+    p = OpoParams.from_tilde(chi_t, nu_in=nu_in)
+    z_opt = gd.opo_zopt(p)
+
+    def value(z):
+        return gd.opo_steady_daemonic(p, GeneralDyneSetting(theta_m=0.0, z_m=float(z)))
+
+    top = value(z_opt)
+    nearby = [z for z in (z_opt * (1.0 - 1e-4), z_opt * (1.0 + 1e-4)) if z <= 1.0]
+    assert all(top >= value(z) for z in nearby + list(np.logspace(-12, 0, 60)))
+
+
+def test_diagonal_phase_detected_modulo_pi():
+    """Phases within _THETA_TOL below pi reach the closed form of phase 0 (settings store theta mod pi)."""
+    p = OpoParams.from_tilde(0.7, nu_in=2.5)
+    assert gd.homodyne(-1e-15).theta_m > 3.0
+    assert np.array_equal(gd.opo_conditional_ss(p, gd.homodyne(-1e-15)), gd.opo_conditional_ss(p, gd.homodyne(0.0)))
+    for theta in (0.0, 0.5 * math.pi):
+        below, at = (GeneralDyneSetting(nu_m=1.5, theta_m=t, z_m=0.3) for t in (theta - 1e-15, theta))
+        assert np.array_equal(gd.opo_conditional_ss(p, below), gd.opo_conditional_ss(p, at))
+    # At z_m = 1 the pointer is isotropic, so every phase is diagonal.
+    isotropic = gd.opo_conditional_ss(p, GeneralDyneSetting(nu_m=2.0, theta_m=0.0, z_m=1.0))
+    for theta in (0.4, 2.0):
+        setting = GeneralDyneSetting(nu_m=2.0, theta_m=theta, z_m=1.0)
+        assert np.array_equal(gd.opo_conditional_ss(p, setting), isotropic)
+        assert np.abs(_riccati_solver_ss(p, setting) - isotropic).max() <= 1e-12
+
+
+def test_zsweep_guard_compares_with_riccati_solver(monkeypatch):
+    """zsweep_table checks the conditional determinants behind its z_opt and heterodyne values against the CARE."""
+    calls = []
+
+    def perturbed(params, setting):
+        calls.append(setting)
+        return _riccati_solver_ss(params, setting) * (1.0 + 1e-6)
+
+    p = OpoParams.from_tilde(0.9, nu_in=2.0)
+    monkeypatch.setattr(gd.opo, "_riccati_ss", perturbed)
+    message = r"at GeneralDyneSetting\(.*z_m=.*\): closed form .* and independent route .* disagree"
+    with pytest.raises(NumericError, match=message):
+        gd.zsweep_table(p, z_grid=np.logspace(-3, 0, 5))
+    assert calls == [GeneralDyneSetting(theta_m=0.0, z_m=gd.opo_zopt(p))]
+
+
+@pytest.mark.parametrize("nu_in", [1.0, 3.0])
+def test_transients_match_scalar_riccati(nu_in):
+    """hom0, hom90 and het from evolve_conditional_cm equal the scalar closed form on the criterion-7 grid."""
+    p = OpoParams.from_tilde(0.8, nu_in=nu_in, nu_0=5.0)
+    times = np.linspace(0.0, 10.0, 10001)
+    for name in ("hom0", "hom90", "het"):
+        mm = gd.monitored(gd.opo_model(p), gd.strategy_setting(name))
+        flow = gd.evolve_conditional_cm(mm, 5.0 * np.eye(2), times)
+        s_inf = np.diag(gd.steady_state_conditional(mm))
+        for i, gains in enumerate(opo_quadrature_gains(0.8, nu_in, name)):
+            exact = scalar_riccati_transient(*gains, 5.0, s_inf[i], times)
+            assert np.abs(flow[:, i, i] - exact).max() <= 1e-11 * np.abs(exact).max(), (name, i)
+        assert np.abs(flow[:, 0, 1]).max() <= 1e-11 * np.abs(flow).max(), name

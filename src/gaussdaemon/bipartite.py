@@ -361,6 +361,8 @@ def tmsts(n_th: float, r: float) -> GaussianState:
     Standard form: a = b = (2 n_th + 1) cosh(2r), c_+ = -c_- = (2 n_th + 1) sinh(2r),
     z_A = 1, eta = 0.  Phase-invariant under general-dyne measurements of B.
     """
+    if not (math.isfinite(n_th) and math.isfinite(r)):
+        raise ValueError(f"n_th and r must be finite, got n_th = {n_th}, r = {r}")
     if n_th < 0:
         raise ValueError(f"thermal occupation must be non-negative, got {n_th}")
     nu = 2.0 * n_th + 1.0

@@ -40,7 +40,7 @@ from .bipartite import (
     unconditional_ergotropy_a,
 )
 from .dynamics import (
-    drift_diffusion,
+    _uniform_steps,
     excess_noise,
     monitored,
     simulate_trajectories,
@@ -269,8 +269,7 @@ def cmd_trajectories(args) -> int:
 
     seed = _resolve_seed(args)
     mm = monitored(model, setting)
-    n_steps = int(round(args.T / args.dt))
-    stride = _pick_stride(max(n_steps, 1))
+    stride = _pick_stride(_uniform_steps(args.T, args.dt))
     batch = simulate_trajectories(mm, state0, args.dt, args.T, args.n_traj, seed, store_stride=stride)
 
     two_n = batch.means.shape[2]
@@ -299,8 +298,7 @@ def cmd_trajectories(args) -> int:
     )
     print(f"wrote {args.out}")
 
-    dd = drift_diffusion(mm.base)
-    means_unc, cms_unc = unconditional_path(dd, state0, batch.times)
+    means_unc, cms_unc = unconditional_path(mm.dd, state0, batch.times)
     sig_sum = batch.sigma_c[-1] + (excess_noise(batch, -1) if batch.n_traj > 1 else 0.0)
     dev_cm = np.abs(sig_sum - cms_unc[-1]).max()
     dev_mean = np.abs(batch.means[:, -1, :].mean(axis=0) - means_unc[-1]).max()

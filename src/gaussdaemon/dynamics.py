@@ -37,11 +37,8 @@ so the results do not depend on the time grid.  The conditional steady state
 solves the continuous algebraic Riccati equation (Schur method), refined by
 Newton-Kleinman steps (at least one, at most SS_NEWTON_STEPS).
 
-The input modes are uncorrelated, so (sigma_in + sigma_m)^(-1/2) is formed
-one mode at a time as the PSD square root of measurement.inverse_sum, the
-single place the homodyne limit is handled.  There (sigma_in + sigma_m)^(-1)
-tends to the rank-one u u^T / s with s = u^T sigma_in u, whose root is
-u u^T / sqrt(s): the diverging pointer direction drops out of B and E.
+The gains are written in the pointer frame, where homodyne is the exact
+w = z_m / nu_m = 0 member of the general-dyne family (see _inverse_sqrt_sum).
 
 The environment is normalized at model construction: a symplectic pre-pass
 brings sigma_in to thermal-diagonal form (nu_j I per mode), folding the
@@ -59,13 +56,14 @@ from scipy.linalg import expm, solve_continuous_are, solve_continuous_lyapunov
 
 from .ergotropy import clamp_ergotropy
 from .exceptions import ConvergenceError, NoSteadyStateError, NumericError, SymmetryError
-from .measurement import GeneralDyneSetting, inverse_sum
+from .measurement import GeneralDyneSetting
 from .symplectic import (
     TOL_HURWITZ,
     TOL_PSD,
     TOL_SYM,
     GaussianState,
     _omega,
+    rotation,
     symplectic_eigenvalues,
     validate_state,
     williamson_single_mode,
@@ -132,7 +130,8 @@ def _normalize_environment(c, sigma_in, mean_in, m):
 
     Leaves A, D and d invariant: C sigma_in C^T, C Omega_m C^T and C mean_in
     are unchanged when C -> C S^{-1}, sigma_in -> S sigma_in S^T,
-    mean_in -> S mean_in with S symplectic.
+    mean_in -> S mean_in with S symplectic.  Blocks within 1e-13 of isotropic
+    need no fold and are stored as exactly nu_j I, nu_j = tr / 2.
     """
     blocks = [sigma_in[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] for j in range(m)]
     off = sigma_in.copy()
@@ -140,21 +139,14 @@ def _normalize_environment(c, sigma_in, mean_in, m):
         off[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = 0.0
     if np.abs(off).max() > 1e-12:
         raise ValueError("correlated input modes are not supported; sigma_in must be block-diagonal")
-    needs_fold = any(np.abs(b - 0.5 * np.trace(b) * np.eye(2)).max() > 1e-13 for b in blocks)
-    if not needs_fold:
-        return c, 0.5 * (sigma_in + sigma_in.T), mean_in
-    s_blocks = []
-    nus = []
-    for b in blocks:
-        nu, s = williamson_single_mode(b)
-        s_blocks.append(s)
-        nus.append(nu)
-    s_full = np.zeros((2 * m, 2 * m))
-    for j, s in enumerate(s_blocks):
-        s_full[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = s
-    c_new = c @ np.linalg.inv(s_full)
-    sigma_new = np.kron(np.diag(nus), np.eye(2))
-    return c_new, sigma_new, s_full @ mean_in
+    nus = [0.5 * float(np.trace(b)) for b in blocks]
+    if any(np.abs(b - nu * np.eye(2)).max() > 1e-13 for b, nu in zip(blocks, nus)):
+        s_full = np.zeros((2 * m, 2 * m))
+        for j, b in enumerate(blocks):
+            nus[j], s = williamson_single_mode(b)
+            s_full[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = s
+        c, mean_in = c @ np.linalg.inv(s_full), s_full @ mean_in
+    return c, np.kron(np.diag(nus), np.eye(2)), mean_in
 
 
 @dataclass(frozen=True)
@@ -200,27 +192,45 @@ def steady_state_unconditional(dd: DriftDiffusion) -> GaussianState:
 def _inverse_sqrt_sum(sigma_in: np.ndarray, settings) -> np.ndarray:
     """(sigma_in + sigma_m)^(-1/2), one 2x2 block per (uncorrelated) input mode.
 
-    Each block is the PSD square root (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M))
-    of M = inverse_sum(sigma_in,j, setting_j), which owns the homodyne limit.
+    The normalized input is nu_j I, so in the pointer frame R = R_theta each
+    block is R diag((nu_j + nu_m z_m)^(-1/2), sqrt(w / (1 + w nu_j))) R^T with
+    w = z_m / nu_m.  Homodyne is w = 0: the unmeasured quadrature drops out
+    exactly.
     """
     out = np.zeros_like(sigma_in)
     for j, setting in enumerate(settings):
-        sl = slice(2 * j, 2 * j + 2)
-        m = inverse_sum(sigma_in[sl, sl], setting)
-        # det M is exactly 0 for homodyne; clamp its round-off negatives.
-        sd = math.sqrt(max(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0], 0.0))
-        out[sl, sl] = (m + sd * np.eye(2)) / math.sqrt(m[0, 0] + m[1, 1] + 2.0 * sd)
+        nu, w = sigma_in[2 * j, 2 * j], setting.z_m / setting.nu_m
+        r = rotation(setting.theta_m)
+        roots = [1.0 / math.sqrt(nu + setting.nu_m * setting.z_m), math.sqrt(w / (1.0 + w * nu))]
+        out[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = (r * roots) @ r.T
     return out
 
 
 @dataclass(frozen=True)
 class MonitoredModel:
-    """A diffusive model together with its measurement matrices B and E."""
+    """A diffusive model together with its measurement matrices B and E.
+
+    The unconditional dynamics ``dd`` and the terms of the rearranged filter
+    flow At s + s At^T + Dt - s B B^T s are computed once, at construction:
+    At = A + E B^T and Dt = D - E E^T make it algebraically identical to
+    A s + s A^T + D - (E - s B)(E - s B)^T.
+    """
 
     base: DiffusiveModel
     settings: tuple
     b: np.ndarray
     e: np.ndarray
+    dd: DriftDiffusion = field(init=False, repr=False, compare=False)
+    at: np.ndarray = field(init=False, repr=False, compare=False)
+    dtilde: np.ndarray = field(init=False, repr=False, compare=False)
+    bbt: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        dd = drift_diffusion(self.base)
+        object.__setattr__(self, "dd", dd)
+        object.__setattr__(self, "at", dd.a + self.e @ self.b.T)
+        object.__setattr__(self, "dtilde", dd.d - self.e @ self.e.T)
+        object.__setattr__(self, "bbt", self.b @ self.b.T)
 
 
 def monitored(model: DiffusiveModel, setting) -> MonitoredModel:
@@ -239,26 +249,27 @@ def monitored(model: DiffusiveModel, setting) -> MonitoredModel:
     return MonitoredModel(base=model, settings=settings, b=b, e=e)
 
 
-def _riccati_terms(dd: DriftDiffusion, mm: MonitoredModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(At, Dt, B B^T) of the rearranged flow At s + s At^T + Dt - s B B^T s.
-
-    At = A + E B^T and Dt = D - E E^T make this algebraically identical to
-    the filter's right-hand side A s + s A^T + D - (E - s B)(E - s B)^T.
-    """
-    return dd.a + mm.e @ mm.b.T, dd.d - mm.e @ mm.e.T, mm.b @ mm.b.T
-
-
 def _require_modes(n_state: int, n_model: int) -> None:
     if n_state != n_model:
         raise ValueError(f"initial state has {n_state} modes, model has {n_model}")
 
 
 def _grid_steps(t_grid) -> np.ndarray:
-    """Step lengths of a one-dimensional, strictly increasing time grid."""
+    """Step lengths of a one-dimensional, finite, strictly increasing time grid."""
     t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 1 or (t.size > 1 and np.diff(t).min() <= 0):
-        raise ValueError("time grid must be one-dimensional and strictly increasing")
+    if t.ndim != 1 or t.size < 1 or not np.isfinite(t).all() or (t.size > 1 and np.diff(t).min() <= 0):
+        raise ValueError("time grid must be one-dimensional, finite and strictly increasing")
     return np.diff(t)
+
+
+def _uniform_steps(T: float, dt: float, what: str = "T") -> int:
+    """Number of steps of length dt in a uniform grid on [0, T]; T must be a positive integer multiple of dt."""
+    if not (math.isfinite(T) and math.isfinite(dt) and T > 0 and dt > 0):
+        raise ValueError(f"{what} = {T} and dt = {dt} must be finite and positive")
+    n_steps = int(round(T / dt))
+    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
+        raise ValueError(f"{what} = {T} must be a positive integer multiple of dt = {dt}")
+    return n_steps
 
 
 def _propagate_riccati(a, q, r, sigma0, t_grid) -> np.ndarray:
@@ -300,14 +311,12 @@ def evolve_conditional_cm(mm: MonitoredModel, sigma0: np.ndarray, t_grid) -> np.
     sigma = np.asarray(sigma0, dtype=float)
     validate_state(np.zeros(sigma.shape[0]), sigma)
     _require_modes(sigma.shape[0] // 2, mm.base.n)
-    at, dtilde, bbt = _riccati_terms(drift_diffusion(mm.base), mm)
-    return _propagate_riccati(at, dtilde, bbt, sigma, t_grid)
+    return _propagate_riccati(mm.at, mm.dtilde, mm.bbt, sigma, t_grid)
 
 
 def riccati_residual(mm: MonitoredModel, sigma: np.ndarray) -> float:
     """Max-norm residual of the algebraic Riccati equation At s + s At^T + Dt - s B B^T s at sigma."""
-    at, dtilde, bbt = _riccati_terms(drift_diffusion(mm.base), mm)
-    return float(np.abs(at @ sigma + sigma @ at.T + dtilde - sigma @ bbt @ sigma).max())
+    return float(np.abs(mm.at @ sigma + sigma @ mm.at.T + mm.dtilde - sigma @ mm.bbt @ sigma).max())
 
 
 def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
@@ -325,10 +334,9 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
     The result must be the stabilizing solution (Hurwitz closed loop), pass
     the residual gate and be a physical covariance matrix.
     """
-    dd = drift_diffusion(mm.base)
-    if not is_hurwitz(dd.a):
+    if not is_hurwitz(mm.dd.a):
         raise NoSteadyStateError("drift matrix is not Hurwitz; conditional steady state undefined")
-    at, dtilde, bbt = _riccati_terms(dd, mm)
+    at, dtilde, bbt = mm.at, mm.dtilde, mm.bbt
     try:
         sigma = solve_continuous_are(at.T, mm.b, dtilde, np.eye(mm.b.shape[1]))
         for _ in range(SS_NEWTON_STEPS):
@@ -410,34 +418,29 @@ def simulate_trajectories(
     every ``store_stride`` steps and records are summed over each storage
     window.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     if n_traj < 1:
         raise ValueError(f"need at least one trajectory, got {n_traj}")
-    n_steps = int(round(T / dt))
-    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(1.0, abs(T)):
-        raise ValueError(f"T = {T} must be a positive integer multiple of dt = {dt}")
+    n_steps = _uniform_steps(T, dt)
     stride = int(store_stride)
     if stride < 1 or n_steps % stride:
         raise ValueError(f"store_stride = {store_stride} must divide the {n_steps} steps")
     validate_state(state0.mean, state0.cm)
     _require_modes(state0.n, mm.base.n)
 
-    dd = drift_diffusion(mm.base)
     two_n = 2 * mm.base.n
     two_m = mm.b.shape[1]
     n_stored = n_steps // stride + 1
 
     # Shared deterministic CM path and per-step noise gains at full resolution.
     full_times = np.arange(n_steps + 1) * dt
-    sigma_path = _propagate_riccati(*_riccati_terms(dd, mm), state0.cm, full_times)
+    sigma_path = _propagate_riccati(mm.at, mm.dtilde, mm.bbt, state0.cm, full_times)
     gains = mm.e - sigma_path[:-1] @ mm.b
 
     means = np.empty((n_traj, n_stored, two_n))
     records = np.empty((n_traj, n_stored - 1, two_m))
-    a_t = dd.a.T
+    a_t = mm.dd.a.T
     b = mm.b
-    drive = dd.drive
+    drive = mm.dd.drive
     root = math.sqrt(0.5 * dt)
 
     def run_chunk(k0: int, k1: int) -> None:
@@ -492,7 +495,7 @@ def daemonic_ergotropy_path(mm: MonitoredModel, state0: GaussianState, t_grid) -
     The outcome-averaged conditional energy equals the unconditional energy,
     so only the passive energy reflects the monitoring.
     """
-    means, cms = unconditional_path(drift_diffusion(mm.base), state0, t_grid)
+    means, cms = unconditional_path(mm.dd, state0, t_grid)
     return _daemonic_curve(mm, means, cms, state0.cm, t_grid)
 
 

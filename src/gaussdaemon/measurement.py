@@ -7,10 +7,8 @@ matrix of the (generally noisy) pure-state pointer,
 
 with nu_m = 1 for an efficient measurement.  z_m = 1 is heterodyne; the
 homodyne limit z_m -> 0 measures the quadrature u = R_theta (1, 0)^T with
-infinite precision and is handled exactly through the rank-one limit of
-(sigma_B + sigma_m)^{-1}, never by plugging in a tiny z_m.  :func:`inverse_sum`
-is the one implementation of that limit; the monitored dynamics builds its
-measurement gains from it too.
+infinite precision.  Homodyne is the exact w = z_m / nu_m = 0 member of the
+pointer-frame formulas, never a tiny z_m plugged in.
 
 Measuring subsystem B of a bipartite state with outcome r_m updates subsystem
 A according to
@@ -99,34 +97,31 @@ def measured_quadrature(setting: GeneralDyneSetting) -> np.ndarray:
 
 
 def inverse_sum(sigma_b: np.ndarray, setting: GeneralDyneSetting) -> np.ndarray:
-    """(sigma_B + sigma_m)^{-1}, with the exact rank-one form in the homodyne limit.
+    """(sigma_B + sigma_m)^{-1}, exact in the homodyne limit.
 
-    For homodyne the limit is u u^T / (u^T sigma_B u); the measurement noise
-    nu_m drops out of the limit.  Finite z_m is inverted in the pointer frame,
-    where sigma_m is diagonal, so the result keeps full precision as z_m -> 0
-    and meets the limit continuously.
+    In the pointer frame, with S = R^T sigma_B R, a = S11 + nu_m z_m and
+    w = z_m / nu_m, the inverse is
+
+        R [[1 + w S22, -w S12], [-w S12, w a]] R^T / (a (1 + w S22) - w S12^2),
+
+    whose w = 0 member is the homodyne limit u u^T / (u^T sigma_B u); nu_m
+    drops out of it.  No entry grows like 1/z_m, so the result keeps full
+    precision as z_m -> 0 and meets the limit continuously.
     """
-    sigma_b = np.asarray(sigma_b, dtype=float)
-    if setting.homodyne:
-        u = measured_quadrature(setting)
-        s = float(u @ sigma_b @ u)
-        if s <= 0:
-            raise NumericError(f"measured-quadrature variance {s:.3e} is not positive")
-        return np.outer(u, u) / s
-    r, t = _pointer_frame(sigma_b, setting)
-    det = t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
+    r, s = _pointer_frame(np.asarray(sigma_b, dtype=float), setting)
+    w = setting.z_m / setting.nu_m
+    a = s[0, 0] + setting.nu_m * setting.z_m
+    p, q = 1.0 + w * s[1, 1], w * s[0, 1]
+    det = a * p - q * s[0, 1]
     if not det > 0.0:
-        raise NumericError(f"sigma_B + sigma_m is singular: determinant {det:.3e}")
-    return r @ (np.array([[t[1, 1], -t[0, 1]], [-t[1, 0], t[0, 0]]]) / det) @ r.T
+        raise NumericError(f"sigma_B + sigma_m is singular: scaled determinant {det:.3e}")
+    return r @ (np.array([[p, -q], [-q, w * a]]) / det) @ r.T
 
 
 def _pointer_frame(sigma_b: np.ndarray, setting: GeneralDyneSetting) -> tuple[np.ndarray, np.ndarray]:
-    """(R, R^T (sigma_B + sigma_m) R), R = R_theta: in this frame nu_m / z_m cannot swamp sigma_B's entries."""
+    """(R, R^T sigma_B R) with R = R_theta, the frame in which sigma_m is diagonal."""
     r = rotation(setting.theta_m)
-    t = r.T @ sigma_b @ r
-    t[0, 0] += setting.nu_m * setting.z_m
-    t[1, 1] += setting.nu_m / setting.z_m
-    return r, t
+    return r, r.T @ sigma_b @ r
 
 
 @dataclass(frozen=True)
@@ -207,10 +202,11 @@ def sample_outcome(
     projection (it is unobserved and does not affect conditioning).
     """
     _, sb, _, _, mb = _blocks(state, partition)
-    if setting.homodyne:
-        u = measured_quadrature(setting)
-        var = 0.5 * float(u @ sb @ u)
-        y = float(mb @ u) + math.sqrt(var) * rng.standard_normal()
-        return u * y + (mb - u * float(mb @ u))
     r, t = _pointer_frame(sb, setting)
+    if setting.homodyne:
+        u = r[:, 0]
+        y = float(mb @ u) + math.sqrt(0.5 * t[0, 0]) * rng.standard_normal()
+        return u * y + (mb - u * float(mb @ u))
+    t[0, 0] += setting.nu_m * setting.z_m
+    t[1, 1] += setting.nu_m / setting.z_m
     return mb + r @ np.linalg.cholesky(0.5 * t) @ rng.standard_normal(2)

@@ -36,6 +36,7 @@ import numpy as np
 from .dynamics import (
     DiffusiveModel,
     _daemonic_curve,
+    _uniform_steps,
     drift_diffusion,
     monitored,
     steady_state_conditional,
@@ -221,9 +222,7 @@ def transient_table(params: OpoParams, t_max: float = 10.0, dt: float = 1e-3) ->
     unconditional moments do not depend on the strategy and are propagated
     once for all three curves.
     """
-    n_steps = int(round(t_max / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_max) > 1e-9 * max(1.0, t_max):
-        raise ValueError(f"t_max = {t_max} must be a positive integer multiple of dt = {dt}")
+    n_steps = _uniform_steps(t_max, dt, "t_max")
     grid = np.linspace(0.0, t_max, n_steps + 1)
     state0 = GaussianState(np.zeros(2), params.nu_0 * np.eye(2))
     model = opo_model(params)

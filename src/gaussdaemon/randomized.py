@@ -194,6 +194,8 @@ def _suite_daemonic_convexity(rng, n_cases, tol=1e-9):
 
 def invariant_suite(n_cases: int = 1000, seed: int = 0) -> list[SuiteResult]:
     """Run all invariant suites on fresh randomized cases; zero violations expected."""
+    if n_cases < 1:
+        raise ValueError(f"need at least one case per suite, got n_cases = {n_cases}")
     suites = (
         _suite_symplectic_invariance,
         _suite_heisenberg_validation,

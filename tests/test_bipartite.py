@@ -305,3 +305,10 @@ class TestTMSTS:
         st = gd.tmsts(1.0, 0.5)
         vals = [gd.daemonic_ergotropy(st, gd.homodyne(t)).value for t in (0.0, 0.5, 1.2)]
         assert np.allclose(vals, vals[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("n_th, r", [(np.nan, 0.5), (np.inf, 0.5), (1.0, np.nan), (1.0, -np.inf)])
+def test_tmsts_rejects_non_finite(n_th, r):
+    """NaN or infinite n_th and r are rejected by name, before any matrix is built."""
+    with pytest.raises(ValueError, match=r"n_th and r must be finite, got n_th = .*, r = "):
+        gd.tmsts(n_th, r)

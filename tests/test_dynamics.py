@@ -419,3 +419,53 @@ def test_mode_count_mismatch_is_named(func):
     }
     with pytest.raises(ValueError, match="initial state has 2 modes, model has 1"):
         calls[func]()
+
+
+@pytest.mark.parametrize("nu_in", [1.0, 2.0, 3.0])
+def test_homodyne_gains_are_exact(nu_in):
+    """Homodyne B is C Omega u u^T / sqrt(nu_in) to round-off: the unmeasured quadrature drops out exactly."""
+    model = gd.opo_model(gd.OpoParams.from_tilde(0.6, nu_in=nu_in))
+    omega = gd.symplectic_form(1)
+    for theta in np.linspace(0.0, np.pi, 97, endpoint=False):
+        u = gd.measured_quadrature(gd.homodyne(theta))
+        ref = model.c @ omega @ np.outer(u, u) / np.sqrt(nu_in)
+        b = gd.monitored(model, gd.homodyne(theta)).b
+        assert np.abs(b - ref).max() <= 1e-14 * np.abs(ref).max(), (theta, np.abs(b - ref).max())
+
+
+def test_near_isotropic_input_is_stored_as_nu_identity():
+    """Input blocks within 1e-14 of isotropic are stored as exactly nu_j I, nu_j = trace / 2."""
+    jitter = np.array([[4e-15, 3e-15], [3e-15, -2e-15]])
+    sigma_in = block_diag(2.5 * np.eye(2) + jitter, np.eye(2) - jitter)
+    model = DiffusiveModel(np.zeros((2, 2)), np.ones((2, 4)), sigma_in, np.zeros(4))
+    nus = [0.5 * np.trace(sigma_in[:2, :2]), 0.5 * np.trace(sigma_in[2:, 2:])]
+    assert np.array_equal(model.sigma_in, block_diag(nus[0] * np.eye(2), nus[1] * np.eye(2)))
+
+
+def test_monitored_model_holds_the_filter_terms():
+    """MonitoredModel carries drift_diffusion(base), A + E B^T, D - E E^T and B B^T."""
+    rng = np.random.default_rng(83)
+    for _ in range(10):
+        model = gd.random_stable_model(rng, nu_in=1.0 + rng.exponential(1.0))
+        mm = gd.monitored(model, gd.random_setting(rng, efficient=False))
+        dd = gd.drift_diffusion(model)
+        for got, want in zip((mm.dd.a, mm.dd.d, mm.dd.drive), (dd.a, dd.d, dd.drive)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(mm.at, dd.a + mm.e @ mm.b.T)
+        assert np.array_equal(mm.dtilde, dd.d - mm.e @ mm.e.T)
+        assert np.array_equal(mm.bbt, mm.b @ mm.b.T)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_grids_rejected(bad):
+    """Time grids and uniform-grid (T, dt) pairs must be finite; NaN and inf raise ValueError."""
+    mm = gd.monitored(gd.opo_model(gd.OpoParams.from_tilde(0.5)), gd.heterodyne())
+    state0 = GaussianState(np.zeros(2), np.eye(2))
+    with pytest.raises(ValueError, match="finite"):
+        gd.evolve_conditional_cm(mm, state0.cm, [0.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        gd.unconditional_path(mm.dd, state0, [0.0, bad])
+    with pytest.raises(ValueError, match="finite and positive"):
+        gd.simulate_trajectories(mm, state0, dt=1e-3, T=bad, n_traj=2, master_seed=0)
+    with pytest.raises(ValueError, match="finite and positive"):
+        gd.simulate_trajectories(mm, state0, dt=0.0, T=1.0, n_traj=2, master_seed=0)

@@ -316,3 +316,27 @@ def test_readme_cli_examples(tmp_path, capsys, monkeypatch):
         expected = example.split("\n", 1)[1].rstrip("\n") + "\n"
         assert main(shlex.split(command)[1:]) == 0
         assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["opo-transient", "--chi-tilde", "0.5", "--dt", "0"],
+        ["opo-transient", "--chi-tilde", "0.5", "--T", "inf"],
+        ["trajectories", "--chi-tilde", "0.5", "--n-traj", "2", "--dt", "0"],
+        ["trajectories", "--chi-tilde", "0.5", "--n-traj", "2", "--T", "inf"],
+    ],
+)
+def test_degenerate_time_grid_exits_2(args, tmp_path, capsys):
+    """A zero step or an infinite span is invalid input (exit 2), not a traceback."""
+    assert main([*args, "--out", str(tmp_path / "out.csv")]) == 2
+    assert "finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_validate_rejects_non_positive_case_count(capsys):
+    """validate --cases below 1 checks nothing, so it is invalid input rather than a pass."""
+    assert main(["validate", "--cases", "-3"]) == 2
+    assert "at least one case" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="at least one case"):
+        gd.invariant_suite(n_cases=0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 import gaussdaemon as gd
 from gaussdaemon import GeneralDyneSetting, Partition
@@ -201,3 +203,22 @@ def test_sample_outcome_variance_near_homodyne():
         target = 0.5 * (float(u @ st.cm[2:, 2:] @ u) + 1e-12)
         worst = max(worst, abs(var - target) / target)
     assert worst <= 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    seed=st_.integers(min_value=0, max_value=2**32 - 1),
+    theta=st_.floats(0.0, np.pi, exclude_max=True),
+    log_z=st_.floats(-3.0, 0.0),
+    nu_m=st_.floats(1.0, 5.0),
+)
+def test_inverse_sum_is_one_formula(seed, theta, log_z, nu_m):
+    """The pointer-frame formula is the direct inverse at finite z_m and u u^T / (u^T sigma_B u) at homodyne."""
+    sb = gd.random_state(np.random.default_rng(seed), 1).cm
+    setting = GeneralDyneSetting(nu_m=nu_m, theta_m=theta, z_m=10.0**log_z)
+    direct = np.linalg.inv(sb + gd.measurement_cm(setting))
+    assert np.abs(gd.inverse_sum(sb, setting) - direct).max() <= 1e-12 * np.abs(direct).max()
+    u = gd.measured_quadrature(gd.homodyne(theta))
+    limit = np.outer(u, u) / (u @ sb @ u)
+    hom = gd.inverse_sum(sb, GeneralDyneSetting(nu_m=nu_m, theta_m=theta, homodyne=True))
+    assert np.abs(hom - limit).max() <= 1e-14 * np.abs(limit).max()

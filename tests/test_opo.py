@@ -250,3 +250,10 @@ def test_transients_match_scalar_riccati(nu_in):
             exact = scalar_riccati_transient(*gains, 5.0, s_inf[i], times)
             assert np.abs(flow[:, i, i] - exact).max() <= 1e-11 * np.abs(exact).max(), (name, i)
         assert np.abs(flow[:, 0, 1]).max() <= 1e-11 * np.abs(flow).max(), name
+
+
+@pytest.mark.parametrize("t_max, dt", [(np.inf, 1e-3), (1.0, 0.0), (1.0, np.nan), (np.nan, 0.1)])
+def test_transient_table_rejects_degenerate_grids(t_max, dt):
+    """A zero step or a non-finite span is a ValueError, not an arithmetic crash."""
+    with pytest.raises(ValueError, match="finite and positive"):
+        gd.transient_table(OpoParams.from_tilde(0.5), t_max=t_max, dt=dt)

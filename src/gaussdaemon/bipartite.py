@@ -66,6 +66,9 @@ from .symplectic import (
 _PARTITION = Partition(a_modes=(0,), b_modes=(1,))
 
 _TIE_TOL = 1e-12
+# Log of the largest covariance entry whose fourth power, the scale of a
+# two-mode determinant, is still a finite float (about 1.2e77).
+_LOG_MAX_CM_ENTRY = 0.25 * math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -360,12 +363,19 @@ def tmsts(n_th: float, r: float) -> GaussianState:
 
     Standard form: a = b = (2 n_th + 1) cosh(2r), c_+ = -c_- = (2 n_th + 1) sinh(2r),
     z_A = 1, eta = 0.  Phase-invariant under general-dyne measurements of B.
+    The largest entry, bounded by (2 n_th + 1) e^{2|r|}, must stay below about
+    1.2e77 so that the determinant invariants do not overflow.
     """
     if not (math.isfinite(n_th) and math.isfinite(r)):
         raise ValueError(f"n_th and r must be finite, got n_th = {n_th}, r = {r}")
     if n_th < 0:
         raise ValueError(f"thermal occupation must be non-negative, got {n_th}")
     nu = 2.0 * n_th + 1.0
+    if math.log(nu) + 2.0 * abs(r) > _LOG_MAX_CM_ENTRY:
+        raise ValueError(
+            f"n_th = {n_th}, r = {r} is out of range: the covariance entries (2 n_th + 1) cosh(2r) "
+            f"would exceed about 1.2e77, where the two-mode determinant overflows"
+        )
     ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
     za = np.diag([1.0, -1.0])
     cm = nu * np.block([[ch * np.eye(2), sh * za], [sh * za, ch * np.eye(2)]])

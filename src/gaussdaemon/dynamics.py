@@ -30,12 +30,25 @@ the convention enters; it is guarded by the ensemble identity
 sigma_unc = sigma_c + Sigma with Sigma the excess noise of the conditional
 means across trajectories.
 
-Covariances are propagated exactly, not by a fixed-step integrator: both
-flows are Riccati flows (the unconditional Lyapunov flow has no quadratic
-term) and are stepped through the exponential of their Hamiltonian matrix,
-so the results do not depend on the time grid.  The conditional steady state
-solves the continuous algebraic Riccati equation (Schur method), refined by
-Newton-Kleinman steps (at least one, at most SS_NEWTON_STEPS).
+Covariances are propagated exactly, not by a fixed-step integrator.  Both
+flows are Riccati flows sigma' = A sigma + sigma A^T + Q - sigma R sigma.  The
+unconditional one has R = 0 and is linear: sigma(t) = e^{At} sigma0 e^{A^T t}
++ G(t) with the Gramian G(t) = int_0^t e^{As} D e^{A^T s} ds, built on the
+whole grid together with e^{At} and the means (see _grid_flow).  The
+conditional one is written in closed form about its stabilizing steady state
+sigma_inf: with F = A - sigma_inf R (Hurwitz), W_inf solving
+F^T W + W F + R = 0 and Delta0 = sigma0 - sigma_inf,
+
+    sigma(t) = sigma_inf + e^{Ft} (I + Delta0 W(t))^-1 Delta0 e^{F^T t},
+    W(t) = W_inf - e^{F^T t} W_inf e^{Ft},
+
+so a whole time grid takes a few stacked numpy calls.  Where the steady state
+is missing or large (a non-Hurwitz drift, or one near threshold; see
+_expandable) the conditional flow is stepped through the exponential of its
+Hamiltonian matrix instead.  Either way the results do not depend on the
+time grid.  The conditional steady state solves the continuous algebraic
+Riccati equation (Schur method), refined by Newton-Kleinman steps (at least
+one, at most SS_NEWTON_STEPS).
 
 The gains are written in the pointer frame, where homodyne is the exact
 w = z_m / nu_m = 0 member of the general-dyne family (see _inverse_sqrt_sum).
@@ -76,6 +89,12 @@ SS_RESIDUAL_TOL = 1e-9
 SS_NEWTON_STEPS = 3
 # Trajectories advanced together per vectorized chunk.
 _TRAJ_CHUNK = 256
+# A time grid whose points lie within this fraction of its largest |t| of an
+# exactly uniform grid is propagated as uniform (about 45 ulp).
+_UNIFORM_TOL = 1e-14
+# Largest estimated steady-state CM scale |D| / (2 |alpha(A)|) for which the
+# conditional flow is expanded about its steady state (see _expandable).
+_EXPAND_MAX_SCALE = 1e4
 
 
 @dataclass(frozen=True)
@@ -272,10 +291,115 @@ def _uniform_steps(T: float, dt: float, what: str = "T") -> int:
     return n_steps
 
 
-def _propagate_riccati(a, q, r, sigma0, t_grid) -> np.ndarray:
-    """Exact solution of sigma' = A sigma + sigma A^T + Q - sigma R sigma on a time grid.
+def _grid_flow(a: np.ndarray, t_grid, d=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """e^{A (t_i - t_0)} at every point of a time grid and, given D, the Gramians there.
 
-    The linear system [X; Y]' = H [X; Y] with H = [[-A^T, R], [Q, A]] carries
+    The Gramian G(t) = int_0^t e^{As} D e^{A^T s} ds moves a CM along
+    sigma' = A sigma + sigma A^T + D as sigma(t) = e^{At} sigma0 e^{A^T t} + G(t);
+    it is None without D.  Flows compose as G(t + s) = G(t) + e^{At} G(s) e^{A^T t},
+    a sum of terms with no cancellation and no solve.  A uniform grid is
+    filled by doubling, e^{A t_{m+j}} = e^{A t_j} e^{A t_m} for j < m with one
+    expm per doubling, so N points take about log2 N exponentials and stacked
+    matmuls.  Grids within _UNIFORM_TOL of uniform count as uniform
+    (np.linspace grids are not bitwise uniform).  Other grids chain their
+    steps: one expm per distinct step length, a few matmuls per step.  The
+    Gramian of one step comes from the Van Loan exponential of [[A, D], [0, -A^T]].
+    """
+    steps = _grid_steps(t_grid)
+    t = np.asarray(t_grid, dtype=float)
+    dim, n = a.shape[0], steps.size
+    exps = np.empty((n + 1, dim, dim))
+    exps[0] = np.eye(dim)
+    grams = None if d is None else np.zeros((n + 1, dim, dim))
+
+    def step_gramian(h: float) -> np.ndarray:
+        # e^{-A^T h} in the Van Loan block grows with h, so take it over
+        # h / 2^k with |A| h / 2^k <= 1 and compose the result k times.
+        k = max(0, math.ceil(math.log2(max(h * float(np.linalg.norm(a, 1)), 1.0))))
+        van_loan = expm(np.block([[a, d], [np.zeros_like(a), -a.T]]) * (h / 2**k))
+        e, g = van_loan[:dim, :dim], van_loan[:dim, dim:] @ van_loan[:dim, :dim].T
+        for _ in range(k):
+            g, e = g + e @ g @ e.T, e @ e
+        return g
+
+    h = (t[-1] - t[0]) / max(n, 1)
+    if n and np.abs(t - t[0] - h * np.arange(n + 1)).max() <= _UNIFORM_TOL * np.abs(t).max():
+        m = 1
+        while m <= n:
+            k = min(m, n + 1 - m)
+            e_m = expm(a * (m * h))
+            exps[m : m + k] = exps[:k] @ e_m
+            if grams is not None:
+                half = m // 2
+                g_m = step_gramian(h) if m == 1 else grams[half] + exps[half] @ grams[half] @ exps[half].T
+                grams[m : m + k] = g_m + e_m @ grams[:k] @ e_m.T
+            m += k
+        return exps, grams
+    props = {s: (expm(a * s), None if d is None else step_gramian(s)) for s in set(steps.tolist())}
+    for i, s in enumerate(steps.tolist()):
+        e_s, g_s = props[s]
+        exps[i + 1] = e_s @ exps[i]
+        if grams is not None:
+            grams[i + 1] = g_s + e_s @ grams[i] @ e_s.T
+    return exps, grams
+
+
+def _expandable(dd: DriftDiffusion) -> bool:
+    """Whether the conditional flow of a model with drift dd.a is expanded about its steady state.
+
+    The expansion sigma_inf + e^{Ft} (...) e^{F^T t} cancels sigma_inf against
+    itself and so loses about eps |sigma_inf| / |sigma(t)| of relative
+    precision, where |sigma(t)| >= 1 for a physical CM.  The conditional
+    steady state lies below the unconditional one, which is about
+    |D| / (2 |alpha|) with alpha the spectral abscissa of A.  Drifts without
+    a steady state (alpha >= 0), or whose estimate exceeds _EXPAND_MAX_SCALE
+    (near threshold: about 2e-12 lost at the bound), are stepped instead.
+    Decided from A and D alone, before any solve.
+    """
+    alpha = float(np.linalg.eigvals(dd.a).real.max())
+    return alpha < -TOL_HURWITZ and float(np.abs(dd.d).max()) <= -2.0 * alpha * _EXPAND_MAX_SCALE
+
+
+def _check_steady_state(mm: MonitoredModel, sigma_inf: np.ndarray) -> None:
+    """Raise ValueError unless sigma_inf is the stabilizing solution of the algebraic Riccati equation.
+
+    The residual is gated relative to the largest of its terms, so the gate
+    holds for a correctly rounded sigma_inf of any size.
+    """
+    terms = (mm.dtilde, mm.at @ sigma_inf, sigma_inf @ mm.bbt @ sigma_inf)
+    scale = max(float(np.abs(x).max()) for x in terms)
+    res = riccati_residual(mm, sigma_inf)
+    if res > SS_RESIDUAL_TOL * scale:
+        raise ValueError(f"steady state has algebraic residual {res:.3e}; it does not solve the Riccati equation")
+    if not is_hurwitz(mm.at - sigma_inf @ mm.bbt):
+        raise ValueError("steady state is not stabilizing: A - sigma_inf R is not Hurwitz")
+
+
+def _expand_about(a, r, sigma_inf, sigma0, t_grid) -> np.ndarray:
+    """Exact solution of sigma' = A sigma + sigma A^T + Q - sigma R sigma, expanded about its steady state.
+
+    sigma_inf must solve the algebraic equation and make F = A - sigma_inf R
+    Hurwitz (the callers make sure of both).  The flow is the closed form of
+    the module docstring on the stack of e^{F t}.
+    """
+    f = a - sigma_inf @ r
+    exps, _ = _grid_flow(f, t_grid)
+    exps_t = np.swapaxes(exps, 1, 2)
+    # F^T W + W F = -R in row-major vec form; one small dense solve.
+    eye = np.eye(f.shape[0])
+    w_inf = np.linalg.solve(np.kron(f.T, eye) + np.kron(eye, f.T), -r.ravel()).reshape(r.shape)
+    delta0 = sigma0 - sigma_inf
+    core = np.linalg.solve(eye + delta0 @ (w_inf - exps_t @ w_inf @ exps), delta0)
+    out = sigma_inf + exps @ core @ exps_t
+    return 0.5 * (out + np.swapaxes(out, 1, 2))
+
+
+def _propagate_riccati(a, q, r, sigma0, t_grid) -> np.ndarray:
+    """Exact solution of sigma' = A sigma + sigma A^T + Q - sigma R sigma, stepped along a time grid.
+
+    The route for a conditional flow with no steady state to expand about,
+    or one too large to expand about in precision (see _expandable).  The
+    linear system [X; Y]' = H [X; Y] with H = [[-A^T, R], [Q, A]] carries
     sigma = Y X^-1 along the flow (Radon's lemma), so a step of length h is
     sigma <- (P21 + P22 sigma)(P11 + P12 sigma)^-1 with P = expm(H h).  Each
     grid interval is split into k = ceil(h ||H||_2) equal sub-steps, which
@@ -302,16 +426,27 @@ def _propagate_riccati(a, q, r, sigma0, t_grid) -> np.ndarray:
     return out
 
 
-def evolve_conditional_cm(mm: MonitoredModel, sigma0: np.ndarray, t_grid) -> np.ndarray:
-    """Conditional CM along a time grid, from the exact Riccati-flow propagator.
+def evolve_conditional_cm(mm: MonitoredModel, sigma0: np.ndarray, t_grid, *, sigma_inf=None) -> np.ndarray:
+    """Conditional CM along a time grid, from the exact Riccati flow.
 
-    The result does not depend on the grid spacing: every grid point carries
-    the exact flow value up to round-off, however coarse the grid.
+    Where _expandable(mm.dd) holds the flow is expanded about the conditional
+    steady state: ``sigma_inf`` if given (checked to be the stabilizing
+    solution), else steady_state_conditional(mm).  Otherwise it is stepped
+    and ``sigma_inf`` is not used.  The result does not depend on the grid
+    spacing: every grid point carries the exact flow value up to round-off,
+    however coarse the grid.
     """
     sigma = np.asarray(sigma0, dtype=float)
     validate_state(np.zeros(sigma.shape[0]), sigma)
     _require_modes(sigma.shape[0] // 2, mm.base.n)
-    return _propagate_riccati(mm.at, mm.dtilde, mm.bbt, sigma, t_grid)
+    if not _expandable(mm.dd):
+        return _propagate_riccati(mm.at, mm.dtilde, mm.bbt, sigma, t_grid)
+    if sigma_inf is None:
+        sigma_inf = steady_state_conditional(mm)
+    else:
+        sigma_inf = np.asarray(sigma_inf, dtype=float)
+        _check_steady_state(mm, sigma_inf)
+    return _expand_about(mm.at, mm.bbt, sigma_inf, sigma, t_grid)
 
 
 def riccati_residual(mm: MonitoredModel, sigma: np.ndarray) -> float:
@@ -358,25 +493,24 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
 
 
 def unconditional_path(dd: DriftDiffusion, state0: GaussianState, t_grid) -> tuple[np.ndarray, np.ndarray]:
-    """Unconditional first and second moments along a time grid, exactly.
+    """Unconditional first and second moments along a time grid, exactly, for any drift.
 
-    The CM follows sigma' = A sigma + sigma A^T + D through the shared
-    propagator; the mean follows r' = A r + d through the exponential of the
-    augmented matrix [[A, d], [0, 0]] (Van Loan), one per distinct step.
+    One _grid_flow of the augmented drift [[A, d], [0, 0]] (Van Loan) gives
+    the means, r(t) = e^{At} r0 + int_0^t e^{As} d ds, and with the diffusion
+    padded alike the CMs, sigma(t) = e^{At} sigma0 e^{A^T t} + G(t).
     """
     _require_modes(state0.n, dd.a.shape[0] // 2)
-    cms = _propagate_riccati(dd.a, dd.d, np.zeros_like(dd.a), state0.cm, t_grid)
-    steps = _grid_steps(t_grid).tolist()
     dim = dd.a.shape[0]
     aug = np.zeros((dim + 1, dim + 1))
     aug[:dim, :dim] = dd.a
     aug[:dim, dim] = dd.drive
-    props = {h: expm(aug * h) for h in set(steps)}
-    means = np.empty((len(steps) + 1, dim))
-    means[0] = state0.mean
-    for i, h in enumerate(steps):
-        means[i + 1] = props[h][:dim, :dim] @ means[i] + props[h][:dim, dim]
-    return means, cms
+    diff = np.zeros_like(aug)
+    diff[:dim, :dim] = dd.d
+    exps, grams = _grid_flow(aug, t_grid, diff)
+    means = exps[:, :dim, :dim] @ state0.mean + exps[:, :dim, dim]
+    e = exps[:, :dim, :dim]
+    cms = e @ state0.cm @ np.swapaxes(e, 1, 2) + grams[:, :dim, :dim]
+    return means, 0.5 * (cms + np.swapaxes(cms, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -433,7 +567,7 @@ def simulate_trajectories(
 
     # Shared deterministic CM path and per-step noise gains at full resolution.
     full_times = np.arange(n_steps + 1) * dt
-    sigma_path = _propagate_riccati(mm.at, mm.dtilde, mm.bbt, state0.cm, full_times)
+    sigma_path = evolve_conditional_cm(mm, state0.cm, full_times)
     gains = mm.e - sigma_path[:-1] @ mm.b
 
     means = np.empty((n_traj, n_stored, two_n))
@@ -488,25 +622,27 @@ def excess_noise(batch: TrajectoryBatch, t_index: int = -1) -> np.ndarray:
     return 2.0 * np.cov(x, rowvar=False)
 
 
-def daemonic_ergotropy_path(mm: MonitoredModel, state0: GaussianState, t_grid) -> np.ndarray:
+def daemonic_ergotropy_path(mm: MonitoredModel, state0: GaussianState, t_grid, *, sigma_inf=None) -> np.ndarray:
     """Daemonic ergotropy of the monitored system along a time grid.
 
     At each time: tr sigma_unc / 4 + |mean_unc|^2 / 2 - (1/2) sum_j nu_j(sigma_c).
     The outcome-averaged conditional energy equals the unconditional energy,
-    so only the passive energy reflects the monitoring.
+    so only the passive energy reflects the monitoring.  ``sigma_inf`` is
+    passed on to evolve_conditional_cm.
     """
     means, cms = unconditional_path(mm.dd, state0, t_grid)
-    return _daemonic_curve(mm, means, cms, state0.cm, t_grid)
+    return _daemonic_curve(mm, means, cms, state0.cm, t_grid, sigma_inf)
 
 
-def _daemonic_curve(mm: MonitoredModel, means, cms, sigma0, t_grid) -> np.ndarray:
+def _daemonic_curve(mm: MonitoredModel, means, cms, sigma0, t_grid, sigma_inf=None) -> np.ndarray:
     """Daemonic ergotropy on t_grid from the unconditional moments on that grid.
 
     The unconditional path does not depend on the measurement, so callers
-    comparing strategies compute it once and pass it to each.  The passive
-    energies come from one stacked symplectic-spectrum call.
+    comparing strategies compute it once and pass it to each; a caller that
+    knows the conditional steady state passes it as ``sigma_inf``.  The
+    passive energies come from one stacked symplectic-spectrum call.
     """
-    sig_c = evolve_conditional_cm(mm, sigma0, t_grid)
+    sig_c = evolve_conditional_cm(mm, sigma0, t_grid, sigma_inf=sigma_inf)
     energy = 0.25 * np.trace(cms, axis1=1, axis2=2) + 0.5 * np.einsum("ij,ij->i", means, means)
     out = energy - 0.5 * symplectic_eigenvalues(sig_c).sum(axis=-1)
     for i in np.flatnonzero(out < 0.0):

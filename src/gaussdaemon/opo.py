@@ -217,18 +217,20 @@ def transient_table(params: OpoParams, t_max: float = 10.0, dt: float = 1e-3) ->
     """Transient daemonic ergotropy from a thermal state nu_0 I for hom0/hom90/het.
 
     Uniform grid with spacing dt up to t_max (in units of 1/kappa when
-    kappa = 1); t_max must be an integer multiple of dt.  The propagators
-    are exact, so dt sets only the resolution of the table.  The
-    unconditional moments do not depend on the strategy and are propagated
-    once for all three curves.
+    kappa = 1); t_max must be an integer multiple of dt.  Every flow is
+    exact, so dt sets only the resolution of the table.  The unconditional
+    moments do not depend on the strategy and are propagated once for all
+    three curves; each conditional flow is expanded about its steady state
+    from opo_conditional_ss, so no Riccati solver runs.
     """
     n_steps = _uniform_steps(t_max, dt, "t_max")
     grid = np.linspace(0.0, t_max, n_steps + 1)
     state0 = GaussianState(np.zeros(2), params.nu_0 * np.eye(2))
     model = opo_model(params)
     means, cms = unconditional_path(drift_diffusion(model), state0, grid)
-    curves = {
-        name: _daemonic_curve(monitored(model, strategy_setting(name)), means, cms, state0.cm, grid)
-        for name in ("hom0", "hom90", "het")
-    }
+    curves = {}
+    for name in ("hom0", "hom90", "het"):
+        setting = strategy_setting(name)
+        sigma_inf = opo_conditional_ss(params, setting)
+        curves[name] = _daemonic_curve(monitored(model, setting), means, cms, state0.cm, grid, sigma_inf)
     return TransientTable(times=grid, **curves)

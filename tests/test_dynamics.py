@@ -12,7 +12,7 @@ from gaussdaemon import (
     GeneralDyneSetting,
     NoSteadyStateError,
 )
-from gaussdaemon.dynamics import _inverse_sqrt_sum
+from gaussdaemon.dynamics import _grid_flow, _inverse_sqrt_sum, _propagate_riccati
 
 
 def care_steady_state(mm):
@@ -131,7 +131,9 @@ def test_conditional_steady_state_against_care():
 def test_steady_state_is_the_flow_limit():
     """The algebraic steady state is where the Riccati flow ends, with a Hurwitz closed loop.
 
-    The reference needs no CARE solver: evolve_conditional_cm run from the
+    The reference needs no CARE solver: the stepping propagator (the route
+    evolve_conditional_cm keeps where it cannot expand about a steady state;
+    elsewhere it expands about the CARE solution itself) run from the
     unconditional steady state over a long horizon.  The OPO homodyne
     phase-0 cases at nu_in = 3 are where a bare Schur solve leaves residuals
     above the 1e-9 gate; they also have the closed form nu diag(1 - chi~, 1/(1 - chi~)).
@@ -149,7 +151,7 @@ def test_steady_state_is_the_flow_limit():
         sigma = gd.steady_state_conditional(mm)
         dd = gd.drift_diffusion(model)
         start = gd.steady_state_unconditional(dd).cm
-        flow = gd.evolve_conditional_cm(mm, start, np.linspace(0.0, 2000.0, 9))[-1]
+        flow = _propagate_riccati(mm.at, mm.dtilde, mm.bbt, start, np.linspace(0.0, 2000.0, 9))[-1]
         assert np.abs(sigma - flow).max() <= 1e-8, np.abs(sigma - flow).max()
         closed = dd.a + mm.e @ mm.b.T - sigma @ mm.b @ mm.b.T
         assert np.linalg.eigvals(closed).real.max() < 0.0
@@ -275,18 +277,23 @@ def test_conditional_cm_is_grid_independent():
     assert np.abs(coarse[2] - fine[-1]).max() <= 1e-9
 
 
-def _random_two_mode_model(rng):
-    """Random Hurwitz two-mode model with a driven, thermal two-mode environment."""
+def _random_hurwitz_model(rng, n=2, driven=True):
+    """Random Hurwitz n-mode model with a thermal n-mode environment, driven unless told otherwise."""
     while True:
-        h_s = rng.standard_normal((4, 4))
+        h_s = rng.standard_normal((2 * n, 2 * n))
         model = DiffusiveModel(
             0.5 * (h_s + h_s.T),
-            rng.standard_normal((4, 4)),
-            np.kron(np.diag(rng.uniform(1.0, 3.0, size=2)), np.eye(2)),
-            rng.standard_normal(4),
+            rng.standard_normal((2 * n, 2 * n)),
+            np.kron(np.diag(rng.uniform(1.0, 3.0, size=n)), np.eye(2)),
+            rng.standard_normal(2 * n) if driven else np.zeros(2 * n),
         )
         if gd.is_hurwitz(gd.drift_diffusion(model).a):
             return model
+
+
+def _random_two_mode_model(rng):
+    """Random Hurwitz two-mode model with a driven, thermal two-mode environment."""
+    return _random_hurwitz_model(rng)
 
 
 def test_unconditional_path_is_grid_independent():
@@ -302,6 +309,153 @@ def test_unconditional_path_is_grid_independent():
         f = expm(t * dd.a)
         assert np.abs(cms[-1] - (f @ (state0.cm - sigma_inf) @ f.T + sigma_inf)).max() <= 1e-9
         assert np.abs(means[-1] - (f @ (state0.mean - mean_inf) + mean_inf)).max() <= 1e-9
+
+
+# Uniform from 0 and non-uniform from t = 0.25.
+_CROSS_CHECK_GRIDS = (np.linspace(0.0, 6.0, 61), 0.25 + np.concatenate([[0.0], np.geomspace(1e-3, 6.0, 30)]))
+
+
+@pytest.mark.parametrize("start", ["below", "above"])
+@pytest.mark.parametrize("driven", [False, True])
+@pytest.mark.parametrize("n", [1, 2])
+def test_shift_route_matches_stepping(n, driven, start):
+    """The expanded conditional flows and the Gramian unconditional flows equal the stepped flows.
+
+    Random Hurwitz models, all on the expansion route; sigma0 = c sigma_inf with c = 1 / nu_min(sigma_inf) (physical, below
+    sigma_inf) or c = 3 (above); every other model measures with at least one
+    exact homodyne.  The means are checked against one expm per grid point.
+    """
+    rng = np.random.default_rng([181, n, driven, start == "above"])
+    for i in range(4):
+        model = _random_hurwitz_model(rng, n, driven)
+        settings = _mixed_settings(rng, n) if i % 2 else [gd.random_setting(rng) for _ in range(n)]
+        mm = gd.monitored(model, settings)
+        assert gd.dynamics._expandable(mm.dd), i
+        sigma_inf = gd.steady_state_conditional(mm)
+        scale = 3.0 if start == "above" else 1.0 / gd.symplectic_eigenvalues(sigma_inf).min()
+        state0 = GaussianState(rng.standard_normal(2 * n), scale * sigma_inf)
+        dd = mm.dd
+        aug = np.block([[dd.a, dd.drive[:, None]], [np.zeros((1, 2 * n + 1))]])
+        for grid in _CROSS_CHECK_GRIDS:
+            flow = gd.evolve_conditional_cm(mm, state0.cm, grid)
+            stepped = _propagate_riccati(mm.at, mm.dtilde, mm.bbt, state0.cm, grid)
+            assert np.abs(flow - stepped).max() <= 1e-12 * np.abs(stepped).max(), (i, np.abs(flow - stepped).max())
+            means, cms = gd.unconditional_path(dd, state0, grid)
+            stepped = _propagate_riccati(dd.a, dd.d, np.zeros_like(dd.a), state0.cm, grid)
+            assert np.abs(cms - stepped).max() <= 1e-12 * np.abs(stepped).max(), i
+            exact = [expm(aug * (t - grid[0]))[:-1] @ np.append(state0.mean, 1.0) for t in grid]
+            assert np.abs(means - exact).max() <= 1e-12 * max(1.0, np.abs(exact).max()), i
+
+
+def test_non_hurwitz_drift_is_stepped(monkeypatch):
+    """Without a steady state the conditional flow takes the stepping route; all flows stay finite.
+
+    Above threshold (chi = 0.8 > kappa / 2) with homodyne at phase 0 the
+    growing quadrature is never measured, so no stabilizing solution exists.
+    """
+    model = DiffusiveModel(-0.8 * np.array([[0.0, 1.0], [1.0, 0.0]]), gd.symplectic_form(1), np.eye(2), np.zeros(2))
+    mm = gd.monitored(model, gd.homodyne(0.0))
+    assert not gd.is_hurwitz(mm.dd.a)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the steady-state expansion ran on a non-Hurwitz drift")
+
+    monkeypatch.setattr(gd.dynamics, "_expand_about", forbidden)
+    state0 = GaussianState(np.array([0.5, -0.5]), 2.0 * np.eye(2))
+    grid = np.linspace(0.0, 5.0, 51)
+    flow = gd.evolve_conditional_cm(mm, state0.cm, grid)
+    assert np.isfinite(flow).all()
+    assert np.array_equal(flow, _propagate_riccati(mm.at, mm.dtilde, mm.bbt, state0.cm, grid))
+    means, cms = gd.unconditional_path(mm.dd, state0, grid)
+    assert np.isfinite(means).all() and np.isfinite(cms).all()
+    growth = np.exp(0.6 * grid)  # the p quadrature has a = 0.3 and D = 1: s' = 0.6 s + 1
+    assert np.abs(cms[:, 1, 1] - (2.0 * growth + (growth - 1.0) / 0.6)).max() <= 1e-12 * cms[-1, 1, 1]
+    batch = gd.simulate_trajectories(mm, state0, dt=0.1, T=5.0, n_traj=2, master_seed=0)
+    assert np.array_equal(batch.sigma_c, flow)
+
+
+def test_supplied_steady_state_is_checked():
+    """A supplied sigma_inf is used as given, but must solve the algebraic equation and be stabilizing."""
+    p = gd.OpoParams.from_tilde(0.7, nu_in=2.0)
+    mm = gd.monitored(gd.opo_model(p), gd.heterodyne())
+    grid = np.linspace(0.0, 3.0, 31)
+    closed = gd.opo_conditional_ss(p, gd.heterodyne())
+    flow = gd.evolve_conditional_cm(mm, 4.0 * np.eye(2), grid, sigma_inf=closed)
+    assert np.abs(flow - gd.evolve_conditional_cm(mm, 4.0 * np.eye(2), grid)).max() <= 1e-13 * np.abs(flow).max()
+    with pytest.raises(ValueError, match="algebraic residual"):
+        gd.evolve_conditional_cm(mm, 4.0 * np.eye(2), grid, sigma_inf=1.001 * closed)
+    # The other root of each decoupled quadrature solves the equation but destabilizes.
+    at, bbt, dtilde = (np.diag(x) for x in (mm.at, mm.bbt, mm.dtilde))
+    anti = np.diag((at - np.sqrt(at * at + bbt * dtilde)) / bbt)
+    assert gd.riccati_residual(mm, anti) <= 1e-12
+    with pytest.raises(ValueError, match="not stabilizing"):
+        gd.evolve_conditional_cm(mm, 4.0 * np.eye(2), grid, sigma_inf=anti)
+
+
+def test_grid_flow(monkeypatch):
+    """e^{F (t - t_0)} and the Gramians on a grid: doubling on (linspace-)uniform grids, chaining otherwise."""
+    rng = np.random.default_rng(191)
+    f = rng.standard_normal((4, 4)) - 2.0 * np.eye(4)
+    c = rng.standard_normal((4, 4))
+    d = c @ c.T
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return expm(m)
+
+    monkeypatch.setattr(gd.dynamics, "expm", counted)
+    uniform, offset = np.linspace(0.0, 10.0, 10001), np.linspace(0.3, 2.3, 7)
+    uneven = np.array([0.0, 0.125, 0.375, 0.5, 1.0, 1.125])  # three distinct steps, exact in binary
+    for grid, n_expm in ((uniform, 14), (offset, 3), (uneven, 3), (np.array([1.5]), 0)):
+        calls.clear()
+        exps, grams = _grid_flow(f, grid)
+        assert len(calls) == n_expm and grams is None, grid
+        exact = np.array([expm(f * (t - grid[0])) for t in grid])
+        assert np.abs(exps - exact).max() <= 1e-13 * np.abs(exact).max(), np.abs(exps - exact).max()
+        calls.clear()
+        exps_d, grams = _grid_flow(f, grid, d)
+        assert np.array_equal(exps_d, exps)
+        assert len(calls) == n_expm + min(n_expm, 1 if grid is uniform or grid is offset else 3), grid
+        # G(t) = sigma_inf - e^{Ft} sigma_inf e^{F^T t} with F sigma_inf + sigma_inf F^T + D = 0.
+        sigma_inf = solve_continuous_lyapunov(f, -d)
+        gram = sigma_inf - exact @ sigma_inf @ np.swapaxes(exact, 1, 2)
+        assert np.abs(grams - gram).max() <= 1e-13 * np.abs(sigma_inf).max(), np.abs(grams - gram).max()
+
+
+@pytest.mark.parametrize("chi_tilde", [0.999, 1.0 - 1e-6, 1.0 - 1e-9])
+def test_near_threshold_flows_match_stepping(chi_tilde):
+    """Near threshold the conditional flows are stepped and the unconditional ones stay exact.
+
+    There the steady state (about nu_in / (1 - chi~)) dwarfs the CM along the
+    flow, and an expansion about it would cancel away the digits.  At
+    chi~ = 0.999 (steady-state scale 3000, still expanded) and closer to
+    threshold (stepped), the conditional flows, the Gramian unconditional
+    flows and the transient table all agree with the stepping propagator.
+    """
+    p = gd.OpoParams.from_tilde(chi_tilde, nu_in=3.0, nu_0=5.0)
+    model = gd.opo_model(p)
+    dd = gd.drift_diffusion(model)
+    expanded = chi_tilde == 0.999
+    assert gd.dynamics._expandable(dd) == expanded
+    state0 = gd.thermal(5.0)
+    grid = np.linspace(0.0, 10.0, 201)
+    tab = gd.transient_table(p, t_max=10.0, dt=5e-2)
+    means, cms = gd.unconditional_path(dd, state0, grid)
+    stepped = _propagate_riccati(dd.a, dd.d, np.zeros_like(dd.a), state0.cm, grid)
+    assert np.abs(cms - stepped).max() <= 1e-12 * np.abs(stepped).max(), np.abs(cms - stepped).max()
+    assert not means.any()
+    energy = 0.25 * np.trace(stepped, axis1=1, axis2=2)
+    for name in ("hom0", "hom90", "het"):
+        mm = gd.monitored(model, gd.strategy_setting(name))
+        flow = gd.evolve_conditional_cm(mm, state0.cm, grid)
+        reference = _propagate_riccati(mm.at, mm.dtilde, mm.bbt, state0.cm, grid)
+        if expanded:
+            assert np.abs(flow - reference).max() <= 1e-12 * np.abs(reference).max(), name
+        else:
+            assert np.array_equal(flow, reference), name
+        curve = energy - 0.5 * gd.symplectic_eigenvalues(reference).sum(axis=-1)
+        assert np.abs(getattr(tab, name) - curve).max() <= 1e-12 * np.abs(curve).max(), name
 
 
 class TestTrajectories:

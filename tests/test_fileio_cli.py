@@ -334,6 +334,15 @@ def test_degenerate_time_grid_exits_2(args, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("n_th, r", [("1", "400"), ("1e300", "1")])
+def test_tmsts_out_of_range_exits_2(n_th, r, capsys):
+    """A squeezed thermal state whose determinant overflows is invalid input (exit 2), not a traceback."""
+    assert main(["tmsts-sweep", "--N", n_th, "--r", r]) == 2
+    assert "is out of range" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="is out of range"):
+        gd.tmsts(float(n_th), float(r))
+
+
 def test_validate_rejects_non_positive_case_count(capsys):
     """validate --cases below 1 checks nothing, so it is invalid input rather than a pass."""
     assert main(["validate", "--cases", "-3"]) == 2

@@ -47,8 +47,9 @@ is missing or large (a non-Hurwitz drift, or one near threshold; see
 _expandable) the conditional flow is stepped through the exponential of its
 Hamiltonian matrix instead.  Either way the results do not depend on the
 time grid.  The conditional steady state solves the continuous algebraic
-Riccati equation (Schur method), refined by Newton-Kleinman steps (at least
-one, at most SS_NEWTON_STEPS).
+Riccati equation from the ordered Schur decomposition of its Hamiltonian
+matrix (the stable invariant subspace), refined by Newton-Kleinman steps (at
+least one, at most SS_NEWTON_STEPS).
 
 The gains are written in the pointer frame, where homodyne is the exact
 w = z_m / nu_m = 0 member of the general-dyne family (see _inverse_sqrt_sum).
@@ -65,7 +66,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_are, solve_continuous_lyapunov
+from scipy.linalg import expm, schur, solve_continuous_lyapunov
 
 from .ergotropy import clamp_ergotropy
 from .exceptions import ConvergenceError, NoSteadyStateError, NumericError, SymmetryError
@@ -84,8 +85,8 @@ from .symplectic import (
 
 # Gate on the algebraic Riccati residual of a conditional steady state.
 SS_RESIDUAL_TOL = 1e-9
-# Newton-Kleinman refinements of the Schur CARE solution: each squares the
-# error, so a residual still above the gate after this many is a failure.
+# Newton-Kleinman refinements of the Hamiltonian Schur solution: each squares
+# the error, so a residual still above the gate after this many is a failure.
 SS_NEWTON_STEPS = 3
 # Trajectories advanced together per vectorized chunk.
 _TRAJ_CHUNK = 256
@@ -457,15 +458,17 @@ def riccati_residual(mm: MonitoredModel, sigma: np.ndarray) -> float:
 def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
     """Steady-state conditional CM from the continuous algebraic Riccati equation.
 
-    Solves At s + s At^T + Dt - s B B^T s = 0 by the Schur method, as the
-    standard CARE A^T X + X A - X B B^T X + Q = 0 with A = At^T and Q = Dt,
-    then refines it by Newton-Kleinman steps, each a Lyapunov solve with the
-    closed-loop matrix At - s B B^T.  One step is always taken: the Schur
-    solution alone can leave residuals of 1e-7 in the rank-deficient homodyne
-    limit, and 6e-5 on the OPO at chi~ = 0 under homodyne at phase pi/2,
-    where one quadrature is unobserved up to round-off (that case needs a
-    second step).  Steps stop once the residual passes SS_RESIDUAL_TOL, at
-    most SS_NEWTON_STEPS of them.
+    Solves At s + s At^T + Dt - s B B^T s = 0 from one ordered real Schur
+    decomposition of the 2n x 2n Hamiltonian H = [[At^T, -B B^T], [-Dt, -At]]:
+    the first n Schur vectors Z = [Z11; Z21], ordered to span the stable
+    invariant subspace, give s = Z21 Z11^-1.  A stable subspace of any other
+    dimension raises NumericError.  The solution is refined by Newton-Kleinman
+    steps, each a Lyapunov solve with the closed-loop matrix At - s B B^T.
+    One step is always taken, as a guard on the solve with Z11, whose error
+    grows with its condition number (on OPO settings up to chi~ = 0.999 and
+    random 2- and 3-mode models, homodyne included, the Schur solution alone
+    leaves residuals below 1e-13 |s|).  Steps stop once the residual passes
+    SS_RESIDUAL_TOL, at most SS_NEWTON_STEPS of them.
     The result must be the stabilizing solution (Hurwitz closed loop), pass
     the residual gate and be a physical covariance matrix.
     """
@@ -473,7 +476,12 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
         raise NoSteadyStateError("drift matrix is not Hurwitz; conditional steady state undefined")
     at, dtilde, bbt = mm.at, mm.dtilde, mm.bbt
     try:
-        sigma = solve_continuous_are(at.T, mm.b, dtilde, np.eye(mm.b.shape[1]))
+        dim = at.shape[0]
+        _, z, sdim = schur(np.block([[at.T, -bbt], [-dtilde, -at]]), output="real", sort="lhp")
+        if sdim != dim:
+            raise np.linalg.LinAlgError(f"the Riccati Hamiltonian has {sdim} stable eigenvalues, expected {dim}")
+        sigma = np.linalg.solve(z[:dim, :dim].T, z[dim:, :dim].T)
+        sigma = 0.5 * (sigma + sigma.T)
         for _ in range(SS_NEWTON_STEPS):
             sigma = solve_continuous_lyapunov(at - sigma @ bbt, -(dtilde + sigma @ bbt @ sigma))
             sigma = 0.5 * (sigma + sigma.T)

@@ -174,6 +174,13 @@ def reduce(state: GaussianState, modes) -> GaussianState:
     return GaussianState(state.mean[idx], state.cm[np.ix_(idx, idx)])
 
 
+def _require_positive_definite(w: np.ndarray) -> None:
+    """Raise UnphysicalStateError unless every eigenvalue in w (shape (..., 2n)) is positive."""
+    if w.min() <= 0:
+        where = "" if w.ndim == 1 else f" at stack index {int(np.argmin(w.min(axis=-1)))}"
+        raise UnphysicalStateError(f"covariance matrix not positive definite{where}: min eig = {w.min():.3e}")
+
+
 def symplectic_eigenvalues(cm: np.ndarray, *, tol_psd: float = TOL_PSD) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix, sorted descending.
 
@@ -185,17 +192,22 @@ def symplectic_eigenvalues(cm: np.ndarray, *, tol_psd: float = TOL_PSD) -> np.nd
     ``cm`` may also be a stack of shape (k, 2n, 2n); the spectra are then
     computed in one batched pass and returned as a (k, n) array, row i being
     the spectrum of ``cm[i]``.  A stack with any non-positive member raises.
+    For one mode the spectrum is the closed form sqrt(det sigma).
     """
     cm = np.asarray(cm, dtype=float)
     n = cm.shape[-1] // 2
-    w, Q = np.linalg.eigh(0.5 * (cm + np.swapaxes(cm, -1, -2)))
-    if w.min() <= 0:
-        where = "" if cm.ndim == 2 else f" at stack index {int(np.argmin(w.min(axis=-1)))}"
-        raise UnphysicalStateError(f"covariance matrix not positive definite{where}: min eig = {w.min():.3e}")
-    root = (Q * np.sqrt(w)[..., None, :]) @ np.swapaxes(Q, -1, -2)
-    m = root @ _omega(n) @ root
-    w2 = np.sort(np.linalg.eigvalsh(-m @ m), axis=-1)  # = (Omega sigma)^2 spectrum, made symmetric
-    nus = np.sqrt(0.5 * (w2[..., 0::2] + w2[..., 1::2]))
+    sym = 0.5 * (cm + np.swapaxes(cm, -1, -2))
+    if n == 1:
+        a, b, d = sym[..., 0, 0], sym[..., 0, 1], sym[..., 1, 1]
+        _require_positive_definite((0.5 * (a + d) - np.hypot(0.5 * (a - d), b))[..., None])
+        nus = np.sqrt(a * d - b * b)[..., None]
+    else:
+        w, Q = np.linalg.eigh(sym)
+        _require_positive_definite(w)
+        root = (Q * np.sqrt(w)[..., None, :]) @ np.swapaxes(Q, -1, -2)
+        m = root @ _omega(n) @ root
+        w2 = np.sort(np.linalg.eigvalsh(-m @ m), axis=-1)  # = (Omega sigma)^2 spectrum, made symmetric
+        nus = np.sqrt(0.5 * (w2[..., 0::2] + w2[..., 1::2]))
     nus = np.where((nus < 1.0) & (nus > 1.0 - tol_psd), 1.0, nus)
     return np.sort(nus, axis=-1)[..., ::-1]
 

@@ -1,7 +1,11 @@
 """Unit tests for monitored Gaussian dynamics: drift/diffusion, Riccati, trajectories."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st_
 from scipy.linalg import block_diag, expm, solve_continuous_are, solve_continuous_lyapunov
 
 import gaussdaemon as gd
@@ -114,7 +118,7 @@ def test_unconditional_steady_state_by_integration():
 
 
 def test_conditional_steady_state_against_care():
-    """Riccati integration agrees with scipy's algebraic CARE solver."""
+    """The Hamiltonian Schur solution agrees with scipy's CARE solver on random one-mode models."""
     rng = np.random.default_rng(71)
     for _ in range(20):
         model = gd.random_stable_model(rng, nu_in=1.0 + rng.exponential(1.0))
@@ -128,17 +132,74 @@ def test_conditional_steady_state_against_care():
         assert gd.riccati_residual(mm, sigma) < 1e-9
 
 
+def _assert_matches_care_oracle(mm):
+    sigma = gd.steady_state_conditional(mm)
+    ref = care_steady_state(mm)
+    assert np.abs(sigma - ref).max() <= 1e-12 * np.abs(ref).max(), np.abs(sigma - ref).max()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(
+    chi_t=st_.sampled_from([0.0, 0.3, 0.9, 0.99]),
+    nu_in=st_.floats(1.0, 10.0),
+    theta=st_.floats(0.02, 0.5 * math.pi - 0.02),
+    quarter=st_.integers(0, 1),
+    log_z=st_.floats(math.log(1e-12), 0.0),
+    nu_m=st_.floats(1.0, 5.0),
+    sharp=st_.booleans(),
+)
+@example(chi_t=0.0, nu_in=1.0, theta=0.3, quarter=1, log_z=math.log(1e-12), nu_m=1.0, sharp=True)
+@example(chi_t=0.99, nu_in=3.0, theta=0.7, quarter=0, log_z=math.log(1e-12), nu_m=4.0, sharp=False)
+def test_opo_steady_state_matches_care_oracle(chi_t, nu_in, theta, quarter, log_z, nu_m, sharp):
+    """At generic phases (where opo_conditional_ss solves it) the OPO steady state is scipy's CARE solution.
+
+    Exact homodyne, z_m down to 1e-12 and noisy pointers (nu_m > 1)
+    included; within 1e-12 of |sigma|.
+    """
+    p = gd.OpoParams.from_tilde(chi_t, nu_in=nu_in)
+    phase = theta + 0.5 * math.pi * quarter
+    setting = GeneralDyneSetting(nu_m=nu_m, theta_m=phase, z_m=min(math.exp(log_z), 1.0), homodyne=sharp)
+    _assert_matches_care_oracle(gd.monitored(gd.opo_model(p), setting))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(seed=st_.integers(0, 2**32 - 1), n=st_.sampled_from([2, 3]), mixed=st_.booleans())
+def test_multimode_steady_state_matches_care_oracle(seed, n, mixed):
+    """Random 2- and 3-mode models: the steady state is scipy's CARE solution within 1e-12 of |sigma|.
+
+    Mixed settings put an exact homodyne (and often a z_m = 1e-12 or noisy
+    pointer) on some input mode; the others are random, possibly noisy.
+    """
+    rng = np.random.default_rng(seed)
+    model = _random_hurwitz_model(rng, n, driven=False)
+    settings_ = _mixed_settings(rng, n) if mixed else [gd.random_setting(rng, efficient=False) for _ in range(n)]
+    _assert_matches_care_oracle(gd.monitored(model, settings_))
+
+
+def test_wrong_stable_subspace_dimension_is_a_numeric_error(monkeypatch):
+    """A Hamiltonian whose stable invariant subspace is not n-dimensional gives no steady state: NumericError."""
+    schur = gd.dynamics.schur
+
+    def short_schur(*args, **kwargs):
+        t, z, sdim = schur(*args, **kwargs)
+        return t, z, sdim - 1
+
+    monkeypatch.setattr(gd.dynamics, "schur", short_schur)
+    mm = gd.monitored(gd.opo_model(gd.OpoParams.from_tilde(0.6, nu_in=3.0)), GeneralDyneSetting(theta_m=0.7, z_m=0.4))
+    with pytest.raises(gd.NumericError, match="algebraic Riccati solve failed: .* 1 stable eigenvalues, expected 2"):
+        gd.steady_state_conditional(mm)
+
+
 def test_steady_state_is_the_flow_limit():
     """The algebraic steady state is where the Riccati flow ends, with a Hurwitz closed loop.
 
-    The reference needs no CARE solver: the stepping propagator (the route
-    evolve_conditional_cm keeps where it cannot expand about a steady state;
-    elsewhere it expands about the CARE solution itself) run from the
-    unconditional steady state over a long horizon.  The OPO homodyne
-    phase-0 cases at nu_in = 3 are where a bare Schur solve leaves residuals
-    above the 1e-9 gate; they also have the closed form nu diag(1 - chi~, 1/(1 - chi~)).
-    The chi~ = 0 phase-pi/2 case, whose x quadrature is unobserved up to
-    round-off, needs a second Newton step.
+    The reference needs no algebraic Riccati solver: the stepping propagator
+    (the route evolve_conditional_cm keeps where it cannot expand about a
+    steady state; elsewhere it expands about the algebraic solution itself)
+    run from the unconditional steady state over a long horizon.  The OPO
+    homodyne cases are the rank-deficient limit: at phase 0 and nu_in = 3
+    they also have the closed form nu diag(1 - chi~, 1/(1 - chi~)), and at
+    chi~ = 0 and phase pi/2 the x quadrature is unobserved up to round-off.
     """
     rng = np.random.default_rng(89)
     cases = [(gd.opo_model(gd.OpoParams.from_tilde(ct, nu_in=3.0)), gd.homodyne(0.0)) for ct in (0.3, 0.6)]

@@ -83,3 +83,17 @@ def test_extraction_unitary_reaches_passive_state():
         assert gd.energy(st) - gd.energy(out) == pytest.approx(gd.ergotropy(st), abs=1e-9)
     with pytest.raises(ValueError, match="one mode"):
         gd.extraction_unitary(gd.vacuum(2))
+
+
+def test_cross_check_gate_is_absolute_then_relative():
+    """Gaps above 1e-9 fail up to magnitudes of 1e3; above that the gate is 1e-12 of the larger value."""
+    from gaussdaemon.ergotropy import _cross_check
+
+    for value in (0.0, 1.0, 1e3):
+        _cross_check(value, value + 0.9e-9, "x")
+        with pytest.raises(gd.NumericError, match="disagree"):
+            _cross_check(value, value + 1.1e-9, "x")
+    for value in (1e9, -1e70):
+        _cross_check(value, value * (1.0 + 0.9e-12), "x")
+        with pytest.raises(gd.NumericError, match="disagree"):
+            _cross_check(value * (1.0 + 1.1e-12), value, "x")

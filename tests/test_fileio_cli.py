@@ -158,12 +158,12 @@ class TestCli:
         assert "solver broke down" in capsys.readouterr().err
 
     def test_riccati_solver_failure_exits_3(self, capsys, monkeypatch):
-        """A LinAlgError (a ValueError) from the CARE solver is a numeric failure, not bad input."""
+        """A LinAlgError (a ValueError) from the Riccati Schur solve is a numeric failure, not bad input."""
 
-        def broken(*args):
-            raise np.linalg.LinAlgError("Failed to find a finite solution.")
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("Schur form not found.")
 
-        monkeypatch.setattr(gd.dynamics, "solve_continuous_are", broken)
+        monkeypatch.setattr(gd.dynamics, "schur", broken)
         args = ["opo-ss", "--chi-tilde", "0.6", "--nu-in", "3", "--strategy", "gendyne", "--z-m", "0.4"]
         assert main(args + ["--theta-m", "0.7"]) == 3
         assert "algebraic Riccati solve failed" in capsys.readouterr().err
@@ -341,6 +341,13 @@ def test_tmsts_out_of_range_exits_2(n_th, r, capsys):
     assert "is out of range" in capsys.readouterr().err
     with pytest.raises(ValueError, match="is out of range"):
         gd.tmsts(float(n_th), float(r))
+
+
+@pytest.mark.parametrize("n_th", ["1e9", "1e70"])
+def test_tmsts_large_values_pass_the_cross_check(n_th, capsys):
+    """Closed forms and pipeline agree to round-off at any magnitude, so large valid inputs exit 0."""
+    assert main(["tmsts-sweep", "--N", n_th, "--r", "1"]) == 0
+    assert "disagree" not in capsys.readouterr().err
 
 
 def test_validate_rejects_non_positive_case_count(capsys):

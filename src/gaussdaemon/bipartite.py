@@ -55,15 +55,13 @@ import numpy as np
 
 from .ergotropy import _cross_check, _single_mode_ergotropy, ergotropy_report
 from .exceptions import UnphysicalStateError
-from .measurement import GeneralDyneSetting, Partition, condition, heterodyne, homodyne
+from .measurement import GeneralDyneSetting, _schur_complement, heterodyne, homodyne
 from .symplectic import (
     TOL_PSD,
     GaussianState,
     _omega,
     williamson_single_mode,
 )
-
-_PARTITION = Partition(a_modes=(0,), b_modes=(1,))
 
 _TIE_TOL = 1e-12
 # Log of the largest covariance entry whose fourth power, the scale of a
@@ -246,14 +244,19 @@ def daemonic_ergotropy(state: GaussianState, setting: GeneralDyneSetting) -> Dae
     """Daemonic ergotropy of mode A when mode B is measured with ``setting``.
 
     Generic conditioning pipeline: works for any (possibly noisy) setting and
-    any valid two-mode state.
+    any valid two-mode state.  Mode 0 is A and mode 1 is B, so the blocks are
+    plain slices; the conditional CM comes from the Schur complement shared
+    with :func:`~gaussdaemon.measurement.condition`, and its 2x2 determinant
+    and the energy of A are evaluated in closed form.
     """
     if state.n != 2:
         raise ValueError(f"daemonic ergotropy requires a two-mode state, got {state.n} modes")
-    conditional = condition(state, _PARTITION, setting, outcome=np.zeros(2))
-    det_c = float(np.linalg.det(conditional.cm))
-    mean_a = state.mean[:2]
-    energy = 0.5 * float(mean_a @ mean_a) + 0.25 * float(np.trace(state.cm[:2, :2]))
+    cm = state.cm
+    _, cm_c = _schur_complement(cm[:2, :2], cm[2:, 2:], cm[:2, 2:], setting)
+    (c00, c01), (_, c11) = cm_c.tolist()
+    det_c = c00 * c11 - c01 * c01
+    m0, m1 = state.mean[:2].tolist()
+    energy = 0.5 * (m0 * m0 + m1 * m1) + 0.25 * (float(cm[0, 0]) + float(cm[1, 1]))
     value = _single_mode_ergotropy(energy, det_c, "daemonic ergotropy")
     return DaemonicResult(value=value, setting=setting, conditional_purity=1.0 / math.sqrt(det_c))
 

@@ -48,8 +48,8 @@ _expandable) the conditional flow is stepped through the exponential of its
 Hamiltonian matrix instead.  Either way the results do not depend on the
 time grid.  The conditional steady state solves the continuous algebraic
 Riccati equation from the ordered Schur decomposition of its Hamiltonian
-matrix (the stable invariant subspace), refined by Newton-Kleinman steps (at
-least one, at most SS_NEWTON_STEPS).
+matrix (the stable invariant subspace); Newton-Kleinman steps refine it only
+when its residual is above round-off (at most SS_NEWTON_STEPS).
 
 The gains are written in the pointer frame, where homodyne is the exact
 w = z_m / nu_m = 0 member of the general-dyne family (see _inverse_sqrt_sum).
@@ -85,8 +85,13 @@ from .symplectic import (
 
 # Gate on the algebraic Riccati residual of a conditional steady state.
 SS_RESIDUAL_TOL = 1e-9
-# Newton-Kleinman refinements of the Hamiltonian Schur solution: each squares
-# the error, so a residual still above the gate after this many is a failure.
+# A Schur solution whose residual exceeds this fraction of the largest Riccati
+# term (see _riccati_scale) is refined by Newton-Kleinman steps; a correctly
+# rounded solution sits near 1e-14 of it.
+SS_REFINE_RTOL = 1e-12
+# Most Newton-Kleinman refinements of the Hamiltonian Schur solution (none
+# when it already passes SS_REFINE_RTOL): each squares the error, so a
+# residual still above the gate after this many is a failure.
 SS_NEWTON_STEPS = 3
 # Trajectories advanced together per vectorized chunk.
 _TRAJ_CHUNK = 256
@@ -367,10 +372,8 @@ def _check_steady_state(mm: MonitoredModel, sigma_inf: np.ndarray) -> None:
     The residual is gated relative to the largest of its terms, so the gate
     holds for a correctly rounded sigma_inf of any size.
     """
-    terms = (mm.dtilde, mm.at @ sigma_inf, sigma_inf @ mm.bbt @ sigma_inf)
-    scale = max(float(np.abs(x).max()) for x in terms)
     res = riccati_residual(mm, sigma_inf)
-    if res > SS_RESIDUAL_TOL * scale:
+    if res > SS_RESIDUAL_TOL * _riccati_scale(mm, sigma_inf):
         raise ValueError(f"steady state has algebraic residual {res:.3e}; it does not solve the Riccati equation")
     if not is_hurwitz(mm.at - sigma_inf @ mm.bbt):
         raise ValueError("steady state is not stabilizing: A - sigma_inf R is not Hurwitz")
@@ -450,6 +453,12 @@ def evolve_conditional_cm(mm: MonitoredModel, sigma0: np.ndarray, t_grid, *, sig
     return _expand_about(mm.at, mm.bbt, sigma_inf, sigma, t_grid)
 
 
+def _riccati_scale(mm: MonitoredModel, sigma: np.ndarray) -> float:
+    """Largest max-norm of the Riccati terms Dt, At sigma and sigma B B^T sigma, the scale of a residual at sigma."""
+    terms = (mm.dtilde, mm.at @ sigma, sigma @ mm.bbt @ sigma)
+    return max(float(np.abs(x).max()) for x in terms)
+
+
 def riccati_residual(mm: MonitoredModel, sigma: np.ndarray) -> float:
     """Max-norm residual of the algebraic Riccati equation At s + s At^T + Dt - s B B^T s at sigma."""
     return float(np.abs(mm.at @ sigma + sigma @ mm.at.T + mm.dtilde - sigma @ mm.bbt @ sigma).max())
@@ -462,13 +471,15 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
     decomposition of the 2n x 2n Hamiltonian H = [[At^T, -B B^T], [-Dt, -At]]:
     the first n Schur vectors Z = [Z11; Z21], ordered to span the stable
     invariant subspace, give s = Z21 Z11^-1.  A stable subspace of any other
-    dimension raises NumericError.  The solution is refined by Newton-Kleinman
-    steps, each a Lyapunov solve with the closed-loop matrix At - s B B^T.
-    One step is always taken, as a guard on the solve with Z11, whose error
-    grows with its condition number (on OPO settings up to chi~ = 0.999 and
-    random 2- and 3-mode models, homodyne included, the Schur solution alone
-    leaves residuals below 1e-13 |s|).  Steps stop once the residual passes
-    SS_RESIDUAL_TOL, at most SS_NEWTON_STEPS of them.
+    dimension raises NumericError.  The solve with Z11 loses precision with
+    its condition number, so the residual of the Schur solution is measured
+    first: only above SS_REFINE_RTOL times the largest Riccati term is it
+    refined by Newton-Kleinman steps, each a Lyapunov solve with the
+    closed-loop matrix At - s B B^T, until the residual passes that bound or
+    SS_NEWTON_STEPS steps are taken.  (On OPO settings up to chi~ = 0.999,
+    z_m down to 1e-12, and random 2- and 3-mode models, homodyne included,
+    the Schur solution alone leaves residuals below 1e-14 of that scale, so
+    no step is taken there.)
     The result must be the stabilizing solution (Hurwitz closed loop), pass
     the residual gate and be a physical covariance matrix.
     """
@@ -482,12 +493,13 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
             raise np.linalg.LinAlgError(f"the Riccati Hamiltonian has {sdim} stable eigenvalues, expected {dim}")
         sigma = np.linalg.solve(z[:dim, :dim].T, z[dim:, :dim].T)
         sigma = 0.5 * (sigma + sigma.T)
+        res = riccati_residual(mm, sigma)
         for _ in range(SS_NEWTON_STEPS):
+            if res <= SS_REFINE_RTOL * _riccati_scale(mm, sigma):
+                break
             sigma = solve_continuous_lyapunov(at - sigma @ bbt, -(dtilde + sigma @ bbt @ sigma))
             sigma = 0.5 * (sigma + sigma.T)
             res = riccati_residual(mm, sigma)
-            if res <= SS_RESIDUAL_TOL:
-                break
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"algebraic Riccati solve failed: {exc}") from exc
     if not is_hurwitz(at - sigma @ bbt):

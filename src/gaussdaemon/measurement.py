@@ -19,6 +19,12 @@ A according to
 The conditional covariance matrix does not depend on the outcome.  Outcomes
 are Gaussian with mean mean_B; with the convention used here for covariance
 matrices, their sampling covariance is (sigma_B + sigma_m)/2.
+
+The update is written once (_schur_complement), shared by condition and the
+bipartite pipeline.  Everything about the measured mode is computed from the
+entries of S = R_theta^T sigma_B R_theta in scalar arithmetic
+(_pointer_frame_entries): the inverse (sigma_B + sigma_m)^{-1} and the
+outcome sampling both work in that frame.
 """
 
 from __future__ import annotations
@@ -106,22 +112,39 @@ def inverse_sum(sigma_b: np.ndarray, setting: GeneralDyneSetting) -> np.ndarray:
 
     whose w = 0 member is the homodyne limit u u^T / (u^T sigma_B u); nu_m
     drops out of it.  No entry grows like 1/z_m, so the result keeps full
-    precision as z_m -> 0 and meets the limit continuously.
+    precision as z_m -> 0 and meets the limit continuously.  Both rotations
+    are written out in c = cos theta_m and s = sin theta_m, so one setting
+    costs scalar arithmetic and one 2x2 array.  sigma_B must be 2x2.
     """
-    r, s = _pointer_frame(np.asarray(sigma_b, dtype=float), setting)
+    c, s, s11, s12, s22 = _pointer_frame_entries(sigma_b, setting.theta_m)
     w = setting.z_m / setting.nu_m
-    a = s[0, 0] + setting.nu_m * setting.z_m
-    p, q = 1.0 + w * s[1, 1], w * s[0, 1]
-    det = a * p - q * s[0, 1]
+    a = s11 + setting.nu_m * setting.z_m
+    p, q = 1.0 + w * s22, w * s12
+    det = a * p - q * s12
     if not det > 0.0:
         raise NumericError(f"sigma_B + sigma_m is singular: scaled determinant {det:.3e}")
-    return r @ (np.array([[p, -q], [-q, w * a]]) / det) @ r.T
+    m11, m12, m22 = p / det, -q / det, w * a / det
+    cc, cs, ss = c * c, c * s, s * s
+    x01 = cs * (m22 - m11) + (cc - ss) * m12
+    return np.array([[cc * m11 + 2.0 * cs * m12 + ss * m22, x01], [x01, ss * m11 - 2.0 * cs * m12 + cc * m22]])
 
 
-def _pointer_frame(sigma_b: np.ndarray, setting: GeneralDyneSetting) -> tuple[np.ndarray, np.ndarray]:
-    """(R, R^T sigma_B R) with R = R_theta, the frame in which sigma_m is diagonal."""
-    r = rotation(setting.theta_m)
-    return r, r.T @ sigma_b @ r
+def _pointer_frame_entries(sigma_b, theta_m: float) -> tuple[float, float, float, float, float]:
+    """(c, s, S11, S12, S22): c = cos theta_m, s = sin theta_m and S = R^T sigma_B R with R = R_theta.
+
+    R is the frame in which sigma_m is diagonal; S11 = u^T sigma_B u is the
+    variance of the measured quadrature u = (c, -s).
+    """
+    sigma_b = np.asarray(sigma_b, dtype=float)
+    if sigma_b.shape != (2, 2):
+        raise ValueError(f"sigma_B must be the 2x2 covariance matrix of the measured mode, got shape {sigma_b.shape}")
+    (b11, b12), (_, b22) = sigma_b.tolist()
+    c, s = math.cos(theta_m), math.sin(theta_m)
+    cc, cs, ss = c * c, c * s, s * s
+    s11 = cc * b11 - 2.0 * cs * b12 + ss * b22
+    s12 = cs * (b11 - b22) + (cc - ss) * b12
+    s22 = ss * b11 + 2.0 * cs * b12 + cc * b22
+    return c, s, s11, s12, s22
 
 
 @dataclass(frozen=True)
@@ -165,6 +188,18 @@ def _blocks(state: GaussianState, partition: Partition):
     return state.cm[aa], state.cm[bb], state.cm[ab], state.mean[partition.a_idx], state.mean[partition.b_idx]
 
 
+def _schur_complement(sa, sb, sab, setting: GeneralDyneSetting) -> tuple[np.ndarray, np.ndarray]:
+    """(gain, sigma_A^c) with gain = sigma_AB (sigma_B + sigma_m)^{-1} and sigma_A^c = sigma_A - gain sigma_AB^T.
+
+    The conditional CM is returned symmetrized.  The one place the
+    conditioning update is written: :func:`condition` adds the outcome mean
+    on top, and the bipartite pipeline uses the CM alone.
+    """
+    gain = sab @ inverse_sum(sb, setting)
+    cm = sa - gain @ sab.T
+    return gain, 0.5 * (cm + cm.T)
+
+
 def condition(
     state: GaussianState,
     partition: Partition,
@@ -178,13 +213,10 @@ def condition(
     annihilates the orthogonal component).
     """
     sa, sb, sab, ma, mb = _blocks(state, partition)
-    inv = inverse_sum(sb, setting)
-    gain = sab @ inv
     outcome = np.asarray(outcome, dtype=float).reshape(-1)
     if outcome.size != 2:
         raise ValueError(f"outcome must be a 2-vector, got length {outcome.size}")
-    cm = sa - gain @ sab.T
-    cm = 0.5 * (cm + cm.T)
+    gain, cm = _schur_complement(sa, sb, sab, setting)
     return GaussianState(ma + gain @ (outcome - mb), cm)
 
 
@@ -202,11 +234,15 @@ def sample_outcome(
     projection (it is unobserved and does not affect conditioning).
     """
     _, sb, _, _, mb = _blocks(state, partition)
-    r, t = _pointer_frame(sb, setting)
+    c, s, s11, s12, s22 = _pointer_frame_entries(sb, setting.theta_m)
     if setting.homodyne:
-        u = r[:, 0]
-        y = float(mb @ u) + math.sqrt(0.5 * t[0, 0]) * rng.standard_normal()
+        u = np.array([c, -s])
+        y = float(mb @ u) + math.sqrt(0.5 * s11) * rng.standard_normal()
         return u * y + (mb - u * float(mb @ u))
-    t[0, 0] += setting.nu_m * setting.z_m
-    t[1, 1] += setting.nu_m / setting.z_m
-    return mb + r @ np.linalg.cholesky(0.5 * t) @ rng.standard_normal(2)
+    # Cholesky factor of (S + diag(nu_m z_m, nu_m / z_m)) / 2, then rotated back by R.
+    l11 = math.sqrt(0.5 * (s11 + setting.nu_m * setting.z_m))
+    l21 = 0.5 * s12 / l11
+    l22 = math.sqrt(0.5 * (s22 + setting.nu_m / setting.z_m) - l21 * l21)
+    g1, g2 = rng.standard_normal(2).tolist()
+    y1, y2 = l11 * g1, l21 * g1 + l22 * g2
+    return mb + np.array([c * y1 + s * y2, c * y2 - s * y1])

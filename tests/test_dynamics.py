@@ -190,6 +190,52 @@ def test_wrong_stable_subspace_dimension_is_a_numeric_error(monkeypatch):
         gd.steady_state_conditional(mm)
 
 
+def _count_lyapunov_calls(monkeypatch) -> list:
+    """Route the Newton-Kleinman step's Lyapunov solver through a call log."""
+    calls = []
+    lyapunov = gd.dynamics.solve_continuous_lyapunov
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lyapunov(*args, **kwargs)
+
+    monkeypatch.setattr(gd.dynamics, "solve_continuous_lyapunov", counted)
+    return calls
+
+
+@pytest.mark.parametrize("setting", [GeneralDyneSetting(theta_m=0.7, z_m=0.4), gd.homodyne(1.1)])
+def test_accurate_schur_solution_takes_no_newton_step(monkeypatch, setting):
+    """At a generic phase the Schur solution is already at round-off, so no Lyapunov solve runs."""
+    calls = _count_lyapunov_calls(monkeypatch)
+    _assert_matches_care_oracle(gd.monitored(gd.opo_model(gd.OpoParams.from_tilde(0.6, nu_in=3.0)), setting))
+    assert calls == []
+
+
+def test_perturbed_schur_solution_is_refined(monkeypatch):
+    """A Schur solution 1e-9 off (relative) is refined by Newton-Kleinman back to the CARE oracle within 1e-12 |sigma|."""
+    schur = gd.dynamics.schur
+
+    def perturbed_schur(h, **kwargs):
+        t, z, sdim = schur(h, **kwargs)
+        dim = h.shape[0] // 2
+        z = z.copy()
+        z[dim:, :dim] *= 1.0 + 1e-9  # sigma = Z21 Z11^-1 scales by the same factor
+        return t, z, sdim
+
+    monkeypatch.setattr(gd.dynamics, "schur", perturbed_schur)
+    calls = _count_lyapunov_calls(monkeypatch)
+    rng = np.random.default_rng(97)
+    models = [
+        gd.monitored(gd.opo_model(gd.OpoParams.from_tilde(0.6, nu_in=3.0)), GeneralDyneSetting(theta_m=0.7, z_m=0.4)),
+        gd.monitored(gd.opo_model(gd.OpoParams.from_tilde(0.99, nu_in=3.0)), gd.homodyne(0.3)),
+        gd.monitored(_random_hurwitz_model(rng, 3, driven=False), _mixed_settings(rng, 3)),
+    ]
+    for mm in models:
+        before = len(calls)
+        _assert_matches_care_oracle(mm)
+        assert len(calls) > before
+
+
 def test_steady_state_is_the_flow_limit():
     """The algebraic steady state is where the Riccati flow ends, with a Hurwitz closed loop.
 

@@ -311,7 +311,12 @@ def test_readme_cli_examples(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "tmsts.txt").write_text(_readme_block(readme, "**State file**"))
     examples = _readme_block(readme, "Examples:").split("\n\n")
-    for command in ("gaussdaemon daemonic --state tmsts.txt", "gaussdaemon opo-ss --chi-tilde 0.6 --nu-in 3"):
+    commands = (
+        "gaussdaemon daemonic --state tmsts.txt",
+        "gaussdaemon opo-ss --chi-tilde 0.6 --nu-in 3",
+        "gaussdaemon validate --cases 500 --seed 0",
+    )
+    for command in commands:
         [example] = [ex for ex in examples if ex.startswith(f"$ {command}\n")]
         expected = example.split("\n", 1)[1].rstrip("\n") + "\n"
         assert main(shlex.split(command)[1:]) == 0

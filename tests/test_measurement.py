@@ -1,5 +1,7 @@
 """Unit tests for general-dyne measurements and Gaussian conditioning."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,6 +207,23 @@ def test_sample_outcome_variance_near_homodyne():
     assert worst <= 1e-12
 
 
+def test_sample_outcome_factor_is_the_outcome_covariance():
+    """The square-root factor sample_outcome applies to its draws squares to (sigma_B + sigma_m)/2, off-diagonal included.
+
+    With unit-vector noise the two draws are the factor's columns, so the sum
+    of their outer products is the sampling covariance itself.
+    """
+    rng = np.random.default_rng(61)
+    for _ in range(50):
+        st = gd.random_state(rng, 2)
+        setting = gd.random_setting(rng, efficient=False, allow_homodyne=False)
+        draws = _UnitDraws()
+        cols = [gd.sample_outcome(st, PART, setting, draws) - st.mean[2:] for _ in range(2)]
+        cov = sum(np.outer(c, c) for c in cols)
+        target = 0.5 * (st.cm[2:, 2:] + gd.measurement_cm(setting))
+        assert np.abs(cov - target).max() <= 1e-12 * np.abs(target).max()
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(
     seed=st_.integers(min_value=0, max_value=2**32 - 1),
@@ -222,3 +241,34 @@ def test_inverse_sum_is_one_formula(seed, theta, log_z, nu_m):
     limit = np.outer(u, u) / (u @ sb @ u)
     hom = gd.inverse_sum(sb, GeneralDyneSetting(nu_m=nu_m, theta_m=theta, homodyne=True))
     assert np.abs(hom - limit).max() <= 1e-14 * np.abs(limit).max()
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (1, 1), (2,), (2, 3)])
+def test_inverse_sum_requires_a_2x2_block(shape):
+    """sigma_B is the measured mode's 2x2 CM; any other shape is rejected rather than read in part."""
+    with pytest.raises(ValueError, match="2x2"):
+        gd.inverse_sum(np.full(shape, 2.0), gd.heterodyne())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    seed=st_.integers(min_value=0, max_value=2**32 - 1),
+    theta=st_.floats(0.0, np.pi, exclude_max=True),
+    log_z=st_.floats(-12.0, 0.0),
+    nu_m=st_.floats(1.0, 5.0),
+    sharp=st_.booleans(),
+)
+def test_daemonic_pipeline_matches_condition(seed, theta, log_z, nu_m, sharp):
+    """daemonic_ergotropy is E - sqrt(det)/2 of condition's conditional CM, within 1e-13 of the energy E.
+
+    Random two-mode states with exact homodyne, z_m down to 1e-12 and noisy
+    pointers; E = |mean_A|^2 / 2 + tr(sigma_A) / 4 and the determinant are
+    taken here from numpy, so the test pins the Schur complement both share.
+    """
+    state = gd.random_two_mode_state(np.random.default_rng(seed))
+    setting = GeneralDyneSetting(nu_m=nu_m, theta_m=theta, z_m=10.0**log_z, homodyne=sharp)
+    energy = 0.5 * float(state.mean[:2] @ state.mean[:2]) + 0.25 * float(np.trace(state.cm[:2, :2]))
+    det = float(np.linalg.det(gd.condition(state, PART, setting, np.zeros(2)).cm))
+    result = gd.daemonic_ergotropy(state, setting)
+    assert abs(result.value - (energy - 0.5 * math.sqrt(det))) <= 1e-13 * energy, (result.value, energy, det)
+    assert result.conditional_purity == pytest.approx(1.0 / math.sqrt(det), rel=1e-13)

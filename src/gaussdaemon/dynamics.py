@@ -46,13 +46,14 @@ so a whole time grid takes a few stacked numpy calls.  Where the steady state
 is missing or large (a non-Hurwitz drift, or one near threshold; see
 _expandable) the conditional flow is stepped through the exponential of its
 Hamiltonian matrix instead.  Either way the results do not depend on the
-time grid.  The conditional steady state solves the continuous algebraic
-Riccati equation from the ordered Schur decomposition of its Hamiltonian
-matrix (the stable invariant subspace); Newton-Kleinman steps refine it only
-when its residual is above round-off (at most SS_NEWTON_STEPS).
+time grid.  The conditional steady state is the stable invariant subspace
+of the same Hamiltonian (one ordered Schur decomposition; Newton-Kleinman
+steps refine it only when its residual is above round-off).  That
+Hamiltonian is built once (_hamiltonian), balanced so that its norm does not
+grow with the environment noise.
 
-The gains are written in the pointer frame, where homodyne is the exact
-w = z_m / nu_m = 0 member of the general-dyne family (see _inverse_sqrt_sum).
+The filter terms are written in the pointer frame, where homodyne is the exact
+w = z_m / nu_m = 0 member of the general-dyne family (see MonitoredModel).
 
 The environment is normalized at model construction: a symplectic pre-pass
 brings sigma_in to thermal-diagonal form (nu_j I per mode), folding the
@@ -70,24 +71,22 @@ from scipy.linalg import expm, schur, solve_continuous_lyapunov
 
 from .ergotropy import clamp_ergotropy
 from .exceptions import ConvergenceError, NoSteadyStateError, NumericError, SymmetryError
-from .measurement import GeneralDyneSetting
+from .measurement import GeneralDyneSetting, _from_pointer_frame, _pointer_inverse
 from .symplectic import (
     TOL_HURWITZ,
     TOL_PSD,
     TOL_SYM,
     GaussianState,
     _omega,
-    rotation,
     symplectic_eigenvalues,
     validate_state,
     williamson_single_mode,
 )
 
-# Gate on the algebraic Riccati residual of a conditional steady state.
+# Gate on the Riccati residual of a conditional steady state relative to its largest term (_relative_residual).
 SS_RESIDUAL_TOL = 1e-9
-# A Schur solution whose residual exceeds this fraction of the largest Riccati
-# term (see _riccati_scale) is refined by Newton-Kleinman steps; a correctly
-# rounded solution sits near 1e-14 of it.
+# A Schur solution whose relative residual exceeds this is refined by
+# Newton-Kleinman steps; a correctly rounded solution sits near 1e-14.
 SS_REFINE_RTOL = 1e-12
 # Most Newton-Kleinman refinements of the Hamiltonian Schur solution (none
 # when it already passes SS_REFINE_RTOL): each squares the error, so a
@@ -185,12 +184,12 @@ class DriftDiffusion:
 
 def drift_diffusion(model: DiffusiveModel) -> DriftDiffusion:
     """Drift, diffusion and drive of the unconditional diffusive dynamics."""
+    # Products with the symplectic forms only permute and negate entries, so they are exact in any order.
     om_n = _omega(model.n)
-    om_m = _omega(model.m)
-    a = om_n @ model.h_s + 0.5 * om_n @ model.c @ om_m @ model.c.T
-    d = om_n @ model.c @ model.sigma_in @ model.c.T @ om_n.T
-    drive = om_n @ model.c @ model.mean_in
-    return DriftDiffusion(a=a, d=0.5 * (d + d.T), drive=drive)
+    oc = om_n @ model.c
+    a = om_n @ model.h_s + 0.5 * (oc @ _omega(model.m)) @ model.c.T
+    d = oc @ model.sigma_in @ oc.T
+    return DriftDiffusion(a=a, d=0.5 * (d + d.T), drive=oc @ model.mean_in)
 
 
 def is_hurwitz(a: np.ndarray, tol: float = TOL_HURWITZ) -> bool:
@@ -214,64 +213,55 @@ def steady_state_unconditional(dd: DriftDiffusion) -> GaussianState:
     return GaussianState(mean, sigma)
 
 
-def _inverse_sqrt_sum(sigma_in: np.ndarray, settings) -> np.ndarray:
-    """(sigma_in + sigma_m)^(-1/2), one 2x2 block per (uncorrelated) input mode.
-
-    The normalized input is nu_j I, so in the pointer frame R = R_theta each
-    block is R diag((nu_j + nu_m z_m)^(-1/2), sqrt(w / (1 + w nu_j))) R^T with
-    w = z_m / nu_m.  Homodyne is w = 0: the unmeasured quadrature drops out
-    exactly.
-    """
-    out = np.zeros_like(sigma_in)
-    for j, setting in enumerate(settings):
-        nu, w = sigma_in[2 * j, 2 * j], setting.z_m / setting.nu_m
-        r = rotation(setting.theta_m)
-        roots = [1.0 / math.sqrt(nu + setting.nu_m * setting.z_m), math.sqrt(w / (1.0 + w * nu))]
-        out[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = (r * roots) @ r.T
-    return out
-
-
 @dataclass(frozen=True)
 class MonitoredModel:
-    """A diffusive model together with its measurement matrices B and E.
+    """A diffusive model with a general-dyne setting per input mode (one setting is broadcast).
 
-    The unconditional dynamics ``dd`` and the terms of the rearranged filter
-    flow At s + s At^T + Dt - s B B^T s are computed once, at construction:
-    At = A + E B^T and Dt = D - E E^T make it algebraically identical to
-    A s + s A^T + D - (E - s B)(E - s B)^T.
+    The unconditional dynamics ``dd`` and the terms of the filter flow
+    At s + s At^T + Dt - s B B^T s are built once, from M = (sigma_in + sigma_m)^-1
+    per input mode in the pointer frame (measurement._pointer_inverse):
+    B = C Omega_m M^(1/2), E = Omega C sigma_in M^(1/2),
+    At = A + Omega C (sigma_in M) Omega_m^T C^T, Dt = Omega C (sigma_in M sigma_m) C^T Omega^T.
+    These are A + E B^T and D - E E^T without the cancellation: a quadrature
+    an efficient homodyne measures has exactly zero in Dt, and sigma_in M =
+    I - sigma_m M is within a rounding of 1, as close as At can hold it.
     """
 
     base: DiffusiveModel
     settings: tuple
-    b: np.ndarray
-    e: np.ndarray
     dd: DriftDiffusion = field(init=False, repr=False, compare=False)
+    b: np.ndarray = field(init=False, repr=False, compare=False)
+    e: np.ndarray = field(init=False, repr=False, compare=False)
     at: np.ndarray = field(init=False, repr=False, compare=False)
     dtilde: np.ndarray = field(init=False, repr=False, compare=False)
     bbt: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n, m = self.base.n, self.base.m
+        settings = (self.settings,) * m if isinstance(self.settings, GeneralDyneSetting) else tuple(self.settings)
+        if len(settings) != m:
+            raise ValueError(f"expected {m} measurement settings, got {len(settings)}")
+        # Per mode, the pointer-frame diagonals of M^(1/2), sigma_in M^(1/2), sigma_in M sigma_m and sigma_in M.
+        blocks = np.zeros((4, 2 * m, 2 * m))
+        for j, setting in enumerate(settings):
+            nu, sl = float(self.base.sigma_in[2 * j, 2 * j]), slice(2 * j, 2 * j + 2)
+            (det, n11, _, n22), (k11, _, _, k22) = _pointer_inverse(nu, 0.0, nu, setting)
+            c, s = math.cos(setting.theta_m), math.sin(setting.theta_m)
+            r11, r22, k11, k22 = math.sqrt(n11 / det), math.sqrt(n22 / det), k11 / det, k22 / det
+            diagonals = ((r11, r22), (nu * r11, nu * r22), (nu * k11, nu * k22), (1.0 - k11, 1.0 - k22))
+            entries = [x for d1, d2 in diagonals for x in _from_pointer_frame(c, s, d1, 0.0, d2)]
+            blocks[:, sl, sl] = np.array(entries).reshape(4, 2, 2)
         dd = drift_diffusion(self.base)
-        object.__setattr__(self, "dd", dd)
-        object.__setattr__(self, "at", dd.a + self.e @ self.b.T)
-        object.__setattr__(self, "dtilde", dd.d - self.e @ self.e.T)
-        object.__setattr__(self, "bbt", self.b @ self.b.T)
+        oc, co = _omega(n) @ self.base.c, self.base.c @ _omega(m)
+        b, (e, in_m_m, in_m) = co @ blocks[0], oc @ blocks[1:]
+        at, dtilde = dd.a + in_m @ co.T, in_m_m @ oc.T
+        dtilde = 0.5 * (dtilde + dtilde.T)
+        self.__dict__.update(settings=settings, dd=dd, b=b, e=e, at=at, dtilde=dtilde, bbt=b @ b.T)
 
 
 def monitored(model: DiffusiveModel, setting) -> MonitoredModel:
     """Attach a general-dyne setting (one per input mode, or one broadcast) to a model."""
-    if isinstance(setting, GeneralDyneSetting):
-        settings = (setting,) * model.m
-    else:
-        settings = tuple(setting)
-    if len(settings) != model.m:
-        raise ValueError(f"expected {model.m} measurement settings, got {len(settings)}")
-    isq = _inverse_sqrt_sum(model.sigma_in, settings)
-    om_n = _omega(model.n)
-    om_m = _omega(model.m)
-    b = model.c @ om_m @ isq
-    e = om_n @ model.c @ model.sigma_in @ isq
-    return MonitoredModel(base=model, settings=settings, b=b, e=e)
+    return MonitoredModel(model, setting)
 
 
 def _require_modes(n_state: int, n_model: int) -> None:
@@ -369,12 +359,12 @@ def _expandable(dd: DriftDiffusion) -> bool:
 def _check_steady_state(mm: MonitoredModel, sigma_inf: np.ndarray) -> None:
     """Raise ValueError unless sigma_inf is the stabilizing solution of the algebraic Riccati equation.
 
-    The residual is gated relative to the largest of its terms, so the gate
-    holds for a correctly rounded sigma_inf of any size.
+    The residual is gated relative to the largest of its terms, as in
+    steady_state_conditional, so a correctly rounded sigma_inf of any size passes.
     """
-    res = riccati_residual(mm, sigma_inf)
-    if res > SS_RESIDUAL_TOL * _riccati_scale(mm, sigma_inf):
-        raise ValueError(f"steady state has algebraic residual {res:.3e}; it does not solve the Riccati equation")
+    rel = _relative_residual(mm, sigma_inf)
+    if rel > SS_RESIDUAL_TOL:
+        raise ValueError(f"steady state has relative algebraic residual {rel:.3e}: not a Riccati solution")
     if not is_hurwitz(mm.at - sigma_inf @ mm.bbt):
         raise ValueError("steady state is not stabilizing: A - sigma_inf R is not Hurwitz")
 
@@ -398,36 +388,48 @@ def _expand_about(a, r, sigma_inf, sigma0, t_grid) -> np.ndarray:
     return 0.5 * (out + np.swapaxes(out, 1, 2))
 
 
+def _hamiltonian(a, q, r) -> tuple[float, np.ndarray]:
+    """(c, H = [[-A^T, c R], [Q / c, A]]), the Hamiltonian of sigma' = A sigma + sigma A^T + Q - sigma R sigma.
+
+    It carries X = sigma / c, whose flow has Q / c and c R in place of Q and R.  c is
+    sqrt(|Q| / |R|) (max-norms) truncated to a power of two towards 1 (1 if Q or R is 0): exact,
+    and it leaves the coupling blocks within a factor 4, where unbalanced |H| grows with nu_in.
+    """
+    nq, nr = float(np.abs(q).max()), float(np.abs(r).max())
+    c = 2.0 ** int(0.5 * (math.log2(nq) - math.log2(nr))) if nq > 0.0 and nr > 0.0 else 1.0
+    return c, np.concatenate((np.concatenate((-a.T, c * r), 1), np.concatenate((q / c, a), 1)))  # np.block is slower
+
+
 def _propagate_riccati(a, q, r, sigma0, t_grid) -> np.ndarray:
     """Exact solution of sigma' = A sigma + sigma A^T + Q - sigma R sigma, stepped along a time grid.
 
     The route for a conditional flow with no steady state to expand about,
-    or one too large to expand about in precision (see _expandable).  The
-    linear system [X; Y]' = H [X; Y] with H = [[-A^T, R], [Q, A]] carries
-    sigma = Y X^-1 along the flow (Radon's lemma), so a step of length h is
-    sigma <- (P21 + P22 sigma)(P11 + P12 sigma)^-1 with P = expm(H h).  Each
+    or one too large to expand about in precision (see _expandable).  With
+    (c, H) from _hamiltonian, the linear system [U; V]' = H [U; V] carries
+    X = V U^-1 along the flow of X = sigma / c (Radon's lemma), so a step of
+    length h is X <- (P21 + P22 X)(P11 + P12 X)^-1 with P = expm(H h).  Each
     grid interval is split into k = ceil(h ||H||_2) equal sub-steps, which
-    keeps X well conditioned over long intervals; one exponential is computed
+    keeps U well conditioned over long intervals; one exponential is computed
     per distinct step length.  R = 0 gives the linear Lyapunov flow.
     """
     steps = _grid_steps(t_grid)
     dim = a.shape[0]
-    ham = np.block([[-a.T, r], [q, a]])
+    c, ham = _hamiltonian(a, q, r)
     norm = float(np.linalg.norm(ham, 2))
     n_sub = {h: max(1, math.ceil(h * norm)) for h in set(steps.tolist())}
     props = {h: expm(ham * (h / k)) for h, k in n_sub.items()}
-    sigma = np.asarray(sigma0, dtype=float)
+    x = np.asarray(sigma0, dtype=float) / c
     out = np.empty((steps.size + 1, dim, dim))
-    out[0] = sigma
+    out[0] = x
     for i, h in enumerate(steps.tolist()):
         p = props[h]
         for _ in range(n_sub[h]):
-            x = p[:dim, :dim] + p[:dim, dim:] @ sigma
-            y = p[dim:, :dim] + p[dim:, dim:] @ sigma
-            sigma = np.linalg.solve(x.T, y.T)
-            sigma = 0.5 * (sigma + sigma.T)
-        out[i + 1] = sigma
-    return out
+            u = p[:dim, :dim] + p[:dim, dim:] @ x
+            v = p[dim:, :dim] + p[dim:, dim:] @ x
+            x = np.linalg.solve(u.T, v.T)
+            x = 0.5 * (x + x.T)
+        out[i + 1] = x
+    return c * out
 
 
 def evolve_conditional_cm(mm: MonitoredModel, sigma0: np.ndarray, t_grid, *, sigma_inf=None) -> np.ndarray:
@@ -453,59 +455,58 @@ def evolve_conditional_cm(mm: MonitoredModel, sigma0: np.ndarray, t_grid, *, sig
     return _expand_about(mm.at, mm.bbt, sigma_inf, sigma, t_grid)
 
 
-def _riccati_scale(mm: MonitoredModel, sigma: np.ndarray) -> float:
-    """Largest max-norm of the Riccati terms Dt, At sigma and sigma B B^T sigma, the scale of a residual at sigma."""
-    terms = (mm.dtilde, mm.at @ sigma, sigma @ mm.bbt @ sigma)
-    return max(float(np.abs(x).max()) for x in terms)
-
-
 def riccati_residual(mm: MonitoredModel, sigma: np.ndarray) -> float:
     """Max-norm residual of the algebraic Riccati equation At s + s At^T + Dt - s B B^T s at sigma."""
     return float(np.abs(mm.at @ sigma + sigma @ mm.at.T + mm.dtilde - sigma @ mm.bbt @ sigma).max())
+
+
+def _relative_residual(mm: MonitoredModel, sigma: np.ndarray) -> float:
+    """riccati_residual at sigma over the largest max-norm of its terms Dt, At sigma and sigma B B^T sigma.
+
+    That scale is positive for a Hurwitz drift; a correctly rounded sigma leaves about 1e-14.
+    """
+    terms = (mm.dtilde, mm.at @ sigma, sigma @ mm.bbt @ sigma)
+    return riccati_residual(mm, sigma) / max(float(np.abs(x).max()) for x in terms)
 
 
 def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
     """Steady-state conditional CM from the continuous algebraic Riccati equation.
 
     Solves At s + s At^T + Dt - s B B^T s = 0 from one ordered real Schur
-    decomposition of the 2n x 2n Hamiltonian H = [[At^T, -B B^T], [-Dt, -At]]:
-    the first n Schur vectors Z = [Z11; Z21], ordered to span the stable
-    invariant subspace, give s = Z21 Z11^-1.  A stable subspace of any other
-    dimension raises NumericError.  The solve with Z11 loses precision with
-    its condition number, so the residual of the Schur solution is measured
-    first: only above SS_REFINE_RTOL times the largest Riccati term is it
-    refined by Newton-Kleinman steps, each a Lyapunov solve with the
-    closed-loop matrix At - s B B^T, until the residual passes that bound or
-    SS_NEWTON_STEPS steps are taken.  (On OPO settings up to chi~ = 0.999,
-    z_m down to 1e-12, and random 2- and 3-mode models, homodyne included,
-    the Schur solution alone leaves residuals below 1e-14 of that scale, so
-    no step is taken there.)
-    The result must be the stabilizing solution (Hurwitz closed loop), pass
-    the residual gate and be a physical covariance matrix.
+    decomposition of -H, with (c, H) from _hamiltonian: the first n Schur
+    vectors [Z11; Z21], ordered to span the stable invariant subspace, give
+    s = c Z21 Z11^-1; a stable subspace of any other dimension raises
+    NumericError.  The solve with Z11 loses precision with its condition
+    number, so a Schur solution whose relative residual (_relative_residual)
+    is above SS_REFINE_RTOL is refined by at most SS_NEWTON_STEPS
+    Newton-Kleinman steps, Lyapunov solves with the closed loop At - s B B^T.
+    The result must be the stabilizing solution, have a relative residual
+    within SS_RESIDUAL_TOL and be a physical covariance matrix.
     """
     if not is_hurwitz(mm.dd.a):
         raise NoSteadyStateError("drift matrix is not Hurwitz; conditional steady state undefined")
     at, dtilde, bbt = mm.at, mm.dtilde, mm.bbt
     try:
         dim = at.shape[0]
-        _, z, sdim = schur(np.block([[at.T, -bbt], [-dtilde, -at]]), output="real", sort="lhp")
+        c, ham = _hamiltonian(at, dtilde, bbt)
+        _, z, sdim = schur(-ham, output="real", sort="lhp")
         if sdim != dim:
             raise np.linalg.LinAlgError(f"the Riccati Hamiltonian has {sdim} stable eigenvalues, expected {dim}")
-        sigma = np.linalg.solve(z[:dim, :dim].T, z[dim:, :dim].T)
+        sigma = c * np.linalg.solve(z[:dim, :dim].T, z[dim:, :dim].T)
         sigma = 0.5 * (sigma + sigma.T)
-        res = riccati_residual(mm, sigma)
+        rel = _relative_residual(mm, sigma)
         for _ in range(SS_NEWTON_STEPS):
-            if res <= SS_REFINE_RTOL * _riccati_scale(mm, sigma):
+            if rel <= SS_REFINE_RTOL:
                 break
             sigma = solve_continuous_lyapunov(at - sigma @ bbt, -(dtilde + sigma @ bbt @ sigma))
             sigma = 0.5 * (sigma + sigma.T)
-            res = riccati_residual(mm, sigma)
+            rel = _relative_residual(mm, sigma)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"algebraic Riccati solve failed: {exc}") from exc
     if not is_hurwitz(at - sigma @ bbt):
         raise NumericError("Riccati solution is not stabilizing: At - sigma B B^T is not Hurwitz")
-    if res > SS_RESIDUAL_TOL:
-        raise ConvergenceError(f"Riccati steady state has algebraic residual {res:.3e} > {SS_RESIDUAL_TOL:.1e}")
+    if rel > SS_RESIDUAL_TOL:
+        raise ConvergenceError(f"Riccati steady state has relative residual {rel:.3e} > {SS_RESIDUAL_TOL:.1e}")
     wmin = float(np.linalg.eigvalsh(sigma + 1j * _omega(mm.base.n)).min())
     if wmin < -TOL_PSD:
         raise NumericError(f"Riccati steady state is unphysical: min eig(sigma + i Omega) = {wmin:.3e}")

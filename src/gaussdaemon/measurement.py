@@ -24,7 +24,8 @@ The update is written once (_schur_complement), shared by condition and the
 bipartite pipeline.  Everything about the measured mode is computed from the
 entries of S = R_theta^T sigma_B R_theta in scalar arithmetic
 (_pointer_frame_entries): the inverse (sigma_B + sigma_m)^{-1} and the
-outcome sampling both work in that frame.
+outcome sampling both work in that frame, and so do the monitored filter
+terms of the dynamics module (_pointer_inverse).
 """
 
 from __future__ import annotations
@@ -103,30 +104,37 @@ def measured_quadrature(setting: GeneralDyneSetting) -> np.ndarray:
 
 
 def inverse_sum(sigma_b: np.ndarray, setting: GeneralDyneSetting) -> np.ndarray:
-    """(sigma_B + sigma_m)^{-1}, exact in the homodyne limit.
+    """(sigma_B + sigma_m)^{-1} for a 2x2 sigma_B: the entries of _pointer_inverse, rotated back in scalar arithmetic.
 
-    In the pointer frame, with S = R^T sigma_B R, a = S11 + nu_m z_m and
-    w = z_m / nu_m, the inverse is
-
-        R [[1 + w S22, -w S12], [-w S12, w a]] R^T / (a (1 + w S22) - w S12^2),
-
-    whose w = 0 member is the homodyne limit u u^T / (u^T sigma_B u); nu_m
-    drops out of it.  No entry grows like 1/z_m, so the result keeps full
-    precision as z_m -> 0 and meets the limit continuously.  Both rotations
-    are written out in c = cos theta_m and s = sin theta_m, so one setting
-    costs scalar arithmetic and one 2x2 array.  sigma_B must be 2x2.
+    No entry grows like 1/z_m, so it keeps full precision as z_m -> 0 and
+    meets the homodyne limit u u^T / (u^T sigma_B u) continuously.
     """
     c, s, s11, s12, s22 = _pointer_frame_entries(sigma_b, setting.theta_m)
-    w = setting.z_m / setting.nu_m
-    a = s11 + setting.nu_m * setting.z_m
+    (det, n11, n12, n22), _ = _pointer_inverse(s11, s12, s22, setting)
+    return np.array(_from_pointer_frame(c, s, n11 / det, n12 / det, n22 / det)).reshape(2, 2)
+
+
+def _pointer_inverse(s11: float, s12: float, s22: float, setting: GeneralDyneSetting):
+    """((det, *N), K) with M = (S + sigma_m)^{-1} = N / det and M sigma_m = K / det, S = R^T sigma_B R.
+
+    With x = nu_m z_m, w = z_m / nu_m, a = S11 + x, p = 1 + w S22, q = w S12:
+    det = a p - q S12, N = (p, -q, w a) (entries 11, 12, 22), K = (x p, -S12, -x q, a) (11, 12, 21, 22).
+    Nothing divides by w: homodyne (x = w = 0; nu_m drops out) is the exact member N = (1, 0, 0), det = S11.
+    """
+    x, w = setting.nu_m * setting.z_m, setting.z_m / setting.nu_m
+    a = s11 + x
     p, q = 1.0 + w * s22, w * s12
     det = a * p - q * s12
     if not det > 0.0:
         raise NumericError(f"sigma_B + sigma_m is singular: scaled determinant {det:.3e}")
-    m11, m12, m22 = p / det, -q / det, w * a / det
+    return (det, p, -q, w * a), (x * p, -s12, -x * q, a)
+
+
+def _from_pointer_frame(c: float, s: float, m11: float, m12: float, m22: float) -> tuple:
+    """Entries (row-major) of R [[m11, m12], [m12, m22]] R^T for R = R_theta, c = cos theta, s = sin theta."""
     cc, cs, ss = c * c, c * s, s * s
     x01 = cs * (m22 - m11) + (cc - ss) * m12
-    return np.array([[cc * m11 + 2.0 * cs * m12 + ss * m22, x01], [x01, ss * m11 - 2.0 * cs * m12 + cc * m22]])
+    return cc * m11 + 2.0 * cs * m12 + ss * m22, x01, x01, ss * m11 - 2.0 * cs * m12 + cc * m22
 
 
 def _pointer_frame_entries(sigma_b, theta_m: float) -> tuple[float, float, float, float, float]:

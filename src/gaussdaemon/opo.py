@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bipartite import _LOG_MAX_CM_ENTRY
 from .dynamics import (
     DiffusiveModel,
     _daemonic_curve,
@@ -83,6 +84,11 @@ class OpoParams:
             raise ValueError(f"thermal occupation must be non-negative, got n_th = {self.n_th}")
         if self.nu_0 < 1.0:
             raise ValueError(f"initial thermal scale must satisfy nu_0 >= 1, got {self.nu_0}")
+        if max(math.log(self.nu_in) - math.log1p(-self.chi_tilde), math.log(self.nu_0)) > _LOG_MAX_CM_ENTRY:
+            raise ValueError(
+                f"nu_in = {self.nu_in:.6g}, nu_0 = {self.nu_0:.6g} is out of range: "
+                "nu_in / (1 - chi_tilde) and nu_0 must stay below about 1.2e77"
+            )
 
     @property
     def chi_tilde(self) -> float:

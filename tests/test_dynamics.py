@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,8 @@ from gaussdaemon import (
     GeneralDyneSetting,
     NoSteadyStateError,
 )
-from gaussdaemon.dynamics import _grid_flow, _inverse_sqrt_sum, _propagate_riccati
+from gaussdaemon.dynamics import _grid_flow, _propagate_riccati
+from riccati_oracle import DPS, steady_state
 
 
 def care_steady_state(mm):
@@ -176,6 +178,49 @@ def test_multimode_steady_state_matches_care_oracle(seed, n, mixed):
     _assert_matches_care_oracle(gd.monitored(model, settings_))
 
 
+def _assert_det_matches_60_digit_oracle(model, settings):
+    """det of steady_state_conditional within 1e-11 relative of the oracle's (the float result's det taken exactly)."""
+    sigma = gd.steady_state_conditional(gd.monitored(model, settings))
+    oracle = steady_state(gd.drift_diffusion(model).a, model.c, model.sigma_in, settings)
+    with mp.workdps(DPS):
+        exact = mp.det(oracle)
+        gap = float(abs(mp.det(mp.matrix(sigma.tolist())) - exact) / exact)
+    assert gap <= 1e-11, gap
+
+
+_NEAR_THRESHOLD = (0.99, 1.0 - 1e-5, 1.0 - 1e-7, 1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("nu_in", [1.0, 3.0])
+@pytest.mark.parametrize("chi_tilde", _NEAR_THRESHOLD)
+def test_opo_steady_state_matches_60_digit_oracle(chi_tilde, nu_in):
+    """Up to 1e-9 from threshold, det sigma_c (the paper's purity) holds to 1e-11 of a 60-digit solve of the same data.
+
+    Diagonal phases (hom0, hom90, z_opt at phase 0) and generic ones
+    (general-dyne and homodyne at 0.7).  Near threshold the small root of
+    the measured quadrature is where Dt formed as D - E E^T in floats loses
+    up to 5 % (hom0, chi~ = 1 - 1e-7, nu_in = 3).
+    """
+    p = gd.OpoParams.from_tilde(chi_tilde, nu_in=nu_in)
+    settings_ = [
+        gd.homodyne(0.0),
+        gd.homodyne(0.5 * np.pi),
+        GeneralDyneSetting(z_m=gd.opo_zopt(p)),
+        GeneralDyneSetting(theta_m=0.7, z_m=0.3),
+        gd.homodyne(0.7),
+    ]
+    for setting in settings_:
+        _assert_det_matches_60_digit_oracle(gd.opo_model(p), [setting])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_multimode_steady_state_matches_60_digit_oracle(n):
+    """Random 2- and 3-mode models with mixed (homodyne, z_m = 1e-12, noisy) settings agree with the oracle too."""
+    rng = np.random.default_rng(700 + n)
+    for _ in range(3):
+        _assert_det_matches_60_digit_oracle(_random_hurwitz_model(rng, n, driven=False), _mixed_settings(rng, n))
+
+
 def test_wrong_stable_subspace_dimension_is_a_numeric_error(monkeypatch):
     """A Hamiltonian whose stable invariant subspace is not n-dimensional gives no steady state: NumericError."""
     schur = gd.dynamics.schur
@@ -234,6 +279,50 @@ def test_perturbed_schur_solution_is_refined(monkeypatch):
         before = len(calls)
         _assert_matches_care_oracle(mm)
         assert len(calls) > before
+
+
+@pytest.mark.parametrize("nu_in", [3.0, 1e8])
+def test_residual_gate_is_relative_to_the_riccati_scale(monkeypatch, nu_in):
+    """Both residual gates compare the residual with the largest Riccati term, and hold on both sides.
+
+    At nu_in = 1e8 the steady state's absolute residual (about 6e-8) is far
+    above SS_RESIDUAL_TOL, but only about 2e-16 of the scale, so it passes.
+    Scaling the solution by 1 + 1e-10 and by 1 + 1e-8 leaves relative
+    residuals on either side of the gate: steady_state_conditional (Newton
+    steps off) and a supplied steady state (at nu_in = 3, where the flow is
+    expanded about it) pass the first and fail the second.
+    """
+    model = gd.opo_model(gd.OpoParams.from_tilde(0.6, nu_in=nu_in))
+    mm = gd.monitored(model, GeneralDyneSetting(theta_m=0.7, z_m=0.3))
+    sigma = gd.steady_state_conditional(mm)
+    if nu_in > 1e6:
+        assert gd.riccati_residual(mm, sigma) > gd.dynamics.SS_RESIDUAL_TOL
+    below, above = (gd.dynamics._relative_residual(mm, sigma * (1.0 + d)) for d in (1e-10, 1e-8))
+    assert below < gd.dynamics.SS_RESIDUAL_TOL < above
+    expanded = gd.dynamics._expandable(mm.dd)
+    assert expanded == (nu_in == 3.0)
+    schur = gd.dynamics.schur
+    monkeypatch.setattr(gd.dynamics, "SS_NEWTON_STEPS", 0)
+    grid = np.linspace(0.0, 1.0, 3)
+    for factor, passes in ((1.0 + 1e-10, True), (1.0 + 1e-8, False)):
+
+        def scaled_schur(h, factor=factor, **kwargs):
+            t, z, sdim = schur(h, **kwargs)
+            z = z.copy()
+            z[h.shape[0] // 2 :, : h.shape[0] // 2] *= factor  # sigma = c Z21 Z11^-1 scales by the same factor
+            return t, z, sdim
+
+        monkeypatch.setattr(gd.dynamics, "schur", scaled_schur)
+        if passes:
+            gd.steady_state_conditional(mm)
+            if expanded:
+                gd.evolve_conditional_cm(mm, sigma, grid, sigma_inf=factor * sigma)
+        else:
+            with pytest.raises(ConvergenceError, match="relative residual"):
+                gd.steady_state_conditional(mm)
+            if expanded:
+                with pytest.raises(ValueError, match="relative algebraic residual"):
+                    gd.evolve_conditional_cm(mm, sigma, grid, sigma_inf=factor * sigma)
 
 
 def test_steady_state_is_the_flow_limit():
@@ -304,9 +393,17 @@ def test_monitored_gains_are_the_root_of_inverse_sum(m):
     B B^T = C Omega_m (sigma_in + sigma_m)^-1 Omega_m^T C^T and
     E = Omega C sigma_in (sigma_in + sigma_m)^(-1/2), block by block, and the
     z_m = 1e-12 root lies within 1e-6 of the homodyne root (the exact gap is
-    (nu_j + 1e12)^(-1/2) < 1e-6 along the unmeasured quadrature).
+    (nu_j + 1e12)^(-1/2) < 1e-6 along the unmeasured quadrature).  B is
+    linear in C, so the root itself is read off the gain B = Omega_m root of
+    the same input under the identity coupling.
     """
     rng = np.random.default_rng(400 + m)
+    om_m = gd.symplectic_form(m)
+
+    def root_of(sigma_in, settings):
+        probe = DiffusiveModel(np.zeros((2 * m, 2 * m)), np.eye(2 * m), sigma_in, np.zeros(2 * m))
+        return om_m.T @ gd.monitored(probe, settings).b
+
     for _ in range(20):
         n = int(rng.integers(1, 3))
         h_s = rng.standard_normal((2 * n, 2 * n))
@@ -316,11 +413,10 @@ def test_monitored_gains_are_the_root_of_inverse_sum(m):
         mm = gd.monitored(model, settings)
         blocks = [slice(2 * j, 2 * j + 2) for j in range(m)]
         invs = [gd.inverse_sum(model.sigma_in[sl, sl], s) for sl, s in zip(blocks, settings)]
-        om_m = gd.symplectic_form(m)
         bbt = model.c @ om_m @ block_diag(*invs) @ om_m.T @ model.c.T
         assert np.abs(mm.b @ mm.b.T - bbt).max() <= 1e-12 * np.abs(bbt).max()
 
-        root = _inverse_sqrt_sum(model.sigma_in, settings)
+        root = root_of(model.sigma_in, settings)
         assert np.array_equal(root, block_diag(*[root[sl, sl] for sl in blocks]))
         for sl, inv in zip(blocks, invs):
             r = root[sl, sl]
@@ -334,7 +430,7 @@ def test_monitored_gains_are_the_root_of_inverse_sum(m):
         assert np.abs(mm.e - e).max() <= 1e-12 * np.abs(e).max()
 
         near = [GeneralDyneSetting(theta_m=s.theta_m, z_m=1e-12) if s.homodyne else s for s in settings]
-        gap = np.abs(_inverse_sqrt_sum(model.sigma_in, near) - root).max()
+        gap = np.abs(root_of(model.sigma_in, near) - root).max()
         assert gap <= 1e-6, gap
 
 
@@ -704,7 +800,11 @@ def test_near_isotropic_input_is_stored_as_nu_identity():
 
 
 def test_monitored_model_holds_the_filter_terms():
-    """MonitoredModel carries drift_diffusion(base), A + E B^T, D - E E^T and B B^T."""
+    """MonitoredModel carries drift_diffusion(base), A + E B^T, D - E E^T and B B^T.
+
+    At and Dt are built in the pointer frame, not from E, so they agree with
+    the E-based forms to round-off of |A| and |D|.
+    """
     rng = np.random.default_rng(83)
     for _ in range(10):
         model = gd.random_stable_model(rng, nu_in=1.0 + rng.exponential(1.0))
@@ -712,9 +812,26 @@ def test_monitored_model_holds_the_filter_terms():
         dd = gd.drift_diffusion(model)
         for got, want in zip((mm.dd.a, mm.dd.d, mm.dd.drive), (dd.a, dd.d, dd.drive)):
             assert np.array_equal(got, want)
-        assert np.array_equal(mm.at, dd.a + mm.e @ mm.b.T)
-        assert np.array_equal(mm.dtilde, dd.d - mm.e @ mm.e.T)
+        assert np.abs(mm.at - (dd.a + mm.e @ mm.b.T)).max() <= 1e-14 * np.abs(dd.a).max()
+        assert np.abs(mm.dtilde - (dd.d - mm.e @ mm.e.T)).max() <= 1e-14 * np.abs(dd.d).max()
+        assert np.array_equal(mm.dtilde, mm.dtilde.T)
         assert np.array_equal(mm.bbt, mm.b @ mm.b.T)
+
+
+@pytest.mark.parametrize("nu_in", [1.0, 3.0])
+def test_sharply_measured_quadrature_has_no_filter_diffusion(nu_in):
+    """An efficient homodyne leaves no diffusion on the quadrature it measures: Dt there is exactly kappa nu_in cos^2.
+
+    Along the measured quadrature D - E E^T cancels to zero in exact
+    arithmetic (in floats it leaves -1.3e-15 at nu_in = 3).  At phase 0 the
+    entry is exactly 0; at float(pi/2) it is kappa nu_in cos^2(theta_m),
+    about 4e-33 nu_in, the exact value for that float phase.
+    """
+    model = gd.opo_model(gd.OpoParams.from_tilde(0.99, nu_in=nu_in))
+    assert gd.monitored(model, gd.strategy_setting("hom0")).dtilde[0, 0] == 0.0
+    hom90 = gd.strategy_setting("hom90")
+    exact = nu_in * math.cos(hom90.theta_m) ** 2
+    assert abs(gd.monitored(model, hom90).dtilde[1, 1] - exact) <= 4e-16 * exact
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

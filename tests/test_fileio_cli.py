@@ -1,14 +1,21 @@
 """Unit tests for file formats and the command-line interface."""
 
+import math
 import shlex
+import signal
+import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaussdaemon as gd
 from gaussdaemon import ParseError
 from gaussdaemon.cli import main
+from scalar_riccati import opo_quadrature_gains, scalar_riccati_transient
 
 
 STATE_TMSTS = """\
@@ -361,3 +368,81 @@ def test_validate_rejects_non_positive_case_count(capsys):
     assert "at least one case" in capsys.readouterr().err
     with pytest.raises(ValueError, match="at least one case"):
         gd.invariant_suite(n_cases=0)
+
+
+class _OverBudget(Exception):
+    """Raised by the per-call alarm.  Not an OSError: the CLI reports those as exit 2, which would hide a hang."""
+
+
+@contextmanager
+def _time_budget(seconds: int):
+    def expire(signum, frame):
+        raise _OverBudget(f"CLI call ran past its {seconds} s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("nu_in, code", [("1e300", 2), ("5.75e76", 0)])
+def test_opo_nu_in_range(nu_in, code, capsys):
+    """nu_in past the covariance range is invalid input (exit 2), not a -inf ergotropy; just inside it runs."""
+    assert main(["opo-ss", "--chi-tilde", "0.5", "--nu-in", nu_in, "--strategy", "hom0"]) == code
+    assert ("is out of range" in capsys.readouterr().err) == (code == 2)
+
+
+def test_transient_at_large_nu_in_matches_scalar_riccati(tmp_path):
+    """opo-transient at nu_in = 1e8 finishes within 5 s and matches the per-quadrature closed form.
+
+    Unbalanced, the stepped conditional flow would take ceil(h |H|) ~ 1e5
+    sub-steps per step there, since |H| grows with nu_in.  The reference is
+    tests/scalar_riccati.py from the closed-form steady state, plus the
+    unconditional energy in closed form, to the CSV's 12 digits.
+    """
+    out = tmp_path / "t.csv"
+    with _time_budget(5):
+        args = ["opo-transient", "--chi-tilde", "0.5", "--T", "0.01", "--dt", "1e-3", "--nu-in", "1e8"]
+        assert main([*args, "--out", str(out)]) == 0
+    table = np.loadtxt(out, delimiter=",", comments="#", skiprows=3)
+    p = gd.OpoParams.from_tilde(0.5, nu_in=1e8, nu_0=5.0)
+    times = table[:, 0]
+    two_a = np.array([-1.0 - p.chi_tilde, -1.0 + p.chi_tilde])  # 2 a_i per quadrature, kappa = 1
+    growth = np.exp(np.outer(times, two_a))
+    energy = 0.25 * (5.0 * growth + p.nu_in * (growth - 1.0) / two_a).sum(axis=1)
+    for column, name in enumerate(("hom0", "hom90", "het"), start=1):
+        s_inf = np.diag(gd.opo_conditional_ss(p, gd.strategy_setting(name)))
+        gains = opo_quadrature_gains(0.5, 1e8, name)
+        sigma = [scalar_riccati_transient(*g, 5.0, s, times) for g, s in zip(gains, s_inf)]
+        exact = energy - 0.5 * np.sqrt(sigma[0] * sigma[1])
+        assert np.abs(table[:, column] - exact).max() <= 1e-11 * np.abs(exact).max(), name
+
+
+_OPO_STRATEGIES = [[], ["--strategy", "hom0"], ["--strategy", "hom90"], ["--strategy", "het"]]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["opo-ss", "opo-transient", "opo-zsweep"]),
+    log_gap=st.floats(-10.0, 0.0),
+    log_nu=st.floats(0.0, 300.0),
+    strategy=st.one_of(
+        st.sampled_from(_OPO_STRATEGIES),
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, math.pi)).map(
+            lambda zt: ["--strategy", "gendyne", "--z-m", repr(zt[0]), "--theta-m", repr(zt[1])]
+        ),
+    ),
+)
+def test_opo_cli_ends_within_budget(command, log_gap, log_nu, strategy):
+    """Any chi~ up to 1 - 1e-10, nu_in up to 1e300 and strategy: every run exits 0, 2 or 3 within 10 s."""
+    args = [command, "--chi-tilde", repr(1.0 - 10.0**log_gap), "--nu-in", repr(10.0**log_nu)]
+    if command == "opo-ss":
+        args += strategy
+    elif command == "opo-transient":
+        args += ["--T", "0.02", "--dt", "1e-3"]
+    with tempfile.TemporaryDirectory() as tmp, _time_budget(10):
+        code = main(args if command == "opo-ss" else [*args, "--out", str(Path(tmp) / "out.csv")])
+    assert code in (0, 2, 3), args

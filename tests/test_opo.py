@@ -278,3 +278,13 @@ def test_transient_table_rejects_degenerate_grids(t_max, dt):
     """A zero step or a non-finite span is a ValueError, not an arithmetic crash."""
     with pytest.raises(ValueError, match="finite and positive"):
         gd.transient_table(OpoParams.from_tilde(0.5), t_max=t_max, dt=dt)
+
+
+def test_opo_params_range_check():
+    """nu_in / (1 - chi~) and nu_0 may reach the largest covariance entry the two-mode code admits (about 1.2e77)."""
+    bound = math.exp(gd.bipartite._LOG_MAX_CM_ENTRY)
+    OpoParams.from_tilde(0.5, nu_in=0.999 * 0.5 * bound)
+    OpoParams.from_tilde(0.0, nu_in=0.999 * bound, nu_0=0.999 * bound)
+    for kwargs in ({"nu_in": 1.001 * 0.5 * bound}, {"nu_in": 1e300}, {"nu_in": 3.0, "nu_0": 1.001 * bound}):
+        with pytest.raises(ValueError, match="is out of range"):
+            OpoParams.from_tilde(0.5, **kwargs)

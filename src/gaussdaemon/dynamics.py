@@ -554,6 +554,40 @@ class TrajectoryBatch:
         return self.means.shape[0]
 
 
+def _window_maps(mm: MonitoredModel, sigma_path: np.ndarray, dt: float, s: int) -> np.ndarray:
+    """Transposed maps of the Euler-Maruyama scheme over each storage window of s steps.
+
+    The scheme is the row recursion r_{j+1} = r_j P^T + d dt + dW_j G_j^T with
+    P = I + A dt and gains G_j = E - sigma_c(t_j) B, and records
+    dy_j = dW_j - dt r_j B.  Over a window both are affine in the start mean r_0
+    and the window's s draws: with S_j = sum_{i<j} P^T^i (so P^T^s - I = dt S_s A^T),
+
+        r_s - r_0 = r_0 dt S_s A^T + dt d S_s + sum_k dW_k G_k^T P^T^(s-1-k),
+        sum_k dy_k = -r_0 dt S_s B - dt^2 d (sum_{j<s} S_j) B + sum_k dW_k (I - dt G_k^T S_{s-1-k} B).
+
+    Row w of the result, C-contiguous and transposed, maps [r_0, 1, z_0, ..., z_{s-1}]
+    (unit normal draws z_k = dW_k / sqrt(dt / 2); the 1 carries the drive) to
+    (r_s - r_0, sum_k dy_k).
+    """
+    two_n, two_m = mm.dd.a.shape[0], mm.b.shape[1]
+    a_t, b, drive = mm.dd.a.T, mm.b, mm.dd.drive
+    # powers[j] = P^T^j, each an Euler step of the last so the identity is never rounded; sums[j] = S_j.
+    powers = np.empty((s + 1, two_n, two_n))
+    powers[0] = np.eye(two_n)
+    for j in range(s):
+        powers[j + 1] = powers[j] + (powers[j] @ a_t) * dt
+    sums = np.concatenate((np.zeros((1, two_n, two_n)), np.cumsum(powers[:-1], axis=0)))
+    g_t = np.swapaxes(mm.e - sigma_path[:-1] @ b, 1, 2).reshape(-1, s, two_m, two_n)
+    to_mean = g_t @ powers[s - 1 :: -1]
+    to_record = np.eye(two_m) - (g_t @ (sums[s - 1 :: -1] @ b)) * dt
+    noise = math.sqrt(0.5 * dt) * np.concatenate((to_mean, to_record), 3).reshape(g_t.shape[0], s * two_m, -1)
+    start = np.concatenate((sums[s] @ a_t, -(sums[s] @ b)), 1) * dt
+    drive_row = np.concatenate((drive @ sums[s] * dt, -((drive @ sums[:s].sum(axis=0)) @ b) * dt**2))
+    fixed = np.concatenate((start, drive_row[None]))  # the rows for r_0 and the 1, alike in every window
+    maps = np.concatenate((np.broadcast_to(fixed, (noise.shape[0], *fixed.shape)), noise), 1)
+    return np.ascontiguousarray(np.swapaxes(maps, 1, 2))
+
+
 def simulate_trajectories(
     mm: MonitoredModel,
     state0: GaussianState,
@@ -567,11 +601,18 @@ def simulate_trajectories(
     """Euler-Maruyama ensemble of conditional means with the shared Riccati CM path.
 
     Trajectory k draws its Wiener increments from an independent substream
-    keyed by (master_seed, k), so results are byte-identical for a fixed seed
-    regardless of chunking.  Increments have per-component variance dt/2 (see
-    module docstring).  ``store_stride`` decimates storage: means are stored
-    every ``store_stride`` steps and records are summed over each storage
-    window.
+    keyed by (master_seed, k).  Increments have per-component variance dt/2
+    (see module docstring).  ``store_stride`` decimates storage: means are
+    stored every ``store_stride`` steps and records are summed over each
+    storage window.
+
+    Over a storage window the scheme is affine in the start mean and the
+    window's draws, so its maps are built once per call (_window_maps) and
+    each window is one product of [start mean, 1, draws] with its map instead
+    of ``store_stride`` steps; stride 1 runs the same lines.  The product is
+    an einsum rather than a BLAS matmul because each of its rows then does
+    not depend on how many trajectories share it: results are byte-identical
+    for a fixed seed whatever the chunk size.
     """
     if n_traj < 1:
         raise ValueError(f"need at least one trajectory, got {n_traj}")
@@ -584,39 +625,31 @@ def simulate_trajectories(
 
     two_n = 2 * mm.base.n
     two_m = mm.b.shape[1]
-    n_stored = n_steps // stride + 1
+    n_windows = n_steps // stride
 
-    # Shared deterministic CM path and per-step noise gains at full resolution.
+    # Shared deterministic CM path at full resolution; the per-step gains enter the window maps.
     full_times = np.arange(n_steps + 1) * dt
     sigma_path = evolve_conditional_cm(mm, state0.cm, full_times)
-    gains = mm.e - sigma_path[:-1] @ mm.b
+    maps_t = _window_maps(mm, sigma_path, dt, stride)
 
-    means = np.empty((n_traj, n_stored, two_n))
-    records = np.empty((n_traj, n_stored - 1, two_m))
-    a_t = mm.dd.a.T
-    b = mm.b
-    drive = mm.dd.drive
-    root = math.sqrt(0.5 * dt)
+    means = np.empty((n_traj, n_windows + 1, two_n))
+    records = np.empty((n_traj, n_windows, two_m))
 
     def run_chunk(k0: int, k1: int) -> None:
-        nt = k1 - k0
-        dw = np.empty((nt, n_steps, two_m))
+        # Row w of a trajectory is [mean at stored time w, 1, draws of window w], so each
+        # product writes the start of the next one in place; the last writes the final mean.
+        x = np.empty((k1 - k0, n_windows, two_n + 1 + stride * two_m))
         for i, k in enumerate(range(k0, k1)):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(k,)))
-            dw[i] = rng.standard_normal((n_steps, two_m))
-        dw *= root
-        r = np.tile(state0.mean, (nt, 1))
-        means[k0:k1, 0] = r
-        acc = np.zeros((nt, two_m))
-        for t in range(n_steps):
-            inc = dw[:, t, :]
-            acc += inc - (r @ b) * dt
-            r = r + (r @ a_t + drive) * dt + inc @ gains[t].T
-            if (t + 1) % stride == 0:
-                j = (t + 1) // stride
-                means[k0:k1, j] = r
-                records[k0:k1, j - 1] = acc
-                acc[:] = 0.0
+            x[i, :, two_n + 1 :] = rng.standard_normal((n_steps, two_m)).reshape(n_windows, -1)
+        x[:, 0, :two_n] = state0.mean
+        x[:, :, two_n] = 1.0
+        for w in range(n_windows):
+            out = np.einsum("ik,jk->ij", x[:, w], maps_t[w])
+            start = x[:, w + 1, :two_n] if w + 1 < n_windows else means[k0:k1, -1]
+            np.add(x[:, w, :two_n], out[:, :two_n], out=start)
+            records[k0:k1, w] = out[:, two_n:]
+        means[k0:k1, :-1] = x[:, :, :two_n]
 
     for k0 in range(0, n_traj, _TRAJ_CHUNK):
         run_chunk(k0, min(k0 + _TRAJ_CHUNK, n_traj))
@@ -667,7 +700,7 @@ def _daemonic_curve(mm: MonitoredModel, means, cms, sigma0, t_grid, sigma_inf=No
     energy = 0.25 * np.trace(cms, axis1=1, axis2=2) + 0.5 * np.einsum("ij,ij->i", means, means)
     out = energy - 0.5 * symplectic_eigenvalues(sig_c).sum(axis=-1)
     for i in np.flatnonzero(out < 0.0):
-        out[i] = clamp_ergotropy(float(out[i]), f"daemonic ergotropy at t = {t_grid[i]:.6g}")
+        out[i] = clamp_ergotropy(float(out[i]), f"daemonic ergotropy at t = {t_grid[i]:.6g}", float(energy[i]))
     return out
 
 

@@ -21,8 +21,10 @@ import numpy as np
 from .exceptions import NumericError
 from .symplectic import GaussianState, symplectic_eigenvalues, williamson_single_mode
 
-# Round-off guard: tiny negative ergotropies in [-CLAMP_NEG, 0) are clamped to 0.
+# Round-off guard: negative ergotropies down to -max(CLAMP_NEG, CLAMP_RTOL * energy) are clamped
+# to 0 (see clamp_ergotropy); up to an energy of 1e3 the floor is CLAMP_NEG itself.
 CLAMP_NEG = 1e-9
+CLAMP_RTOL = 1e-12
 # Largest allowed gap between a closed form and its independent route (see _cross_check):
 # absolute up to magnitudes of 1e3, relative to the larger magnitude above that.
 _CROSS_CHECK_TOL = 1e-9
@@ -38,11 +40,16 @@ class ErgotropyReport:
     passive_energy: float
 
 
-def clamp_ergotropy(value: float, what: str = "ergotropy") -> float:
-    """Clamp a round-off negative in [-CLAMP_NEG, 0) to 0; raise NumericError below it."""
+def clamp_ergotropy(value: float, what: str = "ergotropy", energy: float = 0.0) -> float:
+    """Clamp a round-off negative to 0; raise NumericError below -max(CLAMP_NEG, CLAMP_RTOL * energy).
+
+    An ergotropy is an energy minus a passive energy, so its round-off grows
+    with ``energy``: the floor has the shape of _cross_check's gate.
+    """
     if value < 0.0:
-        if value < -CLAMP_NEG:
-            raise NumericError(f"{what} evaluated to {value:.3e} < -{CLAMP_NEG:.1e}")
+        floor = max(CLAMP_NEG, CLAMP_RTOL * energy)
+        if value < -floor:
+            raise NumericError(f"{what} evaluated to {value:.3e} < -{floor:.1e}")
         return 0.0
     return value
 
@@ -55,7 +62,7 @@ def _single_mode_ergotropy(energy: float, det: float, what: str = "ergotropy") -
     """
     if not det > 0.0:
         raise NumericError(f"{what}: covariance determinant {det:.3e} is not positive")
-    return clamp_ergotropy(energy - 0.5 * math.sqrt(det), what)
+    return clamp_ergotropy(energy - 0.5 * math.sqrt(det), what, energy)
 
 
 def _cross_check(closed: float, independent: float, what: str) -> None:
@@ -73,7 +80,7 @@ def ergotropy_report(state: GaussianState) -> ErgotropyReport:
     """Full energy/passive-energy/ergotropy report for a state."""
     e = 0.5 * float(state.mean @ state.mean) + 0.25 * float(np.trace(state.cm))
     passive = 0.5 * float(symplectic_eigenvalues(state.cm).sum())
-    return ErgotropyReport(ergotropy=clamp_ergotropy(e - passive), energy=e, passive_energy=passive)
+    return ErgotropyReport(ergotropy=clamp_ergotropy(e - passive, energy=e), energy=e, passive_energy=passive)
 
 
 def ergotropy(state: GaussianState) -> float:

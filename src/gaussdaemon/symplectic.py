@@ -199,8 +199,15 @@ def symplectic_eigenvalues(cm: np.ndarray, *, tol_psd: float = TOL_PSD) -> np.nd
     sym = 0.5 * (cm + np.swapaxes(cm, -1, -2))
     if n == 1:
         a, b, d = sym[..., 0, 0], sym[..., 0, 1], sym[..., 1, 1]
-        _require_positive_definite((0.5 * (a + d) - np.hypot(0.5 * (a - d), b))[..., None])
-        nus = np.sqrt(a * d - b * b)[..., None]
+        det = a * d - b * b
+        # Sylvester's criterion.  The smaller eigenvalue tr/2 - radius would cancel to 0 once the
+        # eigenvalues are ~1e16 apart, so where the larger one is positive it is det / lam_max.
+        if not ((a > 0.0) & (det > 0.0)).all():
+            half_tr, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
+            pos = half_tr + radius > 0.0
+            lam_min = np.where(pos, det, half_tr - radius) / np.where(pos, half_tr + radius, 1.0)
+            _require_positive_definite(lam_min[..., None])
+        nus = np.sqrt(det)[..., None]
     else:
         w, Q = np.linalg.eigh(sym)
         _require_positive_definite(w)

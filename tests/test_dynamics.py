@@ -18,6 +18,7 @@ from gaussdaemon import (
     NoSteadyStateError,
 )
 from gaussdaemon.dynamics import _grid_flow, _propagate_riccati
+from euler_reference import euler_trajectories
 from riccati_oracle import DPS, steady_state
 
 
@@ -688,7 +689,7 @@ class TestTrajectories:
         full = gd.simulate_trajectories(self.mm, self.state0, **kw)
         dec = gd.simulate_trajectories(self.mm, self.state0, store_stride=25, **kw)
         assert np.array_equal(dec.times, full.times[::25])
-        assert np.array_equal(dec.means, full.means[:, ::25, :])
+        assert np.abs(dec.means - full.means[:, ::25, :]).max() <= 1e-13 * np.abs(full.means).max()
         assert np.array_equal(dec.sigma_c, full.sigma_c[::25])
         # records sum over each storage window
         summed = full.records.reshape(8, 20, 25, 2).sum(axis=2)
@@ -733,6 +734,49 @@ class TestTrajectories:
         batch = gd.simulate_trajectories(self.mm, self.state0, dt=0.1, T=1.0, n_traj=1, master_seed=0)
         with pytest.raises(ValueError, match="at least two"):
             gd.excess_noise(batch)
+
+
+_CHUNK_SETTINGS = (gd.GeneralDyneSetting(theta_m=0.4, z_m=0.2), gd.heterodyne(), gd.homodyne(0.3))
+
+
+@pytest.mark.parametrize("setting", _CHUNK_SETTINGS, ids=["gendyne", "het", "hom"])
+def test_trajectories_do_not_depend_on_chunk_size(monkeypatch, setting):
+    """701 trajectories give the same bytes whether advanced 1, 5, 256 or 700 at a time."""
+    mm = gd.monitored(gd.opo_model(gd.OpoParams.from_tilde(0.6, nu_in=3.0)), setting)
+    state0 = GaussianState(np.array([1.0, -0.5]), 3.0 * np.eye(2))
+    for stride in (1, 20, 50):
+        kw = dict(dt=1e-2, T=1.0, n_traj=701, master_seed=3, store_stride=stride)
+        batches = []
+        for chunk in (1, 5, 256, 700):
+            monkeypatch.setattr(gd.dynamics, "_TRAJ_CHUNK", chunk)
+            batches.append(gd.simulate_trajectories(mm, state0, **kw))
+        for other in batches[1:]:
+            for field in ("times", "means", "records", "sigma_c"):
+                assert np.array_equal(getattr(batches[0], field), getattr(other, field)), (stride, field)
+
+
+def _driven_mixed_case():
+    rng = np.random.default_rng(23)
+    model = _random_two_mode_model(rng)
+    assert np.abs(gd.drift_diffusion(model).drive).min() > 0.1
+    mm = gd.monitored(model, (gd.random_setting(rng), gd.homodyne(0.7)))
+    return mm, GaussianState(rng.standard_normal(4), 2.0 * np.eye(4))
+
+
+@pytest.mark.parametrize("case", ["opo", "driven"])
+@pytest.mark.parametrize("stride", [1, 7, 50])
+def test_windows_match_stepwise_euler(case, stride):
+    """One product per storage window reproduces the step-by-step scheme up to summation order."""
+    if case == "opo":
+        mm = gd.monitored(gd.opo_model(gd.OpoParams.from_tilde(0.6, nu_in=3.0)), _CHUNK_SETTINGS[0])
+        state0 = GaussianState(np.array([1.0, -0.5]), 3.0 * np.eye(2))
+    else:
+        mm, state0 = _driven_mixed_case()
+    kw = dict(dt=1e-2, T=3.5, n_traj=40, master_seed=8)
+    batch = gd.simulate_trajectories(mm, state0, store_stride=stride, **kw)
+    means, records = euler_trajectories(mm, state0, **kw, store_stride=stride)
+    assert np.abs(batch.means - means).max() <= 1e-13 * np.abs(means).max()
+    assert np.abs(batch.records - records).max() <= 1e-13 * np.abs(records).max()
 
 
 def test_daemonic_path_reaches_steady_value():

@@ -97,3 +97,19 @@ def test_cross_check_gate_is_absolute_then_relative():
         _cross_check(value, value * (1.0 + 0.9e-12), "x")
         with pytest.raises(gd.NumericError, match="disagree"):
             _cross_check(value * (1.0 + 1.1e-12), value, "x")
+
+
+def test_clamp_floor_is_absolute_then_relative():
+    """Negatives down to max(CLAMP_NEG, 1e-12 E) are round-off and clamp to 0; below that they raise."""
+    from gaussdaemon.ergotropy import CLAMP_NEG, clamp_ergotropy
+
+    with pytest.raises(gd.NumericError, match=r"< -1\.0e-09"):
+        clamp_ergotropy(-1e-6, "x", 1.0)
+    for energy in (0.0, 1.0, 1e3):  # the old absolute floor, to the bit
+        assert clamp_ergotropy(-CLAMP_NEG, "x", energy) == 0.0
+        with pytest.raises(gd.NumericError):
+            clamp_ergotropy(-np.nextafter(CLAMP_NEG, 1.0), "x", energy)
+    for energy in (1e9, 5.5e76):
+        assert clamp_ergotropy(-0.9e-12 * energy, "x", energy) == 0.0
+        with pytest.raises(gd.NumericError):
+            clamp_ergotropy(-1.1e-12 * energy, "x", energy)

@@ -421,6 +421,18 @@ def test_transient_at_large_nu_in_matches_scalar_riccati(tmp_path):
         assert np.abs(table[:, column] - exact).max() <= 1e-11 * np.abs(exact).max(), name
 
 
+def test_transient_at_nu_in_1e20_passes_the_positivity_check(tmp_path):
+    """Conditional CMs with widely spread eigenvalues are valid; the one-mode check no longer cancels them to 0."""
+    args = ["opo-transient", "--chi-tilde", "0.5", "--T", "0.01", "--dt", "1e-3", "--nu-in", "1e20"]
+    assert main([*args, "--out", str(tmp_path / "t.csv")]) == 0
+
+
+def test_round_off_negative_at_huge_energy_is_clamped(capsys):
+    """At chi~ = 0 the daemonic ergotropy is 0 up to round-off of about 1e-14 E, which is not an error."""
+    assert main(["opo-ss", "--chi-tilde", "0", "--nu-in", "1.1e77"]) == 0
+    assert "daemonic ergotropy = 0" in capsys.readouterr().out
+
+
 _OPO_STRATEGIES = [[], ["--strategy", "hom0"], ["--strategy", "hom90"], ["--strategy", "het"]]
 
 

@@ -176,6 +176,17 @@ def test_stacked_symplectic_eigenvalues_reject_nonpositive_member():
         gd.symplectic_eigenvalues(cms)
 
 
+def test_one_mode_positivity_survives_widely_spread_eigenvalues():
+    """Eigenvalues 1e24 apart pass the one-mode check, which tr/2 - hypot((a - d)/2, b) cancelled to 0."""
+    cms = np.stack([np.eye(2), np.diag([1e-4, 1e20]), np.diag([1e20, 1e-4])])
+    assert np.abs(gd.symplectic_eigenvalues(cms) - [[1.0], [1e8], [1e8]]).max() <= 1e-8
+    indefinite = np.stack([np.eye(2), 3.0 * np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
+    with pytest.raises(UnphysicalStateError, match=r"stack index 2: min eig = -1\.000e\+00"):
+        gd.symplectic_eigenvalues(indefinite)
+    with pytest.raises(UnphysicalStateError, match="stack index 1"):
+        gd.symplectic_eigenvalues(np.stack([np.eye(2), -np.eye(2)]))
+
+
 def test_energy_and_purity():
     """Energy is |mean|^2/2 + tr(sigma)/4; purity is 1/sqrt(det sigma)."""
     st = GaussianState([2.0, 0.0], 3.0 * np.eye(2))

@@ -53,17 +53,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ergotropy import _cross_check, _single_mode_ergotropy, ergotropy_report
-from .exceptions import UnphysicalStateError
-from .measurement import GeneralDyneSetting, _schur_complement, heterodyne, homodyne
-from .symplectic import (
-    TOL_PSD,
-    GaussianState,
-    _omega,
-    williamson_single_mode,
-)
+from .ergotropy import _cross_check, _single_mode_ergotropy
+from .exceptions import NumericError, UnphysicalStateError
+from .measurement import GeneralDyneSetting, _pointer_frame_entries, _pointer_inverse, heterodyne, homodyne
+from .symplectic import TOL_PSD, GaussianState, williamson_single_mode
 
 _TIE_TOL = 1e-12
+_EPS = np.finfo(float).eps
 # Log of the largest covariance entry whose fourth power, the scale of a
 # two-mode determinant, is still a finite float (about 1.2e77).
 _LOG_MAX_CM_ENTRY = 0.25 * math.log(np.finfo(float).max)
@@ -73,7 +69,9 @@ _LOG_MAX_CM_ENTRY = 0.25 * math.log(np.finfo(float).max)
 class TwoModeStandardForm:
     """Standard-form parameters (a, z_a, b, c_plus, c_minus, eta) of a two-mode state.
 
-    ``cm`` is the read-only 4x4 covariance matrix of the form, built once.
+    ``cm`` is the read-only 4x4 covariance matrix of the form and
+    ``_invariants`` the measurement-independent terms of its conditional
+    determinant (:func:`_det_invariants`); both are built once.
     """
 
     a: float
@@ -83,33 +81,30 @@ class TwoModeStandardForm:
     c_minus: float
     eta: float
     cm: np.ndarray = field(init=False, repr=False, compare=False)
+    _invariants: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.a < 1.0 - TOL_PSD or self.b < 1.0 - TOL_PSD:
-            raise UnphysicalStateError(f"local purities require a, b >= 1, got a={self.a}, b={self.b}")
-        if self.z_a <= 0:
-            raise UnphysicalStateError(f"local squeezing must be positive, got z_a={self.z_a}")
-        if self.c_plus < -TOL_PSD or abs(self.c_minus) > self.c_plus + TOL_PSD:
+        a, z_a, b, c_plus, c_minus, eta = self.a, self.z_a, self.b, self.c_plus, self.c_minus, self.eta
+        if not (a >= 1.0 - TOL_PSD and b >= 1.0 - TOL_PSD):
+            raise UnphysicalStateError(f"local purities require a, b >= 1, got a={a}, b={b}")
+        if not z_a > 0:
+            raise UnphysicalStateError(f"local squeezing must be positive, got z_a={z_a}")
+        if not (c_plus >= -TOL_PSD and abs(c_minus) <= c_plus + TOL_PSD):
             raise UnphysicalStateError(
                 f"correlation ordering violated: need c_plus >= |c_minus| >= 0, got "
-                f"c_plus={self.c_plus}, c_minus={self.c_minus}"
+                f"c_plus={c_plus}, c_minus={c_minus}"
             )
-        ce, se = np.cos(self.eta), np.sin(self.eta)
-        cm = np.zeros((4, 4))
-        cm[0, 0], cm[1, 1] = self.a * self.z_a, self.a * (1.0 / self.z_a)
-        cm[2, 2] = cm[3, 3] = self.b
-        # sigma_AB = R_eta diag(c_plus, c_minus)
-        cm[0, 2] = cm[2, 0] = ce * self.c_plus
-        cm[0, 3] = cm[3, 0] = se * self.c_minus
-        cm[1, 2] = cm[2, 1] = -se * self.c_plus
-        cm[1, 3] = cm[3, 1] = ce * self.c_minus
+        if not math.isfinite(eta):
+            raise ValueError(f"eta must be finite, got {eta}")
+        ce, se = math.cos(eta), math.sin(eta)
+        # sigma_A = a diag(z_a, 1/z_a), sigma_B = b I, sigma_AB = R_eta diag(c_plus, c_minus)
+        x00, x01, x10, x11 = ce * c_plus, se * c_minus, -se * c_plus, ce * c_minus
+        alpha, beta = a * z_a, a * (1.0 / z_a)
+        cm = np.array([[alpha, 0.0, x00, x01], [0.0, beta, x10, x11], [x00, x10, b, 0.0], [x01, x11, 0.0, b]])
         cm.flags.writeable = False
         object.__setattr__(self, "cm", cm)
-        w = np.linalg.eigvalsh(cm + 1j * _omega(2))
-        if w.min() < -TOL_PSD:
-            raise UnphysicalStateError(
-                f"standard form is unphysical: min eig(sigma + i Omega) = {w.min():.3e}"
-            )
+        _require_physical(alpha, beta, b, x00, x01, x10, x11)
+        object.__setattr__(self, "_invariants", _det_invariants(self))
 
     def to_state(self, mean_a=(0.0, 0.0)) -> GaussianState:
         """The two-mode state (mode 0 = A, mode 1 = B, B with zero mean); its CM is read-only."""
@@ -117,47 +112,105 @@ class TwoModeStandardForm:
         return GaussianState(mean, self.cm)
 
 
+def _require_physical(alpha, beta, b, x00, x01, x10, x11) -> None:
+    """Raise UnphysicalStateError unless sigma + i Omega >= -TOL_PSD for a form's CM.
+
+    sigma + i Omega >= -t is sigma' + i Omega >= 0 for sigma' = sigma + t I,
+    which holds iff sigma' > 0, det sigma' >= 1 and Delta' <= 1 + det sigma'
+    (Delta = det sigma_A + det sigma_B + 2 det sigma_AB; Serafini, Illuminati
+    and De Siena, J. Phys. B 37, L21 (2004)).  With sigma_B = b I,
+    det sigma = det M for M = b sigma_A - sigma_AB sigma_AB^T, whose entries
+    cancel before the product is taken, and sigma > 0 is tr M > 0 once
+    det M > 0.  Both inequalities allow the round-off of their terms, which
+    is what decides at pure, strongly squeezed forms.
+    """
+    t = TOL_PSD
+    alpha, beta, b = alpha + t, beta + t, b + t
+    y00, y01, y11 = x00 * x00 + x01 * x01, x00 * x10 + x01 * x11, x10 * x10 + x11 * x11
+    m00, m11 = b * alpha - y00, b * beta - y11
+    det = m00 * m11 - y01 * y01
+    det_ab = x00 * x11 - x01 * x10
+    delta = alpha * beta + b * b + 2.0 * det_ab
+    e00, e11 = b * alpha + y00, b * beta + y11
+    err_det = abs(m11) * e00 + abs(m00) * e11 + 2.0 * abs(y01) * (abs(x00 * x10) + abs(x01 * x11))
+    err_delta = alpha * beta + b * b + 2.0 * (abs(x00 * x11) + abs(x01 * x10))
+    err = 4.0 * _EPS * (err_det + abs(m00 * m11) + y01 * y01 + err_delta)
+    if not (math.isfinite(det) and math.isfinite(err)):
+        raise NumericError(f"standard form too large: its symplectic invariants overflow (det sigma = {det:.3e})")
+    if not (m00 + m11 > 0.0 and det >= 1.0 - err and delta <= 1.0 + det + err):
+        raise UnphysicalStateError(
+            f"standard form is unphysical: det sigma = {det:.6e} and Delta = {delta:.6e} "
+            f"(of sigma + {t:.0e} I) violate det sigma >= 1, Delta <= 1 + det sigma"
+        )
+
+
 def standard_form(state: GaussianState) -> tuple[TwoModeStandardForm, np.ndarray, np.ndarray]:
-    """Reduce a two-mode state to standard form by local symplectics.
+    """Reduce a two-mode state to standard form by local symplectics, in closed form.
 
     Returns ``(sf, s_a, s_b)`` with ``s_a`` a pure rotation on A (so A's energy
     accounting is preserved) and ``s_b`` a single-mode symplectic on B, such
     that ``(s_a + s_b) sigma (s_a + s_b)^T`` has the standard-form blocks.
+    Every step is 2x2 arithmetic on the block entries:
+
+    * ``s_a = R_phi`` with phi = atan2(2 sigma_01, sigma_00 - sigma_11) / 2 puts
+      the larger variance of sigma_A first (phi = pi/2 when sigma_A is
+      proportional to I); a = sqrt(det sigma_A) and z_A = lambda_max / a.
+    * (b, S_B) is the one-mode Williamson form of sigma_B
+      (:func:`~gaussdaemon.symplectic.williamson_single_mode`).
+    * X = s_a sigma_AB S_B^T = R_eta diag(c_+, c_-) V is the signed SVD of X,
+      with V a rotation and ``s_b = V S_B``.  From E, F = (X_00 +- X_11)/2 and
+      G, H = (X_10 +- X_01)/2: c_+- = hypot(E, H) +- hypot(F, G) (so c_- has
+      the sign of det sigma_AB), eta = -(atan2(H, E) + atan2(G, F))/2 and
+      V = R_{(atan2(G, F) - atan2(H, E))/2}.  When hypot(E, H) or hypot(F, G)
+      vanishes only one of the two angles is defined, and V = I.
+
+    eta is only defined modulo pi (the local symplectic -I on B flips the sign
+    of sigma_AB), so it is reported in [-pi/2, pi/2), ``s_b`` changing sign
+    with it.
     """
     if state.n != 2:
         raise ValueError(f"standard form requires a two-mode state, got {state.n} modes")
-    sa = state.cm[:2, :2]
-    sb = state.cm[2:, 2:]
-    sab = state.cm[:2, 2:]
+    (p, q0, x00, x01), (q1, r, x10, x11) = state.cm[:2].tolist()
+    b, s_b0 = williamson_single_mode(state.cm[2:, 2:])
+    (k00, k01), (_, k11) = s_b0.tolist()
 
-    b, s_b0 = williamson_single_mode(sb)
+    q = 0.5 * (q0 + q1)
+    det_a = p * r - q * q
+    if not (p > 0.0 and det_a > 0.0):
+        raise UnphysicalStateError(f"sigma_A is not positive definite: sigma_00 = {p:.3e}, det = {det_a:.3e}")
+    if det_a == math.inf:
+        raise NumericError(f"sigma_A too large: its determinant overflows (sigma_00 = {p:.3e})")
+    a = math.sqrt(det_a)
+    z_a = (0.5 * (p + r) + math.hypot(0.5 * (p - r), q)) / a
+    if q == 0.0 and p == r:
+        cp, sp = 0.0, 1.0
+    else:
+        phi = 0.5 * math.atan2(2.0 * q, p - r)
+        cp, sp = math.cos(phi), math.sin(phi)
 
-    # Rotation on A diagonalizing sigma_A with the larger variance first.
-    w, q = np.linalg.eigh(0.5 * (sa + sa.T))
-    a = float(np.sqrt(w[0] * w[1]))
-    z_a = float(np.sqrt(w[1] / w[0]))
-    r_a = q[:, ::-1].T  # rows: eigenvectors, larger eigenvalue first
-    if np.linalg.det(r_a) < 0:
-        r_a = np.diag([1.0, -1.0]) @ r_a
-
-    # Rotation freedom left on B: absorb the right factor of the signed SVD.
-    sab1 = r_a @ sab @ s_b0.T
-    u, s, vt = np.linalg.svd(sab1)
-    s = s.copy()
-    if np.linalg.det(u) < 0:
-        u = u @ np.diag([1.0, -1.0])
-        s[1] = -s[1]
-    if np.linalg.det(vt) < 0:
-        vt = np.diag([1.0, -1.0]) @ vt
-        s[1] = -s[1]
-    c_plus, c_minus = float(s[0]), float(s[1])
-    eta = float(math.atan2(u[0, 1], u[0, 0]))
-    if c_plus < 0:  # only possible when both are ~0; keep the convention anyway
-        c_plus, c_minus, eta = -c_plus, -c_minus, eta + math.pi
-
-    s_b = vt @ s_b0
-    sf = TwoModeStandardForm(a=a, z_a=z_a, b=float(b), c_plus=c_plus, c_minus=c_minus, eta=eta)
-    return sf, r_a, s_b
+    # X = R_phi sigma_AB S_B^T (S_B is symmetric)
+    t00, t01, t10, t11 = cp * x00 + sp * x10, cp * x01 + sp * x11, cp * x10 - sp * x00, cp * x11 - sp * x01
+    m00, m01 = t00 * k00 + t01 * k01, t00 * k01 + t01 * k11
+    m10, m11 = t10 * k00 + t11 * k01, t10 * k01 + t11 * k11
+    e, f, g, h = 0.5 * (m00 + m11), 0.5 * (m00 - m11), 0.5 * (m10 + m01), 0.5 * (m10 - m01)
+    rot, ref = math.hypot(e, h), math.hypot(f, g)
+    a_rot, a_ref = math.atan2(h, e), math.atan2(g, f)
+    if rot == 0.0:
+        a_rot = a_ref
+    elif ref == 0.0:
+        a_ref = a_rot
+    eta = -0.5 * (a_rot + a_ref)
+    psi = 0.5 * (a_ref - a_rot)
+    sign = 1.0
+    if eta >= 0.5 * math.pi:
+        eta, sign = eta - math.pi, -1.0
+    elif eta < -0.5 * math.pi:
+        eta, sign = eta + math.pi, -1.0
+    cv, sv = sign * math.cos(psi), sign * math.sin(psi)
+    s_b = np.array([[cv * k00 + sv * k01, cv * k01 + sv * k11], [cv * k01 - sv * k00, cv * k11 - sv * k01]])
+    # + 0.0 reports eta = -0.0 as 0.0
+    sf = TwoModeStandardForm(a=a, z_a=z_a, b=b, c_plus=rot + ref, c_minus=rot - ref, eta=eta + 0.0)
+    return sf, np.array([[cp, sp], [-sp, cp]]), s_b
 
 
 class _DetCoefficients(NamedTuple):
@@ -171,7 +224,7 @@ def _det_invariants(sf: TwoModeStandardForm) -> tuple[float, float, float, float
 
     Derived by expanding the Schur complement of the measured block in the
     standard form; w = c_+^2 c_-^2 and S, P0, Q0 are quadratic in the
-    correlations.
+    correlations.  Evaluated once per form, at construction (``sf._invariants``).
     """
     a, z_a = sf.a, sf.z_a
     cp2, cm2 = sf.c_plus * sf.c_plus, sf.c_minus * sf.c_minus
@@ -188,7 +241,7 @@ def _det_coefficients(sf: TwoModeStandardForm, z_m: float) -> _DetCoefficients:
     ``z_m = 0`` gives the exact homodyne limit; ``z_m = 1`` is heterodyne
     (g1 = g2, so P = Q = 0).  See :func:`_det_invariants`.
     """
-    s_half, p0, q0, w = _det_invariants(sf)
+    s_half, p0, q0, w = sf._invariants
     g1 = 1.0 / (sf.b + z_m)
     g2 = z_m / (1.0 + sf.b * z_m)
     dlt = g1 - g2
@@ -240,30 +293,52 @@ class DaemonicResult:
     conditional_purity: float
 
 
+def _pipeline(cm: np.ndarray, m0: float, m1: float, setting: GeneralDyneSetting) -> tuple[float, float]:
+    """(daemonic ergotropy, det sigma_A^c) of mode 0 of a two-mode CM, mode 1 measured with ``setting``.
+
+    One scalar Schur complement in the pointer frame: with (det, N) from
+    _pointer_inverse and G = sigma_AB R_theta, sigma_A^c = sigma_A - G N G^T / det
+    (the update :func:`~gaussdaemon.measurement.condition` writes).  It shares
+    nothing with the closed forms (_det_invariants), which it cross-checks.
+    """
+    (a00, a01, x00, x01), (a10, a11, x10, x11), (_, _, b11, b12), (_, _, _, b22) = cm.tolist()
+    c, s, s11, s12, s22 = _pointer_frame_entries(b11, b12, b22, setting.theta_m)
+    (det, n11, n12, n22), _ = _pointer_inverse(s11, s12, s22, setting)
+    g00, g01, g10, g11 = c * x00 - s * x01, s * x00 + c * x01, c * x10 - s * x11, s * x10 + c * x11
+    h00, h01 = n11 * g00 + n12 * g01, n12 * g00 + n22 * g01  # rows of G N
+    h10, h11 = n11 * g10 + n12 * g11, n12 * g10 + n22 * g11
+    c00 = a00 - (h00 * g00 + h01 * g01) / det
+    c11 = a11 - (h10 * g10 + h11 * g11) / det
+    c01 = 0.5 * (a01 + a10) - (h00 * g10 + h01 * g11) / det
+    det_c = c00 * c11 - c01 * c01
+    energy = 0.5 * (m0 * m0 + m1 * m1) + 0.25 * (a00 + a11)
+    return _single_mode_ergotropy(energy, det_c, "daemonic ergotropy"), det_c
+
+
 def daemonic_ergotropy(state: GaussianState, setting: GeneralDyneSetting) -> DaemonicResult:
     """Daemonic ergotropy of mode A when mode B is measured with ``setting``.
 
     Generic conditioning pipeline: works for any (possibly noisy) setting and
-    any valid two-mode state.  Mode 0 is A and mode 1 is B, so the blocks are
-    plain slices; the conditional CM comes from the Schur complement shared
-    with :func:`~gaussdaemon.measurement.condition`, and its 2x2 determinant
-    and the energy of A are evaluated in closed form.
+    any valid two-mode state.  Mode 0 is A and mode 1 is B; the conditional
+    CM is one scalar Schur complement in the pointer frame (:func:`_pipeline`),
+    and its 2x2 determinant and the energy of A are evaluated in closed form.
     """
     if state.n != 2:
         raise ValueError(f"daemonic ergotropy requires a two-mode state, got {state.n} modes")
-    cm = state.cm
-    _, cm_c = _schur_complement(cm[:2, :2], cm[2:, 2:], cm[:2, 2:], setting)
-    (c00, c01), (_, c11) = cm_c.tolist()
-    det_c = c00 * c11 - c01 * c01
     m0, m1 = state.mean[:2].tolist()
-    energy = 0.5 * (m0 * m0 + m1 * m1) + 0.25 * (float(cm[0, 0]) + float(cm[1, 1]))
-    value = _single_mode_ergotropy(energy, det_c, "daemonic ergotropy")
+    value, det_c = _pipeline(state.cm, m0, m1, setting)
     return DaemonicResult(value=value, setting=setting, conditional_purity=1.0 / math.sqrt(det_c))
 
 
 def unconditional_ergotropy_a(state: GaussianState) -> float:
-    """Ergotropy of the reduced state of mode A (no measurement)."""
-    return ergotropy_report(GaussianState(state.mean[:2], state.cm[:2, :2])).ergotropy
+    """Ergotropy E_A - sqrt(det sigma_A) / 2 of the reduced state of mode A (no measurement)."""
+    (s00, s01), (s10, s11) = state.cm[:2, :2].tolist()
+    off = 0.5 * (s01 + s10)
+    det = s00 * s11 - off * off
+    if not (s00 > 0.0 and det > 0.0):
+        raise UnphysicalStateError(f"sigma_A is not positive definite: sigma_00 = {s00:.3e}, det = {det:.3e}")
+    m0, m1 = state.mean[:2].tolist()
+    return _single_mode_ergotropy(0.5 * (m0 * m0 + m1 * m1) + 0.25 * (s00 + s11), det, "unconditional ergotropy")
 
 
 def _setting_for(theta: float, z_m: float) -> GeneralDyneSetting:
@@ -274,16 +349,24 @@ def _setting_for(theta: float, z_m: float) -> GeneralDyneSetting:
     return GeneralDyneSetting(nu_m=1.0, theta_m=theta, z_m=z_m)
 
 
-def _energy_a(sf: TwoModeStandardForm, mean_a) -> float:
-    mean_a = np.asarray(mean_a, dtype=float).reshape(2)
-    return 0.25 * sf.a * (sf.z_a + 1.0 / sf.z_a) + 0.5 * float(mean_a @ mean_a)
+def _pair(mean_a) -> tuple[float, float]:
+    m0, m1 = np.asarray(mean_a, dtype=float).reshape(2).tolist()
+    return m0, m1
+
+
+def _energy_a(sf: TwoModeStandardForm, m0: float, m1: float) -> float:
+    return 0.25 * sf.a * (sf.z_a + 1.0 / sf.z_a) + 0.5 * (m0 * m0 + m1 * m1)
 
 
 def _closed_form(sf: TwoModeStandardForm, mean_a, setting: GeneralDyneSetting) -> tuple[DaemonicResult, float]:
-    """Closed-form daemonic result at an efficient setting, with the pipeline value it was checked against."""
+    """Closed-form daemonic result at an efficient setting, with the pipeline value it was checked against.
+
+    The pipeline conditions the form's CM (:func:`_pipeline`), not the closed-form coefficients.
+    """
+    m0, m1 = _pair(mean_a)
     det_c = conditional_determinant(sf, setting.theta_m, setting.z_m)
-    value = _single_mode_ergotropy(_energy_a(sf, mean_a), det_c, "daemonic ergotropy")
-    pipeline = daemonic_ergotropy(sf.to_state(mean_a), setting).value
+    value = _single_mode_ergotropy(_energy_a(sf, m0, m1), det_c, "daemonic ergotropy")
+    pipeline = _pipeline(sf.cm, m0, m1, setting)[0]
     _cross_check(value, pipeline, f"daemonic ergotropy at theta={setting.theta_m}, z_m={setting.z_m}")
     return DaemonicResult(value=value, setting=setting, conditional_purity=1.0 / math.sqrt(det_c)), pipeline
 
@@ -304,7 +387,7 @@ def _optimal_det_coefficients(sf: TwoModeStandardForm) -> tuple[float, float, fl
     Since g1 - g2 >= 0, the phase-minimized determinant C0 - hypot(P, Q) has
     u = S/2 + K and v = S/2 - K with K = hypot(P0, Q0) (see :func:`_det_invariants`).
     """
-    s_half, p0, q0, w = _det_invariants(sf)
+    s_half, p0, q0, w = sf._invariants
     k = math.hypot(p0, q0)
     return s_half + k, s_half - k, w
 
@@ -345,7 +428,7 @@ def max_daemonic(sf: TwoModeStandardForm, mean_a=(0.0, 0.0)) -> DaemonicResult:
     conditioning pipeline.
     """
     theta = optimal_phase(sf, 0.0).angle
-    energy = _energy_a(sf, mean_a)
+    energy = _energy_a(sf, *_pair(mean_a))
 
     def value_at(z: float) -> float:
         return _single_mode_ergotropy(energy, conditional_determinant(sf, theta, z), "daemonic ergotropy")

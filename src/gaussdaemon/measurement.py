@@ -20,12 +20,14 @@ The conditional covariance matrix does not depend on the outcome.  Outcomes
 are Gaussian with mean mean_B; with the convention used here for covariance
 matrices, their sampling covariance is (sigma_B + sigma_m)/2.
 
-The update is written once (_schur_complement), shared by condition and the
-bipartite pipeline.  Everything about the measured mode is computed from the
-entries of S = R_theta^T sigma_B R_theta in scalar arithmetic
-(_pointer_frame_entries): the inverse (sigma_B + sigma_m)^{-1} and the
-outcome sampling both work in that frame, and so do the monitored filter
-terms of the dynamics module (_pointer_inverse).
+Everything about the measured mode is computed from the entries of
+S = R_theta^T sigma_B R_theta in scalar arithmetic (_pointer_frame_entries):
+(sigma_B + sigma_m)^{-1} = R (N / det) R^T with (det, N) from
+_pointer_inverse.  condition applies that inverse as a 2x2 matrix
+(inverse_sum) to a subsystem A of any size; the bipartite pipeline, where A
+is one mode, writes the same update as sigma_A - G N G^T / det with
+G = sigma_AB R in scalars.  The outcome sampling works in the same frame, and
+so do the monitored filter terms of the dynamics module.
 """
 
 from __future__ import annotations
@@ -109,7 +111,11 @@ def inverse_sum(sigma_b: np.ndarray, setting: GeneralDyneSetting) -> np.ndarray:
     No entry grows like 1/z_m, so it keeps full precision as z_m -> 0 and
     meets the homodyne limit u u^T / (u^T sigma_B u) continuously.
     """
-    c, s, s11, s12, s22 = _pointer_frame_entries(sigma_b, setting.theta_m)
+    sigma_b = np.asarray(sigma_b, dtype=float)
+    if sigma_b.shape != (2, 2):
+        raise ValueError(f"sigma_B must be the 2x2 covariance matrix of the measured mode, got shape {sigma_b.shape}")
+    (b11, b12), (_, b22) = sigma_b.tolist()
+    c, s, s11, s12, s22 = _pointer_frame_entries(b11, b12, b22, setting.theta_m)
     (det, n11, n12, n22), _ = _pointer_inverse(s11, s12, s22, setting)
     return np.array(_from_pointer_frame(c, s, n11 / det, n12 / det, n22 / det)).reshape(2, 2)
 
@@ -137,16 +143,15 @@ def _from_pointer_frame(c: float, s: float, m11: float, m12: float, m22: float) 
     return cc * m11 + 2.0 * cs * m12 + ss * m22, x01, x01, ss * m11 - 2.0 * cs * m12 + cc * m22
 
 
-def _pointer_frame_entries(sigma_b, theta_m: float) -> tuple[float, float, float, float, float]:
+def _pointer_frame_entries(
+    b11: float, b12: float, b22: float, theta_m: float
+) -> tuple[float, float, float, float, float]:
     """(c, s, S11, S12, S22): c = cos theta_m, s = sin theta_m and S = R^T sigma_B R with R = R_theta.
 
-    R is the frame in which sigma_m is diagonal; S11 = u^T sigma_B u is the
-    variance of the measured quadrature u = (c, -s).
+    sigma_B = [[b11, b12], [b12, b22]].  R is the frame in which sigma_m is
+    diagonal; S11 = u^T sigma_B u is the variance of the measured quadrature
+    u = (c, -s).
     """
-    sigma_b = np.asarray(sigma_b, dtype=float)
-    if sigma_b.shape != (2, 2):
-        raise ValueError(f"sigma_B must be the 2x2 covariance matrix of the measured mode, got shape {sigma_b.shape}")
-    (b11, b12), (_, b22) = sigma_b.tolist()
     c, s = math.cos(theta_m), math.sin(theta_m)
     cc, cs, ss = c * c, c * s, s * s
     s11 = cc * b11 - 2.0 * cs * b12 + ss * b22
@@ -196,18 +201,6 @@ def _blocks(state: GaussianState, partition: Partition):
     return state.cm[aa], state.cm[bb], state.cm[ab], state.mean[partition.a_idx], state.mean[partition.b_idx]
 
 
-def _schur_complement(sa, sb, sab, setting: GeneralDyneSetting) -> tuple[np.ndarray, np.ndarray]:
-    """(gain, sigma_A^c) with gain = sigma_AB (sigma_B + sigma_m)^{-1} and sigma_A^c = sigma_A - gain sigma_AB^T.
-
-    The conditional CM is returned symmetrized.  The one place the
-    conditioning update is written: :func:`condition` adds the outcome mean
-    on top, and the bipartite pipeline uses the CM alone.
-    """
-    gain = sab @ inverse_sum(sb, setting)
-    cm = sa - gain @ sab.T
-    return gain, 0.5 * (cm + cm.T)
-
-
 def condition(
     state: GaussianState,
     partition: Partition,
@@ -218,14 +211,17 @@ def condition(
 
     ``outcome`` is the 2-vector of pointer readings; in the homodyne limit only
     its component along the measured quadrature enters (the rank-one update
-    annihilates the orthogonal component).
+    annihilates the orthogonal component).  The gain is
+    sigma_AB (sigma_B + sigma_m)^{-1} from :func:`inverse_sum`, and the
+    conditional CM is returned symmetrized.
     """
     sa, sb, sab, ma, mb = _blocks(state, partition)
     outcome = np.asarray(outcome, dtype=float).reshape(-1)
     if outcome.size != 2:
         raise ValueError(f"outcome must be a 2-vector, got length {outcome.size}")
-    gain, cm = _schur_complement(sa, sb, sab, setting)
-    return GaussianState(ma + gain @ (outcome - mb), cm)
+    gain = sab @ inverse_sum(sb, setting)
+    cm = sa - gain @ sab.T
+    return GaussianState(ma + gain @ (outcome - mb), 0.5 * (cm + cm.T))
 
 
 def sample_outcome(
@@ -242,7 +238,8 @@ def sample_outcome(
     projection (it is unobserved and does not affect conditioning).
     """
     _, sb, _, _, mb = _blocks(state, partition)
-    c, s, s11, s12, s22 = _pointer_frame_entries(sb, setting.theta_m)
+    (b11, b12), (_, b22) = sb.tolist()
+    c, s, s11, s12, s22 = _pointer_frame_entries(b11, b12, b22, setting.theta_m)
     if setting.homodyne:
         u = np.array([c, -s])
         y = float(mb @ u) + math.sqrt(0.5 * s11) * rng.standard_normal()

@@ -16,6 +16,7 @@ collected in the 2n-vector mean.  The free Hamiltonian is the sum of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -235,18 +236,28 @@ def purity(state: GaussianState) -> float:
 def williamson_single_mode(cm: np.ndarray) -> tuple[float, np.ndarray]:
     """Single-mode normal-mode decomposition: return (nu, S) with S sigma S^T = nu I.
 
-    Only the one-mode case is supported; multimode reduction to normal form is
-    not needed anywhere (the symplectic spectrum alone suffices there).
+    Closed form: nu = sqrt(det sigma) and S = sqrt(nu) sigma^{-1/2}
+    = (adj sigma + nu I) / sqrt(nu (tr sigma + 2 nu)), symmetric with unit
+    determinant, hence symplectic.  Positive definiteness is Sylvester's
+    criterion (sigma_00 > 0, det sigma > 0).  Only the one-mode case is
+    supported; multimode reduction to normal form is not needed anywhere (the
+    symplectic spectrum alone suffices there).
     """
     cm = np.asarray(cm, dtype=float)
     if cm.shape != (2, 2):
         raise ValueError(f"normal-form symplectic factor is only available for one mode, got shape {cm.shape}")
-    if abs(cm[0, 1] - cm[1, 0]) > TOL_SYM:
+    (s00, s01), (s10, s11) = cm.tolist()
+    if abs(s01 - s10) > TOL_SYM:
         raise SymmetryError("covariance matrix asymmetric")
-    w, Q = np.linalg.eigh(0.5 * (cm + cm.T))
-    if w[0] <= 0:
-        raise UnphysicalStateError(f"covariance matrix not positive definite: min eig = {w[0]:.3e}")
-    nu = float(np.sqrt(w[0] * w[1]))
-    # S = Q diag(sqrt(nu/w)) Q^T is symmetric with unit determinant, hence symplectic.
-    S = Q @ np.diag(np.sqrt(nu / w)) @ Q.T
+    off = 0.5 * (s01 + s10)
+    det = s00 * s11 - off * off
+    if not (s00 > 0.0 and det > 0.0):
+        half_tr, radius = 0.5 * (s00 + s11), math.hypot(0.5 * (s00 - s11), off)
+        lam_min = det / (half_tr + radius) if half_tr + radius > 0.0 else half_tr - radius
+        raise UnphysicalStateError(f"covariance matrix not positive definite: min eig = {lam_min:.3e}")
+    nu = math.sqrt(det)
+    norm = math.sqrt(nu * (s00 + s11 + 2.0 * nu))
+    if not 0.0 < norm < math.inf:
+        raise NumericError(f"normal-form symplectic factor overflows: nu = {nu:.3e}, tr sigma = {s00 + s11:.3e}")
+    S = np.array([[(s11 + nu) / norm, -off / norm], [-off / norm, (s00 + nu) / norm]])
     return nu, S

@@ -9,8 +9,11 @@ from hypothesis import strategies as st_
 from scipy.linalg import block_diag
 
 import gaussdaemon as gd
-from gaussdaemon import GeneralDyneSetting, UnphysicalStateError
+from gaussdaemon import GeneralDyneSetting, NumericError, UnphysicalStateError
+from gaussdaemon import bipartite
 from gaussdaemon.bipartite import _optimal_det_coefficients
+from gaussdaemon.symplectic import TOL_PSD
+from standard_form_reference import degenerate_states, form_cm, reference_standard_form
 
 N_RANDOM = 100
 
@@ -27,6 +30,201 @@ def test_standard_form_reconstruction():
         assert np.allclose(s_a @ s_a.T, np.eye(2), atol=1e-12)
         assert np.linalg.det(s_a) == pytest.approx(1.0)
         assert np.allclose(S @ st.cm @ S.T, sf.to_state().cm, atol=1e-9)
+
+
+def _same_up_to_sign(x, ref):
+    """The sign s in {1, -1} with x = s ref, and the relative gap |x - s ref| / |ref|."""
+    sign = 1.0 if np.abs(x - ref).max() <= np.abs(x + ref).max() else -1.0
+    return sign, np.abs(x - sign * ref).max() / np.abs(ref).max()
+
+
+def _compare_with_reference(st, compare_eta):
+    """Parameters within 1e-12 of the eigensolver reference; with compare_eta, eta mod pi and signs too."""
+    sf, s_a, s_b = gd.standard_form(st)
+    ref, r_a, r_b = reference_standard_form(st)
+    params = (sf.a, sf.z_a, sf.b, sf.c_plus, sf.c_minus)
+    scale = max(abs(x) for x in ref[:5])
+    assert max(abs(x - y) for x, y in zip(params, ref[:5])) <= 1e-12 * scale, (params, ref)
+    S = block_diag(s_a, s_b)
+    assert np.abs(S @ st.cm @ S.T - sf.cm).max() <= 1e-12 * scale
+    assert -0.5 * math.pi <= sf.eta < 0.5 * math.pi
+    if compare_eta:
+        turns = (sf.eta - ref[5]) / math.pi
+        assert abs(turns - round(turns)) <= 1e-10, (sf.eta, ref[5])
+        sign_a, gap_a = _same_up_to_sign(s_a, r_a)
+        sign_b, gap_b = _same_up_to_sign(s_b, r_b)
+        assert gap_a <= 1e-10 and gap_b <= 1e-10
+        assert sign_a * sign_b == (-1.0) ** round(turns)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    st_.integers(min_value=0, max_value=2**32 - 1),
+    st_.floats(min_value=0.0, max_value=math.log(20.0)),
+    st_.floats(min_value=0.0, max_value=math.log(20.0)),
+)
+def test_standard_form_matches_eigensolver_reference(seed, log_squeeze, log_thermal):
+    """The closed-form reduction reproduces the eigh/svd reduction of tests/standard_form_reference.py.
+
+    (a, z_A, b, c_+, c_-) agree within 1e-12 of their scale, eta modulo pi,
+    and s_a, s_b up to signs whose product is the parity of that multiple of
+    pi.  eta is compared only away from the degenerate forms (z_A = 1 or
+    c_+ = |c_-|), where it is not determined.
+    """
+    rng = np.random.default_rng(seed)
+    squeeze, thermal = math.exp(log_squeeze) + 1e-3, math.exp(log_thermal) + 1.0
+    st = gd.random_two_mode_state(rng, max_squeeze=squeeze, max_thermal=thermal)
+    sf, _, _ = gd.standard_form(st)
+    generic = sf.z_a - 1.0 > 1e-4 and sf.c_plus - abs(sf.c_minus) > 1e-4 * sf.c_plus
+    _compare_with_reference(st, compare_eta=generic)
+
+
+def test_standard_form_matches_reference_on_degenerate_states():
+    """sigma_A proportional to I, c_+ = 0 and c_+ = |c_-|: same parameters as the reference, any valid eta.
+
+    The TMSTS itself is reduced exactly as the reference does it, eta included
+    (the README example prints eta = -pi/2).
+    """
+    rng = np.random.default_rng(211)
+    for _ in range(200):
+        for family, st in degenerate_states(rng):
+            _compare_with_reference(st, compare_eta=family == "tmsts")
+    sf, s_a, _ = gd.standard_form(gd.tmsts(1.0, 0.5))
+    assert sf.eta == -0.5 * math.pi
+    assert np.array_equal(s_a, [[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _eigenvalue_test_accepts(cm):
+    """The earlier physicality test: eig(sigma + i Omega) >= -TOL_PSD."""
+    return np.linalg.eigvalsh(cm + 1j * gd.symplectic_form(2)).min() >= -TOL_PSD
+
+
+def test_physicality_check_matches_eigenvalue_test_at_the_boundary():
+    """Forms scaled to nu_- = 1 + delta, |delta| >= 2e-8, are accepted exactly when eig(sigma + i Omega) >= -1e-9.
+
+    Scaling sigma by s scales its symplectic spectrum by s, so each random
+    form straddles the boundary; within +-1e-8 of it the two tests may round
+    differently.  Strongly squeezed forms are accepted a little below
+    nu_- = 1, since their sigma + i Omega has its smallest eigenvalue far
+    below nu_- - 1.
+    """
+    rng = np.random.default_rng(223)
+    outcomes = set()
+    for k in range(200):
+        sf, _, _ = gd.standard_form(gd.random_two_mode_state(rng, max_squeeze=20.0 if k % 2 else 2.0))
+        nu_min = gd.symplectic_eigenvalues(sf.cm)[-1]
+        for delta in (-1e-4, -1e-6, -1e-7, -2e-8, 2e-8, 1e-7, 1e-6, 1e-4):
+            s = (1.0 + delta) / nu_min
+            params = dict(a=s * sf.a, z_a=sf.z_a, b=s * sf.b, c_plus=s * sf.c_plus, c_minus=s * sf.c_minus, eta=sf.eta)
+            expected = _eigenvalue_test_accepts(form_cm(**params))
+            try:
+                gd.TwoModeStandardForm(**params)
+                accepted = True
+            except UnphysicalStateError:
+                accepted = False
+            assert accepted == expected, (params, delta)
+            outcomes.add((delta, accepted))
+    assert {(-1e-4, False), (-1e-7, True), (-1e-7, False), (2e-8, True)} <= outcomes
+
+
+def test_pure_states_are_physical():
+    """Pure states pass the invariant test, whose det sigma = 1 and Delta = 2 cancel from much larger terms.
+
+    Pure TMSTS up to r = 5, and pure states S S^T with local squeezing up to
+    200 whenever validate_state accepts them; without the round-off allowance
+    a third of the latter were rejected.
+    """
+    for r in np.linspace(0.0, 5.0, 101):
+        sf, _, _ = gd.standard_form(gd.tmsts(0.0, float(r)))
+        assert sf.c_minus == -sf.c_plus
+    rng = np.random.default_rng(233)
+    for _ in range(300):
+        s = gd.random_symplectic(rng, 2, max_squeeze=math.exp(rng.uniform(0.0, math.log(200.0))))
+        cm = s @ s.T
+        gd.standard_form(gd.validate_state(np.zeros(4), 0.5 * (cm + cm.T)))
+
+
+def test_reduction_errors_are_typed():
+    """Unphysical blocks raise UnphysicalStateError; invariants past the float range raise NumericError."""
+    with pytest.raises(UnphysicalStateError, match="sigma_A is not positive definite"):
+        gd.standard_form(gd.GaussianState(np.zeros(4), np.diag([-1.0, 1.0, 1.0, 1.0])))
+    with pytest.raises(UnphysicalStateError, match="not positive definite: min eig = -1"):
+        gd.standard_form(gd.GaussianState(np.zeros(4), np.diag([1.0, 1.0, 1.0, -1.0])))
+    with pytest.raises(UnphysicalStateError, match="unphysical"):
+        gd.standard_form(gd.GaussianState(np.zeros(4), form_cm(1.2, 1.0, 1.2, 1.19, -1.19, 0.3)))
+    with pytest.raises(UnphysicalStateError, match="unphysical"):  # det sigma = 99^2 and Delta = 202, but sigma < 0
+        gd.TwoModeStandardForm(a=1.0, z_a=1.0, b=1.0, c_plus=10.0, c_minus=10.0, eta=0.0)
+    with pytest.raises(UnphysicalStateError, match="sigma_A is not positive definite"):
+        gd.unconditional_ergotropy_a(gd.GaussianState(np.zeros(4), np.diag([1.0, -1.0, 1.0, 1.0])))
+    for cm in (1e100 * np.eye(4), 1e160 * np.eye(4), np.diag([1e160, 1e160, 1.0, 1.0])):
+        with pytest.raises(NumericError, match="overflow"):
+            gd.standard_form(gd.GaussianState(np.zeros(4), cm))
+    with pytest.raises(ValueError, match="eta must be finite"):
+        gd.TwoModeStandardForm(a=2.0, z_a=1.0, b=2.0, c_plus=0.5, c_minus=0.5, eta=math.inf)
+    with pytest.raises(UnphysicalStateError):
+        gd.TwoModeStandardForm(a=math.nan, z_a=1.0, b=2.0, c_plus=0.5, c_minus=0.5, eta=0.0)
+
+
+def _forbid(*_, **__):
+    raise AssertionError("numpy.linalg called on the two-mode path")
+
+
+def test_two_mode_path_uses_no_numpy_linear_algebra(monkeypatch):
+    """standard_form, the reduced ergotropy, the phase, the three maxima and the pipeline run without np.linalg."""
+    rng = np.random.default_rng(227)
+    states = [gd.random_two_mode_state(rng) for _ in range(30)]
+    settings_ = [gd.random_setting(rng, efficient=bool(k % 2)) for k in range(30)]
+    for name in ("eigh", "eigvalsh", "svd", "det", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, _forbid)
+    for st, setting in zip(states, settings_):
+        sf, s_a, _ = gd.standard_form(st)
+        mean_a = s_a @ st.mean[:2]
+        gd.unconditional_ergotropy_a(st)
+        gd.optimal_phase(sf, 0.0)
+        gd.max_daemonic(sf, mean_a)
+        gd.max_daemonic_homodyne(sf, mean_a)
+        gd.daemonic_heterodyne(sf, mean_a)
+        gd.daemonic_ergotropy(st, setting)
+
+
+def test_pipeline_routes_do_not_touch_the_closed_forms(monkeypatch):
+    """The pipeline of _closed_form and criterion 3's pipeline route run with the closed forms disabled.
+
+    Forms are built first (their construction evaluates _det_invariants);
+    then _det_invariants, _det_coefficients and conditional_determinant raise,
+    and both pipeline routes must still agree with the closed forms computed
+    afterwards.  _closed_form must check against _pipeline on the form's CM.
+    """
+    rng = np.random.default_rng(229)
+    sfs = [gd.random_standard_form(rng) for _ in range(10)]
+    grid = [GeneralDyneSetting(theta_m=th, z_m=z) for th in (0.0, 0.7, 2.0) for z in (1e-6, 0.05, 1.0)]
+    grid += [gd.homodyne(0.4), gd.heterodyne()]
+    mean_a = (0.3, -0.2)
+    for name in ("_det_invariants", "_det_coefficients", "conditional_determinant"):
+        monkeypatch.setattr(bipartite, name, _forbid)
+    pipeline = [
+        (bipartite._pipeline(sf.cm, *mean_a, s)[0], gd.daemonic_ergotropy(sf.to_state(mean_a), s).value)
+        for sf in sfs
+        for s in grid
+    ]
+    monkeypatch.undo()
+    conditioned = []
+
+    def spy(cm, *args):
+        conditioned.append(cm)
+        return pipeline_route(cm, *args)
+
+    pipeline_route = bipartite._pipeline
+    monkeypatch.setattr(bipartite, "_pipeline", spy)
+    closed = []
+    for sf in sfs:
+        for s in grid:
+            result, checked_against = bipartite._closed_form(sf, mean_a, s)
+            assert conditioned.pop() is sf.cm
+            closed.append((result.value, checked_against))
+    for (route, criterion_3), (value, checked_against) in zip(pipeline, closed):
+        assert route == criterion_3 == checked_against
+        assert abs(route - value) <= 1e-9
 
 
 def test_standard_form_canonical_ranges():

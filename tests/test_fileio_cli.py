@@ -1,10 +1,11 @@
 """Unit tests for file formats and the command-line interface."""
 
+import io
 import math
 import shlex
 import signal
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,10 @@ from hypothesis import strategies as st
 
 import gaussdaemon as gd
 from gaussdaemon import ParseError
+from gaussdaemon.bipartite import _LOG_MAX_CM_ENTRY
 from gaussdaemon.cli import main
 from scalar_riccati import opo_quadrature_gains, scalar_riccati_transient
+from standard_form_reference import degenerate_states
 
 
 STATE_TMSTS = """\
@@ -458,3 +461,57 @@ def test_opo_cli_ends_within_budget(command, log_gap, log_nu, strategy):
     with tempfile.TemporaryDirectory() as tmp, _time_budget(10):
         code = main(args if command == "opo-ss" else [*args, "--out", str(Path(tmp) / "out.csv")])
     assert code in (0, 2, 3), args
+
+
+def _daemonic_state(family: str, u: float, seed: int) -> tuple[gd.GaussianState, bool]:
+    """(state, physical by construction) for one daemonic CLI fuzz case; u in [0, 1] sets the family's size."""
+    rng = np.random.default_rng(seed)
+    if family == "pure-tmsts":  # up to the range bound of tmsts
+        return gd.tmsts(0.0, u * 0.5 * _LOG_MAX_CM_ENTRY), True
+    if family in ("near-pure", "unphysical"):
+        gap = -1e-6 if family == "unphysical" else (0.0 if u < 0.2 else 10.0 ** (-16.0 + 8.0 * u))
+        s = gd.random_symplectic(rng, 2, max_squeeze=1.0 + 3.0 * u)
+        cm = s @ np.kron(np.diag([1.0 + gap, rng.uniform(1.0, 3.0)]), np.eye(2)) @ s.T
+        return gd.GaussianState(rng.standard_normal(4), 0.5 * (cm + cm.T)), family == "near-pure"
+    states = dict(degenerate_states(rng))
+    return gd.GaussianState(rng.standard_normal(4), states[family].cm), True
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(
+        ["pure-tmsts", "sigma_a-isotropic", "uncorrelated", "c_plus=c_minus", "c_plus=-c_minus"]
+        + ["near-pure", "unphysical"]
+    ),
+    u=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_daemonic_cli_errors_are_typed(family, u, seed):
+    """The daemonic command on state files: valid states exit 0 or 3, never 2, and no run ends in a traceback.
+
+    A state is valid when it is physical by construction and its file passes
+    read_state.  Pure TMSTS past r ~ 8 are rejected there (exit 2), as are
+    most states unphysical by 1e-6; no run may fail with a bare math error.
+    """
+    state, physical = _daemonic_state(family, u, seed)
+    text = "2\n" + " ".join(map(repr, state.mean.tolist())) + "\n"
+    text += "".join(" ".join(map(repr, row)) + "\n" for row in state.cm.tolist())
+    try:
+        gd.validate_state(state.mean, state.cm)
+        readable = True
+    except gd.GaussDaemonError:
+        readable = False
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.txt"
+        path.write_text(text)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["daemonic", "--state", str(path)])
+    message = err.getvalue()
+    assert "math domain" not in message and "division" not in message, message
+    if physical and readable:
+        assert code in (0, 3), (family, u, seed, message)
+    elif not readable:
+        assert code == 2 and message.startswith("error: "), (family, u, seed, message)
+    else:
+        assert code in (0, 2, 3)

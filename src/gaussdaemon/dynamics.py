@@ -50,7 +50,9 @@ time grid.  The conditional steady state is the stable invariant subspace
 of the same Hamiltonian (one ordered Schur decomposition; Newton-Kleinman
 steps refine it only when its residual is above round-off).  That
 Hamiltonian is built once (_hamiltonian), balanced so that its norm does not
-grow with the environment noise.
+grow with the environment noise.  Where the filter terms are diagonal, the
+flow is expanded instead about the stabilizing root of each coordinate's
+scalar Riccati equation (_decoupled_roots).
 
 The filter terms are written in the pointer frame, where homodyne is the exact
 w = z_m / nu_m = 0 member of the general-dyne family (see MonitoredModel).
@@ -100,6 +102,8 @@ _UNIFORM_TOL = 1e-14
 # Largest estimated steady-state CM scale |D| / (2 |alpha(A)|) for which the
 # conditional flow is expanded about its steady state (see _expandable).
 _EXPAND_MAX_SCALE = 1e4
+# Filter data whose off-diagonal entries are within this fraction of each matrix's largest entry decouple.
+_DECOUPLED_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,8 @@ class DiffusiveModel:
     The constructor validates shapes, finiteness and physicality and normalizes the
     environment to thermal-diagonal form; the stored ``c``, ``sigma_in`` and
     ``mean_in`` refer to the normalized basis.  Correlations between input
-    modes are not supported.
+    modes are not supported.  ``dd``, the unconditional dynamics, is derived
+    once, with read-only arrays.
     """
 
     h_s: np.ndarray
@@ -118,6 +123,7 @@ class DiffusiveModel:
     mean_in: np.ndarray
     n: int = field(init=False)
     m: int = field(init=False)
+    dd: DriftDiffusion = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h_s = np.asarray(self.h_s, dtype=float)
@@ -141,12 +147,14 @@ class DiffusiveModel:
         validate_state(mean_in, sigma_in)
 
         c, sigma_in, mean_in = _normalize_environment(c, sigma_in, mean_in, m)
-        object.__setattr__(self, "h_s", 0.5 * (h_s + h_s.T))
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "sigma_in", sigma_in)
-        object.__setattr__(self, "mean_in", mean_in)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
+        h_s = 0.5 * (h_s + h_s.T)
+        # Products with the symplectic forms only permute and negate entries, so they are exact in any order.
+        oc = _omega(n) @ c
+        d = oc @ sigma_in @ oc.T
+        dd = DriftDiffusion(a=_omega(n) @ h_s + 0.5 * (oc @ _omega(m)) @ c.T, d=0.5 * (d + d.T), drive=oc @ mean_in)
+        for x in (dd.a, dd.d, dd.drive):
+            x.flags.writeable = False
+        self.__dict__.update(h_s=h_s, c=c, sigma_in=sigma_in, mean_in=mean_in, n=n, m=m, dd=dd)
 
 
 def _normalize_environment(c, sigma_in, mean_in, m):
@@ -170,7 +178,7 @@ def _normalize_environment(c, sigma_in, mean_in, m):
             nus[j], s = williamson_single_mode(b)
             s_full[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = s
         c, mean_in = c @ np.linalg.inv(s_full), s_full @ mean_in
-    return c, np.kron(np.diag(nus), np.eye(2)), mean_in
+    return c, np.diag(np.repeat(nus, 2)), mean_in
 
 
 @dataclass(frozen=True)
@@ -183,21 +191,16 @@ class DriftDiffusion:
 
 
 def drift_diffusion(model: DiffusiveModel) -> DriftDiffusion:
-    """Drift, diffusion and drive of the unconditional diffusive dynamics."""
-    # Products with the symplectic forms only permute and negate entries, so they are exact in any order.
-    om_n = _omega(model.n)
-    oc = om_n @ model.c
-    a = om_n @ model.h_s + 0.5 * (oc @ _omega(model.m)) @ model.c.T
-    d = oc @ model.sigma_in @ oc.T
-    return DriftDiffusion(a=a, d=0.5 * (d + d.T), drive=oc @ model.mean_in)
+    """Drift, diffusion and drive of the unconditional diffusive dynamics (built with the model)."""
+    return model.dd
 
 
-def is_hurwitz(a: np.ndarray, tol: float = TOL_HURWITZ) -> bool:
-    """True iff every eigenvalue of a has real part below -tol."""
+def is_hurwitz(a: np.ndarray) -> bool:
+    """True iff every eigenvalue of a has real part below -TOL_HURWITZ."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"drift matrix must be square, got {a.shape}")
-    return bool(np.linalg.eigvals(a).real.max() < -tol)
+    return bool(np.linalg.eigvals(a).real.max() < -TOL_HURWITZ)
 
 
 def steady_state_unconditional(dd: DriftDiffusion) -> GaussianState:
@@ -251,7 +254,7 @@ class MonitoredModel:
             diagonals = ((r11, r22), (nu * r11, nu * r22), (nu * k11, nu * k22), (1.0 - k11, 1.0 - k22))
             entries = [x for d1, d2 in diagonals for x in _from_pointer_frame(c, s, d1, 0.0, d2)]
             blocks[:, sl, sl] = np.array(entries).reshape(4, 2, 2)
-        dd = drift_diffusion(self.base)
+        dd = self.base.dd
         oc, co = _omega(n) @ self.base.c, self.base.c @ _omega(m)
         b, (e, in_m_m, in_m) = co @ blocks[0], oc @ blocks[1:]
         at, dtilde = dd.a + in_m @ co.T, in_m_m @ oc.T
@@ -356,24 +359,11 @@ def _expandable(dd: DriftDiffusion) -> bool:
     return alpha < -TOL_HURWITZ and float(np.abs(dd.d).max()) <= -2.0 * alpha * _EXPAND_MAX_SCALE
 
 
-def _check_steady_state(mm: MonitoredModel, sigma_inf: np.ndarray) -> None:
-    """Raise ValueError unless sigma_inf is the stabilizing solution of the algebraic Riccati equation.
-
-    The residual is gated relative to the largest of its terms, as in
-    steady_state_conditional, so a correctly rounded sigma_inf of any size passes.
-    """
-    rel = _relative_residual(mm, sigma_inf)
-    if rel > SS_RESIDUAL_TOL:
-        raise ValueError(f"steady state has relative algebraic residual {rel:.3e}: not a Riccati solution")
-    if not is_hurwitz(mm.at - sigma_inf @ mm.bbt):
-        raise ValueError("steady state is not stabilizing: A - sigma_inf R is not Hurwitz")
-
-
 def _expand_about(a, r, sigma_inf, sigma0, t_grid) -> np.ndarray:
     """Exact solution of sigma' = A sigma + sigma A^T + Q - sigma R sigma, expanded about its steady state.
 
     sigma_inf must solve the algebraic equation and make F = A - sigma_inf R
-    Hurwitz (the callers make sure of both).  The flow is the closed form of
+    Hurwitz (_conditional_steady_state makes sure of both).  The flow is the closed form of
     the module docstring on the stack of e^{F t}.
     """
     f = a - sigma_inf @ r
@@ -432,27 +422,48 @@ def _propagate_riccati(a, q, r, sigma0, t_grid) -> np.ndarray:
     return c * out
 
 
-def evolve_conditional_cm(mm: MonitoredModel, sigma0: np.ndarray, t_grid, *, sigma_inf=None) -> np.ndarray:
+def _decoupled_roots(mm: MonitoredModel) -> np.ndarray | None:
+    """Per-coordinate stabilizing steady state where the filter decouples, else None.
+
+    The filter decouples when At, Dt and B B^T are diagonal: off-diagonal
+    entries within _DECOUPLED_TOL of each matrix's largest entry.  Coordinate
+    i then solves b s^2 - 2 a s - d = 0 (a, d, b its diagonal entries), and
+    the stabilizing root, with closed loop a - s b = -sqrt(a^2 + b d), is taken
+    in its cancellation-free form.  The drift must be Hurwitz, so that an
+    unobserved coordinate (b = 0) has a < 0.
+    """
+    data = [x.tolist() for x in (mm.at, mm.dtilde, mm.bbt)]  # float arithmetic: small numpy calls cost more
+    for x in data:
+        bound = _DECOUPLED_TOL * max(abs(v) for row in x for v in row)
+        if any(abs(v) > bound for i, row in enumerate(x) for j, v in enumerate(row) if i != j):
+            return None
+    roots = []
+    for a, d, b in zip(*([row[i] for i, row in enumerate(x)] for x in data)):
+        r = math.sqrt(a * a + b * d)
+        roots.append((a + r) / b if a > 0.0 else d / (r - a))
+    return np.array(roots)
+
+
+def _conditional_steady_state(mm: MonitoredModel) -> np.ndarray:
+    """The steady state a conditional flow expands about: _decoupled_roots(mm), else steady_state_conditional(mm)."""
+    roots = _decoupled_roots(mm)
+    return steady_state_conditional(mm) if roots is None else np.diag(roots)
+
+
+def evolve_conditional_cm(mm: MonitoredModel, sigma0: np.ndarray, t_grid) -> np.ndarray:
     """Conditional CM along a time grid, from the exact Riccati flow.
 
     Where _expandable(mm.dd) holds the flow is expanded about the conditional
-    steady state: ``sigma_inf`` if given (checked to be the stabilizing
-    solution), else steady_state_conditional(mm).  Otherwise it is stepped
-    and ``sigma_inf`` is not used.  The result does not depend on the grid
-    spacing: every grid point carries the exact flow value up to round-off,
-    however coarse the grid.
+    steady state, which it finds itself (_conditional_steady_state); otherwise
+    it is stepped.  The result does not depend on the grid spacing: every grid
+    point carries the exact flow value up to round-off, however coarse the grid.
     """
     sigma = np.asarray(sigma0, dtype=float)
     validate_state(np.zeros(sigma.shape[0]), sigma)
     _require_modes(sigma.shape[0] // 2, mm.base.n)
     if not _expandable(mm.dd):
         return _propagate_riccati(mm.at, mm.dtilde, mm.bbt, sigma, t_grid)
-    if sigma_inf is None:
-        sigma_inf = steady_state_conditional(mm)
-    else:
-        sigma_inf = np.asarray(sigma_inf, dtype=float)
-        _check_steady_state(mm, sigma_inf)
-    return _expand_about(mm.at, mm.bbt, sigma_inf, sigma, t_grid)
+    return _expand_about(mm.at, mm.bbt, _conditional_steady_state(mm), sigma, t_grid)
 
 
 def riccati_residual(mm: MonitoredModel, sigma: np.ndarray) -> float:
@@ -676,27 +687,25 @@ def excess_noise(batch: TrajectoryBatch, t_index: int = -1) -> np.ndarray:
     return 2.0 * np.cov(x, rowvar=False)
 
 
-def daemonic_ergotropy_path(mm: MonitoredModel, state0: GaussianState, t_grid, *, sigma_inf=None) -> np.ndarray:
+def daemonic_ergotropy_path(mm: MonitoredModel, state0: GaussianState, t_grid) -> np.ndarray:
     """Daemonic ergotropy of the monitored system along a time grid.
 
     At each time: tr sigma_unc / 4 + |mean_unc|^2 / 2 - (1/2) sum_j nu_j(sigma_c).
     The outcome-averaged conditional energy equals the unconditional energy,
-    so only the passive energy reflects the monitoring.  ``sigma_inf`` is
-    passed on to evolve_conditional_cm.
+    so only the passive energy reflects the monitoring.
     """
     means, cms = unconditional_path(mm.dd, state0, t_grid)
-    return _daemonic_curve(mm, means, cms, state0.cm, t_grid, sigma_inf)
+    return _daemonic_curve(mm, means, cms, state0.cm, t_grid)
 
 
-def _daemonic_curve(mm: MonitoredModel, means, cms, sigma0, t_grid, sigma_inf=None) -> np.ndarray:
+def _daemonic_curve(mm: MonitoredModel, means, cms, sigma0, t_grid) -> np.ndarray:
     """Daemonic ergotropy on t_grid from the unconditional moments on that grid.
 
     The unconditional path does not depend on the measurement, so callers
-    comparing strategies compute it once and pass it to each; a caller that
-    knows the conditional steady state passes it as ``sigma_inf``.  The
-    passive energies come from one stacked symplectic-spectrum call.
+    comparing strategies compute it once and pass it to each.  The passive
+    energies come from one stacked symplectic-spectrum call.
     """
-    sig_c = evolve_conditional_cm(mm, sigma0, t_grid, sigma_inf=sigma_inf)
+    sig_c = evolve_conditional_cm(mm, sigma0, t_grid)
     energy = 0.25 * np.trace(cms, axis1=1, axis2=2) + 0.5 * np.einsum("ij,ij->i", means, means)
     out = energy - 0.5 * symplectic_eigenvalues(sig_c).sum(axis=-1)
     for i in np.flatnonzero(out < 0.0):

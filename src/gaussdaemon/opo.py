@@ -11,11 +11,11 @@ sigma = nu_in diag(1/(1 + chi_tilde), 1/(1 - chi_tilde)) with ergotropy
 (nu_in/2) (1/(1 - chi_tilde^2) - 1/sqrt(1 - chi_tilde^2)).
 
 At measurement phase 0 or pi/2, or for z_m = 1, the pointer is diagonal in the
-quadrature basis and each conditional variance solves the scalar Riccati equation
-2 a_i s + kappa nu_in - (e_i - s b_i)^2 = 0 with a_i = -kappa/2 -+ chi, e_i = nu_in b_i
-and b_i = -sqrt(kappa) (nu_in + p_i)^(-1/2), p_i being the pointer variance along
-quadrature i (zero where a homodyne measures, infinite across it); other settings
-go to the Riccati solver.  Efficient homodyne always leaves det sigma_c = nu_in^2
+quadrature basis, and so are the terms of the monitored filter
+(dynamics.MonitoredModel): each conditional variance is then the stabilizing
+root of its own scalar Riccati equation, read off the filter's diagonals
+(dynamics._decoupled_roots).  Other settings go to the Riccati solver, and the
+transient flows expand about the same steady states.  Efficient homodyne always leaves det sigma_c = nu_in^2
 while heterodyne does strictly better for nu_in > 1; the steady-state daemonic
 ergotropy at measurement phase 0 is maximized at the general-dyne parameter
 
@@ -36,9 +36,10 @@ import numpy as np
 from .bipartite import _LOG_MAX_CM_ENTRY
 from .dynamics import (
     DiffusiveModel,
+    _conditional_steady_state,
     _daemonic_curve,
+    _decoupled_roots,
     _uniform_steps,
-    drift_diffusion,
     monitored,
     steady_state_conditional,
     unconditional_path,
@@ -48,7 +49,6 @@ from .exceptions import NoSteadyStateError
 from .measurement import GeneralDyneSetting, heterodyne, homodyne
 from .symplectic import GaussianState, _omega
 
-_THETA_TOL = 1e-12
 _Z_SWEEP_FLOOR = 1e-6
 
 
@@ -141,34 +141,19 @@ def opo_unconditional_ergotropy(params: OpoParams) -> float:
     return 0.5 * params.nu_in * (1.0 / (1.0 - ct2) - 1.0 / math.sqrt(1.0 - ct2))
 
 
-def _riccati_ss(params: OpoParams, setting: GeneralDyneSetting) -> np.ndarray:
-    return steady_state_conditional(monitored(opo_model(params), setting))
-
-
 def opo_conditional_ss(params: OpoParams, setting: GeneralDyneSetting) -> np.ndarray:
     """Steady-state conditional CM: per-quadrature roots where the pointer is diagonal (see module), else Riccati."""
-    k = round(setting.theta_m / (0.5 * math.pi))
-    if setting.z_m != 1.0 and abs(setting.theta_m - 0.5 * math.pi * k) >= _THETA_TOL:
-        return _riccati_ss(params, setting)
-    # Pointer variance y / x along the measured quadrature and across it (x = 0: unobserved).
-    measured, across = (1.0, setting.nu_m * setting.z_m), (setting.z_m, setting.nu_m)
-    nu, kappa = params.nu_in, params.kappa
-    roots = []
-    for chi, (x, y) in zip((-params.chi, params.chi), (measured, across) if k % 2 == 0 else (across, measured)):
-        # b^2 s^2 - 2 at s - dt = 0 with at = a + e b, dt = kappa nu_in - e^2 >= 0; the stable root, cancellation-free.
-        b2 = kappa * x / (nu * x + y)
-        at = chi - 0.5 * kappa + nu * b2
-        dt = kappa * nu * y / (nu * x + y)
-        r = math.sqrt(at * at + b2 * dt)
-        roots.append((at + r) / b2 if at > 0.0 else dt / (r - at))
-    return np.diag(roots)
+    return _conditional_steady_state(monitored(opo_model(params), setting))
+
+
+def _daemonic(params: OpoParams, sig_c: np.ndarray) -> float:
+    e = 0.25 * float(np.trace(opo_unconditional_ss(params).cm))
+    return _single_mode_ergotropy(e, float(np.linalg.det(sig_c)), "daemonic ergotropy")
 
 
 def opo_steady_daemonic(params: OpoParams, setting: GeneralDyneSetting) -> float:
     """Steady-state daemonic ergotropy tr sigma_unc / 4 - (1/2) sqrt(det sigma_c^ss)."""
-    sig_c = opo_conditional_ss(params, setting)
-    e = 0.25 * float(np.trace(opo_unconditional_ss(params).cm))
-    return _single_mode_ergotropy(e, float(np.linalg.det(sig_c)), "daemonic ergotropy")
+    return _daemonic(params, opo_conditional_ss(params, setting))
 
 
 def opo_zopt(params: OpoParams) -> float:
@@ -190,7 +175,8 @@ def zsweep_table(params: OpoParams | None = None, z_grid=None) -> ZSweepData:
     """Ergotropy-vs-z_m sweep at theta = 0 (defaults: chi_tilde = 0.99, nu_in = 3).
 
     Returns the raw table in ascending z plus the closed-form z_opt marker and
-    the heterodyne reference value, whose conditional determinants are checked against the Riccati solver.
+    the heterodyne reference value.  The conditional determinants behind those
+    two are checked against the Riccati solver on the same filter.
     """
     if params is None:
         params = OpoParams.from_tilde(0.99, nu_in=3.0)
@@ -200,13 +186,18 @@ def zsweep_table(params: OpoParams | None = None, z_grid=None) -> ZSweepData:
     if z_grid.ndim != 1 or z_grid.size < 1 or np.any(z_grid <= 0) or np.any(z_grid > 1):
         raise ValueError("z grid must be one-dimensional with entries in (0, 1]")
     z_grid = np.sort(z_grid)
-    values = [opo_steady_daemonic(params, GeneralDyneSetting(nu_m=1.0, theta_m=0.0, z_m=float(z))) for z in z_grid]
+    model = opo_model(params)
+    settings = [GeneralDyneSetting(nu_m=1.0, theta_m=0.0, z_m=float(z)) for z in z_grid]
+    values = [_daemonic(params, _conditional_steady_state(monitored(model, s))) for s in settings]
     z_opt = opo_zopt(params)
-    references = (GeneralDyneSetting(nu_m=1.0, theta_m=0.0, z_m=z_opt), heterodyne())
-    z_opt_value, het_value = (opo_steady_daemonic(params, setting) for setting in references)
-    for setting in references:
-        closed, riccati = (float(np.linalg.det(solve(params, setting))) for solve in (opo_conditional_ss, _riccati_ss))
-        _cross_check(closed, riccati, f"OPO conditional determinant at {setting}")
+    references = []
+    for setting in (GeneralDyneSetting(nu_m=1.0, theta_m=0.0, z_m=z_opt), heterodyne()):
+        mm = monitored(model, setting)
+        closed, riccati = np.diag(_decoupled_roots(mm)), steady_state_conditional(mm)
+        dets = (float(np.linalg.det(x)) for x in (closed, riccati))
+        _cross_check(*dets, f"OPO conditional determinant at {setting}")
+        references.append(_daemonic(params, closed))
+    z_opt_value, het_value = references
     return ZSweepData(np.column_stack([z_grid, values]), z_opt=z_opt, z_opt_value=z_opt_value, het_value=het_value)
 
 
@@ -226,17 +217,16 @@ def transient_table(params: OpoParams, t_max: float = 10.0, dt: float = 1e-3) ->
     kappa = 1); t_max must be an integer multiple of dt.  Every flow is
     exact, so dt sets only the resolution of the table.  The unconditional
     moments do not depend on the strategy and are propagated once for all
-    three curves; each conditional flow is expanded about its steady state
-    from opo_conditional_ss, so no Riccati solver runs.
+    three curves; each conditional flow finds its own steady state (the
+    per-quadrature roots, as in opo_conditional_ss) and is expanded about it,
+    so no Riccati solver runs.
     """
     n_steps = _uniform_steps(t_max, dt, "t_max")
     grid = np.linspace(0.0, t_max, n_steps + 1)
     state0 = GaussianState(np.zeros(2), params.nu_0 * np.eye(2))
     model = opo_model(params)
-    means, cms = unconditional_path(drift_diffusion(model), state0, grid)
+    means, cms = unconditional_path(model.dd, state0, grid)
     curves = {}
     for name in ("hom0", "hom90", "het"):
-        setting = strategy_setting(name)
-        sigma_inf = opo_conditional_ss(params, setting)
-        curves[name] = _daemonic_curve(monitored(model, setting), means, cms, state0.cm, grid, sigma_inf)
+        curves[name] = _daemonic_curve(monitored(model, strategy_setting(name)), means, cms, state0.cm, grid)
     return TransientTable(times=grid, **curves)

@@ -27,6 +27,9 @@ from .symplectic import (
     validate_state,
 )
 
+# Draws random_stable_model makes before it gives up.
+_STABLE_MODEL_TRIES = 1000
+
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniform single-mode phase rotation."""
@@ -100,20 +103,16 @@ def random_setting(
     return GeneralDyneSetting(nu_m=nu_m, theta_m=theta, z_m=z)
 
 
-def random_stable_model(
-    rng: np.random.Generator,
-    nu_in: float = 1.0,
-    max_tries: int = 1000,
-) -> DiffusiveModel:
-    """Random single-mode diffusive model with a Hurwitz drift matrix."""
-    for _ in range(max_tries):
+def random_stable_model(rng: np.random.Generator, nu_in: float = 1.0) -> DiffusiveModel:
+    """Random single-mode diffusive model with a Hurwitz drift matrix (at most _STABLE_MODEL_TRIES draws)."""
+    for _ in range(_STABLE_MODEL_TRIES):
         h_s = rng.standard_normal((2, 2))
         h_s = 0.5 * (h_s + h_s.T)
         c = rng.standard_normal((2, 2))
         model = DiffusiveModel(h_s=h_s, c=c, sigma_in=nu_in * np.eye(2), mean_in=np.zeros(2))
         if is_hurwitz(drift_diffusion(model).a):
             return model
-    raise NumericError(f"no Hurwitz model found in {max_tries} draws")
+    raise NumericError(f"no Hurwitz model found in {_STABLE_MODEL_TRIES} draws")
 
 
 class SuiteResult(NamedTuple):

@@ -85,7 +85,7 @@ class GaussianState:
         object.__setattr__(self, "n", mean.size // 2)
 
 
-def validate_state(mean, cm, *, tol_sym: float = TOL_SYM, tol_psd: float = TOL_PSD) -> GaussianState:
+def validate_state(mean, cm) -> GaussianState:
     """Build a :class:`GaussianState` after checking physical validity.
 
     Parameters
@@ -98,25 +98,25 @@ def validate_state(mean, cm, *, tol_sym: float = TOL_SYM, tol_psd: float = TOL_P
     ValueError
         Non-finite (NaN or infinite) entries in the mean or covariance matrix.
     SymmetryError
-        Covariance matrix asymmetric beyond ``tol_sym`` (the maximum
+        Covariance matrix asymmetric beyond ``TOL_SYM`` (the maximum
         asymmetry is reported).
     UnphysicalStateError
-        sigma + i Omega has an eigenvalue below ``-tol_psd`` (the most
+        sigma + i Omega has an eigenvalue below ``-TOL_PSD`` (the most
         negative eigenvalue is reported).
     """
     state = GaussianState(mean, cm)
     if not (np.isfinite(state.mean).all() and np.isfinite(state.cm).all()):
         raise ValueError("mean and covariance matrix must be finite")
     asym = np.abs(state.cm - state.cm.T).max()
-    if asym > tol_sym:
-        raise SymmetryError(f"covariance matrix asymmetric: max |sigma - sigma^T| = {asym:.3e} > {tol_sym:.1e}")
+    if asym > TOL_SYM:
+        raise SymmetryError(f"covariance matrix asymmetric: max |sigma - sigma^T| = {asym:.3e} > {TOL_SYM:.1e}")
     ws = np.linalg.eigvalsh(0.5 * (state.cm + state.cm.T))
     if ws.min() <= 0:
         raise UnphysicalStateError(f"covariance matrix not positive definite: min eig = {ws.min():.3e}")
     w = np.linalg.eigvalsh(state.cm + 1j * _omega(state.n))
-    if w.min() < -tol_psd:
+    if w.min() < -TOL_PSD:
         raise UnphysicalStateError(
-            f"uncertainty principle violated: min eig(sigma + i Omega) = {w.min():.3e} < -{tol_psd:.1e}"
+            f"uncertainty principle violated: min eig(sigma + i Omega) = {w.min():.3e} < -{TOL_PSD:.1e}"
         )
     return state
 
@@ -133,14 +133,14 @@ def thermal(nu: float, n: int = 1) -> GaussianState:
     return GaussianState(np.zeros(2 * n), nu * np.eye(2 * n))
 
 
-def check_symplectic(S: np.ndarray, tol: float = TOL_SYMPLECTIC) -> None:
-    """Raise SymplecticityError unless S Omega S^T = Omega within tol."""
+def check_symplectic(S: np.ndarray) -> None:
+    """Raise SymplecticityError unless S Omega S^T = Omega within TOL_SYMPLECTIC."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2:
         raise SymplecticityError(f"symplectic matrix must be square of even size, got {S.shape}")
     omega = _omega(S.shape[0] // 2)
     dev = np.abs(S @ omega @ S.T - omega).max()
-    if dev > tol:
+    if dev > TOL_SYMPLECTIC:
         raise SymplecticityError(f"matrix is not symplectic: max |S Omega S^T - Omega| = {dev:.3e}")
 
 
@@ -182,12 +182,12 @@ def _require_positive_definite(w: np.ndarray) -> None:
         raise UnphysicalStateError(f"covariance matrix not positive definite{where}: min eig = {w.min():.3e}")
 
 
-def symplectic_eigenvalues(cm: np.ndarray, *, tol_psd: float = TOL_PSD) -> np.ndarray:
+def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix, sorted descending.
 
     Computed from the symmetric matrix sigma^{1/2} (Omega sigma Omega^T) sigma^{1/2},
     whose eigenvalues are the squared symplectic eigenvalues, each doubly
-    degenerate; pairs are matched by sorting.  Values within ``tol_psd`` below 1
+    degenerate; pairs are matched by sorting.  Values within ``TOL_PSD`` below 1
     are clamped to exactly 1 so that pure states report unit eigenvalues.
 
     ``cm`` may also be a stack of shape (k, 2n, 2n); the spectra are then
@@ -216,7 +216,7 @@ def symplectic_eigenvalues(cm: np.ndarray, *, tol_psd: float = TOL_PSD) -> np.nd
         m = root @ _omega(n) @ root
         w2 = np.sort(np.linalg.eigvalsh(-m @ m), axis=-1)  # = (Omega sigma)^2 spectrum, made symmetric
         nus = np.sqrt(0.5 * (w2[..., 0::2] + w2[..., 1::2]))
-    nus = np.where((nus < 1.0) & (nus > 1.0 - tol_psd), 1.0, nus)
+    nus = np.where((nus < 1.0) & (nus > 1.0 - TOL_PSD), 1.0, nus)
     return np.sort(nus, axis=-1)[..., ::-1]
 
 

@@ -1,8 +1,9 @@
 """Closed-form transient of a scalar Riccati equation, one OPO quadrature at a time.
 
-An independent check of the matrix propagator behind ``evolve_conditional_cm``:
-at measurement phase 0 or pi/2 the OPO's conditional covariance stays diagonal
-and each quadrature variance follows
+An independent check of the matrix propagator behind ``evolve_conditional_cm``
+and of the monitored filter's data: at measurement phase 0 or pi/2, or with
+z_m = 1, the OPO's conditional covariance stays diagonal and each quadrature
+variance follows
 
     s' = 2 a s + d - (e - s b)^2,
 
@@ -17,8 +18,26 @@ import math
 import numpy as np
 
 
-def opo_quadrature_gains(chi_tilde: float, nu_in: float, strategy: str, kappa: float = 1.0):
-    """Per-quadrature (a, b, e, d) of the monitored OPO for hom0, hom90 or het.
+_STRATEGIES = {"hom0": (0.0, 0.0, 1.0), "hom90": (0.5 * math.pi, 0.0, 1.0), "het": (0.0, 1.0, 1.0)}
+
+
+def _pointer(setting):
+    """Pointer variance y / x along each quadrature, as (x, y) pairs (x = 0: that quadrature is unobserved).
+
+    ``setting`` is hom0, hom90, het or a general-dyne setting (fields theta_m,
+    z_m, nu_m; homodyne has z_m = 0) at phase 0, phase pi/2 or with z_m = 1.
+    Along the measured quadrature the pointer variance is nu_m z_m, across it nu_m / z_m.
+    """
+    theta, z, nu_m = _STRATEGIES[setting] if isinstance(setting, str) else (setting.theta_m, setting.z_m, setting.nu_m)
+    measured, across = (1.0, nu_m * z), (z, nu_m)
+    k = round(theta / (0.5 * math.pi))
+    if z != 1.0 and abs(theta - 0.5 * math.pi * k) > 1e-12:
+        raise ValueError(f"the pointer is not diagonal in the quadrature basis at phase {theta}")
+    return (measured, across) if k % 2 == 0 else (across, measured)
+
+
+def opo_quadrature_gains(chi_tilde: float, nu_in: float, setting, kappa: float = 1.0):
+    """Per-quadrature (a, b, e, d) of the monitored OPO for hom0, hom90, het or a diagonal setting (see _pointer).
 
     a = -kappa/2 -+ chi, b = -sqrt(kappa) g, e = nu_in b and d = kappa nu_in with
     g = (nu_in + p)^(-1/2) for pointer variance p: homodyne measures one
@@ -26,13 +45,24 @@ def opo_quadrature_gains(chi_tilde: float, nu_in: float, strategy: str, kappa: f
     heterodyne has p = 1 on both.
     """
     chi = 0.5 * chi_tilde * kappa
-    g = {
-        "hom0": (1.0 / math.sqrt(nu_in), 0.0),
-        "hom90": (0.0, 1.0 / math.sqrt(nu_in)),
-        "het": (1.0 / math.sqrt(nu_in + 1.0),) * 2,
-    }[strategy]
     a = (-0.5 * kappa - chi, -0.5 * kappa + chi)
+    g = [math.sqrt(x / (nu_in * x + y)) for x, y in _pointer(setting)]
     return [(a_i, -math.sqrt(kappa) * g_i, -math.sqrt(kappa) * nu_in * g_i, kappa * nu_in) for a_i, g_i in zip(a, g)]
+
+
+def opo_filter_diagonals(chi_tilde: float, nu_in: float, setting, kappa: float = 1.0):
+    """Per-quadrature (At, Dt, B B^T) of the monitored OPO, i.e. (a + e b, d - e^2, b^2), without cancellation.
+
+    With pointer variance y / x: b^2 = kappa x / (nu_in x + y), At = a + nu_in b^2
+    and Dt = kappa nu_in y / (nu_in x + y), which is exactly 0 along a
+    quadrature an efficient homodyne measures.
+    """
+    chi = 0.5 * chi_tilde * kappa
+    out = []
+    for chi_i, (x, y) in zip((-chi, chi), _pointer(setting)):
+        b2 = kappa * x / (nu_in * x + y)
+        out.append((chi_i - 0.5 * kappa + nu_in * b2, kappa * nu_in * y / (nu_in * x + y), b2))
+    return out
 
 
 def scalar_riccati_transient(a: float, b: float, e: float, d: float, s0: float, s_inf: float, t) -> np.ndarray:

@@ -179,14 +179,18 @@ def test_multimode_steady_state_matches_care_oracle(seed, n, mixed):
     _assert_matches_care_oracle(gd.monitored(model, settings_))
 
 
-def _assert_det_matches_60_digit_oracle(model, settings):
-    """det of steady_state_conditional within 1e-11 relative of the oracle's (the float result's det taken exactly)."""
+def _assert_det_matches_60_digit_oracle(model, settings, closed=None):
+    """det of steady_state_conditional within 1e-11 relative of the oracle's, and det closed within 1e-12 if given.
+
+    Each float result's det is taken exactly.
+    """
     sigma = gd.steady_state_conditional(gd.monitored(model, settings))
     oracle = steady_state(gd.drift_diffusion(model).a, model.c, model.sigma_in, settings)
     with mp.workdps(DPS):
         exact = mp.det(oracle)
-        gap = float(abs(mp.det(mp.matrix(sigma.tolist())) - exact) / exact)
-    assert gap <= 1e-11, gap
+        gaps = [float(abs(mp.det(mp.matrix(x.tolist())) - exact) / exact) for x in (sigma, closed) if x is not None]
+    assert gaps[0] <= 1e-11, gaps
+    assert all(gap <= 1e-12 for gap in gaps[1:]), gaps
 
 
 _NEAR_THRESHOLD = (0.99, 1.0 - 1e-5, 1.0 - 1e-7, 1.0 - 1e-9)
@@ -197,20 +201,17 @@ _NEAR_THRESHOLD = (0.99, 1.0 - 1e-5, 1.0 - 1e-7, 1.0 - 1e-9)
 def test_opo_steady_state_matches_60_digit_oracle(chi_tilde, nu_in):
     """Up to 1e-9 from threshold, det sigma_c (the paper's purity) holds to 1e-11 of a 60-digit solve of the same data.
 
-    Diagonal phases (hom0, hom90, z_opt at phase 0) and generic ones
-    (general-dyne and homodyne at 0.7).  Near threshold the small root of
+    Diagonal phases (hom0, hom90, z_opt at phase 0, heterodyne) and generic
+    ones (general-dyne and homodyne at 0.7).  Near threshold the small root of
     the measured quadrature is where Dt formed as D - E E^T in floats loses
-    up to 5 % (hom0, chi~ = 1 - 1e-7, nu_in = 3).
+    up to 5 % (hom0, chi~ = 1 - 1e-7, nu_in = 3).  At the diagonal phases
+    opo_conditional_ss, the per-quadrature roots, holds to 1e-12.
     """
     p = gd.OpoParams.from_tilde(chi_tilde, nu_in=nu_in)
-    settings_ = [
-        gd.homodyne(0.0),
-        gd.homodyne(0.5 * np.pi),
-        GeneralDyneSetting(z_m=gd.opo_zopt(p)),
-        GeneralDyneSetting(theta_m=0.7, z_m=0.3),
-        gd.homodyne(0.7),
-    ]
-    for setting in settings_:
+    diagonal = (gd.homodyne(0.0), gd.homodyne(0.5 * np.pi), GeneralDyneSetting(z_m=gd.opo_zopt(p)), gd.heterodyne())
+    for setting in diagonal:
+        _assert_det_matches_60_digit_oracle(gd.opo_model(p), [setting], gd.opo_conditional_ss(p, setting))
+    for setting in (GeneralDyneSetting(theta_m=0.7, z_m=0.3), gd.homodyne(0.7)):
         _assert_det_matches_60_digit_oracle(gd.opo_model(p), [setting])
 
 
@@ -284,14 +285,13 @@ def test_perturbed_schur_solution_is_refined(monkeypatch):
 
 @pytest.mark.parametrize("nu_in", [3.0, 1e8])
 def test_residual_gate_is_relative_to_the_riccati_scale(monkeypatch, nu_in):
-    """Both residual gates compare the residual with the largest Riccati term, and hold on both sides.
+    """The residual gate compares the residual with the largest Riccati term, and holds on both sides.
 
     At nu_in = 1e8 the steady state's absolute residual (about 6e-8) is far
     above SS_RESIDUAL_TOL, but only about 2e-16 of the scale, so it passes.
     Scaling the solution by 1 + 1e-10 and by 1 + 1e-8 leaves relative
     residuals on either side of the gate: steady_state_conditional (Newton
-    steps off) and a supplied steady state (at nu_in = 3, where the flow is
-    expanded about it) pass the first and fail the second.
+    steps off) passes the first and fails the second.
     """
     model = gd.opo_model(gd.OpoParams.from_tilde(0.6, nu_in=nu_in))
     mm = gd.monitored(model, GeneralDyneSetting(theta_m=0.7, z_m=0.3))
@@ -300,11 +300,9 @@ def test_residual_gate_is_relative_to_the_riccati_scale(monkeypatch, nu_in):
         assert gd.riccati_residual(mm, sigma) > gd.dynamics.SS_RESIDUAL_TOL
     below, above = (gd.dynamics._relative_residual(mm, sigma * (1.0 + d)) for d in (1e-10, 1e-8))
     assert below < gd.dynamics.SS_RESIDUAL_TOL < above
-    expanded = gd.dynamics._expandable(mm.dd)
-    assert expanded == (nu_in == 3.0)
+    assert gd.dynamics._expandable(mm.dd) == (nu_in == 3.0)
     schur = gd.dynamics.schur
     monkeypatch.setattr(gd.dynamics, "SS_NEWTON_STEPS", 0)
-    grid = np.linspace(0.0, 1.0, 3)
     for factor, passes in ((1.0 + 1e-10, True), (1.0 + 1e-8, False)):
 
         def scaled_schur(h, factor=factor, **kwargs):
@@ -316,14 +314,9 @@ def test_residual_gate_is_relative_to_the_riccati_scale(monkeypatch, nu_in):
         monkeypatch.setattr(gd.dynamics, "schur", scaled_schur)
         if passes:
             gd.steady_state_conditional(mm)
-            if expanded:
-                gd.evolve_conditional_cm(mm, sigma, grid, sigma_inf=factor * sigma)
         else:
             with pytest.raises(ConvergenceError, match="relative residual"):
                 gd.steady_state_conditional(mm)
-            if expanded:
-                with pytest.raises(ValueError, match="relative algebraic residual"):
-                    gd.evolve_conditional_cm(mm, sigma, grid, sigma_inf=factor * sigma)
 
 
 def test_steady_state_is_the_flow_limit():
@@ -578,22 +571,32 @@ def test_non_hurwitz_drift_is_stepped(monkeypatch):
     assert np.array_equal(batch.sigma_c, flow)
 
 
-def test_supplied_steady_state_is_checked():
-    """A supplied sigma_inf is used as given, but must solve the algebraic equation and be stabilizing."""
+def test_decoupled_roots():
+    """Coupled filter data give None; decoupled data give the stabilizing root of each coordinate, not the other one.
+
+    The OPO decouples at phase 0 and pi/2 and at z_m = 1; a generic phase,
+    a phase 1e-9 off 0 and a random two-mode model couple.
+    """
     p = gd.OpoParams.from_tilde(0.7, nu_in=2.0)
-    mm = gd.monitored(gd.opo_model(p), gd.heterodyne())
-    grid = np.linspace(0.0, 3.0, 31)
-    closed = gd.opo_conditional_ss(p, gd.heterodyne())
-    flow = gd.evolve_conditional_cm(mm, 4.0 * np.eye(2), grid, sigma_inf=closed)
-    assert np.abs(flow - gd.evolve_conditional_cm(mm, 4.0 * np.eye(2), grid)).max() <= 1e-13 * np.abs(flow).max()
-    with pytest.raises(ValueError, match="algebraic residual"):
-        gd.evolve_conditional_cm(mm, 4.0 * np.eye(2), grid, sigma_inf=1.001 * closed)
-    # The other root of each decoupled quadrature solves the equation but destabilizes.
-    at, bbt, dtilde = (np.diag(x) for x in (mm.at, mm.bbt, mm.dtilde))
-    anti = np.diag((at - np.sqrt(at * at + bbt * dtilde)) / bbt)
-    assert gd.riccati_residual(mm, anti) <= 1e-12
-    with pytest.raises(ValueError, match="not stabilizing"):
-        gd.evolve_conditional_cm(mm, 4.0 * np.eye(2), grid, sigma_inf=anti)
+    rng = np.random.default_rng(61)
+    coupled = [
+        gd.monitored(gd.opo_model(p), GeneralDyneSetting(theta_m=0.7, z_m=0.3)),
+        gd.monitored(gd.opo_model(p), GeneralDyneSetting(theta_m=1e-9, z_m=0.3)),
+        gd.monitored(_random_hurwitz_model(rng, 2, driven=False), [gd.random_setting(rng) for _ in range(2)]),
+    ]
+    for mm in coupled:
+        assert gd.dynamics._decoupled_roots(mm) is None
+    for setting in (gd.homodyne(0.0), gd.homodyne(0.5 * np.pi), gd.heterodyne(), GeneralDyneSetting(nu_m=2.0, z_m=0.1)):
+        mm = gd.monitored(gd.opo_model(p), setting)
+        roots = np.diag(gd.dynamics._decoupled_roots(mm))
+        assert np.abs(roots - gd.steady_state_conditional(mm)).max() <= 1e-13 * np.abs(roots).max(), setting
+        assert gd.is_hurwitz(mm.at - roots @ mm.bbt)
+        if not setting.homodyne:
+            # Both quadratures are observed: the other root of each solves the equation but destabilizes.
+            at, bbt, dtilde = (np.diag(x) for x in (mm.at, mm.bbt, mm.dtilde))
+            anti = np.diag((at - np.sqrt(at * at + bbt * dtilde)) / bbt)
+            assert gd.riccati_residual(mm, anti) <= 1e-12
+            assert not gd.is_hurwitz(mm.at - anti @ mm.bbt)
 
 
 def test_grid_flow(monkeypatch):

@@ -430,6 +430,26 @@ def test_transient_at_nu_in_1e20_passes_the_positivity_check(tmp_path):
     assert main([*args, "--out", str(tmp_path / "t.csv")]) == 0
 
 
+@pytest.mark.parametrize(
+    "chi_tilde, nu_in",
+    [
+        ("0.9999814993294961", "10000"),
+        ("0.99999", "1e12"),
+        ("0.9999999", "1e12"),
+        ("0.999999999", "1e15"),
+        ("0.9999999937", "100"),
+    ],
+)
+def test_zsweep_guards_hold_near_threshold(tmp_path, chi_tilde, nu_in):
+    """Near threshold the z_opt and heterodyne guards compare two solves of the same filter data, so they pass.
+
+    These runs exited 3 while the closed form derived its own pointer
+    variances: the two derivations of the data differed by a rounding.
+    """
+    args = ["opo-zsweep", "--chi-tilde", chi_tilde, "--nu-in", nu_in, "--out", str(tmp_path / "z.csv")]
+    assert main(args) == 0
+
+
 def test_round_off_negative_at_huge_energy_is_clamped(capsys):
     """At chi~ = 0 the daemonic ergotropy is 0 up to round-off of about 1e-14 E, which is not an error."""
     assert main(["opo-ss", "--chi-tilde", "0", "--nu-in", "1.1e77"]) == 0

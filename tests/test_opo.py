@@ -9,7 +9,7 @@ from hypothesis import strategies as st_
 
 import gaussdaemon as gd
 from gaussdaemon import GeneralDyneSetting, NoSteadyStateError, NumericError, OpoParams
-from scalar_riccati import opo_quadrature_gains, scalar_riccati_transient
+from scalar_riccati import opo_filter_diagonals, opo_quadrature_gains, scalar_riccati_transient
 from zopt_search import opo_zopt_numeric
 
 
@@ -151,11 +151,7 @@ def test_transient_table_consistency():
 
 
 def test_transient_table_matches_daemonic_paths():
-    """Sharing one unconditional path leaves each curve equal to its own daemonic_ergotropy_path.
-
-    The table expands each conditional flow about the closed-form steady
-    state, so the path is given the same one.
-    """
+    """Sharing one unconditional path leaves each curve equal to its own daemonic_ergotropy_path."""
     for nu_in in (1.0, 3.0):
         p = OpoParams.from_tilde(0.8, nu_in=nu_in, nu_0=5.0)
         tab = gd.transient_table(p, t_max=2.0, dt=1e-2)
@@ -163,19 +159,18 @@ def test_transient_table_matches_daemonic_paths():
         for name in ("hom0", "hom90", "het"):
             setting = gd.strategy_setting(name)
             mm = gd.monitored(gd.opo_model(p), setting)
-            path = gd.daemonic_ergotropy_path(mm, state0, tab.times, sigma_inf=gd.opo_conditional_ss(p, setting))
+            path = gd.daemonic_ergotropy_path(mm, state0, tab.times)
             assert np.array_equal(getattr(tab, name), path), name
 
 
-def test_transient_table_matches_care_expansion():
-    """The closed-form steady states and the CARE solver give the same curves up to round-off.
-
-    The CARE solution is about 1e-12 off the closed form (at hom90, nu_in = 3),
-    and the flow carries that gap into the curve.
-    """
+def test_transient_table_matches_care_expansion(monkeypatch):
+    """Expanded about the Riccati solver's steady state, not the per-quadrature roots, the curves agree to round-off."""
+    tables = {}
     for nu_in in (1.0, 3.0):
+        tables[nu_in] = gd.transient_table(OpoParams.from_tilde(0.8, nu_in=nu_in, nu_0=5.0), t_max=2.0, dt=1e-2)
+    monkeypatch.setattr(gd.dynamics, "_decoupled_roots", lambda mm: None)
+    for nu_in, tab in tables.items():
         p = OpoParams.from_tilde(0.8, nu_in=nu_in, nu_0=5.0)
-        tab = gd.transient_table(p, t_max=2.0, dt=1e-2)
         for name in ("hom0", "hom90", "het"):
             mm = gd.monitored(gd.opo_model(p), gd.strategy_setting(name))
             path = gd.daemonic_ergotropy_path(mm, gd.thermal(5.0), tab.times)
@@ -208,6 +203,47 @@ def test_closed_form_matches_riccati_solver(chi_t, nu_in, log_z, nu_m, quarter, 
     assert gd.riccati_residual(gd.monitored(gd.opo_model(p), setting), closed) <= 1e-10
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    chi_t=st_.floats(0.0, 0.995, exclude_max=True),
+    log_kappa=st_.floats(math.log(0.1), math.log(10.0)),
+    log_nu=st_.floats(0.0, math.log(1e8)),
+    log_z=st_.floats(math.log(1e-12), 0.0),
+    nu_m=st_.floats(1.0, 5.0),
+    phase=st_.sampled_from([0.0, 0.5 * math.pi, "any"]),
+    theta=st_.floats(0.0, math.pi),
+    sharp=st_.booleans(),
+)
+@example(chi_t=0.5, log_kappa=0.0, log_nu=0.0, log_z=0.0, nu_m=1.0, phase="any", theta=0.4, sharp=False)
+def test_filter_data_match_pointer_variance_reference(chi_t, log_kappa, log_nu, log_z, nu_m, phase, theta, sharp):
+    """The diagonals of At, Dt and B B^T are the per-quadrature pointer-variance formulas of tests/scalar_riccati.py.
+
+    Phase 0 and pi/2 with any setting, exact homodyne included, and z_m = 1 at
+    any phase; within 1e-14 of each matrix's largest entry.  The diagonal of At
+    sums A and terms of up to kappa that cancel, so it is held to 1e-14 of the larger of |A| and |At|.
+    """
+    p = OpoParams.from_tilde(chi_t, nu_in=math.exp(log_nu), kappa=math.exp(log_kappa))
+    if phase == "any":
+        setting = GeneralDyneSetting(nu_m=nu_m, theta_m=theta)
+    else:
+        setting = GeneralDyneSetting(nu_m=nu_m, theta_m=phase, z_m=min(math.exp(log_z), 1.0), homodyne=sharp)
+    mm = gd.monitored(gd.opo_model(p), setting)
+    reference = np.array(opo_filter_diagonals(p.chi_tilde, p.nu_in, setting, kappa=p.kappa)).T
+    scales = (max(np.abs(mm.dd.a).max(), np.abs(reference[0]).max()), *np.abs(reference[1:]).max(axis=1))
+    for name, got, want, scale in zip(("At", "Dt", "B B^T"), (mm.at, mm.dtilde, mm.bbt), reference, scales):
+        assert np.abs(np.diag(got) - want).max() <= 1e-14 * scale, (name, np.diag(got), want)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(log_gap=st_.floats(-10.0, -1.0), log_nu=st_.floats(0.0, 15.0))
+@example(log_gap=math.log10(1.0 - 0.9999814993294961), log_nu=4.0)
+def test_zsweep_near_threshold_never_raises(log_gap, log_nu):
+    """The sweep's guards hold up to 1e-10 from threshold and nu_in up to 1e15 (chi~ = 1 - 10^log_gap)."""
+    p = OpoParams.from_tilde(1.0 - 10.0**log_gap, nu_in=10.0**log_nu)
+    data = gd.zsweep_table(p, z_grid=np.logspace(-6, 0, 7))
+    assert np.isfinite(data.table).all() and np.isfinite(data.z_opt_value) and np.isfinite(data.het_value)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(chi_t=st_.floats(0.01, 0.995, exclude_max=True), nu_in=st_.floats(1.01, 10.0))
 def test_zopt_is_stationary(chi_t, nu_in):
@@ -227,7 +263,7 @@ def test_zopt_is_stationary(chi_t, nu_in):
 
 
 def test_diagonal_phase_detected_modulo_pi():
-    """Phases within _THETA_TOL below pi reach the closed form of phase 0 (settings store theta mod pi)."""
+    """Phases 1e-15 below pi reach the closed form of phase 0 (settings store theta mod pi)."""
     p = OpoParams.from_tilde(0.7, nu_in=2.5)
     assert gd.homodyne(-1e-15).theta_m > 3.0
     assert np.array_equal(gd.opo_conditional_ss(p, gd.homodyne(-1e-15)), gd.opo_conditional_ss(p, gd.homodyne(0.0)))
@@ -243,15 +279,15 @@ def test_diagonal_phase_detected_modulo_pi():
 
 
 def test_zsweep_guard_compares_with_riccati_solver(monkeypatch):
-    """zsweep_table checks the conditional determinants behind its z_opt and heterodyne values against the CARE."""
+    """zsweep_table checks the determinants behind its z_opt and heterodyne values against the Riccati solver."""
     calls = []
 
-    def perturbed(params, setting):
-        calls.append(setting)
-        return _riccati_solver_ss(params, setting) * (1.0 + 1e-6)
+    def perturbed(mm):
+        calls.append(mm.settings[0])
+        return gd.steady_state_conditional(mm) * (1.0 + 1e-6)
 
     p = OpoParams.from_tilde(0.9, nu_in=2.0)
-    monkeypatch.setattr(gd.opo, "_riccati_ss", perturbed)
+    monkeypatch.setattr(gd.opo, "steady_state_conditional", perturbed)
     message = r"at GeneralDyneSetting\(.*z_m=.*\): closed form .* and independent route .* disagree"
     with pytest.raises(NumericError, match=message):
         gd.zsweep_table(p, z_grid=np.logspace(-3, 0, 5))

@@ -341,14 +341,6 @@ def unconditional_ergotropy_a(state: GaussianState) -> float:
     return _single_mode_ergotropy(0.5 * (m0 * m0 + m1 * m1) + 0.25 * (s00 + s11), det, "unconditional ergotropy")
 
 
-def _setting_for(theta: float, z_m: float) -> GeneralDyneSetting:
-    if z_m == 1.0:
-        return heterodyne()
-    if z_m == 0.0:
-        return homodyne(theta)
-    return GeneralDyneSetting(nu_m=1.0, theta_m=theta, z_m=z_m)
-
-
 def _pair(mean_a) -> tuple[float, float]:
     m0, m1 = np.asarray(mean_a, dtype=float).reshape(2).tolist()
     return m0, m1
@@ -367,8 +359,20 @@ def _closed_form(sf: TwoModeStandardForm, mean_a, setting: GeneralDyneSetting) -
     det_c = conditional_determinant(sf, setting.theta_m, setting.z_m)
     value = _single_mode_ergotropy(_energy_a(sf, m0, m1), det_c, "daemonic ergotropy")
     pipeline = _pipeline(sf.cm, m0, m1, setting)[0]
-    _cross_check(value, pipeline, f"daemonic ergotropy at theta={setting.theta_m}, z_m={setting.z_m}")
-    return DaemonicResult(value=value, setting=setting, conditional_purity=1.0 / math.sqrt(det_c)), pipeline
+    purity = 1.0 / math.sqrt(det_c)
+    what = f"daemonic ergotropy at theta={setting.theta_m}, z_m={setting.z_m}"
+    _cross_check(value, pipeline, what, _cancelled(sf, purity))
+    return DaemonicResult(value=value, setting=setting, conditional_purity=purity), pipeline
+
+
+def _cancelled(sf: TwoModeStandardForm, conditional_purity: float) -> float:
+    """max(a^2 z_A, b^2, c_+^2) / sqrt(det sigma_A^c): the size of what cancels in a daemonic value of the form.
+
+    Both routes build det sigma_A^c from products as large as
+    max(a^2 z_A, b^2, c_+^2), which cancel down to it (to 1 at pure states),
+    so E - sqrt(det sigma_A^c) / 2 carries about eps times the returned size.
+    """
+    return max(sf.a * sf.a * sf.z_a, sf.b * sf.b, sf.c_plus * sf.c_plus) * conditional_purity
 
 
 def daemonic_heterodyne(sf: TwoModeStandardForm, mean_a=(0.0, 0.0)) -> DaemonicResult:
@@ -441,7 +445,8 @@ def max_daemonic(sf: TwoModeStandardForm, mean_a=(0.0, 0.0)) -> DaemonicResult:
             z_m, value = z_int, v_int
     if value_at(0.0) > value:
         z_m = 0.0
-    return _closed_form(sf, mean_a, _setting_for(theta, z_m))[0]
+    # heterodyne is phase-free and reported at theta = 0
+    return _closed_form(sf, mean_a, GeneralDyneSetting(nu_m=1.0, theta_m=theta if z_m < 1.0 else 0.0, z_m=z_m))[0]
 
 
 def tmsts(n_th: float, r: float) -> GaussianState:

@@ -69,7 +69,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, schur, solve_continuous_lyapunov
+from scipy.linalg import expm, schur
 
 from .ergotropy import clamp_ergotropy
 from .exceptions import ConvergenceError, NoSteadyStateError, NumericError, SymmetryError
@@ -85,7 +85,7 @@ from .symplectic import (
     williamson_single_mode,
 )
 
-# Gate on the Riccati residual of a conditional steady state relative to its largest term (_relative_residual).
+# Gate on the residual of a steady state (Lyapunov or Riccati) relative to its largest term (_relative_residual).
 SS_RESIDUAL_TOL = 1e-9
 # A Schur solution whose relative residual exceeds this is refined by
 # Newton-Kleinman steps; a correctly rounded solution sits near 1e-14.
@@ -203,15 +203,21 @@ def is_hurwitz(a: np.ndarray) -> bool:
     return bool(np.linalg.eigvals(a).real.max() < -TOL_HURWITZ)
 
 
+def _lyapunov(a, q) -> np.ndarray:
+    """X with A X + X A^T + Q = 0: one small dense solve of (A kron I + I kron A) vec X = -vec Q (row-major vec)."""
+    eye = np.eye(a.shape[0])
+    return np.linalg.solve(np.kron(a, eye) + np.kron(eye, a), -q.ravel()).reshape(q.shape)
+
+
 def steady_state_unconditional(dd: DriftDiffusion) -> GaussianState:
-    """Steady state of the unconditional dynamics (Lyapunov equation + linear solve)."""
+    """Steady state of the unconditional dynamics (Lyapunov equation, gated by _relative_residual, + linear solve)."""
     if not is_hurwitz(dd.a):
         raise NoSteadyStateError("drift matrix is not Hurwitz; the unconditional dynamics has no steady state")
-    sigma = solve_continuous_lyapunov(dd.a, -dd.d)
+    sigma = _lyapunov(dd.a, dd.d)
     sigma = 0.5 * (sigma + sigma.T)
-    res = np.abs(dd.a @ sigma + sigma @ dd.a.T + dd.d).max()
-    if res > 1e-10:
-        raise NumericError(f"Lyapunov solve left residual {res:.3e} > 1e-10")
+    rel = _relative_residual(dd.a, dd.d, np.zeros_like(dd.a), sigma)
+    if rel > SS_RESIDUAL_TOL:
+        raise NumericError(f"Lyapunov solve left relative residual {rel:.3e} > {SS_RESIDUAL_TOL:.1e}")
     mean = np.linalg.solve(dd.a, -dd.drive)
     return GaussianState(mean, sigma)
 
@@ -369,10 +375,8 @@ def _expand_about(a, r, sigma_inf, sigma0, t_grid) -> np.ndarray:
     f = a - sigma_inf @ r
     exps, _ = _grid_flow(f, t_grid)
     exps_t = np.swapaxes(exps, 1, 2)
-    # F^T W + W F = -R in row-major vec form; one small dense solve.
-    eye = np.eye(f.shape[0])
-    w_inf = np.linalg.solve(np.kron(f.T, eye) + np.kron(eye, f.T), -r.ravel()).reshape(r.shape)
-    delta0 = sigma0 - sigma_inf
+    w_inf = _lyapunov(f.T, r)  # F^T W + W F + R = 0
+    eye, delta0 = np.eye(f.shape[0]), sigma0 - sigma_inf
     core = np.linalg.solve(eye + delta0 @ (w_inf - exps_t @ w_inf @ exps), delta0)
     out = sigma_inf + exps @ core @ exps_t
     return 0.5 * (out + np.swapaxes(out, 1, 2))
@@ -471,13 +475,14 @@ def riccati_residual(mm: MonitoredModel, sigma: np.ndarray) -> float:
     return float(np.abs(mm.at @ sigma + sigma @ mm.at.T + mm.dtilde - sigma @ mm.bbt @ sigma).max())
 
 
-def _relative_residual(mm: MonitoredModel, sigma: np.ndarray) -> float:
-    """riccati_residual at sigma over the largest max-norm of its terms Dt, At sigma and sigma B B^T sigma.
+def _relative_residual(a, q, r, sigma: np.ndarray) -> float:
+    """Max-norm residual of A s + s A^T + Q - s R s at sigma over the largest max-norm of its terms Q, A s and s R s.
 
     That scale is positive for a Hurwitz drift; a correctly rounded sigma leaves about 1e-14.
     """
-    terms = (mm.dtilde, mm.at @ sigma, sigma @ mm.bbt @ sigma)
-    return riccati_residual(mm, sigma) / max(float(np.abs(x).max()) for x in terms)
+    a_s, s_r_s = a @ sigma, sigma @ r @ sigma
+    residual = float(np.abs(a_s + sigma @ a.T + q - s_r_s).max())
+    return residual / max(float(np.abs(x).max()) for x in (q, a_s, s_r_s))
 
 
 def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
@@ -505,13 +510,13 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
             raise np.linalg.LinAlgError(f"the Riccati Hamiltonian has {sdim} stable eigenvalues, expected {dim}")
         sigma = c * np.linalg.solve(z[:dim, :dim].T, z[dim:, :dim].T)
         sigma = 0.5 * (sigma + sigma.T)
-        rel = _relative_residual(mm, sigma)
+        rel = _relative_residual(at, dtilde, bbt, sigma)
         for _ in range(SS_NEWTON_STEPS):
             if rel <= SS_REFINE_RTOL:
                 break
-            sigma = solve_continuous_lyapunov(at - sigma @ bbt, -(dtilde + sigma @ bbt @ sigma))
+            sigma = _lyapunov(at - sigma @ bbt, dtilde + sigma @ bbt @ sigma)
             sigma = 0.5 * (sigma + sigma.T)
-            rel = _relative_residual(mm, sigma)
+            rel = _relative_residual(at, dtilde, bbt, sigma)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"algebraic Riccati solve failed: {exc}") from exc
     if not is_hurwitz(at - sigma @ bbt):

@@ -65,13 +65,15 @@ def _single_mode_ergotropy(energy: float, det: float, what: str = "ergotropy") -
     return clamp_ergotropy(energy - 0.5 * math.sqrt(det), what, energy)
 
 
-def _cross_check(closed: float, independent: float, what: str) -> None:
+def _cross_check(closed: float, independent: float, what: str, cancelled: float = 0.0) -> None:
     """Raise NumericError if a closed form and its independent route differ beyond round-off.
 
-    The allowed gap is max(_CROSS_CHECK_TOL, _CROSS_CHECK_RTOL max(|closed|, |independent|)),
-    so the check keeps its meaning for large but valid values.
+    The allowed gap is max(_CROSS_CHECK_TOL, _CROSS_CHECK_RTOL max(|closed|, |independent|, cancelled)),
+    so the check keeps its meaning for large but valid values.  ``cancelled``
+    is the size of the terms that cancel down to the values, where the
+    routes form them by cancellation: their round-off is what the routes carry.
     """
-    scale = max(abs(closed), abs(independent))
+    scale = max(abs(closed), abs(independent), cancelled)
     if abs(closed - independent) > max(_CROSS_CHECK_TOL, _CROSS_CHECK_RTOL * scale):
         raise NumericError(f"{what}: closed form {closed!r} and independent route {independent!r} disagree")
 

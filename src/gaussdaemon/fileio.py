@@ -6,7 +6,8 @@ Lines starting with ``#`` and blank lines are ignored.
 
 Model file: sections ``[H_S]``, ``[C]``, ``[sigma_in]``, ``[mean_in]`` with
 whitespace-separated matrix rows, plus an optional ``[measurement]`` section
-with ``key = value`` entries (keys nu_m, theta_m, z_m, homodyne).
+with ``key = value`` entries (keys nu_m, theta_m, z_m, homodyne): z_m in
+[0, 1] with 0 for homodyne, and ``homodyne = true`` is shorthand for z_m = 0.
 
 CSV output: optional ``#`` comment header lines, one header row, then data
 rows with 12 significant digits -- byte-identical for identical inputs.
@@ -18,7 +19,7 @@ import numpy as np
 
 from .dynamics import DiffusiveModel
 from .exceptions import ParseError
-from .measurement import GeneralDyneSetting, homodyne
+from .measurement import GeneralDyneSetting
 from .symplectic import GaussianState, validate_state
 
 
@@ -125,11 +126,8 @@ def read_model(path: str) -> tuple[DiffusiveModel, GeneralDyneSetting | None]:
     flag = keys.get("homodyne", "false").lower()
     if flag not in ("true", "false", "1", "0"):
         raise ParseError(f"{path}: measurement key homodyne must be boolean, got {keys['homodyne']!r}")
-    if flag in ("true", "1"):
-        setting = homodyne(num("theta_m", 0.0))
-    else:
-        setting = GeneralDyneSetting(nu_m=num("nu_m", 1.0), theta_m=num("theta_m", 0.0), z_m=num("z_m", 1.0))
-    return model, setting
+    z_m = 0.0 if flag in ("true", "1") else num("z_m", 1.0)
+    return model, GeneralDyneSetting(nu_m=num("nu_m", 1.0), theta_m=num("theta_m", 0.0), z_m=z_m)
 
 
 def write_csv(path: str, columns, rows, comments=()) -> None:

@@ -5,10 +5,10 @@ matrix of the (generally noisy) pure-state pointer,
 
     sigma_m = nu_m R_theta diag(z_m, 1/z_m) R_theta^T,
 
-with nu_m = 1 for an efficient measurement.  z_m = 1 is heterodyne; the
-homodyne limit z_m -> 0 measures the quadrature u = R_theta (1, 0)^T with
-infinite precision.  Homodyne is the exact w = z_m / nu_m = 0 member of the
-pointer-frame formulas, never a tiny z_m plugged in.
+with nu_m = 1 for an efficient measurement.  z_m = 1 is heterodyne; z_m = 0 is
+homodyne, which measures the quadrature u = R_theta (1, 0)^T with infinite
+precision.  It is the exact w = z_m / nu_m = 0 member of the pointer-frame
+formulas, never a tiny z_m plugged in.
 
 Measuring subsystem B of a bipartite state with outcome r_m updates subsystem
 A according to
@@ -53,33 +53,32 @@ class GeneralDyneSetting:
         Measurement phase.  The pointer covariance is pi-periodic in the
         phase, so it is stored reduced to [0, pi).
     z_m : float
-        Pointer squeezing in (0, 1].  Values above 1 describe no new
-        measurements (they are equivalent under theta_m -> theta_m + pi/2)
-        and are rejected.  Ignored when ``homodyne`` is set.
-    homodyne : bool
-        Exact z_m -> 0 limit: sharp measurement of the u = R_theta (1,0)^T
-        quadrature.
+        Pointer squeezing in [0, 1].  z_m = 0 is homodyne, the exact limit
+        that measures the u = R_theta (1,0)^T quadrature sharply (nu_m then
+        drops out).  Values above 1 describe no new measurements (they are
+        equivalent under theta_m -> theta_m + pi/2) and are rejected.
     """
 
     nu_m: float = 1.0
     theta_m: float = 0.0
     z_m: float = 1.0
-    homodyne: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.nu_m) and math.isfinite(self.theta_m)):
             raise ValueError(f"nu_m and theta_m must be finite, got nu_m = {self.nu_m}, theta_m = {self.theta_m}")
         if self.nu_m < 1.0:
             raise ValueError(f"measurement noise must satisfy nu_m >= 1, got {self.nu_m}")
-        if not self.homodyne:
-            if not 0.0 < self.z_m <= 1.0:
-                raise ValueError(
-                    f"z_m must lie in (0, 1], got {self.z_m}; z_m > 1 is equivalent to "
-                    "1/z_m with the phase shifted by pi/2"
-                )
-        else:
-            object.__setattr__(self, "z_m", 0.0)
+        if not 0.0 <= self.z_m <= 1.0:
+            raise ValueError(
+                f"z_m must lie in [0, 1] (0 = homodyne), got {self.z_m}; z_m > 1 is equivalent to "
+                "1/z_m with the phase shifted by pi/2"
+            )
         object.__setattr__(self, "theta_m", float(self.theta_m) % math.pi)
+
+    @property
+    def homodyne(self) -> bool:
+        """Whether this is the homodyne limit z_m = 0."""
+        return self.z_m == 0.0
 
 
 def heterodyne() -> GeneralDyneSetting:
@@ -89,7 +88,7 @@ def heterodyne() -> GeneralDyneSetting:
 
 def homodyne(theta_m: float = 0.0) -> GeneralDyneSetting:
     """Efficient homodyne detection of the quadrature at phase theta_m."""
-    return GeneralDyneSetting(nu_m=1.0, theta_m=theta_m, homodyne=True)
+    return GeneralDyneSetting(nu_m=1.0, theta_m=theta_m, z_m=0.0)
 
 
 def measurement_cm(setting: GeneralDyneSetting) -> np.ndarray:

@@ -122,8 +122,6 @@ def strategy_setting(name: str, z_m: float | None = None, theta_m: float = 0.0) 
     if name == "gendyne":
         if z_m is None:
             raise ValueError("strategy 'gendyne' requires z_m")
-        if z_m == 0.0:
-            return homodyne(theta_m)
         return GeneralDyneSetting(nu_m=1.0, theta_m=theta_m, z_m=z_m)
     raise ValueError(f"unknown strategy {name!r}; expected hom0, hom90, het or gendyne")
 

@@ -120,6 +120,46 @@ def test_unconditional_steady_state_by_integration():
         gd.steady_state_unconditional(gd.DriftDiffusion(np.eye(2), np.eye(2), np.zeros(2)))
 
 
+def test_unconditional_steady_state_at_large_noise():
+    """The Lyapunov residual is gated relative to its largest term, so large but valid noise solves.
+
+    The OPO at chi~ = 0.3, nu_in = 1e8 matches its closed form, and random
+    models at nu_in = 1e7 match scipy's Bartels-Stewart solve.  An absolute
+    gate of 1e-10 rejected all six (residuals 5e-9 to 3e-7).
+    """
+    p = gd.OpoParams.from_tilde(0.3, nu_in=1e8)
+    ref = gd.opo_unconditional_ss(p).cm
+    assert np.abs(gd.steady_state_unconditional(gd.drift_diffusion(gd.opo_model(p))).cm - ref).max() <= 1e-15 * 1e8
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        dd = gd.drift_diffusion(gd.random_stable_model(rng, nu_in=1e7))
+        ref = solve_continuous_lyapunov(dd.a, -dd.d)
+        assert np.abs(gd.steady_state_unconditional(dd).cm - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(seed=st_.integers(0, 2**32 - 1), log_nu=st_.floats(0.0, math.log(1e9)))
+def test_unconditional_steady_state_matches_scipy(seed, log_nu):
+    """The Kronecker Lyapunov solve agrees with scipy's within 1e-12 relative for nu_in up to 1e9."""
+    dd = gd.drift_diffusion(gd.random_stable_model(np.random.default_rng(seed), nu_in=math.exp(log_nu)))
+    ref = solve_continuous_lyapunov(dd.a, -dd.d)
+    assert np.abs(gd.steady_state_unconditional(dd).cm - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("nu_in", [1.0, 1e8])
+def test_unconditional_residual_gate_is_relative(monkeypatch, nu_in):
+    """A Lyapunov solution 1e-8 off (relative) fails the gate at any noise scale; one 1e-12 off passes."""
+    dd = gd.drift_diffusion(gd.opo_model(gd.OpoParams.from_tilde(0.3, nu_in=nu_in)))
+    lyapunov = gd.dynamics._lyapunov
+    for factor, passes in ((1.0 + 1e-12, True), (1.0 + 1e-8, False)):
+        monkeypatch.setattr(gd.dynamics, "_lyapunov", lambda a, q, factor=factor: lyapunov(a, q) * factor)
+        if passes:
+            gd.steady_state_unconditional(dd)
+        else:
+            with pytest.raises(gd.NumericError, match="relative residual"):
+                gd.steady_state_unconditional(dd)
+
+
 def test_conditional_steady_state_against_care():
     """The Hamiltonian Schur solution agrees with scipy's CARE solver on random one-mode models."""
     rng = np.random.default_rng(71)
@@ -161,7 +201,7 @@ def test_opo_steady_state_matches_care_oracle(chi_t, nu_in, theta, quarter, log_
     """
     p = gd.OpoParams.from_tilde(chi_t, nu_in=nu_in)
     phase = theta + 0.5 * math.pi * quarter
-    setting = GeneralDyneSetting(nu_m=nu_m, theta_m=phase, z_m=min(math.exp(log_z), 1.0), homodyne=sharp)
+    setting = GeneralDyneSetting(nu_m=nu_m, theta_m=phase, z_m=0.0 if sharp else min(math.exp(log_z), 1.0))
     _assert_matches_care_oracle(gd.monitored(gd.opo_model(p), setting))
 
 
@@ -238,15 +278,15 @@ def test_wrong_stable_subspace_dimension_is_a_numeric_error(monkeypatch):
 
 
 def _count_lyapunov_calls(monkeypatch) -> list:
-    """Route the Newton-Kleinman step's Lyapunov solver through a call log."""
+    """Route the Newton-Kleinman step's Lyapunov solver (dynamics._lyapunov) through a call log."""
     calls = []
-    lyapunov = gd.dynamics.solve_continuous_lyapunov
+    lyapunov = gd.dynamics._lyapunov
 
     def counted(*args, **kwargs):
         calls.append(args)
         return lyapunov(*args, **kwargs)
 
-    monkeypatch.setattr(gd.dynamics, "solve_continuous_lyapunov", counted)
+    monkeypatch.setattr(gd.dynamics, "_lyapunov", counted)
     return calls
 
 
@@ -287,18 +327,18 @@ def test_perturbed_schur_solution_is_refined(monkeypatch):
 def test_residual_gate_is_relative_to_the_riccati_scale(monkeypatch, nu_in):
     """The residual gate compares the residual with the largest Riccati term, and holds on both sides.
 
-    At nu_in = 1e8 the steady state's absolute residual (about 6e-8) is far
-    above SS_RESIDUAL_TOL, but only about 2e-16 of the scale, so it passes.
     Scaling the solution by 1 + 1e-10 and by 1 + 1e-8 leaves relative
     residuals on either side of the gate: steady_state_conditional (Newton
-    steps off) passes the first and fails the second.
+    steps off) passes the first and fails the second.  At nu_in = 1e8 the
+    first one's absolute residual (about 3e-2) is far above SS_RESIDUAL_TOL,
+    but only about 1e-10 of the scale, so it passes.
     """
     model = gd.opo_model(gd.OpoParams.from_tilde(0.6, nu_in=nu_in))
     mm = gd.monitored(model, GeneralDyneSetting(theta_m=0.7, z_m=0.3))
     sigma = gd.steady_state_conditional(mm)
     if nu_in > 1e6:
-        assert gd.riccati_residual(mm, sigma) > gd.dynamics.SS_RESIDUAL_TOL
-    below, above = (gd.dynamics._relative_residual(mm, sigma * (1.0 + d)) for d in (1e-10, 1e-8))
+        assert gd.riccati_residual(mm, sigma * (1.0 + 1e-10)) > gd.dynamics.SS_RESIDUAL_TOL
+    below, above = (gd.dynamics._relative_residual(mm.at, mm.dtilde, mm.bbt, sigma * (1.0 + d)) for d in (1e-10, 1e-8))
     assert below < gd.dynamics.SS_RESIDUAL_TOL < above
     assert gd.dynamics._expandable(mm.dd) == (nu_in == 3.0)
     schur = gd.dynamics.schur

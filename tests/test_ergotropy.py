@@ -85,6 +85,18 @@ def test_extraction_unitary_reaches_passive_state():
         gd.extraction_unitary(gd.vacuum(2))
 
 
+def test_cross_check_gate_covers_cancelled_terms():
+    """Given terms of size C that cancel down to the values, the gate is 1e-12 C where that is the largest scale."""
+    from gaussdaemon.ergotropy import _cross_check
+
+    _cross_check(1.0, 1.0 + 0.9e-3, "x", 1e9)
+    with pytest.raises(gd.NumericError, match="disagree"):
+        _cross_check(1.0, 1.0 + 1.1e-3, "x", 1e9)
+    _cross_check(1e9, 1e9 * (1.0 + 0.9e-12), "x", 1.0)
+    with pytest.raises(gd.NumericError, match="disagree"):
+        _cross_check(1e9, 1e9 * (1.0 + 1.1e-12), "x", 1.0)
+
+
 def test_cross_check_gate_is_absolute_then_relative():
     """Gaps above 1e-9 fail up to magnitudes of 1e3; above that the gate is 1e-12 of the larger value."""
     from gaussdaemon.ergotropy import _cross_check

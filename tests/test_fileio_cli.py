@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import gaussdaemon as gd
 from gaussdaemon import ParseError
 from gaussdaemon.bipartite import _LOG_MAX_CM_ENTRY
-from gaussdaemon.cli import main
+from gaussdaemon.cli import _describe, main
 from scalar_riccati import opo_quadrature_gains, scalar_riccati_transient
 from standard_form_reference import degenerate_states
 
@@ -94,6 +94,21 @@ class TestModelFiles:
         assert model.n == 1 and model.m == 1
         assert np.allclose(model.sigma_in, 3.0 * np.eye(2))
         assert setting.homodyne and setting.theta_m == pytest.approx(np.pi / 2)
+
+    def test_homodyne_key_is_z_m_zero(self, tmp_path):
+        """homodyne = true and z_m = 0 give the same setting, homodyne(theta_m), described as before."""
+        path = tmp_path / "model.txt"
+        path.write_text(MODEL_OPO)
+        _, flagged = gd.read_model(str(path))
+        path.write_text(MODEL_OPO.replace("homodyne = true", "z_m = 0"))
+        _, zero = gd.read_model(str(path))
+        assert flagged == zero == gd.homodyne(np.pi / 2)
+        assert (flagged.nu_m, flagged.theta_m, flagged.z_m) == (1.0, np.pi / 2, 0.0)
+        assert _describe(zero) == "homodyne theta_m=1.57079632679"
+        assert main(["validate", "--model", str(path)]) == 0
+        path.write_text(MODEL_OPO.replace("homodyne = true", "z_m = -0.1"))
+        with pytest.raises(ValueError, match=r"z_m must lie in \[0, 1\] \(0 = homodyne\)"):
+            gd.read_model(str(path))
 
     def test_measurement_optional(self, tmp_path):
         """Without [measurement] the setting comes back as None."""
@@ -363,6 +378,57 @@ def test_tmsts_large_values_pass_the_cross_check(n_th, capsys):
     """Closed forms and pipeline agree to round-off at any magnitude, so large valid inputs exit 0."""
     assert main(["tmsts-sweep", "--N", n_th, "--r", "1"]) == 0
     assert "disagree" not in capsys.readouterr().err
+
+
+def _write_state(path: Path, state: gd.GaussianState) -> str:
+    text = "2\n" + " ".join(map(repr, state.mean.tolist())) + "\n"
+    path.write_text(text + "".join(" ".join(map(repr, row)) + "\n" for row in state.cm.tolist()))
+    return str(path)
+
+
+def test_pure_tmsts_files_pass_the_cross_checks(tmp_path, capsys):
+    """daemonic exits 0 on every readable pure TMSTS file with r in 4.5, 4.6, ..., 8.2 (36 of the 38).
+
+    det sigma_A^c ~ 1 cancels from terms of size cosh^2 2r in both routes,
+    so the cross-check allows 1e-12 of those terms over sqrt(det sigma_A^c).
+    An allowance of 1e-12 of the values alone failed 28 of the 36 files.
+    """
+    readable = 0
+    for r in np.arange(45, 83) / 10.0:
+        state = gd.tmsts(0.0, float(r))
+        try:
+            gd.validate_state(state.mean, state.cm)
+        except gd.GaussDaemonError:
+            continue
+        readable += 1
+        assert main(["daemonic", "--state", _write_state(tmp_path / "state.txt", state)]) == 0, r
+        assert capsys.readouterr().err == ""
+    assert readable == 36
+
+
+@pytest.mark.parametrize("r", ["6", "7"])
+def test_pure_tmsts_sweep_passes_the_cross_checks(r, capsys):
+    """tmsts-sweep's own homodyne comparison allows the same cancelled terms (both exited 3)."""
+    assert main(["tmsts-sweep", "--N", "0", "--r", r]) == 0
+    assert "disagree" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_th, r", [(1.0, 0.5), (0.0, 4.5), (0.0, 5.0), (1e3, 1.0)])
+def test_pipeline_off_by_1e_7_exits_3(n_th, r, tmp_path, capsys, monkeypatch):
+    """A pipeline value 1e-7 off (relative) still fails daemonic's cross-check where that is above round-off.
+
+    For pure TMSTS the allowance, 1e-12 cosh^2 2r, passes 1e-7 of the value
+    cosh(2r) / 2 from r ~ 5.4 on, where the closed form's own error is eps cosh^2 2r.
+    """
+    pipeline = gd.bipartite._pipeline
+
+    def perturbed(*args):
+        value, det_c = pipeline(*args)
+        return value * (1.0 + 1e-7), det_c
+
+    monkeypatch.setattr(gd.bipartite, "_pipeline", perturbed)
+    assert main(["daemonic", "--state", _write_state(tmp_path / "state.txt", gd.tmsts(n_th, r))]) == 3
+    assert "disagree" in capsys.readouterr().err
 
 
 def test_validate_rejects_non_positive_case_count(capsys):

@@ -1,5 +1,6 @@
 """Unit tests for general-dyne measurements and Gaussian conditioning."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,17 +15,46 @@ PART = Partition((0,), (1,))
 
 
 def test_setting_validation():
-    """nu_m >= 1 and z_m in (0, 1] are enforced; phases are reduced mod pi."""
+    """nu_m >= 1 and z_m in [0, 1] are enforced, z_m = 0 being homodyne; phases are reduced mod pi."""
     with pytest.raises(ValueError, match="nu_m >= 1"):
         GeneralDyneSetting(nu_m=0.5)
-    with pytest.raises(ValueError, match=r"z_m must lie in \(0, 1\]"):
+    with pytest.raises(ValueError, match=r"z_m must lie in \[0, 1\] \(0 = homodyne\)"):
         GeneralDyneSetting(z_m=1.5)
-    with pytest.raises(ValueError, match=r"z_m must lie in \(0, 1\]"):
-        GeneralDyneSetting(z_m=0.0)
+    assert GeneralDyneSetting(z_m=0.0).homodyne
     s = GeneralDyneSetting(theta_m=np.pi + 0.3)
     assert s.theta_m == pytest.approx(0.3)
     h = gd.homodyne(0.4)
     assert h.homodyne and h.z_m == 0.0
+
+
+def test_setting_fields_are_nu_m_theta_m_z_m():
+    """z_m alone says what a setting measures: there is no separate homodyne field."""
+    assert [f.name for f in dataclasses.fields(GeneralDyneSetting)] == ["nu_m", "theta_m", "z_m"]
+    with pytest.raises(TypeError):
+        GeneralDyneSetting(theta_m=0.3, **{"homodyne": True})
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.4, 0.5 * np.pi, np.pi + 0.2, -1.0])
+def test_homodyne_is_z_m_zero(theta):
+    """homodyne(theta) is the z_m = 0 setting at that phase, and .homodyne reads z_m == 0."""
+    setting = GeneralDyneSetting(theta_m=theta, z_m=0.0)
+    assert setting == gd.homodyne(theta)
+    assert setting.homodyne and gd.homodyne(theta).homodyne
+    assert not GeneralDyneSetting(theta_m=theta, z_m=1e-300).homodyne
+    assert not gd.heterodyne().homodyne
+    noisy = GeneralDyneSetting(nu_m=3.0, theta_m=theta, z_m=0.0)
+    assert noisy.homodyne and noisy.nu_m == 3.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setting.z_m = 0.5
+    with pytest.raises(AttributeError):
+        setting.homodyne = False
+
+
+@pytest.mark.parametrize("z_m", [-1e-300, -0.5, 1.0 + 1e-15, 2.0, np.nan])
+def test_z_m_outside_the_unit_interval_is_rejected(z_m):
+    """z_m < 0, z_m > 1 and NaN are no measurement."""
+    with pytest.raises(ValueError, match=r"z_m must lie in \[0, 1\] \(0 = homodyne\)"):
+        GeneralDyneSetting(z_m=z_m)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -239,7 +269,7 @@ def test_inverse_sum_is_one_formula(seed, theta, log_z, nu_m):
     assert np.abs(gd.inverse_sum(sb, setting) - direct).max() <= 1e-12 * np.abs(direct).max()
     u = gd.measured_quadrature(gd.homodyne(theta))
     limit = np.outer(u, u) / (u @ sb @ u)
-    hom = gd.inverse_sum(sb, GeneralDyneSetting(nu_m=nu_m, theta_m=theta, homodyne=True))
+    hom = gd.inverse_sum(sb, GeneralDyneSetting(nu_m=nu_m, theta_m=theta, z_m=0.0))
     assert np.abs(hom - limit).max() <= 1e-14 * np.abs(limit).max()
 
 
@@ -266,7 +296,7 @@ def test_daemonic_pipeline_matches_condition(seed, theta, log_z, nu_m, sharp):
     taken here from numpy, so the test pins the Schur complement both share.
     """
     state = gd.random_two_mode_state(np.random.default_rng(seed))
-    setting = GeneralDyneSetting(nu_m=nu_m, theta_m=theta, z_m=10.0**log_z, homodyne=sharp)
+    setting = GeneralDyneSetting(nu_m=nu_m, theta_m=theta, z_m=0.0 if sharp else 10.0**log_z)
     energy = 0.5 * float(state.mean[:2] @ state.mean[:2]) + 0.25 * float(np.trace(state.cm[:2, :2]))
     det = float(np.linalg.det(gd.condition(state, PART, setting, np.zeros(2)).cm))
     result = gd.daemonic_ergotropy(state, setting)

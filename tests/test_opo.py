@@ -195,7 +195,7 @@ def test_closed_form_matches_riccati_solver(chi_t, nu_in, log_z, nu_m, quarter, 
     """At phase 0 and pi/2 the per-quadrature root is the Riccati solver's steady state, for every setting."""
     p = OpoParams.from_tilde(chi_t, nu_in=nu_in)
     theta = 0.5 * math.pi * quarter
-    setting = GeneralDyneSetting(nu_m=nu_m, theta_m=theta, z_m=min(math.exp(log_z), 1.0), homodyne=sharp)
+    setting = GeneralDyneSetting(nu_m=nu_m, theta_m=theta, z_m=0.0 if sharp else min(math.exp(log_z), 1.0))
     closed = gd.opo_conditional_ss(p, setting)
     reference = _riccati_solver_ss(p, setting)
     assert closed[0, 1] == closed[1, 0] == 0.0
@@ -226,7 +226,7 @@ def test_filter_data_match_pointer_variance_reference(chi_t, log_kappa, log_nu, 
     if phase == "any":
         setting = GeneralDyneSetting(nu_m=nu_m, theta_m=theta)
     else:
-        setting = GeneralDyneSetting(nu_m=nu_m, theta_m=phase, z_m=min(math.exp(log_z), 1.0), homodyne=sharp)
+        setting = GeneralDyneSetting(nu_m=nu_m, theta_m=phase, z_m=0.0 if sharp else min(math.exp(log_z), 1.0))
     mm = gd.monitored(gd.opo_model(p), setting)
     reference = np.array(opo_filter_diagonals(p.chi_tilde, p.nu_in, setting, kappa=p.kappa)).T
     scales = (max(np.abs(mm.dd.a).max(), np.abs(reference[0]).max()), *np.abs(reference[1:]).max(axis=1))

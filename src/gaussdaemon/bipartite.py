@@ -56,10 +56,9 @@ import numpy as np
 from .ergotropy import _cross_check, _single_mode_ergotropy
 from .exceptions import NumericError, UnphysicalStateError
 from .measurement import GeneralDyneSetting, _pointer_frame_entries, _pointer_inverse, heterodyne, homodyne
-from .symplectic import TOL_PSD, GaussianState, williamson_single_mode
+from .symplectic import TOL_PSD, GaussianState, _indefinite_min_eig, _physicality_violation, williamson_single_mode
 
 _TIE_TOL = 1e-12
-_EPS = np.finfo(float).eps
 # Log of the largest covariance entry whose fourth power, the scale of a
 # two-mode determinant, is still a finite float (about 1.2e77).
 _LOG_MAX_CM_ENTRY = 0.25 * math.log(np.finfo(float).max)
@@ -71,7 +70,9 @@ class TwoModeStandardForm:
 
     ``cm`` is the read-only 4x4 covariance matrix of the form and
     ``_invariants`` the measurement-independent terms of its conditional
-    determinant (:func:`_det_invariants`); both are built once.
+    determinant (:func:`_det_invariants`); both are built once.  ``cm`` must pass
+    symplectic._physicality_violation, and a, b, c_+ above about 1.2e77 (where
+    the invariants overflow) raise NumericError.
     """
 
     a: float
@@ -85,6 +86,8 @@ class TwoModeStandardForm:
 
     def __post_init__(self):
         a, z_a, b, c_plus, c_minus, eta = self.a, self.z_a, self.b, self.c_plus, self.c_minus, self.eta
+        if (top := max(a, b, c_plus)) > math.exp(_LOG_MAX_CM_ENTRY):
+            raise NumericError(f"standard form too large: its symplectic invariants overflow (a, b or c_+ = {top:.3e})")
         if not (a >= 1.0 - TOL_PSD and b >= 1.0 - TOL_PSD):
             raise UnphysicalStateError(f"local purities require a, b >= 1, got a={a}, b={b}")
         if not z_a > 0:
@@ -103,45 +106,14 @@ class TwoModeStandardForm:
         cm = np.array([[alpha, 0.0, x00, x01], [0.0, beta, x10, x11], [x00, x10, b, 0.0], [x01, x11, 0.0, b]])
         cm.flags.writeable = False
         object.__setattr__(self, "cm", cm)
-        _require_physical(alpha, beta, b, x00, x01, x10, x11)
+        if (violation := _physicality_violation(cm)) is not None:
+            raise UnphysicalStateError(f"standard form is unphysical: {violation}")
         object.__setattr__(self, "_invariants", _det_invariants(self))
 
     def to_state(self, mean_a=(0.0, 0.0)) -> GaussianState:
         """The two-mode state (mode 0 = A, mode 1 = B, B with zero mean); its CM is read-only."""
         mean = np.concatenate([np.asarray(mean_a, dtype=float).reshape(2), np.zeros(2)])
         return GaussianState(mean, self.cm)
-
-
-def _require_physical(alpha, beta, b, x00, x01, x10, x11) -> None:
-    """Raise UnphysicalStateError unless sigma + i Omega >= -TOL_PSD for a form's CM.
-
-    sigma + i Omega >= -t is sigma' + i Omega >= 0 for sigma' = sigma + t I,
-    which holds iff sigma' > 0, det sigma' >= 1 and Delta' <= 1 + det sigma'
-    (Delta = det sigma_A + det sigma_B + 2 det sigma_AB; Serafini, Illuminati
-    and De Siena, J. Phys. B 37, L21 (2004)).  With sigma_B = b I,
-    det sigma = det M for M = b sigma_A - sigma_AB sigma_AB^T, whose entries
-    cancel before the product is taken, and sigma > 0 is tr M > 0 once
-    det M > 0.  Both inequalities allow the round-off of their terms, which
-    is what decides at pure, strongly squeezed forms.
-    """
-    t = TOL_PSD
-    alpha, beta, b = alpha + t, beta + t, b + t
-    y00, y01, y11 = x00 * x00 + x01 * x01, x00 * x10 + x01 * x11, x10 * x10 + x11 * x11
-    m00, m11 = b * alpha - y00, b * beta - y11
-    det = m00 * m11 - y01 * y01
-    det_ab = x00 * x11 - x01 * x10
-    delta = alpha * beta + b * b + 2.0 * det_ab
-    e00, e11 = b * alpha + y00, b * beta + y11
-    err_det = abs(m11) * e00 + abs(m00) * e11 + 2.0 * abs(y01) * (abs(x00 * x10) + abs(x01 * x11))
-    err_delta = alpha * beta + b * b + 2.0 * (abs(x00 * x11) + abs(x01 * x10))
-    err = 4.0 * _EPS * (err_det + abs(m00 * m11) + y01 * y01 + err_delta)
-    if not (math.isfinite(det) and math.isfinite(err)):
-        raise NumericError(f"standard form too large: its symplectic invariants overflow (det sigma = {det:.3e})")
-    if not (m00 + m11 > 0.0 and det >= 1.0 - err and delta <= 1.0 + det + err):
-        raise UnphysicalStateError(
-            f"standard form is unphysical: det sigma = {det:.6e} and Delta = {delta:.6e} "
-            f"(of sigma + {t:.0e} I) violate det sigma >= 1, Delta <= 1 + det sigma"
-        )
 
 
 def standard_form(state: GaussianState) -> tuple[TwoModeStandardForm, np.ndarray, np.ndarray]:
@@ -175,12 +147,9 @@ def standard_form(state: GaussianState) -> tuple[TwoModeStandardForm, np.ndarray
     (k00, k01), (_, k11) = s_b0.tolist()
 
     q = 0.5 * (q0 + q1)
-    det_a = p * r - q * q
-    if not (p > 0.0 and det_a > 0.0):
-        raise UnphysicalStateError(f"sigma_A is not positive definite: sigma_00 = {p:.3e}, det = {det_a:.3e}")
-    if det_a == math.inf:
-        raise NumericError(f"sigma_A too large: its determinant overflows (sigma_00 = {p:.3e})")
-    a = math.sqrt(det_a)
+    if (lam := _indefinite_min_eig(p, q, r)) is not None:
+        raise UnphysicalStateError(f"sigma_A is not positive definite: min eig = {lam:.3e}")
+    a = math.sqrt(p * r - q * q)
     z_a = (0.5 * (p + r) + math.hypot(0.5 * (p - r), q)) / a
     if q == 0.0 and p == r:
         cp, sp = 0.0, 1.0
@@ -335,8 +304,8 @@ def unconditional_ergotropy_a(state: GaussianState) -> float:
     (s00, s01), (s10, s11) = state.cm[:2, :2].tolist()
     off = 0.5 * (s01 + s10)
     det = s00 * s11 - off * off
-    if not (s00 > 0.0 and det > 0.0):
-        raise UnphysicalStateError(f"sigma_A is not positive definite: sigma_00 = {s00:.3e}, det = {det:.3e}")
+    if (lam := _indefinite_min_eig(s00, off, s11)) is not None:
+        raise UnphysicalStateError(f"sigma_A is not positive definite: min eig = {lam:.3e}")
     m0, m1 = state.mean[:2].tolist()
     return _single_mode_ergotropy(0.5 * (m0 * m0 + m1 * m1) + 0.25 * (s00 + s11), det, "unconditional ergotropy")
 

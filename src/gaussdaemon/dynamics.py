@@ -76,10 +76,10 @@ from .exceptions import ConvergenceError, NoSteadyStateError, NumericError, Symm
 from .measurement import GeneralDyneSetting, _from_pointer_frame, _pointer_inverse
 from .symplectic import (
     TOL_HURWITZ,
-    TOL_PSD,
     TOL_SYM,
     GaussianState,
     _omega,
+    _physicality_violation,
     symplectic_eigenvalues,
     validate_state,
     williamson_single_mode,
@@ -497,7 +497,7 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
     is above SS_REFINE_RTOL is refined by at most SS_NEWTON_STEPS
     Newton-Kleinman steps, Lyapunov solves with the closed loop At - s B B^T.
     The result must be the stabilizing solution, have a relative residual
-    within SS_RESIDUAL_TOL and be a physical covariance matrix.
+    within SS_RESIDUAL_TOL and pass symplectic._physicality_violation.
     """
     if not is_hurwitz(mm.dd.a):
         raise NoSteadyStateError("drift matrix is not Hurwitz; conditional steady state undefined")
@@ -523,9 +523,8 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
         raise NumericError("Riccati solution is not stabilizing: At - sigma B B^T is not Hurwitz")
     if rel > SS_RESIDUAL_TOL:
         raise ConvergenceError(f"Riccati steady state has relative residual {rel:.3e} > {SS_RESIDUAL_TOL:.1e}")
-    wmin = float(np.linalg.eigvalsh(sigma + 1j * _omega(mm.base.n)).min())
-    if wmin < -TOL_PSD:
-        raise NumericError(f"Riccati steady state is unphysical: min eig(sigma + i Omega) = {wmin:.3e}")
+    if (violation := _physicality_violation(sigma)) is not None:
+        raise NumericError(f"Riccati steady state is unphysical: {violation}")
     return sigma
 
 

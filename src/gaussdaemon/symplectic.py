@@ -101,8 +101,10 @@ def validate_state(mean, cm) -> GaussianState:
         Covariance matrix asymmetric beyond ``TOL_SYM`` (the maximum
         asymmetry is reported).
     UnphysicalStateError
-        sigma + i Omega has an eigenvalue below ``-TOL_PSD`` (the most
-        negative eigenvalue is reported).
+        sigma is not positive definite, or sigma + i Omega has an eigenvalue
+        below ``-TOL_PSD`` (:func:`_physicality_violation`).  Up to two modes
+        this is decided in closed form, and the message reports det sigma and
+        Delta; otherwise it reports the most negative eigenvalue.
     """
     state = GaussianState(mean, cm)
     if not (np.isfinite(state.mean).all() and np.isfinite(state.cm).all()):
@@ -110,15 +112,65 @@ def validate_state(mean, cm) -> GaussianState:
     asym = np.abs(state.cm - state.cm.T).max()
     if asym > TOL_SYM:
         raise SymmetryError(f"covariance matrix asymmetric: max |sigma - sigma^T| = {asym:.3e} > {TOL_SYM:.1e}")
-    ws = np.linalg.eigvalsh(0.5 * (state.cm + state.cm.T))
-    if ws.min() <= 0:
-        raise UnphysicalStateError(f"covariance matrix not positive definite: min eig = {ws.min():.3e}")
-    w = np.linalg.eigvalsh(state.cm + 1j * _omega(state.n))
-    if w.min() < -TOL_PSD:
-        raise UnphysicalStateError(
-            f"uncertainty principle violated: min eig(sigma + i Omega) = {w.min():.3e} < -{TOL_PSD:.1e}"
-        )
+    if (violation := _physicality_violation(0.5 * (state.cm + state.cm.T))) is not None:
+        raise UnphysicalStateError(violation)
     return state
+
+
+def _indefinite_min_eig(s00: float, s01: float, s11: float) -> float | None:
+    """None if the symmetric [[s00, s01], [s01, s11]] passes Sylvester's criterion, else its smallest eigenvalue.
+
+    tr/2 - radius would cancel to 0 once the eigenvalues are ~1e16 apart, so
+    where the larger one is positive the smaller is taken as det / lam_max.
+    """
+    det = s00 * s11 - s01 * s01
+    if s00 > 0.0 and det > 0.0:
+        return None
+    half_tr, radius = 0.5 * (s00 + s11), math.hypot(0.5 * (s00 - s11), s01)
+    return det / (half_tr + radius) if half_tr + radius > 0.0 else half_tr - radius
+
+
+def _physicality_violation(sigma: np.ndarray) -> str | None:
+    """What fails of sigma > 0 and sigma' + i Omega >= 0, sigma' = sigma + TOL_PSD I, for a symmetric CM; else None.
+
+    Once the last mode's block (sigma_B; sigma itself for one mode) passes
+    Sylvester's criterion, sigma' + i Omega >= 0 iff sigma' > 0, det sigma' >= 1 and
+    Delta' <= 1 + det sigma', with Delta = sum_j nu_j^2, for two modes
+    det sigma_A + det sigma_B + 2 det sigma_AB (Serafini, Illuminati and De Siena,
+    J. Phys. B 37, L21 (2004)).  There det sigma' = det M, and sigma' > 0 iff
+    tr M > 0, for the Schur complement M = s sigma_A' - sigma_AB adj(sigma_B') sigma_AB^T / s,
+    s^2 = det sigma_B' (b sigma_A' - sigma_AB sigma_AB^T for sigma_B = b I), whose
+    entries cancel before the product is taken.  Each inequality allows the
+    round-off of its own terms.  eigvalsh decides the rest, and reports the
+    smallest eigenvalue: three or more modes, terms that overflow, and a sigma
+    or sigma' that is not positive definite.
+    """
+    t, n, u = TOL_PSD, sigma.shape[0] // 2, 4.0 * math.ulp(1.0)  # u: the unit of round-off
+    (b00, b01), (_, b11) = sigma[-2:, -2:].tolist()
+    if n <= 2 and _indefinite_min_eig(b00, b01, b11) is None:
+        q00, q11 = b00 + t, b11 + t
+        det = delta = q00 * q11 - b01 * b01
+        err = u * (q00 * q11 + b01 * b01)
+        if n == 2:
+            (a00, a01, c00, c01), (_, a11, c10, c11) = sigma[:2].tolist()
+            det_b, p00, p11, s, v0, v1 = det, a00 + t, a11 + t, math.sqrt(det), math.sqrt(q11), math.sqrt(q00)
+            g00, g01 = c00 * q11 - c01 * b01, c01 * q00 - c00 * b01  # rows of sigma_AB adj(sigma_B')
+            g10, g11 = c10 * q11 - c11 * b01, c11 * q00 - c10 * b01
+            m00, m11 = s * p00 - (g00 * c00 + g01 * c01) / s, s * p11 - (g10 * c10 + g11 * c11) / s
+            m01 = s * a01 - (g00 * c10 + g01 * c11) / s
+            # Round-off of the m's: |sigma_AB| |adj sigma_B'| |sigma_AB|^T <= r r^T, and s carries det sigma_B''s.
+            k, r0, r1 = u + err / det_b, abs(c00) * v0 + abs(c01) * v1, abs(c10) * v0 + abs(c11) * v1
+            e00, e11, e01 = k * (s * p00 + r0 * r0 / s), k * (s * p11 + r1 * r1 / s), k * (s * abs(a01) + r0 * r1 / s)
+            det, delta = m00 * m11 - m01 * m01, p00 * p11 - a01 * a01 + det_b + 2.0 * (c00 * c11 - c01 * c10)
+            err += u * (abs(m00 * m11) + m01 * m01 + p00 * p11 + a01 * a01 + 2.0 * (abs(c00 * c11) + abs(c01 * c10)))
+            err += e00 * (abs(m11) + e11) + abs(m00) * e11 + e01 * (2.0 * abs(m01) + e01)  # carried from the m's
+        if math.isfinite(err) and (n == 1 or (m00 + m11 > -(e00 + e11) and det > -err)):
+            ok = det >= 1.0 - err and delta <= 1.0 + det + err
+            return None if ok else f"uncertainty principle violated: det sigma' = {det:.6e}, Delta' = {delta:.6e}"
+    ws, w = np.linalg.eigvalsh(sigma)[0], np.linalg.eigvalsh(sigma + 1j * _omega(n))[0]
+    if not ws > 0.0:
+        return f"covariance matrix not positive definite: min eig = {ws:.3e}"
+    return None if w >= -t else f"uncertainty principle violated: min eig(sigma + i Omega) = {w:.3e} < -{t:.1e}"
 
 
 def vacuum(n: int = 1) -> GaussianState:
@@ -175,13 +227,6 @@ def reduce(state: GaussianState, modes) -> GaussianState:
     return GaussianState(state.mean[idx], state.cm[np.ix_(idx, idx)])
 
 
-def _require_positive_definite(w: np.ndarray) -> None:
-    """Raise UnphysicalStateError unless every eigenvalue in w (shape (..., 2n)) is positive."""
-    if w.min() <= 0:
-        where = "" if w.ndim == 1 else f" at stack index {int(np.argmin(w.min(axis=-1)))}"
-        raise UnphysicalStateError(f"covariance matrix not positive definite{where}: min eig = {w.min():.3e}")
-
-
 def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix, sorted descending.
 
@@ -192,7 +237,7 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
 
     ``cm`` may also be a stack of shape (k, 2n, 2n); the spectra are then
     computed in one batched pass and returned as a (k, n) array, row i being
-    the spectrum of ``cm[i]``.  A stack with any non-positive member raises.
+    the spectrum of ``cm[i]``.  A non-positive member raises, naming the first.
     For one mode the spectrum is the closed form sqrt(det sigma).
     """
     cm = np.asarray(cm, dtype=float)
@@ -201,17 +246,18 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     if n == 1:
         a, b, d = sym[..., 0, 0], sym[..., 0, 1], sym[..., 1, 1]
         det = a * d - b * b
-        # Sylvester's criterion.  The smaller eigenvalue tr/2 - radius would cancel to 0 once the
-        # eigenvalues are ~1e16 apart, so where the larger one is positive it is det / lam_max.
-        if not ((a > 0.0) & (det > 0.0)).all():
-            half_tr, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
-            pos = half_tr + radius > 0.0
-            lam_min = np.where(pos, det, half_tr - radius) / np.where(pos, half_tr + radius, 1.0)
-            _require_positive_definite(lam_min[..., None])
-        nus = np.sqrt(det)[..., None]
+        ok = (a > 0.0) & (det > 0.0)  # Sylvester's criterion, member by member
     else:
         w, Q = np.linalg.eigh(sym)
-        _require_positive_definite(w)
+        ok = w[..., 0] > 0.0
+    if not ok.all():
+        i = int(np.argmin(ok))  # the first member that fails
+        lam = _indefinite_min_eig(a.flat[i], b.flat[i], d.flat[i]) if n == 1 else w[..., 0].flat[i]
+        where = "" if ok.ndim == 0 else f" at stack index {i}"
+        raise UnphysicalStateError(f"covariance matrix not positive definite{where}: min eig = {lam:.3e}")
+    if n == 1:
+        nus = np.sqrt(det)[..., None]
+    else:
         root = (Q * np.sqrt(w)[..., None, :]) @ np.swapaxes(Q, -1, -2)
         m = root @ _omega(n) @ root
         w2 = np.sort(np.linalg.eigvalsh(-m @ m), axis=-1)  # = (Omega sigma)^2 spectrum, made symmetric
@@ -239,7 +285,7 @@ def williamson_single_mode(cm: np.ndarray) -> tuple[float, np.ndarray]:
     Closed form: nu = sqrt(det sigma) and S = sqrt(nu) sigma^{-1/2}
     = (adj sigma + nu I) / sqrt(nu (tr sigma + 2 nu)), symmetric with unit
     determinant, hence symplectic.  Positive definiteness is Sylvester's
-    criterion (sigma_00 > 0, det sigma > 0).  Only the one-mode case is
+    criterion (:func:`_indefinite_min_eig`).  Only the one-mode case is
     supported; multimode reduction to normal form is not needed anywhere (the
     symplectic spectrum alone suffices there).
     """
@@ -250,12 +296,9 @@ def williamson_single_mode(cm: np.ndarray) -> tuple[float, np.ndarray]:
     if abs(s01 - s10) > TOL_SYM:
         raise SymmetryError("covariance matrix asymmetric")
     off = 0.5 * (s01 + s10)
-    det = s00 * s11 - off * off
-    if not (s00 > 0.0 and det > 0.0):
-        half_tr, radius = 0.5 * (s00 + s11), math.hypot(0.5 * (s00 - s11), off)
-        lam_min = det / (half_tr + radius) if half_tr + radius > 0.0 else half_tr - radius
-        raise UnphysicalStateError(f"covariance matrix not positive definite: min eig = {lam_min:.3e}")
-    nu = math.sqrt(det)
+    if (lam := _indefinite_min_eig(s00, off, s11)) is not None:
+        raise UnphysicalStateError(f"covariance matrix not positive definite: min eig = {lam:.3e}")
+    nu = math.sqrt(s00 * s11 - off * off)
     norm = math.sqrt(nu * (s00 + s11 + 2.0 * nu))
     if not 0.0 < norm < math.inf:
         raise NumericError(f"normal-form symplectic factor overflows: nu = {nu:.3e}, tr sigma = {s00 + s11:.3e}")

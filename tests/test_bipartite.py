@@ -95,8 +95,18 @@ def test_standard_form_matches_reference_on_degenerate_states():
 
 
 def _eigenvalue_test_accepts(cm):
-    """The earlier physicality test: eig(sigma + i Omega) >= -TOL_PSD."""
-    return np.linalg.eigvalsh(cm + 1j * gd.symplectic_form(2)).min() >= -TOL_PSD
+    """The eigenvalue physicality test: eig(sigma) > 0 and eig(sigma + i Omega) >= -TOL_PSD."""
+    omega = gd.symplectic_form(cm.shape[0] // 2)
+    return np.linalg.eigvalsh(cm).min() > 0.0 and np.linalg.eigvalsh(cm + 1j * omega).min() >= -TOL_PSD
+
+
+def _accepts(build, *args, **kwargs):
+    """Whether build(*args, **kwargs) returns rather than raising UnphysicalStateError."""
+    try:
+        build(*args, **kwargs)
+    except UnphysicalStateError:
+        return False
+    return True
 
 
 def test_physicality_check_matches_eigenvalue_test_at_the_boundary():
@@ -106,7 +116,7 @@ def test_physicality_check_matches_eigenvalue_test_at_the_boundary():
     form straddles the boundary; within +-1e-8 of it the two tests may round
     differently.  Strongly squeezed forms are accepted a little below
     nu_- = 1, since their sigma + i Omega has its smallest eigenvalue far
-    below nu_- - 1.
+    below nu_- - 1.  The form's CM given to validate_state gets the same verdict.
     """
     rng = np.random.default_rng(223)
     outcomes = set()
@@ -117,14 +127,30 @@ def test_physicality_check_matches_eigenvalue_test_at_the_boundary():
             s = (1.0 + delta) / nu_min
             params = dict(a=s * sf.a, z_a=sf.z_a, b=s * sf.b, c_plus=s * sf.c_plus, c_minus=s * sf.c_minus, eta=sf.eta)
             expected = _eigenvalue_test_accepts(form_cm(**params))
-            try:
-                gd.TwoModeStandardForm(**params)
-                accepted = True
-            except UnphysicalStateError:
-                accepted = False
-            assert accepted == expected, (params, delta)
+            accepted = _accepts(gd.TwoModeStandardForm, **params)
+            assert accepted == expected == _accepts(gd.validate_state, np.zeros(4), form_cm(**params)), (params, delta)
             outcomes.add((delta, accepted))
     assert {(-1e-4, False), (-1e-7, True), (-1e-7, False), (2e-8, True)} <= outcomes
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1500)
+@given(
+    st_.integers(min_value=0, max_value=2**32 - 1),
+    st_.sampled_from([1, 2, 3]),
+    st_.floats(min_value=0.0, max_value=math.log(3.0)),
+    st_.sampled_from([-1.0, 1.0]),
+    st_.floats(min_value=math.log(2e-8), max_value=math.log(1e-3)),
+)
+def test_validate_state_matches_eigenvalue_test_at_the_boundary(seed, n, log_squeeze, sign, log_delta):
+    """Random states of 1, 2 and 3 modes scaled to nu_- = 1 + delta get the eigenvalue test's verdict.
+
+    validate_state decides up to two modes in closed form, from det sigma and
+    Delta, and from three modes on by eigvalsh; squeezing is at most 3 and
+    |delta| at least 2e-8, outside the band where the two may round differently.
+    """
+    state = gd.random_state(np.random.default_rng(seed), n, max_squeeze=math.exp(log_squeeze))
+    cm = (1.0 + sign * math.exp(log_delta)) / gd.symplectic_eigenvalues(state.cm)[-1] * state.cm
+    assert _accepts(gd.validate_state, state.mean, cm) == _eigenvalue_test_accepts(cm), (seed, n, log_delta)
 
 
 def test_pure_states_are_physical():

@@ -17,6 +17,7 @@ from gaussdaemon import (
     GeneralDyneSetting,
     NoSteadyStateError,
 )
+from gaussdaemon.cli import main
 from gaussdaemon.dynamics import _grid_flow, _propagate_riccati
 from euler_reference import euler_trajectories
 from riccati_oracle import DPS, steady_state
@@ -275,6 +276,28 @@ def test_wrong_stable_subspace_dimension_is_a_numeric_error(monkeypatch):
     mm = gd.monitored(gd.opo_model(gd.OpoParams.from_tilde(0.6, nu_in=3.0)), GeneralDyneSetting(theta_m=0.7, z_m=0.4))
     with pytest.raises(gd.NumericError, match="algebraic Riccati solve failed: .* 1 stable eigenvalues, expected 2"):
         gd.steady_state_conditional(mm)
+
+
+def test_unphysical_riccati_solution_is_a_numeric_error(monkeypatch, capsys):
+    """A steady state that passes the residual and stabilizing gates but is 0.5 I raises NumericError (exit 3).
+
+    The Schur vectors are replaced so that the solve returns 0.5 I, and the
+    two gates before the physicality check are made to pass; the message
+    names the failing quantity, det(sigma + TOL_PSD I) = 0.25.
+    """
+    mm = gd.monitored(gd.opo_model(gd.OpoParams.from_tilde(0.6, nu_in=3.0)), GeneralDyneSetting(theta_m=0.7, z_m=0.4))
+    c, _ = gd.dynamics._hamiltonian(mm.at, mm.dtilde, mm.bbt)  # sigma = c Z21 Z11^-1
+    z = np.zeros((4, 4))
+    z[:2, :2], z[2:, :2] = np.eye(2), 0.5 / c * np.eye(2)
+    monkeypatch.setattr(gd.dynamics, "schur", lambda *args, **kwargs: (None, z, 2))
+    monkeypatch.setattr(gd.dynamics, "_relative_residual", lambda *args: 0.0)
+    monkeypatch.setattr(gd.dynamics, "is_hurwitz", lambda a: True)
+    message = r"Riccati steady state is unphysical: uncertainty principle violated: det sigma' = 2\.5"
+    with pytest.raises(gd.NumericError, match=message):
+        gd.steady_state_conditional(mm)
+    args = ["opo-ss", "--chi-tilde", "0.6", "--nu-in", "3", "--strategy", "gendyne", "--z-m", "0.4", "--theta-m", "0.7"]
+    assert main(args) == 3
+    assert "Riccati steady state is unphysical" in capsys.readouterr().err
 
 
 def _count_lyapunov_calls(monkeypatch) -> list:

@@ -373,6 +373,24 @@ def test_tmsts_out_of_range_exits_2(n_th, r, capsys):
         gd.tmsts(float(n_th), float(r))
 
 
+@pytest.mark.parametrize("out", [False, True])
+@pytest.mark.parametrize("r", ["9.5", "20", "40"])
+@pytest.mark.parametrize("n_th", ["0", "1", "1e3"])
+def test_tmsts_sweep_never_rejects_a_state_tmsts_built(n_th, r, out, tmp_path):
+    """tmsts-sweep on a state tmsts accepts is valid input: it exits 0 or 3, never 2, and never with a traceback.
+
+    The physicality test of the standard form allows the round-off of each of
+    its terms; det sigma and Delta cancel from terms of size cosh^4 2r, so from
+    r ~ 9.5 on the floats no longer decide them, and the form is accepted.
+    """
+    args = ["tmsts-sweep", "--N", n_th, "--r", r] + (["--out", str(tmp_path / "sweep.csv")] if out else [])
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(args)
+    assert code in (0, 3), err.getvalue()
+    assert "unphysical" not in err.getvalue()
+
+
 @pytest.mark.parametrize("n_th", ["1e9", "1e70"])
 def test_tmsts_large_values_pass_the_cross_check(n_th, capsys):
     """Closed forms and pipeline agree to round-off at any magnitude, so large valid inputs exit 0."""
@@ -387,11 +405,14 @@ def _write_state(path: Path, state: gd.GaussianState) -> str:
 
 
 def test_pure_tmsts_files_pass_the_cross_checks(tmp_path, capsys):
-    """daemonic exits 0 on every readable pure TMSTS file with r in 4.5, 4.6, ..., 8.2 (36 of the 38).
+    """daemonic exits 0 on every pure TMSTS file with r in 4.5, 4.6, ..., 8.2, all 38 of them readable.
 
     det sigma_A^c ~ 1 cancels from terms of size cosh^2 2r in both routes,
     so the cross-check allows 1e-12 of those terms over sqrt(det sigma_A^c).
-    An allowance of 1e-12 of the values alone failed 28 of the 36 files.
+    An allowance of 1e-12 of the values alone failed 28 of the files.  An
+    eigvalsh physicality test rejected r = 8.0 and 8.2, whose sigma + i Omega
+    has smallest eigenvalue -7.8e-10 and -9.3e-10 in 60-digit arithmetic:
+    its own round-off, about eps |sigma| = 2e-9, exceeded TOL_PSD there.
     """
     readable = 0
     for r in np.arange(45, 83) / 10.0:
@@ -403,7 +424,7 @@ def test_pure_tmsts_files_pass_the_cross_checks(tmp_path, capsys):
         readable += 1
         assert main(["daemonic", "--state", _write_state(tmp_path / "state.txt", state)]) == 0, r
         assert capsys.readouterr().err == ""
-    assert readable == 36
+    assert readable == 38
 
 
 @pytest.mark.parametrize("r", ["6", "7"])
@@ -576,8 +597,8 @@ def test_daemonic_cli_errors_are_typed(family, u, seed):
     """The daemonic command on state files: valid states exit 0 or 3, never 2, and no run ends in a traceback.
 
     A state is valid when it is physical by construction and its file passes
-    read_state.  Pure TMSTS past r ~ 8 are rejected there (exit 2), as are
-    most states unphysical by 1e-6; no run may fail with a bare math error.
+    read_state, which rejects most states unphysical by 1e-6 (exit 2); no run
+    may fail with a bare math error.
     """
     state, physical = _daemonic_state(family, u, seed)
     text = "2\n" + " ".join(map(repr, state.mean.tolist())) + "\n"

@@ -78,6 +78,14 @@ def test_validate_state_physicality():
     gd.validate_state(np.zeros(2), np.diag([z, 1.0 / z]))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("c", [1e40, 1e100, 1e160, 1e300])
+def test_validate_state_accepts_large_isotropic_states(n, c):
+    """c I is physical at any c >= 1; where the closed-form invariants overflow, eigvalsh decides."""
+    state = gd.validate_state(np.zeros(2 * n), c * np.eye(2 * n))
+    assert state.cm[0, 0] == c
+
+
 def test_validate_state_rejects_non_finite():
     """An infinite variance or a NaN anywhere in the moments is rejected."""
     for cm in (np.diag([np.inf, 1.0]), np.array([[1.0, np.nan], [np.nan, 1.0]])):

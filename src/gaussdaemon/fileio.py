@@ -8,6 +8,7 @@ Model file: sections ``[H_S]``, ``[C]``, ``[sigma_in]``, ``[mean_in]`` with
 whitespace-separated matrix rows, plus an optional ``[measurement]`` section
 with ``key = value`` entries (keys nu_m, theta_m, z_m, homodyne): z_m in
 [0, 1] with 0 for homodyne, and ``homodyne = true`` is shorthand for z_m = 0.
+A key may appear once, and a ``homodyne`` flag must agree with any z_m given.
 
 CSV output: optional ``#`` comment header lines, one header row, then data
 rows with 12 significant digits -- byte-identical for identical inputs.
@@ -113,6 +114,8 @@ def read_model(path: str) -> tuple[DiffusiveModel, GeneralDyneSetting | None]:
         key = key.strip()
         if key not in ("nu_m", "theta_m", "z_m", "homodyne"):
             raise ParseError(f"{path}:{ln}: unknown measurement key {key!r}")
+        if key in keys:
+            raise ParseError(f"{path}:{ln}: repeated measurement key {key!r}")
         keys[key] = value.strip()
 
     def num(key: str, default: float) -> float:
@@ -126,7 +129,10 @@ def read_model(path: str) -> tuple[DiffusiveModel, GeneralDyneSetting | None]:
     flag = keys.get("homodyne", "false").lower()
     if flag not in ("true", "false", "1", "0"):
         raise ParseError(f"{path}: measurement key homodyne must be boolean, got {keys['homodyne']!r}")
-    z_m = 0.0 if flag in ("true", "1") else num("z_m", 1.0)
+    flagged = flag in ("true", "1")
+    z_m = num("z_m", 0.0 if flagged else 1.0)
+    if "homodyne" in keys and (z_m == 0.0) != flagged:
+        raise ParseError(f"{path}: measurement key homodyne = {keys['homodyne']} contradicts z_m = {keys['z_m']}")
     return model, GeneralDyneSetting(nu_m=num("nu_m", 1.0), theta_m=num("theta_m", 0.0), z_m=z_m)
 
 

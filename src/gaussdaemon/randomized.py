@@ -5,8 +5,9 @@ inputs with generic parameters (random symplectics built from the
 rotation-squeezer-rotation decomposition, thermal spectra away from the pure
 boundary, measurement settings covering homodyne and finite squeezing).  The
 invariant suite replays the package's structural guarantees on randomized
-cases and reports violation counts; it backs the command-line ``validate``
-command.
+cases and backs the command-line ``validate`` command: each suite is a case
+function returning (violated, margin), and one runner counts the violations
+and reports as ``worst`` the largest margin any case gave (0.0 at least).
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from .bipartite import daemonic_ergotropy, standard_form, unconditional_ergotrop
 from .dynamics import DiffusiveModel, drift_diffusion, is_hurwitz
 from .exceptions import NumericError, UnphysicalStateError
 from .measurement import GeneralDyneSetting, Partition, condition, homodyne
-from .symplectic import (
-    GaussianState,
-    rotation,
-    squeezer,
-    symplectic_eigenvalues,
-    validate_state,
-)
+from .symplectic import GaussianState, rotation, symplectic_eigenvalues, validate_state
 
 # Draws random_stable_model makes before it gives up.
 _STABLE_MODEL_TRIES = 1000
@@ -57,9 +52,7 @@ def random_orthogonal_symplectic(rng: np.random.Generator, n: int) -> np.ndarray
 def random_symplectic(rng: np.random.Generator, n: int, max_squeeze: float = 2.0) -> np.ndarray:
     """Random symplectic: passive, per-mode squeezers, passive (Euler decomposition)."""
     z = np.exp(rng.uniform(-np.log(max_squeeze), np.log(max_squeeze), size=n))
-    zz = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        zz[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = squeezer(z[j])
+    zz = np.diag(np.column_stack((z, 1.0 / z)).ravel())  # squeezer(z_j) on each mode's block
     return random_orthogonal_symplectic(rng, n) @ zz @ random_orthogonal_symplectic(rng, n)
 
 
@@ -124,85 +117,70 @@ class SuiteResult(NamedTuple):
     worst: float
 
 
-def _suite_symplectic_invariance(rng, n_cases, tol=1e-9):
-    violations = 0
-    worst = 0.0
-    for _ in range(n_cases):
-        n = int(rng.integers(1, 4))
-        state = random_state(rng, n)
-        s = random_symplectic(rng, n)
-        nus = symplectic_eigenvalues(state.cm)
-        nus_t = symplectic_eigenvalues(s @ state.cm @ s.T)
-        dev = float(np.abs(nus - nus_t).max())
-        worst = max(worst, dev)
-        if dev > tol:
-            violations += 1
-    return SuiteResult("symplectic-invariance", n_cases, violations, worst)
+# A margin above this bound is a violation (symplectic-invariance deviation, daemonic shortfall).
+_TOL = 1e-9
+_SPLIT = Partition(a_modes=(0,), b_modes=(1,))
 
 
-def _suite_heisenberg_validation(rng, n_cases):
-    violations = 0
-    worst = 0.0
-    for _ in range(n_cases):
-        n = int(rng.integers(1, 4))
-        state = random_state(rng, n)
-        try:
-            validate_state(state.mean, state.cm)
-        except ValueError:
-            violations += 1
-            continue
-        # Shrinking below the smallest symplectic eigenvalue must be rejected.
-        shrink = 0.9 / float(symplectic_eigenvalues(state.cm).min())
-        try:
-            validate_state(state.mean, shrink * state.cm)
-        except UnphysicalStateError:
-            pass
-        else:
-            violations += 1
-            worst = max(worst, shrink)
-    return SuiteResult("heisenberg-validation", n_cases, violations, worst)
+def _case_symplectic_invariance(rng):
+    n = int(rng.integers(1, 4))
+    state = random_state(rng, n)
+    s = random_symplectic(rng, n)
+    dev = float(np.abs(symplectic_eigenvalues(state.cm) - symplectic_eigenvalues(s @ state.cm @ s.T)).max())
+    return dev > _TOL, dev
 
 
-def _suite_outcome_independence(rng, n_cases):
-    partition = Partition(a_modes=(0,), b_modes=(1,))
-    violations = 0
-    worst = 0.0
-    for _ in range(n_cases):
-        state = random_two_mode_state(rng)
-        setting = random_setting(rng, efficient=bool(rng.uniform() < 0.5))
-        c1 = condition(state, partition, setting, rng.standard_normal(2))
-        c2 = condition(state, partition, setting, rng.standard_normal(2))
-        if not np.array_equal(c1.cm, c2.cm):
-            violations += 1
-            worst = max(worst, float(np.abs(c1.cm - c2.cm).max()))
-    return SuiteResult("outcome-independence", n_cases, violations, worst)
+def _case_heisenberg_validation(rng):
+    n = int(rng.integers(1, 4))
+    state = random_state(rng, n)
+    try:
+        validate_state(state.mean, state.cm)
+    except ValueError:
+        return True, 0.0
+    # Shrinking below the smallest symplectic eigenvalue must be rejected.
+    shrink = 0.9 / float(symplectic_eigenvalues(state.cm).min())
+    try:
+        validate_state(state.mean, shrink * state.cm)
+    except UnphysicalStateError:
+        return False, 0.0
+    return True, shrink
 
 
-def _suite_daemonic_convexity(rng, n_cases, tol=1e-9):
-    violations = 0
-    worst = 0.0
-    for _ in range(n_cases):
-        state = random_two_mode_state(rng)
-        setting = random_setting(rng, efficient=bool(rng.uniform() < 0.5))
-        gap = daemonic_ergotropy(state, setting).value - unconditional_ergotropy_a(state)
-        worst = max(worst, -gap)  # largest shortfall; stays 0.0 (not -0.0) on a clean run
-        if gap < -tol:
-            violations += 1
-    return SuiteResult("daemonic-convexity", n_cases, violations, worst)
+def _case_outcome_independence(rng):
+    state = random_two_mode_state(rng)
+    setting = random_setting(rng, efficient=bool(rng.uniform() < 0.5))
+    c1 = condition(state, _SPLIT, setting, rng.standard_normal(2))
+    c2 = condition(state, _SPLIT, setting, rng.standard_normal(2))
+    return not np.array_equal(c1.cm, c2.cm), float(np.abs(c1.cm - c2.cm).max())
+
+
+def _case_daemonic_convexity(rng):
+    state = random_two_mode_state(rng)
+    setting = random_setting(rng, efficient=bool(rng.uniform() < 0.5))
+    gap = daemonic_ergotropy(state, setting).value - unconditional_ergotropy_a(state)
+    return gap < -_TOL, -gap
+
+
+# (name, case) in spawn-key order; a case draws from its suite's stream and returns (violated, margin).
+_SUITES = (
+    ("symplectic-invariance", _case_symplectic_invariance),
+    ("heisenberg-validation", _case_heisenberg_validation),
+    ("outcome-independence", _case_outcome_independence),
+    ("daemonic-convexity", _case_daemonic_convexity),
+)
 
 
 def invariant_suite(n_cases: int = 1000, seed: int = 0) -> list[SuiteResult]:
     """Run all invariant suites on fresh randomized cases; zero violations expected."""
     if n_cases < 1:
         raise ValueError(f"need at least one case per suite, got n_cases = {n_cases}")
-    suites = (
-        _suite_symplectic_invariance,
-        _suite_heisenberg_validation,
-        _suite_outcome_independence,
-        _suite_daemonic_convexity,
-    )
     results = []
-    for i, suite in enumerate(suites):
+    for i, (name, case) in enumerate(_SUITES):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        results.append(suite(rng, n_cases))
+        violations, worst = 0, 0.0
+        for _ in range(n_cases):
+            violated, margin = case(rng)
+            violations += violated
+            worst = max(worst, margin)  # first argument wins ties, so a clean run reports 0.0, not -0.0
+        results.append(SuiteResult(name, n_cases, violations, worst))
     return results

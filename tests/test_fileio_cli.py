@@ -96,7 +96,7 @@ class TestModelFiles:
         assert setting.homodyne and setting.theta_m == pytest.approx(np.pi / 2)
 
     def test_homodyne_key_is_z_m_zero(self, tmp_path):
-        """homodyne = true and z_m = 0 give the same setting, homodyne(theta_m), described as before."""
+        """homodyne = true, z_m = 0 and both together give the same setting, homodyne(theta_m), described as before."""
         path = tmp_path / "model.txt"
         path.write_text(MODEL_OPO)
         _, flagged = gd.read_model(str(path))
@@ -106,6 +106,8 @@ class TestModelFiles:
         assert (flagged.nu_m, flagged.theta_m, flagged.z_m) == (1.0, np.pi / 2, 0.0)
         assert _describe(zero) == "homodyne theta_m=1.57079632679"
         assert main(["validate", "--model", str(path)]) == 0
+        path.write_text(MODEL_OPO.replace("homodyne = true", "homodyne = 1\nz_m = 0.0"))
+        assert gd.read_model(str(path))[1] == zero
         path.write_text(MODEL_OPO.replace("homodyne = true", "z_m = -0.1"))
         with pytest.raises(ValueError, match=r"z_m must lie in \[0, 1\] \(0 = homodyne\)"):
             gd.read_model(str(path))
@@ -139,6 +141,24 @@ class TestModelFiles:
         path.write_text(MODEL_OPO + "gain = 2\n")
         with pytest.raises(ParseError, match="unknown measurement key 'gain'"):
             gd.read_model(str(path))
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ("homodyne = true\nz_m = 0.5", r"model\.txt: measurement key homodyne = true contradicts z_m = 0\.5"),
+            ("homodyne = false\nz_m = 0", r"model\.txt: measurement key homodyne = false contradicts z_m = 0"),
+            ("z_m = 0.5\nz_m = 0.25", r"model\.txt:14: repeated measurement key 'z_m'"),
+            ("homodyne = true\nhomodyne = 1", r"model\.txt:14: repeated measurement key 'homodyne'"),
+        ],
+    )
+    def test_measurement_key_conflicts(self, tmp_path, capsys, entries, message):
+        """A homodyne flag that contradicts z_m, or a repeated key, is a ParseError naming the file and key (exit 2)."""
+        path = tmp_path / "model.txt"
+        path.write_text(MODEL_OPO.replace("homodyne = true", entries))
+        with pytest.raises(ParseError, match=message):
+            gd.read_model(str(path))
+        assert main(["validate", "--model", str(path)]) == 2
+        assert "model.txt" in capsys.readouterr().err
 
 
 class TestCsv:
@@ -458,6 +478,23 @@ def test_validate_rejects_non_positive_case_count(capsys):
     assert "at least one case" in capsys.readouterr().err
     with pytest.raises(ValueError, match="at least one case"):
         gd.invariant_suite(n_cases=0)
+
+
+def test_invariant_suite_reports_a_failing_case(monkeypatch, capsys):
+    """A case that always fails with margin m gives violations == n_cases and worst == m; validate prints [FAIL] and exits 2."""
+    margin = 0.125
+    suites = list(gd.randomized._SUITES)
+    name, _ = suites[2]
+    suites[2] = (name, lambda rng: (True, margin))
+    monkeypatch.setattr(gd.randomized, "_SUITES", tuple(suites))
+    results = gd.invariant_suite(n_cases=7, seed=4)
+    assert [r.name for r in results] == [n for n, _ in suites]
+    assert results[2] == gd.SuiteResult(name, 7, 7, margin)
+    assert all(r.violations == 0 for i, r in enumerate(results) if i != 2)
+    assert main(["validate", "--cases", "3"]) == 2
+    out = capsys.readouterr().out
+    assert f"  [FAIL] {name}: cases=3 violations=3 worst=1.250e-01" in out
+    assert out.count("[pass]") == 3
 
 
 class _OverBudget(Exception):

@@ -188,7 +188,7 @@ def cmd_tmsts_sweep(args) -> int:
 
 
 def _opo_params(args) -> OpoParams:
-    return OpoParams.from_tilde(args.chi_tilde, nu_in=args.nu_in, nu_0=args.nu0)
+    return OpoParams(args.chi_tilde, nu_in=args.nu_in, nu_0=args.nu0)
 
 
 def cmd_opo_ss(args) -> int:

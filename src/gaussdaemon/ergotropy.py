@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericError
-from .symplectic import GaussianState, symplectic_eigenvalues, williamson_single_mode
+from .symplectic import GaussianState, energy, symplectic_eigenvalues, williamson_single_mode
 
 # Round-off guard: negative ergotropies down to -max(CLAMP_NEG, CLAMP_RTOL * energy) are clamped
 # to 0 (see clamp_ergotropy); up to an energy of 1e3 the floor is CLAMP_NEG itself.
@@ -80,7 +80,7 @@ def _cross_check(closed: float, independent: float, what: str, cancelled: float 
 
 def ergotropy_report(state: GaussianState) -> ErgotropyReport:
     """Full energy/passive-energy/ergotropy report for a state."""
-    e = 0.5 * float(state.mean @ state.mean) + 0.25 * float(np.trace(state.cm))
+    e = energy(state)
     passive = 0.5 * float(symplectic_eigenvalues(state.cm).sum())
     return ErgotropyReport(ergotropy=clamp_ergotropy(e - passive, energy=e), energy=e, passive_energy=passive)
 

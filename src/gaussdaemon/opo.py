@@ -1,12 +1,14 @@
 """Optical parametric oscillator below threshold under general-dyne monitoring.
 
 Single mode with squeezing Hamiltonian of strength chi and loss kappa into an
-environment of thermal noise nu_in = 2 n_th + 1.  With the coupling choice
-C = sqrt(kappa) Omega the drift and diffusion are
+environment of thermal noise nu_in.  kappa is the unit of rate (time is
+kappa t), so the model depends only on the pump ratio chi_tilde = 2 chi / kappa
+and nu_in.  With H_S = -(chi_tilde/2) sigma_x and the coupling C = Omega the
+drift and diffusion are
 
-    A = diag(-kappa/2 - chi, -kappa/2 + chi),   D = kappa nu_in I,
+    A = diag(-(1 + chi_tilde)/2, -(1 - chi_tilde)/2),   D = nu_in I,
 
-stable for chi_tilde = 2 chi / kappa < 1.  The unconditional steady state is
+stable for chi_tilde < 1.  The unconditional steady state is
 sigma = nu_in diag(1/(1 + chi_tilde), 1/(1 - chi_tilde)) with ergotropy
 (nu_in/2) (1/(1 - chi_tilde^2) - 1/sqrt(1 - chi_tilde^2)).
 
@@ -54,34 +56,28 @@ _Z_SWEEP_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class OpoParams:
-    """OPO rates: squeezing chi, loss kappa, environment occupation n_th.
+    """OPO in units of kappa = 1: pump ratio chi_tilde = 2 chi / kappa, bath noise nu_in.
 
-    ``nu_0`` scales the initial thermal covariance used by transient sweeps.
-    Derived quantities: chi_tilde = 2 chi / kappa (stability requires
-    chi_tilde < 1) and nu_in = 2 n_th + 1.
+    Stability requires 0 <= chi_tilde < 1; nu_in = 2 n_th + 1 >= 1.  ``nu_0``
+    scales the initial thermal covariance used by transient sweeps.
     """
 
-    chi: float
-    kappa: float = 1.0
-    n_th: float = 0.0
+    chi_tilde: float
+    nu_in: float = 1.0
     nu_0: float = 1.0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.chi, self.kappa, self.n_th, self.nu_0)):
+        if not all(math.isfinite(v) for v in (self.chi_tilde, self.nu_in, self.nu_0)):
             raise ValueError(
-                f"OPO parameters must be finite, got chi = {self.chi}, kappa = {self.kappa}, "
-                f"n_th = {self.n_th}, nu_0 = {self.nu_0}"
+                f"OPO parameters must be finite, got chi_tilde = {self.chi_tilde}, "
+                f"nu_in = {self.nu_in}, nu_0 = {self.nu_0}"
             )
-        if self.kappa <= 0:
-            raise ValueError(f"loss rate must be positive, got kappa = {self.kappa}")
-        if self.chi < 0:
-            raise ValueError(f"squeezing strength must be non-negative, got chi = {self.chi}")
+        if self.chi_tilde < 0:
+            raise ValueError(f"pump ratio must be non-negative, got chi_tilde = {self.chi_tilde}")
         if self.chi_tilde >= 1.0:
-            raise NoSteadyStateError(
-                f"unstable above threshold: chi_tilde = {self.chi_tilde:.6g} >= 1 (requires 2 chi < kappa)"
-            )
-        if self.n_th < 0:
-            raise ValueError(f"thermal occupation must be non-negative, got n_th = {self.n_th}")
+            raise NoSteadyStateError(f"unstable above threshold: chi_tilde = {self.chi_tilde:.6g} >= 1")
+        if self.nu_in < 1.0:
+            raise ValueError(f"bath noise must satisfy nu_in >= 1, got {self.nu_in}")
         if self.nu_0 < 1.0:
             raise ValueError(f"initial thermal scale must satisfy nu_0 >= 1, got {self.nu_0}")
         if max(math.log(self.nu_in) - math.log1p(-self.chi_tilde), math.log(self.nu_0)) > _LOG_MAX_CM_ENTRY:
@@ -90,25 +86,16 @@ class OpoParams:
                 "nu_in / (1 - chi_tilde) and nu_0 must stay below about 1.2e77"
             )
 
-    @property
-    def chi_tilde(self) -> float:
-        return 2.0 * self.chi / self.kappa
-
-    @property
-    def nu_in(self) -> float:
-        return 2.0 * self.n_th + 1.0
-
     @classmethod
-    def from_tilde(cls, chi_tilde: float, nu_in: float = 1.0, kappa: float = 1.0, nu_0: float = 1.0) -> "OpoParams":
-        """Build from the dimensionless chi_tilde and nu_in used throughout."""
-        return cls(chi=0.5 * chi_tilde * kappa, kappa=kappa, n_th=0.5 * (nu_in - 1.0), nu_0=nu_0)
+    def from_tilde(cls, chi_tilde: float, nu_in: float = 1.0, nu_0: float = 1.0) -> "OpoParams":
+        """Alias of the constructor, kept for callers written against it."""
+        return cls(chi_tilde, nu_in, nu_0)
 
 
 def opo_model(params: OpoParams) -> DiffusiveModel:
-    """Diffusive model of the OPO; reproduces A = diag(-k/2 - chi, -k/2 + chi), D = k nu_in I."""
-    h_s = -params.chi * np.array([[0.0, 1.0], [1.0, 0.0]])
-    c = math.sqrt(params.kappa) * _omega(1)
-    return DiffusiveModel(h_s=h_s, c=c, sigma_in=params.nu_in * np.eye(2), mean_in=np.zeros(2))
+    """Diffusive model of the OPO (kappa = 1): A = diag(-(1 + chi~)/2, -(1 - chi~)/2), D = nu_in I."""
+    h_s = -0.5 * params.chi_tilde * np.array([[0.0, 1.0], [1.0, 0.0]])
+    return DiffusiveModel(h_s=h_s, c=_omega(1), sigma_in=params.nu_in * np.eye(2), mean_in=np.zeros(2))
 
 
 def strategy_setting(name: str, z_m: float | None = None, theta_m: float = 0.0) -> GeneralDyneSetting:
@@ -169,15 +156,13 @@ class ZSweepData(NamedTuple):
     het_value: float
 
 
-def zsweep_table(params: OpoParams | None = None, z_grid=None) -> ZSweepData:
-    """Ergotropy-vs-z_m sweep at theta = 0 (defaults: chi_tilde = 0.99, nu_in = 3).
+def zsweep_table(params: OpoParams, z_grid=None) -> ZSweepData:
+    """Ergotropy-vs-z_m sweep at theta = 0.
 
     Returns the raw table in ascending z plus the closed-form z_opt marker and
     the heterodyne reference value.  The conditional determinants behind those
     two are checked against the Riccati solver on the same filter.
     """
-    if params is None:
-        params = OpoParams.from_tilde(0.99, nu_in=3.0)
     if z_grid is None:
         z_grid = np.logspace(math.log10(_Z_SWEEP_FLOOR), 0.0, 120)
     z_grid = np.asarray(z_grid, dtype=float)
@@ -211,13 +196,12 @@ class TransientTable(NamedTuple):
 def transient_table(params: OpoParams, t_max: float = 10.0, dt: float = 1e-3) -> TransientTable:
     """Transient daemonic ergotropy from a thermal state nu_0 I for hom0/hom90/het.
 
-    Uniform grid with spacing dt up to t_max (in units of 1/kappa when
-    kappa = 1); t_max must be an integer multiple of dt.  Every flow is
-    exact, so dt sets only the resolution of the table.  The unconditional
-    moments do not depend on the strategy and are propagated once for all
-    three curves; each conditional flow finds its own steady state (the
-    per-quadrature roots, as in opo_conditional_ss) and is expanded about it,
-    so no Riccati solver runs.
+    Uniform grid with spacing dt up to t_max (in units of 1/kappa); t_max
+    must be an integer multiple of dt.  Every flow is exact, so dt sets only
+    the resolution of the table.  The unconditional moments do not depend on
+    the strategy and are propagated once for all three curves; each
+    conditional flow finds its own steady state (the per-quadrature roots, as
+    in opo_conditional_ss) and is expanded about it, so no Riccati solver runs.
     """
     n_steps = _uniform_steps(t_max, dt, "t_max")
     grid = np.linspace(0.0, t_max, n_steps + 1)

@@ -36,32 +36,32 @@ def _pointer(setting):
     return (measured, across) if k % 2 == 0 else (across, measured)
 
 
-def opo_quadrature_gains(chi_tilde: float, nu_in: float, setting, kappa: float = 1.0):
+def opo_quadrature_gains(chi_tilde: float, nu_in: float, setting):
     """Per-quadrature (a, b, e, d) of the monitored OPO for hom0, hom90, het or a diagonal setting (see _pointer).
 
-    a = -kappa/2 -+ chi, b = -sqrt(kappa) g, e = nu_in b and d = kappa nu_in with
+    In units of kappa = 1: a = -1/2 -+ chi_tilde/2, b = -g, e = nu_in b and d = nu_in with
     g = (nu_in + p)^(-1/2) for pointer variance p: homodyne measures one
     quadrature sharply (p = 0) and leaves the other unobserved (g = 0);
     heterodyne has p = 1 on both.
     """
-    chi = 0.5 * chi_tilde * kappa
-    a = (-0.5 * kappa - chi, -0.5 * kappa + chi)
+    chi = 0.5 * chi_tilde
+    a = (-0.5 - chi, -0.5 + chi)
     g = [math.sqrt(x / (nu_in * x + y)) for x, y in _pointer(setting)]
-    return [(a_i, -math.sqrt(kappa) * g_i, -math.sqrt(kappa) * nu_in * g_i, kappa * nu_in) for a_i, g_i in zip(a, g)]
+    return [(a_i, -g_i, -nu_in * g_i, nu_in) for a_i, g_i in zip(a, g)]
 
 
-def opo_filter_diagonals(chi_tilde: float, nu_in: float, setting, kappa: float = 1.0):
+def opo_filter_diagonals(chi_tilde: float, nu_in: float, setting):
     """Per-quadrature (At, Dt, B B^T) of the monitored OPO, i.e. (a + e b, d - e^2, b^2), without cancellation.
 
-    With pointer variance y / x: b^2 = kappa x / (nu_in x + y), At = a + nu_in b^2
-    and Dt = kappa nu_in y / (nu_in x + y), which is exactly 0 along a
+    In units of kappa = 1, with pointer variance y / x: b^2 = x / (nu_in x + y), At = a + nu_in b^2
+    and Dt = nu_in y / (nu_in x + y), which is exactly 0 along a
     quadrature an efficient homodyne measures.
     """
-    chi = 0.5 * chi_tilde * kappa
+    chi = 0.5 * chi_tilde
     out = []
     for chi_i, (x, y) in zip((-chi, chi), _pointer(setting)):
-        b2 = kappa * x / (nu_in * x + y)
-        out.append((chi_i - 0.5 * kappa + nu_in * b2, kappa * nu_in * y / (nu_in * x + y), b2))
+        b2 = x / (nu_in * x + y)
+        out.append((chi_i - 0.5 + nu_in * b2, nu_in * y / (nu_in * x + y), b2))
     return out
 
 

@@ -37,12 +37,12 @@ def care_steady_state(mm):
 
 
 def test_opo_drift_diffusion_closed_form():
-    """The OPO drift is diag(-k/2 - chi, -k/2 + chi) and diffusion is k nu_in I."""
-    p = gd.OpoParams(chi=0.3, kappa=1.2, n_th=0.5)
-    dd = gd.drift_diffusion(gd.opo_model(p))
-    assert np.allclose(dd.a, np.diag([-0.6 - 0.3, -0.6 + 0.3]), atol=1e-12)
-    assert np.allclose(dd.d, 1.2 * p.nu_in * np.eye(2), atol=1e-12)
-    assert np.allclose(dd.drive, 0.0)
+    """The OPO (kappa = 1) has exactly A = diag(-(1 + chi~)/2, -(1 - chi~)/2), D = nu_in I and no drive."""
+    for ct, nu_in in [(0.0, 1.0), (0.3, 2.0), (0.6, 3.0), (0.99, 1.7), (1.0 - 1e-7, 1e8)]:
+        dd = gd.opo_model(gd.OpoParams(ct, nu_in=nu_in)).dd
+        assert np.array_equal(dd.a, np.diag([-(1.0 + ct) / 2, -(1.0 - ct) / 2])), (ct, dd.a)
+        assert np.array_equal(dd.d, nu_in * np.eye(2)), (nu_in, dd.d)
+        assert np.array_equal(dd.drive, np.zeros(2))
 
 
 def test_model_validation():

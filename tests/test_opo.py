@@ -1,5 +1,6 @@
 """Unit tests for the monitored optical parametric oscillator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,31 +15,41 @@ from zopt_search import opo_zopt_numeric
 
 
 def test_params_validation():
-    """Parameter domain: kappa > 0, 0 <= chi, below threshold, nu_0 >= 1."""
-    with pytest.raises(ValueError, match="kappa"):
-        OpoParams(chi=0.1, kappa=0.0)
-    with pytest.raises(ValueError, match="chi"):
-        OpoParams(chi=-0.1)
-    with pytest.raises(NoSteadyStateError, match="threshold"):
-        OpoParams(chi=0.6, kappa=1.0)
-    with pytest.raises(ValueError, match="n_th"):
-        OpoParams(chi=0.1, n_th=-0.5)
+    """Parameter domain: 0 <= chi~ < 1 (below threshold), nu_in >= 1, nu_0 >= 1; the fields are exactly these three."""
+    with pytest.raises(ValueError, match="chi_tilde"):
+        OpoParams(-0.1)
+    for ct in (1.0, 1.2):
+        with pytest.raises(NoSteadyStateError, match="threshold"):
+            OpoParams(ct)
+    with pytest.raises(ValueError, match="nu_in"):
+        OpoParams(0.1, nu_in=0.5)
     with pytest.raises(ValueError, match="nu_0"):
-        OpoParams(chi=0.1, nu_0=0.5)
-    p = OpoParams.from_tilde(0.8, nu_in=3.0, kappa=2.0)
-    assert p.chi_tilde == pytest.approx(0.8)
-    assert p.chi == pytest.approx(0.8)  # 2 chi / kappa = 0.8 with kappa = 2
-    assert p.nu_in == pytest.approx(3.0)
-    assert p.n_th == pytest.approx(1.0)
+        OpoParams(0.1, nu_0=0.5)
+    p = OpoParams(0.8, nu_in=3.0, nu_0=2.0)
+    assert [f.name for f in dataclasses.fields(p)] == ["chi_tilde", "nu_in", "nu_0"]
+    assert (p.chi_tilde, p.nu_in, p.nu_0) == (0.8, 3.0, 2.0)
+    assert OpoParams(0.0) == OpoParams(0.0, nu_in=1.0, nu_0=1.0)
 
 
-@pytest.mark.parametrize("field", ["chi", "kappa", "n_th", "nu_0"])
+@pytest.mark.parametrize("field", ["chi_tilde", "nu_in", "nu_0", "chi", "kappa", "n_th"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_params_reject_non_finite(field, bad):
-    """Every OPO rate must be finite; NaN slipped past each range check."""
-    kwargs = {"chi": 0.1, "kappa": 1.0, "n_th": 0.5, "nu_0": 1.0, field: bad}
-    with pytest.raises(ValueError, match="must be finite"):
-        OpoParams(**kwargs)
+    """Every OPO parameter must be finite (NaN slips past a range check); the rates chi, kappa, n_th are no keywords."""
+    kwargs = {"chi_tilde": 0.1, "nu_in": 2.0, "nu_0": 1.0, field: bad}
+    if field in ("chi", "kappa", "n_th"):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+            OpoParams(**kwargs)
+    else:
+        with pytest.raises(ValueError, match="must be finite"):
+            OpoParams(**kwargs)
+
+
+@pytest.mark.parametrize("ct, nu_in, nu_0", [(0.6, 3.0, 1.0), (0.99, 1.0, 5.0), (1.0 - 1e-7, 1e8, 1.0)])
+def test_from_tilde_is_the_constructor(ct, nu_in, nu_0):
+    """from_tilde(ct, nu_in=...) and from_tilde(ct, nu_in=..., nu_0=...) build the same parameters as OpoParams."""
+    assert OpoParams.from_tilde(ct, nu_in=nu_in) == OpoParams(ct, nu_in=nu_in)
+    assert OpoParams.from_tilde(ct, nu_in=nu_in, nu_0=nu_0) == OpoParams(ct, nu_in=nu_in, nu_0=nu_0)
+    assert OpoParams.from_tilde(ct) == OpoParams(ct)
 
 
 def test_strategy_settings():
@@ -206,7 +217,6 @@ def test_closed_form_matches_riccati_solver(chi_t, nu_in, log_z, nu_m, quarter, 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(
     chi_t=st_.floats(0.0, 0.995, exclude_max=True),
-    log_kappa=st_.floats(math.log(0.1), math.log(10.0)),
     log_nu=st_.floats(0.0, math.log(1e8)),
     log_z=st_.floats(math.log(1e-12), 0.0),
     nu_m=st_.floats(1.0, 5.0),
@@ -214,21 +224,21 @@ def test_closed_form_matches_riccati_solver(chi_t, nu_in, log_z, nu_m, quarter, 
     theta=st_.floats(0.0, math.pi),
     sharp=st_.booleans(),
 )
-@example(chi_t=0.5, log_kappa=0.0, log_nu=0.0, log_z=0.0, nu_m=1.0, phase="any", theta=0.4, sharp=False)
-def test_filter_data_match_pointer_variance_reference(chi_t, log_kappa, log_nu, log_z, nu_m, phase, theta, sharp):
+@example(chi_t=0.5, log_nu=0.0, log_z=0.0, nu_m=1.0, phase="any", theta=0.4, sharp=False)
+def test_filter_data_match_pointer_variance_reference(chi_t, log_nu, log_z, nu_m, phase, theta, sharp):
     """The diagonals of At, Dt and B B^T are the per-quadrature pointer-variance formulas of tests/scalar_riccati.py.
 
     Phase 0 and pi/2 with any setting, exact homodyne included, and z_m = 1 at
     any phase; within 1e-14 of each matrix's largest entry.  The diagonal of At
-    sums A and terms of up to kappa that cancel, so it is held to 1e-14 of the larger of |A| and |At|.
+    sums A and terms of order 1 that cancel, so it is held to 1e-14 of the larger of |A| and |At|.
     """
-    p = OpoParams.from_tilde(chi_t, nu_in=math.exp(log_nu), kappa=math.exp(log_kappa))
+    p = OpoParams(chi_t, nu_in=math.exp(log_nu))
     if phase == "any":
         setting = GeneralDyneSetting(nu_m=nu_m, theta_m=theta)
     else:
         setting = GeneralDyneSetting(nu_m=nu_m, theta_m=phase, z_m=0.0 if sharp else min(math.exp(log_z), 1.0))
     mm = gd.monitored(gd.opo_model(p), setting)
-    reference = np.array(opo_filter_diagonals(p.chi_tilde, p.nu_in, setting, kappa=p.kappa)).T
+    reference = np.array(opo_filter_diagonals(p.chi_tilde, p.nu_in, setting)).T
     scales = (max(np.abs(mm.dd.a).max(), np.abs(reference[0]).max()), *np.abs(reference[1:]).max(axis=1))
     for name, got, want, scale in zip(("At", "Dt", "B B^T"), (mm.at, mm.dtilde, mm.bbt), reference, scales):
         assert np.abs(np.diag(got) - want).max() <= 1e-14 * scale, (name, np.diag(got), want)

@@ -143,23 +143,19 @@ def _physicality_violation(sigma: np.ndarray) -> str | None:
     entries cancel before the product is taken.  Each inequality allows the
     round-off of its own terms.  eigvalsh decides the rest, and reports the
     smallest eigenvalue: three or more modes, terms that overflow, and a sigma
-    or sigma' that is not positive definite.  A non-finite sigma is reported by
-    its entries before any of this runs.
+    or sigma' that is not positive definite.  A non-finite sigma never passes
+    the closed form (NaN fails Sylvester's criterion, and any other non-finite
+    entry makes the round-off bound non-finite), so it is reported by its
+    entries just before eigvalsh would run on it.
     """
-    rows = sigma.tolist()
-    # A finite sum has finite terms; only a sum that overflows needs the entrywise test.
-    if not math.isfinite(sum(map(sum, rows))) and not np.isfinite(sigma).all():
-        bad = np.argwhere(~np.isfinite(sigma)).tolist()
-        listed = ", ".join(f"sigma[{i}, {j}] = {rows[i][j]}" for i, j in bad[:4])
-        return f"covariance matrix not finite: {listed}" + (f" and {len(bad) - 4} more" if len(bad) > 4 else "")
     t, n, u = TOL_PSD, sigma.shape[0] // 2, 4.0 * math.ulp(1.0)  # u: the unit of round-off
-    (b00, b01), (_, b11) = rows[-2][-2:], rows[-1][-2:]
+    (b00, b01), (_, b11) = sigma[-2:, -2:].tolist()
     if n <= 2 and _indefinite_min_eig(b00, b01, b11) is None:
         q00, q11 = b00 + t, b11 + t
         det = delta = q00 * q11 - b01 * b01
         err = u * (q00 * q11 + b01 * b01)
         if n == 2:
-            (a00, a01, c00, c01), (_, a11, c10, c11) = rows[:2]
+            (a00, a01, c00, c01), (_, a11, c10, c11) = sigma[:2].tolist()
             det_b, p00, p11, s, v0, v1 = det, a00 + t, a11 + t, math.sqrt(det), math.sqrt(q11), math.sqrt(q00)
             g00, g01 = c00 * q11 - c01 * b01, c01 * q00 - c00 * b01  # rows of sigma_AB adj(sigma_B')
             g10, g11 = c10 * q11 - c11 * b01, c11 * q00 - c10 * b01
@@ -174,6 +170,9 @@ def _physicality_violation(sigma: np.ndarray) -> str | None:
         if math.isfinite(err) and (n == 1 or (m00 + m11 > -(e00 + e11) and det > -err)):
             ok = det >= 1.0 - err and delta <= 1.0 + det + err
             return None if ok else f"uncertainty principle violated: det sigma' = {det:.6e}, Delta' = {delta:.6e}"
+    if not np.isfinite(sigma).all():
+        listed = ", ".join(f"sigma[{i}, {j}] = {sigma[i, j]}" for i, j in np.argwhere(~np.isfinite(sigma)).tolist())
+        return f"covariance matrix not finite: {listed}"
     ws, w = np.linalg.eigvalsh(sigma)[0], np.linalg.eigvalsh(sigma + 1j * _omega(n))[0]
     if not ws > 0.0:
         return f"covariance matrix not positive definite: min eig = {ws:.3e}"

@@ -105,7 +105,7 @@ def test_criterion_4_opo_zero_temperature():
     worst_det = 0.0
     worst_e = 0.0
     for chi_t in (0.3, 0.6, 0.9):
-        p = gd.OpoParams.from_tilde(chi_t, nu_in=1.0)
+        p = gd.OpoParams(chi_t, nu_in=1.0)
         target = chi_t**2 / (2.0 * (1.0 - chi_t**2))
         for _ in range(10):
             setting = gd.random_setting(rng, efficient=True)
@@ -130,7 +130,7 @@ def test_criterion_5_opo_finite_temperature_homodyne():
     het_beats = True
     for nu_in in (2.0, 3.0):
         for chi_t in (0.3, 0.6, 0.9):
-            p = gd.OpoParams.from_tilde(chi_t, nu_in=nu_in)
+            p = gd.OpoParams(chi_t, nu_in=nu_in)
             e_hom = nu_in * chi_t**2 / (2.0 * (1.0 - chi_t**2))
             for theta in (0.0, np.pi / 4, np.pi / 2):
                 sigma = gd.opo_conditional_ss(p, gd.homodyne(theta))
@@ -157,9 +157,9 @@ def test_criterion_6_optimal_z():
     """
     worst = 0.0
     for chi_t in (0.3, 0.6, 0.9, 0.99):
-        p = gd.OpoParams.from_tilde(chi_t, nu_in=3.0)
+        p = gd.OpoParams(chi_t, nu_in=3.0)
         worst = max(worst, abs(opo_zopt_numeric(p) - gd.opo_zopt(p)))
-    p99 = gd.OpoParams.from_tilde(0.99, nu_in=3.0)
+    p99 = gd.OpoParams(0.99, nu_in=3.0)
     e_zopt = gd.opo_steady_daemonic(p99, GeneralDyneSetting(theta_m=0.0, z_m=gd.opo_zopt(p99)))
     e_het = gd.opo_steady_daemonic(p99, gd.heterodyne())
     e_floor = gd.opo_steady_daemonic(p99, GeneralDyneSetting(theta_m=0.0, z_m=1e-6))
@@ -181,13 +181,13 @@ NU_0_FIG = 5.0
 
 @pytest.fixture(scope="module")
 def transients_cold():
-    p = gd.OpoParams.from_tilde(CHI_T_FIG, nu_in=1.0, nu_0=NU_0_FIG)
+    p = gd.OpoParams(CHI_T_FIG, nu_in=1.0, nu_0=NU_0_FIG)
     return gd.transient_table(p, t_max=10.0, dt=1e-3)
 
 
 @pytest.fixture(scope="module")
 def transients_warm():
-    p = gd.OpoParams.from_tilde(CHI_T_FIG, nu_in=3.0, nu_0=NU_0_FIG)
+    p = gd.OpoParams(CHI_T_FIG, nu_in=3.0, nu_0=NU_0_FIG)
     return gd.transient_table(p, t_max=10.0, dt=1e-3)
 
 
@@ -218,7 +218,7 @@ def test_criterion_7b_crossing_location(transients_cold):
 )
 def test_criterion_7c_common_steady_value(transients_cold):
     """nu_in = 1: all three curves reach the common steady value within 1e-4."""
-    p = gd.OpoParams.from_tilde(CHI_T_FIG, nu_in=1.0, nu_0=NU_0_FIG)
+    p = gd.OpoParams(CHI_T_FIG, nu_in=1.0, nu_0=NU_0_FIG)
     target = gd.opo_steady_daemonic(p, gd.heterodyne())
     gaps = {
         name: abs(float(curve[-1]) - target)
@@ -273,7 +273,7 @@ def test_criterion_7_steady_state_diagnostic(transients_cold):
     anti-squeezed unconditional variance starts exactly at its steady value
     1/(1 - chi~) = 5, so no slow kappa (1 - chi~) mode survives in them.
     """
-    p1 = gd.OpoParams.from_tilde(CHI_T_FIG, nu_in=1.0, nu_0=NU_0_FIG)
+    p1 = gd.OpoParams(CHI_T_FIG, nu_in=1.0, nu_0=NU_0_FIG)
     worst = max(
         abs(float(transients_cold.hom90[-1]) - gd.opo_steady_daemonic(p1, gd.homodyne(np.pi / 2))),
         abs(float(transients_cold.het[-1]) - gd.opo_steady_daemonic(p1, gd.heterodyne())),
@@ -291,7 +291,7 @@ def test_criterion_7_steady_state_diagnostic(transients_cold):
 
 def test_criterion_8_trajectory_consistency(monkeypatch):
     """5000-trajectory ensemble reproduces the unconditional moments within 3 SE."""
-    p = gd.OpoParams.from_tilde(0.6, nu_in=3.0)
+    p = gd.OpoParams(0.6, nu_in=3.0)
     mm = gd.monitored(gd.opo_model(p), gd.heterodyne())
     state0 = gd.GaussianState(np.array([1.0, -0.5]), NU_0_FIG * np.eye(2))
     kw = dict(dt=1e-3, T=3.0, n_traj=5000, master_seed=0, store_stride=50)

@@ -128,7 +128,7 @@ def test_unconditional_steady_state_at_large_noise():
     models at nu_in = 1e7 match scipy's Bartels-Stewart solve.  An absolute
     gate of 1e-10 rejected all six (residuals 5e-9 to 3e-7).
     """
-    p = gd.OpoParams.from_tilde(0.3, nu_in=1e8)
+    p = gd.OpoParams(0.3, nu_in=1e8)
     ref = gd.opo_unconditional_ss(p).cm
     assert np.abs(gd.steady_state_unconditional(gd.drift_diffusion(gd.opo_model(p))).cm - ref).max() <= 1e-15 * 1e8
     rng = np.random.default_rng(0)
@@ -150,7 +150,7 @@ def test_unconditional_steady_state_matches_scipy(seed, log_nu):
 @pytest.mark.parametrize("nu_in", [1.0, 1e8])
 def test_unconditional_residual_gate_is_relative(monkeypatch, nu_in):
     """A Lyapunov solution 1e-8 off (relative) fails the gate at any noise scale; one 1e-12 off passes."""
-    dd = gd.drift_diffusion(gd.opo_model(gd.OpoParams.from_tilde(0.3, nu_in=nu_in)))
+    dd = gd.drift_diffusion(gd.opo_model(gd.OpoParams(0.3, nu_in=nu_in)))
     lyapunov = gd.dynamics._lyapunov
     for factor, passes in ((1.0 + 1e-12, True), (1.0 + 1e-8, False)):
         monkeypatch.setattr(gd.dynamics, "_lyapunov", lambda a, q, factor=factor: lyapunov(a, q) * factor)
@@ -200,7 +200,7 @@ def test_opo_steady_state_matches_care_oracle(chi_t, nu_in, theta, quarter, log_
     Exact homodyne, z_m down to 1e-12 and noisy pointers (nu_m > 1)
     included; within 1e-12 of |sigma|.
     """
-    p = gd.OpoParams.from_tilde(chi_t, nu_in=nu_in)
+    p = gd.OpoParams(chi_t, nu_in=nu_in)
     phase = theta + 0.5 * math.pi * quarter
     setting = GeneralDyneSetting(nu_m=nu_m, theta_m=phase, z_m=0.0 if sharp else min(math.exp(log_z), 1.0))
     _assert_matches_care_oracle(gd.monitored(gd.opo_model(p), setting))
@@ -248,7 +248,7 @@ def test_opo_steady_state_matches_60_digit_oracle(chi_tilde, nu_in):
     up to 5 % (hom0, chi~ = 1 - 1e-7, nu_in = 3).  At the diagonal phases
     opo_conditional_ss, the per-quadrature roots, holds to 1e-12.
     """
-    p = gd.OpoParams.from_tilde(chi_tilde, nu_in=nu_in)
+    p = gd.OpoParams(chi_tilde, nu_in=nu_in)
     diagonal = (gd.homodyne(0.0), gd.homodyne(0.5 * np.pi), GeneralDyneSetting(z_m=gd.opo_zopt(p)), gd.heterodyne())
     for setting in diagonal:
         _assert_det_matches_60_digit_oracle(gd.opo_model(p), [setting], gd.opo_conditional_ss(p, setting))
@@ -273,7 +273,7 @@ def test_wrong_stable_subspace_dimension_is_a_numeric_error(monkeypatch):
         return t, z, sdim - 1
 
     monkeypatch.setattr(gd.dynamics, "schur", short_schur)
-    mm = gd.monitored(gd.opo_model(gd.OpoParams.from_tilde(0.6, nu_in=3.0)), GeneralDyneSetting(theta_m=0.7, z_m=0.4))
+    mm = gd.monitored(gd.opo_model(gd.OpoParams(0.6, nu_in=3.0)), GeneralDyneSetting(theta_m=0.7, z_m=0.4))
     with pytest.raises(gd.NumericError, match="algebraic Riccati solve failed: .* 1 stable eigenvalues, expected 2"):
         gd.steady_state_conditional(mm)
 
@@ -285,7 +285,7 @@ def test_unphysical_riccati_solution_is_a_numeric_error(monkeypatch, capsys):
     two gates before the physicality check are made to pass; the message
     names the failing quantity, det(sigma + TOL_PSD I) = 0.25.
     """
-    mm = gd.monitored(gd.opo_model(gd.OpoParams.from_tilde(0.6, nu_in=3.0)), GeneralDyneSetting(theta_m=0.7, z_m=0.4))
+    mm = gd.monitored(gd.opo_model(gd.OpoParams(0.6, nu_in=3.0)), GeneralDyneSetting(theta_m=0.7, z_m=0.4))
     c, _ = gd.dynamics._hamiltonian(mm.at, mm.dtilde, mm.bbt)  # sigma = c Z21 Z11^-1
     z = np.zeros((4, 4))
     z[:2, :2], z[2:, :2] = np.eye(2), 0.5 / c * np.eye(2)
@@ -317,7 +317,7 @@ def _count_lyapunov_calls(monkeypatch) -> list:
 def test_accurate_schur_solution_takes_no_newton_step(monkeypatch, setting):
     """At a generic phase the Schur solution is already at round-off, so no Lyapunov solve runs."""
     calls = _count_lyapunov_calls(monkeypatch)
-    _assert_matches_care_oracle(gd.monitored(gd.opo_model(gd.OpoParams.from_tilde(0.6, nu_in=3.0)), setting))
+    _assert_matches_care_oracle(gd.monitored(gd.opo_model(gd.OpoParams(0.6, nu_in=3.0)), setting))
     assert calls == []
 
 
@@ -336,8 +336,8 @@ def test_perturbed_schur_solution_is_refined(monkeypatch):
     calls = _count_lyapunov_calls(monkeypatch)
     rng = np.random.default_rng(97)
     models = [
-        gd.monitored(gd.opo_model(gd.OpoParams.from_tilde(0.6, nu_in=3.0)), GeneralDyneSetting(theta_m=0.7, z_m=0.4)),
-        gd.monitored(gd.opo_model(gd.OpoParams.from_tilde(0.99, nu_in=3.0)), gd.homodyne(0.3)),
+        gd.monitored(gd.opo_model(gd.OpoParams(0.6, nu_in=3.0)), GeneralDyneSetting(theta_m=0.7, z_m=0.4)),
+        gd.monitored(gd.opo_model(gd.OpoParams(0.99, nu_in=3.0)), gd.homodyne(0.3)),
         gd.monitored(_random_hurwitz_model(rng, 3, driven=False), _mixed_settings(rng, 3)),
     ]
     for mm in models:
@@ -356,7 +356,7 @@ def test_residual_gate_is_relative_to_the_riccati_scale(monkeypatch, nu_in):
     first one's absolute residual (about 3e-2) is far above SS_RESIDUAL_TOL,
     but only about 1e-10 of the scale, so it passes.
     """
-    model = gd.opo_model(gd.OpoParams.from_tilde(0.6, nu_in=nu_in))
+    model = gd.opo_model(gd.OpoParams(0.6, nu_in=nu_in))
     mm = gd.monitored(model, GeneralDyneSetting(theta_m=0.7, z_m=0.3))
     sigma = gd.steady_state_conditional(mm)
     if nu_in > 1e6:
@@ -394,8 +394,8 @@ def test_steady_state_is_the_flow_limit():
     chi~ = 0 and phase pi/2 the x quadrature is unobserved up to round-off.
     """
     rng = np.random.default_rng(89)
-    cases = [(gd.opo_model(gd.OpoParams.from_tilde(ct, nu_in=3.0)), gd.homodyne(0.0)) for ct in (0.3, 0.6)]
-    cases.append((gd.opo_model(gd.OpoParams.from_tilde(0.0)), gd.homodyne(0.5 * np.pi)))
+    cases = [(gd.opo_model(gd.OpoParams(ct, nu_in=3.0)), gd.homodyne(0.0)) for ct in (0.3, 0.6)]
+    cases.append((gd.opo_model(gd.OpoParams(0.0)), gd.homodyne(0.5 * np.pi)))
     cases += [
         (gd.random_stable_model(rng, nu_in=1.0 + rng.exponential(1.0)), gd.random_setting(rng)) for _ in range(8)
     ]
@@ -409,7 +409,7 @@ def test_steady_state_is_the_flow_limit():
         closed = dd.a + mm.e @ mm.b.T - sigma @ mm.b @ mm.b.T
         assert np.linalg.eigvals(closed).real.max() < 0.0
     for ct in (0.3, 0.6):
-        mm = gd.monitored(gd.opo_model(gd.OpoParams.from_tilde(ct, nu_in=3.0)), gd.homodyne(0.0))
+        mm = gd.monitored(gd.opo_model(gd.OpoParams(ct, nu_in=3.0)), gd.homodyne(0.0))
         exact = 3.0 * np.diag([1.0 - ct, 1.0 / (1.0 - ct)])
         assert np.abs(gd.steady_state_conditional(mm) - exact).max() <= 1e-9
 
@@ -516,7 +516,7 @@ def test_conditioning_never_hurts_steady_state():
 
 def test_transient_reaches_steady_state():
     """evolve_conditional_cm converges to the algebraic steady state."""
-    p = gd.OpoParams.from_tilde(0.7, nu_in=2.0)
+    p = gd.OpoParams(0.7, nu_in=2.0)
     mm = gd.monitored(gd.opo_model(p), gd.heterodyne())
     t_grid = np.linspace(0.0, 30.0, 3001)
     path = gd.evolve_conditional_cm(mm, 4.0 * np.eye(2), t_grid)
@@ -529,7 +529,7 @@ def test_transient_reaches_steady_state():
 
 def test_conditional_cm_is_grid_independent():
     """Two 20-unit steps land on the values of a 40 001-point grid."""
-    p = gd.OpoParams.from_tilde(0.9, nu_in=1.0)
+    p = gd.OpoParams(0.9, nu_in=1.0)
     mm = gd.monitored(gd.opo_model(p), gd.homodyne(0.0))
     coarse = gd.evolve_conditional_cm(mm, 100.0 * np.eye(2), [0.0, 20.0, 40.0])
     fine = gd.evolve_conditional_cm(mm, 100.0 * np.eye(2), np.linspace(0.0, 40.0, 40001))
@@ -640,7 +640,7 @@ def test_decoupled_roots():
     The OPO decouples at phase 0 and pi/2 and at z_m = 1; a generic phase,
     a phase 1e-9 off 0 and a random two-mode model couple.
     """
-    p = gd.OpoParams.from_tilde(0.7, nu_in=2.0)
+    p = gd.OpoParams(0.7, nu_in=2.0)
     rng = np.random.default_rng(61)
     coupled = [
         gd.monitored(gd.opo_model(p), GeneralDyneSetting(theta_m=0.7, z_m=0.3)),
@@ -703,7 +703,7 @@ def test_near_threshold_flows_match_stepping(chi_tilde):
     threshold (stepped), the conditional flows, the Gramian unconditional
     flows and the transient table all agree with the stepping propagator.
     """
-    p = gd.OpoParams.from_tilde(chi_tilde, nu_in=3.0, nu_0=5.0)
+    p = gd.OpoParams(chi_tilde, nu_in=3.0, nu_0=5.0)
     model = gd.opo_model(p)
     dd = gd.drift_diffusion(model)
     expanded = chi_tilde == 0.999
@@ -732,7 +732,7 @@ class TestTrajectories:
     """Stochastic ensemble behavior."""
 
     def setup_method(self):
-        p = gd.OpoParams.from_tilde(0.6, nu_in=2.0)
+        p = gd.OpoParams(0.6, nu_in=2.0)
         self.mm = gd.monitored(gd.opo_model(p), gd.heterodyne())
         self.state0 = GaussianState(np.array([1.0, -0.5]), 3.0 * np.eye(2))
 
@@ -808,7 +808,7 @@ _CHUNK_SETTINGS = (gd.GeneralDyneSetting(theta_m=0.4, z_m=0.2), gd.heterodyne(),
 @pytest.mark.parametrize("setting", _CHUNK_SETTINGS, ids=["gendyne", "het", "hom"])
 def test_trajectories_do_not_depend_on_chunk_size(monkeypatch, setting):
     """701 trajectories give the same bytes whether advanced 1, 5, 256 or 700 at a time."""
-    mm = gd.monitored(gd.opo_model(gd.OpoParams.from_tilde(0.6, nu_in=3.0)), setting)
+    mm = gd.monitored(gd.opo_model(gd.OpoParams(0.6, nu_in=3.0)), setting)
     state0 = GaussianState(np.array([1.0, -0.5]), 3.0 * np.eye(2))
     for stride in (1, 20, 50):
         kw = dict(dt=1e-2, T=1.0, n_traj=701, master_seed=3, store_stride=stride)
@@ -834,7 +834,7 @@ def _driven_mixed_case():
 def test_windows_match_stepwise_euler(case, stride):
     """One product per storage window reproduces the step-by-step scheme up to summation order."""
     if case == "opo":
-        mm = gd.monitored(gd.opo_model(gd.OpoParams.from_tilde(0.6, nu_in=3.0)), _CHUNK_SETTINGS[0])
+        mm = gd.monitored(gd.opo_model(gd.OpoParams(0.6, nu_in=3.0)), _CHUNK_SETTINGS[0])
         state0 = GaussianState(np.array([1.0, -0.5]), 3.0 * np.eye(2))
     else:
         mm, state0 = _driven_mixed_case()
@@ -847,7 +847,7 @@ def test_windows_match_stepwise_euler(case, stride):
 
 def test_daemonic_path_reaches_steady_value():
     """daemonic_ergotropy_path approaches the steady daemonic ergotropy."""
-    p = gd.OpoParams.from_tilde(0.6, nu_in=3.0)
+    p = gd.OpoParams(0.6, nu_in=3.0)
     mm = gd.monitored(gd.opo_model(p), gd.heterodyne())
     # Slowest mode relaxes at kappa (1 - chi~) = 0.4, so t = 40 leaves < 1e-6.
     t_grid = np.linspace(0.0, 40.0, 4001)
@@ -877,7 +877,7 @@ def test_daemonic_path_matches_per_step_loop():
 @pytest.mark.parametrize("func", ["evolve_conditional_cm", "unconditional_path", "daemonic_ergotropy_path"])
 def test_mode_count_mismatch_is_named(func):
     """A two-mode initial state on a one-mode model is rejected with both mode counts."""
-    mm = gd.monitored(gd.opo_model(gd.OpoParams.from_tilde(0.5)), gd.heterodyne())
+    mm = gd.monitored(gd.opo_model(gd.OpoParams(0.5)), gd.heterodyne())
     state0 = gd.vacuum(2)
     calls = {
         "evolve_conditional_cm": lambda: gd.evolve_conditional_cm(mm, state0.cm, [0.0, 1.0]),
@@ -891,7 +891,7 @@ def test_mode_count_mismatch_is_named(func):
 @pytest.mark.parametrize("nu_in", [1.0, 2.0, 3.0])
 def test_homodyne_gains_are_exact(nu_in):
     """Homodyne B is C Omega u u^T / sqrt(nu_in) to round-off: the unmeasured quadrature drops out exactly."""
-    model = gd.opo_model(gd.OpoParams.from_tilde(0.6, nu_in=nu_in))
+    model = gd.opo_model(gd.OpoParams(0.6, nu_in=nu_in))
     omega = gd.symplectic_form(1)
     for theta in np.linspace(0.0, np.pi, 97, endpoint=False):
         u = gd.measured_quadrature(gd.homodyne(theta))
@@ -937,7 +937,7 @@ def test_sharply_measured_quadrature_has_no_filter_diffusion(nu_in):
     entry is exactly 0; at float(pi/2) it is kappa nu_in cos^2(theta_m),
     about 4e-33 nu_in, the exact value for that float phase.
     """
-    model = gd.opo_model(gd.OpoParams.from_tilde(0.99, nu_in=nu_in))
+    model = gd.opo_model(gd.OpoParams(0.99, nu_in=nu_in))
     assert gd.monitored(model, gd.strategy_setting("hom0")).dtilde[0, 0] == 0.0
     hom90 = gd.strategy_setting("hom90")
     exact = nu_in * math.cos(hom90.theta_m) ** 2
@@ -947,7 +947,7 @@ def test_sharply_measured_quadrature_has_no_filter_diffusion(nu_in):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_grids_rejected(bad):
     """Time grids and uniform-grid (T, dt) pairs must be finite; NaN and inf raise ValueError."""
-    mm = gd.monitored(gd.opo_model(gd.OpoParams.from_tilde(0.5)), gd.heterodyne())
+    mm = gd.monitored(gd.opo_model(gd.OpoParams(0.5)), gd.heterodyne())
     state0 = GaussianState(np.zeros(2), np.eye(2))
     with pytest.raises(ValueError, match="finite"):
         gd.evolve_conditional_cm(mm, state0.cm, [0.0, bad])

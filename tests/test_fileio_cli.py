@@ -535,7 +535,7 @@ def test_transient_at_large_nu_in_matches_scalar_riccati(tmp_path):
         args = ["opo-transient", "--chi-tilde", "0.5", "--T", "0.01", "--dt", "1e-3", "--nu-in", "1e8"]
         assert main([*args, "--out", str(out)]) == 0
     table = np.loadtxt(out, delimiter=",", comments="#", skiprows=3)
-    p = gd.OpoParams.from_tilde(0.5, nu_in=1e8, nu_0=5.0)
+    p = gd.OpoParams(0.5, nu_in=1e8, nu_0=5.0)
     times = table[:, 0]
     two_a = np.array([-1.0 - p.chi_tilde, -1.0 + p.chi_tilde])  # 2 a_i per quadrature, kappa = 1
     growth = np.exp(np.outer(times, two_a))

@@ -70,7 +70,7 @@ def test_unconditional_steady_state():
     """sigma_unc^ss = nu_in diag(1/(1+chi_t), 1/(1-chi_t)) and its ergotropy."""
     for chi_t in (0.3, 0.8):
         for nu_in in (1.0, 2.5):
-            p = OpoParams.from_tilde(chi_t, nu_in=nu_in)
+            p = OpoParams(chi_t, nu_in=nu_in)
             ss = gd.opo_unconditional_ss(p)
             ref = nu_in * np.diag([1.0 / (1.0 + chi_t), 1.0 / (1.0 - chi_t)])
             assert np.allclose(ss.cm, ref, atol=1e-12)
@@ -83,7 +83,7 @@ def test_analytic_branches_satisfy_riccati():
     """Closed-form homodyne and heterodyne steady states have zero Riccati residual."""
     for chi_t in (0.2, 0.5, 0.8, 0.95):
         for nu_in in (1.0, 2.0, 4.0):
-            p = OpoParams.from_tilde(chi_t, nu_in=nu_in)
+            p = OpoParams(chi_t, nu_in=nu_in)
             for name in ("hom0", "hom90", "het"):
                 setting = gd.strategy_setting(name)
                 sigma = gd.opo_conditional_ss(p, setting)
@@ -97,7 +97,7 @@ def test_homodyne_determinant_theta_independent():
     for _ in range(10):
         chi_t = rng.uniform(0.1, 0.9)
         nu_in = 1.0 + rng.exponential(1.0)
-        p = OpoParams.from_tilde(chi_t, nu_in=nu_in)
+        p = OpoParams(chi_t, nu_in=nu_in)
         theta = rng.uniform(0, np.pi)
         sigma = gd.opo_conditional_ss(p, gd.homodyne(theta))
         assert np.linalg.det(sigma) == pytest.approx(nu_in**2, rel=1e-8)
@@ -106,9 +106,9 @@ def test_homodyne_determinant_theta_independent():
 def test_homodyne_scaling_in_nu_in():
     """sigma_c^ss scales linearly in nu_in for homodyne monitoring."""
     for theta in (0.0, 0.7, np.pi / 2):
-        base = gd.opo_conditional_ss(OpoParams.from_tilde(0.7, nu_in=1.0), gd.homodyne(theta))
+        base = gd.opo_conditional_ss(OpoParams(0.7, nu_in=1.0), gd.homodyne(theta))
         for nu_in in (2.0, 3.0, 5.0):
-            sigma = gd.opo_conditional_ss(OpoParams.from_tilde(0.7, nu_in=nu_in), gd.homodyne(theta))
+            sigma = gd.opo_conditional_ss(OpoParams(0.7, nu_in=nu_in), gd.homodyne(theta))
             assert np.allclose(sigma, nu_in * base, atol=1e-7)
 
 
@@ -116,7 +116,7 @@ def test_heterodyne_beats_homodyne_at_finite_temperature():
     """For nu_in > 1 the heterodyne steady daemonic ergotropy exceeds homodyne's."""
     for chi_t in (0.3, 0.6, 0.9):
         for nu_in in (1.5, 3.0):
-            p = OpoParams.from_tilde(chi_t, nu_in=nu_in)
+            p = OpoParams(chi_t, nu_in=nu_in)
             e_het = gd.opo_steady_daemonic(p, gd.heterodyne())
             e_hom = gd.opo_steady_daemonic(p, gd.homodyne(0.0))
             assert e_het > e_hom
@@ -125,13 +125,13 @@ def test_heterodyne_beats_homodyne_at_finite_temperature():
 def test_zopt_closed_form():
     """Numeric golden-section optimum matches (1 - chi_t)/(1 + chi_t) at nu_in > 1."""
     for chi_t in (0.3, 0.7):
-        p = OpoParams.from_tilde(chi_t, nu_in=2.0)
+        p = OpoParams(chi_t, nu_in=2.0)
         assert opo_zopt_numeric(p) == pytest.approx(gd.opo_zopt(p), abs=1e-5)
 
 
 def test_zero_temperature_landscape_is_flat():
     """At nu_in = 1 every efficient strategy reaches det sigma_c^ss = 1."""
-    p = OpoParams.from_tilde(0.6, nu_in=1.0)
+    p = OpoParams(0.6, nu_in=1.0)
     dets = []
     for z in (1e-4, 0.02, 0.3, 1.0):
         sigma = gd.opo_conditional_ss(p, GeneralDyneSetting(theta_m=0.0, z_m=z))
@@ -141,7 +141,7 @@ def test_zero_temperature_landscape_is_flat():
 
 def test_zsweep_table_shape():
     """The z sweep brackets its maximum at z_opt and carries the references."""
-    p = OpoParams.from_tilde(0.9, nu_in=2.0)
+    p = OpoParams(0.9, nu_in=2.0)
     data = gd.zsweep_table(p, z_grid=np.logspace(-5, 0, 40))
     assert data.table.shape == (40, 2)
     assert np.all(np.diff(data.table[:, 0]) > 0)
@@ -152,7 +152,7 @@ def test_zsweep_table_shape():
 
 def test_transient_table_consistency():
     """Transient curves start at zero and reach their steady values."""
-    p = OpoParams.from_tilde(0.8, nu_in=1.0, nu_0=5.0)
+    p = OpoParams(0.8, nu_in=1.0, nu_0=5.0)
     tab = gd.transient_table(p, t_max=0.5, dt=1e-3)
     assert tab.times.size == 501
     assert tab.hom0[0] == tab.hom90[0] == tab.het[0] == 0.0
@@ -164,7 +164,7 @@ def test_transient_table_consistency():
 def test_transient_table_matches_daemonic_paths():
     """Sharing one unconditional path leaves each curve equal to its own daemonic_ergotropy_path."""
     for nu_in in (1.0, 3.0):
-        p = OpoParams.from_tilde(0.8, nu_in=nu_in, nu_0=5.0)
+        p = OpoParams(0.8, nu_in=nu_in, nu_0=5.0)
         tab = gd.transient_table(p, t_max=2.0, dt=1e-2)
         state0 = gd.thermal(5.0)
         for name in ("hom0", "hom90", "het"):
@@ -178,10 +178,10 @@ def test_transient_table_matches_care_expansion(monkeypatch):
     """Expanded about the Riccati solver's steady state, not the per-quadrature roots, the curves agree to round-off."""
     tables = {}
     for nu_in in (1.0, 3.0):
-        tables[nu_in] = gd.transient_table(OpoParams.from_tilde(0.8, nu_in=nu_in, nu_0=5.0), t_max=2.0, dt=1e-2)
+        tables[nu_in] = gd.transient_table(OpoParams(0.8, nu_in=nu_in, nu_0=5.0), t_max=2.0, dt=1e-2)
     monkeypatch.setattr(gd.dynamics, "_decoupled_roots", lambda mm: None)
     for nu_in, tab in tables.items():
-        p = OpoParams.from_tilde(0.8, nu_in=nu_in, nu_0=5.0)
+        p = OpoParams(0.8, nu_in=nu_in, nu_0=5.0)
         for name in ("hom0", "hom90", "het"):
             mm = gd.monitored(gd.opo_model(p), gd.strategy_setting(name))
             path = gd.daemonic_ergotropy_path(mm, gd.thermal(5.0), tab.times)
@@ -204,7 +204,7 @@ def _riccati_solver_ss(p, setting):
 @example(chi_t=0.0, nu_in=1.0, log_z=0.0, nu_m=1.0, quarter=1, sharp=True)
 def test_closed_form_matches_riccati_solver(chi_t, nu_in, log_z, nu_m, quarter, sharp):
     """At phase 0 and pi/2 the per-quadrature root is the Riccati solver's steady state, for every setting."""
-    p = OpoParams.from_tilde(chi_t, nu_in=nu_in)
+    p = OpoParams(chi_t, nu_in=nu_in)
     theta = 0.5 * math.pi * quarter
     setting = GeneralDyneSetting(nu_m=nu_m, theta_m=theta, z_m=0.0 if sharp else min(math.exp(log_z), 1.0))
     closed = gd.opo_conditional_ss(p, setting)
@@ -249,7 +249,7 @@ def test_filter_data_match_pointer_variance_reference(chi_t, log_nu, log_z, nu_m
 @example(log_gap=math.log10(1.0 - 0.9999814993294961), log_nu=4.0)
 def test_zsweep_near_threshold_never_raises(log_gap, log_nu):
     """The sweep's guards hold up to 1e-10 from threshold and nu_in up to 1e15 (chi~ = 1 - 10^log_gap)."""
-    p = OpoParams.from_tilde(1.0 - 10.0**log_gap, nu_in=10.0**log_nu)
+    p = OpoParams(1.0 - 10.0**log_gap, nu_in=10.0**log_nu)
     data = gd.zsweep_table(p, z_grid=np.logspace(-6, 0, 7))
     assert np.isfinite(data.table).all() and np.isfinite(data.z_opt_value) and np.isfinite(data.het_value)
 
@@ -261,7 +261,7 @@ def test_zopt_is_stationary(chi_t, nu_in):
 
     Needs nu_in > 1 and chi~ > 0: otherwise the landscape is flat.
     """
-    p = OpoParams.from_tilde(chi_t, nu_in=nu_in)
+    p = OpoParams(chi_t, nu_in=nu_in)
     z_opt = gd.opo_zopt(p)
 
     def value(z):
@@ -274,7 +274,7 @@ def test_zopt_is_stationary(chi_t, nu_in):
 
 def test_diagonal_phase_detected_modulo_pi():
     """Phases 1e-15 below pi reach the closed form of phase 0 (settings store theta mod pi)."""
-    p = OpoParams.from_tilde(0.7, nu_in=2.5)
+    p = OpoParams(0.7, nu_in=2.5)
     assert gd.homodyne(-1e-15).theta_m > 3.0
     assert np.array_equal(gd.opo_conditional_ss(p, gd.homodyne(-1e-15)), gd.opo_conditional_ss(p, gd.homodyne(0.0)))
     for theta in (0.0, 0.5 * math.pi):
@@ -296,7 +296,7 @@ def test_zsweep_guard_compares_with_riccati_solver(monkeypatch):
         calls.append(mm.settings[0])
         return gd.steady_state_conditional(mm) * (1.0 + 1e-6)
 
-    p = OpoParams.from_tilde(0.9, nu_in=2.0)
+    p = OpoParams(0.9, nu_in=2.0)
     monkeypatch.setattr(gd.opo, "steady_state_conditional", perturbed)
     message = r"at GeneralDyneSetting\(.*z_m=.*\): closed form .* and independent route .* disagree"
     with pytest.raises(NumericError, match=message):
@@ -307,7 +307,7 @@ def test_zsweep_guard_compares_with_riccati_solver(monkeypatch):
 @pytest.mark.parametrize("nu_in", [1.0, 3.0])
 def test_transients_match_scalar_riccati(nu_in):
     """hom0, hom90 and het from evolve_conditional_cm equal the scalar closed form on the criterion-7 grid."""
-    p = OpoParams.from_tilde(0.8, nu_in=nu_in, nu_0=5.0)
+    p = OpoParams(0.8, nu_in=nu_in, nu_0=5.0)
     times = np.linspace(0.0, 10.0, 10001)
     for name in ("hom0", "hom90", "het"):
         mm = gd.monitored(gd.opo_model(p), gd.strategy_setting(name))
@@ -323,14 +323,14 @@ def test_transients_match_scalar_riccati(nu_in):
 def test_transient_table_rejects_degenerate_grids(t_max, dt):
     """A zero step or a non-finite span is a ValueError, not an arithmetic crash."""
     with pytest.raises(ValueError, match="finite and positive"):
-        gd.transient_table(OpoParams.from_tilde(0.5), t_max=t_max, dt=dt)
+        gd.transient_table(OpoParams(0.5), t_max=t_max, dt=dt)
 
 
 def test_opo_params_range_check():
     """nu_in / (1 - chi~) and nu_0 may reach the largest covariance entry the two-mode code admits (about 1.2e77)."""
     bound = math.exp(gd.bipartite._LOG_MAX_CM_ENTRY)
-    OpoParams.from_tilde(0.5, nu_in=0.999 * 0.5 * bound)
-    OpoParams.from_tilde(0.0, nu_in=0.999 * bound, nu_0=0.999 * bound)
+    OpoParams(0.5, nu_in=0.999 * 0.5 * bound)
+    OpoParams(0.0, nu_in=0.999 * bound, nu_0=0.999 * bound)
     for kwargs in ({"nu_in": 1.001 * 0.5 * bound}, {"nu_in": 1e300}, {"nu_in": 3.0, "nu_0": 1.001 * bound}):
         with pytest.raises(ValueError, match="is out of range"):
-            OpoParams.from_tilde(0.5, **kwargs)
+            OpoParams(0.5, **kwargs)

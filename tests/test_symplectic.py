@@ -100,7 +100,7 @@ def test_validate_state_rejects_non_finite():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
 def test_physicality_violation_names_non_finite_entries(n, bad, where):
-    """A non-finite CM is reported by its entries, not by a closed form or eigvalsh verdict on garbage."""
+    """A non-finite CM is reported by its entries, not by a closed-form or eigvalsh verdict on garbage."""
     sigma = 2.0 * np.eye(2 * n)
     i, j = (0, 0) if where == "diagonal" else (0, 2 * n - 1)
     sigma[i, j] = sigma[j, i] = bad
@@ -110,19 +110,6 @@ def test_physicality_violation_names_non_finite_entries(n, bad, where):
     assert violation.count("sigma[") == len(expected)
     for a, b in expected:
         assert f"sigma[{a}, {b}] = {bad}" in violation
-
-
-def test_physicality_violation_lists_at_most_four_entries():
-    """A CM that is non-finite throughout is named by its first four entries and a count."""
-    sigma = np.full((6, 6), np.nan)
-    violation = gd.symplectic._physicality_violation(sigma)
-    assert violation.count("sigma[") == 4 and violation.endswith(" and 32 more")
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_physicality_violation_takes_finite_entries_whose_sum_overflows(n):
-    """1e308 I is finite and physical although the sum of its entries overflows."""
-    assert gd.symplectic._physicality_violation(1e308 * np.eye(2 * n)) is None
 
 
 def test_vacuum_and_thermal():

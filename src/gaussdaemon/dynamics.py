@@ -47,8 +47,9 @@ is missing or large (a non-Hurwitz drift, or one near threshold; see
 _expandable) the conditional flow is stepped through the exponential of its
 Hamiltonian matrix instead.  Either way the results do not depend on the
 time grid.  The conditional steady state is the stable invariant subspace
-of the same Hamiltonian (one ordered Schur decomposition; Newton-Kleinman
-steps refine it only when its residual is above round-off).  That
+of the same Hamiltonian (in closed form for one mode, from one ordered Schur
+decomposition for more; Newton-Kleinman steps refine it only when its
+residual is above round-off).  That
 Hamiltonian is built once (_hamiltonian), balanced so that its norm does not
 grow with the environment noise.  Where the filter terms are diagonal, the
 flow is expanded instead about the stabilizing root of each coordinate's
@@ -65,6 +66,7 @@ measurement settings are interpreted in the normalized basis.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -163,22 +165,21 @@ def _normalize_environment(c, sigma_in, mean_in, m):
     Leaves A, D and d invariant: C sigma_in C^T, C Omega_m C^T and C mean_in
     are unchanged when C -> C S^{-1}, sigma_in -> S sigma_in S^T,
     mean_in -> S mean_in with S symplectic.  Blocks within 1e-13 of isotropic
-    need no fold and are stored as exactly nu_j I, nu_j = tr / 2.
+    need no fold and are stored as exactly nu_j I, nu_j = tr / 2.  Both
+    decisions are float arithmetic on the entries (small numpy calls cost more).
     """
-    blocks = [sigma_in[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] for j in range(m)]
-    off = sigma_in.copy()
-    for j in range(m):
-        off[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = 0.0
-    if np.abs(off).max() > 1e-12:
+    rows = sigma_in.tolist()
+    if any(abs(v) > 1e-12 for i, row in enumerate(rows) for j, v in enumerate(row) if i // 2 != j // 2):
         raise ValueError("correlated input modes are not supported; sigma_in must be block-diagonal")
-    nus = [0.5 * float(np.trace(b)) for b in blocks]
-    if any(np.abs(b - nu * np.eye(2)).max() > 1e-13 for b, nu in zip(blocks, nus)):
+    blocks = [(*rows[2 * j][2 * j : 2 * j + 2], *rows[2 * j + 1][2 * j : 2 * j + 2]) for j in range(m)]
+    nus = [0.5 * (b00 + b11) for b00, _, _, b11 in blocks]
+    if any(max(abs(b00 - nu), abs(b01), abs(b10), abs(b11 - nu)) > 1e-13 for (b00, b01, b10, b11), nu in zip(blocks, nus)):
         s_full = np.zeros((2 * m, 2 * m))
-        for j, b in enumerate(blocks):
-            nus[j], s = williamson_single_mode(b)
-            s_full[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = s
+        for j in range(m):
+            block = slice(2 * j, 2 * j + 2)
+            nus[j], s_full[block, block] = williamson_single_mode(sigma_in[block, block])
         c, mean_in = c @ np.linalg.inv(s_full), s_full @ mean_in
-    return c, np.diag(np.repeat(nus, 2)), mean_in
+    return c, np.diag([nu for nu in nus for _ in range(2)]), mean_in
 
 
 @dataclass(frozen=True)
@@ -195,12 +196,28 @@ def drift_diffusion(model: DiffusiveModel) -> DriftDiffusion:
     return model.dd
 
 
+def _spectral_abscissa(a: np.ndarray) -> float:
+    """Largest real part of the eigenvalues of a square matrix.
+
+    A 2x2 [[a, b], [c, d]] takes the closed form tr / 2 + sqrt(max(disc, 0)),
+    disc = ((a - d) / 2)^2 + b c, in float arithmetic; larger matrices, and a 2x2
+    whose closed form is not finite, take np.linalg.eigvals.
+    """
+    if a.shape == (2, 2):
+        (a00, a01), (a10, a11) = a.tolist()
+        half = 0.5 * (a00 - a11)
+        alpha = 0.5 * (a00 + a11) + math.sqrt(max(half * half + a01 * a10, 0.0))
+        if math.isfinite(alpha):
+            return alpha
+    return float(np.linalg.eigvals(a).real.max())
+
+
 def is_hurwitz(a: np.ndarray) -> bool:
-    """True iff every eigenvalue of a has real part below -TOL_HURWITZ."""
+    """True iff every eigenvalue of a has real part below -TOL_HURWITZ (_spectral_abscissa)."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"drift matrix must be square, got {a.shape}")
-    return bool(np.linalg.eigvals(a).real.max() < -TOL_HURWITZ)
+    return _spectral_abscissa(a) < -TOL_HURWITZ
 
 
 def _lyapunov(a, q) -> np.ndarray:
@@ -361,7 +378,7 @@ def _expandable(dd: DriftDiffusion) -> bool:
     (near threshold: about 2e-12 lost at the bound), are stepped instead.
     Decided from A and D alone, before any solve.
     """
-    alpha = float(np.linalg.eigvals(dd.a).real.max())
+    alpha = _spectral_abscissa(dd.a)
     return alpha < -TOL_HURWITZ and float(np.abs(dd.d).max()) <= -2.0 * alpha * _EXPAND_MAX_SCALE
 
 
@@ -389,7 +406,7 @@ def _hamiltonian(a, q, r) -> tuple[float, np.ndarray]:
     sqrt(|Q| / |R|) (max-norms) truncated to a power of two towards 1 (1 if Q or R is 0): exact,
     and it leaves the coupling blocks within a factor 4, where unbalanced |H| grows with nu_in.
     """
-    nq, nr = float(np.abs(q).max()), float(np.abs(r).max())
+    nq, nr = (max(map(abs, x.ravel().tolist())) for x in (q, r))  # float arithmetic: small numpy calls cost more
     c = 2.0 ** int(0.5 * (math.log2(nq) - math.log2(nr))) if nq > 0.0 and nr > 0.0 else 1.0
     return c, np.concatenate((np.concatenate((-a.T, c * r), 1), np.concatenate((q / c, a), 1)))  # np.block is slower
 
@@ -475,25 +492,81 @@ def riccati_residual(mm: MonitoredModel, sigma: np.ndarray) -> float:
     return float(np.abs(mm.at @ sigma + sigma @ mm.at.T + mm.dtilde - sigma @ mm.bbt @ sigma).max())
 
 
+def _mul2(x, y) -> list:
+    """Product of two 2x2 matrices given as nested sequences of floats."""
+    (x00, x01), (x10, x11) = x
+    (y00, y01), (y10, y11) = y
+    return [[x00 * y00 + x01 * y10, x00 * y01 + x01 * y11], [x10 * y00 + x11 * y10, x10 * y01 + x11 * y11]]
+
+
 def _relative_residual(a, q, r, sigma: np.ndarray) -> float:
     """Max-norm residual of A s + s A^T + Q - s R s at sigma over the largest max-norm of its terms Q, A s and s R s.
 
     That scale is positive for a Hurwitz drift; a correctly rounded sigma leaves about 1e-14.
+    2x2 data take the same products in float arithmetic.
     """
+    if sigma.shape == (2, 2):
+        a, q, r, s = (x.tolist() for x in (a, q, r, sigma))
+        a_s, s_r_s = _mul2(a, s), _mul2(_mul2(s, r), s)
+        s_at = _mul2(s, tuple(zip(*a)))
+        terms = [x + y + z - w for rows in zip(a_s, s_at, q, s_r_s) for x, y, z, w in zip(*rows)]
+        return max(map(abs, terms)) / max(abs(v) for x in (q, a_s, s_r_s) for row in x for v in row)
     a_s, s_r_s = a @ sigma, sigma @ r @ sigma
     residual = float(np.abs(a_s + sigma @ a.T + q - s_r_s).max())
     return residual / max(float(np.abs(x).max()) for x in (q, a_s, s_r_s))
 
 
+def _one_mode_basis(h: list) -> list:
+    """Rows of [U; V], two columns spanning the stable invariant subspace of -H for a 4x4 Hamiltonian H.
+
+    H is a nested list and the arithmetic is float arithmetic (no LAPACK).
+    H's characteristic polynomial is l^4 + p l^2 + s, p = -tr(H^2) / 2 and
+    s = det H.  With l1, l2 the eigenvalues of H of positive real part (those
+    of -H of negative real part), l1 l2 = sqrt(s) and l1 + l2 = sqrt(-p + 2 sqrt(s))
+    are real, also for a complex pair, and M = (H + l1)(H + l2) =
+    H^2 + (l1 + l2) H + l1 l2 I maps onto their invariant subspace.  Of M's
+    columns the two whose upper 2x2 block has the largest |det| are taken.
+    s <= 0 or -p + 2 sqrt(s) <= 0 puts eigenvalues on the imaginary axis
+    (one pair for s < 0, both otherwise): LinAlgError, worded as the Schur
+    route words a stable subspace of the wrong dimension.
+    """
+    cols = tuple(zip(*h))
+    h2 = [[r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3 for c0, c1, c2, c3 in cols] for r0, r1, r2, r3 in h]
+    p = -0.5 * (h2[0][0] + h2[1][1] + h2[2][2] + h2[3][3])
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = h
+    # Laplace expansion along the upper two rows: 2x2 minors of rows (0, 1) times their complements in rows (2, 3).
+    s = (
+        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+    )
+    if s <= 0.0 or -p + 2.0 * math.sqrt(s) <= 0.0:
+        stable = 1 if s < 0.0 or (s == 0.0 and p < 0.0) else 0
+        raise np.linalg.LinAlgError(f"the Riccati Hamiltonian has {stable} stable eigenvalues, expected 2")
+    prod = math.sqrt(s)
+    total = math.sqrt(-p + 2.0 * prod)
+    m = [[x + total * y for x, y in zip(row2, row)] for row2, row in zip(h2, h)]
+    for i in range(4):
+        m[i][i] += prod
+    m0, m1 = m[0], m[1]
+    j, k = max(itertools.combinations(range(4), 2), key=lambda jk: abs(m0[jk[0]] * m1[jk[1]] - m0[jk[1]] * m1[jk[0]]))
+    return [[row[j], row[k]] for row in m]
+
+
 def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
     """Steady-state conditional CM from the continuous algebraic Riccati equation.
 
-    Solves At s + s At^T + Dt - s B B^T s = 0 from one ordered real Schur
-    decomposition of -H, with (c, H) from _hamiltonian: the first n Schur
-    vectors [Z11; Z21], ordered to span the stable invariant subspace, give
-    s = c Z21 Z11^-1; a stable subspace of any other dimension raises
-    NumericError.  The solve with Z11 loses precision with its condition
-    number, so a Schur solution whose relative residual (_relative_residual)
+    Solves At s + s At^T + Dt - s B B^T s = 0 from a basis [U; V] of the
+    stable invariant subspace of -H, with (c, H) from _hamiltonian, as
+    s = c V U^-1.  One mode takes the basis in closed form
+    (_one_mode_basis, float arithmetic, no LAPACK call); from two modes on it
+    is the first n vectors of one ordered real Schur decomposition of -H.  A
+    stable subspace of any other dimension, or a singular U, raises
+    NumericError.  The solve with U loses precision with its condition
+    number, so a solution whose relative residual (_relative_residual)
     is above SS_REFINE_RTOL is refined by at most SS_NEWTON_STEPS
     Newton-Kleinman steps, Lyapunov solves with the closed loop At - s B B^T.
     The result must be the stabilizing solution, have a relative residual
@@ -505,11 +578,20 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
     try:
         dim = at.shape[0]
         c, ham = _hamiltonian(at, dtilde, bbt)
-        _, z, sdim = schur(-ham, output="real", sort="lhp")
-        if sdim != dim:
-            raise np.linalg.LinAlgError(f"the Riccati Hamiltonian has {sdim} stable eigenvalues, expected {dim}")
-        sigma = c * np.linalg.solve(z[:dim, :dim].T, z[dim:, :dim].T)
-        sigma = 0.5 * (sigma + sigma.T)
+        if dim == 2:
+            (u00, u01), (u10, u11), (v00, v01), (v10, v11) = _one_mode_basis(ham.tolist())
+            det = u00 * u11 - u01 * u10
+            if det == 0.0 or not math.isfinite(det):
+                raise np.linalg.LinAlgError(f"the stable basis has a singular upper block (det U = {det})")
+            k = c / det  # sigma = c V U^-1, symmetrized
+            off = 0.5 * k * ((v01 * u00 - v00 * u01) + (v10 * u11 - v11 * u10))
+            sigma = np.array([[k * (v00 * u11 - v01 * u10), off], [off, k * (v11 * u00 - v10 * u01)]])
+        else:
+            _, z, sdim = schur(-ham, output="real", sort="lhp")
+            if sdim != dim:
+                raise np.linalg.LinAlgError(f"the Riccati Hamiltonian has {sdim} stable eigenvalues, expected {dim}")
+            sigma = c * np.linalg.solve(z[:dim, :dim].T, z[dim:, :dim].T)
+            sigma = 0.5 * (sigma + sigma.T)
         rel = _relative_residual(at, dtilde, bbt, sigma)
         for _ in range(SS_NEWTON_STEPS):
             if rel <= SS_REFINE_RTOL:

@@ -112,7 +112,7 @@ def validate_state(mean, cm) -> GaussianState:
     asym = np.abs(state.cm - state.cm.T).max()
     if asym > TOL_SYM:
         raise SymmetryError(f"covariance matrix asymmetric: max |sigma - sigma^T| = {asym:.3e} > {TOL_SYM:.1e}")
-    if (violation := _physicality_violation(0.5 * (state.cm + state.cm.T))) is not None:
+    if (violation := _physicality_violation(0.5 * state.cm + 0.5 * state.cm.T)) is not None:
         raise UnphysicalStateError(violation)
     return state
 

@@ -19,6 +19,7 @@ from gaussdaemon import (
 )
 from gaussdaemon.cli import main
 from gaussdaemon.dynamics import _grid_flow, _propagate_riccati
+from gaussdaemon.symplectic import TOL_HURWITZ
 from euler_reference import euler_trajectories
 from riccati_oracle import DPS, steady_state
 
@@ -55,6 +56,52 @@ def test_model_validation():
         DiffusiveModel(np.zeros((2, 2)), np.eye(3), np.eye(2), np.zeros(2))
     with pytest.raises(gd.UnphysicalStateError):
         DiffusiveModel(np.zeros((2, 2)), np.eye(2), 0.3 * np.eye(2), np.zeros(2))
+
+
+def _two_by_two(kind, p, q, r, s):
+    """A 2x2 drift of the given kind from four floats in [-10, 10]."""
+    k = abs(s) + 0.1
+    if kind == "complex":  # p +- i sqrt(q^2 + r^2 + 0.01)
+        return [[p + q, k], [-(q * q + r * r + 0.01) / k, p - q]]
+    if kind == "repeated":  # disc = q^2 + b c = 0 up to rounding: a double root p, defective unless q = 0
+        return [[p + q, k], [-q * q / k, p - q]]
+    if kind == "jordan":
+        return [[p, q], [0.0, p]]
+    return [[p, q], [r, s]]
+
+
+_ENTRY = st_.floats(-10.0, 10.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(kind=st_.sampled_from(["any", "complex", "repeated", "jordan"]), p=_ENTRY, q=_ENTRY, r=_ENTRY, s=_ENTRY)
+@example(kind="jordan", p=0.0, q=0.0, r=0.0, s=0.0)
+@example(kind="repeated", p=-1.0, q=3.0, r=0.0, s=0.0)
+def test_two_by_two_abscissa_matches_eigvals(kind, p, q, r, s):
+    """The 2x2 closed-form spectral abscissa agrees with np.linalg.eigvals, and so does is_hurwitz.
+
+    Both lose about eps |A|^2 / sqrt(|disc|), up to sqrt(eps) |A| at a double
+    root, so the tolerance grows as disc = ((a - d)/2)^2 + b c goes to 0.
+    """
+    a = np.array(_two_by_two(kind, p, q, r, s))
+    (a00, a01), (a10, a11) = a.tolist()
+    eps, norm = np.finfo(float).eps, max(float(np.abs(a).max()), 1.0)
+    disc = 0.25 * (a00 - a11) ** 2 + a01 * a10
+    tol = 64.0 * eps * norm * (1.0 + norm / math.sqrt(abs(disc) + eps * norm * norm))
+    reference = float(np.linalg.eigvals(a).real.max())
+    assert abs(gd.dynamics._spectral_abscissa(a) - reference) <= tol, (a, reference)
+    if abs(reference + TOL_HURWITZ) > tol:
+        assert gd.is_hurwitz(a) == (reference < -TOL_HURWITZ)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(complex_pair=st_.booleans(), side=st_.sampled_from([-1.0, 1.0]), q=_ENTRY, r=st_.floats(0.0, 10.0))
+def test_two_by_two_hurwitz_at_the_margin(complex_pair, side, q, r):
+    """A largest real part of -TOL_HURWITZ (1 +- 1e-3), real or of a complex pair, is decided as eigvals decides it."""
+    alpha = -TOL_HURWITZ * (1.0 + 1e-3 * side)
+    a = np.array([[alpha, r + 0.1], [-(r + 0.1), alpha]] if complex_pair else [[alpha, q], [0.0, alpha - r]])
+    assert gd.is_hurwitz(a) is (side > 0)
+    assert (float(np.linalg.eigvals(a).real.max()) < -TOL_HURWITZ) is (side > 0)
 
 
 def test_model_rejects_non_finite():
@@ -264,8 +311,44 @@ def test_multimode_steady_state_matches_60_digit_oracle(n):
         _assert_det_matches_60_digit_oracle(_random_hurwitz_model(rng, n, driven=False), _mixed_settings(rng, n))
 
 
+# 4x4 Hamiltonian matrices [[-A^T, R], [Q, A]] with eigenvalues +-1, +-i (one stable) and +-i twice (none).
+_ONE_STABLE = [[-1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0], [0.0, -1.0, 0.0, 0.0]]
+_NONE_STABLE = [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]]
+
+
+def _two_mode_generic():
+    """A two-mode model at generic settings: its steady state takes the Schur route."""
+    rng = np.random.default_rng(131)
+    return gd.monitored(_random_hurwitz_model(rng, 2, driven=False), _mixed_settings(rng, 2))
+
+
+@pytest.mark.parametrize("nu_in", [1e20, 1e30])
+def test_generic_phase_solves_at_large_bath_noise(nu_in, capsys):
+    """At nu_in = 1e20 and 1e30 a generic phase solves to the oracle's det sigma_c, and opo-ss exits 0."""
+    setting = GeneralDyneSetting(theta_m=0.7, z_m=0.3)
+    _assert_det_matches_60_digit_oracle(gd.opo_model(gd.OpoParams(0.6, nu_in=nu_in)), [setting])
+    args = ["opo-ss", "--chi-tilde", "0.6", "--nu-in", f"{nu_in:g}", "--strategy", "gendyne", "--z-m", "0.3"]
+    assert main(args + ["--theta-m", "0.7"]) == 0, capsys.readouterr().err
+
+
 def test_wrong_stable_subspace_dimension_is_a_numeric_error(monkeypatch):
-    """A Hamiltonian whose stable invariant subspace is not n-dimensional gives no steady state: NumericError."""
+    """A Hamiltonian whose stable invariant subspace is not n-dimensional gives no steady state: NumericError.
+
+    The one-mode basis step reads the dimension off det H and tr H^2; it is
+    handed Hamiltonians with one stable eigenvalue and with none.
+    """
+    basis = gd.dynamics._one_mode_basis
+    mm = gd.monitored(gd.opo_model(gd.OpoParams(0.6, nu_in=3.0)), GeneralDyneSetting(theta_m=0.7, z_m=0.4))
+    monkeypatch.setattr(gd.dynamics, "_one_mode_basis", lambda h: basis(_ONE_STABLE))
+    with pytest.raises(gd.NumericError, match="algebraic Riccati solve failed: .* 1 stable eigenvalues, expected 2"):
+        gd.steady_state_conditional(mm)
+    monkeypatch.setattr(gd.dynamics, "_one_mode_basis", lambda h: basis(_NONE_STABLE))
+    with pytest.raises(gd.NumericError, match="algebraic Riccati solve failed: .* 0 stable eigenvalues, expected 2"):
+        gd.steady_state_conditional(mm)
+
+
+def test_wrong_stable_subspace_dimension_on_the_schur_route(monkeypatch):
+    """The same failure on the Schur route (two modes): a stable subspace of dimension 3, not 4."""
     schur = gd.dynamics.schur
 
     def short_schur(*args, **kwargs):
@@ -273,23 +356,35 @@ def test_wrong_stable_subspace_dimension_is_a_numeric_error(monkeypatch):
         return t, z, sdim - 1
 
     monkeypatch.setattr(gd.dynamics, "schur", short_schur)
-    mm = gd.monitored(gd.opo_model(gd.OpoParams(0.6, nu_in=3.0)), GeneralDyneSetting(theta_m=0.7, z_m=0.4))
-    with pytest.raises(gd.NumericError, match="algebraic Riccati solve failed: .* 1 stable eigenvalues, expected 2"):
-        gd.steady_state_conditional(mm)
+    with pytest.raises(gd.NumericError, match="algebraic Riccati solve failed: .* 3 stable eigenvalues, expected 4"):
+        gd.steady_state_conditional(_two_mode_generic())
+
+
+def test_one_mode_generic_route_makes_no_schur_call(monkeypatch):
+    """The one-mode steady state at a generic phase is found without a Schur decomposition or eigvals call."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("LAPACK eigensolver called on the one-mode route")
+
+    p, setting = gd.OpoParams(0.6, nu_in=3.0), GeneralDyneSetting(theta_m=0.7, z_m=0.3)
+    expected = gd.opo_conditional_ss(p, setting)
+    monkeypatch.setattr(gd.dynamics, "schur", forbidden)
+    monkeypatch.setattr(gd.dynamics.np.linalg, "eigvals", forbidden)
+    assert np.array_equal(gd.opo_conditional_ss(p, setting), expected)
+    _assert_det_matches_60_digit_oracle(gd.opo_model(p), [setting])
 
 
 def test_unphysical_riccati_solution_is_a_numeric_error(monkeypatch, capsys):
     """A steady state that passes the residual and stabilizing gates but is 0.5 I raises NumericError (exit 3).
 
-    The Schur vectors are replaced so that the solve returns 0.5 I, and the
-    two gates before the physicality check are made to pass; the message
+    The one-mode basis step is replaced so that the solve returns 0.5 I, and
+    the two gates before the physicality check are made to pass; the message
     names the failing quantity, det(sigma + TOL_PSD I) = 0.25.
     """
     mm = gd.monitored(gd.opo_model(gd.OpoParams(0.6, nu_in=3.0)), GeneralDyneSetting(theta_m=0.7, z_m=0.4))
-    c, _ = gd.dynamics._hamiltonian(mm.at, mm.dtilde, mm.bbt)  # sigma = c Z21 Z11^-1
-    z = np.zeros((4, 4))
-    z[:2, :2], z[2:, :2] = np.eye(2), 0.5 / c * np.eye(2)
-    monkeypatch.setattr(gd.dynamics, "schur", lambda *args, **kwargs: (None, z, 2))
+    c, _ = gd.dynamics._hamiltonian(mm.at, mm.dtilde, mm.bbt)  # sigma = c V U^-1
+    basis = [[1.0, 0.0], [0.0, 1.0], [0.5 / c, 0.0], [0.0, 0.5 / c]]
+    monkeypatch.setattr(gd.dynamics, "_one_mode_basis", lambda h: basis)
     monkeypatch.setattr(gd.dynamics, "_relative_residual", lambda *args: 0.0)
     monkeypatch.setattr(gd.dynamics, "is_hurwitz", lambda a: True)
     message = r"Riccati steady state is unphysical: uncertainty principle violated: det sigma' = 2\.5"
@@ -298,6 +393,19 @@ def test_unphysical_riccati_solution_is_a_numeric_error(monkeypatch, capsys):
     args = ["opo-ss", "--chi-tilde", "0.6", "--nu-in", "3", "--strategy", "gendyne", "--z-m", "0.4", "--theta-m", "0.7"]
     assert main(args) == 3
     assert "Riccati steady state is unphysical" in capsys.readouterr().err
+
+
+def test_unphysical_riccati_solution_on_the_schur_route(monkeypatch):
+    """The same physicality gate on the Schur route: Schur vectors that give 0.5 I for two modes raise NumericError."""
+    mm = _two_mode_generic()
+    c, _ = gd.dynamics._hamiltonian(mm.at, mm.dtilde, mm.bbt)  # sigma = c Z21 Z11^-1
+    z = np.zeros((8, 8))
+    z[:4, :4], z[4:, :4] = np.eye(4), 0.5 / c * np.eye(4)
+    monkeypatch.setattr(gd.dynamics, "schur", lambda *args, **kwargs: (None, z, 4))
+    monkeypatch.setattr(gd.dynamics, "_relative_residual", lambda *args: 0.0)
+    monkeypatch.setattr(gd.dynamics, "is_hurwitz", lambda a: True)
+    with pytest.raises(gd.NumericError, match="Riccati steady state is unphysical: "):
+        gd.steady_state_conditional(mm)
 
 
 def _count_lyapunov_calls(monkeypatch) -> list:
@@ -321,18 +429,32 @@ def test_accurate_schur_solution_takes_no_newton_step(monkeypatch, setting):
     assert calls == []
 
 
-def test_perturbed_schur_solution_is_refined(monkeypatch):
-    """A Schur solution 1e-9 off (relative) is refined by Newton-Kleinman back to the CARE oracle within 1e-12 |sigma|."""
-    schur = gd.dynamics.schur
+def _scaled_basis(monkeypatch, factor):
+    """Route the one-mode basis step and the Schur route through copies whose sigma = c V U^-1 scales by factor."""
+    basis, schur = gd.dynamics._one_mode_basis, gd.dynamics.schur
 
-    def perturbed_schur(h, **kwargs):
+    def scaled_basis(h):
+        u0, u1, v0, v1 = basis(h)
+        return [u0, u1, [x * factor for x in v0], [x * factor for x in v1]]
+
+    def scaled_schur(h, **kwargs):
         t, z, sdim = schur(h, **kwargs)
         dim = h.shape[0] // 2
         z = z.copy()
-        z[dim:, :dim] *= 1.0 + 1e-9  # sigma = Z21 Z11^-1 scales by the same factor
+        z[dim:, :dim] *= factor  # sigma = c Z21 Z11^-1 scales by the same factor
         return t, z, sdim
 
-    monkeypatch.setattr(gd.dynamics, "schur", perturbed_schur)
+    monkeypatch.setattr(gd.dynamics, "_one_mode_basis", scaled_basis)
+    monkeypatch.setattr(gd.dynamics, "schur", scaled_schur)
+
+
+def test_perturbed_schur_solution_is_refined(monkeypatch):
+    """A solution 1e-9 off (relative) is refined by Newton-Kleinman back to the CARE oracle within 1e-12 |sigma|.
+
+    The one-mode models take the closed-form basis step, the three-mode model
+    the Schur route; both are perturbed.
+    """
+    _scaled_basis(monkeypatch, 1.0 + 1e-9)
     calls = _count_lyapunov_calls(monkeypatch)
     rng = np.random.default_rng(97)
     models = [
@@ -364,22 +486,28 @@ def test_residual_gate_is_relative_to_the_riccati_scale(monkeypatch, nu_in):
     below, above = (gd.dynamics._relative_residual(mm.at, mm.dtilde, mm.bbt, sigma * (1.0 + d)) for d in (1e-10, 1e-8))
     assert below < gd.dynamics.SS_RESIDUAL_TOL < above
     assert gd.dynamics._expandable(mm.dd) == (nu_in == 3.0)
-    schur = gd.dynamics.schur
+    _assert_residual_gate_holds_on_both_sides(monkeypatch, mm)
+
+
+def _assert_residual_gate_holds_on_both_sides(monkeypatch, mm):
+    """With Newton steps off, a solution scaled by 1 + 1e-10 passes the gate and one scaled by 1 + 1e-8 fails it."""
     monkeypatch.setattr(gd.dynamics, "SS_NEWTON_STEPS", 0)
     for factor, passes in ((1.0 + 1e-10, True), (1.0 + 1e-8, False)):
-
-        def scaled_schur(h, factor=factor, **kwargs):
-            t, z, sdim = schur(h, **kwargs)
-            z = z.copy()
-            z[h.shape[0] // 2 :, : h.shape[0] // 2] *= factor  # sigma = c Z21 Z11^-1 scales by the same factor
-            return t, z, sdim
-
-        monkeypatch.setattr(gd.dynamics, "schur", scaled_schur)
+        _scaled_basis(monkeypatch, factor)
         if passes:
             gd.steady_state_conditional(mm)
         else:
             with pytest.raises(ConvergenceError, match="relative residual"):
                 gd.steady_state_conditional(mm)
+
+
+def test_residual_gate_on_the_schur_route(monkeypatch):
+    """The relative residual gate holds on both sides on the Schur route (two modes) too."""
+    mm = _two_mode_generic()
+    sigma = gd.steady_state_conditional(mm)
+    below, above = (gd.dynamics._relative_residual(mm.at, mm.dtilde, mm.bbt, sigma * (1.0 + d)) for d in (1e-10, 1e-8))
+    assert below < gd.dynamics.SS_RESIDUAL_TOL < above
+    _assert_residual_gate_holds_on_both_sides(monkeypatch, mm)
 
 
 def test_steady_state_is_the_flow_limit():

@@ -48,6 +48,30 @@ homodyne = true
 theta_m = 1.5707963267948966
 """
 
+# Two damped modes (C = Omega per mode), squeezed and coupled, watched at a generic phase.
+MODEL_TWO_MODE = """\
+[H_S]
+0 -0.3 0.1 0
+-0.3 0 0 0.1
+0.1 0 0 0.2
+0 0.1 0.2 0
+[C]
+0 1 0 0
+-1 0 0 0
+0 0 0 1
+0 0 -1 0
+[sigma_in]
+2 0 0 0
+0 2 0 0
+0 0 3 0
+0 0 0 3
+[mean_in]
+0 0 0 0
+[measurement]
+theta_m = 0.7
+z_m = 0.4
+"""
+
 
 class TestStateFiles:
     def test_round_trip(self, tmp_path):
@@ -203,15 +227,29 @@ class TestCli:
         assert "solver broke down" in capsys.readouterr().err
 
     def test_riccati_solver_failure_exits_3(self, capsys, monkeypatch):
-        """A LinAlgError (a ValueError) from the Riccati Schur solve is a numeric failure, not bad input."""
+        """A LinAlgError (a ValueError) from the one-mode Riccati basis step is a numeric failure, not bad input."""
+
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("stable basis not found.")
+
+        monkeypatch.setattr(gd.dynamics, "_one_mode_basis", broken)
+        args = ["opo-ss", "--chi-tilde", "0.6", "--nu-in", "3", "--strategy", "gendyne", "--z-m", "0.4"]
+        assert main(args + ["--theta-m", "0.7"]) == 3
+        assert "algebraic Riccati solve failed" in capsys.readouterr().err
+
+    def test_schur_solver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        """The same on the Schur route: a two-mode model file whose trajectories need its steady state."""
 
         def broken(*args, **kwargs):
             raise np.linalg.LinAlgError("Schur form not found.")
 
+        model, out = tmp_path / "model.txt", tmp_path / "traj.csv"
+        model.write_text(MODEL_TWO_MODE)
+        args = ["trajectories", "--model", str(model), "--n-traj", "2", "--T", "0.01", "--dt", "0.01", "--out", str(out)]
+        assert main(args) == 0
         monkeypatch.setattr(gd.dynamics, "schur", broken)
-        args = ["opo-ss", "--chi-tilde", "0.6", "--nu-in", "3", "--strategy", "gendyne", "--z-m", "0.4"]
-        assert main(args + ["--theta-m", "0.7"]) == 3
-        assert "algebraic Riccati solve failed" in capsys.readouterr().err
+        assert main(args) == 3
+        assert "algebraic Riccati solve failed: Schur form not found." in capsys.readouterr().err
 
     def test_daemonic_cross_checks(self, tmp_path, capsys):
         """The daemonic command reports closed form and pipeline side by side."""

@@ -112,6 +112,13 @@ def test_physicality_violation_names_non_finite_entries(n, bad, where):
         assert f"sigma[{a}, {b}] = {bad}" in violation
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_validate_state_accepts_entries_near_the_float_maximum(n):
+    """The symmetrization before the physicality check does not overflow: 1e308 I is finite and physical."""
+    state = gd.validate_state(np.zeros(2 * n), 1e308 * np.eye(2 * n))
+    assert np.array_equal(state.cm, 1e308 * np.eye(2 * n))
+
+
 def test_vacuum_and_thermal():
     """Vacuum is the identity CM; thermal scales it and requires nu >= 1."""
     assert np.array_equal(gd.vacuum(2).cm, np.eye(4))

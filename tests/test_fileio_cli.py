@@ -2,6 +2,7 @@
 
 import io
 import math
+import os
 import shlex
 import signal
 import tempfile
@@ -199,6 +200,24 @@ class TestCsv:
         assert path.read_bytes() == path.with_suffix(".again").read_bytes()
         with pytest.raises(ValueError, match="header has"):
             gd.write_csv(str(path), ["only"], rows)
+        assert path.read_bytes() == path.with_suffix(".again").read_bytes()
+
+    def test_rewrite_replaces_the_file_and_writes_through_a_link(self, tmp_path):
+        """A rewrite is a new file with only the new table; a symbolic link stays a link to the rewritten target."""
+        path = tmp_path / "out.csv"
+        gd.write_csv(str(path), ["a"], [[1.0], [2.0], [3.0]])
+        old_inode = path.stat().st_ino
+        keep = tmp_path / "kept.csv"
+        os.link(path, keep)
+        gd.write_csv(str(path), ["b"], [[4.0]])
+        assert path.read_text() == "b\n4\n"
+        assert keep.read_text() == "a\n1\n2\n3\n"
+        assert path.stat().st_ino != old_inode
+        link = tmp_path / "link.csv"
+        link.symlink_to(path)
+        gd.write_csv(str(link), ["c"], [[5.0]])
+        assert link.is_symlink()
+        assert path.read_text() == "c\n5\n"
 
 
 class TestCli:

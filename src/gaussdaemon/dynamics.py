@@ -34,26 +34,30 @@ Covariances are propagated exactly, not by a fixed-step integrator.  Both
 flows are Riccati flows sigma' = A sigma + sigma A^T + Q - sigma R sigma.  The
 unconditional one has R = 0 and is linear: sigma(t) = e^{At} sigma0 e^{A^T t}
 + G(t) with the Gramian G(t) = int_0^t e^{As} D e^{A^T s} ds, built on the
-whole grid together with e^{At} and the means (see _grid_flow).  The
-conditional one is written in closed form about its stabilizing steady state
-sigma_inf: with F = A - sigma_inf R (Hurwitz), W_inf solving
-F^T W + W F + R = 0 and Delta0 = sigma0 - sigma_inf,
+whole grid together with e^{At} and the means (see _grid_flow; one mode
+takes e^{At} in closed form, _one_mode_moments).  The conditional one is
+written in closed form about its stabilizing steady state sigma_inf: with
+F = A - sigma_inf R (Hurwitz), W_inf solving F^T W + W F + R = 0 and
+Delta0 = sigma0 - sigma_inf,
 
     sigma(t) = sigma_inf + e^{Ft} (I + Delta0 W(t))^-1 Delta0 e^{F^T t},
     W(t) = W_inf - e^{F^T t} W_inf e^{Ft},
 
-so a whole time grid takes a few stacked numpy calls.  Where the steady state
-is missing or large (a non-Hurwitz drift, or one near threshold; see
-_expandable) the conditional flow is stepped through the exponential of its
-Hamiltonian matrix instead.  Either way the results do not depend on the
-time grid.  The conditional steady state is the stable invariant subspace
-of the same Hamiltonian (in closed form for one mode, from one ordered Schur
-decomposition for more; Newton-Kleinman steps refine it only when its
-residual is above round-off).  That
-Hamiltonian is built once (_hamiltonian), balanced so that its norm does not
-grow with the environment noise.  Where the filter terms are diagonal, the
-flow is expanded instead about the stabilizing root of each coordinate's
-scalar Riccati equation (_decoupled_roots).
+so a whole time grid takes a few numpy calls.  For one mode they act on
+arrays of the four entries over the grid: e^{Ft} in closed form from the
+eigenvalues of F (_grid_exp2), W_inf in closed form and the inverse as the
+adjugate, with no expm, solve or stacked matmul.  More modes take the stack
+of e^{Ft} from _grid_flow.  Where the steady state is missing or large (a
+non-Hurwitz drift, or one near threshold; see _expandable) the conditional
+flow is stepped through the exponential of its Hamiltonian matrix instead.
+Either way the results do not depend on the time grid.  The conditional
+steady state is the stable invariant subspace of the same Hamiltonian (in
+closed form for one mode, from one ordered Schur decomposition for more;
+Newton-Kleinman steps refine it only when its residual is above round-off).
+That Hamiltonian is built once (_hamiltonian), balanced so that its norm
+does not grow with the environment noise.  Where the filter terms are
+diagonal, the flow is expanded instead about the stabilizing root of each
+coordinate's scalar Riccati equation (_decoupled_roots).
 
 The filter terms are written in the pointer frame, where homodyne is the exact
 w = z_m / nu_m = 0 member of the general-dyne family (see MonitoredModel).
@@ -106,6 +110,8 @@ _UNIFORM_TOL = 1e-14
 _EXPAND_MAX_SCALE = 1e4
 # Filter data whose off-diagonal entries are within this fraction of each matrix's largest entry decouple.
 _DECOUPLED_TOL = 1e-12
+# Largest 1-norm handed to scipy's expm, which returns NaN once it passes about 3e38.
+_EXPM_MAX_NORM = 2.0**64
 
 
 @dataclass(frozen=True)
@@ -313,6 +319,37 @@ def _uniform_steps(T: float, dt: float, what: str = "T") -> int:
     return n_steps
 
 
+def _expm(a: np.ndarray, s: float, norm: float) -> np.ndarray:
+    """e^{A s} from scipy's expm, given norm = |A|_1; past |A s|_1 = _EXPM_MAX_NORM, at s / 2^k squared k times."""
+    k = math.ceil(math.log2(norm * s / _EXPM_MAX_NORM)) if norm * s > _EXPM_MAX_NORM else 0
+    e = expm(a * (s / 2.0**k))
+    for _ in range(k):
+        e = e @ e
+    return e
+
+
+def _uniform_step(t: np.ndarray, n: int) -> float | None:
+    """The step of a grid of n steps within _UNIFORM_TOL of uniform, else None (np.linspace is not bitwise uniform)."""
+    h = (t[-1] - t[0]) / max(n, 1)
+    return h if n and np.abs(t - t[0] - h * np.arange(n + 1)).max() <= _UNIFORM_TOL * np.abs(t).max() else None
+
+
+def _van_loan_step(a, d, h: float, norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """(e^{Ah}, G(h)) from the Van Loan exponential of [[A, D], [0, -A^T]] h, given norm = |A|_1.
+
+    e^{-A^T h} in that block grows with h, so it is taken over h / 2^k with
+    |A| h / 2^k <= 1 and the result composed k times.
+    """
+    dim = a.shape[0]
+    k = max(0, math.ceil(math.log2(max(h * norm, 1.0))))
+    block = np.concatenate((np.concatenate((a, d), 1), np.concatenate((np.zeros_like(a), -a.T), 1)))  # np.block is slower
+    van_loan = expm(block * (h / 2**k))
+    e, g = van_loan[:dim, :dim], van_loan[:dim, dim:] @ van_loan[:dim, :dim].T
+    for _ in range(k):
+        g, e = g + e @ g @ e.T, e @ e
+    return e, g
+
+
 def _grid_flow(a: np.ndarray, t_grid, d=None) -> tuple[np.ndarray, np.ndarray | None]:
     """e^{A (t_i - t_0)} at every point of a time grid and, given D, the Gramians there.
 
@@ -325,7 +362,7 @@ def _grid_flow(a: np.ndarray, t_grid, d=None) -> tuple[np.ndarray, np.ndarray | 
     matmuls.  Grids within _UNIFORM_TOL of uniform count as uniform
     (np.linspace grids are not bitwise uniform).  Other grids chain their
     steps: one expm per distinct step length, a few matmuls per step.  The
-    Gramian of one step comes from the Van Loan exponential of [[A, D], [0, -A^T]].
+    Gramian of one step comes from the Van Loan exponential (_van_loan_step).
     """
     steps = _grid_steps(t_grid)
     t = np.asarray(t_grid, dtype=float)
@@ -333,31 +370,21 @@ def _grid_flow(a: np.ndarray, t_grid, d=None) -> tuple[np.ndarray, np.ndarray | 
     exps = np.empty((n + 1, dim, dim))
     exps[0] = np.eye(dim)
     grams = None if d is None else np.zeros((n + 1, dim, dim))
-
-    def step_gramian(h: float) -> np.ndarray:
-        # e^{-A^T h} in the Van Loan block grows with h, so take it over
-        # h / 2^k with |A| h / 2^k <= 1 and compose the result k times.
-        k = max(0, math.ceil(math.log2(max(h * float(np.linalg.norm(a, 1)), 1.0))))
-        van_loan = expm(np.block([[a, d], [np.zeros_like(a), -a.T]]) * (h / 2**k))
-        e, g = van_loan[:dim, :dim], van_loan[:dim, dim:] @ van_loan[:dim, :dim].T
-        for _ in range(k):
-            g, e = g + e @ g @ e.T, e @ e
-        return g
-
-    h = (t[-1] - t[0]) / max(n, 1)
-    if n and np.abs(t - t[0] - h * np.arange(n + 1)).max() <= _UNIFORM_TOL * np.abs(t).max():
+    norm = float(np.linalg.norm(a, 1))
+    h = _uniform_step(t, n)
+    if h is not None:
         m = 1
         while m <= n:
             k = min(m, n + 1 - m)
-            e_m = expm(a * (m * h))
+            e_m = _expm(a, m * h, norm)
             exps[m : m + k] = exps[:k] @ e_m
             if grams is not None:
                 half = m // 2
-                g_m = step_gramian(h) if m == 1 else grams[half] + exps[half] @ grams[half] @ exps[half].T
+                g_m = _van_loan_step(a, d, h, norm)[1] if m == 1 else grams[half] + exps[half] @ grams[half] @ exps[half].T
                 grams[m : m + k] = g_m + e_m @ grams[:k] @ e_m.T
             m += k
         return exps, grams
-    props = {s: (expm(a * s), None if d is None else step_gramian(s)) for s in set(steps.tolist())}
+    props = {s: (_expm(a, s, norm), None if d is None else _van_loan_step(a, d, s, norm)[1]) for s in set(steps.tolist())}
     for i, s in enumerate(steps.tolist()):
         e_s, g_s = props[s]
         exps[i + 1] = e_s @ exps[i]
@@ -382,21 +409,123 @@ def _expandable(dd: DriftDiffusion) -> bool:
     return alpha < -TOL_HURWITZ and float(np.abs(dd.d).max()) <= -2.0 * alpha * _EXPAND_MAX_SCALE
 
 
+def _dot2(*pairs) -> float:
+    """The sum of x * y over the (x, y) pairs, correctly rounded: Dekker's exact products, summed by math.fsum."""
+    terms = []
+    for x, y in pairs:
+        p = x * y
+        xh, yh = x * 134217729.0, y * 134217729.0  # Veltkamp's split at 2^27 + 1
+        xh, yh = xh - (xh - x), yh - (yh - y)
+        xl, yl = x - xh, y - yh
+        terms += (p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl)
+    return math.fsum(terms)
+
+
+def _grid_exp2(f: np.ndarray, tau: np.ndarray) -> tuple:
+    """Entries (e00, e01, e10, e11) of e^{F tau} for a 2x2 F, each an array over the times tau >= 0.
+
+    With m = tr F / 2, N = F - m I and d2 = ((f00 - f11) / 2)^2 + f01 f10,
+    N^2 = d2 I, so e^{F tau} = e^{lam tau} (c0 I + c1 N) with lam the eigenvalue
+    of largest real part (Moler and Van Loan, SIAM Rev. 45, 2003):
+
+        d2 > 0 (real, delta = sqrt(d2)): lam = m + delta, c0 = (1 + e^{-2 delta tau}) / 2,
+                                          c1 = (1 - e^{-2 delta tau}) / (2 delta);
+        d2 < 0 (complex pair, w = sqrt(-d2)): lam = m, c0 = cos(w tau), c1 = sin(w tau) / w;
+        d2 = 0 (repeated): lam = m, c0 = 1, c1 = tau.
+
+    c0 and c1 are bounded by 1 and by tau, and e^{lam tau} multiplies them
+    before N does, so a factor that underflows to 0 never meets an inf.  Near a
+    double eigenvalue d2 is a difference of large terms and e^{F tau} moves by
+    about tau^2 times its error, so d2 is summed exactly from f00 - f11 = s + e
+    (Knuth's two-sum) and the products (_dot2), as is det F.  For m < 0,
+    lam = det F / (m - delta) avoids the cancellation of m + delta (stiff F),
+    and times past 1000 / |lam|, where e^{lam tau} is 0, are clamped there.
+    """
+    (f00, f01), (f10, f11) = f.tolist()
+    s = f00 - f11
+    v = s - f00
+    e = (f00 - (s - v)) - (f11 + v)  # s + e = f00 - f11 exactly
+    m, half = 0.5 * (f00 + f11), 0.5 * s
+    d2 = 0.25 * _dot2((s, s), (2.0 * s, e), (e, e), (4.0 * f01, f10))
+    delta = math.sqrt(abs(d2))
+    lam = m
+    if d2 > 0.0:
+        lam = m + delta if m >= 0.0 else _dot2((f00, f11), (-f01, f10)) / (m - delta)
+    if lam < 0.0:
+        tau = np.minimum(tau, 1e3 / -lam)
+    if d2 > 0.0:
+        x = np.expm1(-2.0 * delta * tau)
+        c0, c1 = 1.0 + 0.5 * x, x / (-2.0 * delta)
+    elif d2 < 0.0:
+        c0, c1 = np.cos(delta * tau), np.sin(delta * tau) / delta
+    else:
+        c0, c1 = 1.0, tau
+    g = np.exp(lam * tau)
+    a, b = g * c0, g * c1
+    return a + b * half, b * f01, b * f10, a - b * half
+
+
+def _one_mode_expansion(f, r, sigma_inf, sigma0, tau) -> np.ndarray:
+    """The expanded flow of _expand_about for one mode, with every 2x2 product written out on arrays over tau.
+
+    W_inf = -(det F R + adj(F)^T R adj(F)) / (2 tr F det F) solves
+    F^T W + W F + R = 0 in closed form, and (I + Delta0 W(t))^-1 is the adjugate
+    over the determinant.
+    """
+    e00, e01, e10, e11 = _grid_exp2(f, tau)
+    (f00, f01), (f10, f11) = f.tolist()
+    (r00, r01), (r10, r11) = r.tolist()
+    r01 = 0.5 * (r01 + r10)
+    det = f00 * f11 - f01 * f10
+    p00, p01 = r00 * f11 - r01 * f10, r01 * f00 - r00 * f01  # R adj(F)
+    p10, p11 = r01 * f11 - r11 * f10, r11 * f00 - r01 * f01
+    k = -0.5 / ((f00 + f11) * det)
+    w00, w01 = k * (det * r00 + f11 * p00 - f10 * p10), k * (det * r01 + f11 * p01 - f10 * p11)
+    w11 = k * (det * r11 + f00 * p11 - f01 * p01)
+    (s00, s01), (s10, s11) = sigma_inf.tolist()
+    (d00, d01), (d10, d11) = (sigma0 - sigma_inf).tolist()
+    s01, d01 = 0.5 * (s01 + s10), 0.5 * (d01 + d10)
+    # W(t) = W_inf - E^T W_inf E
+    p00, p01 = w00 * e00 + w01 * e10, w00 * e01 + w01 * e11
+    p10, p11 = w01 * e00 + w11 * e10, w01 * e01 + w11 * e11
+    v00, v01, v11 = w00 - (e00 * p00 + e10 * p10), w01 - (e00 * p01 + e10 * p11), w11 - (e01 * p01 + e11 * p11)
+    # M = I + Delta0 W(t); the core (I + Delta0 W)^-1 Delta0 = adj(M) Delta0 / det M is symmetric
+    m00, m01 = 1.0 + d00 * v00 + d01 * v01, d00 * v01 + d01 * v11
+    m10, m11 = d01 * v00 + d11 * v01, 1.0 + d01 * v01 + d11 * v11
+    inv = 1.0 / (m00 * m11 - m01 * m10)
+    k00, k01, k11 = (m11 * d00 - m01 * d01) * inv, (m11 * d01 - m01 * d11) * inv, (m00 * d11 - m10 * d01) * inv
+    # sigma_inf + E core E^T
+    y00, y01 = e00 * k00 + e01 * k01, e00 * k01 + e01 * k11
+    y10, y11 = e10 * k00 + e11 * k01, e10 * k01 + e11 * k11
+    o00, o01, o11 = s00 + (y00 * e00 + y01 * e01), s01 + (y00 * e10 + y01 * e11), s11 + (y10 * e10 + y11 * e11)
+    return np.stack((o00, o01, o01, o11), axis=-1).reshape(-1, 2, 2)
+
+
 def _expand_about(a, r, sigma_inf, sigma0, t_grid) -> np.ndarray:
     """Exact solution of sigma' = A sigma + sigma A^T + Q - sigma R sigma, expanded about its steady state.
 
     sigma_inf must solve the algebraic equation and make F = A - sigma_inf R
-    Hurwitz (_conditional_steady_state makes sure of both).  The flow is the closed form of
-    the module docstring on the stack of e^{F t}.
+    Hurwitz (_conditional_steady_state makes sure of both).  The flow is the
+    closed form of the module docstring.  One mode (a 2x2 F) takes it on arrays
+    of entries over the grid, e^{Ft} in closed form (_one_mode_expansion);
+    more modes take it on the stack of e^{F t} from _grid_flow.  The first
+    grid point carries sigma0 itself.
     """
     f = a - sigma_inf @ r
-    exps, _ = _grid_flow(f, t_grid)
-    exps_t = np.swapaxes(exps, 1, 2)
-    w_inf = _lyapunov(f.T, r)  # F^T W + W F + R = 0
-    eye, delta0 = np.eye(f.shape[0]), sigma0 - sigma_inf
-    core = np.linalg.solve(eye + delta0 @ (w_inf - exps_t @ w_inf @ exps), delta0)
-    out = sigma_inf + exps @ core @ exps_t
-    return 0.5 * (out + np.swapaxes(out, 1, 2))
+    if f.shape == (2, 2):
+        _grid_steps(t_grid)
+        t = np.asarray(t_grid, dtype=float)
+        out = _one_mode_expansion(f, r, sigma_inf, sigma0, t - t[0])
+    else:
+        exps, _ = _grid_flow(f, t_grid)
+        exps_t = np.swapaxes(exps, 1, 2)
+        w_inf = _lyapunov(f.T, r)  # F^T W + W F + R = 0
+        eye, delta0 = np.eye(f.shape[0]), sigma0 - sigma_inf
+        core = np.linalg.solve(eye + delta0 @ (w_inf - exps_t @ w_inf @ exps), delta0)
+        out = sigma_inf + exps @ core @ exps_t
+        out = 0.5 * (out + np.swapaxes(out, 1, 2))
+    out[0] = sigma0  # sigma_inf + (sigma0 - sigma_inf) need not round back to sigma0
+    return out
 
 
 def _hamiltonian(a, q, r) -> tuple[float, np.ndarray]:
@@ -478,13 +607,18 @@ def evolve_conditional_cm(mm: MonitoredModel, sigma0: np.ndarray, t_grid) -> np.
     steady state, which it finds itself (_conditional_steady_state); otherwise
     it is stepped.  The result does not depend on the grid spacing: every grid
     point carries the exact flow value up to round-off, however coarse the grid.
+    A flow that leaves the floating-point range raises NumericError.
     """
     sigma = np.asarray(sigma0, dtype=float)
     validate_state(np.zeros(sigma.shape[0]), sigma)
     _require_modes(sigma.shape[0] // 2, mm.base.n)
-    if not _expandable(mm.dd):
-        return _propagate_riccati(mm.at, mm.dtilde, mm.bbt, sigma, t_grid)
-    return _expand_about(mm.at, mm.bbt, _conditional_steady_state(mm), sigma, t_grid)
+    if _expandable(mm.dd):
+        out = _expand_about(mm.at, mm.bbt, _conditional_steady_state(mm), sigma, t_grid)
+    else:
+        out = _propagate_riccati(mm.at, mm.dtilde, mm.bbt, sigma, t_grid)
+    if not np.isfinite(out).all():
+        raise NumericError("the conditional CM flow left the floating-point range")
+    return out
 
 
 def riccati_residual(mm: MonitoredModel, sigma: np.ndarray) -> float:
@@ -610,14 +744,82 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
     return sigma
 
 
+def _lift(e00, e01, e10, e11) -> np.ndarray:
+    """The map G -> E G E^T, p -> E p of a 2x2 E on columns (G00, G01, G11, p0, p1)."""
+    return np.array(
+        [
+            [e00 * e00, 2.0 * e00 * e01, e01 * e01, 0.0, 0.0],
+            [e00 * e10, e00 * e11 + e01 * e10, e01 * e11, 0.0, 0.0],
+            [e10 * e10, 2.0 * e10 * e11, e11 * e11, 0.0, 0.0],
+            [0.0, 0.0, 0.0, e00, e01],
+            [0.0, 0.0, 0.0, e10, e11],
+        ]
+    )
+
+
+def _one_mode_moments(dd: DriftDiffusion, state0: GaussianState, t_grid) -> tuple[np.ndarray, np.ndarray]:
+    """unconditional_path for one mode, on arrays of entries over the grid.
+
+    e^{At} comes in closed form at every point (_grid_exp2).  The Gramian and
+    the drive integral p(t) = int_0^t e^{As} d ds, as columns
+    x = (G00, G01, G11, p0, p1), compose as x(t + s) = x(s) + _lift(e^{As}) x(t),
+    so the Gramian stays a sum of positive terms; sigma_inf - e^{At} sigma_inf e^{A^T t}
+    would cancel.  x of one step comes from the Van Loan exponential of the
+    drift augmented by the drive.  A uniform grid doubles: with x known on
+    points 0..m, points m+1..2m are x_m + _lift(e^{A t_m}) x_{1..m}, one 5x5
+    product each.  Other grids chain their steps.
+    """
+    steps = _grid_steps(t_grid)
+    t = np.asarray(t_grid, dtype=float)
+    n = steps.size
+    exps = np.stack(_grid_exp2(dd.a, t - t[0]))
+    aug = np.zeros((3, 3))
+    aug[:2, :2], aug[:2, 2] = dd.a, dd.drive
+    diff = np.zeros((3, 3))
+    diff[:2, :2] = dd.d
+    norm = float(np.linalg.norm(aug, 1))
+
+    def step(s: float) -> np.ndarray:
+        e, g = _van_loan_step(aug, diff, s, norm)
+        return np.array([g[0, 0], 0.5 * (g[0, 1] + g[1, 0]), g[1, 1], e[0, 2], e[1, 2]])
+
+    x = np.zeros((5, n + 1))
+    h = _uniform_step(t, n)
+    if h is not None:
+        x[:, 1] = step(h)
+        m = 1
+        while m < n:
+            k = min(m, n - m)
+            x[:, m + 1 : m + k + 1] = x[:, m : m + 1] + _lift(*exps[:, m].tolist()) @ x[:, 1 : k + 1]
+            m += k
+    else:
+        props = {}
+        for i, (s, e_s) in enumerate(zip(steps.tolist(), np.stack(_grid_exp2(dd.a, steps), 1).tolist())):
+            if s not in props:
+                props[s] = step(s), _lift(*e_s)
+            x_s, lift_s = props[s]
+            x[:, i + 1] = x_s + lift_s @ x[:, i]
+    e00, e01, e10, e11 = exps
+    (r0, r1), ((s00, s01), (s10, s11)) = state0.mean.tolist(), state0.cm.tolist()
+    s01 = 0.5 * (s01 + s10)
+    means = np.stack((e00 * r0 + e01 * r1 + x[3], e10 * r0 + e11 * r1 + x[4]), axis=-1)
+    y00, y01, y10, y11 = e00 * s00 + e01 * s01, e00 * s01 + e01 * s11, e10 * s00 + e11 * s01, e10 * s01 + e11 * s11
+    c01 = y00 * e10 + y01 * e11 + x[1]
+    cms = np.stack((y00 * e00 + y01 * e01 + x[0], c01, c01, y10 * e10 + y11 * e11 + x[2]), axis=-1)
+    return means, cms.reshape(-1, 2, 2)
+
+
 def unconditional_path(dd: DriftDiffusion, state0: GaussianState, t_grid) -> tuple[np.ndarray, np.ndarray]:
     """Unconditional first and second moments along a time grid, exactly, for any drift.
 
-    One _grid_flow of the augmented drift [[A, d], [0, 0]] (Van Loan) gives
-    the means, r(t) = e^{At} r0 + int_0^t e^{As} d ds, and with the diffusion
-    padded alike the CMs, sigma(t) = e^{At} sigma0 e^{A^T t} + G(t).
+    One mode takes _one_mode_moments.  More modes take one _grid_flow of the
+    augmented drift [[A, d], [0, 0]] (Van Loan), which gives the means,
+    r(t) = e^{At} r0 + int_0^t e^{As} d ds, and with the diffusion padded
+    alike the CMs, sigma(t) = e^{At} sigma0 e^{A^T t} + G(t).
     """
     _require_modes(state0.n, dd.a.shape[0] // 2)
+    if dd.a.shape == (2, 2):
+        return _one_mode_moments(dd, state0, t_grid)
     dim = dd.a.shape[0]
     aug = np.zeros((dim + 1, dim + 1))
     aug[:dim, :dim] = dd.a

@@ -102,3 +102,22 @@ def steady_state(a, c, sigma_in, settings, newton_steps: int = 60):
         if max(mp.re(v) for v in mp.eig(at - x * r, left=False, right=False)) >= 0:
             raise ArithmeticError("the Newton-Kleinman solution is not stabilizing")
         return x
+
+
+def transient(a, c, sigma_in, settings, sigma0, t):
+    """sigma(t) on the flow sigma' = At sigma + sigma At^T + Dt - sigma R sigma from sigma0, to about DPS digits.
+
+    [U; V] = expm(H t) [I; sigma0] with H = [[-At^T, R], [Dt, At]] carries
+    sigma = V U^-1 along the flow (Radon's lemma).  Returns an mpmath matrix.
+    """
+    with mp.workdps(DPS):
+        at, dt, r = riccati_data(a, c, sigma_in, settings)
+        dim = at.rows
+        ham = mp.zeros(2 * dim, 2 * dim)
+        ham[:dim, :dim], ham[:dim, dim:], ham[dim:, :dim], ham[dim:, dim:] = -at.T, r, dt, at
+        prop = mp.expm(ham * mp.mpf(float(t)))
+        x0 = _mp(sigma0)
+        u = prop[:dim, :dim] + prop[:dim, dim:] * x0
+        v = prop[dim:, :dim] + prop[dim:, dim:] * x0
+        x = v * mp.inverse(u)
+        return (x + x.T) / 2

@@ -21,7 +21,7 @@ from gaussdaemon.cli import main
 from gaussdaemon.dynamics import _grid_flow, _propagate_riccati
 from gaussdaemon.symplectic import TOL_HURWITZ
 from euler_reference import euler_trajectories
-from riccati_oracle import DPS, steady_state
+from riccati_oracle import DPS, steady_state, transient
 
 
 def care_steady_state(mm):
@@ -819,6 +819,218 @@ def test_grid_flow(monkeypatch):
         sigma_inf = solve_continuous_lyapunov(f, -d)
         gram = sigma_inf - exact @ sigma_inf @ np.swapaxes(exact, 1, 2)
         assert np.abs(grams - gram).max() <= 1e-13 * np.abs(sigma_inf).max(), np.abs(grams - gram).max()
+
+
+_TAUS = np.array([0.0, 1e-9, 1e-4, 0.01, 0.3, 1.0, 7.5, 60.0, 1e3])
+
+
+def _grid_exp_case(kind, p, q, r, s):
+    """A 2x2 F of the given kind from four floats in [-10, 10], with no eigenvalue of positive real part."""
+    if kind == "zero":
+        return np.zeros((2, 2))
+    if kind == "nonnormal":  # eigenvalues -|p| - 0.1 and -|r| - 0.1 under an off-diagonal entry up to 1e4
+        return np.array([[-abs(p) - 0.1, 1e3 * (1.0 + abs(q))], [0.0, -abs(r) - 0.1]])
+    if kind == "stiff":  # eigenvalues lam and 1e3 (1 + |q|) lam in a skewed basis
+        lam = -(abs(p) / 10.0 + 1e-3)
+        basis = np.array([[1.0, r / 10.0], [s / 20.0, 1.0]])
+        return basis @ np.diag([lam, 1e3 * (1.0 + abs(q)) * lam]) @ np.linalg.inv(basis)
+    f = np.array(_two_by_two(kind, p, q, r, s))
+    return f - max(float(np.linalg.eigvals(f).real.max()), 0.0) * np.eye(2)
+
+
+_EXP_KINDS = ["any", "complex", "repeated", "jordan", "zero", "nonnormal", "stiff"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(kind=st_.sampled_from(_EXP_KINDS), p=_ENTRY, q=_ENTRY, r=_ENTRY, s=_ENTRY)
+@example(kind="zero", p=0.0, q=0.0, r=0.0, s=0.0)
+@example(kind="jordan", p=-0.5, q=3.0, r=0.0, s=0.0)
+@example(kind="repeated", p=-1.0, q=3.0, r=0.0, s=0.0)
+def test_grid_exponential_matches_scipy(kind, p, q, r, s):
+    """The closed-form e^{F tau} of one-mode flows equals scipy.linalg.expm(F tau) at every point of a grid up to 1e3.
+
+    Real distinct, complex-pair and (nearly) repeated eigenvalues, a Jordan
+    block, the zero matrix, a non-normal F (off-diagonal entry up to 1e4) and
+    a stiff one (eigenvalue ratio 1e3 to 1.1e4).  Tolerance: 256 eps
+    (1 + |F tau|_1)^2 B, with B = e^{alpha tau} (1 + |N|_max tau) >= |e^{F tau}|_max
+    (alpha the spectral abscissa, N = F - tr F / 2).  The square is scipy's:
+    on a nearly defective F at tau = 1e3 its scaling and squaring was 1.2e-6
+    off a 50-digit expm, the closed form 1e-16.  No entry may be NaN, and a
+    RuntimeWarning fails the test.
+    """
+    f = _grid_exp_case(kind, p, q, r, s)
+    closed = np.stack(gd.dynamics._grid_exp2(f, _TAUS), -1).reshape(-1, 2, 2)
+    assert np.isfinite(closed).all()
+    alpha = float(np.linalg.eigvals(f).real.max())
+    spread = float(np.abs(f - 0.5 * np.trace(f) * np.eye(2)).max())
+    norm = float(np.abs(f).sum(axis=0).max())
+    eps = np.finfo(float).eps
+    for tau, e in zip(_TAUS, closed):
+        bound = math.exp(alpha * tau) * (1.0 + spread * tau)
+        assert np.abs(e - expm(f * tau)).max() <= 256.0 * eps * (1.0 + norm * tau) ** 2 * bound, (f, tau)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        [[-9.531646199068755, 7.807847620986701], [-11.636020618964553, 9.531645846906368]],  # nearly defective
+        [[-1.0, 0.5], [0.0, -1000.0]],  # e^{-1000 t} underflows: a sinh taken as e^{lam2 t} expm1(2 delta t) gave NaN
+        [[-0.5, 3.0], [0.0, -0.5]],  # Jordan block
+    ],
+)
+def test_grid_exponential_matches_50_digit_expm(f):
+    """Where d2 = ((f00 - f11)/2)^2 + f01 f10 cancels or an eigenvalue underflows, e^{F tau} holds 1e-15 of mpmath's.
+
+    Summed in floats, d2 of the nearly defective F would be 4.3e-14 in place
+    of 1.5e-14, and e^{F tau} off by 7e-6 at tau = 100; scipy's expm is off by 1e-10 there.
+    """
+    taus = np.array([1.0, 10.0, 100.0])
+    closed = np.stack(gd.dynamics._grid_exp2(np.array(f), taus), -1).reshape(-1, 2, 2)
+    with mp.workdps(50):
+        for tau, e in zip(taus, closed):
+            exact = mp.expm(mp.matrix(f) * mp.mpf(tau))
+            scale = max(abs(x) for x in exact)
+            assert max(abs(mp.mpf(float(x)) - y) for x, y in zip(e.ravel(), exact)) <= 1e-15 * scale, tau
+
+
+_ORACLE_TIMES = (0.0, 0.05, 0.25, 2.0, 10.0)
+
+
+def _assert_flow_matches_transient_oracle(mm, sigma0):
+    """evolve_conditional_cm on _ORACLE_TIMES within 2e-14 (max-norm, relative) of the 60-digit transient there."""
+    flow = gd.evolve_conditional_cm(mm, sigma0, _ORACLE_TIMES)
+    for t, x in zip(_ORACLE_TIMES[1:], flow[1:]):
+        exact = transient(mm.dd.a, mm.base.c, mm.base.sigma_in, mm.settings, sigma0, t)
+        with mp.workdps(DPS):
+            scale = max(abs(v) for v in exact)
+            gap = float(max(abs(mp.mpf(v) - w) for v, w in zip(x.ravel().tolist(), exact)) / scale)
+        assert gap <= 2e-14, (mm.settings, t, gap)
+
+
+@pytest.mark.parametrize("nu_in", [1.0, 3.0, 100.0])
+@pytest.mark.parametrize("chi_tilde", [0.3, 0.8, 0.99])
+def test_one_mode_transient_matches_60_digit_oracle(chi_tilde, nu_in):
+    """The OPO's conditional flow from 5 I, at hom90, het, (theta 0.7, z 0.3) and (theta 1.2, nu_m 2, z 0.05).
+
+    The oracle (tests/riccati_oracle.py) takes the 60-digit exponential of
+    the flow's Hamiltonian matrix and shares no code with the library.
+    """
+    settings_ = (
+        gd.homodyne(0.5 * np.pi),
+        gd.heterodyne(),
+        GeneralDyneSetting(theta_m=0.7, z_m=0.3),
+        GeneralDyneSetting(theta_m=1.2, nu_m=2.0, z_m=0.05),
+    )
+    model = gd.opo_model(gd.OpoParams(chi_tilde, nu_in=nu_in))
+    for setting in settings_:
+        _assert_flow_matches_transient_oracle(gd.monitored(model, setting), 5.0 * np.eye(2))
+
+
+def _random_one_mode_complex_pair(rng):
+    """A random monitored one-mode model, expanded, whose closed loop F = At - sigma_inf B B^T has a complex pair."""
+    while True:
+        h_s, c = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+        model = DiffusiveModel(0.5 * (h_s + h_s.T), c, rng.uniform(1.0, 3.0) * np.eye(2), np.zeros(2))
+        if not gd.is_hurwitz(model.dd.a):
+            continue
+        mm = gd.monitored(model, gd.random_setting(rng))
+        if not gd.dynamics._expandable(mm.dd):
+            continue
+        (f00, f01), (f10, f11) = (mm.at - gd.dynamics._conditional_steady_state(mm) @ mm.bbt).tolist()
+        if 0.25 * (f00 - f11) ** 2 + f01 * f10 < 0.0:
+            return mm
+
+
+def test_complex_pair_transients_match_60_digit_oracle():
+    """Random one-mode models whose closed loop has a complex pair, from 2 I, within 2e-14 of the oracle."""
+    rng = np.random.default_rng(211)
+    for _ in range(4):
+        _assert_flow_matches_transient_oracle(_random_one_mode_complex_pair(rng), 2.0 * np.eye(2))
+
+
+@pytest.mark.parametrize("chi_tilde", [0.3, 0.8, 0.99, 1.0 - 1.1e-4])
+def test_unconditional_opo_moments_match_exact_scalar_form(chi_tilde):
+    """Each quadrature variance e^{2at} nu_0 + nu_in (e^{2at} - 1) / (2a), in 60 digits, within 2e-15 along the grid.
+
+    The OPO drift is diagonal, a = -(1 +- chi~)/2; the grids are the two of
+    the transient workload and a non-uniform one.
+    """
+    for nu_in in (1.0, 3.0, 100.0):
+        dd = gd.opo_model(gd.OpoParams(chi_tilde, nu_in=nu_in)).dd
+        for grid in (np.linspace(0.0, 10.0, 201), np.linspace(0.0, 1.5, 151), np.array([0.0, 0.3, 0.35, 2.0, 9.0])):
+            means, cms = gd.unconditional_path(dd, gd.thermal(5.0), grid)
+            assert not means.any() and not cms[:, 0, 1].any() and not cms[:, 1, 0].any()
+            with mp.workdps(DPS):
+                for a, variances in zip(np.diag(dd.a).tolist(), (cms[:, 0, 0], cms[:, 1, 1])):
+                    for t, v in zip(grid.tolist(), variances.tolist()):
+                        growth = mp.exp(2 * mp.mpf(a) * mp.mpf(t))
+                        exact = 5 * growth + nu_in * (growth - 1) / (2 * mp.mpf(a))
+                        assert abs(v - exact) <= 2e-15 * exact, (nu_in, t, a)
+
+
+def test_one_mode_route_matches_two_uncoupled_copies():
+    """Two uncoupled copies of a one-mode model take the stacked route; each diagonal block matches the one-mode route.
+
+    The OPO at a generic setting and a random model whose closed loop has a
+    complex pair, on a uniform and a non-uniform grid, within 1e-13
+    relative.  A grid starting at t0 = 5 gives the values of the grid
+    starting at 0, and a one-point grid returns sigma0 exactly.
+    """
+    rng = np.random.default_rng(223)
+    one_modes = [gd.monitored(gd.opo_model(gd.OpoParams(0.8, nu_in=3.0)), GeneralDyneSetting(theta_m=0.7, z_m=0.3))]
+    one_modes.append(_random_one_mode_complex_pair(rng))
+    for mm in one_modes:
+        base = mm.base
+        pair = DiffusiveModel(*(block_diag(x, x) for x in (base.h_s, base.c, base.sigma_in)), np.zeros(4))
+        mm2 = gd.monitored(pair, [mm.settings[0]] * 2)
+        sigma0 = np.array([[4.0, 0.5], [0.5, 2.0]])
+        for grid in _CROSS_CHECK_GRIDS:
+            flow = gd.evolve_conditional_cm(mm, sigma0, grid)
+            stacked = gd.evolve_conditional_cm(mm2, block_diag(sigma0, sigma0), grid)
+            scale = np.abs(flow).max()
+            for block in (stacked[:, :2, :2], stacked[:, 2:, 2:]):
+                assert np.abs(block - flow).max() <= 1e-13 * scale
+            assert np.abs(stacked[:, :2, 2:]).max() <= 1e-13 * scale
+            from_zero = gd.evolve_conditional_cm(mm, sigma0, grid - grid[0])
+            assert np.abs(gd.evolve_conditional_cm(mm, sigma0, 5.0 + grid - grid[0]) - from_zero).max() <= 1e-13 * scale
+        for x0, model in ((sigma0, mm), (block_diag(sigma0, sigma0), mm2)):
+            assert np.array_equal(gd.evolve_conditional_cm(model, x0, [5.0]), x0[None])
+
+
+def test_long_horizons_stay_finite(tmp_path, capsys):
+    """At t = 1e46 and 1e300 both routes reach their steady states, finite, and opo-transient exits 0.
+
+    scipy's expm returns NaN once |F t|_1 passes about 3e38, which made the
+    conditional CM NaN from t of about 1e40 on and opo-transient exit 2.
+    """
+    mm = gd.monitored(gd.opo_model(gd.OpoParams(0.8, nu_in=3.0)), GeneralDyneSetting(theta_m=0.7, z_m=0.3))
+    flow = gd.evolve_conditional_cm(mm, 5.0 * np.eye(2), [0.0, 1e36, 1e46, 1e300])
+    assert np.array_equal(flow[1:], np.broadcast_to(flow[-1], (3, 2, 2)))
+    steady = gd.steady_state_conditional(mm)
+    assert np.abs(flow[-1] - steady).max() <= 1e-14 * np.abs(steady).max()
+    rng = np.random.default_rng(3)
+    mm2 = gd.monitored(_random_hurwitz_model(rng, 2), [gd.random_setting(rng) for _ in range(2)])
+    assert gd.dynamics._expandable(mm2.dd)
+    flow2 = gd.evolve_conditional_cm(mm2, 3.0 * np.eye(4), [0.0, 1e100, 1e300])
+    steady2 = gd.steady_state_conditional(mm2)
+    assert np.abs(flow2[1:] - steady2).max() <= 1e-12 * np.abs(steady2).max()
+    out = tmp_path / "t.csv"
+    args = ["opo-transient", "--chi-tilde", "0.8", "--T", "1e300", "--dt", "1e299", "--out", str(out)]
+    assert main(args) == 0, capsys.readouterr().err
+    table = np.loadtxt(out, delimiter=",", comments="#", skiprows=3)
+    assert table.shape == (11, 4) and np.isfinite(table).all()
+
+
+def test_flow_past_the_float_range_is_a_numeric_error():
+    """A stepped flow that overflows raises NumericError (exit 3) instead of returning inf or NaN.
+
+    Above threshold the unmeasured quadrature's variance grows as e^{0.6 t}
+    and passes the float range before t = 2000.
+    """
+    model = DiffusiveModel(-0.8 * np.array([[0.0, 1.0], [1.0, 0.0]]), gd.symplectic_form(1), np.eye(2), np.zeros(2))
+    mm = gd.monitored(model, gd.homodyne(0.0))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(gd.NumericError, match="floating-point range"):
+        gd.evolve_conditional_cm(mm, 2.0 * np.eye(2), [0.0, 2000.0])
 
 
 @pytest.mark.parametrize("chi_tilde", [0.999, 1.0 - 1e-6, 1.0 - 1e-9])

@@ -65,7 +65,13 @@ w = z_m / nu_m = 0 member of the general-dyne family (see MonitoredModel).
 The environment is normalized at model construction: a symplectic pre-pass
 brings sigma_in to thermal-diagonal form (nu_j I per mode), folding the
 transformation into C and mean_in; (A, D, d) are invariant under the fold and
-measurement settings are interpreted in the normalized basis.
+measurement settings are interpreted in the normalized basis.  A model and
+its filter store read-only copies of their arrays.  One system and one input
+mode (n = m = 1, the OPO among them) are built in float arithmetic on the 2x2
+entries, with the checks and messages of the general route and the products
+it takes (_one_mode_model, MonitoredModel); the zeros numpy's matmul leaves as
++0.0 stay +0.0, and B B^T is numpy's product for every n.  The steady solve
+of one mode builds its Hamiltonian as a nested list alike.
 """
 
 from __future__ import annotations
@@ -84,6 +90,7 @@ from .symplectic import (
     TOL_HURWITZ,
     TOL_SYM,
     GaussianState,
+    _check_moments,
     _omega,
     _physicality_violation,
     symplectic_eigenvalues,
@@ -110,6 +117,10 @@ _UNIFORM_TOL = 1e-14
 _EXPAND_MAX_SCALE = 1e4
 # Filter data whose off-diagonal entries are within this fraction of each matrix's largest entry decouple.
 _DECOUPLED_TOL = 1e-12
+# A sigma_in block within this of nu I (entrywise) is stored as exactly nu I (_normalize_environment).
+_ISOTROPIC_TOL = 1e-13
+# Column pairs of a 4x4 matrix, in the order the one-mode stable basis tries them (_one_mode_basis).
+_COLUMN_PAIRS = tuple(itertools.combinations(range(4), 2))
 # Largest 1-norm handed to scipy's expm, which returns NaN once it passes about 3e38.
 _EXPM_MAX_NORM = 2.0**64
 
@@ -122,7 +133,10 @@ class DiffusiveModel:
     environment to thermal-diagonal form; the stored ``c``, ``sigma_in`` and
     ``mean_in`` refer to the normalized basis.  Correlations between input
     modes are not supported.  ``dd``, the unconditional dynamics, is derived
-    once, with read-only arrays.
+    once.  Every stored array is a read-only copy, so a caller that later
+    writes to its own arrays leaves the model as it was.  One system and one
+    input mode (n = m = 1) take the same checks and products in float
+    arithmetic on the 2x2 entries (_one_mode_model).
     """
 
     h_s: np.ndarray
@@ -134,35 +148,45 @@ class DiffusiveModel:
     dd: DriftDiffusion = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h_s = np.asarray(self.h_s, dtype=float)
-        c = np.asarray(self.c, dtype=float)
-        sigma_in = np.asarray(self.sigma_in, dtype=float)
-        mean_in = np.asarray(self.mean_in, dtype=float).reshape(-1)
-        if h_s.ndim != 2 or h_s.shape[0] != h_s.shape[1] or h_s.shape[0] % 2:
-            raise ValueError(f"H_S must be square of even size, got {h_s.shape}")
-        n = h_s.shape[0] // 2
-        if not (np.isfinite(h_s).all() and np.isfinite(c).all()):
-            raise ValueError("H_S and the coupling matrix must be finite")
-        if np.abs(h_s - h_s.T).max() > TOL_SYM:
-            raise SymmetryError("Hamiltonian matrix H_S must be symmetric")
-        if c.ndim != 2 or c.shape[0] != 2 * n or c.shape[1] % 2 or c.shape[1] == 0:
-            raise ValueError(f"coupling matrix must be 2n x 2m with n = {n}, got {c.shape}")
-        m = c.shape[1] // 2
-        if sigma_in.shape != (2 * m, 2 * m):
-            raise ValueError(f"input CM shape {sigma_in.shape} does not match m = {m} input modes")
-        if mean_in.size != 2 * m:
-            raise ValueError(f"input mean length {mean_in.size} does not match m = {m} input modes")
-        validate_state(mean_in, sigma_in)
-
-        c, sigma_in, mean_in = _normalize_environment(c, sigma_in, mean_in, m)
-        h_s = 0.5 * (h_s + h_s.T)
-        # Products with the symplectic forms only permute and negate entries, so they are exact in any order.
-        oc = _omega(n) @ c
-        d = oc @ sigma_in @ oc.T
-        dd = DriftDiffusion(a=_omega(n) @ h_s + 0.5 * (oc @ _omega(m)) @ c.T, d=0.5 * (d + d.T), drive=oc @ mean_in)
-        for x in (dd.a, dd.d, dd.drive):
-            x.flags.writeable = False
+        h_s, c, sigma_in = (np.array(x, dtype=float) for x in (self.h_s, self.c, self.sigma_in))
+        mean_in = np.array(self.mean_in, dtype=float).reshape(-1)
+        build = _one_mode_model if h_s.shape == c.shape == (2, 2) else _model
+        h_s, c, sigma_in, mean_in, dd = build(h_s, c, sigma_in, mean_in)
+        n, m = h_s.shape[0] // 2, c.shape[1] // 2
         self.__dict__.update(h_s=h_s, c=c, sigma_in=sigma_in, mean_in=mean_in, n=n, m=m, dd=dd)
+
+
+def _require_environment_shapes(sigma_in, mean_in, m: int) -> None:
+    if sigma_in.shape != (2 * m, 2 * m):
+        raise ValueError(f"input CM shape {sigma_in.shape} does not match m = {m} input modes")
+    if mean_in.size != 2 * m:
+        raise ValueError(f"input mean length {mean_in.size} does not match m = {m} input modes")
+
+
+def _model(h_s, c, sigma_in, mean_in) -> tuple:
+    """(h_s, c, sigma_in, mean_in, dd) of DiffusiveModel: checks, normalization and the unconditional dynamics."""
+    if h_s.ndim != 2 or h_s.shape[0] != h_s.shape[1] or h_s.shape[0] % 2:
+        raise ValueError(f"H_S must be square of even size, got {h_s.shape}")
+    n = h_s.shape[0] // 2
+    if not (np.isfinite(h_s).all() and np.isfinite(c).all()):
+        raise ValueError("H_S and the coupling matrix must be finite")
+    if np.abs(h_s - h_s.T).max() > TOL_SYM:
+        raise SymmetryError("Hamiltonian matrix H_S must be symmetric")
+    if c.ndim != 2 or c.shape[0] != 2 * n or c.shape[1] % 2 or c.shape[1] == 0:
+        raise ValueError(f"coupling matrix must be 2n x 2m with n = {n}, got {c.shape}")
+    m = c.shape[1] // 2
+    _require_environment_shapes(sigma_in, mean_in, m)
+    validate_state(mean_in, sigma_in)
+
+    c, sigma_in, mean_in = _normalize_environment(c, sigma_in, mean_in, m)
+    h_s = 0.5 * (h_s + h_s.T)
+    # Products with the symplectic forms only permute and negate entries, so they are exact in any order.
+    oc = _omega(n) @ c
+    d = oc @ sigma_in @ oc.T
+    dd = DriftDiffusion(a=_omega(n) @ h_s + 0.5 * (oc @ _omega(m)) @ c.T, d=0.5 * (d + d.T), drive=oc @ mean_in)
+    for x in (h_s, c, sigma_in, mean_in, dd.a, dd.d, dd.drive):
+        x.flags.writeable = False
+    return h_s, c, sigma_in, mean_in, dd
 
 
 def _normalize_environment(c, sigma_in, mean_in, m):
@@ -170,8 +194,8 @@ def _normalize_environment(c, sigma_in, mean_in, m):
 
     Leaves A, D and d invariant: C sigma_in C^T, C Omega_m C^T and C mean_in
     are unchanged when C -> C S^{-1}, sigma_in -> S sigma_in S^T,
-    mean_in -> S mean_in with S symplectic.  Blocks within 1e-13 of isotropic
-    need no fold and are stored as exactly nu_j I, nu_j = tr / 2.  Both
+    mean_in -> S mean_in with S symplectic.  Blocks within _ISOTROPIC_TOL of
+    isotropic need no fold and are stored as exactly nu_j I, nu_j = tr / 2.  Both
     decisions are float arithmetic on the entries (small numpy calls cost more).
     """
     rows = sigma_in.tolist()
@@ -179,13 +203,58 @@ def _normalize_environment(c, sigma_in, mean_in, m):
         raise ValueError("correlated input modes are not supported; sigma_in must be block-diagonal")
     blocks = [(*rows[2 * j][2 * j : 2 * j + 2], *rows[2 * j + 1][2 * j : 2 * j + 2]) for j in range(m)]
     nus = [0.5 * (b00 + b11) for b00, _, _, b11 in blocks]
-    if any(max(abs(b00 - nu), abs(b01), abs(b10), abs(b11 - nu)) > 1e-13 for (b00, b01, b10, b11), nu in zip(blocks, nus)):
+    if any(_anisotropy(block, nu) > _ISOTROPIC_TOL for block, nu in zip(blocks, nus)):
         s_full = np.zeros((2 * m, 2 * m))
         for j in range(m):
             block = slice(2 * j, 2 * j + 2)
             nus[j], s_full[block, block] = williamson_single_mode(sigma_in[block, block])
         c, mean_in = c @ np.linalg.inv(s_full), s_full @ mean_in
     return c, np.diag([nu for nu in nus for _ in range(2)]), mean_in
+
+
+def _anisotropy(block, nu: float) -> float:
+    """Largest entry of |B - nu I| for a 2x2 block B given as four row-major floats."""
+    b00, b01, b10, b11 = block
+    return max(abs(b00 - nu), abs(b01), abs(b10), abs(b11 - nu))
+
+
+def _one_mode_model(h_s, c, sigma_in, mean_in) -> tuple:
+    """_model for n = m = 1 in float arithmetic on the entries (small numpy calls cost more).
+
+    The checks, their order and their messages are _model's, and sigma_in is
+    checked by the same predicates (symplectic._check_moments).  A non-isotropic
+    sigma_in is folded by _normalize_environment, as on that route.  The
+    products are _model's, written out: Omega X permutes and negates rows,
+    C Omega C^T = det(C) Omega, so the coupling adds -det(C) / 2 to the diagonal
+    of A, and D = (nu Omega C) (Omega C)^T.  Adding 0.0 to the derived entries
+    leaves a zero as +0.0, as numpy's matmul does.
+    """
+    (h00, h01), (h10, h11) = h_s.tolist()
+    (c00, c01), (c10, c11) = c.tolist()
+    if not all(map(math.isfinite, (h00, h01, h10, h11, c00, c01, c10, c11))):
+        raise ValueError("H_S and the coupling matrix must be finite")
+    if abs(h01 - h10) > TOL_SYM:
+        raise SymmetryError("Hamiltonian matrix H_S must be symmetric")
+    _require_environment_shapes(sigma_in, mean_in, 1)
+    _check_moments(mean_in, sigma_in)
+    (s00, s01), (s10, s11) = sigma_in.tolist()
+    nu = 0.5 * (s00 + s11)
+    if _anisotropy((s00, s01, s10, s11), nu) > _ISOTROPIC_TOL:
+        c, sigma_in, mean_in = _normalize_environment(c, sigma_in, mean_in, 1)
+        ((c00, c01), (c10, c11)), nu = c.tolist(), float(sigma_in[0, 0])
+    r0, r1 = mean_in.tolist()
+    h00, h01, h11 = 0.5 * (h00 + h00), 0.5 * (h01 + h10), 0.5 * (h11 + h11)  # H_S symmetrized
+    k = 0.5 * (c01 * c10 - c00 * c11)
+    g00, g01, g10, g11 = c10 * nu, c11 * nu, -c00 * nu, -c01 * nu  # nu Omega C
+    d00, d11 = g00 * c10 + g01 * c11, g10 * -c00 + g11 * -c01
+    d01 = 0.5 * ((g00 * -c00 + g01 * -c01) + (g10 * c10 + g11 * c11))
+    a_d = (h01 + k, h11, -h00, k - h01, 0.5 * (d00 + d00), d01, d01, 0.5 * (d11 + d11))
+    entries = [h00, h01, h01, h11, c00, c01, c10, c11, nu, 0.0, 0.0, nu, *(x + 0.0 for x in a_d)]
+    matrices = np.array(entries).reshape(5, 2, 2)
+    vectors = np.array([r0, r1, c10 * r0 + c11 * r1 + 0.0, -c00 * r0 - c01 * r1 + 0.0]).reshape(2, 2)
+    matrices.flags.writeable = vectors.flags.writeable = False  # and so are the views unpacked from them
+    (h_s, c, sigma_in, a, d), (mean_in, drive) = matrices, vectors
+    return h_s, c, sigma_in, mean_in, DriftDiffusion(a=a, d=d, drive=drive)
 
 
 @dataclass(frozen=True)
@@ -250,13 +319,16 @@ class MonitoredModel:
     """A diffusive model with a general-dyne setting per input mode (one setting is broadcast).
 
     The unconditional dynamics ``dd`` and the terms of the filter flow
-    At s + s At^T + Dt - s B B^T s are built once, from M = (sigma_in + sigma_m)^-1
-    per input mode in the pointer frame (measurement._pointer_inverse):
+    At s + s At^T + Dt - s B B^T s are built once, as read-only arrays, from
+    M = (sigma_in + sigma_m)^-1 per input mode in the pointer frame
+    (measurement._pointer_inverse, _pointer_blocks):
     B = C Omega_m M^(1/2), E = Omega C sigma_in M^(1/2),
     At = A + Omega C (sigma_in M) Omega_m^T C^T, Dt = Omega C (sigma_in M sigma_m) C^T Omega^T.
     These are A + E B^T and D - E E^T without the cancellation: a quadrature
     an efficient homodyne measures has exactly zero in Dt, and sigma_in M =
     I - sigma_m M is within a rounding of 1, as close as At can hold it.
+    One system and one input mode take the same products in float arithmetic
+    on the 2x2 entries, zeros left as +0.0 as numpy's matmul leaves them.
     """
 
     base: DiffusiveModel
@@ -273,22 +345,47 @@ class MonitoredModel:
         settings = (self.settings,) * m if isinstance(self.settings, GeneralDyneSetting) else tuple(self.settings)
         if len(settings) != m:
             raise ValueError(f"expected {m} measurement settings, got {len(settings)}")
-        # Per mode, the pointer-frame diagonals of M^(1/2), sigma_in M^(1/2), sigma_in M sigma_m and sigma_in M.
-        blocks = np.zeros((4, 2 * m, 2 * m))
-        for j, setting in enumerate(settings):
-            nu, sl = float(self.base.sigma_in[2 * j, 2 * j]), slice(2 * j, 2 * j + 2)
-            (det, n11, _, n22), (k11, _, _, k22) = _pointer_inverse(nu, 0.0, nu, setting)
-            c, s = math.cos(setting.theta_m), math.sin(setting.theta_m)
-            r11, r22, k11, k22 = math.sqrt(n11 / det), math.sqrt(n22 / det), k11 / det, k22 / det
-            diagonals = ((r11, r22), (nu * r11, nu * r22), (nu * k11, nu * k22), (1.0 - k11, 1.0 - k22))
-            entries = [x for d1, d2 in diagonals for x in _from_pointer_frame(c, s, d1, 0.0, d2)]
-            blocks[:, sl, sl] = np.array(entries).reshape(4, 2, 2)
         dd = self.base.dd
-        oc, co = _omega(n) @ self.base.c, self.base.c @ _omega(m)
-        b, (e, in_m_m, in_m) = co @ blocks[0], oc @ blocks[1:]
-        at, dtilde = dd.a + in_m @ co.T, in_m_m @ oc.T
-        dtilde = 0.5 * (dtilde + dtilde.T)
-        self.__dict__.update(settings=settings, dd=dd, b=b, e=e, at=at, dtilde=dtilde, bbt=b @ b.T)
+        if n == m == 1:
+            # Omega C and C Omega_m permute and negate the entries of C; so do their transposes.
+            c00, c01, c10, c11 = self.base.c.ravel().tolist()
+            oc, oc_t = (c10, c11, -c00, -c01), (c10, -c00, c11, -c01)
+            co, co_t = (-c01, c00, -c11, c10), (-c01, -c11, c00, c10)
+            p0, p1, p2, p3 = _pointer_blocks(float(self.base.sigma_in[0, 0]), settings[0])
+            at = [x + y for x, y in zip(dd.a.ravel().tolist(), _mul2(_mul2(oc, p3), co_t))]
+            x00, x01, x10, x11 = _mul2(_mul2(oc, p2), oc_t)
+            dtilde = (0.5 * (x00 + x00), 0.5 * (x01 + x10), 0.5 * (x10 + x01), 0.5 * (x11 + x11))
+            stack = (np.array([*_mul2(co, p0), *_mul2(oc, p1), *at, *dtilde]) + 0.0).reshape(4, 2, 2)
+            stack.flags.writeable = False  # and so are the views unpacked from it
+        else:
+            # Per mode, the pointer-frame diagonals of M^(1/2), sigma_in M^(1/2), sigma_in M sigma_m and sigma_in M.
+            blocks = np.zeros((4, 2 * m, 2 * m))
+            for j, setting in enumerate(settings):
+                nu, sl = float(self.base.sigma_in[2 * j, 2 * j]), slice(2 * j, 2 * j + 2)
+                blocks[:, sl, sl] = np.reshape(_pointer_blocks(nu, setting), (4, 2, 2))
+            oc, co = _omega(n) @ self.base.c, self.base.c @ _omega(m)
+            b, (e, in_m_m, in_m) = co @ blocks[0], oc @ blocks[1:]
+            dtilde = in_m_m @ oc.T
+            stack = (b, e, dd.a + in_m @ co.T, 0.5 * (dtilde + dtilde.T))
+            for x in stack:
+                x.flags.writeable = False
+        b, e, at, dtilde = stack
+        bbt = b @ b.T  # numpy's matmul for every n, which may fuse multiply-adds: B B^T is b @ b.T bit for bit
+        bbt.flags.writeable = False
+        self.__dict__.update(settings=settings, dd=dd, b=b, e=e, at=at, dtilde=dtilde, bbt=bbt)
+
+
+def _pointer_blocks(nu: float, setting: GeneralDyneSetting) -> list:
+    """M^(1/2), sigma_in M^(1/2), sigma_in M sigma_m and sigma_in M for sigma_in = nu I, each as four row-major floats.
+
+    Each is diagonal in the pointer frame (measurement._pointer_inverse) and
+    rotated back by R_theta (measurement._from_pointer_frame).
+    """
+    (det, n11, _, n22), (k11, _, _, k22) = _pointer_inverse(nu, 0.0, nu, setting)
+    c, s = math.cos(setting.theta_m), math.sin(setting.theta_m)
+    r11, r22, k11, k22 = math.sqrt(n11 / det), math.sqrt(n22 / det), k11 / det, k22 / det
+    diagonals = ((r11, r22), (nu * r11, nu * r22), (nu * k11, nu * k22), (1.0 - k11, 1.0 - k22))
+    return [_from_pointer_frame(c, s, d1, 0.0, d2) for d1, d2 in diagonals]
 
 
 def monitored(model: DiffusiveModel, setting) -> MonitoredModel:
@@ -535,9 +632,13 @@ def _hamiltonian(a, q, r) -> tuple[float, np.ndarray]:
     sqrt(|Q| / |R|) (max-norms) truncated to a power of two towards 1 (1 if Q or R is 0): exact,
     and it leaves the coupling blocks within a factor 4, where unbalanced |H| grows with nu_in.
     """
-    nq, nr = (max(map(abs, x.ravel().tolist())) for x in (q, r))  # float arithmetic: small numpy calls cost more
-    c = 2.0 ** int(0.5 * (math.log2(nq) - math.log2(nr))) if nq > 0.0 and nr > 0.0 else 1.0
+    c = _balance(*(max(map(abs, x.ravel().tolist())) for x in (q, r)))  # float arithmetic: small numpy calls cost more
     return c, np.concatenate((np.concatenate((-a.T, c * r), 1), np.concatenate((q / c, a), 1)))  # np.block is slower
+
+
+def _balance(nq: float, nr: float) -> float:
+    """The c of _hamiltonian from the max-norms of Q and R."""
+    return 2.0 ** int(0.5 * (math.log2(nq) - math.log2(nr))) if nq > 0.0 and nr > 0.0 else 1.0
 
 
 def _propagate_riccati(a, q, r, sigma0, t_grid) -> np.ndarray:
@@ -582,13 +683,13 @@ def _decoupled_roots(mm: MonitoredModel) -> np.ndarray | None:
     in its cancellation-free form.  The drift must be Hurwitz, so that an
     unobserved coordinate (b = 0) has a < 0.
     """
-    data = [x.tolist() for x in (mm.at, mm.dtilde, mm.bbt)]  # float arithmetic: small numpy calls cost more
+    # Row-major flat entries, whose diagonal has stride dim + 1 (float arithmetic: small numpy calls cost more).
+    data, stride = [x.ravel().tolist() for x in (mm.at, mm.dtilde, mm.bbt)], mm.at.shape[0] + 1
     for x in data:
-        bound = _DECOUPLED_TOL * max(abs(v) for row in x for v in row)
-        if any(abs(v) > bound for i, row in enumerate(x) for j, v in enumerate(row) if i != j):
+        if max(abs(v) for k, v in enumerate(x) if k % stride) > _DECOUPLED_TOL * max(map(abs, x)):
             return None
     roots = []
-    for a, d, b in zip(*([row[i] for i, row in enumerate(x)] for x in data)):
+    for a, d, b in zip(*(x[::stride] for x in data)):
         r = math.sqrt(a * a + b * d)
         roots.append((a + r) / b if a > 0.0 else d / (r - a))
     return np.array(roots)
@@ -626,25 +727,23 @@ def riccati_residual(mm: MonitoredModel, sigma: np.ndarray) -> float:
     return float(np.abs(mm.at @ sigma + sigma @ mm.at.T + mm.dtilde - sigma @ mm.bbt @ sigma).max())
 
 
-def _mul2(x, y) -> list:
-    """Product of two 2x2 matrices given as nested sequences of floats."""
-    (x00, x01), (x10, x11) = x
-    (y00, y01), (y10, y11) = y
-    return [[x00 * y00 + x01 * y10, x00 * y01 + x01 * y11], [x10 * y00 + x11 * y10, x10 * y01 + x11 * y11]]
+def _mul2(x, y) -> tuple:
+    """Product of two 2x2 matrices given as row-major sequences of four floats."""
+    x00, x01, x10, x11 = x
+    y00, y01, y10, y11 = y
+    return x00 * y00 + x01 * y10, x00 * y01 + x01 * y11, x10 * y00 + x11 * y10, x10 * y01 + x11 * y11
 
 
-def _relative_residual(a, q, r, sigma: np.ndarray) -> float:
+def _relative_residual(a, q, r, sigma) -> float:
     """Max-norm residual of A s + s A^T + Q - s R s at sigma over the largest max-norm of its terms Q, A s and s R s.
 
     That scale is positive for a Hurwitz drift; a correctly rounded sigma leaves about 1e-14.
-    2x2 data take the same products in float arithmetic.
+    2x2 data, as arrays or as row-major sequences of four floats, take the same products in float arithmetic.
     """
-    if sigma.shape == (2, 2):
-        a, q, r, s = (x.tolist() for x in (a, q, r, sigma))
-        a_s, s_r_s = _mul2(a, s), _mul2(_mul2(s, r), s)
-        s_at = _mul2(s, tuple(zip(*a)))
-        terms = [x + y + z - w for rows in zip(a_s, s_at, q, s_r_s) for x, y, z, w in zip(*rows)]
-        return max(map(abs, terms)) / max(abs(v) for x in (q, a_s, s_r_s) for row in x for v in row)
+    if not isinstance(sigma, np.ndarray) or sigma.shape == (2, 2):
+        a, q, r, s = (x.ravel().tolist() if isinstance(x, np.ndarray) else x for x in (a, q, r, sigma))
+        a_s, s_at, s_r_s = _mul2(a, s), _mul2(s, (a[0], a[2], a[1], a[3])), _mul2(_mul2(s, r), s)
+        return max(abs(x + y + z - w) for x, y, z, w in zip(a_s, s_at, q, s_r_s)) / max(map(abs, (*q, *a_s, *s_r_s)))
     a_s, s_r_s = a @ sigma, sigma @ r @ sigma
     residual = float(np.abs(a_s + sigma @ a.T + q - s_r_s).max())
     return residual / max(float(np.abs(x).max()) for x in (q, a_s, s_r_s))
@@ -686,7 +785,8 @@ def _one_mode_basis(h: list) -> list:
     for i in range(4):
         m[i][i] += prod
     m0, m1 = m[0], m[1]
-    j, k = max(itertools.combinations(range(4), 2), key=lambda jk: abs(m0[jk[0]] * m1[jk[1]] - m0[jk[1]] * m1[jk[0]]))
+    dets = [abs(m0[j] * m1[k] - m0[k] * m1[j]) for j, k in _COLUMN_PAIRS]
+    j, k = _COLUMN_PAIRS[dets.index(max(dets))]
     return [[row[j], row[k]] for row in m]
 
 
@@ -696,8 +796,10 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
     Solves At s + s At^T + Dt - s B B^T s = 0 from a basis [U; V] of the
     stable invariant subspace of -H, with (c, H) from _hamiltonian, as
     s = c V U^-1.  One mode takes the basis in closed form
-    (_one_mode_basis, float arithmetic, no LAPACK call); from two modes on it
-    is the first n vectors of one ordered real Schur decomposition of -H.  A
+    (_one_mode_basis, float arithmetic on H built as a nested list, no LAPACK
+    call) and takes the residual and closed loop below in float arithmetic
+    too; from two modes on the basis is the first n vectors of one ordered
+    real Schur decomposition of -H.  A
     stable subspace of any other dimension, or a singular U, raises
     NumericError.  The solve with U loses precision with its condition
     number, so a solution whose relative residual (_relative_residual)
@@ -711,22 +813,34 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
     at, dtilde, bbt = mm.at, mm.dtilde, mm.bbt
     try:
         dim = at.shape[0]
-        c, ham = _hamiltonian(at, dtilde, bbt)
         if dim == 2:
-            (u00, u01), (u10, u11), (v00, v01), (v10, v11) = _one_mode_basis(ham.tolist())
+            # _hamiltonian's H as a nested list, built from the entries.
+            a00, a01, a10, a11 = a = at.ravel().tolist()
+            q00, q01, q10, q11 = q = dtilde.ravel().tolist()
+            r00, r01, r10, r11 = r = bbt.ravel().tolist()
+            c = _balance(max(abs(q00), abs(q01), abs(q10), abs(q11)), max(abs(r00), abs(r01), abs(r10), abs(r11)))
+            ham = [
+                [-a00, -a10, c * r00, c * r01],
+                [-a01, -a11, c * r10, c * r11],
+                [q00 / c, q01 / c, a00, a01],
+                [q10 / c, q11 / c, a10, a11],
+            ]
+            (u00, u01), (u10, u11), (v00, v01), (v10, v11) = _one_mode_basis(ham)
             det = u00 * u11 - u01 * u10
             if det == 0.0 or not math.isfinite(det):
                 raise np.linalg.LinAlgError(f"the stable basis has a singular upper block (det U = {det})")
             k = c / det  # sigma = c V U^-1, symmetrized
             off = 0.5 * k * ((v01 * u00 - v00 * u01) + (v10 * u11 - v11 * u10))
-            sigma = np.array([[k * (v00 * u11 - v01 * u10), off], [off, k * (v11 * u00 - v10 * u01)]])
+            s00, s11 = k * (v00 * u11 - v01 * u10), k * (v11 * u00 - v10 * u01)
+            sigma, rel = np.array([[s00, off], [off, s11]]), _relative_residual(a, q, r, (s00, off, off, s11))
         else:
+            c, ham = _hamiltonian(at, dtilde, bbt)
             _, z, sdim = schur(-ham, output="real", sort="lhp")
             if sdim != dim:
                 raise np.linalg.LinAlgError(f"the Riccati Hamiltonian has {sdim} stable eigenvalues, expected {dim}")
             sigma = c * np.linalg.solve(z[:dim, :dim].T, z[dim:, :dim].T)
             sigma = 0.5 * (sigma + sigma.T)
-        rel = _relative_residual(at, dtilde, bbt, sigma)
+            rel = _relative_residual(at, dtilde, bbt, sigma)
         for _ in range(SS_NEWTON_STEPS):
             if rel <= SS_REFINE_RTOL:
                 break
@@ -735,7 +849,12 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
             rel = _relative_residual(at, dtilde, bbt, sigma)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"algebraic Riccati solve failed: {exc}") from exc
-    if not is_hurwitz(at - sigma @ bbt):
+    if dim == 2:  # the closed loop At - sigma B B^T in float arithmetic
+        f00, f01, f10, f11 = (x - y for x, y in zip(a, _mul2(sigma.ravel().tolist(), r)))
+        closed = [[f00, f01], [f10, f11]]
+    else:
+        closed = at - sigma @ bbt
+    if not is_hurwitz(closed):
         raise NumericError("Riccati solution is not stabilizing: At - sigma B B^T is not Hurwitz")
     if rel > SS_RESIDUAL_TOL:
         raise ConvergenceError(f"Riccati steady state has relative residual {rel:.3e} > {SS_RESIDUAL_TOL:.1e}")

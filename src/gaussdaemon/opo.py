@@ -94,8 +94,8 @@ class OpoParams:
 
 def opo_model(params: OpoParams) -> DiffusiveModel:
     """Diffusive model of the OPO (kappa = 1): A = diag(-(1 + chi~)/2, -(1 - chi~)/2), D = nu_in I."""
-    h_s = -0.5 * params.chi_tilde * np.array([[0.0, 1.0], [1.0, 0.0]])
-    return DiffusiveModel(h_s=h_s, c=_omega(1), sigma_in=params.nu_in * np.eye(2), mean_in=np.zeros(2))
+    h, nu = -0.5 * params.chi_tilde, params.nu_in
+    return DiffusiveModel(h_s=[[0.0, h], [h, 0.0]], c=_omega(1), sigma_in=[[nu, 0.0], [0.0, nu]], mean_in=[0.0, 0.0])
 
 
 def strategy_setting(name: str, z_m: float | None = None, theta_m: float = 0.0) -> GeneralDyneSetting:
@@ -131,14 +131,18 @@ def opo_conditional_ss(params: OpoParams, setting: GeneralDyneSetting) -> np.nda
     return _conditional_steady_state(monitored(opo_model(params), setting))
 
 
-def _daemonic(params: OpoParams, sig_c: np.ndarray) -> float:
-    e = 0.25 * float(np.trace(opo_unconditional_ss(params).cm))
-    return _single_mode_ergotropy(e, float(np.linalg.det(sig_c)), "daemonic ergotropy")
+def _unconditional_energy(params: OpoParams) -> float:
+    """tr sigma_unc / 4, the steady-state energy of the OPO with or without monitoring."""
+    return 0.25 * float(np.trace(opo_unconditional_ss(params).cm))
+
+
+def _daemonic(energy: float, sig_c: np.ndarray) -> float:
+    return _single_mode_ergotropy(energy, float(np.linalg.det(sig_c)), "daemonic ergotropy")
 
 
 def opo_steady_daemonic(params: OpoParams, setting: GeneralDyneSetting) -> float:
     """Steady-state daemonic ergotropy tr sigma_unc / 4 - (1/2) sqrt(det sigma_c^ss)."""
-    return _daemonic(params, opo_conditional_ss(params, setting))
+    return _daemonic(_unconditional_energy(params), opo_conditional_ss(params, setting))
 
 
 def opo_zopt(params: OpoParams) -> float:
@@ -169,9 +173,9 @@ def zsweep_table(params: OpoParams, z_grid=None) -> ZSweepData:
     if z_grid.ndim != 1 or z_grid.size < 1 or np.any(z_grid <= 0) or np.any(z_grid > 1):
         raise ValueError("z grid must be one-dimensional with entries in (0, 1]")
     z_grid = np.sort(z_grid)
-    model = opo_model(params)
+    model, energy = opo_model(params), _unconditional_energy(params)
     settings = [GeneralDyneSetting(nu_m=1.0, theta_m=0.0, z_m=float(z)) for z in z_grid]
-    values = [_daemonic(params, _conditional_steady_state(monitored(model, s))) for s in settings]
+    values = [_daemonic(energy, _conditional_steady_state(monitored(model, s))) for s in settings]
     z_opt = opo_zopt(params)
     references = []
     for setting in (GeneralDyneSetting(nu_m=1.0, theta_m=0.0, z_m=z_opt), heterodyne()):
@@ -179,7 +183,7 @@ def zsweep_table(params: OpoParams, z_grid=None) -> ZSweepData:
         closed, riccati = np.diag(_decoupled_roots(mm)), steady_state_conditional(mm)
         dets = (float(np.linalg.det(x)) for x in (closed, riccati))
         _cross_check(*dets, f"OPO conditional determinant at {setting}")
-        references.append(_daemonic(params, closed))
+        references.append(_daemonic(energy, closed))
     z_opt_value, het_value = references
     return ZSweepData(np.column_stack([z_grid, values]), z_opt=z_opt, z_opt_value=z_opt_value, het_value=het_value)
 

@@ -107,14 +107,30 @@ def validate_state(mean, cm) -> GaussianState:
         Delta; otherwise it reports the most negative eigenvalue.
     """
     state = GaussianState(mean, cm)
-    if not (np.isfinite(state.mean).all() and np.isfinite(state.cm).all()):
-        raise ValueError("mean and covariance matrix must be finite")
-    asym = np.abs(state.cm - state.cm.T).max()
+    _check_moments(state.mean, state.cm)
+    return state
+
+
+def _check_moments(mean: np.ndarray, cm: np.ndarray) -> None:
+    """The checks of :func:`validate_state` on a float mean of length 2n and a (2n, 2n) CM.
+
+    One mode takes them in float arithmetic on the entries (small numpy calls
+    cost more), with the same values: sigma is symmetrized as 0.5 sigma + 0.5 sigma^T.
+    """
+    if cm.shape == (2, 2):
+        m0, m1, s00, s01, s10, s11 = mean.tolist() + cm.ravel().tolist()
+        if not all(map(math.isfinite, (m0, m1, s00, s01, s10, s11))):
+            raise ValueError("mean and covariance matrix must be finite")
+        asym, off = abs(s01 - s10), 0.5 * s01 + 0.5 * s10
+        sym = np.array([[0.5 * s00 + 0.5 * s00, off], [off, 0.5 * s11 + 0.5 * s11]])
+    else:
+        if not (np.isfinite(mean).all() and np.isfinite(cm).all()):
+            raise ValueError("mean and covariance matrix must be finite")
+        asym, sym = np.abs(cm - cm.T).max(), 0.5 * cm + 0.5 * cm.T
     if asym > TOL_SYM:
         raise SymmetryError(f"covariance matrix asymmetric: max |sigma - sigma^T| = {asym:.3e} > {TOL_SYM:.1e}")
-    if (violation := _physicality_violation(0.5 * state.cm + 0.5 * state.cm.T)) is not None:
+    if (violation := _physicality_violation(sym)) is not None:
         raise UnphysicalStateError(violation)
-    return state
 
 
 def _indefinite_min_eig(s00: float, s01: float, s11: float) -> float | None:

@@ -145,6 +145,198 @@ def test_correlated_input_rejected():
         DiffusiveModel(np.zeros((2, 2)), c, sigma_in, np.zeros(4))
 
 
+def _filter_products(h_s, c, sigma_in, mean_in, blocks, omega):
+    """dd.a, dd.d, dd.drive, b, e, at, dtilde and bbt of a model as numpy products, the route n >= 2 takes.
+
+    blocks are the four pointer-frame matrices M^(1/2), sigma_in M^(1/2),
+    sigma_in M sigma_m and sigma_in M of dynamics._pointer_blocks.  The
+    products only add, so on the absolute values of the inputs they give the
+    size of the terms each entry sums.
+    """
+    oc, co = omega @ c, c @ omega
+    d = oc @ sigma_in @ oc.T
+    a = omega @ h_s + 0.5 * (oc @ omega) @ c.T
+    m_root, in_root, in_m_m, in_m = blocks
+    b = co @ m_root
+    dt = (oc @ in_m_m) @ oc.T
+    return a, 0.5 * (d + d.T), oc @ mean_in, b, oc @ in_root, a + (oc @ in_m) @ co.T, 0.5 * (dt + dt.T), b @ b.T
+
+
+def _one_mode_arrays(model, setting):
+    """The eight arrays of _filter_products as the model and its filter store them, and as numpy products."""
+    mm = gd.monitored(model, setting)
+    got = (mm.dd.a, mm.dd.d, mm.dd.drive, mm.b, mm.e, mm.at, mm.dtilde, mm.bbt)
+    blocks = [np.reshape(x, (2, 2)) for x in gd.dynamics._pointer_blocks(float(model.sigma_in[0, 0]), setting)]
+    inputs = (model.h_s, model.c, model.sigma_in, model.mean_in, blocks, gd.symplectic_form(1))
+    want = _filter_products(*inputs)
+    scale = _filter_products(*(np.abs(x) if isinstance(x, np.ndarray) else [np.abs(y) for y in x] for x in inputs))
+    return got, want, scale
+
+
+_UNIT = st_.floats(-2.0, 2.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    h=st_.tuples(_UNIT, _UNIT, _UNIT),
+    c=st_.tuples(_UNIT, _UNIT, _UNIT, _UNIT),
+    nu=st_.floats(1.0, 5.0),
+    squeeze=st_.sampled_from([None, 0.2, 0.7, 3.0]),
+    phi=st_.floats(0.0, math.pi),
+    mean=st_.tuples(_UNIT, _UNIT),
+    kind=st_.sampled_from(["homodyne", "heterodyne", "generic"]),
+    theta=st_.floats(0.0, math.pi),
+    z=st_.floats(1e-6, 1.0),
+    nu_m=st_.floats(1.0, 3.0),
+)
+def test_one_mode_model_matches_numpy_products(h, c, nu, squeeze, phi, mean, kind, theta, z, nu_m):
+    """One mode is built in float arithmetic; every array agrees with the numpy products of the n >= 2 route.
+
+    Two roundings of a sum of products, with and without the fused
+    multiply-add numpy's matmul may use, differ by a few ulp of the terms
+    summed, not of the sum: each entry lies within 4 ulp of the largest entry
+    of the same products taken on absolute values.  B B^T is numpy's own
+    product of the stored B.  The input is thermal (nu I) or squeezed thermal
+    (folded into C and the mean), and its mean is drawn like the other entries.
+    """
+    h_s = np.array([[h[0], h[1]], [h[1], h[2]]])
+    sigma_in = nu * np.eye(2)
+    if squeeze is not None:
+        r = gd.rotation(phi)
+        sigma_in = nu * r @ np.diag([squeeze, 1.0 / squeeze]) @ r.T
+    model = DiffusiveModel(h_s, np.reshape(c, (2, 2)), sigma_in, np.array(mean))
+    if kind == "homodyne":
+        setting = gd.homodyne(theta)
+    else:
+        setting = gd.heterodyne() if kind == "heterodyne" else GeneralDyneSetting(nu_m=nu_m, theta_m=theta, z_m=z)
+    got, want, scale = _one_mode_arrays(model, setting)
+    for name, x, y, size in zip(("a", "d", "drive", "b", "e", "at", "dtilde", "bbt"), got, want, scale):
+        assert np.abs(x - y).max() <= 4.0 * np.spacing(size.max()), (name, x, y)
+    assert np.array_equal(model.sigma_in, model.sigma_in[0, 0] * np.eye(2))
+
+
+def test_opo_model_matches_numpy_products_bit_for_bit():
+    """For the OPO (C = Omega) the float route's products are exact: its arrays are numpy's bit for bit.
+
+    Signed zeros included, and at generic phases too, where B B^T is numpy's own product of an exact B.
+    """
+    settings = [gd.homodyne(0.0), gd.homodyne(0.5 * math.pi), gd.heterodyne(), GeneralDyneSetting(z_m=0.3),
+                GeneralDyneSetting(theta_m=0.7, z_m=0.3), GeneralDyneSetting(nu_m=1.7, theta_m=2.1, z_m=1e-5)]
+    for ct in (0.0, 0.3, 0.6, 0.99, 1.0 - 1e-7):
+        for nu_in in (1.0, 3.0, 1e20):
+            model = gd.opo_model(gd.OpoParams(ct, nu_in=nu_in))
+            for setting in settings:
+                got, want, _ = _one_mode_arrays(model, setting)
+                for x, y in zip(got, want):
+                    assert x.tobytes() == y.tobytes(), (ct, nu_in, setting, x, y)
+
+
+def _raised(build, *args):
+    """(type, message) of what build(*args) raises, or None if it returns."""
+    try:
+        build(*args)
+    except Exception as exc:  # the exception itself is what is compared
+        return type(exc), str(exc)
+    return None
+
+
+def _general_route(h_s, c, sigma_in, mean_in):
+    """The model checks of the route n >= 2 takes, run on the same inputs."""
+    return gd.dynamics._model(*(np.array(x, dtype=float) for x in (h_s, c, sigma_in)), np.array(mean_in, float).ravel())
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "h_s, c, sigma_in, mean_in",
+    [
+        ([[_NAN, 0.0], [0.0, 0.0]], np.eye(2), np.eye(2), [0.0, 0.0]),
+        ([[0.0, _INF], [_INF, 0.0]], np.eye(2), np.eye(2), [0.0, 0.0]),
+        (np.zeros((2, 2)), [[1.0, _NAN], [0.0, 1.0]], np.eye(2), [0.0, 0.0]),
+        (np.zeros((2, 2)), [[1.0, 0.0], [0.0, -_INF]], np.eye(2), [0.0, 0.0]),
+        (np.zeros((2, 2)), np.eye(2), [[_NAN, 0.0], [0.0, 1.0]], [0.0, 0.0]),
+        (np.zeros((2, 2)), np.eye(2), [[1.0, 0.0], [0.0, _INF]], [0.0, 0.0]),
+        (np.zeros((2, 2)), np.eye(2), np.eye(2), [_NAN, 0.0]),
+        (np.zeros((2, 2)), np.eye(2), np.eye(2), [0.0, -_INF]),
+        ([[0.0, 1.0], [0.0, 0.0]], np.eye(2), np.eye(2), [0.0, 0.0]),
+        ([[0.0, 1.0], [1.0 + 1e-9, 0.0]], np.eye(2), np.eye(2), [0.0, 0.0]),
+        (np.zeros((2, 2)), np.eye(2), 0.3 * np.eye(2), [0.0, 0.0]),
+        (np.zeros((2, 2)), np.eye(2), [[1.0, 2.0], [2.0, 1.0]], [0.0, 0.0]),
+        (np.zeros((2, 2)), np.eye(2), -np.eye(2), [0.0, 0.0]),
+        (np.zeros((2, 2)), np.eye(2), [[2.0, 0.1], [0.0, 2.0]], [0.0, 0.0]),
+        (np.zeros((2, 2)), np.eye(2), (1.0 - 2.0 * gd.symplectic.TOL_PSD) * np.eye(2), [0.0, 0.0]),
+        (np.zeros((2, 2)), np.eye(2), np.eye(4), [0.0, 0.0]),
+        (np.zeros((2, 2)), np.eye(2), np.eye(2), [0.0, 0.0, 0.0]),
+        (np.zeros((2, 2)), np.eye(2), np.eye(2), [0.0, 0.0, 0.0, 0.0]),
+        (np.zeros((2, 2)), np.eye(2), np.ones((2, 3)), [0.0, 0.0]),
+    ],
+)
+def test_one_mode_model_errors_are_the_general_routes(h_s, c, sigma_in, mean_in):
+    """For n = m = 1 every rejected input raises the type and message the general route raises for it."""
+    raised = _raised(DiffusiveModel, h_s, c, sigma_in, mean_in)
+    assert raised is not None
+    assert raised == _raised(_general_route, h_s, c, sigma_in, mean_in)
+
+
+def test_one_mode_model_accepts_the_tolerance_below_the_vacuum():
+    """nu I is accepted down to nu = 1 - TOL_PSD: 1 - TOL_PSD / 2 passes on both routes, 1 - 2 TOL_PSD fails on both."""
+    tol = gd.symplectic.TOL_PSD
+    inputs = (np.zeros((2, 2)), np.eye(2), (1.0 - 0.5 * tol) * np.eye(2), np.zeros(2))
+    assert DiffusiveModel(*inputs).sigma_in[0, 0] == 1.0 - 0.5 * tol
+    assert _raised(_general_route, *inputs) is None
+    inputs = (np.zeros((2, 2)), np.eye(2), (1.0 - 2.0 * tol) * np.eye(2), np.zeros(2))
+    assert _raised(DiffusiveModel, *inputs)[0] is gd.UnphysicalStateError
+    assert _raised(DiffusiveModel, *inputs) == _raised(_general_route, *inputs)
+
+
+def test_monitored_rejects_the_wrong_number_of_settings():
+    """A one-mode model takes one setting: a list of two, or of none, is rejected as for more modes."""
+    model = gd.opo_model(gd.OpoParams(0.5, nu_in=2.0))
+    for settings in ([gd.heterodyne(), gd.heterodyne()], []):
+        with pytest.raises(ValueError, match=f"expected 1 measurement settings, got {len(settings)}"):
+            gd.monitored(model, settings)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_model_keeps_copies_of_its_inputs(n):
+    """Writing to the caller's arrays after construction leaves the model and its dynamics as they were.
+
+    With H_S = 0, C = I, sigma_in = I one mode has A = -I / 2 and the
+    heterodyne filter drift At = A + det(C) I / 2 = 0; a model that kept C by
+    reference would, after c[0, 0] = 7, keep that A but hand monitored() a C
+    that gives At = 3 I.
+    """
+    h_s, c, sigma_in, mean_in = np.zeros((2 * n, 2 * n)), np.eye(2 * n), np.eye(2 * n), np.arange(2.0 * n)
+    model = DiffusiveModel(h_s, c, sigma_in, mean_in)
+    stored = (model.h_s, model.c, model.sigma_in, model.mean_in, model.dd.a, model.dd.d, model.dd.drive)
+    before = [x.copy() for x in stored]
+    at = gd.monitored(model, gd.heterodyne()).at.copy()
+    for x in (h_s, c, sigma_in, mean_in):
+        assert not any(np.shares_memory(x, y) for y in stored)
+    c[0, 0] = 7.0
+    for x in (h_s, c, sigma_in, mean_in):
+        x += 1.0
+    for x, y in zip(before, stored):
+        assert x.tobytes() == y.tobytes()
+    assert np.array_equal(model.dd.a, -0.5 * np.eye(2 * n))
+    assert np.array_equal(gd.monitored(model, gd.heterodyne()).at, at)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_model_and_filter_arrays_are_read_only(n):
+    """Every array a model or its filter stores refuses writes."""
+    model = DiffusiveModel(np.zeros((2 * n, 2 * n)), np.eye(2 * n), 2.0 * np.eye(2 * n), np.ones(2 * n))
+    mm = gd.monitored(model, GeneralDyneSetting(theta_m=0.7, z_m=0.3))
+    with pytest.raises(ValueError, match="read-only"):
+        mm.at[0, 0] = 1.0
+    arrays = [model.h_s, model.c, model.sigma_in, model.mean_in, model.dd.a, model.dd.d, model.dd.drive]
+    for x in arrays + [mm.b, mm.e, mm.at, mm.dtilde, mm.bbt]:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 1.0
+
+
 def test_is_hurwitz():
     """Stability check on the drift matrix."""
     assert gd.is_hurwitz(-np.eye(2))

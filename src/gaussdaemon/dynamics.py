@@ -31,33 +31,41 @@ sigma_unc = sigma_c + Sigma with Sigma the excess noise of the conditional
 means across trajectories.
 
 Covariances are propagated exactly, not by a fixed-step integrator.  Both
-flows are Riccati flows sigma' = A sigma + sigma A^T + Q - sigma R sigma.  The
-unconditional one has R = 0 and is linear: sigma(t) = e^{At} sigma0 e^{A^T t}
-+ G(t) with the Gramian G(t) = int_0^t e^{As} D e^{A^T s} ds, built on the
-whole grid together with e^{At} and the means (see _grid_flow; one mode
-takes e^{At} in closed form, _one_mode_moments).  The conditional one is
-written in closed form about its stabilizing steady state sigma_inf: with
-F = A - sigma_inf R (Hurwitz), W_inf solving F^T W + W F + R = 0 and
-Delta0 = sigma0 - sigma_inf,
+flows are Riccati flows sigma' = A sigma + sigma A^T + Q - sigma R sigma, and
+the flow over an interval h is the linear-fractional map
+
+    sigma(h) = Q_h + Phi_h sigma(0) (I + G_h sigma(0))^-1 Phi_h^T,
+
+read off the exponential of the flow's Hamiltonian matrix over a short
+interval and doubled up to h (the doubling algorithm, _interval_map), so a
+horizon costs log2 of its length.  Maps compose with one solve, G and Q
+staying positive semidefinite (_compose), and _grid_maps gives the maps from
+the first point of a time grid to every point.  The unconditional flow has
+R = 0, so Phi = e^{At}, G = 0 and Q is the Gramian
+int_0^t e^{As} D e^{A^T s} ds; the means ride along in the drift augmented by
+the drive (unconditional_path).  One mode takes e^{At} in closed form at every
+grid point instead (_one_mode_moments).  The conditional flow of one mode
+whose steady state sigma_inf is not too large (_expandable) is written in
+closed form about it: with F = A - sigma_inf R (Hurwitz), W_inf solving
+F^T W + W F + R = 0 and Delta0 = sigma0 - sigma_inf,
 
     sigma(t) = sigma_inf + e^{Ft} (I + Delta0 W(t))^-1 Delta0 e^{F^T t},
     W(t) = W_inf - e^{F^T t} W_inf e^{Ft},
 
-so a whole time grid takes a few numpy calls.  For one mode they act on
-arrays of the four entries over the grid: e^{Ft} in closed form from the
+on arrays of the four entries over the grid: e^{Ft} in closed form from the
 eigenvalues of F (_grid_exp2), W_inf in closed form and the inverse as the
-adjugate, with no expm, solve or stacked matmul.  More modes take the stack
-of e^{Ft} from _grid_flow.  Where the steady state is missing or large (a
-non-Hurwitz drift, or one near threshold; see _expandable) the conditional
-flow is stepped through the exponential of its Hamiltonian matrix instead.
-Either way the results do not depend on the time grid.  The conditional
-steady state is the stable invariant subspace of the same Hamiltonian (in
-closed form for one mode, from one ordered Schur decomposition for more;
-Newton-Kleinman steps refine it only when its residual is above round-off).
-That Hamiltonian is built once (_hamiltonian), balanced so that its norm
-does not grow with the environment noise.  Where the filter terms are
-diagonal, the flow is expanded instead about the stabilizing root of each
-coordinate's scalar Riccati equation (_decoupled_roots).
+adjugate, with no expm, solve or stacked matmul.  Every other conditional
+flow (two or more modes, a non-Hurwitz drift, one near threshold) takes the
+interval maps, about a tiny multiple of sigma0 (_MAP_BASE), and needs no
+steady state.  Either way the results do not
+depend on the time grid.  The conditional steady state is the stable
+invariant subspace of the same Hamiltonian (in closed form for one mode, from
+one ordered Schur decomposition for more; Newton-Kleinman steps refine it
+only when its residual is above round-off).  That Hamiltonian is built in
+one place (_hamiltonian), balanced so that its norm does not grow with the environment
+noise.  Where the filter terms are diagonal, the one-mode closed form takes
+the stabilizing root of each coordinate's scalar Riccati equation as its
+steady state (_decoupled_roots).
 
 The filter terms are written in the pointer frame, where homodyne is the exact
 w = z_m / nu_m = 0 member of the general-dyne family (see MonitoredModel).
@@ -115,17 +123,19 @@ _UNIFORM_TOL = 1e-14
 # Largest estimated steady-state CM scale |D| / (2 |alpha(A)|) for which the
 # conditional flow is expanded about its steady state (see _expandable).
 _EXPAND_MAX_SCALE = 1e4
+# Interval maps of a conditional flow start from this multiple of sigma0, not from 0: where Dt is 0
+# along an unstable direction of At (an efficient homodyne of an unstable quadrature), the flow from
+# 0 rests there for ever and its maps overflow; from any positive definite start it moves off.
+_MAP_BASE = 2.0**-52
 # Filter data whose off-diagonal entries are within this fraction of each matrix's largest entry decouple.
 _DECOUPLED_TOL = 1e-12
 # A sigma_in block within this of nu I (entrywise) is stored as exactly nu I (_normalize_environment).
 _ISOTROPIC_TOL = 1e-13
 # Column pairs of a 4x4 matrix, in the order the one-mode stable basis tries them (_one_mode_basis).
 _COLUMN_PAIRS = tuple(itertools.combinations(range(4), 2))
-# Largest 1-norm handed to scipy's expm, which returns NaN once it passes about 3e38.
-_EXPM_MAX_NORM = 2.0**64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffusiveModel:
     """System-environment model (H_S, C, sigma_in, mean_in) for n system and m input modes.
 
@@ -145,7 +155,7 @@ class DiffusiveModel:
     mean_in: np.ndarray
     n: int = field(init=False)
     m: int = field(init=False)
-    dd: DriftDiffusion = field(init=False, repr=False, compare=False)
+    dd: DriftDiffusion = field(init=False, repr=False)
 
     def __post_init__(self):
         h_s, c, sigma_in = (np.array(x, dtype=float) for x in (self.h_s, self.c, self.sigma_in))
@@ -257,7 +267,7 @@ def _one_mode_model(h_s, c, sigma_in, mean_in) -> tuple:
     return h_s, c, sigma_in, mean_in, DriftDiffusion(a=a, d=d, drive=drive)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriftDiffusion:
     """Unconditional dynamics: drift matrix ``a``, diffusion matrix ``d``, drive vector."""
 
@@ -314,7 +324,7 @@ def steady_state_unconditional(dd: DriftDiffusion) -> GaussianState:
     return GaussianState(mean, sigma)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonitoredModel:
     """A diffusive model with a general-dyne setting per input mode (one setting is broadcast).
 
@@ -333,12 +343,12 @@ class MonitoredModel:
 
     base: DiffusiveModel
     settings: tuple
-    dd: DriftDiffusion = field(init=False, repr=False, compare=False)
-    b: np.ndarray = field(init=False, repr=False, compare=False)
-    e: np.ndarray = field(init=False, repr=False, compare=False)
-    at: np.ndarray = field(init=False, repr=False, compare=False)
-    dtilde: np.ndarray = field(init=False, repr=False, compare=False)
-    bbt: np.ndarray = field(init=False, repr=False, compare=False)
+    dd: DriftDiffusion = field(init=False, repr=False)
+    b: np.ndarray = field(init=False, repr=False)
+    e: np.ndarray = field(init=False, repr=False)
+    at: np.ndarray = field(init=False, repr=False)
+    dtilde: np.ndarray = field(init=False, repr=False)
+    bbt: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n, m = self.base.n, self.base.m
@@ -416,82 +426,105 @@ def _uniform_steps(T: float, dt: float, what: str = "T") -> int:
     return n_steps
 
 
-def _expm(a: np.ndarray, s: float, norm: float) -> np.ndarray:
-    """e^{A s} from scipy's expm, given norm = |A|_1; past |A s|_1 = _EXPM_MAX_NORM, at s / 2^k squared k times."""
-    k = math.ceil(math.log2(norm * s / _EXPM_MAX_NORM)) if norm * s > _EXPM_MAX_NORM else 0
-    e = expm(a * (s / 2.0**k))
-    for _ in range(k):
-        e = e @ e
-    return e
-
-
 def _uniform_step(t: np.ndarray, n: int) -> float | None:
     """The step of a grid of n steps within _UNIFORM_TOL of uniform, else None (np.linspace is not bitwise uniform)."""
     h = (t[-1] - t[0]) / max(n, 1)
     return h if n and np.abs(t - t[0] - h * np.arange(n + 1)).max() <= _UNIFORM_TOL * np.abs(t).max() else None
 
 
-def _van_loan_step(a, d, h: float, norm: float) -> tuple[np.ndarray, np.ndarray]:
-    """(e^{Ah}, G(h)) from the Van Loan exponential of [[A, D], [0, -A^T]] h, given norm = |A|_1.
+def _compose(first: tuple, second: tuple) -> tuple:
+    """The interval map (Phi, G, Q) of the flow over `first`'s interval and then over `second`'s.
 
-    e^{-A^T h} in that block grows with h, so it is taken over h / 2^k with
-    |A| h / 2^k <= 1 and the result composed k times.
+    A map takes X to Q + Phi X (I + G X)^-1 Phi^T.  With W = (I + Q1 G2)^-1,
+    the composite is Phi = Phi2 W Phi1, G = G1 + Phi1^T G2 W Phi1 and
+    Q = Q2 + Phi2 W Q1 Phi2^T: one solve, and G and Q stay sums of positive
+    semidefinite terms.  Either argument may be a stack of maps; the result
+    is the stack of composites.
     """
-    dim = a.shape[0]
-    k = max(0, math.ceil(math.log2(max(h * norm, 1.0))))
-    block = np.concatenate((np.concatenate((a, d), 1), np.concatenate((np.zeros_like(a), -a.T), 1)))  # np.block is slower
-    van_loan = expm(block * (h / 2**k))
-    e, g = van_loan[:dim, :dim], van_loan[:dim, dim:] @ van_loan[:dim, :dim].T
+    (phi1, g1, q1), (phi2, g2, q2) = first, second
+    dim = phi1.shape[-1]
+    lhs = np.eye(dim) + q1 @ g2
+    w = np.linalg.solve(lhs, np.broadcast_to(np.concatenate((phi1, q1), -1), (*lhs.shape[:-1], 2 * dim)))
+    w_phi, w_q = w[..., :dim], w[..., dim:]
+    g = g1 + np.swapaxes(phi1, -1, -2) @ g2 @ w_phi
+    q = q2 + phi2 @ w_q @ np.swapaxes(phi2, -1, -2)
+    return phi2 @ w_phi, 0.5 * (g + np.swapaxes(g, -1, -2)), 0.5 * (q + np.swapaxes(q, -1, -2))
+
+
+def _interval_map(a, q, r, h: float) -> tuple:
+    """The interval map (Phi, G, Q) of sigma' = A sigma + sigma A^T + Q - sigma R sigma over a time h.
+
+    It takes sigma(0) to sigma(h) = Q + Phi sigma(0) (I + G sigma(0))^-1 Phi^T.
+    With (c, H) from _hamiltonian, [U; V]' = H [U; V] carries X = V U^-1 = sigma / c
+    along the flow (Radon's lemma), so with P = expm(H h) the map on X is read
+    off P as G = P11^-1 P12, Phi = P22 - P21 G (= P11^-T) and Q = P21 Phi^T
+    (= P21 P11^-1), G and Q symmetric up to rounding.  P is taken over
+    h0 = h / 2^k with h0 _flow_norm <= 1, where P11 is well conditioned, and
+    the map is doubled k times (_compose), so a horizon costs log2 of its
+    length and not a step per unit of time.  This is the doubling algorithm
+    for Riccati flows (Anderson and Moore, Optimal Filtering, 1979).  R = 0
+    gives G = 0, Phi = e^{Ah} and the Gramian Q = int_0^h e^{As} Q e^{A^T s} ds,
+    which doubles as Q + e^{Ah} Q e^{A^T h}.  The map on sigma is that on X
+    with G / c and c Q (c is a power of two).
+    """
+    c, ham = _hamiltonian(a, q, r)
+    dim, norm = a.shape[0], _flow_norm(ham)
+    k = max(0, math.ceil(math.log2(h) + math.log2(norm))) if norm > 0.0 else 0
+    p = expm(ham * (h / 2.0**k))
+    g = np.linalg.solve(p[:dim, :dim], p[:dim, dim:])
+    phi = p[dim:, dim:] - p[dim:, :dim] @ g
+    maps = phi, g, p[dim:, :dim] @ phi.T
     for _ in range(k):
-        g, e = g + e @ g @ e.T, e @ e
-    return e, g
+        maps = _compose(maps, maps)
+    return maps[0], maps[1] / c, c * maps[2]
 
 
-def _grid_flow(a: np.ndarray, t_grid, d=None) -> tuple[np.ndarray, np.ndarray | None]:
-    """e^{A (t_i - t_0)} at every point of a time grid and, given D, the Gramians there.
+def _flow_norm(ham: np.ndarray) -> float:
+    """|A|_1 + sqrt(|Q|_1 |R|_1) from _hamiltonian's H: about |H|_1 with its coupling blocks scaled to one size.
 
-    The Gramian G(t) = int_0^t e^{As} D e^{A^T s} ds moves a CM along
-    sigma' = A sigma + sigma A^T + D as sigma(t) = e^{At} sigma0 e^{A^T t} + G(t);
-    it is None without D.  Flows compose as G(t + s) = G(t) + e^{At} G(s) e^{A^T t},
-    a sum of terms with no cancellation and no solve.  A uniform grid is
-    filled by doubling, e^{A t_{m+j}} = e^{A t_j} e^{A t_m} for j < m with one
-    expm per doubling, so N points take about log2 N exponentials and stacked
-    matmuls.  Grids within _UNIFORM_TOL of uniform count as uniform
-    (np.linspace grids are not bitwise uniform).  Other grids chain their
-    steps: one expm per distinct step length, a few matmuls per step.  The
-    Gramian of one step comes from the Van Loan exponential (_van_loan_step).
+    Unlike |H|_1 it does not grow with Q where R = 0, where the map is linear in Q.
+    """
+    (_, nr), (nq, na) = np.abs(ham).reshape(2, ham.shape[0] // 2, 2, -1).sum(axis=1).max(axis=2).tolist()
+    return na + math.sqrt(nq * nr)
+
+
+def _grid_maps(a, q, r, t_grid) -> tuple:
+    """Stacks (Phi, G, Q) of the interval maps (_interval_map) from the first point of a time grid to each point.
+
+    The first map is the identity (I, 0, 0).  A uniform grid is filled by
+    doubling: the maps to points m..2m - 1 are those to points 0..m - 1
+    composed after _interval_map(m h), which up to m h _flow_norm = 1 takes an
+    expm of its own and past it is the map over m h / 2 composed with itself.
+    (Each squaring doubles the relative error of the slow modes, so squaring
+    up from the grid step would lose digits in proportion to the number of
+    points.)  Grids within _UNIFORM_TOL of uniform count as uniform (np.linspace
+    grids are not bitwise uniform).  Other grids chain their steps, one expm
+    per distinct step length.
     """
     steps = _grid_steps(t_grid)
-    t = np.asarray(t_grid, dtype=float)
     dim, n = a.shape[0], steps.size
-    exps = np.empty((n + 1, dim, dim))
-    exps[0] = np.eye(dim)
-    grams = None if d is None else np.zeros((n + 1, dim, dim))
-    norm = float(np.linalg.norm(a, 1))
-    h = _uniform_step(t, n)
+    maps = (np.tile(np.eye(dim), (n + 1, 1, 1)), np.zeros((n + 1, dim, dim)), np.zeros((n + 1, dim, dim)))
+    h = _uniform_step(np.asarray(t_grid, dtype=float), n)
     if h is not None:
-        m = 1
-        while m <= n:
+        norm = _flow_norm(_hamiltonian(a, q, r)[1])
+        step, m = _interval_map(a, q, r, h), 1
+        while True:
             k = min(m, n + 1 - m)
-            e_m = _expm(a, m * h, norm)
-            exps[m : m + k] = exps[:k] @ e_m
-            if grams is not None:
-                half = m // 2
-                g_m = _van_loan_step(a, d, h, norm)[1] if m == 1 else grams[half] + exps[half] @ grams[half] @ exps[half].T
-                grams[m : m + k] = g_m + e_m @ grams[:k] @ e_m.T
+            for stack, new in zip(maps, _compose(step, [x[:k] for x in maps])):
+                stack[m : m + k] = new
             m += k
-        return exps, grams
-    props = {s: (_expm(a, s, norm), None if d is None else _van_loan_step(a, d, s, norm)[1]) for s in set(steps.tolist())}
+            if m > n:
+                return maps
+            step = _interval_map(a, q, r, m * h) if m * h * norm <= 1.0 else _compose(step, step)
+    props = {s: _interval_map(a, q, r, s) for s in set(steps.tolist())}
     for i, s in enumerate(steps.tolist()):
-        e_s, g_s = props[s]
-        exps[i + 1] = e_s @ exps[i]
-        if grams is not None:
-            grams[i + 1] = g_s + e_s @ grams[i] @ e_s.T
-    return exps, grams
+        for stack, new in zip(maps, _compose([x[i] for x in maps], props[s])):
+            stack[i + 1] = new
+    return maps
 
 
 def _expandable(dd: DriftDiffusion) -> bool:
-    """Whether the conditional flow of a model with drift dd.a is expanded about its steady state.
+    """Whether a one-mode conditional flow with drift dd.a takes the closed form about its steady state.
 
     The expansion sigma_inf + e^{Ft} (...) e^{F^T t} cancels sigma_inf against
     itself and so loses about eps |sigma_inf| / |sigma(t)| of relative
@@ -499,8 +532,9 @@ def _expandable(dd: DriftDiffusion) -> bool:
     steady state lies below the unconditional one, which is about
     |D| / (2 |alpha|) with alpha the spectral abscissa of A.  Drifts without
     a steady state (alpha >= 0), or whose estimate exceeds _EXPAND_MAX_SCALE
-    (near threshold: about 2e-12 lost at the bound), are stepped instead.
-    Decided from A and D alone, before any solve.
+    (near threshold: about 2e-12 lost at the bound), take the interval maps
+    instead (_grid_maps), as every flow of two or more modes does.  Decided
+    from A and D alone, before any solve.
     """
     alpha = _spectral_abscissa(dd.a)
     return alpha < -TOL_HURWITZ and float(np.abs(dd.d).max()) <= -2.0 * alpha * _EXPAND_MAX_SCALE
@@ -562,13 +596,20 @@ def _grid_exp2(f: np.ndarray, tau: np.ndarray) -> tuple:
     return a + b * half, b * f01, b * f10, a - b * half
 
 
-def _one_mode_expansion(f, r, sigma_inf, sigma0, tau) -> np.ndarray:
-    """The expanded flow of _expand_about for one mode, with every 2x2 product written out on arrays over tau.
+def _one_mode_expansion(a, r, sigma_inf, sigma0, t_grid) -> np.ndarray:
+    """Exact solution of sigma' = A sigma + sigma A^T + Q - sigma R sigma for one mode, expanded about its steady state.
 
+    sigma_inf must solve the algebraic equation and make F = A - sigma_inf R
+    Hurwitz (_conditional_steady_state makes sure of both).  The flow is the
+    closed form of the module docstring, with every 2x2 product written out on
+    arrays of entries over the grid and e^{Ft} in closed form (_grid_exp2).
     W_inf = -(det F R + adj(F)^T R adj(F)) / (2 tr F det F) solves
     F^T W + W F + R = 0 in closed form, and (I + Delta0 W(t))^-1 is the adjugate
-    over the determinant.
+    over the determinant.  The first grid point carries sigma0 itself.
     """
+    _grid_steps(t_grid)
+    t = np.asarray(t_grid, dtype=float)
+    f, tau = a - sigma_inf @ r, t - t[0]
     e00, e01, e10, e11 = _grid_exp2(f, tau)
     (f00, f01), (f10, f11) = f.tolist()
     (r00, r01), (r10, r11) = r.tolist()
@@ -595,32 +636,7 @@ def _one_mode_expansion(f, r, sigma_inf, sigma0, tau) -> np.ndarray:
     y00, y01 = e00 * k00 + e01 * k01, e00 * k01 + e01 * k11
     y10, y11 = e10 * k00 + e11 * k01, e10 * k01 + e11 * k11
     o00, o01, o11 = s00 + (y00 * e00 + y01 * e01), s01 + (y00 * e10 + y01 * e11), s11 + (y10 * e10 + y11 * e11)
-    return np.stack((o00, o01, o01, o11), axis=-1).reshape(-1, 2, 2)
-
-
-def _expand_about(a, r, sigma_inf, sigma0, t_grid) -> np.ndarray:
-    """Exact solution of sigma' = A sigma + sigma A^T + Q - sigma R sigma, expanded about its steady state.
-
-    sigma_inf must solve the algebraic equation and make F = A - sigma_inf R
-    Hurwitz (_conditional_steady_state makes sure of both).  The flow is the
-    closed form of the module docstring.  One mode (a 2x2 F) takes it on arrays
-    of entries over the grid, e^{Ft} in closed form (_one_mode_expansion);
-    more modes take it on the stack of e^{F t} from _grid_flow.  The first
-    grid point carries sigma0 itself.
-    """
-    f = a - sigma_inf @ r
-    if f.shape == (2, 2):
-        _grid_steps(t_grid)
-        t = np.asarray(t_grid, dtype=float)
-        out = _one_mode_expansion(f, r, sigma_inf, sigma0, t - t[0])
-    else:
-        exps, _ = _grid_flow(f, t_grid)
-        exps_t = np.swapaxes(exps, 1, 2)
-        w_inf = _lyapunov(f.T, r)  # F^T W + W F + R = 0
-        eye, delta0 = np.eye(f.shape[0]), sigma0 - sigma_inf
-        core = np.linalg.solve(eye + delta0 @ (w_inf - exps_t @ w_inf @ exps), delta0)
-        out = sigma_inf + exps @ core @ exps_t
-        out = 0.5 * (out + np.swapaxes(out, 1, 2))
+    out = np.stack((o00, o01, o01, o11), axis=-1).reshape(-1, 2, 2)
     out[0] = sigma0  # sigma_inf + (sigma0 - sigma_inf) need not round back to sigma0
     return out
 
@@ -631,6 +647,8 @@ def _hamiltonian(a, q, r) -> tuple[float, np.ndarray]:
     It carries X = sigma / c, whose flow has Q / c and c R in place of Q and R.  c is
     sqrt(|Q| / |R|) (max-norms) truncated to a power of two towards 1 (1 if Q or R is 0): exact,
     and it leaves the coupling blocks within a factor 4, where unbalanced |H| grows with nu_in.
+    Its exponential gives the interval maps of the flow (_interval_map), and
+    its stable invariant subspace the steady state (steady_state_conditional).
     """
     c = _balance(*(max(map(abs, x.ravel().tolist())) for x in (q, r)))  # float arithmetic: small numpy calls cost more
     return c, np.concatenate((np.concatenate((-a.T, c * r), 1), np.concatenate((q / c, a), 1)))  # np.block is slower
@@ -639,38 +657,6 @@ def _hamiltonian(a, q, r) -> tuple[float, np.ndarray]:
 def _balance(nq: float, nr: float) -> float:
     """The c of _hamiltonian from the max-norms of Q and R."""
     return 2.0 ** int(0.5 * (math.log2(nq) - math.log2(nr))) if nq > 0.0 and nr > 0.0 else 1.0
-
-
-def _propagate_riccati(a, q, r, sigma0, t_grid) -> np.ndarray:
-    """Exact solution of sigma' = A sigma + sigma A^T + Q - sigma R sigma, stepped along a time grid.
-
-    The route for a conditional flow with no steady state to expand about,
-    or one too large to expand about in precision (see _expandable).  With
-    (c, H) from _hamiltonian, the linear system [U; V]' = H [U; V] carries
-    X = V U^-1 along the flow of X = sigma / c (Radon's lemma), so a step of
-    length h is X <- (P21 + P22 X)(P11 + P12 X)^-1 with P = expm(H h).  Each
-    grid interval is split into k = ceil(h ||H||_2) equal sub-steps, which
-    keeps U well conditioned over long intervals; one exponential is computed
-    per distinct step length.  R = 0 gives the linear Lyapunov flow.
-    """
-    steps = _grid_steps(t_grid)
-    dim = a.shape[0]
-    c, ham = _hamiltonian(a, q, r)
-    norm = float(np.linalg.norm(ham, 2))
-    n_sub = {h: max(1, math.ceil(h * norm)) for h in set(steps.tolist())}
-    props = {h: expm(ham * (h / k)) for h, k in n_sub.items()}
-    x = np.asarray(sigma0, dtype=float) / c
-    out = np.empty((steps.size + 1, dim, dim))
-    out[0] = x
-    for i, h in enumerate(steps.tolist()):
-        p = props[h]
-        for _ in range(n_sub[h]):
-            u = p[:dim, :dim] + p[:dim, dim:] @ x
-            v = p[dim:, :dim] + p[dim:, dim:] @ x
-            x = np.linalg.solve(u.T, v.T)
-            x = 0.5 * (x + x.T)
-        out[i + 1] = x
-    return c * out
 
 
 def _decoupled_roots(mm: MonitoredModel) -> np.ndarray | None:
@@ -704,19 +690,32 @@ def _conditional_steady_state(mm: MonitoredModel) -> np.ndarray:
 def evolve_conditional_cm(mm: MonitoredModel, sigma0: np.ndarray, t_grid) -> np.ndarray:
     """Conditional CM along a time grid, from the exact Riccati flow.
 
-    Where _expandable(mm.dd) holds the flow is expanded about the conditional
-    steady state, which it finds itself (_conditional_steady_state); otherwise
-    it is stepped.  The result does not depend on the grid spacing: every grid
-    point carries the exact flow value up to round-off, however coarse the grid.
-    A flow that leaves the floating-point range raises NumericError.
+    One mode for which _expandable(mm.dd) holds takes the closed form about
+    the conditional steady state, which it finds itself
+    (_conditional_steady_state, _one_mode_expansion).  Every other flow takes
+    the interval maps from the first grid point (_grid_maps), with no steady
+    state, for the flow of sigma - B from B = _MAP_BASE sigma0:
+    sigma(t) = B + Q_t + Phi_t S (I + G_t S)^-1 Phi_t^T with S = sigma0 - B,
+    one stacked solve.  The result does not depend on the grid spacing:
+    every grid point carries the exact flow value up to round-off, however
+    coarse the grid.  A flow that leaves the floating-point range raises
+    NumericError.
     """
     sigma = np.asarray(sigma0, dtype=float)
     validate_state(np.zeros(sigma.shape[0]), sigma)
     _require_modes(sigma.shape[0] // 2, mm.base.n)
-    if _expandable(mm.dd):
-        out = _expand_about(mm.at, mm.bbt, _conditional_steady_state(mm), sigma, t_grid)
+    if sigma.shape == (2, 2) and _expandable(mm.dd):
+        out = _one_mode_expansion(mm.at, mm.bbt, _conditional_steady_state(mm), sigma, t_grid)
     else:
-        out = _propagate_riccati(mm.at, mm.dtilde, mm.bbt, sigma, t_grid)
+        # sigma - B follows the flow with drift At - B R and source the Riccati right-hand side at B.
+        base = _MAP_BASE * sigma
+        q = mm.at @ base + base @ mm.at.T + mm.dtilde - base @ mm.bbt @ base
+        phis, gs, qs = _grid_maps(mm.at - base @ mm.bbt, 0.5 * (q + q.T), mm.bbt, t_grid)
+        start = sigma - base
+        core = np.linalg.solve(np.eye(sigma.shape[0]) + start @ gs, np.broadcast_to(start, gs.shape))
+        out = base + qs + phis @ core @ np.swapaxes(phis, 1, 2)
+        out = 0.5 * (out + np.swapaxes(out, 1, 2))
+        out[0] = sigma
     if not np.isfinite(out).all():
         raise NumericError("the conditional CM flow left the floating-point range")
     return out
@@ -883,23 +882,19 @@ def _one_mode_moments(dd: DriftDiffusion, state0: GaussianState, t_grid) -> tupl
     the drive integral p(t) = int_0^t e^{As} d ds, as columns
     x = (G00, G01, G11, p0, p1), compose as x(t + s) = x(s) + _lift(e^{As}) x(t),
     so the Gramian stays a sum of positive terms; sigma_inf - e^{At} sigma_inf e^{A^T t}
-    would cancel.  x of one step comes from the Van Loan exponential of the
-    drift augmented by the drive.  A uniform grid doubles: with x known on
-    points 0..m, points m+1..2m are x_m + _lift(e^{A t_m}) x_{1..m}, one 5x5
-    product each.  Other grids chain their steps.
+    would cancel.  x of one step comes from the R = 0 interval map of the
+    drift augmented by the drive (_interval_map).  A uniform grid doubles:
+    with x known on points 0..m, points m+1..2m are x_m + _lift(e^{A t_m}) x_{1..m},
+    one 5x5 product each.  Other grids chain their steps.
     """
     steps = _grid_steps(t_grid)
     t = np.asarray(t_grid, dtype=float)
     n = steps.size
     exps = np.stack(_grid_exp2(dd.a, t - t[0]))
-    aug = np.zeros((3, 3))
-    aug[:2, :2], aug[:2, 2] = dd.a, dd.drive
-    diff = np.zeros((3, 3))
-    diff[:2, :2] = dd.d
-    norm = float(np.linalg.norm(aug, 1))
+    aug, diff = _augmented(dd)
 
     def step(s: float) -> np.ndarray:
-        e, g = _van_loan_step(aug, diff, s, norm)
+        e, _, g = _interval_map(aug, diff, np.zeros_like(aug), s)
         return np.array([g[0, 0], 0.5 * (g[0, 1] + g[1, 0]), g[1, 1], e[0, 2], e[1, 2]])
 
     x = np.zeros((5, n + 1))
@@ -928,31 +923,35 @@ def _one_mode_moments(dd: DriftDiffusion, state0: GaussianState, t_grid) -> tupl
     return means, cms.reshape(-1, 2, 2)
 
 
+def _augmented(dd: DriftDiffusion) -> tuple[np.ndarray, np.ndarray]:
+    """The drift augmented by the drive, [[A, d], [0, 0]], and the diffusion padded alike."""
+    dim = dd.a.shape[0]
+    aug, diff = np.zeros((dim + 1, dim + 1)), np.zeros((dim + 1, dim + 1))
+    aug[:dim, :dim], aug[:dim, dim], diff[:dim, :dim] = dd.a, dd.drive, dd.d
+    return aug, diff
+
+
 def unconditional_path(dd: DriftDiffusion, state0: GaussianState, t_grid) -> tuple[np.ndarray, np.ndarray]:
     """Unconditional first and second moments along a time grid, exactly, for any drift.
 
-    One mode takes _one_mode_moments.  More modes take one _grid_flow of the
-    augmented drift [[A, d], [0, 0]] (Van Loan), which gives the means,
-    r(t) = e^{At} r0 + int_0^t e^{As} d ds, and with the diffusion padded
-    alike the CMs, sigma(t) = e^{At} sigma0 e^{A^T t} + G(t).
+    One mode takes _one_mode_moments.  More modes take the R = 0 interval maps
+    (_grid_maps) of the augmented drift [[A, d], [0, 0]], whose Phi = e^{At}
+    gives the means, r(t) = e^{At} r0 + int_0^t e^{As} d ds, and whose Q, with
+    the diffusion padded alike, the Gramians: sigma(t) = e^{At} sigma0 e^{A^T t} + G(t).
     """
     _require_modes(state0.n, dd.a.shape[0] // 2)
     if dd.a.shape == (2, 2):
         return _one_mode_moments(dd, state0, t_grid)
     dim = dd.a.shape[0]
-    aug = np.zeros((dim + 1, dim + 1))
-    aug[:dim, :dim] = dd.a
-    aug[:dim, dim] = dd.drive
-    diff = np.zeros_like(aug)
-    diff[:dim, :dim] = dd.d
-    exps, grams = _grid_flow(aug, t_grid, diff)
-    means = exps[:, :dim, :dim] @ state0.mean + exps[:, :dim, dim]
+    aug, diff = _augmented(dd)
+    exps, _, grams = _grid_maps(aug, diff, np.zeros_like(aug), t_grid)
     e = exps[:, :dim, :dim]
+    means = e @ state0.mean + exps[:, :dim, dim]
     cms = e @ state0.cm @ np.swapaxes(e, 1, 2) + grams[:, :dim, :dim]
     return means, 0.5 * (cms + np.swapaxes(cms, 1, 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryBatch:
     """Ensemble of monitored trajectories sharing one deterministic CM path.
 

@@ -54,10 +54,17 @@ F^T W + W F + R = 0 and Delta0 = sigma0 - sigma_inf,
 
 on arrays of the four entries over the grid: e^{Ft} in closed form from the
 eigenvalues of F (_grid_exp2), W_inf in closed form and the inverse as the
-adjugate, with no expm, solve or stacked matmul.  Every other conditional
+adjugate, with no expm, solve or stacked matmul.  The k filters of one model
+(a table of strategies) share one pass (_conditional_blocks): sigma0 and the
+grid are checked once, each filter's steady state and scalars (F, W_inf,
+Delta0) are computed once and stacked as (k, 1) columns, and the closed form
+runs on (k, block) arrays in blocks of at most _BLOCK_FLOATS values, where
+numpy's temporaries stay small; every operation is elementwise, so each point
+is the same bits whatever the blocking or k.  One filter (evolve_conditional_cm)
+is k = 1.  Every other conditional
 flow (two or more modes, a non-Hurwitz drift, one near threshold) takes the
-interval maps, about a tiny multiple of sigma0 (_MAP_BASE), and needs no
-steady state.  Either way the results do not
+interval maps, about a tiny multiple of sigma0 (_MAP_BASE), filter by
+filter, and needs no steady state.  Either way the results do not
 depend on the time grid.  The conditional steady state is the stable
 invariant subspace of the same Hamiltonian (in closed form for one mode, from
 one ordered Schur decomposition for more; Newton-Kleinman steps refine it
@@ -131,6 +138,11 @@ _MAP_BASE = 2.0**-52
 _DECOUPLED_TOL = 1e-12
 # A sigma_in block within this of nu I (entrywise) is stored as exactly nu I (_normalize_environment).
 _ISOTROPIC_TOL = 1e-13
+# Grid points times filters in one block of the one-mode closed form (_conditional_blocks), so that each
+# array of matrix entries holds at most 64 KB.  Larger ones page-fault on every call: on a 2-core AMD
+# EPYC VM (numpy 2.4, resource.getrusage) transient_table at 30001 points took 5371 minor faults and
+# 7.7 ms per call in one stacked pass, 1316 faults and 5.4 ms in these blocks.
+_BLOCK_FLOATS = 8192
 # Column pairs of a 4x4 matrix, in the order the one-mode stable basis tries them (_one_mode_basis).
 _COLUMN_PAIRS = tuple(itertools.combinations(range(4), 2))
 
@@ -411,9 +423,9 @@ def _require_modes(n_state: int, n_model: int) -> None:
 def _grid_steps(t_grid) -> np.ndarray:
     """Step lengths of a one-dimensional, finite, strictly increasing time grid."""
     t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 1 or not np.isfinite(t).all() or (t.size > 1 and np.diff(t).min() <= 0):
+    if t.ndim != 1 or t.size < 1 or not np.isfinite(t).all() or ((steps := np.diff(t)).size and steps.min() <= 0):
         raise ValueError("time grid must be one-dimensional, finite and strictly increasing")
-    return np.diff(t)
+    return steps
 
 
 def _uniform_steps(T: float, dt: float, what: str = "T") -> int:
@@ -565,14 +577,26 @@ def _grid_exp2(f: np.ndarray, tau: np.ndarray) -> tuple:
         d2 = 0 (repeated): lam = m, c0 = 1, c1 = tau.
 
     c0 and c1 are bounded by 1 and by tau, and e^{lam tau} multiplies them
-    before N does, so a factor that underflows to 0 never meets an inf.  Near a
-    double eigenvalue d2 is a difference of large terms and e^{F tau} moves by
-    about tau^2 times its error, so d2 is summed exactly from f00 - f11 = s + e
-    (Knuth's two-sum) and the products (_dot2), as is det F.  For m < 0,
-    lam = det F / (m - delta) avoids the cancellation of m + delta (stiff F),
-    and times past 1000 / |lam|, where e^{lam tau} is 0, are clamped there.
+    before N does, so a factor that underflows to 0 never meets an inf.  The
+    scalars of F come from _exp2_scalars and the arrays from _exp2_entries,
+    which also takes k matrices at once.
     """
-    (f00, f01), (f10, f11) = f.tolist()
+    kind, *scalars = _exp2_scalars(f.tolist())
+    return _exp2_entries((kind,), *scalars, tau)
+
+
+def _exp2_scalars(f) -> tuple:
+    """(kind, lam, delta, cap, half, f01, f10) of _grid_exp2 for a 2x2 F given as nested lists, in float arithmetic.
+
+    kind is the sign of d2 and delta = sqrt(|d2|).  Near a double eigenvalue
+    d2 is a difference of large terms and e^{F tau} moves by about tau^2 times
+    its error, so d2 is summed exactly from f00 - f11 = s + e (Knuth's
+    two-sum) and the products (_dot2), as is det F.  For m < 0,
+    lam = det F / (m - delta) avoids the cancellation of m + delta (stiff F),
+    and times past cap = 1000 / |lam|, where e^{lam tau} is 0, are clamped
+    there (cap is inf for lam >= 0).
+    """
+    (f00, f01), (f10, f11) = f
     s = f00 - f11
     v = s - f00
     e = (f00 - (s - v)) - (f11 + v)  # s + e = f00 - f11 exactly
@@ -582,36 +606,50 @@ def _grid_exp2(f: np.ndarray, tau: np.ndarray) -> tuple:
     lam = m
     if d2 > 0.0:
         lam = m + delta if m >= 0.0 else _dot2((f00, f11), (-f01, f10)) / (m - delta)
-    if lam < 0.0:
-        tau = np.minimum(tau, 1e3 / -lam)
-    if d2 > 0.0:
-        x = np.expm1(-2.0 * delta * tau)
-        c0, c1 = 1.0 + 0.5 * x, x / (-2.0 * delta)
-    elif d2 < 0.0:
-        c0, c1 = np.cos(delta * tau), np.sin(delta * tau) / delta
+    cap = 1e3 / -lam if lam < 0.0 else math.inf
+    return (d2 > 0.0) - (d2 < 0.0), lam, delta, cap, half, f01, f10
+
+
+def _exp2_entries(kinds, lam, delta, cap, half, f01, f10, tau) -> tuple:
+    """The entries of e^{F tau} from the scalars of _exp2_scalars, as floats for one F or as (k, 1) columns for k.
+
+    For k matrices the entries are (k, len(tau)) arrays, row i that of the
+    i-th F, bit for bit: every operation is elementwise.  Rows whose kinds
+    differ take their own formula for c0 and c1.
+    """
+    tau, groups = np.minimum(tau, cap), set(kinds)
+    if len(groups) == 1:
+        c0, c1 = _exp2_coefficients(kinds[0], delta, tau)
     else:
-        c0, c1 = 1.0, tau
+        c0, c1 = np.empty_like(tau), np.empty_like(tau)
+        for kind in groups:
+            rows = [i for i, x in enumerate(kinds) if x == kind]
+            c0[rows], c1[rows] = _exp2_coefficients(kind, delta[rows], tau[rows])
     g = np.exp(lam * tau)
     a, b = g * c0, g * c1
     return a + b * half, b * f01, b * f10, a - b * half
 
 
-def _one_mode_expansion(a, r, sigma_inf, sigma0, t_grid) -> np.ndarray:
-    """Exact solution of sigma' = A sigma + sigma A^T + Q - sigma R sigma for one mode, expanded about its steady state.
+def _exp2_coefficients(kind: int, delta, tau) -> tuple:
+    """c0 and c1 of _grid_exp2 for the sign kind of d2."""
+    if kind > 0:
+        x = np.expm1(-2.0 * delta * tau)
+        return 1.0 + 0.5 * x, x / (-2.0 * delta)
+    if kind < 0:
+        return np.cos(delta * tau), np.sin(delta * tau) / delta
+    return 1.0, tau
 
-    sigma_inf must solve the algebraic equation and make F = A - sigma_inf R
-    Hurwitz (_conditional_steady_state makes sure of both).  The flow is the
-    closed form of the module docstring, with every 2x2 product written out on
-    arrays of entries over the grid and e^{Ft} in closed form (_grid_exp2).
-    W_inf = -(det F R + adj(F)^T R adj(F)) / (2 tr F det F) solves
-    F^T W + W F + R = 0 in closed form, and (I + Delta0 W(t))^-1 is the adjugate
-    over the determinant.  The first grid point carries sigma0 itself.
+
+def _expansion_scalars(a, r, sigma_inf, sigma0) -> tuple:
+    """(kind, scalars) of one filter for _one_mode_expansion, in float arithmetic.
+
+    kind and the first six scalars are _exp2_scalars of F = A - sigma_inf R,
+    then come the entries (00, 01, 11) of W_inf, sigma_inf and
+    Delta0 = sigma0 - sigma_inf.  W_inf = -(det F R + adj(F)^T R adj(F)) / (2 tr F det F)
+    solves F^T W + W F + R = 0 in closed form.
     """
-    _grid_steps(t_grid)
-    t = np.asarray(t_grid, dtype=float)
-    f, tau = a - sigma_inf @ r, t - t[0]
-    e00, e01, e10, e11 = _grid_exp2(f, tau)
-    (f00, f01), (f10, f11) = f.tolist()
+    f = (a - sigma_inf @ r).tolist()
+    (f00, f01), (f10, f11) = f
     (r00, r01), (r10, r11) = r.tolist()
     r01 = 0.5 * (r01 + r10)
     det = f00 * f11 - f01 * f10
@@ -622,7 +660,26 @@ def _one_mode_expansion(a, r, sigma_inf, sigma0, t_grid) -> np.ndarray:
     w11 = k * (det * r11 + f00 * p11 - f01 * p01)
     (s00, s01), (s10, s11) = sigma_inf.tolist()
     (d00, d01), (d10, d11) = (sigma0 - sigma_inf).tolist()
-    s01, d01 = 0.5 * (s01 + s10), 0.5 * (d01 + d10)
+    kind, *exp2 = _exp2_scalars(f)
+    return kind, (*exp2, w00, w01, w11, s00, 0.5 * (s01 + s10), s11, d00, 0.5 * (d01 + d10), d11)
+
+
+def _one_mode_expansion(kinds, columns, tau) -> np.ndarray:
+    """Exact flows sigma' = A sigma + sigma A^T + Q - sigma R sigma of k one-mode filters, about their steady states.
+
+    Each filter's steady state sigma_inf must solve its algebraic equation
+    and make F = A - sigma_inf R Hurwitz (_conditional_steady_state makes
+    sure of both).  kinds and columns are _expansion_scalars of the k
+    filters, the columns stacked to (k, 1) arrays.  The flows are the closed
+    form of the module docstring at the times tau (from the first grid
+    point) of one block, with every 2x2 product written out on (k, len(tau))
+    arrays of entries and e^{Ft} in closed form (_exp2_entries), and
+    (I + Delta0 W(t))^-1 as the adjugate over the determinant.  Every
+    operation is elementwise, so a point's CM depends on its own tau alone,
+    bit for bit.  Returns the (k, len(tau), 2, 2) CMs.
+    """
+    *exp2, w00, w01, w11, s00, s01, s11, d00, d01, d11 = columns
+    e00, e01, e10, e11 = _exp2_entries(kinds, *exp2, tau)
     # W(t) = W_inf - E^T W_inf E
     p00, p01 = w00 * e00 + w01 * e10, w00 * e01 + w01 * e11
     p10, p11 = w01 * e00 + w11 * e10, w01 * e01 + w11 * e11
@@ -636,9 +693,7 @@ def _one_mode_expansion(a, r, sigma_inf, sigma0, t_grid) -> np.ndarray:
     y00, y01 = e00 * k00 + e01 * k01, e00 * k01 + e01 * k11
     y10, y11 = e10 * k00 + e11 * k01, e10 * k01 + e11 * k11
     o00, o01, o11 = s00 + (y00 * e00 + y01 * e01), s01 + (y00 * e10 + y01 * e11), s11 + (y10 * e10 + y11 * e11)
-    out = np.stack((o00, o01, o01, o11), axis=-1).reshape(-1, 2, 2)
-    out[0] = sigma0  # sigma_inf + (sigma0 - sigma_inf) need not round back to sigma0
-    return out
+    return np.stack((o00, o01, o01, o11), axis=-1).reshape(len(kinds), -1, 2, 2)
 
 
 def _hamiltonian(a, q, r) -> tuple[float, np.ndarray]:
@@ -690,35 +745,78 @@ def _conditional_steady_state(mm: MonitoredModel) -> np.ndarray:
 def evolve_conditional_cm(mm: MonitoredModel, sigma0: np.ndarray, t_grid) -> np.ndarray:
     """Conditional CM along a time grid, from the exact Riccati flow.
 
-    One mode for which _expandable(mm.dd) holds takes the closed form about
-    the conditional steady state, which it finds itself
-    (_conditional_steady_state, _one_mode_expansion).  Every other flow takes
-    the interval maps from the first grid point (_grid_maps), with no steady
-    state, for the flow of sigma - B from B = _MAP_BASE sigma0:
-    sigma(t) = B + Q_t + Phi_t S (I + G_t S)^-1 Phi_t^T with S = sigma0 - B,
-    one stacked solve.  The result does not depend on the grid spacing:
-    every grid point carries the exact flow value up to round-off, however
-    coarse the grid.  A flow that leaves the floating-point range raises
-    NumericError.
+    The k = 1 case of _conditional_blocks: one mode for which _expandable(mm.dd)
+    holds takes the closed form about the conditional steady state, which it
+    finds itself (_conditional_steady_state, _one_mode_expansion), block by
+    block.  Every other flow takes the interval maps from the first grid
+    point (_mapped_flow), with no steady state.  The result does not depend
+    on the grid spacing: every grid point carries the exact flow value up to
+    round-off, however coarse the grid.  A flow that leaves the
+    floating-point range raises NumericError.
     """
+    blocks = [cms[0] for _, cms in _conditional_blocks((mm,), *_flow_start(mm, sigma0, t_grid))]
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _flow_start(mm: MonitoredModel, sigma0, t_grid) -> tuple[np.ndarray, np.ndarray]:
+    """sigma0 checked as a state of mm's modes, and the time grid checked (_grid_steps), both as float arrays."""
     sigma = np.asarray(sigma0, dtype=float)
     validate_state(np.zeros(sigma.shape[0]), sigma)
     _require_modes(sigma.shape[0] // 2, mm.base.n)
-    if sigma.shape == (2, 2) and _expandable(mm.dd):
-        out = _one_mode_expansion(mm.at, mm.bbt, _conditional_steady_state(mm), sigma, t_grid)
+    _grid_steps(t_grid)
+    return sigma, np.asarray(t_grid, dtype=float)
+
+
+def _conditional_blocks(mms, sigma: np.ndarray, t: np.ndarray):
+    """Conditional CMs of the filters mms of one model from sigma along the grid t (checked by _flow_start).
+
+    Yields (lo, cms), cms of shape (k, b, 2n, 2n) holding the k flows at
+    t[lo : lo + b].  One mode for which _expandable holds takes the closed
+    form (_one_mode_expansion), each filter's steady state and scalars
+    computed once, on equal blocks of at most _BLOCK_FLOATS / k points; the first
+    grid point carries sigma itself.  Every other flow takes its interval
+    maps (_mapped_flow), one filter at a time, all points in one block.  A
+    flow that leaves the floating-point range raises NumericError.
+    """
+    if sigma.shape == (2, 2) and _expandable(mms[0].dd):
+        kinds, columns = zip(*(_expansion_scalars(mm.at, mm.bbt, _conditional_steady_state(mm), sigma) for mm in mms))
+        # (k, 1) columns broadcast over a block; one filter keeps floats, which numpy applies faster.
+        columns = columns[0] if len(mms) == 1 else np.array(columns).T[..., None]
+        blocks = -(-t.size * len(mms) // _BLOCK_FLOATS)  # as few as fit, of equal size
+        tau, size = t - t[0], -(-t.size // blocks)
+        for lo in range(0, t.size, size):
+            cms = _one_mode_expansion(kinds, columns, tau[lo : lo + size])
+            if lo == 0:
+                cms[:, 0] = sigma  # sigma_inf + (sigma0 - sigma_inf) need not round back to sigma0
+            yield lo, _finite(cms)
     else:
-        # sigma - B follows the flow with drift At - B R and source the Riccati right-hand side at B.
-        base = _MAP_BASE * sigma
-        q = mm.at @ base + base @ mm.at.T + mm.dtilde - base @ mm.bbt @ base
-        phis, gs, qs = _grid_maps(mm.at - base @ mm.bbt, 0.5 * (q + q.T), mm.bbt, t_grid)
-        start = sigma - base
-        core = np.linalg.solve(np.eye(sigma.shape[0]) + start @ gs, np.broadcast_to(start, gs.shape))
-        out = base + qs + phis @ core @ np.swapaxes(phis, 1, 2)
-        out = 0.5 * (out + np.swapaxes(out, 1, 2))
-        out[0] = sigma
-    if not np.isfinite(out).all():
-        raise NumericError("the conditional CM flow left the floating-point range")
+        flows = [_finite(_mapped_flow(mm, sigma, t)) for mm in mms]
+        yield 0, np.stack(flows)
+
+
+def _mapped_flow(mm: MonitoredModel, sigma: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The conditional CM along t from the interval maps (_grid_maps), with no steady state.
+
+    The maps carry the flow of sigma - B from B = _MAP_BASE sigma0:
+    sigma(t) = B + Q_t + Phi_t S (I + G_t S)^-1 Phi_t^T with S = sigma0 - B,
+    one stacked solve.
+    """
+    # sigma - B follows the flow with drift At - B R and source the Riccati right-hand side at B.
+    base = _MAP_BASE * sigma
+    q = mm.at @ base + base @ mm.at.T + mm.dtilde - base @ mm.bbt @ base
+    phis, gs, qs = _grid_maps(mm.at - base @ mm.bbt, 0.5 * (q + q.T), mm.bbt, t)
+    start = sigma - base
+    core = np.linalg.solve(np.eye(sigma.shape[0]) + start @ gs, np.broadcast_to(start, gs.shape))
+    out = base + qs + phis @ core @ np.swapaxes(phis, 1, 2)
+    out = 0.5 * (out + np.swapaxes(out, 1, 2))
+    out[0] = sigma
     return out
+
+
+def _finite(cms: np.ndarray) -> np.ndarray:
+    if not np.isfinite(cms).all():
+        raise NumericError("the conditional CM flow left the floating-point range")
+    return cms
 
 
 def riccati_residual(mm: MonitoredModel, sigma: np.ndarray) -> float:
@@ -1101,21 +1199,30 @@ def daemonic_ergotropy_path(mm: MonitoredModel, state0: GaussianState, t_grid) -
     so only the passive energy reflects the monitoring.
     """
     means, cms = unconditional_path(mm.dd, state0, t_grid)
-    return _daemonic_curve(mm, means, cms, state0.cm, t_grid)
+    return _daemonic_curve((mm,), means, cms, state0.cm, t_grid)[0]
 
 
-def _daemonic_curve(mm: MonitoredModel, means, cms, sigma0, t_grid) -> np.ndarray:
-    """Daemonic ergotropy on t_grid from the unconditional moments on that grid.
+def _daemonic_curve(mms, means, cms, sigma0, t_grid) -> np.ndarray:
+    """Daemonic ergotropy on t_grid of the k filters mms of one model, from the unconditional moments on that grid.
 
     The unconditional path does not depend on the measurement, so callers
-    comparing strategies compute it once and pass it to each.  The passive
-    energies come from one stacked symplectic-spectrum call.
+    comparing strategies compute it once and pass all the filters at once:
+    sigma0 and the grid are checked and the energy taken once, and the
+    conditional CMs of each block of _conditional_blocks go to one stacked
+    symplectic-spectrum call.  Returns a (k, len(t_grid)) array, row i the
+    curve of mms[i].  A negative beyond round-off raises NumericError
+    naming the time and the filter's settings (theta_m, z_m).
     """
-    sig_c = evolve_conditional_cm(mm, sigma0, t_grid)
+    sigma, t = _flow_start(mms[0], sigma0, t_grid)
     energy = 0.25 * np.trace(cms, axis1=1, axis2=2) + 0.5 * np.einsum("ij,ij->i", means, means)
-    out = energy - 0.5 * symplectic_eigenvalues(sig_c).sum(axis=-1)
-    for i in np.flatnonzero(out < 0.0):
-        out[i] = clamp_ergotropy(float(out[i]), f"daemonic ergotropy at t = {t_grid[i]:.6g}", float(energy[i]))
+    out = np.empty((len(mms), t.size))
+    for lo, sig_c in _conditional_blocks(mms, sigma, t):
+        hi = lo + sig_c.shape[1]
+        out[:, lo:hi] = energy[lo:hi] - 0.5 * symplectic_eigenvalues(sig_c).sum(axis=-1)
+    for row, i in (divmod(j, t.size) for j in np.flatnonzero(out < 0.0).tolist()):
+        settings = ", ".join(f"theta_m = {x.theta_m:.6g}, z_m = {x.z_m:.6g}" for x in mms[row].settings)
+        what = f"daemonic ergotropy at t = {t[i]:.6g} ({settings})"
+        out[row, i] = clamp_ergotropy(float(out[row, i]), what, float(energy[i]))
     return out
 
 

@@ -257,14 +257,17 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     degenerate; pairs are matched by sorting.  Values within ``TOL_PSD`` below 1
     are clamped to exactly 1 so that pure states report unit eigenvalues.
 
-    ``cm`` may also be a stack of shape (k, 2n, 2n); the spectra are then
-    computed in one batched pass and returned as a (k, n) array, row i being
-    the spectrum of ``cm[i]``.  A non-positive member raises, naming the first.
-    For one mode the spectrum is the closed form sqrt(det sigma).
+    ``cm`` may also be a stack of shape (*lead, 2n, 2n), with any leading
+    shape; the spectra are then computed in one batched pass and returned as
+    a (*lead, n) array, entry idx being the spectrum of ``cm[idx]``.  A
+    non-positive member raises, naming the first (in C order) by its index,
+    a tuple where lead has more than one axis.  For one mode the spectrum is
+    the closed form sqrt(det sigma).
     """
     cm = np.asarray(cm, dtype=float)
-    n = cm.shape[-1] // 2
-    sym = 0.5 * (cm + np.swapaxes(cm, -1, -2))
+    lead, n = cm.shape[:-2], cm.shape[-1] // 2
+    flat = cm.reshape(-1, *cm.shape[-2:]) if len(lead) > 1 else cm  # numpy runs one stacked axis faster
+    sym = 0.5 * (flat + np.swapaxes(flat, -1, -2))
     if n == 1:
         a, b, d = sym[..., 0, 0], sym[..., 0, 1], sym[..., 1, 1]
         det = a * d - b * b
@@ -275,17 +278,18 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     if not ok.all():
         i = int(np.argmin(ok))  # the first member that fails
         lam = _indefinite_min_eig(a.flat[i], b.flat[i], d.flat[i]) if n == 1 else w[..., 0].flat[i]
-        where = "" if ok.ndim == 0 else f" at stack index {i}"
+        index = tuple(int(j) for j in np.unravel_index(i, lead)) if len(lead) > 1 else i
+        where = f" at stack index {index}" if lead else ""
         raise UnphysicalStateError(f"covariance matrix not positive definite{where}: min eig = {lam:.3e}")
     if n == 1:
-        nus = np.sqrt(det)[..., None]
+        nus = np.sqrt(det)[..., None]  # one value: nothing to sort
     else:
         root = (Q * np.sqrt(w)[..., None, :]) @ np.swapaxes(Q, -1, -2)
         m = root @ _omega(n) @ root
         w2 = np.sort(np.linalg.eigvalsh(-m @ m), axis=-1)  # = (Omega sigma)^2 spectrum, made symmetric
-        nus = np.sqrt(0.5 * (w2[..., 0::2] + w2[..., 1::2]))
-    nus = np.where((nus < 1.0) & (nus > 1.0 - TOL_PSD), 1.0, nus)
-    return np.sort(nus, axis=-1)[..., ::-1]
+        nus = np.sort(np.sqrt(0.5 * (w2[..., 0::2] + w2[..., 1::2])), axis=-1)[..., ::-1]
+    nus = np.where((nus < 1.0) & (nus > 1.0 - TOL_PSD), 1.0, nus)  # monotone, so the order stands
+    return nus.reshape(*lead, n) if len(lead) > 1 else nus
 
 
 def energy(state: GaussianState) -> float:

@@ -1555,6 +1555,65 @@ def test_daemonic_path_matches_per_step_loop():
     assert np.abs(gd.daemonic_ergotropy_path(mm, state0, t_grid) - loop).max() <= 1e-13
 
 
+def test_one_mode_closed_form_does_not_depend_on_blocking():
+    """Each point of the one-mode closed form depends on its own time alone: a decimated grid gives the same bits.
+
+    The 20001-point flows run in several blocks, their decimations in one.
+    """
+    rng = np.random.default_rng(0)
+    model = gd.random_stable_model(rng, nu_in=1.0 + rng.exponential(1.0))
+    assert gd.dynamics._expandable(model.dd)
+    grid = np.linspace(0.0, 40.0, 20001)
+    for setting in (gd.random_setting(rng), gd.heterodyne(), gd.homodyne(0.3)):
+        mm = gd.monitored(model, setting)
+        flow = gd.evolve_conditional_cm(mm, 3.0 * np.eye(2), grid)
+        assert np.array_equal(flow[::7], gd.evolve_conditional_cm(mm, 3.0 * np.eye(2), grid[::7]))
+
+
+def test_stacked_filters_match_their_own_curves():
+    """Filters of one model in one pass give the bits of their own curves, also where e^{Ft} takes different forms.
+
+    Of these four random settings, three leave F = At - sigma_inf B B^T a
+    complex pair and one two real eigenvalues, so the rows of one block
+    take different closed forms (_exp2_entries).
+    """
+    rng = np.random.default_rng(0)
+    model = gd.random_stable_model(rng, nu_in=1.0 + rng.exponential(1.0))
+    mms = [gd.monitored(model, gd.random_setting(rng)) for _ in range(4)]
+    state0 = GaussianState(np.array([0.3, -0.2]), 2.0 * np.eye(2))
+    steady = [gd.dynamics._conditional_steady_state(mm) for mm in mms]
+    kinds = [gd.dynamics._expansion_scalars(mm.at, mm.bbt, ss, state0.cm)[0] for mm, ss in zip(mms, steady)]
+    assert sorted(kinds) == [-1, -1, -1, 1]
+    for grid in (np.linspace(0.0, 20.0, 201), np.linspace(0.0, 20.0, 9001)):
+        means, cms = gd.unconditional_path(model.dd, state0, grid)
+        curves = gd.dynamics._daemonic_curve(mms, means, cms, state0.cm, grid)
+        for mm, curve in zip(mms, curves):
+            assert np.array_equal(curve, gd.daemonic_ergotropy_path(mm, state0, grid))
+
+
+def test_daemonic_clamp_names_time_and_setting():
+    """A curve value negative beyond round-off raises NumericError naming its time and its filter's (theta_m, z_m).
+
+    The three OPO filters share one pass; the unconditional CM is forged at
+    t = 1.5 to an energy between the two largest passive energies there, so
+    that only the filter with the largest one, hom0 and the last row, goes negative.
+    """
+    model = gd.opo_model(gd.OpoParams(0.8, nu_in=3.0, nu_0=5.0))
+    mms = [gd.monitored(model, gd.strategy_setting(name)) for name in ("het", "hom90", "hom0")]
+    state0, grid, i = gd.thermal(5.0), np.linspace(0.0, 2.0, 201), 150
+    means, cms = gd.unconditional_path(model.dd, state0, grid)
+    flows = [gd.evolve_conditional_cm(mm, state0.cm, grid[: i + 1]) for mm in mms]
+    passive = [0.5 * gd.symplectic_eigenvalues(flow[i])[0] for flow in flows]
+    _, middle, top = np.argsort(passive)
+    assert top == 2 and passive[top] - passive[middle] > 1e-3
+    forged = cms.copy()
+    forged[i] = (passive[middle] + passive[top]) * np.eye(2)  # energy tr / 4 halfway between
+    with pytest.raises(gd.NumericError, match="daemonic ergotropy at t = ") as info:
+        gd.dynamics._daemonic_curve(mms, means, forged, state0.cm, grid)
+    setting = mms[top].settings[0]
+    assert f"at t = {grid[i]:.6g} (theta_m = {setting.theta_m:.6g}, z_m = {setting.z_m:.6g})" in str(info.value)
+
+
 @pytest.mark.parametrize("func", ["evolve_conditional_cm", "unconditional_path", "daemonic_ergotropy_path"])
 def test_mode_count_mismatch_is_named(func):
     """A two-mode initial state on a one-mode model is rejected with both mode counts."""

@@ -1,6 +1,7 @@
 """Unit tests for the monitored optical parametric oscillator."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -162,16 +163,20 @@ def test_transient_table_consistency():
 
 
 def test_transient_table_matches_daemonic_paths():
-    """Sharing one unconditional path leaves each curve equal to its own daemonic_ergotropy_path."""
-    for nu_in in (1.0, 3.0):
+    """Sharing one unconditional path and one pass leaves each curve equal to its own daemonic_ergotropy_path.
+
+    The 30001-point grid spans several blocks of the three-filter pass and
+    of each one-filter path, with their boundaries at different points.
+    """
+    for (t_max, dt), nu_in in itertools.product([(2.0, 1e-2), (30.0, 1e-3)], (1.0, 3.0)):
         p = OpoParams(0.8, nu_in=nu_in, nu_0=5.0)
-        tab = gd.transient_table(p, t_max=2.0, dt=1e-2)
+        tab = gd.transient_table(p, t_max=t_max, dt=dt)
         state0 = gd.thermal(5.0)
         for name in ("hom0", "hom90", "het"):
             setting = gd.strategy_setting(name)
             mm = gd.monitored(gd.opo_model(p), setting)
             path = gd.daemonic_ergotropy_path(mm, state0, tab.times)
-            assert np.array_equal(getattr(tab, name), path), name
+            assert np.array_equal(getattr(tab, name), path), (name, t_max, nu_in)
 
 
 def test_transient_table_matches_care_expansion(monkeypatch):

@@ -207,6 +207,26 @@ def test_stacked_symplectic_eigenvalues_reject_nonpositive_member():
         gd.symplectic_eigenvalues(cms)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_multi_axis_stacks_name_members_by_index_tuple(n):
+    """(a, 2n, 2n) and (a, b, 2n, 2n) stacks give each member's spectrum; a failing member is named by its index."""
+    rng = np.random.default_rng(320 + n)
+    cms = np.stack([gd.random_state(rng, n).cm for _ in range(15)]).reshape(3, 5, 2 * n, 2 * n)
+    single = np.stack([gd.symplectic_eigenvalues(cm) for cm in cms.reshape(15, 2 * n, 2 * n)])
+    assert np.array_equal(gd.symplectic_eigenvalues(cms), single.reshape(3, 5, n))
+    assert np.array_equal(gd.symplectic_eigenvalues(cms[1]), single[5:10])
+    assert np.array_equal(gd.symplectic_eigenvalues(cms[None]), single.reshape(1, 3, 5, n))
+    bad = cms.copy()
+    bad[1, 3] = -np.eye(2 * n)
+    with pytest.raises(UnphysicalStateError, match=r"at stack index \(1, 3\): min eig = -1\.000e\+00"):
+        gd.symplectic_eigenvalues(bad)
+    with pytest.raises(UnphysicalStateError, match=r"at stack index 3: min eig"):
+        gd.symplectic_eigenvalues(bad[1])
+    bad[2, 0] = -np.eye(2 * n)  # a later member fails too: the first in C order is named
+    with pytest.raises(UnphysicalStateError, match=r"at stack index \(0, 1, 3\):"):
+        gd.symplectic_eigenvalues(bad[None])
+
+
 def test_one_mode_positivity_survives_widely_spread_eigenvalues():
     """Eigenvalues 1e24 apart pass the one-mode check, which tr/2 - hypot((a - d)/2, b) cancelled to 0."""
     cms = np.stack([np.eye(2), np.diag([1e-4, 1e20]), np.diag([1e20, 1e-4])])

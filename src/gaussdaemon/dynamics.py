@@ -66,9 +66,11 @@ flow (two or more modes, a non-Hurwitz drift, one near threshold) takes the
 interval maps, about a tiny multiple of sigma0 (_MAP_BASE), filter by
 filter, and needs no steady state.  Either way the results do not
 depend on the time grid.  The conditional steady state is the stable
-invariant subspace of the same Hamiltonian (in closed form for one mode, from
-one ordered Schur decomposition for more; Newton-Kleinman steps refine it
-only when its residual is above round-off).  That Hamiltonian is built in
+invariant subspace of the same Hamiltonian (in closed form for one mode, with
+no LAPACK call; from one ordered Schur decomposition for more, where the
+Schur form and the spectral abscissae come from LAPACK's dgees and dgeev
+called directly, _stable_schur and _spectral_abscissa; Newton-Kleinman steps
+refine it only when its residual is above round-off).  That Hamiltonian is built in
 one place (_hamiltonian), balanced so that its norm does not grow with the environment
 noise.  Where the filter terms are diagonal, the one-mode closed form takes
 the stabilizing root of each coordinate's scalar Riccati equation as its
@@ -94,9 +96,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm, schur
+from scipy.linalg import expm
+from scipy.linalg.lapack import dgees, dgeev
 
 from .ergotropy import clamp_ergotropy
 from .exceptions import ConvergenceError, NoSteadyStateError, NumericError, SymmetryError
@@ -298,7 +302,9 @@ def _spectral_abscissa(a: np.ndarray) -> float:
 
     A 2x2 [[a, b], [c, d]] takes the closed form tr / 2 + sqrt(max(disc, 0)),
     disc = ((a - d) / 2)^2 + b c, in float arithmetic; larger matrices, and a 2x2
-    whose closed form is not finite, take np.linalg.eigvals.
+    whose closed form is not finite, take LAPACK's dgeev without eigenvectors,
+    called directly: the eigenvalues np.linalg.eigvals gives, bit for bit,
+    with its LinAlgError on a non-finite matrix or a nonzero info.
     """
     if a.shape == (2, 2):
         (a00, a01), (a10, a11) = a.tolist()
@@ -306,7 +312,12 @@ def _spectral_abscissa(a: np.ndarray) -> float:
         alpha = 0.5 * (a00 + a11) + math.sqrt(max(half * half + a01 * a10, 0.0))
         if math.isfinite(alpha):
             return alpha
-    return float(np.linalg.eigvals(a).real.max())
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    wr, _, _, _, info = dgeev(a, compute_vl=0, compute_vr=0)
+    if info:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return float(wr.max())
 
 
 def is_hurwitz(a: np.ndarray) -> bool:
@@ -887,6 +898,35 @@ def _one_mode_basis(h: list) -> list:
     return [[row[j], row[k]] for row in m]
 
 
+# scipy's schur messages for a nonzero dgees info, by info - n (anything else: "Schur form not found. ...").
+_GEES_FAILURES = {
+    1: "Eigenvalues could not be separated for reordering.",
+    2: "Leading eigenvalues do not satisfy sort condition.",
+}
+
+
+@lru_cache(maxsize=None)
+def _gees_lwork(dim: int) -> int:
+    """dgees's optimal workspace for a dim x dim matrix, queried once per dim as scipy's schur queries it per call."""
+    return int(dgees(lambda x, y: None, np.zeros((dim, dim)), lwork=-1)[-2][0])
+
+
+def _stable_schur(h: np.ndarray) -> tuple[np.ndarray, int]:
+    """(Z, sdim): Schur vectors of h's real Schur form with its sdim eigenvalues of negative real part leading.
+
+    One direct LAPACK dgees call with the select, workspace and checks of
+    scipy's schur(h, output="real", sort="lhp"), so Z is schur's bit for bit:
+    a non-finite h raises its ValueError and a nonzero info its LinAlgError.
+    """
+    if not np.isfinite(h).all():
+        raise ValueError("array must not contain infs or NaNs")
+    dim = h.shape[0]
+    _, sdim, _, _, z, _, info = dgees(lambda x, y: x < 0.0, h, lwork=_gees_lwork(dim), sort_t=1)
+    if info:
+        raise np.linalg.LinAlgError(_GEES_FAILURES.get(info - dim, "Schur form not found. Possibly ill-conditioned."))
+    return z, sdim
+
+
 def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
     """Steady-state conditional CM from the continuous algebraic Riccati equation.
 
@@ -896,9 +936,11 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
     (_one_mode_basis, float arithmetic on H built as a nested list, no LAPACK
     call) and takes the residual and closed loop below in float arithmetic
     too; from two modes on the basis is the first n vectors of one ordered
-    real Schur decomposition of -H.  A
-    stable subspace of any other dimension, or a singular U, raises
-    NumericError.  The solve with U loses precision with its condition
+    real Schur decomposition of -H, a direct LAPACK call (_stable_schur), and
+    the Hurwitz checks of the drift and the closed loop call dgeev directly
+    (_spectral_abscissa).  A stable subspace of any other dimension, or a
+    singular U, raises NumericError, and so does a U so nearly singular that
+    sigma is not finite.  The solve with U loses precision with its condition
     number, so a solution whose relative residual (_relative_residual)
     is above SS_REFINE_RTOL is refined by at most SS_NEWTON_STEPS
     Newton-Kleinman steps, Lyapunov solves with the closed loop At - s B B^T.
@@ -932,10 +974,12 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
             sigma, rel = np.array([[s00, off], [off, s11]]), _relative_residual(a, q, r, (s00, off, off, s11))
         else:
             c, ham = _hamiltonian(at, dtilde, bbt)
-            _, z, sdim = schur(-ham, output="real", sort="lhp")
+            z, sdim = _stable_schur(-ham)
             if sdim != dim:
                 raise np.linalg.LinAlgError(f"the Riccati Hamiltonian has {sdim} stable eigenvalues, expected {dim}")
             sigma = c * np.linalg.solve(z[:dim, :dim].T, z[dim:, :dim].T)
+            if not np.isfinite(sigma).all():
+                raise np.linalg.LinAlgError("the stable basis has a nearly singular upper block (sigma not finite)")
             sigma = 0.5 * (sigma + sigma.T)
             rel = _relative_residual(at, dtilde, bbt, sigma)
         for _ in range(SS_NEWTON_STEPS):

@@ -146,6 +146,18 @@ def _indefinite_min_eig(s00: float, s01: float, s11: float) -> float | None:
     return det / (half_tr + radius) if half_tr + radius > 0.0 else half_tr - radius
 
 
+def _smallest_eigenvalue(evd, a: np.ndarray) -> float:
+    """Smallest eigenvalue of a symmetric (evd = dsyevd) or Hermitian (zheevd) a, from its lower triangle.
+
+    The values np.linalg.eigvalsh gives, bit for bit, without its wrapper;
+    a nonzero LAPACK info raises its LinAlgError.
+    """
+    w, _, info = evd(a, compute_v=0, lower=1)
+    if info:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return float(w[0])
+
+
 def _physicality_violation(sigma: np.ndarray) -> str | None:
     """What fails of sigma > 0 and sigma' + i Omega >= 0, sigma' = sigma + TOL_PSD I, for a symmetric CM; else None.
 
@@ -157,12 +169,14 @@ def _physicality_violation(sigma: np.ndarray) -> str | None:
     tr M > 0, for the Schur complement M = s sigma_A' - sigma_AB adj(sigma_B') sigma_AB^T / s,
     s^2 = det sigma_B' (b sigma_A' - sigma_AB sigma_AB^T for sigma_B = b I), whose
     entries cancel before the product is taken.  Each inequality allows the
-    round-off of its own terms.  eigvalsh decides the rest, and reports the
-    smallest eigenvalue: three or more modes, terms that overflow, and a sigma
-    or sigma' that is not positive definite.  A non-finite sigma never passes
+    round-off of its own terms.  The smallest eigenvalues of sigma and
+    sigma + i Omega decide the rest, and are reported: three or more modes,
+    terms that overflow, and a sigma or sigma' that is not positive definite.
+    They come from LAPACK's dsyevd and zheevd called directly (_smallest_eigenvalue),
+    as np.linalg.eigvalsh computes them.  A non-finite sigma never passes
     the closed form (NaN fails Sylvester's criterion, and any other non-finite
     entry makes the round-off bound non-finite), so it is reported by its
-    entries just before eigvalsh would run on it.
+    entries just before the eigensolvers would run on it.
     """
     t, n, u = TOL_PSD, sigma.shape[0] // 2, 4.0 * math.ulp(1.0)  # u: the unit of round-off
     (b00, b01), (_, b11) = sigma[-2:, -2:].tolist()
@@ -189,7 +203,11 @@ def _physicality_violation(sigma: np.ndarray) -> str | None:
     if not np.isfinite(sigma).all():
         listed = ", ".join(f"sigma[{i}, {j}] = {sigma[i, j]}" for i, j in np.argwhere(~np.isfinite(sigma)).tolist())
         return f"covariance matrix not finite: {listed}"
-    ws, w = np.linalg.eigvalsh(sigma)[0], np.linalg.eigvalsh(sigma + 1j * _omega(n))[0]
+    # Imported here: the package loads scipy with dynamics; loading it first, from this module, raised the
+    # package's peak RSS at import by about 3 MB.
+    from scipy.linalg.lapack import dsyevd, zheevd
+
+    ws, w = _smallest_eigenvalue(dsyevd, sigma), _smallest_eigenvalue(zheevd, sigma + 1j * _omega(n))
     if not ws > 0.0:
         return f"covariance matrix not positive definite: min eig = {ws:.3e}"
     return None if w >= -t else f"uncertainty principle violated: min eig(sigma + i Omega) = {w:.3e} < -{t:.1e}"

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st_
-from scipy.linalg import block_diag, expm, solve_continuous_are, solve_continuous_lyapunov
+from scipy.linalg import block_diag, expm, schur, solve_continuous_are, solve_continuous_lyapunov
+from scipy.linalg.lapack import dsyevd, zheevd
 
 import gaussdaemon as gd
 from gaussdaemon import (
@@ -21,7 +22,7 @@ from gaussdaemon import (
 )
 from gaussdaemon.cli import main
 from gaussdaemon.dynamics import _grid_maps, _interval_map
-from gaussdaemon.symplectic import TOL_HURWITZ
+from gaussdaemon.symplectic import TOL_HURWITZ, _omega, _smallest_eigenvalue
 from euler_reference import euler_trajectories
 from riccati_oracle import DPS, steady_state, transient
 from scalar_riccati import opo_filter_diagonals
@@ -105,6 +106,50 @@ def test_two_by_two_hurwitz_at_the_margin(complex_pair, side, q, r):
     a = np.array([[alpha, r + 0.1], [-(r + 0.1), alpha]] if complex_pair else [[alpha, q], [0.0, alpha - r]])
     assert gd.is_hurwitz(a) is (side > 0)
     assert (float(np.linalg.eigvals(a).real.max()) < -TOL_HURWITZ) is (side > 0)
+
+
+def test_direct_lapack_calls_match_the_wrappers():
+    """The multi-mode route's direct LAPACK calls give the wrappers' values bit for bit, and their input errors.
+
+    On random two- and three-mode filters: _stable_schur against scipy's
+    schur(output="real", sort="lhp") of -H, _spectral_abscissa against
+    np.linalg.eigvals on the drift and on H, and _smallest_eigenvalue against
+    np.linalg.eigvalsh on the steady state and on sigma + i Omega.
+    """
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 2, 3):
+        mm = gd.monitored(_random_hurwitz_model(rng, n, driven=False), _mixed_settings(rng, n))
+        _, ham = gd.dynamics._hamiltonian(mm.at, mm.dtilde, mm.bbt)
+        _, z, sdim = schur(-ham, output="real", sort="lhp")
+        got_z, got_sdim = gd.dynamics._stable_schur(-ham)
+        assert np.array_equal(got_z, z) and got_sdim == sdim == 2 * n
+        for a in (mm.dd.a, ham):
+            assert gd.dynamics._spectral_abscissa(a) == float(np.linalg.eigvals(a).real.max())
+        sigma = gd.steady_state_conditional(mm)
+        for evd, x in ((dsyevd, sigma), (zheevd, sigma + 1j * _omega(n))):
+            assert _smallest_eigenvalue(evd, x) == np.linalg.eigvalsh(x)[0]
+    bad = np.eye(4)
+    bad[1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="Array must not contain infs or NaNs"):
+        gd.is_hurwitz(bad)
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        gd.dynamics._stable_schur(bad)
+
+
+@pytest.mark.parametrize(
+    "info, message",
+    [
+        (9, "Eigenvalues could not be separated for reordering."),
+        (10, "Leading eigenvalues do not satisfy sort condition."),
+        (3, "Schur form not found. Possibly ill-conditioned."),
+    ],
+)
+def test_schur_failure_keeps_scipys_message(monkeypatch, info, message):
+    """A nonzero dgees info on the 8x8 two-mode Hamiltonian fails the solve with scipy schur's message for it."""
+    dgees = gd.dynamics.dgees
+    monkeypatch.setattr(gd.dynamics, "dgees", lambda *args, **kwargs: (*dgees(*args, **kwargs)[:-1], info))
+    with pytest.raises(gd.NumericError, match=f"algebraic Riccati solve failed: {message}"):
+        gd.steady_state_conditional(_two_mode_generic())
 
 
 def test_model_rejects_non_finite():
@@ -562,26 +607,27 @@ def test_wrong_stable_subspace_dimension_is_a_numeric_error(monkeypatch):
 
 def test_wrong_stable_subspace_dimension_on_the_schur_route(monkeypatch):
     """The same failure on the Schur route (two modes): a stable subspace of dimension 3, not 4."""
-    schur = gd.dynamics.schur
+    stable_schur = gd.dynamics._stable_schur
 
-    def short_schur(*args, **kwargs):
-        t, z, sdim = schur(*args, **kwargs)
-        return t, z, sdim - 1
+    def short_schur(h):
+        z, sdim = stable_schur(h)
+        return z, sdim - 1
 
-    monkeypatch.setattr(gd.dynamics, "schur", short_schur)
+    monkeypatch.setattr(gd.dynamics, "_stable_schur", short_schur)
     with pytest.raises(gd.NumericError, match="algebraic Riccati solve failed: .* 3 stable eigenvalues, expected 4"):
         gd.steady_state_conditional(_two_mode_generic())
 
 
 def test_one_mode_generic_route_makes_no_schur_call(monkeypatch):
-    """The one-mode steady state at a generic phase is found without a Schur decomposition or eigvals call."""
+    """The one-mode steady state at a generic phase is found without a Schur decomposition or eigenvalue call."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("LAPACK eigensolver called on the one-mode route")
 
     p, setting = gd.OpoParams(0.6, nu_in=3.0), GeneralDyneSetting(theta_m=0.7, z_m=0.3)
     expected = gd.opo_conditional_ss(p, setting)
-    monkeypatch.setattr(gd.dynamics, "schur", forbidden)
+    monkeypatch.setattr(gd.dynamics, "_stable_schur", forbidden)
+    monkeypatch.setattr(gd.dynamics, "dgeev", forbidden)
     monkeypatch.setattr(gd.dynamics.np.linalg, "eigvals", forbidden)
     assert np.array_equal(gd.opo_conditional_ss(p, setting), expected)
     _assert_det_matches_60_digit_oracle(gd.opo_model(p), [setting])
@@ -614,11 +660,25 @@ def test_unphysical_riccati_solution_on_the_schur_route(monkeypatch):
     c, _ = gd.dynamics._hamiltonian(mm.at, mm.dtilde, mm.bbt)  # sigma = c Z21 Z11^-1
     z = np.zeros((8, 8))
     z[:4, :4], z[4:, :4] = np.eye(4), 0.5 / c * np.eye(4)
-    monkeypatch.setattr(gd.dynamics, "schur", lambda *args, **kwargs: (None, z, 4))
+    monkeypatch.setattr(gd.dynamics, "_stable_schur", lambda h: (z, 4))
     monkeypatch.setattr(gd.dynamics, "_relative_residual", lambda *args: 0.0)
     monkeypatch.setattr(gd.dynamics, "is_hurwitz", lambda a: True)
     with pytest.raises(gd.NumericError, match="Riccati steady state is unphysical: "):
         gd.steady_state_conditional(mm)
+
+
+@pytest.mark.parametrize("scale, cause", [(1e-320, "nearly singular upper block"), (0.0, "Singular matrix")])
+def test_degenerate_schur_basis_is_a_numeric_error(monkeypatch, scale, cause):
+    """A Schur basis whose upper block is 1e-320 I (sigma overflows) or 0 fails the solve with NumericError.
+
+    The non-finite sigma is caught right after the solve, before the closed
+    loop's eigenvalues would raise numpy's LinAlgError (a ValueError) on it.
+    """
+    z = np.zeros((8, 8))
+    z[:4, :4], z[4:, :4] = scale * np.eye(4), np.eye(4)
+    monkeypatch.setattr(gd.dynamics, "_stable_schur", lambda h: (z, 4))
+    with pytest.raises(gd.NumericError, match=f"algebraic Riccati solve failed: .*{cause}"):
+        gd.steady_state_conditional(_two_mode_generic())
 
 
 def _count_lyapunov_calls(monkeypatch) -> list:
@@ -644,21 +704,21 @@ def test_accurate_schur_solution_takes_no_newton_step(monkeypatch, setting):
 
 def _scaled_basis(monkeypatch, factor):
     """Route the one-mode basis step and the Schur route through copies whose sigma = c V U^-1 scales by factor."""
-    basis, schur = gd.dynamics._one_mode_basis, gd.dynamics.schur
+    basis, stable_schur = gd.dynamics._one_mode_basis, gd.dynamics._stable_schur
 
     def scaled_basis(h):
         u0, u1, v0, v1 = basis(h)
         return [u0, u1, [x * factor for x in v0], [x * factor for x in v1]]
 
-    def scaled_schur(h, **kwargs):
-        t, z, sdim = schur(h, **kwargs)
+    def scaled_schur(h):
+        z, sdim = stable_schur(h)
         dim = h.shape[0] // 2
         z = z.copy()
         z[dim:, :dim] *= factor  # sigma = c Z21 Z11^-1 scales by the same factor
-        return t, z, sdim
+        return z, sdim
 
     monkeypatch.setattr(gd.dynamics, "_one_mode_basis", scaled_basis)
-    monkeypatch.setattr(gd.dynamics, "schur", scaled_schur)
+    monkeypatch.setattr(gd.dynamics, "_stable_schur", scaled_schur)
 
 
 def test_perturbed_schur_solution_is_refined(monkeypatch):

@@ -202,6 +202,14 @@ class TestCsv:
             gd.write_csv(str(path), ["only"], rows)
         assert path.read_bytes() == path.with_suffix(".again").read_bytes()
 
+    def test_special_values_are_pinned(self, tmp_path):
+        """Signed zeros, infinities, NaN and the extreme subnormal and finite doubles keep their exact text."""
+        path = tmp_path / "special.csv"
+        rows = np.array([[0.0, -0.0, np.inf, -np.inf], [np.nan, 5e-324, -1.7976931348623157e308, 1.0 / 3.0]])
+        gd.write_csv(str(path), ["a", "b", "c", "d"], rows)
+        expected = b"a,b,c,d\n0,-0,inf,-inf\nnan,4.94065645841e-324,-1.79769313486e+308,0.333333333333\n"
+        assert path.read_bytes() == expected
+
     def test_rewrite_replaces_the_file_and_writes_through_a_link(self, tmp_path):
         """A rewrite is a new file with only the new table; a symbolic link stays a link to the rewritten target."""
         path = tmp_path / "out.csv"
@@ -270,7 +278,7 @@ class TestCli:
         args = ["trajectories", "--model", str(model), "--n-traj", "2", "--T", "0.01", "--dt", "0.01", "--out", str(out)]
         assert main(args) == 0
         written = out.read_bytes()
-        monkeypatch.setattr(gd.dynamics, "schur", broken)
+        monkeypatch.setattr(gd.dynamics, "_stable_schur", broken)
         assert main(args) == 0
         assert out.read_bytes() == written
         mm = gd.monitored(*gd.read_model(str(model)))

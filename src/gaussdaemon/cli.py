@@ -77,9 +77,13 @@ def _resolve_seed(args) -> int:
 
 
 def _setting_from_args(args, default: GeneralDyneSetting | None = None) -> GeneralDyneSetting | None:
+    """The --strategy setting, else default; --z-m and --theta-m belong to gendyne alone (theta_m 0 if not given)."""
+    for option, value in (("--z-m", args.z_m), ("--theta-m", args.theta_m)):
+        if value is not None and args.strategy != "gendyne":
+            raise ValueError(f"{option} applies only to --strategy gendyne")
     if args.strategy is None:
         return default
-    return strategy_setting(args.strategy, z_m=args.z_m, theta_m=args.theta_m)
+    return strategy_setting(args.strategy, z_m=args.z_m, theta_m=0.0 if args.theta_m is None else args.theta_m)
 
 
 def _describe(setting: GeneralDyneSetting) -> str:
@@ -129,6 +133,7 @@ def cmd_daemonic(args) -> int:
     state = read_state(args.state)
     if state.n != 2:
         raise ValueError(f"daemonic requires a two-mode state, got {state.n} modes")
+    setting = _setting_from_args(args)
     sf, s_a, _ = standard_form(state)
     mean_a = s_a @ state.mean[:2]
     print(
@@ -137,7 +142,6 @@ def cmd_daemonic(args) -> int:
     )
     print(f"unconditional ergotropy (A) = {_fmt(unconditional_ergotropy_a(state))}")
 
-    setting = _setting_from_args(args)
     if setting is not None:
         closed, pipeline = _closed_form(sf, mean_a, setting)
         print(f"daemonic ergotropy [{_describe(setting)}]: closed = {_fmt(closed.value)}, pipeline = {_fmt(pipeline)}")
@@ -324,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_strategy(p):
         p.add_argument("--strategy", choices=("hom0", "hom90", "het", "gendyne"), default=None)
-        p.add_argument("--z-m", type=float, default=None, help="general-dyne parameter in (0, 1]; 0 = homodyne")
-        p.add_argument("--theta-m", type=float, default=0.0, help="measurement phase (default 0)")
+        p.add_argument("--z-m", type=float, default=None, help="general-dyne parameter in [0, 1]; 0 = homodyne")
+        p.add_argument("--theta-m", type=float, default=None, help="general-dyne measurement phase (default 0)")
 
     def add_opo(p, chi_default=None, nu0_default=1.0, required=True):
         p.add_argument("--chi-tilde", type=float, default=chi_default, required=required and chi_default is None)

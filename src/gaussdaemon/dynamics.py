@@ -39,12 +39,14 @@ the flow over an interval h is the linear-fractional map
 read off the exponential of the flow's Hamiltonian matrix over a short
 interval and doubled up to h (the doubling algorithm, _interval_map), so a
 horizon costs log2 of its length.  Maps compose with one solve, G and Q
-staying positive semidefinite (_compose), and _grid_maps gives the maps from
-the first point of a time grid to every point.  The unconditional flow has
-R = 0, so Phi = e^{At}, G = 0 and Q is the Gramian
-int_0^t e^{As} D e^{A^T s} ds; the means ride along in the drift augmented by
-the drive (unconditional_path).  One mode takes e^{At} in closed form at every
-grid point instead (_one_mode_moments).  The conditional flow of one mode
+staying positive semidefinite (_compose).  A time grid is walked with states,
+not maps (_grid_walk): the map over each doubled span carries the states
+already computed at points 0..m - 1 to points m..2m - 1, one solve per point.
+The unconditional flow has R = 0, so Phi = e^{At}, G = 0 and Q is the Gramian
+int_0^t e^{As} D e^{A^T s} ds; it is walked in the drift augmented by the
+drive, and the means ride along as vectors carried by each span's Phi
+(unconditional_path).  One mode takes e^{At} in closed form at every grid
+point instead (_one_mode_moments).  The conditional flow of one mode
 whose steady state sigma_inf is not too large (_expandable) is written in
 closed form about it: with F = A - sigma_inf R (Hurwitz), W_inf solving
 F^T W + W F + R = 0 and Delta0 = sigma0 - sigma_inf,
@@ -62,9 +64,9 @@ runs on (k, block) arrays in blocks of at most _BLOCK_FLOATS values, where
 numpy's temporaries stay small; every operation is elementwise, so each point
 is the same bits whatever the blocking or k.  One filter (evolve_conditional_cm)
 is k = 1.  Every other conditional
-flow (two or more modes, a non-Hurwitz drift, one near threshold) takes the
-interval maps, about a tiny multiple of sigma0 (_MAP_BASE), filter by
-filter, and needs no steady state.  Either way the results do not
+flow (two or more modes, a non-Hurwitz drift, one near threshold) walks the
+grid from sigma0, about a tiny multiple of it (_MAP_BASE), filter by filter,
+and needs no steady state.  Either way the results do not
 depend on the time grid.  The conditional steady state is the stable
 invariant subspace of the same Hamiltonian (in closed form for one mode, with
 no LAPACK call; from one ordered Schur decomposition for more, where the
@@ -461,17 +463,15 @@ def _compose(first: tuple, second: tuple) -> tuple:
     A map takes X to Q + Phi X (I + G X)^-1 Phi^T.  With W = (I + Q1 G2)^-1,
     the composite is Phi = Phi2 W Phi1, G = G1 + Phi1^T G2 W Phi1 and
     Q = Q2 + Phi2 W Q1 Phi2^T: one solve, and G and Q stay sums of positive
-    semidefinite terms.  Either argument may be a stack of maps; the result
-    is the stack of composites.
+    semidefinite terms.
     """
     (phi1, g1, q1), (phi2, g2, q2) = first, second
-    dim = phi1.shape[-1]
-    lhs = np.eye(dim) + q1 @ g2
-    w = np.linalg.solve(lhs, np.broadcast_to(np.concatenate((phi1, q1), -1), (*lhs.shape[:-1], 2 * dim)))
-    w_phi, w_q = w[..., :dim], w[..., dim:]
-    g = g1 + np.swapaxes(phi1, -1, -2) @ g2 @ w_phi
-    q = q2 + phi2 @ w_q @ np.swapaxes(phi2, -1, -2)
-    return phi2 @ w_phi, 0.5 * (g + np.swapaxes(g, -1, -2)), 0.5 * (q + np.swapaxes(q, -1, -2))
+    dim = phi1.shape[0]
+    w = np.linalg.solve(np.eye(dim) + q1 @ g2, np.concatenate((phi1, q1), 1))
+    w_phi, w_q = w[:, :dim], w[:, dim:]
+    g = g1 + phi1.T @ g2 @ w_phi
+    q = q2 + phi2 @ w_q @ phi2.T
+    return phi2 @ w_phi, 0.5 * (g + g.T), 0.5 * (q + q.T)
 
 
 def _interval_map(a, q, r, h: float) -> tuple:
@@ -483,9 +483,10 @@ def _interval_map(a, q, r, h: float) -> tuple:
     off P as G = P11^-1 P12, Phi = P22 - P21 G (= P11^-T) and Q = P21 Phi^T
     (= P21 P11^-1), G and Q symmetric up to rounding.  P is taken over
     h0 = h / 2^k with h0 _flow_norm <= 1, where P11 is well conditioned, and
-    the map is doubled k times (_compose), so a horizon costs log2 of its
-    length and not a step per unit of time.  This is the doubling algorithm
-    for Riccati flows (Anderson and Moore, Optimal Filtering, 1979).  R = 0
+    the map is composed with itself k times (_compose), so a horizon costs
+    log2 of its length and not a step per unit of time; _grid_walk applies
+    it to states.  This is the doubling algorithm for Riccati flows
+    (Anderson and Moore, Optimal Filtering, 1979).  R = 0
     gives G = 0, Phi = e^{Ah} and the Gramian Q = int_0^h e^{As} Q e^{A^T s} ds,
     which doubles as Q + e^{Ah} Q e^{A^T h}.  The map on sigma is that on X
     with G / c and c Q (c is a power of two).
@@ -511,39 +512,47 @@ def _flow_norm(ham: np.ndarray) -> float:
     return na + math.sqrt(nq * nr)
 
 
-def _grid_maps(a, q, r, t_grid) -> tuple:
-    """Stacks (Phi, G, Q) of the interval maps (_interval_map) from the first point of a time grid to each point.
+def _grid_walk(a, q, r, t_grid, x0: np.ndarray, v0: np.ndarray | None = None) -> tuple:
+    """(states, vectors) of _interval_map's flow from x0 at the first point of a time grid, at every point.
 
-    The first map is the identity (I, 0, 0).  A uniform grid is filled by
-    doubling: the maps to points m..2m - 1 are those to points 0..m - 1
-    composed after _interval_map(m h), which up to m h _flow_norm = 1 takes an
-    expm of its own and past it is the map over m h / 2 composed with itself.
-    (Each squaring doubles the relative error of the slow modes, so squaring
+    Each span's map carries states already computed, one solve per point,
+    symmetrized.  A uniform grid doubles: the map over m h carries points
+    0..m - 1 to m..2m - 1; it is a fresh _interval_map(m h) up to
+    m h _flow_norm = 1 and the map over m h / 2 composed with itself past it
+    (each squaring doubles the relative error of the slow modes, so squaring
     up from the grid step would lose digits in proportion to the number of
-    points.)  Grids within _UNIFORM_TOL of uniform count as uniform (np.linspace
-    grids are not bitwise uniform).  Other grids chain their steps, one expm
-    per distinct step length.
+    points).  Grids within _UNIFORM_TOL of uniform count as uniform
+    (np.linspace grids are not bitwise uniform); other grids chain their
+    steps, one expm per distinct step length.  The vectors v0 (or None) ride
+    along by each span's Phi, for R = 0 the linear flow.
     """
     steps = _grid_steps(t_grid)
-    dim, n = a.shape[0], steps.size
-    maps = (np.tile(np.eye(dim), (n + 1, 1, 1)), np.zeros((n + 1, dim, dim)), np.zeros((n + 1, dim, dim)))
+    n, eye = steps.size, np.eye(a.shape[0])
+    states = np.repeat(x0[None], n + 1, axis=0)
+    vectors = None if v0 is None else np.repeat(v0[None], n + 1, axis=0)
+
+    def carry(maps, src: slice, dst: slice) -> None:
+        (phi, g, q_s), x = maps, states[src]
+        y = q_s + phi @ np.linalg.solve(eye + x @ g, x) @ phi.T  # (I + X G)^-1 X = X (I + G X)^-1
+        states[dst] = 0.5 * (y + np.swapaxes(y, 1, 2))
+        if vectors is not None:
+            vectors[dst] = vectors[src] @ phi.T
+
     h = _uniform_step(np.asarray(t_grid, dtype=float), n)
     if h is not None:
         norm = _flow_norm(_hamiltonian(a, q, r)[1])
         step, m = _interval_map(a, q, r, h), 1
         while True:
             k = min(m, n + 1 - m)
-            for stack, new in zip(maps, _compose(step, [x[:k] for x in maps])):
-                stack[m : m + k] = new
+            carry(step, slice(0, k), slice(m, m + k))
             m += k
             if m > n:
-                return maps
+                return states, vectors
             step = _interval_map(a, q, r, m * h) if m * h * norm <= 1.0 else _compose(step, step)
     props = {s: _interval_map(a, q, r, s) for s in set(steps.tolist())}
     for i, s in enumerate(steps.tolist()):
-        for stack, new in zip(maps, _compose([x[i] for x in maps], props[s])):
-            stack[i + 1] = new
-    return maps
+        carry(props[s], slice(i, i + 1), slice(i + 1, i + 2))
+    return states, vectors
 
 
 def _expandable(dd: DriftDiffusion) -> bool:
@@ -555,9 +564,9 @@ def _expandable(dd: DriftDiffusion) -> bool:
     steady state lies below the unconditional one, which is about
     |D| / (2 |alpha|) with alpha the spectral abscissa of A.  Drifts without
     a steady state (alpha >= 0), or whose estimate exceeds _EXPAND_MAX_SCALE
-    (near threshold: about 2e-12 lost at the bound), take the interval maps
-    instead (_grid_maps), as every flow of two or more modes does.  Decided
-    from A and D alone, before any solve.
+    (near threshold: about 2e-12 lost at the bound), walk the grid with the
+    interval maps instead (_grid_walk), as every flow of two or more modes
+    does.  Decided from A and D alone, before any solve.
     """
     alpha = _spectral_abscissa(dd.a)
     return alpha < -TOL_HURWITZ and float(np.abs(dd.d).max()) <= -2.0 * alpha * _EXPAND_MAX_SCALE
@@ -759,10 +768,10 @@ def evolve_conditional_cm(mm: MonitoredModel, sigma0: np.ndarray, t_grid) -> np.
     The k = 1 case of _conditional_blocks: one mode for which _expandable(mm.dd)
     holds takes the closed form about the conditional steady state, which it
     finds itself (_conditional_steady_state, _one_mode_expansion), block by
-    block.  Every other flow takes the interval maps from the first grid
-    point (_mapped_flow), with no steady state.  The result does not depend
-    on the grid spacing: every grid point carries the exact flow value up to
-    round-off, however coarse the grid.  A flow that leaves the
+    block.  Every other flow walks the grid with interval maps from its
+    first point (_mapped_flow), with no steady state.  The result does not
+    depend on the grid spacing: every grid point carries the exact flow value
+    up to round-off, however coarse the grid.  A flow that leaves the
     floating-point range raises NumericError.
     """
     blocks = [cms[0] for _, cms in _conditional_blocks((mm,), *_flow_start(mm, sigma0, t_grid))]
@@ -785,9 +794,9 @@ def _conditional_blocks(mms, sigma: np.ndarray, t: np.ndarray):
     t[lo : lo + b].  One mode for which _expandable holds takes the closed
     form (_one_mode_expansion), each filter's steady state and scalars
     computed once, on equal blocks of at most _BLOCK_FLOATS / k points; the first
-    grid point carries sigma itself.  Every other flow takes its interval
-    maps (_mapped_flow), one filter at a time, all points in one block.  A
-    flow that leaves the floating-point range raises NumericError.
+    grid point carries sigma itself.  Every other flow walks the grid with
+    its interval maps (_mapped_flow), one filter at a time, all points in one
+    block.  A flow that leaves the floating-point range raises NumericError.
     """
     if sigma.shape == (2, 2) and _expandable(mms[0].dd):
         kinds, columns = zip(*(_expansion_scalars(mm.at, mm.bbt, _conditional_steady_state(mm), sigma) for mm in mms))
@@ -806,19 +815,14 @@ def _conditional_blocks(mms, sigma: np.ndarray, t: np.ndarray):
 
 
 def _mapped_flow(mm: MonitoredModel, sigma: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The conditional CM along t from the interval maps (_grid_maps), with no steady state.
+    """The conditional CM along t from the interval maps (_grid_walk), with no steady state.
 
-    The maps carry the flow of sigma - B from B = _MAP_BASE sigma0:
-    sigma(t) = B + Q_t + Phi_t S (I + G_t S)^-1 Phi_t^T with S = sigma0 - B,
-    one stacked solve.
+    The walk carries S = sigma - B from sigma0 - B, B = _MAP_BASE sigma0.
     """
     # sigma - B follows the flow with drift At - B R and source the Riccati right-hand side at B.
     base = _MAP_BASE * sigma
     q = mm.at @ base + base @ mm.at.T + mm.dtilde - base @ mm.bbt @ base
-    phis, gs, qs = _grid_maps(mm.at - base @ mm.bbt, 0.5 * (q + q.T), mm.bbt, t)
-    start = sigma - base
-    core = np.linalg.solve(np.eye(sigma.shape[0]) + start @ gs, np.broadcast_to(start, gs.shape))
-    out = base + qs + phis @ core @ np.swapaxes(phis, 1, 2)
+    out = base + _grid_walk(mm.at - base @ mm.bbt, 0.5 * (q + q.T), mm.bbt, t, sigma - base)[0]
     out = 0.5 * (out + np.swapaxes(out, 1, 2))
     out[0] = sigma
     return out
@@ -971,6 +975,8 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
             k = c / det  # sigma = c V U^-1, symmetrized
             off = 0.5 * k * ((v01 * u00 - v00 * u01) + (v10 * u11 - v11 * u10))
             s00, s11 = k * (v00 * u11 - v01 * u10), k * (v11 * u00 - v10 * u01)
+            if not all(map(math.isfinite, (s00, off, s11))):
+                raise np.linalg.LinAlgError("the stable basis has a nearly singular upper block (sigma not finite)")
             sigma, rel = np.array([[s00, off], [off, s11]]), _relative_residual(a, q, r, (s00, off, off, s11))
         else:
             c, ham = _hamiltonian(at, dtilde, bbt)
@@ -1076,21 +1082,20 @@ def _augmented(dd: DriftDiffusion) -> tuple[np.ndarray, np.ndarray]:
 def unconditional_path(dd: DriftDiffusion, state0: GaussianState, t_grid) -> tuple[np.ndarray, np.ndarray]:
     """Unconditional first and second moments along a time grid, exactly, for any drift.
 
-    One mode takes _one_mode_moments.  More modes take the R = 0 interval maps
-    (_grid_maps) of the augmented drift [[A, d], [0, 0]], whose Phi = e^{At}
-    gives the means, r(t) = e^{At} r0 + int_0^t e^{As} d ds, and whose Q, with
-    the diffusion padded alike, the Gramians: sigma(t) = e^{At} sigma0 e^{A^T t} + G(t).
+    One mode takes _one_mode_moments.  More modes walk the R = 0 flow of the
+    augmented drift [[A, d], [0, 0]] and padded diffusion (_grid_walk) from
+    [[sigma0, 0], [0, 0]], whose upper block is e^{At} sigma0 e^{A^T t} + G(t).
+    The means r(t) = e^{At} r0 + int_0^t e^{As} d ds ride along as the vectors
+    [r(t); 1] = Phi [r0; 1], so r0 enters no matrix and cannot overflow one.
     """
     _require_modes(state0.n, dd.a.shape[0] // 2)
     if dd.a.shape == (2, 2):
         return _one_mode_moments(dd, state0, t_grid)
     dim = dd.a.shape[0]
     aug, diff = _augmented(dd)
-    exps, _, grams = _grid_maps(aug, diff, np.zeros_like(aug), t_grid)
-    e = exps[:, :dim, :dim]
-    means = e @ state0.mean + exps[:, :dim, dim]
-    cms = e @ state0.cm @ np.swapaxes(e, 1, 2) + grams[:, :dim, :dim]
-    return means, 0.5 * (cms + np.swapaxes(cms, 1, 2))
+    start = np.pad(0.5 * (state0.cm + state0.cm.T), (0, 1))  # [[sigma0, 0], [0, 0]]
+    cms, vectors = _grid_walk(aug, diff, np.zeros_like(aug), t_grid, start, np.append(state0.mean, 1.0))
+    return vectors[:, :dim], cms[:, :dim, :dim]
 
 
 @dataclass(frozen=True, eq=False)

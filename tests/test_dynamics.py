@@ -21,7 +21,7 @@ from gaussdaemon import (
     NoSteadyStateError,
 )
 from gaussdaemon.cli import main
-from gaussdaemon.dynamics import _grid_maps, _interval_map
+from gaussdaemon.dynamics import _grid_walk, _interval_map
 from gaussdaemon.symplectic import TOL_HURWITZ, _omega, _smallest_eigenvalue
 from euler_reference import euler_trajectories
 from riccati_oracle import DPS, steady_state, transient
@@ -667,18 +667,38 @@ def test_unphysical_riccati_solution_on_the_schur_route(monkeypatch):
         gd.steady_state_conditional(mm)
 
 
-@pytest.mark.parametrize("scale, cause", [(1e-320, "nearly singular upper block"), (0.0, "Singular matrix")])
-def test_degenerate_schur_basis_is_a_numeric_error(monkeypatch, scale, cause):
-    """A Schur basis whose upper block is 1e-320 I (sigma overflows) or 0 fails the solve with NumericError.
+@pytest.mark.parametrize(
+    "n, scale, cause",
+    [
+        pytest.param(2, 1e-320, "nearly singular upper block", id="1e-320-nearly singular upper block"),
+        pytest.param(2, 0.0, "Singular matrix", id="0.0-Singular matrix"),
+        pytest.param(1, 1e-160, "nearly singular upper block", id="one-mode-1e-160-nearly singular upper block"),
+    ],
+)
+def test_degenerate_schur_basis_is_a_numeric_error(monkeypatch, capsys, n, scale, cause):
+    """A stable basis whose upper block is scale I with sigma not finite, or singular, fails the solve with NumericError.
 
-    The non-finite sigma is caught right after the solve, before the closed
-    loop's eigenvalues would raise numpy's LinAlgError (a ValueError) on it.
+    Two modes take a Schur basis with upper block 1e-320 I (sigma overflows)
+    or 0.  One mode takes a closed-form basis with upper block 1e-160 I, whose
+    determinant 1e-320 is not 0; there opo-ss exits 3.  The non-finite sigma
+    is caught right after the solve, before the closed loop's eigenvalues
+    would raise numpy's LinAlgError (a ValueError) on it, and with no
+    RuntimeWarning.
     """
-    z = np.zeros((8, 8))
-    z[:4, :4], z[4:, :4] = scale * np.eye(4), np.eye(4)
-    monkeypatch.setattr(gd.dynamics, "_stable_schur", lambda h: (z, 4))
+    if n == 1:
+        basis = [[scale, 0.0], [0.0, scale], [1.0, 0.0], [0.0, 1.0]]
+        monkeypatch.setattr(gd.dynamics, "_one_mode_basis", lambda h: basis)
+        mm = gd.monitored(gd.opo_model(gd.OpoParams(0.6, nu_in=3.0)), GeneralDyneSetting(theta_m=0.7, z_m=0.4))
+        args = ["opo-ss", "--chi-tilde", "0.6", "--nu-in", "3", "--strategy", "gendyne", "--z-m", "0.4"]
+        assert main(args + ["--theta-m", "0.7"]) == 3
+        assert cause in capsys.readouterr().err
+    else:
+        z = np.zeros((8, 8))
+        z[:4, :4], z[4:, :4] = scale * np.eye(4), np.eye(4)
+        monkeypatch.setattr(gd.dynamics, "_stable_schur", lambda h: (z, 4))
+        mm = _two_mode_generic()
     with pytest.raises(gd.NumericError, match=f"algebraic Riccati solve failed: .*{cause}"):
-        gd.steady_state_conditional(_two_mode_generic())
+        gd.steady_state_conditional(mm)
 
 
 def _count_lyapunov_calls(monkeypatch) -> list:
@@ -959,6 +979,30 @@ def _random_hurwitz_model(rng, n=2, driven=True):
             return model
 
 
+def test_unconditional_path_carries_large_means():
+    """A driven two-mode path from mean entries of 1e200 stays finite and matches expm.
+
+    The means ride along as vectors and enter no matrix (r0 r0^T would
+    overflow from about 1e154 on).  They are checked against the exponential
+    of the augmented drift [[A, d], [0, 0]] applied to [r0; 1], the CMs against
+    e^{At} (s0 - s_inf) e^{A^T t} + s_inf.
+    """
+    rng = np.random.default_rng(211)
+    dd = gd.drift_diffusion(_random_hurwitz_model(rng, 2))
+    state0 = GaussianState(np.full(4, 1e200), 3.0 * np.eye(4))
+    grid = np.linspace(0.0, 5.0, 101)
+    means, cms = gd.unconditional_path(dd, state0, grid)
+    assert np.isfinite(means).all() and np.isfinite(cms).all()
+    aug, sigma_inf = np.zeros((5, 5)), solve_continuous_lyapunov(dd.a, -dd.d)
+    aug[:4, :4], aug[:4, 4] = dd.a, dd.drive
+    for t, mean, cm in zip(grid, means, cms):
+        e = expm(t * aug)
+        exact = e[:4, :4] @ state0.mean + e[:4, 4]
+        assert np.abs(mean - exact).max() <= 1e-13 * 1e200, (t, np.abs(mean - exact).max())
+        exact = e[:4, :4] @ (state0.cm - sigma_inf) @ e[:4, :4].T + sigma_inf
+        assert np.abs(cm - exact).max() <= 1e-12 * np.abs(exact).max(), (t, np.abs(cm - exact).max())
+
+
 def _random_two_mode_model(rng):
     """Random Hurwitz two-mode model with a driven, thermal two-mode environment."""
     return _random_hurwitz_model(rng)
@@ -1095,20 +1139,22 @@ def test_decoupled_roots():
             assert not gd.is_hurwitz(mm.at - anti @ mm.bbt)
 
 
-def test_grid_maps(monkeypatch):
-    """Interval maps from the first point of a grid: doubling on (linspace-)uniform grids, chaining otherwise.
+def test_grid_walk(monkeypatch):
+    """The grid walk from the first point of a grid: doubling on (linspace-)uniform grids, chaining otherwise.
 
     A chained grid takes one expm per distinct step length.  A uniform grid
     of step h takes one for each doubled span m h (m = 1, 2, 4, ...) up to
-    m h _flow_norm = 1, and composes the longer ones.  With R = 0 the maps are
-    (e^{F (t - t_0)}, 0, G(t - t_0)), checked against scipy's expm and the
-    Gramian G(t) = s_inf - e^{Ft} s_inf e^{F^T t}.  With R != 0 each map equals
-    the interval map over its span, built on its own.
+    m h _flow_norm = 1, and composes the longer ones.  With R = 0 the states
+    are e^{F (t - t_0)} s0 e^{F^T (t - t_0)} + G(t - t_0), checked against
+    scipy's expm and the Gramian G(t) = s_inf - e^{Ft} s_inf e^{F^T t}, and the
+    carried vectors are e^{F (t - t_0)} v.  With R != 0 each state equals the
+    interval map over its span, built on its own, applied to s0.
     """
     rng = np.random.default_rng(191)
     f = rng.standard_normal((4, 4)) - 2.0 * np.eye(4)
     c, b = rng.standard_normal((4, 4)), rng.standard_normal((4, 2))
     d, r = c @ c.T, b @ b.T
+    s0, v0 = d + np.eye(4), rng.standard_normal(4)
     calls = []
 
     def counted(m):
@@ -1130,18 +1176,19 @@ def test_grid_maps(monkeypatch):
     assert n_expm(uniform, np.zeros_like(f)) > 1 and n_expm(offset, r) == 1
     for grid in (uniform, offset, uneven, np.array([1.5])):
         calls.clear()
-        exps, zero, grams = _grid_maps(f, d, np.zeros_like(f), grid)
-        assert len(calls) == n_expm(grid, np.zeros_like(f)) and not zero.any(), grid
+        states, vectors = _grid_walk(f, d, np.zeros_like(f), grid, s0, v0)
+        assert len(calls) == n_expm(grid, np.zeros_like(f)), grid
         exact = np.array([expm(f * (t - grid[0])) for t in grid])
-        assert np.abs(exps - exact).max() <= 1e-13 * np.abs(exact).max(), np.abs(exps - exact).max()
-        gram = sigma_inf - exact @ sigma_inf @ np.swapaxes(exact, 1, 2)
-        assert np.abs(grams - gram).max() <= 1e-13 * np.abs(sigma_inf).max(), np.abs(grams - gram).max()
+        flow = exact @ s0 @ np.swapaxes(exact, 1, 2) + sigma_inf - exact @ sigma_inf @ np.swapaxes(exact, 1, 2)
+        assert np.abs(states - flow).max() <= 1e-13 * np.abs(flow).max(), np.abs(states - flow).max()
+        assert np.abs(vectors - exact @ v0).max() <= 1e-13 * np.abs(v0).max(), np.abs(vectors - exact @ v0).max()
         calls.clear()
-        maps = _grid_maps(f, d, r, grid)
-        assert len(calls) == n_expm(grid, r), grid
+        states, vectors = _grid_walk(f, d, r, grid, s0)
+        assert len(calls) == n_expm(grid, r) and vectors is None, grid
         for i in range(1, grid.size, max(1, grid.size // 8)):
-            for x, y in zip(maps, _interval_map(f, d, r, grid[i] - grid[0])):
-                assert np.abs(x[i] - y).max() <= 1e-13 * max(1.0, np.abs(y).max()), (grid[i], np.abs(x[i] - y).max())
+            phi, g, q = _interval_map(f, d, r, grid[i] - grid[0])
+            y = q + phi @ s0 @ np.linalg.inv(np.eye(4) + g @ s0) @ phi.T
+            assert np.abs(states[i] - y).max() <= 1e-13 * max(1.0, np.abs(y).max()), (grid[i], np.abs(states[i] - y).max())
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -1173,14 +1220,18 @@ def test_interval_maps_compose(seed, n, log_h, observed):
 def test_multi_mode_transients_match_60_digit_oracle(n, seeds):
     """The interval-map flows of random two- and three-mode models lie within 1e-13 of the 60-digit transient.
 
-    Random Hurwitz models measured with at least one exact homodyne, from 3 I;
+    Random Hurwitz models measured with at least one exact homodyne, from 3 I,
+    on _ORACLE_TIMES and at sampled points of a 3001-point uniform grid on
+    [0, 6], whose late points the walk reaches through the deepest doubling;
     tests/riccati_oracle.py exponentiates the flow's Hamiltonian in 60 digits
     and shares no code with the library.
     """
+    deep = np.linspace(0.0, 6.0, 3001)
     for seed in seeds:
         rng = np.random.default_rng(seed)
         mm = gd.monitored(_random_hurwitz_model(rng, n), _mixed_settings(rng, n))
         _assert_flow_matches_transient_oracle(mm, 3.0 * np.eye(2 * n), tol=1e-13)
+        _assert_flow_matches_transient_oracle(mm, 3.0 * np.eye(2 * n), 1e-13, deep, (1, 1023, 2047, 2049, 3000))
 
 
 _TAUS = np.array([0.0, 1e-9, 1e-4, 0.01, 0.3, 1.0, 7.5, 60.0, 1e3])
@@ -1258,12 +1309,15 @@ def test_grid_exponential_matches_50_digit_expm(f):
 _ORACLE_TIMES = (0.0, 0.05, 0.25, 2.0, 10.0)
 
 
-def _assert_flow_matches_transient_oracle(mm, sigma0, tol=2e-14):
-    """evolve_conditional_cm on _ORACLE_TIMES within tol (max-norm, relative) of the 60-digit transient there."""
-    flow = gd.evolve_conditional_cm(mm, sigma0, _ORACLE_TIMES)
-    for t, x in zip(_ORACLE_TIMES[1:], flow[1:]):
-        gap = _oracle_gap(mm, sigma0, t, x)
-        assert gap <= tol, (mm.settings, t, gap)
+def _assert_flow_matches_transient_oracle(mm, sigma0, tol=2e-14, grid=_ORACLE_TIMES, points=None):
+    """evolve_conditional_cm on grid within tol (max-norm, relative) of the 60-digit transient at the given points.
+
+    points are indices into grid, by default every point after the first.
+    """
+    flow = gd.evolve_conditional_cm(mm, sigma0, grid)
+    for i in points or range(1, len(grid)):
+        gap = _oracle_gap(mm, sigma0, grid[i], flow[i])
+        assert gap <= tol, (mm.settings, grid[i], gap)
 
 
 @pytest.mark.parametrize("nu_in", [1.0, 3.0, 100.0])

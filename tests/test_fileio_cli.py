@@ -285,6 +285,30 @@ class TestCli:
         with pytest.raises(gd.NumericError, match="algebraic Riccati solve failed: Schur form not found."):
             gd.steady_state_conditional(mm)
 
+    @pytest.mark.parametrize("command", ["opo-ss", "daemonic", "trajectories"])
+    @pytest.mark.parametrize(
+        "options, named",
+        [(["--z-m", "0.3"], "--z-m"), (["--strategy", "hom0", "--theta-m", "1.0"], "--theta-m")],
+    )
+    def test_measurement_options_need_gendyne(self, tmp_path, capsys, command, options, named):
+        """--z-m or --theta-m without --strategy gendyne exits 2 naming the option, rather than being ignored.
+
+        With --strategy gendyne, --z-m and --theta-m run (exit 0).
+        """
+        state, model = tmp_path / "state.txt", tmp_path / "model.txt"
+        state.write_text(STATE_TMSTS)
+        model.write_text(MODEL_TWO_MODE)
+        args = {
+            "opo-ss": ["opo-ss", "--chi-tilde", "0.6", "--nu-in", "3"],
+            "daemonic": ["daemonic", "--state", str(state)],
+            "trajectories": ["trajectories", "--model", str(model), "--T", "0.01", "--dt", "0.01"]
+            + ["--n-traj", "2", "--out", str(tmp_path / "traj.csv")],
+        }[command]
+        assert main(args + options) == 2
+        err = capsys.readouterr().err
+        assert f"{named} applies only to --strategy gendyne" in err, err
+        assert main(args + ["--strategy", "gendyne", "--z-m", "0.3", "--theta-m", "1.0"]) == 0
+
     def test_daemonic_cross_checks(self, tmp_path, capsys):
         """The daemonic command reports closed form and pipeline side by side."""
         path = tmp_path / "state.txt"

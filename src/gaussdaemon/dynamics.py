@@ -45,8 +45,15 @@ already computed at points 0..m - 1 to points m..2m - 1, one solve per point.
 The unconditional flow has R = 0, so Phi = e^{At}, G = 0 and Q is the Gramian
 int_0^t e^{As} D e^{A^T s} ds; it is walked in the drift augmented by the
 drive, and the means ride along as vectors carried by each span's Phi
-(unconditional_path).  One mode takes e^{At} in closed form at every grid
-point instead (_one_mode_moments).  The conditional flow of one mode
+(unconditional_path).  One mode with a diagonal Hurwitz drift and no drive
+(_uncoupled, as in the OPO below threshold) relaxes per coordinate instead,
+r_i(t) = e^{a_i t} r0_i and, with a = a_i + a_j,
+
+    sigma_ij(t) = e^{at} sigma0_ij + D_ij expm1(at) / a,
+
+elementwise over the grid with no expm and no doubling (_uncoupled_moments).
+Every other drift of one mode takes e^{At} in closed form at every grid
+point and doubles the Gramian (_one_mode_moments).  The conditional flow of one mode
 whose steady state sigma_inf is not too large (_expandable) is written in
 closed form about it: with F = A - sigma_inf R (Hurwitz), W_inf solving
 F^T W + W F + R = 0 and Delta0 = sigma0 - sigma_inf,
@@ -63,7 +70,8 @@ Delta0) are computed once and stacked as (k, 1) columns, and the closed form
 runs on (k, block) arrays in blocks of at most _BLOCK_FLOATS values, where
 numpy's temporaries stay small; every operation is elementwise, so each point
 is the same bits whatever the blocking or k.  One filter (evolve_conditional_cm)
-is k = 1.  Every other conditional
+is k = 1.  A daemonic ergotropy curve (_daemonic_curve) takes the unconditional
+energy of an _uncoupled flow in the same blocks.  Every other conditional
 flow (two or more modes, a non-Hurwitz drift, one near threshold) walks the
 grid from sigma0, about a tiny multiple of it (_MAP_BASE), filter by filter,
 and needs no steady state.  Either way the results do not
@@ -1023,8 +1031,41 @@ def _lift(e00, e01, e10, e11) -> np.ndarray:
     )
 
 
+def _uncoupled(dd: DriftDiffusion) -> bool:
+    """Whether unconditional_path takes the closed form per coordinate: one mode, a diagonal Hurwitz drift, no drive.
+
+    The OPO below threshold is such a flow (_uncoupled_moments).
+    """
+    if dd.a.shape != (2, 2):
+        return False
+    (a00, a01), (a10, a11) = dd.a.tolist()
+    return a01 == a10 == 0.0 and max(a00, a11) < -TOL_HURWITZ and not dd.drive.any()
+
+
+def _uncoupled_moments(dd: DriftDiffusion, state0: GaussianState, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """unconditional_path for a flow that _uncoupled admits, at the times tau >= 0 from the first grid point.
+
+    The closed form of the module docstring makes each variance a sum of two
+    non-negative terms with a few roundings at every t, near threshold too;
+    the expansion sigma_inf + e^{At} (sigma0 - sigma_inf) e^{A^T t} would
+    cancel sigma_inf against itself instead.  Every operation is elementwise,
+    so a point's moments depend on its own tau alone, bit for bit, and
+    tau = 0 gives state0.
+    """
+    (a0, _), (_, a1) = dd.a.tolist()
+    (r0, r1), ((s00, s01), (s10, s11)), ((d00, d01), (_, d11)) = state0.mean.tolist(), state0.cm.tolist(), dd.d.tolist()
+    # One array of len(tau) per entry: a stacked (5, len(tau)) exponent page-faults on fine grids.
+    means, cms = np.empty((tau.size, 2)), np.empty((tau.size, 4))
+    means[:, 0], means[:, 1] = np.exp(a0 * tau) * r0, np.exp(a1 * tau) * r1
+    for i, a, s, d in ((0, a0 + a0, s00, d00), (1, a0 + a1, 0.5 * (s01 + s10), d01), (3, a1 + a1, s11, d11)):
+        x = a * tau
+        cms[:, i] = np.exp(x) * s + np.expm1(x) / a * d
+    cms[:, 2] = cms[:, 1]
+    return means, cms.reshape(-1, 2, 2)
+
+
 def _one_mode_moments(dd: DriftDiffusion, state0: GaussianState, t_grid) -> tuple[np.ndarray, np.ndarray]:
-    """unconditional_path for one mode, on arrays of entries over the grid.
+    """unconditional_path for one mode that _uncoupled does not admit (coupled, driven or not Hurwitz), over the grid.
 
     e^{At} comes in closed form at every point (_grid_exp2).  The Gramian and
     the drive integral p(t) = int_0^t e^{As} d ds, as columns
@@ -1082,13 +1123,20 @@ def _augmented(dd: DriftDiffusion) -> tuple[np.ndarray, np.ndarray]:
 def unconditional_path(dd: DriftDiffusion, state0: GaussianState, t_grid) -> tuple[np.ndarray, np.ndarray]:
     """Unconditional first and second moments along a time grid, exactly, for any drift.
 
-    One mode takes _one_mode_moments.  More modes walk the R = 0 flow of the
-    augmented drift [[A, d], [0, 0]] and padded diffusion (_grid_walk) from
-    [[sigma0, 0], [0, 0]], whose upper block is e^{At} sigma0 e^{A^T t} + G(t).
+    One mode with a diagonal Hurwitz drift and no drive (_uncoupled, the
+    OPO's) takes the closed form per coordinate (_uncoupled_moments), with
+    no expm and no doubling; any other drift of one mode takes
+    _one_mode_moments.  More modes walk the R = 0 flow of the augmented drift
+    [[A, d], [0, 0]] and padded diffusion (_grid_walk) from [[sigma0, 0], [0, 0]],
+    whose upper block is e^{At} sigma0 e^{A^T t} + G(t).
     The means r(t) = e^{At} r0 + int_0^t e^{As} d ds ride along as the vectors
     [r(t); 1] = Phi [r0; 1], so r0 enters no matrix and cannot overflow one.
     """
     _require_modes(state0.n, dd.a.shape[0] // 2)
+    if _uncoupled(dd):
+        _grid_steps(t_grid)
+        t = np.asarray(t_grid, dtype=float)
+        return _uncoupled_moments(dd, state0, t - t[0])
     if dd.a.shape == (2, 2):
         return _one_mode_moments(dd, state0, t_grid)
     dim = dd.a.shape[0]
@@ -1247,26 +1295,32 @@ def daemonic_ergotropy_path(mm: MonitoredModel, state0: GaussianState, t_grid) -
     The outcome-averaged conditional energy equals the unconditional energy,
     so only the passive energy reflects the monitoring.
     """
-    means, cms = unconditional_path(mm.dd, state0, t_grid)
-    return _daemonic_curve((mm,), means, cms, state0.cm, t_grid)[0]
+    return _daemonic_curve((mm,), state0, t_grid)[0]
 
 
-def _daemonic_curve(mms, means, cms, sigma0, t_grid) -> np.ndarray:
-    """Daemonic ergotropy on t_grid of the k filters mms of one model, from the unconditional moments on that grid.
+def _daemonic_curve(mms, state0: GaussianState, t_grid) -> np.ndarray:
+    """Daemonic ergotropy on t_grid of the k filters mms of one model, from state0.
 
-    The unconditional path does not depend on the measurement, so callers
-    comparing strategies compute it once and pass all the filters at once:
-    sigma0 and the grid are checked and the energy taken once, and the
-    conditional CMs of each block of _conditional_blocks go to one stacked
-    symplectic-spectrum call.  Returns a (k, len(t_grid)) array, row i the
-    curve of mms[i].  A negative beyond round-off raises NumericError
-    naming the time and the filter's settings (theta_m, z_m).
+    The unconditional moments do not depend on the measurement, so callers
+    comparing strategies pass all the filters at once: state0 and the grid
+    are checked and the energy taken once, and the conditional CMs of each
+    block of _conditional_blocks go to one stacked symplectic-spectrum call.
+    Where _uncoupled admits the drift, the energy comes from the closed form
+    in the same blocks (_uncoupled_moments); otherwise unconditional_path
+    runs on the whole grid first.  Either way each point is the bits of
+    unconditional_path and evolve_conditional_cm.
+    Returns a (k, len(t_grid)) array, row i the curve of mms[i].  A negative
+    beyond round-off raises NumericError naming the time and the filter's
+    settings (theta_m, z_m).
     """
-    sigma, t = _flow_start(mms[0], sigma0, t_grid)
-    energy = 0.25 * np.trace(cms, axis1=1, axis2=2) + 0.5 * np.einsum("ij,ij->i", means, means)
-    out = np.empty((len(mms), t.size))
+    sigma, t = _flow_start(mms[0], state0.cm, t_grid)
+    dd = mms[0].dd
+    path = None if _uncoupled(dd) else unconditional_path(dd, state0, t)
+    energy, out = np.empty(t.size), np.empty((len(mms), t.size))
     for lo, sig_c in _conditional_blocks(mms, sigma, t):
         hi = lo + sig_c.shape[1]
+        means, cms = _uncoupled_moments(dd, state0, t[lo:hi] - t[0]) if path is None else (x[lo:hi] for x in path)
+        energy[lo:hi] = 0.25 * np.trace(cms, axis1=1, axis2=2) + 0.5 * np.einsum("ij,ij->i", means, means)
         out[:, lo:hi] = energy[lo:hi] - 0.5 * symplectic_eigenvalues(sig_c).sum(axis=-1)
     for row, i in (divmod(j, t.size) for j in np.flatnonzero(out < 0.0).tolist()):
         settings = ", ".join(f"theta_m = {x.theta_m:.6g}, z_m = {x.z_m:.6g}" for x in mms[row].settings)

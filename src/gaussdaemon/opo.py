@@ -44,7 +44,6 @@ from .dynamics import (
     _uniform_steps,
     monitored,
     steady_state_conditional,
-    unconditional_path,
 )
 from .ergotropy import _cross_check, _single_mode_ergotropy
 from .exceptions import NoSteadyStateError
@@ -202,19 +201,20 @@ def transient_table(params: OpoParams, t_max: float = 10.0, dt: float = 1e-3) ->
 
     Uniform grid with spacing dt up to t_max (in units of 1/kappa); t_max
     must be an integer multiple of dt.  Every flow is exact, so dt sets only
-    the resolution of the table.  The unconditional moments do not depend on
-    the strategy and are propagated once for all three curves, and the three
-    conditional flows run in one pass over blocks of the grid
-    (dynamics._daemonic_curve): each finds its own steady state (the
-    per-quadrature roots, as in opo_conditional_ss) and is expanded about it,
-    so no Riccati solver runs.  Each curve is the same bits as that filter's
-    own daemonic_ergotropy_path.
+    the resolution of the table.  The three curves run in one pass over
+    blocks of the grid (dynamics._daemonic_curve).  The unconditional moments
+    do not depend on the strategy: each block takes them once, in closed form
+    per quadrature (the drift is diagonal), with no matrix exponential.  Each
+    conditional flow finds its own steady state (the per-quadrature roots, as
+    in opo_conditional_ss) and is expanded about it, so no Riccati solver runs.
+    Near threshold the conditional flows walk the grid by interval maps
+    instead.  Each curve is the same bits as that filter's own
+    daemonic_ergotropy_path.
     """
     n_steps = _uniform_steps(t_max, dt, "t_max")
     grid = np.linspace(0.0, t_max, n_steps + 1)
     state0 = GaussianState(np.zeros(2), params.nu_0 * np.eye(2))
     model = opo_model(params)
-    means, cms = unconditional_path(model.dd, state0, grid)
     mms = [monitored(model, strategy_setting(name)) for name in ("hom0", "hom90", "het")]
-    hom0, hom90, het = _daemonic_curve(mms, means, cms, state0.cm, grid)
+    hom0, hom90, het = _daemonic_curve(mms, state0, grid)
     return TransientTable(times=grid, hom0=hom0, hom90=hom90, het=het)

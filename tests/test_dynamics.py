@@ -1,5 +1,6 @@
 """Unit tests for monitored Gaussian dynamics: drift/diffusion, Riccati, trajectories."""
 
+import collections
 import math
 import signal
 from contextlib import contextmanager
@@ -1009,7 +1010,12 @@ def _random_two_mode_model(rng):
 
 
 def test_unconditional_path_is_grid_independent():
-    """A single step of any length gives F (s0 - s_inf) F^T + s_inf and F (r0 - r_inf) + r_inf."""
+    """A single step of any length gives F (s0 - s_inf) F^T + s_inf and F (r0 - r_inf) + r_inf.
+
+    On the OPO's drift (one mode, diagonal, undriven) each point depends on
+    its own time alone: the grid [0, t] gives point t of a 10001-point grid
+    bit for bit.
+    """
     rng = np.random.default_rng(97)
     model = _random_two_mode_model(rng)
     dd = gd.drift_diffusion(model)
@@ -1021,6 +1027,13 @@ def test_unconditional_path_is_grid_independent():
         f = expm(t * dd.a)
         assert np.abs(cms[-1] - (f @ (state0.cm - sigma_inf) @ f.T + sigma_inf)).max() <= 1e-9
         assert np.abs(means[-1] - (f @ (state0.mean - mean_inf) + mean_inf)).max() <= 1e-9
+    dd = gd.opo_model(gd.OpoParams(0.8, nu_in=3.0)).dd
+    state0 = GaussianState(np.array([0.7, -1.2]), np.array([[4.0, 0.5], [0.5, 2.0]]))
+    grid = np.linspace(0.0, 10.0, 10001)
+    fine = gd.unconditional_path(dd, state0, grid)
+    for i in (1, 4321, 10000):
+        for x, y in zip(gd.unconditional_path(dd, state0, [0.0, grid[i]]), fine):
+            assert np.array_equal(x[-1], y[i]), i
 
 
 # Uniform from 0 and non-uniform from t = 0.25.
@@ -1109,6 +1122,103 @@ def test_non_hurwitz_drift_is_stepped(monkeypatch):
     assert np.abs(flow - exact).max() <= 1e-12 * flow[-1, 1, 1]
     batch = gd.simulate_trajectories(mm, state0, dt=0.1, T=5.0, n_traj=2, master_seed=0)
     assert np.array_equal(batch.sigma_c, flow)
+
+
+def _count_calls(monkeypatch, *names):
+    """A Counter of the calls to the named functions of gaussdaemon.dynamics, each still run."""
+    counts = collections.Counter()
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(gd.dynamics, name, counted(name, getattr(gd.dynamics, name)))
+    return counts
+
+
+def test_uncoupled_flows_take_the_closed_form(monkeypatch):
+    """Undriven one-mode flows with a diagonal Hurwitz drift reach neither _one_mode_moments nor _interval_map.
+
+    The OPO's transient_table and a generic-phase daemonic_ergotropy_path
+    run with both patched to raise.  A driven OPO (a displaced input) and a
+    coupled random drift still take _one_mode_moments and one interval map
+    per step length; near threshold (chi~ = 1 - 1e-6, not _expandable) the
+    conditional flows take the interval maps and the unconditional
+    moments stay in closed form.
+    """
+    p = gd.OpoParams(0.8, nu_in=3.0, nu_0=5.0)
+    model, state0, grid = gd.opo_model(p), gd.thermal(5.0), np.linspace(0.0, 2.0, 201)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an uncoupled flow took the doubling")
+
+    with monkeypatch.context() as patch:
+        for name in ("_one_mode_moments", "_interval_map"):
+            patch.setattr(gd.dynamics, name, forbidden)
+        assert np.isfinite(gd.transient_table(p, t_max=2.0, dt=1e-2).hom0).all()
+        mm = gd.monitored(model, GeneralDyneSetting(theta_m=0.7, z_m=0.3))
+        assert np.isfinite(gd.daemonic_ergotropy_path(mm, state0, grid)).all()
+    counts = _count_calls(monkeypatch, "_one_mode_moments", "_interval_map")
+    driven = DiffusiveModel(model.h_s, model.c, model.sigma_in, np.array([0.3, -0.2]))
+    coupled = _random_one_mode_complex_pair(np.random.default_rng(5))
+    assert not gd.dynamics._uncoupled(coupled.dd)
+    for mm in (gd.monitored(driven, gd.heterodyne()), coupled):
+        gd.daemonic_ergotropy_path(mm, state0, grid)
+        assert counts == {"_one_mode_moments": 1, "_interval_map": 1}, counts
+        counts.clear()
+    near = gd.OpoParams(1.0 - 1e-6, nu_in=3.0, nu_0=5.0)
+    assert not gd.dynamics._expandable(gd.opo_model(near).dd)
+    gd.transient_table(near, t_max=2.0, dt=1e-2)
+    assert counts["_one_mode_moments"] == 0 and counts["_interval_map"] > 0, counts
+
+
+@pytest.mark.parametrize("chi_tilde", [0.8, 1.0 - 1e-6])
+def test_daemonic_path_is_energy_minus_passive_energy(chi_tilde):
+    """daemonic_ergotropy_path is tr sigma_unc / 4 + |r|^2 / 2 - nu(sigma_c) / 2 from the public flows, bit for bit.
+
+    At chi~ = 0.8 the unconditional moments come in the blocks of the
+    conditional closed form, and near threshold on the whole grid before the
+    interval maps; either way the curve must be unconditional_path and
+    evolve_conditional_cm combined, here from a displaced state on a grid of
+    several blocks, for the three strategies and a generic setting.
+    """
+    model = gd.opo_model(gd.OpoParams(chi_tilde, nu_in=3.0))
+    state0 = GaussianState(np.array([0.7, -1.2]), np.array([[4.0, 0.5], [0.5, 2.0]]))
+    grid = np.linspace(0.0, 20.0, 20001)
+    means, cms = gd.unconditional_path(model.dd, state0, grid)
+    energy = 0.25 * (cms[:, 0, 0] + cms[:, 1, 1]) + 0.5 * (means[:, 0] * means[:, 0] + means[:, 1] * means[:, 1])
+    settings = [gd.strategy_setting(name) for name in ("hom0", "hom90", "het")]
+    for setting in [*settings, GeneralDyneSetting(theta_m=0.7, z_m=0.3)]:
+        mm = gd.monitored(model, setting)
+        passive = 0.5 * gd.symplectic_eigenvalues(gd.evolve_conditional_cm(mm, state0.cm, grid))[:, 0]
+        assert np.array_equal(gd.daemonic_ergotropy_path(mm, state0, grid), energy - passive), setting
+
+
+def test_unconditional_opo_variances_hold_near_threshold_at_any_horizon():
+    """Near threshold the unconditional variances reach nu_in / (1 +- chi~) to round-off, also at t = 1e300.
+
+    The closed form per coordinate has no doubling, whose squarings lost
+    about the horizon times the rate times eps on the slow quadrature, so
+    the last row of `opo-transient --T 1e300 --dt 1e299` is the steady
+    daemonic ergotropy of each strategy to 1e-12 (2.0e-7 off through the
+    doubling at chi~ = 1 - 1e-10).
+    """
+    for chi_tilde in (1.0 - 1e-6, 1.0 - 1e-10):
+        dd = gd.opo_model(gd.OpoParams(chi_tilde, nu_in=3.0)).dd
+        _, cms = gd.unconditional_path(dd, gd.thermal(5.0), [0.0, 1e3, 1e300])
+        with mp.workdps(DPS):
+            for a, variance in zip(np.diag(dd.a).tolist(), (cms[-1, 0, 0], cms[-1, 1, 1])):
+                exact = 3 / (-2 * mp.mpf(a))
+                assert abs(variance - exact) <= 2e-16 * exact, (chi_tilde, a)
+        p = gd.OpoParams(chi_tilde, nu_in=1.0, nu_0=5.0)
+        table = gd.transient_table(p, t_max=1e300, dt=1e299)
+        for name in ("hom0", "hom90", "het"):
+            steady = gd.opo_steady_daemonic(p, gd.strategy_setting(name))
+            assert abs(getattr(table, name)[-1] - steady) <= 1e-12 * steady, (chi_tilde, name)
 
 
 def test_decoupled_roots():
@@ -1699,31 +1809,36 @@ def test_stacked_filters_match_their_own_curves():
     kinds = [gd.dynamics._expansion_scalars(mm.at, mm.bbt, ss, state0.cm)[0] for mm, ss in zip(mms, steady)]
     assert sorted(kinds) == [-1, -1, -1, 1]
     for grid in (np.linspace(0.0, 20.0, 201), np.linspace(0.0, 20.0, 9001)):
-        means, cms = gd.unconditional_path(model.dd, state0, grid)
-        curves = gd.dynamics._daemonic_curve(mms, means, cms, state0.cm, grid)
+        curves = gd.dynamics._daemonic_curve(mms, state0, grid)
         for mm, curve in zip(mms, curves):
             assert np.array_equal(curve, gd.daemonic_ergotropy_path(mm, state0, grid))
 
 
-def test_daemonic_clamp_names_time_and_setting():
+def test_daemonic_clamp_names_time_and_setting(monkeypatch):
     """A curve value negative beyond round-off raises NumericError naming its time and its filter's (theta_m, z_m).
 
-    The three OPO filters share one pass; the unconditional CM is forged at
-    t = 1.5 to an energy between the two largest passive energies there, so
-    that only the filter with the largest one, hom0 and the last row, goes negative.
+    The three OPO filters share one pass; the unconditional CM of that pass
+    (_uncoupled_moments) is forged at t = 1.5 to an energy between the two
+    largest passive energies there, so that only the filter with the largest
+    one, hom0 and the last row, goes negative.
     """
     model = gd.opo_model(gd.OpoParams(0.8, nu_in=3.0, nu_0=5.0))
     mms = [gd.monitored(model, gd.strategy_setting(name)) for name in ("het", "hom90", "hom0")]
     state0, grid, i = gd.thermal(5.0), np.linspace(0.0, 2.0, 201), 150
-    means, cms = gd.unconditional_path(model.dd, state0, grid)
     flows = [gd.evolve_conditional_cm(mm, state0.cm, grid[: i + 1]) for mm in mms]
     passive = [0.5 * gd.symplectic_eigenvalues(flow[i])[0] for flow in flows]
     _, middle, top = np.argsort(passive)
     assert top == 2 and passive[top] - passive[middle] > 1e-3
-    forged = cms.copy()
-    forged[i] = (passive[middle] + passive[top]) * np.eye(2)  # energy tr / 4 halfway between
+    moments = gd.dynamics._uncoupled_moments
+
+    def forged(dd, state, tau):
+        means, cms = moments(dd, state, tau)
+        cms[tau == grid[i] - grid[0]] = (passive[middle] + passive[top]) * np.eye(2)  # energy tr / 4 halfway between
+        return means, cms
+
+    monkeypatch.setattr(gd.dynamics, "_uncoupled_moments", forged)
     with pytest.raises(gd.NumericError, match="daemonic ergotropy at t = ") as info:
-        gd.dynamics._daemonic_curve(mms, means, forged, state0.cm, grid)
+        gd.dynamics._daemonic_curve(mms, state0, grid)
     setting = mms[top].settings[0]
     assert f"at t = {grid[i]:.6g} (theta_m = {setting.theta_m:.6g}, z_m = {setting.z_m:.6g})" in str(info.value)
 

@@ -52,8 +52,7 @@ r_i(t) = e^{a_i t} r0_i and, with a = a_i + a_j,
     sigma_ij(t) = e^{at} sigma0_ij + D_ij expm1(at) / a,
 
 elementwise over the grid with no expm and no doubling (_uncoupled_moments).
-Every other drift of one mode takes e^{At} in closed form at every grid
-point and doubles the Gramian (_one_mode_moments).  The conditional flow of one mode
+Every other drift, of one mode or more, walks the grid.  The conditional flow of one mode
 whose steady state sigma_inf is not too large (_expandable) is written in
 closed form about it: with F = A - sigma_inf R (Hurwitz), W_inf solving
 F^T W + W F + R = 0 and Delta0 = sigma0 - sigma_inf,
@@ -62,7 +61,7 @@ F^T W + W F + R = 0 and Delta0 = sigma0 - sigma_inf,
     W(t) = W_inf - e^{F^T t} W_inf e^{Ft},
 
 on arrays of the four entries over the grid: e^{Ft} in closed form from the
-eigenvalues of F (_grid_exp2), W_inf in closed form and the inverse as the
+eigenvalues of F (_exp2_scalars), W_inf in closed form and the inverse as the
 adjugate, with no expm, solve or stacked matmul.  The k filters of one model
 (a table of strategies) share one pass (_conditional_blocks): sigma0 and the
 grid are checked once, each filter's steady state and scalars (F, W_inf,
@@ -592,8 +591,8 @@ def _dot2(*pairs) -> float:
     return math.fsum(terms)
 
 
-def _grid_exp2(f: np.ndarray, tau: np.ndarray) -> tuple:
-    """Entries (e00, e01, e10, e11) of e^{F tau} for a 2x2 F, each an array over the times tau >= 0.
+def _exp2_scalars(f) -> tuple:
+    """(kind, lam, delta, cap, half, f01, f10) of e^{F tau} for a 2x2 F given as nested lists, in float arithmetic.
 
     With m = tr F / 2, N = F - m I and d2 = ((f00 - f11) / 2)^2 + f01 f10,
     N^2 = d2 I, so e^{F tau} = e^{lam tau} (c0 I + c1 N) with lam the eigenvalue
@@ -606,15 +605,10 @@ def _grid_exp2(f: np.ndarray, tau: np.ndarray) -> tuple:
 
     c0 and c1 are bounded by 1 and by tau, and e^{lam tau} multiplies them
     before N does, so a factor that underflows to 0 never meets an inf.  The
-    scalars of F come from _exp2_scalars and the arrays from _exp2_entries,
-    which also takes k matrices at once.
-    """
-    kind, *scalars = _exp2_scalars(f.tolist())
-    return _exp2_entries((kind,), *scalars, tau)
-
-
-def _exp2_scalars(f) -> tuple:
-    """(kind, lam, delta, cap, half, f01, f10) of _grid_exp2 for a 2x2 F given as nested lists, in float arithmetic.
+    form is for Hurwitz F (the closed loops of _one_mode_expansion): for
+    lam > 0 the entries of a decaying direction come out as a difference of
+    terms of size e^{lam tau} and lose eps e^{lam tau} absolutely.
+    _exp2_entries evaluates the form over the times tau >= 0, for k matrices at once.
 
     kind is the sign of d2 and delta = sqrt(|d2|).  Near a double eigenvalue
     d2 is a difference of large terms and e^{F tau} moves by about tau^2 times
@@ -659,7 +653,7 @@ def _exp2_entries(kinds, lam, delta, cap, half, f01, f10, tau) -> tuple:
 
 
 def _exp2_coefficients(kind: int, delta, tau) -> tuple:
-    """c0 and c1 of _grid_exp2 for the sign kind of d2."""
+    """c0 and c1 of _exp2_scalars' form for the sign kind of d2."""
     if kind > 0:
         x = np.expm1(-2.0 * delta * tau)
         return 1.0 + 0.5 * x, x / (-2.0 * delta)
@@ -816,9 +810,9 @@ def _conditional_blocks(mms, sigma: np.ndarray, t: np.ndarray):
             cms = _one_mode_expansion(kinds, columns, tau[lo : lo + size])
             if lo == 0:
                 cms[:, 0] = sigma  # sigma_inf + (sigma0 - sigma_inf) need not round back to sigma0
-            yield lo, _finite(cms)
+            yield lo, _finite("conditional CM", cms)
     else:
-        flows = [_finite(_mapped_flow(mm, sigma, t)) for mm in mms]
+        flows = [_finite("conditional CM", _mapped_flow(mm, sigma, t)) for mm in mms]
         yield 0, np.stack(flows)
 
 
@@ -836,10 +830,11 @@ def _mapped_flow(mm: MonitoredModel, sigma: np.ndarray, t: np.ndarray) -> np.nda
     return out
 
 
-def _finite(cms: np.ndarray) -> np.ndarray:
-    if not np.isfinite(cms).all():
-        raise NumericError("the conditional CM flow left the floating-point range")
-    return cms
+def _finite(flow: str, x: np.ndarray) -> np.ndarray:
+    """x, unless it holds an inf or NaN: then NumericError naming the flow."""
+    if not np.isfinite(x).all():
+        raise NumericError(f"the {flow} flow left the floating-point range")
+    return x
 
 
 def riccati_residual(mm: MonitoredModel, sigma: np.ndarray) -> float:
@@ -1018,23 +1013,11 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
     return sigma
 
 
-def _lift(e00, e01, e10, e11) -> np.ndarray:
-    """The map G -> E G E^T, p -> E p of a 2x2 E on columns (G00, G01, G11, p0, p1)."""
-    return np.array(
-        [
-            [e00 * e00, 2.0 * e00 * e01, e01 * e01, 0.0, 0.0],
-            [e00 * e10, e00 * e11 + e01 * e10, e01 * e11, 0.0, 0.0],
-            [e10 * e10, 2.0 * e10 * e11, e11 * e11, 0.0, 0.0],
-            [0.0, 0.0, 0.0, e00, e01],
-            [0.0, 0.0, 0.0, e10, e11],
-        ]
-    )
-
-
 def _uncoupled(dd: DriftDiffusion) -> bool:
     """Whether unconditional_path takes the closed form per coordinate: one mode, a diagonal Hurwitz drift, no drive.
 
-    The OPO below threshold is such a flow (_uncoupled_moments).
+    The OPO below threshold is such a flow (_uncoupled_moments); every other
+    drift walks the grid (_grid_walk).
     """
     if dd.a.shape != (2, 2):
         return False
@@ -1064,86 +1047,34 @@ def _uncoupled_moments(dd: DriftDiffusion, state0: GaussianState, tau: np.ndarra
     return means, cms.reshape(-1, 2, 2)
 
 
-def _one_mode_moments(dd: DriftDiffusion, state0: GaussianState, t_grid) -> tuple[np.ndarray, np.ndarray]:
-    """unconditional_path for one mode that _uncoupled does not admit (coupled, driven or not Hurwitz), over the grid.
-
-    e^{At} comes in closed form at every point (_grid_exp2).  The Gramian and
-    the drive integral p(t) = int_0^t e^{As} d ds, as columns
-    x = (G00, G01, G11, p0, p1), compose as x(t + s) = x(s) + _lift(e^{As}) x(t),
-    so the Gramian stays a sum of positive terms; sigma_inf - e^{At} sigma_inf e^{A^T t}
-    would cancel.  x of one step comes from the R = 0 interval map of the
-    drift augmented by the drive (_interval_map).  A uniform grid doubles:
-    with x known on points 0..m, points m+1..2m are x_m + _lift(e^{A t_m}) x_{1..m},
-    one 5x5 product each.  Other grids chain their steps.
-    """
-    steps = _grid_steps(t_grid)
-    t = np.asarray(t_grid, dtype=float)
-    n = steps.size
-    exps = np.stack(_grid_exp2(dd.a, t - t[0]))
-    aug, diff = _augmented(dd)
-
-    def step(s: float) -> np.ndarray:
-        e, _, g = _interval_map(aug, diff, np.zeros_like(aug), s)
-        return np.array([g[0, 0], 0.5 * (g[0, 1] + g[1, 0]), g[1, 1], e[0, 2], e[1, 2]])
-
-    x = np.zeros((5, n + 1))
-    h = _uniform_step(t, n)
-    if h is not None:
-        x[:, 1] = step(h)
-        m = 1
-        while m < n:
-            k = min(m, n - m)
-            x[:, m + 1 : m + k + 1] = x[:, m : m + 1] + _lift(*exps[:, m].tolist()) @ x[:, 1 : k + 1]
-            m += k
-    else:
-        props = {}
-        for i, (s, e_s) in enumerate(zip(steps.tolist(), np.stack(_grid_exp2(dd.a, steps), 1).tolist())):
-            if s not in props:
-                props[s] = step(s), _lift(*e_s)
-            x_s, lift_s = props[s]
-            x[:, i + 1] = x_s + lift_s @ x[:, i]
-    e00, e01, e10, e11 = exps
-    (r0, r1), ((s00, s01), (s10, s11)) = state0.mean.tolist(), state0.cm.tolist()
-    s01 = 0.5 * (s01 + s10)
-    means = np.stack((e00 * r0 + e01 * r1 + x[3], e10 * r0 + e11 * r1 + x[4]), axis=-1)
-    y00, y01, y10, y11 = e00 * s00 + e01 * s01, e00 * s01 + e01 * s11, e10 * s00 + e11 * s01, e10 * s01 + e11 * s11
-    c01 = y00 * e10 + y01 * e11 + x[1]
-    cms = np.stack((y00 * e00 + y01 * e01 + x[0], c01, c01, y10 * e10 + y11 * e11 + x[2]), axis=-1)
-    return means, cms.reshape(-1, 2, 2)
-
-
-def _augmented(dd: DriftDiffusion) -> tuple[np.ndarray, np.ndarray]:
-    """The drift augmented by the drive, [[A, d], [0, 0]], and the diffusion padded alike."""
-    dim = dd.a.shape[0]
-    aug, diff = np.zeros((dim + 1, dim + 1)), np.zeros((dim + 1, dim + 1))
-    aug[:dim, :dim], aug[:dim, dim], diff[:dim, :dim] = dd.a, dd.drive, dd.d
-    return aug, diff
-
-
 def unconditional_path(dd: DriftDiffusion, state0: GaussianState, t_grid) -> tuple[np.ndarray, np.ndarray]:
     """Unconditional first and second moments along a time grid, exactly, for any drift.
 
     One mode with a diagonal Hurwitz drift and no drive (_uncoupled, the
     OPO's) takes the closed form per coordinate (_uncoupled_moments), with
-    no expm and no doubling; any other drift of one mode takes
-    _one_mode_moments.  More modes walk the R = 0 flow of the augmented drift
-    [[A, d], [0, 0]] and padded diffusion (_grid_walk) from [[sigma0, 0], [0, 0]],
-    whose upper block is e^{At} sigma0 e^{A^T t} + G(t).
-    The means r(t) = e^{At} r0 + int_0^t e^{As} d ds ride along as the vectors
-    [r(t); 1] = Phi [r0; 1], so r0 enters no matrix and cannot overflow one.
+    no expm and no doubling.  Every other drift, of one mode or more, walks
+    the R = 0 flow of the augmented drift [[A, d], [0, 0]] and padded
+    diffusion (_grid_walk) from [[sigma0, 0], [0, 0]], whose upper block is
+    e^{At} sigma0 e^{A^T t} + G(t).  Unlike a closed-form e^{At}
+    (_exp2_scalars), a difference of terms of size e^{lam t}, the walk keeps
+    the decaying coordinates of an unstable diagonal drift exact.  The means r(t) = e^{At} r0 + int_0^t e^{As} d ds ride along as
+    the vectors [r(t); 1] = Phi [r0; 1], so r0 enters no matrix and cannot
+    overflow one.  Moments that leave the floating-point range raise
+    NumericError.
     """
     _require_modes(state0.n, dd.a.shape[0] // 2)
     if _uncoupled(dd):
         _grid_steps(t_grid)
         t = np.asarray(t_grid, dtype=float)
-        return _uncoupled_moments(dd, state0, t - t[0])
-    if dd.a.shape == (2, 2):
-        return _one_mode_moments(dd, state0, t_grid)
-    dim = dd.a.shape[0]
-    aug, diff = _augmented(dd)
-    start = np.pad(0.5 * (state0.cm + state0.cm.T), (0, 1))  # [[sigma0, 0], [0, 0]]
-    cms, vectors = _grid_walk(aug, diff, np.zeros_like(aug), t_grid, start, np.append(state0.mean, 1.0))
-    return vectors[:, :dim], cms[:, :dim, :dim]
+        means, cms = _uncoupled_moments(dd, state0, t - t[0])
+    else:
+        dim = dd.a.shape[0]
+        aug, diff = np.zeros((dim + 1, dim + 1)), np.zeros((dim + 1, dim + 1))
+        aug[:dim, :dim], aug[:dim, dim], diff[:dim, :dim] = dd.a, dd.drive, dd.d
+        start = np.pad(0.5 * (state0.cm + state0.cm.T), (0, 1))  # [[sigma0, 0], [0, 0]]
+        cms, vectors = _grid_walk(aug, diff, np.zeros_like(aug), t_grid, start, np.append(state0.mean, 1.0))
+        means, cms = vectors[:, :dim], cms[:, :dim, :dim]
+    return _finite("unconditional mean", means), _finite("unconditional CM", cms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1307,7 +1238,7 @@ def _daemonic_curve(mms, state0: GaussianState, t_grid) -> np.ndarray:
     block of _conditional_blocks go to one stacked symplectic-spectrum call.
     Where _uncoupled admits the drift, the energy comes from the closed form
     in the same blocks (_uncoupled_moments); otherwise unconditional_path
-    runs on the whole grid first.  Either way each point is the bits of
+    walks the whole grid first (_grid_walk).  Either way each point is the bits of
     unconditional_path and evolve_conditional_cm.
     Returns a (k, len(t_grid)) array, row i the curve of mms[i].  A negative
     beyond round-off raises NumericError naming the time and the filter's

@@ -1124,6 +1124,87 @@ def test_non_hurwitz_drift_is_stepped(monkeypatch):
     assert np.array_equal(batch.sigma_c, flow)
 
 
+def test_unstable_drift_keeps_its_decaying_quadrature_exact():
+    """Above threshold, A = diag(-1.3, 0.3): the decaying quadrature's moments hold along 201-point grids to T = 1000.
+
+    At every point sigma_xx is within 1e-14 relative of the 60-digit
+    2 e^{2at} + (e^{2at} - 1) / (2a), a = A00, and mean_x within
+    (1e-14 + eps |a| t) relative of 0.5 e^{at}, or of the smallest normal
+    float where that underflows: eps |a t| is the conditioning of e^{at},
+    whose exponent a t itself rounds.  A closed-form e^{At} = e^{0.3 t} (c0 I + c1 N)
+    cancels terms of size e^{0.3 t} in the decaying entries: it gave
+    sigma_xx = 8.4e6 at T = 150 and 3.0e228 at T = 1000.
+    """
+    model = DiffusiveModel(-0.8 * np.array([[0.0, 1.0], [1.0, 0.0]]), gd.symplectic_form(1), np.eye(2), np.zeros(2))
+    a = float(model.dd.a[0, 0])
+    assert a == -1.3 and model.dd.a[0, 1] == model.dd.a[1, 0] == 0.0 and model.dd.a[1, 1] > 0.0
+    state0 = GaussianState(np.array([0.5, -0.5]), 2.0 * np.eye(2))
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    for horizon in (150.0, 1000.0):
+        grid = np.linspace(0.0, horizon, 201)
+        means, cms = gd.unconditional_path(model.dd, state0, grid)
+        with mp.workdps(DPS):
+            for t, mean, var in zip(grid.tolist(), means[:, 0].tolist(), cms[:, 0, 0].tolist()):
+                decay = mp.exp(mp.mpf(a) * mp.mpf(t))
+                exact = 2 * decay**2 + (decay**2 - 1) / (2 * mp.mpf(a))
+                assert abs(var - exact) <= 1e-14 * exact, (horizon, t, var)
+                assert abs(mean - decay / 2) <= (1e-14 + eps * abs(a) * t) * decay / 2 + tiny, (horizon, t, mean)
+
+
+def _mp_unconditional(dd, state0, grid) -> list:
+    """(mean, CM) at each point of grid in 60 digits, from state0 at grid[0], as mpmath matrices.
+
+    The means are mpmath's expm of the augmented drift [[A, d], [0, 0]]
+    applied to [r0; 1], and the CMs sigma_inf + e^{At} (sigma0 - sigma_inf) e^{A^T t},
+    e^{At} that exponential's upper block and sigma_inf the Lyapunov steady
+    state.  The exponential is chained along the grid, one expm per
+    distinct step (the steps of float points are exact in 60 digits).
+    """
+    with mp.workdps(DPS):
+        (a00, a01), (a10, a11) = ((mp.mpf(x) for x in row) for row in dd.a.tolist())
+        (d00, d01), (_, d11) = dd.d.tolist()
+        lyapunov = mp.matrix([[2 * a00, 2 * a01, 0], [a10, a00 + a11, a01], [0, 2 * a10, 2 * a11]])
+        s00, s01, s11 = mp.lu_solve(lyapunov, -mp.matrix([d00, d01, d11]))
+        sigma_inf = mp.matrix([[s00, s01], [s01, s11]])
+        aug = mp.matrix([[a00, a01, dd.drive[0]], [a10, a11, dd.drive[1]], [0, 0, 0]])
+        delta, start = mp.matrix(state0.cm.tolist()) - sigma_inf, mp.matrix([*state0.mean.tolist(), 1.0])
+        exp, props, out = mp.eye(3), {}, []
+        for t0, t1 in zip(grid[:1].tolist() + grid[:-1].tolist(), grid.tolist()):
+            if (step := mp.mpf(t1) - mp.mpf(t0)) not in props:
+                props[step] = mp.expm(aug * step)
+            exp = exp * props[step]
+            phi = exp[:2, :2]
+            out.append(((exp * start)[:2, 0], sigma_inf + phi * delta * phi.T))
+    return out
+
+
+@pytest.mark.parametrize("driven", [False, True])
+def test_coupled_one_mode_moments_match_60_digit_references(driven):
+    """One-mode drifts that _uncoupled rejects walk the grid to within 1e-14 of mpmath's moments.
+
+    Six random Hurwitz models with a coupled drift, driven or not, from a
+    random displaced state, on a 201-point uniform grid and on
+    [0, 0.3, 0.35, 2, 9]: at each point the CM within 1e-14 of
+    _mp_unconditional relative to its largest entry (worst 4.3e-15), and the
+    mean relative to max(1, its largest entry), the vacuum noise being 1 in
+    these units (worst 2.8e-15).  An undriven mean that decays gains about
+    eps |A| t relative to its own size from the doubling: 2.2e-14 at worst here.
+    """
+    rng = np.random.default_rng([227, driven])
+    for i in range(6):
+        dd = _random_hurwitz_model(rng, 1, driven).dd
+        assert not gd.dynamics._uncoupled(dd), i
+        x = rng.standard_normal((2, 2))
+        state0 = GaussianState(rng.standard_normal(2), x @ x.T + 2.0 * np.eye(2))
+        for grid in (np.linspace(0.0, 10.0, 201), np.array([0.0, 0.3, 0.35, 2.0, 9.0])):
+            means, cms = gd.unconditional_path(dd, state0, grid)
+            with mp.workdps(DPS):
+                for t, mean, cm, (exact_mean, exact_cm) in zip(grid, means, cms, _mp_unconditional(dd, state0, grid)):
+                    for got, exact, floor in ((mean, exact_mean, 1), (cm.ravel(), exact_cm, 0)):
+                        scale = max(floor, *(abs(v) for v in exact))
+                        assert max(abs(mp.mpf(v) - w) for v, w in zip(got.tolist(), exact)) <= 1e-14 * scale, (i, t)
+
+
 def _count_calls(monkeypatch, *names):
     """A Counter of the calls to the named functions of gaussdaemon.dynamics, each still run."""
     counts = collections.Counter()
@@ -1141,14 +1222,14 @@ def _count_calls(monkeypatch, *names):
 
 
 def test_uncoupled_flows_take_the_closed_form(monkeypatch):
-    """Undriven one-mode flows with a diagonal Hurwitz drift reach neither _one_mode_moments nor _interval_map.
+    """Undriven one-mode flows with a diagonal Hurwitz drift reach neither _grid_walk nor _interval_map.
 
     The OPO's transient_table and a generic-phase daemonic_ergotropy_path
     run with both patched to raise.  A driven OPO (a displaced input) and a
-    coupled random drift still take _one_mode_moments and one interval map
-    per step length; near threshold (chi~ = 1 - 1e-6, not _expandable) the
-    conditional flows take the interval maps and the unconditional
-    moments stay in closed form.
+    coupled random drift, whose conditional flows take the closed form,
+    walk the grid once, for the unconditional moments; near threshold
+    (chi~ = 1 - 1e-6, not _expandable) the three conditional flows walk
+    the grid and the unconditional moments stay in closed form.
     """
     p = gd.OpoParams(0.8, nu_in=3.0, nu_0=5.0)
     model, state0, grid = gd.opo_model(p), gd.thermal(5.0), np.linspace(0.0, 2.0, 201)
@@ -1157,23 +1238,23 @@ def test_uncoupled_flows_take_the_closed_form(monkeypatch):
         raise AssertionError("an uncoupled flow took the doubling")
 
     with monkeypatch.context() as patch:
-        for name in ("_one_mode_moments", "_interval_map"):
+        for name in ("_grid_walk", "_interval_map"):
             patch.setattr(gd.dynamics, name, forbidden)
         assert np.isfinite(gd.transient_table(p, t_max=2.0, dt=1e-2).hom0).all()
         mm = gd.monitored(model, GeneralDyneSetting(theta_m=0.7, z_m=0.3))
         assert np.isfinite(gd.daemonic_ergotropy_path(mm, state0, grid)).all()
-    counts = _count_calls(monkeypatch, "_one_mode_moments", "_interval_map")
+    counts = _count_calls(monkeypatch, "_grid_walk", "_uncoupled_moments")
     driven = DiffusiveModel(model.h_s, model.c, model.sigma_in, np.array([0.3, -0.2]))
     coupled = _random_one_mode_complex_pair(np.random.default_rng(5))
     assert not gd.dynamics._uncoupled(coupled.dd)
     for mm in (gd.monitored(driven, gd.heterodyne()), coupled):
         gd.daemonic_ergotropy_path(mm, state0, grid)
-        assert counts == {"_one_mode_moments": 1, "_interval_map": 1}, counts
+        assert counts == {"_grid_walk": 1}, counts
         counts.clear()
     near = gd.OpoParams(1.0 - 1e-6, nu_in=3.0, nu_0=5.0)
     assert not gd.dynamics._expandable(gd.opo_model(near).dd)
     gd.transient_table(near, t_max=2.0, dt=1e-2)
-    assert counts["_one_mode_moments"] == 0 and counts["_interval_map"] > 0, counts
+    assert counts["_grid_walk"] == 3 and counts["_uncoupled_moments"] > 0, counts
 
 
 @pytest.mark.parametrize("chi_tilde", [0.8, 1.0 - 1e-6])
@@ -1361,6 +1442,12 @@ def _grid_exp_case(kind, p, q, r, s):
     return f - max(float(np.linalg.eigvals(f).real.max()), 0.0) * np.eye(2)
 
 
+def _closed_exp2(f, taus) -> np.ndarray:
+    """e^{F tau} at each tau from the closed form the one-mode expansion runs (_exp2_scalars, _exp2_entries)."""
+    kind, *scalars = gd.dynamics._exp2_scalars(f.tolist())
+    return np.stack(gd.dynamics._exp2_entries((kind,), *scalars, taus), -1).reshape(-1, 2, 2)
+
+
 _EXP_KINDS = ["any", "complex", "repeated", "jordan", "zero", "nonnormal", "stiff"]
 
 
@@ -1382,7 +1469,7 @@ def test_grid_exponential_matches_scipy(kind, p, q, r, s):
     RuntimeWarning fails the test.
     """
     f = _grid_exp_case(kind, p, q, r, s)
-    closed = np.stack(gd.dynamics._grid_exp2(f, _TAUS), -1).reshape(-1, 2, 2)
+    closed = _closed_exp2(f, _TAUS)
     assert np.isfinite(closed).all()
     alpha = float(np.linalg.eigvals(f).real.max())
     spread = float(np.abs(f - 0.5 * np.trace(f) * np.eye(2)).max())
@@ -1408,7 +1495,7 @@ def test_grid_exponential_matches_50_digit_expm(f):
     of 1.5e-14, and e^{F tau} off by 7e-6 at tau = 100; scipy's expm is off by 1e-10 there.
     """
     taus = np.array([1.0, 10.0, 100.0])
-    closed = np.stack(gd.dynamics._grid_exp2(np.array(f), taus), -1).reshape(-1, 2, 2)
+    closed = _closed_exp2(np.array(f), taus)
     with mp.workdps(50):
         for tau, e in zip(taus, closed):
             exact = mp.expm(mp.matrix(f) * mp.mpf(tau))
@@ -1566,15 +1653,20 @@ def _wall_time_bound(seconds: int):
 
 
 def test_flow_past_the_float_range_is_a_numeric_error():
-    """A stepped flow that overflows raises NumericError (exit 3) instead of returning inf or NaN.
+    """A stepped flow that overflows raises NumericError (exit 3) naming the flow instead of returning inf or NaN.
 
     Above threshold the unmeasured quadrature's variance grows as e^{0.6 t}
-    and passes the float range before t = 2000.
+    and passes the float range before t = 2000, conditionally and unconditionally.
     """
     model = DiffusiveModel(-0.8 * np.array([[0.0, 1.0], [1.0, 0.0]]), gd.symplectic_form(1), np.eye(2), np.zeros(2))
     mm = gd.monitored(model, gd.homodyne(0.0))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(gd.NumericError, match="floating-point range"):
-        gd.evolve_conditional_cm(mm, 2.0 * np.eye(2), [0.0, 2000.0])
+    flows = (
+        ("conditional CM", lambda: gd.evolve_conditional_cm(mm, 2.0 * np.eye(2), [0.0, 2000.0])),
+        ("unconditional CM", lambda: gd.unconditional_path(mm.dd, gd.thermal(2.0), np.linspace(0.0, 2000.0, 11))),
+    )
+    for name, flow in flows:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(gd.NumericError, match=f"the {name} flow left"):
+            flow()
 
 
 def _scalar_flow_60(a, d, r, s0, t) -> np.ndarray:

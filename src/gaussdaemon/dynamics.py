@@ -45,45 +45,42 @@ already computed at points 0..m - 1 to points m..2m - 1, one solve per point.
 The unconditional flow has R = 0, so Phi = e^{At}, G = 0 and Q is the Gramian
 int_0^t e^{As} D e^{A^T s} ds; it is walked in the drift augmented by the
 drive, and the means ride along as vectors carried by each span's Phi
-(unconditional_path).  One mode with a diagonal Hurwitz drift and no drive
-(_uncoupled, as in the OPO below threshold) relaxes per coordinate instead,
-r_i(t) = e^{a_i t} r0_i and, with a = a_i + a_j,
+(unconditional_path).
 
-    sigma_ij(t) = e^{at} sigma0_ij + D_ij expm1(at) / a,
+Both flows follow one rule: a one-mode flow that decouples into one scalar
+flow per coordinate takes their closed form, elementwise over the grid with
+no expm, no doubling and no steady state; every other flow walks the grid.
+The unconditional flow of a diagonal Hurwitz drift with no drive (_uncoupled,
+as in the OPO below threshold) relaxes as r_i(t) = e^{a_i t} r0_i and, with
+a = a_i + a_j, sigma_ij(t) = e^{at} sigma0_ij + D_ij expm1(at) / a
+(_uncoupled_moments).  The conditional flow of a filter whose At, Dt and
+B B^T are diagonal (_decoupled, as in the OPO at phase 0 or pi/2 or
+heterodyne) is s' = 2 a s + d - b s^2 per coordinate, whose Hamiltonian
+[[-a, b], [d, a]] squares to k^2 = a^2 + b d: sigma = V U^-1 is then a ratio
+of sums of non-negative terms (_decoupled_flow), exact at any horizon, near
+threshold and on a non-Hurwitz drift alike.  The k filters of one model (a
+table of strategies) share one pass (_conditional_blocks): sigma0 and the
+grid are checked once, each filter's scalars (_riccati_scalars) are stacked
+as (k, 1) columns, and the closed form runs on (k, block) arrays in blocks
+of at most _BLOCK_FLOATS values, where numpy's temporaries stay small; every
+operation is elementwise, so each point is the same bits whatever the
+blocking or k.  One filter (evolve_conditional_cm) is k = 1, and a daemonic
+ergotropy curve (_daemonic_curve) takes the unconditional energy of an
+_uncoupled flow in the same blocks.  Every other conditional flow (a coupled
+filter, two or more modes) walks the grid from sigma0, about a tiny multiple
+of it (_MAP_BASE), filter by filter.  Either way the results do not depend
+on the time grid.
 
-elementwise over the grid with no expm and no doubling (_uncoupled_moments).
-Every other drift, of one mode or more, walks the grid.  The conditional flow of one mode
-whose steady state sigma_inf is not too large (_expandable) is written in
-closed form about it: with F = A - sigma_inf R (Hurwitz), W_inf solving
-F^T W + W F + R = 0 and Delta0 = sigma0 - sigma_inf,
-
-    sigma(t) = sigma_inf + e^{Ft} (I + Delta0 W(t))^-1 Delta0 e^{F^T t},
-    W(t) = W_inf - e^{F^T t} W_inf e^{Ft},
-
-on arrays of the four entries over the grid: e^{Ft} in closed form from the
-eigenvalues of F (_exp2_scalars), W_inf in closed form and the inverse as the
-adjugate, with no expm, solve or stacked matmul.  The k filters of one model
-(a table of strategies) share one pass (_conditional_blocks): sigma0 and the
-grid are checked once, each filter's steady state and scalars (F, W_inf,
-Delta0) are computed once and stacked as (k, 1) columns, and the closed form
-runs on (k, block) arrays in blocks of at most _BLOCK_FLOATS values, where
-numpy's temporaries stay small; every operation is elementwise, so each point
-is the same bits whatever the blocking or k.  One filter (evolve_conditional_cm)
-is k = 1.  A daemonic ergotropy curve (_daemonic_curve) takes the unconditional
-energy of an _uncoupled flow in the same blocks.  Every other conditional
-flow (two or more modes, a non-Hurwitz drift, one near threshold) walks the
-grid from sigma0, about a tiny multiple of it (_MAP_BASE), filter by filter,
-and needs no steady state.  Either way the results do not
-depend on the time grid.  The conditional steady state is the stable
-invariant subspace of the same Hamiltonian (in closed form for one mode, with
-no LAPACK call; from one ordered Schur decomposition for more, where the
-Schur form and the spectral abscissae come from LAPACK's dgees and dgeev
-called directly, _stable_schur and _spectral_abscissa; Newton-Kleinman steps
-refine it only when its residual is above round-off).  That Hamiltonian is built in
-one place (_hamiltonian), balanced so that its norm does not grow with the environment
-noise.  Where the filter terms are diagonal, the one-mode closed form takes
-the stabilizing root of each coordinate's scalar Riccati equation as its
-steady state (_decoupled_roots).
+The conditional steady state is the stable invariant subspace of the same
+Hamiltonian (in closed form for one mode, with no LAPACK call; from one
+ordered Schur decomposition for more, where the Schur form and the spectral
+abscissae come from LAPACK's dgees and dgeev called directly, _stable_schur
+and _spectral_abscissa; Newton-Kleinman steps refine it only when its
+residual is above round-off).  That Hamiltonian is built in one place
+(_hamiltonian), balanced so that its norm does not grow with the
+environment noise.  Where the filter decouples, the steady state is the
+stabilizing root of each coordinate's scalar Riccati equation
+(_decoupled_roots).
 
 The filter terms are written in the pointer frame, where homodyne is the exact
 w = z_m / nu_m = 0 member of the general-dyne family (see MonitoredModel).
@@ -140,18 +137,16 @@ _TRAJ_CHUNK = 256
 # A time grid whose points lie within this fraction of its largest |t| of an
 # exactly uniform grid is propagated as uniform (about 45 ulp).
 _UNIFORM_TOL = 1e-14
-# Largest estimated steady-state CM scale |D| / (2 |alpha(A)|) for which the
-# conditional flow is expanded about its steady state (see _expandable).
-_EXPAND_MAX_SCALE = 1e4
 # Interval maps of a conditional flow start from this multiple of sigma0, not from 0: where Dt is 0
 # along an unstable direction of At (an efficient homodyne of an unstable quadrature), the flow from
 # 0 rests there for ever and its maps overflow; from any positive definite start it moves off.
 _MAP_BASE = 2.0**-52
-# Filter data whose off-diagonal entries are within this fraction of each matrix's largest entry decouple.
+# Filter data whose off-diagonal entries are within this fraction of each matrix's largest entry decouple
+# (_decoupled): each coordinate then has its own scalar Riccati flow and steady state.
 _DECOUPLED_TOL = 1e-12
 # A sigma_in block within this of nu I (entrywise) is stored as exactly nu I (_normalize_environment).
 _ISOTROPIC_TOL = 1e-13
-# Grid points times filters in one block of the one-mode closed form (_conditional_blocks), so that each
+# Grid points times filters in one block of the per-coordinate closed form (_conditional_blocks), so that each
 # array of matrix entries holds at most 64 KB.  Larger ones page-fault on every call: on a 2-core AMD
 # EPYC VM (numpy 2.4, resource.getrusage) transient_table at 30001 points took 5371 minor faults and
 # 7.7 ms per call in one stacked pass, 1316 faults and 5.4 ms in these blocks.
@@ -562,162 +557,6 @@ def _grid_walk(a, q, r, t_grid, x0: np.ndarray, v0: np.ndarray | None = None) ->
     return states, vectors
 
 
-def _expandable(dd: DriftDiffusion) -> bool:
-    """Whether a one-mode conditional flow with drift dd.a takes the closed form about its steady state.
-
-    The expansion sigma_inf + e^{Ft} (...) e^{F^T t} cancels sigma_inf against
-    itself and so loses about eps |sigma_inf| / |sigma(t)| of relative
-    precision, where |sigma(t)| >= 1 for a physical CM.  The conditional
-    steady state lies below the unconditional one, which is about
-    |D| / (2 |alpha|) with alpha the spectral abscissa of A.  Drifts without
-    a steady state (alpha >= 0), or whose estimate exceeds _EXPAND_MAX_SCALE
-    (near threshold: about 2e-12 lost at the bound), walk the grid with the
-    interval maps instead (_grid_walk), as every flow of two or more modes
-    does.  Decided from A and D alone, before any solve.
-    """
-    alpha = _spectral_abscissa(dd.a)
-    return alpha < -TOL_HURWITZ and float(np.abs(dd.d).max()) <= -2.0 * alpha * _EXPAND_MAX_SCALE
-
-
-def _dot2(*pairs) -> float:
-    """The sum of x * y over the (x, y) pairs, correctly rounded: Dekker's exact products, summed by math.fsum."""
-    terms = []
-    for x, y in pairs:
-        p = x * y
-        xh, yh = x * 134217729.0, y * 134217729.0  # Veltkamp's split at 2^27 + 1
-        xh, yh = xh - (xh - x), yh - (yh - y)
-        xl, yl = x - xh, y - yh
-        terms += (p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl)
-    return math.fsum(terms)
-
-
-def _exp2_scalars(f) -> tuple:
-    """(kind, lam, delta, cap, half, f01, f10) of e^{F tau} for a 2x2 F given as nested lists, in float arithmetic.
-
-    With m = tr F / 2, N = F - m I and d2 = ((f00 - f11) / 2)^2 + f01 f10,
-    N^2 = d2 I, so e^{F tau} = e^{lam tau} (c0 I + c1 N) with lam the eigenvalue
-    of largest real part (Moler and Van Loan, SIAM Rev. 45, 2003):
-
-        d2 > 0 (real, delta = sqrt(d2)): lam = m + delta, c0 = (1 + e^{-2 delta tau}) / 2,
-                                          c1 = (1 - e^{-2 delta tau}) / (2 delta);
-        d2 < 0 (complex pair, w = sqrt(-d2)): lam = m, c0 = cos(w tau), c1 = sin(w tau) / w;
-        d2 = 0 (repeated): lam = m, c0 = 1, c1 = tau.
-
-    c0 and c1 are bounded by 1 and by tau, and e^{lam tau} multiplies them
-    before N does, so a factor that underflows to 0 never meets an inf.  The
-    form is for Hurwitz F (the closed loops of _one_mode_expansion): for
-    lam > 0 the entries of a decaying direction come out as a difference of
-    terms of size e^{lam tau} and lose eps e^{lam tau} absolutely.
-    _exp2_entries evaluates the form over the times tau >= 0, for k matrices at once.
-
-    kind is the sign of d2 and delta = sqrt(|d2|).  Near a double eigenvalue
-    d2 is a difference of large terms and e^{F tau} moves by about tau^2 times
-    its error, so d2 is summed exactly from f00 - f11 = s + e (Knuth's
-    two-sum) and the products (_dot2), as is det F.  For m < 0,
-    lam = det F / (m - delta) avoids the cancellation of m + delta (stiff F),
-    and times past cap = 1000 / |lam|, where e^{lam tau} is 0, are clamped
-    there (cap is inf for lam >= 0).
-    """
-    (f00, f01), (f10, f11) = f
-    s = f00 - f11
-    v = s - f00
-    e = (f00 - (s - v)) - (f11 + v)  # s + e = f00 - f11 exactly
-    m, half = 0.5 * (f00 + f11), 0.5 * s
-    d2 = 0.25 * _dot2((s, s), (2.0 * s, e), (e, e), (4.0 * f01, f10))
-    delta = math.sqrt(abs(d2))
-    lam = m
-    if d2 > 0.0:
-        lam = m + delta if m >= 0.0 else _dot2((f00, f11), (-f01, f10)) / (m - delta)
-    cap = 1e3 / -lam if lam < 0.0 else math.inf
-    return (d2 > 0.0) - (d2 < 0.0), lam, delta, cap, half, f01, f10
-
-
-def _exp2_entries(kinds, lam, delta, cap, half, f01, f10, tau) -> tuple:
-    """The entries of e^{F tau} from the scalars of _exp2_scalars, as floats for one F or as (k, 1) columns for k.
-
-    For k matrices the entries are (k, len(tau)) arrays, row i that of the
-    i-th F, bit for bit: every operation is elementwise.  Rows whose kinds
-    differ take their own formula for c0 and c1.
-    """
-    tau, groups = np.minimum(tau, cap), set(kinds)
-    if len(groups) == 1:
-        c0, c1 = _exp2_coefficients(kinds[0], delta, tau)
-    else:
-        c0, c1 = np.empty_like(tau), np.empty_like(tau)
-        for kind in groups:
-            rows = [i for i, x in enumerate(kinds) if x == kind]
-            c0[rows], c1[rows] = _exp2_coefficients(kind, delta[rows], tau[rows])
-    g = np.exp(lam * tau)
-    a, b = g * c0, g * c1
-    return a + b * half, b * f01, b * f10, a - b * half
-
-
-def _exp2_coefficients(kind: int, delta, tau) -> tuple:
-    """c0 and c1 of _exp2_scalars' form for the sign kind of d2."""
-    if kind > 0:
-        x = np.expm1(-2.0 * delta * tau)
-        return 1.0 + 0.5 * x, x / (-2.0 * delta)
-    if kind < 0:
-        return np.cos(delta * tau), np.sin(delta * tau) / delta
-    return 1.0, tau
-
-
-def _expansion_scalars(a, r, sigma_inf, sigma0) -> tuple:
-    """(kind, scalars) of one filter for _one_mode_expansion, in float arithmetic.
-
-    kind and the first six scalars are _exp2_scalars of F = A - sigma_inf R,
-    then come the entries (00, 01, 11) of W_inf, sigma_inf and
-    Delta0 = sigma0 - sigma_inf.  W_inf = -(det F R + adj(F)^T R adj(F)) / (2 tr F det F)
-    solves F^T W + W F + R = 0 in closed form.
-    """
-    f = (a - sigma_inf @ r).tolist()
-    (f00, f01), (f10, f11) = f
-    (r00, r01), (r10, r11) = r.tolist()
-    r01 = 0.5 * (r01 + r10)
-    det = f00 * f11 - f01 * f10
-    p00, p01 = r00 * f11 - r01 * f10, r01 * f00 - r00 * f01  # R adj(F)
-    p10, p11 = r01 * f11 - r11 * f10, r11 * f00 - r01 * f01
-    k = -0.5 / ((f00 + f11) * det)
-    w00, w01 = k * (det * r00 + f11 * p00 - f10 * p10), k * (det * r01 + f11 * p01 - f10 * p11)
-    w11 = k * (det * r11 + f00 * p11 - f01 * p01)
-    (s00, s01), (s10, s11) = sigma_inf.tolist()
-    (d00, d01), (d10, d11) = (sigma0 - sigma_inf).tolist()
-    kind, *exp2 = _exp2_scalars(f)
-    return kind, (*exp2, w00, w01, w11, s00, 0.5 * (s01 + s10), s11, d00, 0.5 * (d01 + d10), d11)
-
-
-def _one_mode_expansion(kinds, columns, tau) -> np.ndarray:
-    """Exact flows sigma' = A sigma + sigma A^T + Q - sigma R sigma of k one-mode filters, about their steady states.
-
-    Each filter's steady state sigma_inf must solve its algebraic equation
-    and make F = A - sigma_inf R Hurwitz (_conditional_steady_state makes
-    sure of both).  kinds and columns are _expansion_scalars of the k
-    filters, the columns stacked to (k, 1) arrays.  The flows are the closed
-    form of the module docstring at the times tau (from the first grid
-    point) of one block, with every 2x2 product written out on (k, len(tau))
-    arrays of entries and e^{Ft} in closed form (_exp2_entries), and
-    (I + Delta0 W(t))^-1 as the adjugate over the determinant.  Every
-    operation is elementwise, so a point's CM depends on its own tau alone,
-    bit for bit.  Returns the (k, len(tau), 2, 2) CMs.
-    """
-    *exp2, w00, w01, w11, s00, s01, s11, d00, d01, d11 = columns
-    e00, e01, e10, e11 = _exp2_entries(kinds, *exp2, tau)
-    # W(t) = W_inf - E^T W_inf E
-    p00, p01 = w00 * e00 + w01 * e10, w00 * e01 + w01 * e11
-    p10, p11 = w01 * e00 + w11 * e10, w01 * e01 + w11 * e11
-    v00, v01, v11 = w00 - (e00 * p00 + e10 * p10), w01 - (e00 * p01 + e10 * p11), w11 - (e01 * p01 + e11 * p11)
-    # M = I + Delta0 W(t); the core (I + Delta0 W)^-1 Delta0 = adj(M) Delta0 / det M is symmetric
-    m00, m01 = 1.0 + d00 * v00 + d01 * v01, d00 * v01 + d01 * v11
-    m10, m11 = d01 * v00 + d11 * v01, 1.0 + d01 * v01 + d11 * v11
-    inv = 1.0 / (m00 * m11 - m01 * m10)
-    k00, k01, k11 = (m11 * d00 - m01 * d01) * inv, (m11 * d01 - m01 * d11) * inv, (m00 * d11 - m10 * d01) * inv
-    # sigma_inf + E core E^T
-    y00, y01 = e00 * k00 + e01 * k01, e00 * k01 + e01 * k11
-    y10, y11 = e10 * k00 + e11 * k01, e10 * k01 + e11 * k11
-    o00, o01, o11 = s00 + (y00 * e00 + y01 * e01), s01 + (y00 * e10 + y01 * e11), s11 + (y10 * e10 + y11 * e11)
-    return np.stack((o00, o01, o01, o11), axis=-1).reshape(len(kinds), -1, 2, 2)
-
-
 def _hamiltonian(a, q, r) -> tuple[float, np.ndarray]:
     """(c, H = [[-A^T, c R], [Q / c, A]]), the Hamiltonian of sigma' = A sigma + sigma A^T + Q - sigma R sigma.
 
@@ -736,84 +575,162 @@ def _balance(nq: float, nr: float) -> float:
     return 2.0 ** int(0.5 * (math.log2(nq) - math.log2(nr))) if nq > 0.0 and nr > 0.0 else 1.0
 
 
-def _decoupled_roots(mm: MonitoredModel) -> np.ndarray | None:
-    """Per-coordinate stabilizing steady state where the filter decouples, else None.
+def _decoupled(mm: MonitoredModel) -> list | None:
+    """Per coordinate (a, d, b), the diagonal entries of At, Dt and B B^T, where the filter decouples, else None.
 
     The filter decouples when At, Dt and B B^T are diagonal: off-diagonal
-    entries within _DECOUPLED_TOL of each matrix's largest entry.  Coordinate
-    i then solves b s^2 - 2 a s - d = 0 (a, d, b its diagonal entries), and
-    the stabilizing root, with closed loop a - s b = -sqrt(a^2 + b d), is taken
-    in its cancellation-free form.  The drift must be Hurwitz, so that an
-    unobserved coordinate (b = 0) has a < 0.
+    entries within _DECOUPLED_TOL of each matrix's largest entry.  Each
+    coordinate then follows its own scalar Riccati flow s' = 2 a s + d - b s^2,
+    whose steady state _decoupled_roots takes and whose transient one mode
+    runs in closed form (_decoupled_flow).
     """
     # Row-major flat entries, whose diagonal has stride dim + 1 (float arithmetic: small numpy calls cost more).
     data, stride = [x.ravel().tolist() for x in (mm.at, mm.dtilde, mm.bbt)], mm.at.shape[0] + 1
     for x in data:
         if max(abs(v) for k, v in enumerate(x) if k % stride) > _DECOUPLED_TOL * max(map(abs, x)):
             return None
+    return list(zip(*(x[::stride] for x in data)))
+
+
+def _decoupled_roots(mm: MonitoredModel) -> np.ndarray | None:
+    """Per-coordinate stabilizing steady state where the filter decouples (_decoupled), else None.
+
+    Coordinate i solves b s^2 - 2 a s - d = 0, and the stabilizing root, with
+    closed loop a - s b = -sqrt(a^2 + b d), is taken in its cancellation-free
+    form.  The drift must be Hurwitz, so that an unobserved coordinate
+    (b = 0) has a < 0.
+    """
+    if (coordinates := _decoupled(mm)) is None:
+        return None
     roots = []
-    for a, d, b in zip(*(x[::stride] for x in data)):
+    for a, d, b in coordinates:
         r = math.sqrt(a * a + b * d)
         roots.append((a + r) / b if a > 0.0 else d / (r - a))
     return np.array(roots)
 
 
 def _conditional_steady_state(mm: MonitoredModel) -> np.ndarray:
-    """The steady state a conditional flow expands about: _decoupled_roots(mm), else steady_state_conditional(mm)."""
+    """The conditional steady state: _decoupled_roots(mm), else steady_state_conditional(mm)."""
     roots = _decoupled_roots(mm)
     return steady_state_conditional(mm) if roots is None else np.diag(roots)
+
+
+def _riccati_scalars(coordinates) -> list:
+    """(k, c+, c-, b, d) of each coordinate (a, d, b) of _decoupled for _decoupled_flow, in float arithmetic.
+
+    k = sqrt(a^2 + b d) and c+- = (k +- a) / 2k, with k + a = b d / (k - a)
+    for a < 0 and k - a = b d / (k + a) for a > 0, so neither cancels; at
+    k = 0, c+ = c- = 1/2.
+    """
+    out = []
+    for a, d, b in coordinates:
+        k = math.sqrt(a * a + b * d)
+        plus, minus = k + a, k - a
+        if a < 0.0:
+            plus = b * d / minus
+        elif a > 0.0:
+            minus = b * d / plus
+        c_plus, c_minus = (plus / (2.0 * k), minus / (2.0 * k)) if k > 0.0 else (0.5, 0.5)
+        out += (k, c_plus, c_minus, b, d)
+    return out
+
+
+def _decoupled_flow(columns, start, tau) -> np.ndarray:
+    """Exact flows of k one-mode filters that decouple (_decoupled) from one sigma0, at the times tau >= 0.
+
+    columns are the filters' _riccati_scalars as (k, 1) arrays, start is
+    (s00, s01, s11, det) of sigma0.  Per coordinate e^{H tau} scaled by
+    e^{-k tau} is [[u, b h], [d h, v]], of determinant e = e^{-2k tau}, with
+    h = -expm1(-2k tau) / 2k (tau at k = 0), u = c- + c+ e and v = c+ + c- e.
+    [U; V] = e^{H tau} [I; sigma0] carries sigma = V U^-1 (Radon's lemma),
+    which the adjugate of the 2x2 U gives as
+
+        Delta = u0 u1 + u0 b1 h1 s11 + u1 b0 h0 s00 + b0 h0 b1 h1 det,
+        sigma00 = (d0 h0 (u1 + b1 h1 s11) + v0 (s00 u1 + b1 h1 det)) / Delta, sigma11 alike,
+        sigma01 = s01 e^{-(k0 + k1) tau} / Delta:
+
+    every term is non-negative but for the sign of s01, so nothing cancels.
+    Every operation is elementwise on (k, len(tau)) arrays, so a point's CM
+    depends on its own tau alone, bit for bit.  A flow that leaves the
+    floating-point range comes out inf or NaN, with no warning.  Returns the
+    (k, len(tau), 2, 2) CMs.
+    """
+    (k0, cp0, cm0, b0, d0, k1, cp1, cm1, b1, d1), (s00, s01, s11, det) = columns, start
+    with np.errstate(all="ignore"):
+        (e0, h0), (e1, h1) = _relaxation(k0, tau), _relaxation(k1, tau)
+        u0, u1, g0, g1 = cm0 + cp0 * e0, cm1 + cp1 * e1, b0 * h0, b1 * h1
+        w0, w1 = u0 + g0 * s00, u1 + g1 * s11
+        y0, y1 = s11 * u0 + g0 * det, s00 * u1 + g1 * det
+        delta = u0 * w1 + g0 * y1
+        o00 = (d0 * h0 * w1 + (cp0 + cm0 * e0) * y1) / delta
+        o11 = (d1 * h1 * w0 + (cp1 + cm1 * e1) * y0) / delta
+        o01 = s01 * np.exp(-(k0 + k1) * tau) / delta if s01 else np.zeros_like(o00)
+    return np.stack((o00, o01, o01, o11), axis=-1).reshape(*o00.shape, 2, 2)
+
+
+def _relaxation(k, tau) -> tuple:
+    """(e, h) of _decoupled_flow for (k, 1) columns k, under its errstate: e^{-2k tau} and -expm1(-2k tau) / 2k.
+
+    Where k = 0 the quotient is 0 / 0, and h is tau.
+    """
+    x = -2.0 * k * tau
+    h = np.expm1(x) / (-2.0 * k)
+    return np.exp(x), h if k.all() else np.where(k > 0.0, h, tau)
 
 
 def evolve_conditional_cm(mm: MonitoredModel, sigma0: np.ndarray, t_grid) -> np.ndarray:
     """Conditional CM along a time grid, from the exact Riccati flow.
 
-    The k = 1 case of _conditional_blocks: one mode for which _expandable(mm.dd)
-    holds takes the closed form about the conditional steady state, which it
-    finds itself (_conditional_steady_state, _one_mode_expansion), block by
-    block.  Every other flow walks the grid with interval maps from its
-    first point (_mapped_flow), with no steady state.  The result does not
-    depend on the grid spacing: every grid point carries the exact flow value
-    up to round-off, however coarse the grid.  A flow that leaves the
-    floating-point range raises NumericError.
+    The k = 1 case of _conditional_blocks: one mode whose filter decouples
+    (_decoupled) takes the closed form per coordinate (_decoupled_flow),
+    block by block, and every other flow walks the grid with interval maps
+    from its first point (_mapped_flow); neither needs a steady state.  The
+    result does not depend on the grid spacing: every grid point carries the
+    exact flow value up to round-off, however coarse the grid.  A flow that
+    leaves the floating-point range raises NumericError.
     """
-    blocks = [cms[0] for _, cms in _conditional_blocks((mm,), *_flow_start(mm, sigma0, t_grid))]
+    sigma = np.asarray(sigma0, dtype=float)
+    t = _flow_start(mm.base.n, GaussianState(np.zeros(sigma.shape[0]), sigma), t_grid)
+    blocks = [cms[0] for _, cms in _conditional_blocks((mm,), sigma, t)]
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-def _flow_start(mm: MonitoredModel, sigma0, t_grid) -> tuple[np.ndarray, np.ndarray]:
-    """sigma0 checked as a state of mm's modes, and the time grid checked (_grid_steps), both as float arrays."""
-    sigma = np.asarray(sigma0, dtype=float)
-    validate_state(np.zeros(sigma.shape[0]), sigma)
-    _require_modes(sigma.shape[0] // 2, mm.base.n)
+def _flow_start(n: int, state0: GaussianState, t_grid) -> np.ndarray:
+    """The time grid as a float array, once state0 is checked as a state of n modes (validate_state) and the grid too."""
+    validate_state(state0.mean, state0.cm)
+    _require_modes(state0.n, n)
     _grid_steps(t_grid)
-    return sigma, np.asarray(t_grid, dtype=float)
+    return np.asarray(t_grid, dtype=float)
 
 
 def _conditional_blocks(mms, sigma: np.ndarray, t: np.ndarray):
     """Conditional CMs of the filters mms of one model from sigma along the grid t (checked by _flow_start).
 
     Yields (lo, cms), cms of shape (k, b, 2n, 2n) holding the k flows at
-    t[lo : lo + b].  One mode for which _expandable holds takes the closed
-    form (_one_mode_expansion), each filter's steady state and scalars
-    computed once, on equal blocks of at most _BLOCK_FLOATS / k points; the first
-    grid point carries sigma itself.  Every other flow walks the grid with
-    its interval maps (_mapped_flow), one filter at a time, all points in one
-    block.  A flow that leaves the floating-point range raises NumericError.
+    t[lo : lo + b].  One mode whose k filters all decouple takes the closed
+    form per coordinate (_decoupled_flow), each filter's scalars computed
+    once, on equal blocks of at most _BLOCK_FLOATS / k points; the first
+    grid point carries sigma itself.  Every other flow (a coupled filter
+    among them, two or more modes) walks the grid with its interval maps
+    (_mapped_flow), one filter at a time, all points in one block.  A flow
+    that leaves the floating-point range raises NumericError.
     """
-    if sigma.shape == (2, 2) and _expandable(mms[0].dd):
-        kinds, columns = zip(*(_expansion_scalars(mm.at, mm.bbt, _conditional_steady_state(mm), sigma) for mm in mms))
-        # (k, 1) columns broadcast over a block; one filter keeps floats, which numpy applies faster.
-        columns = columns[0] if len(mms) == 1 else np.array(columns).T[..., None]
-        blocks = -(-t.size * len(mms) // _BLOCK_FLOATS)  # as few as fit, of equal size
-        tau, size = t - t[0], -(-t.size // blocks)
-        for lo in range(0, t.size, size):
-            cms = _one_mode_expansion(kinds, columns, tau[lo : lo + size])
-            if lo == 0:
-                cms[:, 0] = sigma  # sigma_inf + (sigma0 - sigma_inf) need not round back to sigma0
-            yield lo, _finite("conditional CM", cms)
-    else:
+    coordinates = [_decoupled(mm) for mm in mms] if sigma.shape == (2, 2) else [None]  # two or more modes walk
+    if None in coordinates:
         flows = [_finite("conditional CM", _mapped_flow(mm, sigma, t)) for mm in mms]
         yield 0, np.stack(flows)
+        return
+    columns = np.array([_riccati_scalars(x) for x in coordinates]).T[..., None]  # (k, 1) columns
+    (s00, s01), (s10, s11) = sigma.tolist()
+    s01 = 0.5 * (s01 + s10)
+    start = s00, s01, s11, s00 * s11 - s01 * s01
+    blocks = -(-t.size * len(mms) // _BLOCK_FLOATS)  # as few as fit, of equal size
+    tau, size = t - t[0], -(-t.size // blocks)
+    for lo in range(0, t.size, size):
+        cms = _decoupled_flow(columns, start, tau[lo : lo + size])
+        if lo == 0:
+            cms[:, 0] = sigma  # the closed form at tau = 0 need not round back to sigma0
+        yield lo, _finite("conditional CM", cms)
 
 
 def _mapped_flow(mm: MonitoredModel, sigma: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -1055,24 +972,22 @@ def unconditional_path(dd: DriftDiffusion, state0: GaussianState, t_grid) -> tup
     no expm and no doubling.  Every other drift, of one mode or more, walks
     the R = 0 flow of the augmented drift [[A, d], [0, 0]] and padded
     diffusion (_grid_walk) from [[sigma0, 0], [0, 0]], whose upper block is
-    e^{At} sigma0 e^{A^T t} + G(t).  Unlike a closed-form e^{At}
-    (_exp2_scalars), a difference of terms of size e^{lam t}, the walk keeps
+    e^{At} sigma0 e^{A^T t} + G(t).  Unlike a closed-form e^{At} = e^{lam t} (c0 I + c1 N),
+    whose decaying entries are a difference of terms of size e^{lam t}, the walk keeps
     the decaying coordinates of an unstable diagonal drift exact.  The means r(t) = e^{At} r0 + int_0^t e^{As} d ds ride along as
     the vectors [r(t); 1] = Phi [r0; 1], so r0 enters no matrix and cannot
-    overflow one.  Moments that leave the floating-point range raise
-    NumericError.
+    overflow one.  state0 must be a valid state (validate_state).  Moments
+    that leave the floating-point range raise NumericError.
     """
-    _require_modes(state0.n, dd.a.shape[0] // 2)
+    t = _flow_start(dd.a.shape[0] // 2, state0, t_grid)
     if _uncoupled(dd):
-        _grid_steps(t_grid)
-        t = np.asarray(t_grid, dtype=float)
         means, cms = _uncoupled_moments(dd, state0, t - t[0])
     else:
         dim = dd.a.shape[0]
         aug, diff = np.zeros((dim + 1, dim + 1)), np.zeros((dim + 1, dim + 1))
         aug[:dim, :dim], aug[:dim, dim], diff[:dim, :dim] = dd.a, dd.drive, dd.d
         start = np.pad(0.5 * (state0.cm + state0.cm.T), (0, 1))  # [[sigma0, 0], [0, 0]]
-        cms, vectors = _grid_walk(aug, diff, np.zeros_like(aug), t_grid, start, np.append(state0.mean, 1.0))
+        cms, vectors = _grid_walk(aug, diff, np.zeros_like(aug), t, start, np.append(state0.mean, 1.0))
         means, cms = vectors[:, :dim], cms[:, :dim, :dim]
     return _finite("unconditional mean", means), _finite("unconditional CM", cms)
 
@@ -1233,22 +1148,23 @@ def _daemonic_curve(mms, state0: GaussianState, t_grid) -> np.ndarray:
     """Daemonic ergotropy on t_grid of the k filters mms of one model, from state0.
 
     The unconditional moments do not depend on the measurement, so callers
-    comparing strategies pass all the filters at once: state0 and the grid
-    are checked and the energy taken once, and the conditional CMs of each
-    block of _conditional_blocks go to one stacked symplectic-spectrum call.
-    Where _uncoupled admits the drift, the energy comes from the closed form
-    in the same blocks (_uncoupled_moments); otherwise unconditional_path
-    walks the whole grid first (_grid_walk).  Either way each point is the bits of
-    unconditional_path and evolve_conditional_cm.
+    comparing strategies pass all the filters at once: state0 (validate_state)
+    and the grid are checked and the energy taken once, and the conditional
+    CMs of each block of _conditional_blocks (the closed form per coordinate
+    where every filter decouples, else the interval maps) go to one stacked
+    symplectic-spectrum call.  Where _uncoupled admits the drift, the energy
+    comes from the closed form in the same blocks (_uncoupled_moments);
+    otherwise unconditional_path walks the whole grid first (_grid_walk).
+    Either way each point is the bits of unconditional_path and
+    evolve_conditional_cm.
     Returns a (k, len(t_grid)) array, row i the curve of mms[i].  A negative
     beyond round-off raises NumericError naming the time and the filter's
     settings (theta_m, z_m).
     """
-    sigma, t = _flow_start(mms[0], state0.cm, t_grid)
-    dd = mms[0].dd
+    t, dd = _flow_start(mms[0].base.n, state0, t_grid), mms[0].dd
     path = None if _uncoupled(dd) else unconditional_path(dd, state0, t)
     energy, out = np.empty(t.size), np.empty((len(mms), t.size))
-    for lo, sig_c in _conditional_blocks(mms, sigma, t):
+    for lo, sig_c in _conditional_blocks(mms, state0.cm, t):
         hi = lo + sig_c.shape[1]
         means, cms = _uncoupled_moments(dd, state0, t[lo:hi] - t[0]) if path is None else (x[lo:hi] for x in path)
         energy[lo:hi] = 0.25 * np.trace(cms, axis1=1, axis2=2) + 0.5 * np.einsum("ij,ij->i", means, means)

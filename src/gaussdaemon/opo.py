@@ -16,10 +16,13 @@ At measurement phase 0 or pi/2, or for z_m = 1, the pointer is diagonal in the
 quadrature basis, and so are the terms of the monitored filter
 (dynamics.MonitoredModel): each conditional variance is then the stabilizing
 root of its own scalar Riccati equation, read off the filter's diagonals
-(dynamics._decoupled_roots).  Other settings go to the Riccati solver, and the
-transient flows expand about the same steady states.  Efficient homodyne always leaves det sigma_c = nu_in^2
-while heterodyne does strictly better for nu_in > 1; the steady-state daemonic
-ergotropy at measurement phase 0 is maximized at the general-dyne parameter
+(dynamics._decoupled_roots), and the transient conditional CM is the closed
+form of the two scalar Riccati flows (dynamics._decoupled_flow), with no
+steady state, at any horizon and near threshold alike.  Other settings go to
+the Riccati solver, and their transient flows walk the grid by interval maps.
+Efficient homodyne always leaves det sigma_c = nu_in^2 while heterodyne
+does strictly better for nu_in > 1; the steady-state daemonic ergotropy at
+measurement phase 0 is maximized at the general-dyne parameter
 
     z_opt = (1 - chi_tilde) / (1 + chi_tilde),
 
@@ -204,12 +207,11 @@ def transient_table(params: OpoParams, t_max: float = 10.0, dt: float = 1e-3) ->
     the resolution of the table.  The three curves run in one pass over
     blocks of the grid (dynamics._daemonic_curve).  The unconditional moments
     do not depend on the strategy: each block takes them once, in closed form
-    per quadrature (the drift is diagonal), with no matrix exponential.  Each
-    conditional flow finds its own steady state (the per-quadrature roots, as
-    in opo_conditional_ss) and is expanded about it, so no Riccati solver runs.
-    Near threshold the conditional flows walk the grid by interval maps
-    instead.  Each curve is the same bits as that filter's own
-    daemonic_ergotropy_path.
+    per quadrature (the drift is diagonal), with no matrix exponential.  The
+    three filters decouple, so each conditional flow takes the closed form of
+    its per-quadrature scalar Riccati flows, near threshold too, and no
+    steady state or Riccati solver is needed.  Each curve is the same bits as
+    that filter's own daemonic_ergotropy_path.
     """
     n_steps = _uniform_steps(t_max, dt, "t_max")
     grid = np.linspace(0.0, t_max, n_steps + 1)

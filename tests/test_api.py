@@ -1,6 +1,9 @@
-"""The public API list: ``gaussdaemon.__all__`` and the package's imports agree."""
+"""The public API list: ``gaussdaemon.__all__`` and the package's imports agree; private names are used and cited truly."""
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import gaussdaemon as gd
@@ -58,3 +61,36 @@ def test_every_private_top_level_name_is_used_in_the_package():
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     assert private, "no private top-level names found"
     assert sorted(private - used) == []
+
+
+# A private identifier: a leading underscore not preceded by a word character, and not a dunder.
+_PRIVATE = re.compile(r"(?<!\w)_[A-Za-z]\w*")
+
+
+def test_docs_cite_only_private_names_the_package_defines():
+    """Each _private identifier in README.md or in a package docstring or comment is defined in the package.
+
+    Defined means a function, class or assigned name anywhere in a module of
+    gaussdaemon.  A helper that was deleted or renamed while a docstring, a
+    comment or the README still cites it fails here.
+    """
+    package = Path(gd.__file__).parent
+    defined, cited = set(), {}
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef)) and (doc := ast.get_docstring(node)):
+                for name in _PRIVATE.findall(doc):
+                    cited.setdefault(name, set()).add(f"{path.name} docstring")
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type == tokenize.COMMENT:
+                for name in _PRIVATE.findall(token.string):
+                    cited.setdefault(name, set()).add(f"{path.name} comment")
+    for name in _PRIVATE.findall((package.parents[1] / "README.md").read_text(encoding="utf-8")):
+        cited.setdefault(name, set()).add("README.md")
+    assert len(cited) > 20, sorted(cited)
+    assert {name: sorted(where) for name, where in cited.items() if name not in defined} == {}

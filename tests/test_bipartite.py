@@ -272,8 +272,12 @@ def test_standard_form_validation():
     # correlations too strong for the local mixedness
     with pytest.raises(UnphysicalStateError, match="unphysical"):
         gd.TwoModeStandardForm(a=1.2, z_a=1.0, b=1.2, c_plus=1.19, c_minus=-1.19, eta=0.0)
+    with pytest.raises(UnphysicalStateError, match="local squeezing must be positive"):
+        gd.TwoModeStandardForm(a=2.0, z_a=0.0, b=3.0, c_plus=1.0, c_minus=-0.5, eta=0.0)
     with pytest.raises(ValueError, match="two-mode"):
         gd.standard_form(gd.vacuum(1))
+    with pytest.raises(ValueError, match="daemonic ergotropy requires a two-mode state, got 1 modes"):
+        gd.daemonic_ergotropy(gd.vacuum(1), gd.heterodyne())
 
 
 def test_standard_form_cm_is_read_only():
@@ -306,8 +310,11 @@ def test_conditional_determinant_matches_pipeline():
             det_pipe = np.linalg.det(cond.cm)
             det_closed = gd.conditional_determinant(sf, setting.theta_m, z_arg)
             assert det_closed == pytest.approx(det_pipe, abs=1e-9), (sf, setting)
-    with pytest.raises(ValueError, match=r"z_m must lie in \[0, 1\]"):
-        gd.conditional_determinant(sf, 0.0, 1.5)
+    for z_m in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=r"z_m must lie in \[0, 1\]"):
+            gd.conditional_determinant(sf, 0.0, z_m)
+        with pytest.raises(ValueError, match=r"z_m must lie in \[0, 1\]"):
+            gd.optimal_phase(sf, z_m)
 
 
 def test_optimal_phase_against_grid():

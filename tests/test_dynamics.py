@@ -25,7 +25,7 @@ from gaussdaemon.cli import main
 from gaussdaemon.dynamics import _grid_walk, _interval_map
 from gaussdaemon.symplectic import TOL_HURWITZ, _omega, _smallest_eigenvalue
 from euler_reference import euler_trajectories
-from riccati_oracle import DPS, steady_state, transient
+from riccati_oracle import DPS, riccati_data, steady_state, transient
 from scalar_riccati import opo_filter_diagonals
 
 
@@ -779,7 +779,7 @@ def test_residual_gate_is_relative_to_the_riccati_scale(monkeypatch, nu_in):
         assert gd.riccati_residual(mm, sigma * (1.0 + 1e-10)) > gd.dynamics.SS_RESIDUAL_TOL
     below, above = (gd.dynamics._relative_residual(mm.at, mm.dtilde, mm.bbt, sigma * (1.0 + d)) for d in (1e-10, 1e-8))
     assert below < gd.dynamics.SS_RESIDUAL_TOL < above
-    assert gd.dynamics._expandable(mm.dd) == (nu_in == 3.0)
+    assert gd.dynamics._decoupled(mm) is None
     _assert_residual_gate_holds_on_both_sides(monkeypatch, mm)
 
 
@@ -805,9 +805,9 @@ def test_residual_gate_on_the_schur_route(monkeypatch):
 
 
 def _interval_map_flow(monkeypatch, mm, sigma0, t_grid):
-    """evolve_conditional_cm on the interval-map route, which needs no steady state, also for one mode."""
+    """evolve_conditional_cm on the interval-map route, also for a filter that decouples."""
     with monkeypatch.context() as patch:
-        patch.setattr(gd.dynamics, "_expandable", lambda dd: False)
+        patch.setattr(gd.dynamics, "_decoupled", lambda mm: None)
         return gd.evolve_conditional_cm(mm, sigma0, t_grid)
 
 
@@ -815,9 +815,9 @@ def test_steady_state_is_the_flow_limit(monkeypatch):
     """The algebraic steady state is where the Riccati flow ends, with a Hurwitz closed loop.
 
     The reference needs no algebraic Riccati solver: the interval maps (the
-    route evolve_conditional_cm takes for every flow but the one-mode closed
-    form, which expands about the algebraic solution itself) run from the
-    unconditional steady state over a long horizon.  The OPO homodyne cases
+    route evolve_conditional_cm takes for every filter that does not
+    decouple, and here for those that do too) run from the unconditional
+    steady state over a long horizon.  The OPO homodyne cases
     are the rank-deficient limit: at phase 0 and nu_in = 3 they also have the
     closed form nu diag(1 - chi~, 1/(1 - chi~)), and at chi~ = 0 and phase
     pi/2 the x quadrature is unobserved up to round-off.
@@ -1051,15 +1051,14 @@ def _oracle_gap(mm, sigma0, t, x) -> float:
 @pytest.mark.parametrize("start", ["below", "above"])
 @pytest.mark.parametrize("driven", [False, True])
 @pytest.mark.parametrize("n", [1, 2])
-def test_shift_route_matches_stepping(monkeypatch, n, driven, start):
+def test_shift_route_matches_stepping(n, driven, start):
     """The conditional and unconditional flows equal independent references on two grids.
 
     Random Hurwitz models; sigma0 = c sigma_inf with c = 1 / nu_min(sigma_inf) (physical, below
     sigma_inf) or c = 3 (above); every other model measures with at least one
-    exact homodyne.  One mode takes the closed form about sigma_inf, which is
-    checked against the interval maps; two modes take the interval maps,
-    which are checked against the 60-digit transient (tests/riccati_oracle.py)
-    at the middle point of each grid.  The unconditional CMs are checked
+    exact homodyne.  No filter decouples, so every conditional flow takes the
+    interval maps, which are checked against the 60-digit transient
+    (tests/riccati_oracle.py) at the middle point of each grid.  The unconditional CMs are checked
     against e^{At} (sigma0 - s_inf) e^{A^T t} + s_inf from scipy (s_inf the
     Lyapunov steady state), and the means against one expm per grid point.
     """
@@ -1068,7 +1067,7 @@ def test_shift_route_matches_stepping(monkeypatch, n, driven, start):
         model = _random_hurwitz_model(rng, n, driven)
         settings = _mixed_settings(rng, n) if i % 2 else [gd.random_setting(rng) for _ in range(n)]
         mm = gd.monitored(model, settings)
-        assert gd.dynamics._expandable(mm.dd), i
+        assert gd.dynamics._decoupled(mm) is None, i
         sigma_inf = gd.steady_state_conditional(mm)
         scale = 3.0 if start == "above" else 1.0 / gd.symplectic_eigenvalues(sigma_inf).min()
         state0 = GaussianState(rng.standard_normal(2 * n), scale * sigma_inf)
@@ -1077,12 +1076,8 @@ def test_shift_route_matches_stepping(monkeypatch, n, driven, start):
         unc_inf = solve_continuous_lyapunov(dd.a, -dd.d)
         for grid in _CROSS_CHECK_GRIDS:
             flow = gd.evolve_conditional_cm(mm, state0.cm, grid)
-            if n == 1:
-                maps = _interval_map_flow(monkeypatch, mm, state0.cm, grid)
-                assert np.abs(flow - maps).max() <= 1e-12 * np.abs(maps).max(), (i, np.abs(flow - maps).max())
-            else:
-                mid = grid.size // 2
-                assert _oracle_gap(mm, state0.cm, grid[mid] - grid[0], flow[mid]) <= 1e-12, i
+            mid = grid.size // 2
+            assert _oracle_gap(mm, state0.cm, grid[mid] - grid[0], flow[mid]) <= 1e-12, i
             means, cms = gd.unconditional_path(dd, state0, grid)
             exps = np.array([expm(dd.a * (t - grid[0])) for t in grid])
             exact = exps @ (state0.cm - unc_inf) @ np.swapaxes(exps, 1, 2) + unc_inf
@@ -1092,25 +1087,25 @@ def test_shift_route_matches_stepping(monkeypatch, n, driven, start):
 
 
 def test_non_hurwitz_drift_is_stepped(monkeypatch):
-    """Without a steady state the conditional flow takes the interval maps; all flows stay finite and exact.
+    """Without a steady state the conditional flow is exact in closed form and by the interval maps; all flows stay finite.
 
     Above threshold (chi = 0.8 > kappa / 2) with homodyne at phase 0 the
     growing quadrature is never measured, so no stabilizing solution exists.
     The filter decouples: the measured x quadrature has At = -0.3, Dt = 0 and
-    B B^T = 1, so s' = -0.6 s - s^2, and the p quadrature grows as it does unconditionally.
+    B B^T = 1, so s' = -0.6 s - s^2, and the p quadrature grows as it does
+    unconditionally.  The closed form per coordinate takes no interval map,
+    and the interval maps agree with it.
     """
     model = DiffusiveModel(-0.8 * np.array([[0.0, 1.0], [1.0, 0.0]]), gd.symplectic_form(1), np.eye(2), np.zeros(2))
     mm = gd.monitored(model, gd.homodyne(0.0))
-    assert not gd.is_hurwitz(mm.dd.a)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the steady-state expansion ran on a non-Hurwitz drift")
-
-    monkeypatch.setattr(gd.dynamics, "_one_mode_expansion", forbidden)
+    assert not gd.is_hurwitz(mm.dd.a) and gd.dynamics._decoupled(mm) is not None
     state0 = GaussianState(np.array([0.5, -0.5]), 2.0 * np.eye(2))
     grid = np.linspace(0.0, 5.0, 51)
+    maps = _interval_map_flow(monkeypatch, mm, state0.cm, grid)
+    counts = _count_calls(monkeypatch, "_grid_walk")
     flow = gd.evolve_conditional_cm(mm, state0.cm, grid)
-    assert np.isfinite(flow).all()
+    assert not counts and np.isfinite(flow).all()
+    assert np.abs(flow - maps).max() <= 1e-12 * flow[-1, 1, 1]
     means, cms = gd.unconditional_path(mm.dd, state0, grid)
     assert np.isfinite(means).all() and np.isfinite(cms).all()
     growth = np.exp(0.6 * grid)  # the p quadrature has a = 0.3 and D = 1: s' = 0.6 s + 1
@@ -1222,39 +1217,41 @@ def _count_calls(monkeypatch, *names):
 
 
 def test_uncoupled_flows_take_the_closed_form(monkeypatch):
-    """Undriven one-mode flows with a diagonal Hurwitz drift reach neither _grid_walk nor _interval_map.
+    """The OPO's diagonal-phase flows reach neither _grid_walk nor _interval_map, near threshold too.
 
-    The OPO's transient_table and a generic-phase daemonic_ergotropy_path
-    run with both patched to raise.  A driven OPO (a displaced input) and a
-    coupled random drift, whose conditional flows take the closed form,
-    walk the grid once, for the unconditional moments; near threshold
-    (chi~ = 1 - 1e-6, not _expandable) the three conditional flows walk
-    the grid and the unconditional moments stay in closed form.
+    transient_table runs with both patched to raise at chi~ = 0.8, 1 - 1e-6
+    and 1 - 1e-10: its unconditional moments and its three conditional flows
+    (hom0, hom90, het, whose filters decouple) all take their closed forms
+    per coordinate.  A generic-phase setting couples the filter, so its
+    daemonic_ergotropy_path walks the grid once, for the conditional CM.  A
+    driven OPO (a displaced input) walks once, for the unconditional
+    moments, and a coupled random drift twice, for both.
     """
     p = gd.OpoParams(0.8, nu_in=3.0, nu_0=5.0)
     model, state0, grid = gd.opo_model(p), gd.thermal(5.0), np.linspace(0.0, 2.0, 201)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("an uncoupled flow took the doubling")
+        raise AssertionError("a flow with a closed form per coordinate took the doubling")
 
     with monkeypatch.context() as patch:
         for name in ("_grid_walk", "_interval_map"):
             patch.setattr(gd.dynamics, name, forbidden)
-        assert np.isfinite(gd.transient_table(p, t_max=2.0, dt=1e-2).hom0).all()
-        mm = gd.monitored(model, GeneralDyneSetting(theta_m=0.7, z_m=0.3))
-        assert np.isfinite(gd.daemonic_ergotropy_path(mm, state0, grid)).all()
+        for chi_tilde in (0.8, 1.0 - 1e-6, 1.0 - 1e-10):
+            table = gd.transient_table(gd.OpoParams(chi_tilde, nu_in=3.0, nu_0=5.0), t_max=2.0, dt=1e-2)
+            assert all(np.isfinite(getattr(table, name)).all() for name in ("hom0", "hom90", "het")), chi_tilde
     counts = _count_calls(monkeypatch, "_grid_walk", "_uncoupled_moments")
+    generic = gd.monitored(model, GeneralDyneSetting(theta_m=0.7, z_m=0.3))
+    assert gd.dynamics._decoupled(generic) is None
+    gd.daemonic_ergotropy_path(generic, state0, grid)
+    assert counts["_grid_walk"] == 1 and counts["_uncoupled_moments"] > 0, counts
+    counts.clear()
     driven = DiffusiveModel(model.h_s, model.c, model.sigma_in, np.array([0.3, -0.2]))
     coupled = _random_one_mode_complex_pair(np.random.default_rng(5))
     assert not gd.dynamics._uncoupled(coupled.dd)
-    for mm in (gd.monitored(driven, gd.heterodyne()), coupled):
+    for mm, walks in ((gd.monitored(driven, gd.heterodyne()), 1), (coupled, 2)):
         gd.daemonic_ergotropy_path(mm, state0, grid)
-        assert counts == {"_grid_walk": 1}, counts
+        assert counts == {"_grid_walk": walks}, counts
         counts.clear()
-    near = gd.OpoParams(1.0 - 1e-6, nu_in=3.0, nu_0=5.0)
-    assert not gd.dynamics._expandable(gd.opo_model(near).dd)
-    gd.transient_table(near, t_max=2.0, dt=1e-2)
-    assert counts["_grid_walk"] == 3 and counts["_uncoupled_moments"] > 0, counts
 
 
 @pytest.mark.parametrize("chi_tilde", [0.8, 1.0 - 1e-6])
@@ -1282,11 +1279,13 @@ def test_daemonic_path_is_energy_minus_passive_energy(chi_tilde):
 def test_unconditional_opo_variances_hold_near_threshold_at_any_horizon():
     """Near threshold the unconditional variances reach nu_in / (1 +- chi~) to round-off, also at t = 1e300.
 
-    The closed form per coordinate has no doubling, whose squarings lost
-    about the horizon times the rate times eps on the slow quadrature, so
-    the last row of `opo-transient --T 1e300 --dt 1e299` is the steady
-    daemonic ergotropy of each strategy to 1e-12 (2.0e-7 off through the
-    doubling at chi~ = 1 - 1e-10).
+    The closed forms per coordinate, unconditional and conditional, have no
+    doubling, whose squarings lost about the horizon times the rate times
+    eps on the slow quadrature, so the last row of
+    `opo-transient --T 1e300 --dt 1e299` is the steady daemonic ergotropy of
+    each strategy to 1e-15 (2.0e-7 off through the doubling at
+    chi~ = 1 - 1e-10; 3.8e-16 off with only the conditional flows walked,
+    0 with both in closed form).
     """
     for chi_tilde in (1.0 - 1e-6, 1.0 - 1e-10):
         dd = gd.opo_model(gd.OpoParams(chi_tilde, nu_in=3.0)).dd
@@ -1299,7 +1298,7 @@ def test_unconditional_opo_variances_hold_near_threshold_at_any_horizon():
         table = gd.transient_table(p, t_max=1e300, dt=1e299)
         for name in ("hom0", "hom90", "het"):
             steady = gd.opo_steady_daemonic(p, gd.strategy_setting(name))
-            assert abs(getattr(table, name)[-1] - steady) <= 1e-12 * steady, (chi_tilde, name)
+            assert abs(getattr(table, name)[-1] - steady) <= 1e-15 * steady, (chi_tilde, name)
 
 
 def test_decoupled_roots():
@@ -1425,84 +1424,6 @@ def test_multi_mode_transients_match_60_digit_oracle(n, seeds):
         _assert_flow_matches_transient_oracle(mm, 3.0 * np.eye(2 * n), 1e-13, deep, (1, 1023, 2047, 2049, 3000))
 
 
-_TAUS = np.array([0.0, 1e-9, 1e-4, 0.01, 0.3, 1.0, 7.5, 60.0, 1e3])
-
-
-def _grid_exp_case(kind, p, q, r, s):
-    """A 2x2 F of the given kind from four floats in [-10, 10], with no eigenvalue of positive real part."""
-    if kind == "zero":
-        return np.zeros((2, 2))
-    if kind == "nonnormal":  # eigenvalues -|p| - 0.1 and -|r| - 0.1 under an off-diagonal entry up to 1e4
-        return np.array([[-abs(p) - 0.1, 1e3 * (1.0 + abs(q))], [0.0, -abs(r) - 0.1]])
-    if kind == "stiff":  # eigenvalues lam and 1e3 (1 + |q|) lam in a skewed basis
-        lam = -(abs(p) / 10.0 + 1e-3)
-        basis = np.array([[1.0, r / 10.0], [s / 20.0, 1.0]])
-        return basis @ np.diag([lam, 1e3 * (1.0 + abs(q)) * lam]) @ np.linalg.inv(basis)
-    f = np.array(_two_by_two(kind, p, q, r, s))
-    return f - max(float(np.linalg.eigvals(f).real.max()), 0.0) * np.eye(2)
-
-
-def _closed_exp2(f, taus) -> np.ndarray:
-    """e^{F tau} at each tau from the closed form the one-mode expansion runs (_exp2_scalars, _exp2_entries)."""
-    kind, *scalars = gd.dynamics._exp2_scalars(f.tolist())
-    return np.stack(gd.dynamics._exp2_entries((kind,), *scalars, taus), -1).reshape(-1, 2, 2)
-
-
-_EXP_KINDS = ["any", "complex", "repeated", "jordan", "zero", "nonnormal", "stiff"]
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(kind=st_.sampled_from(_EXP_KINDS), p=_ENTRY, q=_ENTRY, r=_ENTRY, s=_ENTRY)
-@example(kind="zero", p=0.0, q=0.0, r=0.0, s=0.0)
-@example(kind="jordan", p=-0.5, q=3.0, r=0.0, s=0.0)
-@example(kind="repeated", p=-1.0, q=3.0, r=0.0, s=0.0)
-def test_grid_exponential_matches_scipy(kind, p, q, r, s):
-    """The closed-form e^{F tau} of one-mode flows equals scipy.linalg.expm(F tau) at every point of a grid up to 1e3.
-
-    Real distinct, complex-pair and (nearly) repeated eigenvalues, a Jordan
-    block, the zero matrix, a non-normal F (off-diagonal entry up to 1e4) and
-    a stiff one (eigenvalue ratio 1e3 to 1.1e4).  Tolerance: 256 eps
-    (1 + |F tau|_1)^2 B, with B = e^{alpha tau} (1 + |N|_max tau) >= |e^{F tau}|_max
-    (alpha the spectral abscissa, N = F - tr F / 2).  The square is scipy's:
-    on a nearly defective F at tau = 1e3 its scaling and squaring was 1.2e-6
-    off a 50-digit expm, the closed form 1e-16.  No entry may be NaN, and a
-    RuntimeWarning fails the test.
-    """
-    f = _grid_exp_case(kind, p, q, r, s)
-    closed = _closed_exp2(f, _TAUS)
-    assert np.isfinite(closed).all()
-    alpha = float(np.linalg.eigvals(f).real.max())
-    spread = float(np.abs(f - 0.5 * np.trace(f) * np.eye(2)).max())
-    norm = float(np.abs(f).sum(axis=0).max())
-    eps = np.finfo(float).eps
-    for tau, e in zip(_TAUS, closed):
-        bound = math.exp(alpha * tau) * (1.0 + spread * tau)
-        assert np.abs(e - expm(f * tau)).max() <= 256.0 * eps * (1.0 + norm * tau) ** 2 * bound, (f, tau)
-
-
-@pytest.mark.parametrize(
-    "f",
-    [
-        [[-9.531646199068755, 7.807847620986701], [-11.636020618964553, 9.531645846906368]],  # nearly defective
-        [[-1.0, 0.5], [0.0, -1000.0]],  # e^{-1000 t} underflows: a sinh taken as e^{lam2 t} expm1(2 delta t) gave NaN
-        [[-0.5, 3.0], [0.0, -0.5]],  # Jordan block
-    ],
-)
-def test_grid_exponential_matches_50_digit_expm(f):
-    """Where d2 = ((f00 - f11)/2)^2 + f01 f10 cancels or an eigenvalue underflows, e^{F tau} holds 1e-15 of mpmath's.
-
-    Summed in floats, d2 of the nearly defective F would be 4.3e-14 in place
-    of 1.5e-14, and e^{F tau} off by 7e-6 at tau = 100; scipy's expm is off by 1e-10 there.
-    """
-    taus = np.array([1.0, 10.0, 100.0])
-    closed = _closed_exp2(np.array(f), taus)
-    with mp.workdps(50):
-        for tau, e in zip(taus, closed):
-            exact = mp.expm(mp.matrix(f) * mp.mpf(tau))
-            scale = max(abs(x) for x in exact)
-            assert max(abs(mp.mpf(float(x)) - y) for x, y in zip(e.ravel(), exact)) <= 1e-15 * scale, tau
-
-
 _ORACLE_TIMES = (0.0, 0.05, 0.25, 2.0, 10.0)
 
 
@@ -1537,15 +1458,13 @@ def test_one_mode_transient_matches_60_digit_oracle(chi_tilde, nu_in):
 
 
 def _random_one_mode_complex_pair(rng):
-    """A random monitored one-mode model, expanded, whose closed loop F = At - sigma_inf B B^T has a complex pair."""
+    """A random monitored one-mode model whose closed loop F = At - sigma_inf B B^T has a complex pair."""
     while True:
         h_s, c = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
         model = DiffusiveModel(0.5 * (h_s + h_s.T), c, rng.uniform(1.0, 3.0) * np.eye(2), np.zeros(2))
         if not gd.is_hurwitz(model.dd.a):
             continue
         mm = gd.monitored(model, gd.random_setting(rng))
-        if not gd.dynamics._expandable(mm.dd):
-            continue
         (f00, f01), (f10, f11) = (mm.at - gd.dynamics._conditional_steady_state(mm) @ mm.bbt).tolist()
         if 0.25 * (f00 - f11) ** 2 + f01 * f10 < 0.0:
             return mm
@@ -1612,18 +1531,31 @@ def test_long_horizons_stay_finite(tmp_path, capsys):
 
     scipy's expm returns NaN once |F t|_1 passes about 3e38, which made the
     conditional CM NaN from t of about 1e40 on and opo-transient exit 2.
-    Near threshold (chi~ = 1 - 1e-6) the flows take the interval maps, whose
-    cost grows with log2 of the horizon: to 1e300 within 5 s, where a flow
-    stepped at a fixed length never ended.
+    The OPO's filters that decouple (hom0, hom90, het, and gendyne at phase 0)
+    take the closed form per coordinate, constant to the bit once
+    e^{-2k t} is 0; a generic phase and a random two-mode model take the
+    interval maps, whose cost grows with log2 of the horizon.  Near
+    threshold (chi~ = 1 - 1e-6) opo-transient reaches 1e300 within 5 s,
+    where a flow stepped at a fixed length never ended.
     """
-    mm = gd.monitored(gd.opo_model(gd.OpoParams(0.8, nu_in=3.0)), GeneralDyneSetting(theta_m=0.7, z_m=0.3))
-    flow = gd.evolve_conditional_cm(mm, 5.0 * np.eye(2), [0.0, 1e36, 1e46, 1e300])
-    assert np.array_equal(flow[1:], np.broadcast_to(flow[-1], (3, 2, 2)))
+    model = gd.opo_model(gd.OpoParams(0.8, nu_in=3.0))
+    horizons = [0.0, 1e36, 1e46, 1e300]
+    settings_ = [*(gd.strategy_setting(name) for name in ("hom0", "hom90", "het")), GeneralDyneSetting(z_m=0.3)]
+    for setting in settings_:
+        mm = gd.monitored(model, setting)
+        assert gd.dynamics._decoupled(mm) is not None
+        for sigma0 in (5.0 * np.eye(2), np.array([[4.0, 1.5], [1.5, 2.0]])):
+            flow = gd.evolve_conditional_cm(mm, sigma0, horizons)
+            assert np.array_equal(flow[1:], np.broadcast_to(flow[-1], (3, 2, 2))), setting
+            steady = gd.steady_state_conditional(mm)
+            assert np.abs(flow[-1] - steady).max() <= 1e-14 * np.abs(steady).max(), setting
+    mm = gd.monitored(model, GeneralDyneSetting(theta_m=0.7, z_m=0.3))
+    flow = gd.evolve_conditional_cm(mm, 5.0 * np.eye(2), horizons)
     steady = gd.steady_state_conditional(mm)
-    assert np.abs(flow[-1] - steady).max() <= 1e-14 * np.abs(steady).max()
+    assert np.abs(flow[1:] - steady).max() <= 1e-14 * np.abs(steady).max()
     rng = np.random.default_rng(3)
     mm2 = gd.monitored(_random_hurwitz_model(rng, 2), [gd.random_setting(rng) for _ in range(2)])
-    assert gd.dynamics._expandable(mm2.dd)
+    assert gd.dynamics._decoupled(mm2) is None
     flow2 = gd.evolve_conditional_cm(mm2, 3.0 * np.eye(4), [0.0, 1e100, 1e300])
     steady2 = gd.steady_state_conditional(mm2)
     assert np.abs(flow2[1:] - steady2).max() <= 1e-12 * np.abs(steady2).max()
@@ -1689,21 +1621,19 @@ def _scalar_flow_60(a, d, r, s0, t) -> np.ndarray:
 
 @pytest.mark.parametrize("chi_tilde", [0.999, 1.0 - 1e-6, 1.0 - 1e-9])
 def test_near_threshold_flows_match_stepping(chi_tilde):
-    """Near threshold the conditional flows take the interval maps and all flows stay exact.
+    """Near threshold all flows stay exact.
 
     There the steady state (about nu_in / (1 - chi~)) dwarfs the CM along the
     flow, and an expansion about it would cancel away the digits.  At
-    chi~ = 0.999 (steady-state scale 3000, still expanded) and closer to
-    threshold (interval maps), the conditional flows, the unconditional flows
-    and the transient table agree with the per-quadrature closed forms in 60
-    digits: at hom0, hom90 and het the filter is diagonal (tests/scalar_riccati.py
-    gives its entries without cancellation), and so is the OPO drift.
+    chi~ = 0.999 (steady-state scale 3000) and closer to threshold, the
+    conditional flows, the unconditional flows and the transient table agree
+    with the per-quadrature closed forms in 60 digits: at hom0, hom90 and het
+    the filter is diagonal (tests/scalar_riccati.py gives its entries
+    without cancellation), and so is the OPO drift.
     """
     p = gd.OpoParams(chi_tilde, nu_in=3.0, nu_0=5.0)
     model = gd.opo_model(p)
     dd = gd.drift_diffusion(model)
-    expanded = chi_tilde == 0.999
-    assert gd.dynamics._expandable(dd) == expanded
     state0 = gd.thermal(5.0)
     grid = np.linspace(0.0, 10.0, 201)
     tab = gd.transient_table(p, t_max=10.0, dt=5e-2)
@@ -1716,6 +1646,7 @@ def test_near_threshold_flows_match_stepping(chi_tilde):
     energy = 0.25 * np.trace(exact, axis1=1, axis2=2)
     for name in ("hom0", "hom90", "het"):
         mm = gd.monitored(model, gd.strategy_setting(name))
+        assert gd.dynamics._decoupled(mm) is not None
         flow = gd.evolve_conditional_cm(mm, state0.cm, grid)
         reference = np.zeros_like(flow)
         for i, (at, dt, bbt) in enumerate(opo_filter_diagonals(chi_tilde, 3.0, name)):
@@ -1871,39 +1802,126 @@ def test_daemonic_path_matches_per_step_loop():
     assert np.abs(gd.daemonic_ergotropy_path(mm, state0, t_grid) - loop).max() <= 1e-13
 
 
-def test_one_mode_closed_form_does_not_depend_on_blocking():
-    """Each point of the one-mode closed form depends on its own time alone: a decimated grid gives the same bits.
+def _at_threshold_opo() -> DiffusiveModel:
+    """The OPO at threshold, chi~ = 1 and nu_in = 3: A = diag(-1, 0), not Hurwitz (OpoParams admits chi~ < 1 only)."""
+    return DiffusiveModel([[0.0, -0.5], [-0.5, 0.0]], _omega(1), 3.0 * np.eye(2), np.zeros(2))
 
-    The 20001-point flows run in several blocks, their decimations in one.
+
+def test_one_mode_closed_form_does_not_depend_on_blocking():
+    """Each point of the per-coordinate closed form depends on its own time alone: a decimated grid gives the same bits.
+
+    The 20001-point flows of filters that decouple run in several blocks,
+    their decimations in one, from a start with an off-diagonal entry.
     """
-    rng = np.random.default_rng(0)
-    model = gd.random_stable_model(rng, nu_in=1.0 + rng.exponential(1.0))
-    assert gd.dynamics._expandable(model.dd)
-    grid = np.linspace(0.0, 40.0, 20001)
-    for setting in (gd.random_setting(rng), gd.heterodyne(), gd.homodyne(0.3)):
+    grid, sigma0 = np.linspace(0.0, 40.0, 20001), np.array([[4.0, 1.5], [1.5, 2.0]])
+    opo = gd.opo_model(gd.OpoParams(0.8, nu_in=3.0))
+    settings_ = (gd.homodyne(0.0), gd.heterodyne(), GeneralDyneSetting(theta_m=0.5 * np.pi, nu_m=2.0, z_m=0.1))
+    cases = [(opo, setting) for setting in settings_] + [(_at_threshold_opo(), gd.homodyne(0.0))]
+    for model, setting in cases:
         mm = gd.monitored(model, setting)
-        flow = gd.evolve_conditional_cm(mm, 3.0 * np.eye(2), grid)
-        assert np.array_equal(flow[::7], gd.evolve_conditional_cm(mm, 3.0 * np.eye(2), grid[::7]))
+        assert gd.dynamics._decoupled(mm) is not None
+        flow = gd.evolve_conditional_cm(mm, sigma0, grid)
+        assert np.array_equal(flow[::7], gd.evolve_conditional_cm(mm, sigma0, grid[::7])), setting
 
 
 def test_stacked_filters_match_their_own_curves():
-    """Filters of one model in one pass give the bits of their own curves, also where e^{Ft} takes different forms.
+    """Filters of one model in one pass give the bits of their own curves, also where their rates k differ in kind.
 
-    Of these four random settings, three leave F = At - sigma_inf B B^T a
-    complex pair and one two real eigenvalues, so the rows of one block
-    take different closed forms (_exp2_entries).
+    At threshold (A = diag(-1, 0)) the efficient homodyne at phase 0 has
+    k = 0 on both quadratures and the three general-dyne settings k > 0, so
+    the rows of one block take both forms of h; the OPO's four settings all
+    have k > 0.  From a displaced start with an off-diagonal entry.
     """
-    rng = np.random.default_rng(0)
-    model = gd.random_stable_model(rng, nu_in=1.0 + rng.exponential(1.0))
-    mms = [gd.monitored(model, gd.random_setting(rng)) for _ in range(4)]
-    state0 = GaussianState(np.array([0.3, -0.2]), 2.0 * np.eye(2))
-    steady = [gd.dynamics._conditional_steady_state(mm) for mm in mms]
-    kinds = [gd.dynamics._expansion_scalars(mm.at, mm.bbt, ss, state0.cm)[0] for mm, ss in zip(mms, steady)]
-    assert sorted(kinds) == [-1, -1, -1, 1]
-    for grid in (np.linspace(0.0, 20.0, 201), np.linspace(0.0, 20.0, 9001)):
-        curves = gd.dynamics._daemonic_curve(mms, state0, grid)
-        for mm, curve in zip(mms, curves):
-            assert np.array_equal(curve, gd.daemonic_ergotropy_path(mm, state0, grid))
+    at_phase_0 = (gd.homodyne(0.0), gd.heterodyne(), GeneralDyneSetting(z_m=0.5))
+    cases = [
+        (_at_threshold_opo(), (*at_phase_0, GeneralDyneSetting(theta_m=0.5 * np.pi, z_m=0.5))),
+        (gd.opo_model(gd.OpoParams(0.8, nu_in=3.0)), (*at_phase_0, GeneralDyneSetting(nu_m=2.0, z_m=0.05))),
+    ]
+    state0 = GaussianState(np.array([0.3, -0.2]), np.array([[4.0, 1.5], [1.5, 2.0]]))
+    for model, settings_ in cases:
+        mms = [gd.monitored(model, setting) for setting in settings_]
+        rates = [gd.dynamics._riccati_scalars(gd.dynamics._decoupled(mm))[::5] for mm in mms]
+        assert (0.0 in rates[0]) == (not gd.is_hurwitz(model.dd.a)), rates
+        for grid in (np.linspace(0.0, 20.0, 201), np.linspace(0.0, 20.0, 9001)):
+            curves = gd.dynamics._daemonic_curve(mms, state0, grid)
+            for mm, curve in zip(mms, curves):
+                assert np.array_equal(curve, gd.daemonic_ergotropy_path(mm, state0, grid)), mm.settings
+
+
+def _mp_transients(mm, sigma0s, times) -> list:
+    """For each sigma0 of sigma0s, the 60-digit CMs at times (tests/riccati_oracle.py's transient, one expm per time)."""
+    with mp.workdps(DPS):
+        at, dt, r = riccati_data(mm.dd.a, mm.base.c, mm.base.sigma_in, mm.settings)
+        ham = mp.zeros(4, 4)
+        ham[:2, :2], ham[:2, 2:], ham[2:, :2], ham[2:, 2:] = -at.T, r, dt, at
+        props = [mp.expm(ham * mp.mpf(float(t))) for t in times]
+        out = []
+        for sigma0 in sigma0s:
+            x0 = mp.matrix(sigma0.tolist())
+            flows = [(p[2:, :2] + p[2:, 2:] * x0) * mp.inverse(p[:2, :2] + p[:2, 2:] * x0) for p in props]
+            out.append([(x + x.T) / 2 for x in flows])
+    return out
+
+
+@pytest.mark.parametrize("chi_tilde", [0.3, 0.8, 0.99, 1.0 - 1e-6])
+def test_decoupled_flows_match_60_digit_oracle(chi_tilde):
+    """The per-coordinate closed form is within 1e-15 of the 60-digit transient (max-norm, relative), near threshold too.
+
+    hom0, hom90 and het at nu_in = 1 and 3, from 5 I and from a start with
+    an off-diagonal entry, on six points of [0, 30].  The expansion about
+    the steady state that this form replaced was 3.3e-15 off on this grid.
+    """
+    times = np.linspace(0.0, 30.0, 6)
+    sigma0s = (5.0 * np.eye(2), np.array([[4.0, 1.5], [1.5, 2.0]]))
+    for nu_in in (1.0, 3.0):
+        model = gd.opo_model(gd.OpoParams(chi_tilde, nu_in=nu_in))
+        for name in ("hom0", "hom90", "het"):
+            mm = gd.monitored(model, gd.strategy_setting(name))
+            assert gd.dynamics._decoupled(mm) is not None
+            for sigma0, exact in zip(sigma0s, _mp_transients(mm, sigma0s, times[1:])):
+                flow = gd.evolve_conditional_cm(mm, sigma0, times)
+                with mp.workdps(DPS):
+                    for t, x, y in zip(times[1:], flow[1:], exact):
+                        gap = max(abs(mp.mpf(v) - w) for v, w in zip(x.ravel().tolist(), y)) / max(abs(w) for w in y)
+                        assert gap <= 1e-15, (nu_in, name, t, float(gap))
+
+
+def test_zero_rate_flow_is_the_scalar_closed_form():
+    """With no drift the per-coordinate rate k is 0, and the flow is s00 / (1 + b s00 t) and s11 + d t, to 4 ulp.
+
+    H_S = 0 and C = [[1, 0], [0, 0]] give A = 0; the general-dyne setting
+    z_m = 0.5 at phase 0 observes x (B B^T = diag(b, 0)) and leaves diffusion
+    on p only (Dt = diag(0, d)).  From a start with an off-diagonal entry,
+    sigma01 = s01 / (1 + b s00 t) and sigma11 gains -b t s01^2 / (1 + b s00 t).
+    """
+    model = DiffusiveModel(np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, 0.0]]), 2.0 * np.eye(2), np.zeros(2))
+    mm = gd.monitored(model, GeneralDyneSetting(z_m=0.5))
+    assert not mm.dd.a.any()
+    [(a0, d0, b), (a1, d, b1)] = gd.dynamics._decoupled(mm)
+    assert a0 == a1 == d0 == b1 == 0.0 < min(b, d)
+    grid = np.array([0.0, 1e-3, 0.5, 2.0, 40.0, 1e6])
+    for s00, s01, s11 in ((3.0, 0.0, 2.0), (3.0, 1.2, 2.0)):
+        flow = gd.evolve_conditional_cm(mm, np.array([[s00, s01], [s01, s11]]), grid)
+        shrink = 1.0 + b * s00 * grid
+        exact = np.stack((s00 / shrink, s01 / shrink, s11 + d * grid - b * grid * s01 * s01 / shrink), -1)
+        got = np.stack((flow[:, 0, 0], flow[:, 0, 1], flow[:, 1, 1]), -1)
+        assert np.abs(got - exact).max() <= 4 * np.finfo(float).eps * np.abs(exact).max(axis=-1).max(), (s01, got)
+
+
+def test_decoupled_flow_past_the_float_range_warns_nothing():
+    """An unobserved unstable quadrature leaves the float range: NumericError, with no RuntimeWarning on the way.
+
+    Above threshold (A = diag(-1.3, 0.3)) the homodyne at phase 0 leaves p
+    unobserved, so its variance grows as e^{0.6 t}; the filter decouples and
+    takes the closed form.  The suite turns every warning into an error, so
+    an overflow or a division by zero in the closed form would fail here.
+    """
+    model = DiffusiveModel(-0.8 * np.array([[0.0, 1.0], [1.0, 0.0]]), gd.symplectic_form(1), np.eye(2), np.zeros(2))
+    mm = gd.monitored(model, gd.homodyne(0.0))
+    assert gd.dynamics._decoupled(mm) is not None
+    for grid in ([0.0, 2000.0], [0.0, 1e300], np.linspace(0.0, 3000.0, 31)):
+        with pytest.raises(gd.NumericError, match="the conditional CM flow left"):
+            gd.evolve_conditional_cm(mm, 2.0 * np.eye(2), grid)
 
 
 def test_daemonic_clamp_names_time_and_setting(monkeypatch):
@@ -1947,6 +1965,44 @@ def test_mode_count_mismatch_is_named(func):
     }
     with pytest.raises(ValueError, match="initial state has 2 modes, model has 1"):
         calls[func]()
+
+
+@pytest.mark.parametrize("case", ["daemonic path, NaN mean", "unconditional path, NaN mean", "unphysical sigma0"])
+def test_flow_entries_validate_the_start_state(case):
+    """Each flow entry checks the whole start state (validate_state): an invalid one is a ValueError (exit 2).
+
+    A NaN mean made daemonic_ergotropy_path return NaN curves and
+    unconditional_path raise NumericError (exit 3, a float-range failure),
+    and unconditional_path accepted sigma0 = 0.1 I.
+    """
+    mm = gd.monitored(gd.opo_model(gd.OpoParams(0.5, nu_in=2.0)), gd.heterodyne())
+    nan_mean, unphysical = GaussianState([np.nan, 0.0], np.eye(2)), GaussianState(np.zeros(2), 0.1 * np.eye(2))
+    calls = {
+        "daemonic path, NaN mean": lambda: gd.daemonic_ergotropy_path(mm, nan_mean, [0.0, 1.0]),
+        "unconditional path, NaN mean": lambda: gd.unconditional_path(mm.dd, nan_mean, [0.0, 1.0]),
+        "unphysical sigma0": lambda: gd.unconditional_path(mm.dd, unphysical, [0.0, 1.0]),
+    }
+    with pytest.raises(ValueError, match="finite" if "NaN" in case else "uncertainty principle"):
+        calls[case]()
+
+
+@pytest.mark.parametrize("case", ["non-Hurwitz steady state", "non-square drift", "negative time"])
+def test_dynamics_entries_reject_invalid_input(case):
+    """A conditional steady state of a non-Hurwitz drift, a non-square drift and a negative time are rejected."""
+    above = DiffusiveModel(-0.8 * np.array([[0.0, 1.0], [1.0, 0.0]]), gd.symplectic_form(1), np.eye(2), np.zeros(2))
+    mm = gd.monitored(gd.opo_model(gd.OpoParams(0.5)), gd.heterodyne())
+    calls = {
+        "non-Hurwitz steady state": (
+            NoSteadyStateError,
+            "conditional steady state undefined",
+            lambda: gd.steady_state_conditional(gd.monitored(above, gd.heterodyne())),
+        ),
+        "non-square drift": (ValueError, r"drift matrix must be square, got \(2, 3\)", lambda: gd.is_hurwitz(np.ones((2, 3)))),
+        "negative time": (ValueError, "time must be non-negative", lambda: gd.daemonic_ergotropy_t(mm, gd.thermal(2.0), -1.0)),
+    }
+    error, message, call = calls[case]
+    with pytest.raises(error, match=message):
+        call()
 
 
 @pytest.mark.parametrize("nu_in", [1.0, 2.0, 3.0])

@@ -95,6 +95,9 @@ class TestStateFiles:
         path.write_text("x\n")
         with pytest.raises(ParseError, match="mode count"):
             gd.read_state(str(path))
+        path.write_text("# no modes\n0\n")
+        with pytest.raises(ParseError, match=r"bad\.txt:2: mode count must be positive, got 0"):
+            gd.read_state(str(path))
         path.write_text("2\n0 0 0 0\n1 0 0 0\n")
         with pytest.raises(ParseError, match="expected 1 \\+ 1 \\+ 4 data lines"):
             gd.read_state(str(path))
@@ -174,10 +177,14 @@ class TestModelFiles:
             ("homodyne = false\nz_m = 0", r"model\.txt: measurement key homodyne = false contradicts z_m = 0"),
             ("z_m = 0.5\nz_m = 0.25", r"model\.txt:14: repeated measurement key 'z_m'"),
             ("homodyne = true\nhomodyne = 1", r"model\.txt:14: repeated measurement key 'homodyne'"),
+            ("homodyne", r"model\.txt:13: expected key = value in \[measurement\], got 'homodyne'"),
+            ("z_m = half", r"model\.txt: measurement key z_m must be a number, got 'half'"),
+            ("homodyne = maybe", r"model\.txt: measurement key homodyne must be boolean, got 'maybe'"),
         ],
     )
     def test_measurement_key_conflicts(self, tmp_path, capsys, entries, message):
-        """A homodyne flag that contradicts z_m, or a repeated key, is a ParseError naming the file and key (exit 2)."""
+        """A homodyne flag that contradicts z_m or is not boolean, a repeated key, a line without '=' and a value that
+        is not a number are ParseErrors naming the file (exit 2)."""
         path = tmp_path / "model.txt"
         path.write_text(MODEL_OPO.replace("homodyne = true", entries))
         with pytest.raises(ParseError, match=message):
@@ -308,6 +315,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{named} applies only to --strategy gendyne" in err, err
         assert main(args + ["--strategy", "gendyne", "--z-m", "0.3", "--theta-m", "1.0"]) == 0
+
+    def test_daemonic_rejects_a_one_mode_state(self, tmp_path, capsys):
+        """daemonic on a one-mode state file is invalid input (exit 2) naming the mode count."""
+        path = tmp_path / "state.txt"
+        path.write_text("1\n0 0\n1 0\n0 1\n")
+        assert main(["daemonic", "--state", str(path)]) == 2
+        assert "daemonic requires a two-mode state, got 1 modes" in capsys.readouterr().err
 
     def test_daemonic_cross_checks(self, tmp_path, capsys):
         """The daemonic command reports closed form and pipeline side by side."""

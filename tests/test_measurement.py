@@ -133,6 +133,8 @@ def test_condition_validation():
         Partition((0,), (1, 2))
     with pytest.raises(ValueError, match="overlap"):
         Partition((0, 1), (1,))
+    with pytest.raises(ValueError, match="kept modes must be a non-empty set"):
+        Partition((), (1,))
     with pytest.raises(ValueError, match="outside"):
         gd.condition(st, Partition((0,), (2,)), gd.heterodyne(), [0.0, 0.0])
     with pytest.raises(ValueError, match="2-vector"):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from scipy.linalg import expm, solve_continuous_lyapunov
 from hypothesis import strategies as st_
 
 import gaussdaemon as gd
@@ -179,18 +180,32 @@ def test_transient_table_matches_daemonic_paths():
             assert np.array_equal(getattr(tab, name), path), (name, t_max, nu_in)
 
 
-def test_transient_table_matches_care_expansion(monkeypatch):
-    """Expanded about the Riccati solver's steady state, not the per-quadrature roots, the curves agree to round-off."""
-    tables = {}
+def test_transient_table_matches_care_expansion():
+    """The curves equal the flows expanded about the Riccati solver's steady state, to 1e-12 relative.
+
+    With s_inf from steady_state_conditional, F = At - s_inf B B^T (Hurwitz),
+    W_inf solving F^T W + W F + B B^T = 0 and Delta0 = sigma0 - s_inf, the
+    conditional CM is s_inf + e^{Ft} (I + Delta0 W(t))^-1 Delta0 e^{F^T t} with
+    W(t) = W_inf - e^{F^T t} W_inf e^{Ft}: scipy's expm and Lyapunov solve,
+    independent of the per-coordinate closed form the table takes.
+    """
     for nu_in in (1.0, 3.0):
-        tables[nu_in] = gd.transient_table(OpoParams(0.8, nu_in=nu_in, nu_0=5.0), t_max=2.0, dt=1e-2)
-    monkeypatch.setattr(gd.dynamics, "_decoupled_roots", lambda mm: None)
-    for nu_in, tab in tables.items():
         p = OpoParams(0.8, nu_in=nu_in, nu_0=5.0)
+        tab = gd.transient_table(p, t_max=2.0, dt=1e-2)
+        means, cms = gd.unconditional_path(gd.opo_model(p).dd, gd.thermal(5.0), tab.times)
+        energy = 0.25 * np.trace(cms, axis1=1, axis2=2)
         for name in ("hom0", "hom90", "het"):
             mm = gd.monitored(gd.opo_model(p), gd.strategy_setting(name))
-            path = gd.daemonic_ergotropy_path(mm, gd.thermal(5.0), tab.times)
-            assert np.abs(getattr(tab, name) - path).max() <= 1e-12 * np.abs(path).max(), name
+            s_inf = gd.steady_state_conditional(mm)
+            f = mm.at - s_inf @ mm.bbt
+            w_inf = solve_continuous_lyapunov(f.T, -mm.bbt)
+            delta0 = 5.0 * np.eye(2) - s_inf
+            exps = np.array([expm(f * t) for t in tab.times])
+            w = w_inf - np.swapaxes(exps, 1, 2) @ w_inf @ exps
+            core = np.linalg.solve(np.eye(2) + delta0 @ w, np.broadcast_to(delta0, w.shape))
+            sigma = s_inf + exps @ core @ np.swapaxes(exps, 1, 2)
+            curve = energy - 0.5 * gd.symplectic_eigenvalues(0.5 * (sigma + np.swapaxes(sigma, 1, 2)))[:, 0]
+            assert np.abs(getattr(tab, name) - curve).max() <= 1e-12 * np.abs(curve).max(), (nu_in, name)
 
 
 def _riccati_solver_ss(p, setting):
@@ -329,6 +344,13 @@ def test_transient_table_rejects_degenerate_grids(t_max, dt):
     """A zero step or a non-finite span is a ValueError, not an arithmetic crash."""
     with pytest.raises(ValueError, match="finite and positive"):
         gd.transient_table(OpoParams(0.5), t_max=t_max, dt=dt)
+
+
+@pytest.mark.parametrize("z", [0.0, -0.5, 1.0 + 1e-12])
+def test_zsweep_table_rejects_z_outside_the_unit_interval(z):
+    """A sweep point z_m outside (0, 1] (the homodyne endpoint 0 included) is a ValueError."""
+    with pytest.raises(ValueError, match=r"entries in \(0, 1\]"):
+        gd.zsweep_table(OpoParams(0.5), z_grid=[0.5, z])
 
 
 def test_opo_params_range_check():

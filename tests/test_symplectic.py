@@ -259,3 +259,5 @@ def test_williamson_single_mode():
         assert nu == pytest.approx(gd.symplectic_eigenvalues(st.cm)[0], abs=1e-10)
     with pytest.raises(ValueError, match="one mode"):
         gd.williamson_single_mode(np.eye(4))
+    with pytest.raises(gd.SymmetryError, match="asymmetric"):
+        gd.williamson_single_mode(np.array([[2.0, 0.5], [0.4, 2.0]]))

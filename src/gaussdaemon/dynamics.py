@@ -153,6 +153,12 @@ _ISOTROPIC_TOL = 1e-13
 _BLOCK_FLOATS = 8192
 # Column pairs of a 4x4 matrix, in the order the one-mode stable basis tries them (_one_mode_basis).
 _COLUMN_PAIRS = tuple(itertools.combinations(range(4), 2))
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and PCG64's 128-bit LCG multiplier,
+# which _substream_seeds reproduces; simulate_trajectories checks it against numpy on every chunk.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -979,7 +985,11 @@ def unconditional_path(dd: DriftDiffusion, state0: GaussianState, t_grid) -> tup
     overflow one.  state0 must be a valid state (validate_state).  Moments
     that leave the floating-point range raise NumericError.
     """
-    t = _flow_start(dd.a.shape[0] // 2, state0, t_grid)
+    return _unconditional_path(dd, state0, _flow_start(dd.a.shape[0] // 2, state0, t_grid))
+
+
+def _unconditional_path(dd: DriftDiffusion, state0: GaussianState, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """unconditional_path on a grid t that _flow_start has checked with state0."""
     if _uncoupled(dd):
         means, cms = _uncoupled_moments(dd, state0, t - t[0])
     else:
@@ -1046,6 +1056,51 @@ def _window_maps(mm: MonitoredModel, sigma_path: np.ndarray, dt: float, s: int) 
     return np.ascontiguousarray(np.swapaxes(maps, 1, 2))
 
 
+def _entropy_words(entropy) -> int:
+    """How many uint32 words SeedSequence makes of its entropy: an int, or a sequence of ints and int strings."""
+    if isinstance(entropy, str):  # read as numpy reads it: 0x... hexadecimal, else decimal
+        entropy = int(entropy, 16 if entropy.startswith("0x") else 10)
+    if isinstance(entropy, (int, np.integer)):
+        return max(1, -(-int(entropy).bit_length() // 32))
+    return sum(map(_entropy_words, entropy))
+
+
+def _substream_seeds(parent: np.random.SeedSequence, k0: int, k1: int) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of PCG64(SeedSequence(parent.entropy, spawn_key=(k,))) for k in [k0, k1), in one pass.
+
+    The child's entropy is the parent's padded to 4 words with the key word k
+    after it, so its pool is the parent's pool mixed with k, the hash constant
+    going on from the 16 + 4 max(0, words - 4) hashmix calls of the parent.
+    The 8 words of generate_state(4, uint64) follow on uint32 arrays over k,
+    read little-endian as 4 uint64 (seed[0:2] the initial state, seed[2:4]
+    the sequence), and PCG64's seeding step is done on Python ints:
+    inc = 2 initseq + 1, state = (inc + initstate) M + inc mod 2^128.
+    """
+    hc = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, _entropy_words(parent.entropy) - 4), 1 << 32) & _MASK32
+    keys, words = np.arange(k0, k1, dtype=np.uint32), np.empty((k1 - k0, 8), np.uint32)
+    pool = []
+    for p in parent.pool.tolist():
+        h = keys ^ np.uint32(hc)  # hashmix(k) with the next hash constant
+        hc = hc * _MULT_A & _MASK32
+        h *= np.uint32(hc)
+        h ^= h >> np.uint32(16)
+        x = np.uint32(_MIX_L * p & _MASK32) - np.uint32(_MIX_R) * h  # mix(pool word, hashmix(k))
+        x ^= x >> np.uint32(16)
+        pool.append(x)
+    hb = _INIT_B
+    for i in range(8):
+        x = pool[i % 4] ^ np.uint32(hb)
+        hb = hb * _MULT_B & _MASK32
+        x *= np.uint32(hb)
+        x ^= x >> np.uint32(16)
+        words[:, i] = x
+    seeds = []
+    for s0, s1, q0, q1 in words.astype("<u4").view("<u8").tolist():
+        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
+        seeds.append(((((s0 << 64 | s1) + inc) * _PCG64_MULT + inc) & _MASK128, inc))
+    return seeds
+
+
 def simulate_trajectories(
     mm: MonitoredModel,
     state0: GaussianState,
@@ -1059,10 +1114,14 @@ def simulate_trajectories(
     """Euler-Maruyama ensemble of conditional means with the shared Riccati CM path.
 
     Trajectory k draws its Wiener increments from an independent substream
-    keyed by (master_seed, k).  Increments have per-component variance dt/2
-    (see module docstring).  ``store_stride`` decimates storage: means are
-    stored every ``store_stride`` steps and records are summed over each
-    storage window.
+    keyed by (master_seed, k): numpy's default_rng(SeedSequence(master_seed,
+    spawn_key=(k,))), bit for bit.  The PCG64 seeds of a chunk's substreams
+    are derived in one vectorized pass (_substream_seeds) and loaded into one
+    generator in turn; numpy seeds the chunk's first trajectory itself, and a
+    mismatch raises NumericError naming numpy's version.  Increments have
+    per-component variance dt/2 (see module docstring).  ``store_stride``
+    decimates storage: means are stored every ``store_stride`` steps and
+    records are summed over each storage window.
 
     Over a storage window the scheme is affine in the start mean and the
     window's draws, so its maps are built once per call (_window_maps) and
@@ -1093,12 +1152,24 @@ def simulate_trajectories(
     means = np.empty((n_traj, n_windows + 1, two_n))
     records = np.empty((n_traj, n_windows, two_m))
 
+    parent = np.random.SeedSequence(master_seed)  # numpy's own checks of the seed
+
     def run_chunk(k0: int, k1: int) -> None:
         # Row w of a trajectory is [mean at stored time w, 1, draws of window w], so each
         # product writes the start of the next one in place; the last writes the final mean.
         x = np.empty((k1 - k0, n_windows, two_n + 1 + stride * two_m))
-        for i, k in enumerate(range(k0, k1)):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(k,)))
+        seeds = _substream_seeds(parent, k0, k1)
+        # The chunk's first generator is seeded by numpy itself, the check on the vectorized seeding.
+        bg = np.random.PCG64(np.random.SeedSequence(entropy=parent.entropy, spawn_key=(k0,)))
+        numpy_seed = bg.state["state"]
+        if (numpy_seed["state"], numpy_seed["inc"]) != seeds[0]:
+            raise NumericError(
+                f"vectorized seeding of trajectory {k0} gave PCG64 (state, inc) = {seeds[0]}, but numpy "
+                f"{np.__version__}'s SeedSequence gives {(numpy_seed['state'], numpy_seed['inc'])}"
+            )
+        rng = np.random.Generator(bg)
+        for i, (state, inc) in enumerate(seeds):
+            bg.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
             x[i, :, two_n + 1 :] = rng.standard_normal((n_steps, two_m)).reshape(n_windows, -1)
         x[:, 0, :two_n] = state0.mean
         x[:, :, two_n] = 1.0
@@ -1126,12 +1197,17 @@ def excess_noise(batch: TrajectoryBatch, t_index: int = -1) -> np.ndarray:
     """Excess noise Sigma at a stored time: twice the sample covariance of the means.
 
     The anticommutator convention doubles the classical covariance, so the
-    ensemble identity reads sigma_unc = sigma_c + Sigma.
+    ensemble identity reads sigma_unc = sigma_c + Sigma.  The covariance is
+    np.cov's arithmetic written out (centre, one product, scale by
+    1 / (n - 1)), the same bits without its argument handling.
     """
     if batch.n_traj < 2:
         raise ValueError("excess noise needs at least two trajectories")
     x = batch.means[:, t_index, :]
-    return 2.0 * np.cov(x, rowvar=False)
+    xc = x - x.mean(axis=0)
+    c = xc.T @ xc
+    c *= 1.0 / (batch.n_traj - 1)
+    return 2.0 * c
 
 
 def daemonic_ergotropy_path(mm: MonitoredModel, state0: GaussianState, t_grid) -> np.ndarray:
@@ -1154,7 +1230,8 @@ def _daemonic_curve(mms, state0: GaussianState, t_grid) -> np.ndarray:
     where every filter decouples, else the interval maps) go to one stacked
     symplectic-spectrum call.  Where _uncoupled admits the drift, the energy
     comes from the closed form in the same blocks (_uncoupled_moments);
-    otherwise unconditional_path walks the whole grid first (_grid_walk).
+    otherwise the whole grid is walked first (_unconditional_path, with
+    no second check of state0).
     Either way each point is the bits of unconditional_path and
     evolve_conditional_cm.
     Returns a (k, len(t_grid)) array, row i the curve of mms[i].  A negative
@@ -1162,7 +1239,7 @@ def _daemonic_curve(mms, state0: GaussianState, t_grid) -> np.ndarray:
     settings (theta_m, z_m).
     """
     t, dd = _flow_start(mms[0].base.n, state0, t_grid), mms[0].dd
-    path = None if _uncoupled(dd) else unconditional_path(dd, state0, t)
+    path = None if _uncoupled(dd) else _unconditional_path(dd, state0, t)
     energy, out = np.empty(t.size), np.empty((len(mms), t.size))
     for lo, sig_c in _conditional_blocks(mms, state0.cm, t):
         hi = lo + sig_c.shape[1]

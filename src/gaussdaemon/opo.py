@@ -172,7 +172,7 @@ def zsweep_table(params: OpoParams, z_grid=None) -> ZSweepData:
     if z_grid is None:
         z_grid = np.logspace(math.log10(_Z_SWEEP_FLOOR), 0.0, 120)
     z_grid = np.asarray(z_grid, dtype=float)
-    if z_grid.ndim != 1 or z_grid.size < 1 or np.any(z_grid <= 0) or np.any(z_grid > 1):
+    if z_grid.ndim != 1 or z_grid.size < 1 or not np.all((z_grid > 0) & (z_grid <= 1)):
         raise ValueError("z grid must be one-dimensional with entries in (0, 1]")
     z_grid = np.sort(z_grid)
     model, energy = opo_model(params), _unconditional_energy(params)

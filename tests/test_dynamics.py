@@ -1749,12 +1749,80 @@ def test_trajectories_do_not_depend_on_chunk_size(monkeypatch, setting):
                 assert np.array_equal(getattr(batches[0], field), getattr(other, field)), (stride, field)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    words=st_.sampled_from([0, 1, 2, 4, 5, 8]),
+    top=st_.integers(1, 2**32 - 1),
+    low=st_.integers(0, 2**256 - 1),
+    edge=st_.integers(1, 6),
+    second=st_.sampled_from([None, int, str, hex]),
+)
+def test_substream_seeds_match_numpy(words, top, low, edge, second):
+    """The vectorized PCG64 (state, inc) of every key is numpy's PCG64(SeedSequence(master, spawn_key=(k,))).
+
+    Master seeds of 0 and of 1, 2, 4, 5 and 8 uint32 words, alone or in a
+    list with a second entry (an int, or a decimal or 0x string), keys 0 and
+    1 and keys across a chunk boundary.
+    """
+    master = 0 if words == 0 else top << 32 * (words - 1) | low % (1 << 32 * (words - 1))
+    if second is not None:
+        master = [master, second(top)]
+    parent, chunk = np.random.SeedSequence(master), gd.dynamics._TRAJ_CHUNK
+    keys = [0, 1, *range(chunk - edge, chunk + edge)]
+    seeds = gd.dynamics._substream_seeds(parent, 0, 2) + gd.dynamics._substream_seeds(parent, chunk - edge, chunk + edge)
+    for k, seed in zip(keys, seeds, strict=True):
+        numpy_seed = np.random.PCG64(np.random.SeedSequence(entropy=master, spawn_key=(k,))).state["state"]
+        assert seed == (numpy_seed["state"], numpy_seed["inc"]), (master, k)
+
+
+@pytest.mark.parametrize("chunk_start", [0, gd.dynamics._TRAJ_CHUNK])
+def test_seeding_that_differs_from_numpy_is_a_numeric_error(monkeypatch, tmp_path, chunk_start):
+    """A vectorized seed off numpy's at the start of any chunk stops the run with NumericError (exit 3)."""
+    derive = gd.dynamics._substream_seeds
+
+    def one_wrong_state(parent, k0, k1):
+        seeds = derive(parent, k0, k1)
+        if k0 == chunk_start:
+            seeds[0] = (seeds[0][0] ^ 1, seeds[0][1])
+        return seeds
+
+    monkeypatch.setattr(gd.dynamics, "_substream_seeds", one_wrong_state)
+    mm = gd.monitored(gd.opo_model(gd.OpoParams(0.6, nu_in=3.0)), gd.heterodyne())
+    state0 = GaussianState(np.array([1.0, -0.5]), 3.0 * np.eye(2))
+    with pytest.raises(gd.NumericError, match=f"seeding of trajectory {chunk_start} .* numpy {np.__version__}'s"):
+        gd.simulate_trajectories(mm, state0, dt=0.1, T=0.2, n_traj=chunk_start + 2, master_seed=4)
+    argv = ["trajectories", "--chi-tilde", "0.6", "--n-traj", str(chunk_start + 2), "--T", "0.2", "--dt", "0.1", "--seed", "4"]
+    assert main([*argv, "--out", str(tmp_path / "traj.csv")]) == 3
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(seed=st_.integers(0, 2**32 - 1), n=st_.integers(2, 2048), modes=st_.integers(1, 3), log_scale=st_.floats(-8.0, 8.0))
+def test_excess_noise_is_twice_numpy_cov(seed, n, modes, log_scale):
+    """excess_noise is 2 np.cov(means, rowvar=False) bit for bit, offset means and any ensemble size."""
+    rng = np.random.default_rng(seed)
+    dim = 2 * modes
+    means = (rng.standard_normal((n, 3, dim)) + 100.0 * rng.standard_normal(dim)) * 10.0**log_scale
+    batch = gd.TrajectoryBatch(np.arange(3.0), means, np.zeros((n, 2, 2)), np.zeros((3, dim, dim)), seed)
+    for t in range(3):
+        assert np.array_equal(gd.excess_noise(batch, t), 2.0 * np.cov(means[:, t, :], rowvar=False))
+
+
 def _driven_mixed_case():
     rng = np.random.default_rng(23)
     model = _random_two_mode_model(rng)
     assert np.abs(gd.drift_diffusion(model).drive).min() > 0.1
     mm = gd.monitored(model, (gd.random_setting(rng), gd.homodyne(0.7)))
     return mm, GaussianState(rng.standard_normal(4), 2.0 * np.eye(4))
+
+
+def test_daemonic_curve_checks_the_start_state_once(monkeypatch):
+    """A drift whose unconditional moments are walked checks state0 once per curve, not again in the walk."""
+    mm, state0 = _driven_mixed_case()
+    assert not gd.dynamics._uncoupled(mm.dd)
+    check, calls = gd.dynamics.validate_state, []
+    monkeypatch.setattr(gd.dynamics, "validate_state", lambda *args: calls.append(args) or check(*args))
+    gd.daemonic_ergotropy_path(mm, state0, [0.0, 0.5, 1.0])
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("case", ["opo", "driven"])

@@ -346,9 +346,9 @@ def test_transient_table_rejects_degenerate_grids(t_max, dt):
         gd.transient_table(OpoParams(0.5), t_max=t_max, dt=dt)
 
 
-@pytest.mark.parametrize("z", [0.0, -0.5, 1.0 + 1e-12])
+@pytest.mark.parametrize("z", [0.0, -0.5, 1.0 + 1e-12, math.nan])
 def test_zsweep_table_rejects_z_outside_the_unit_interval(z):
-    """A sweep point z_m outside (0, 1] (the homodyne endpoint 0 included) is a ValueError."""
+    """A sweep point z_m outside (0, 1] (the homodyne endpoint 0 included) or NaN is a ValueError naming the sweep grid."""
     with pytest.raises(ValueError, match=r"entries in \(0, 1\]"):
         gd.zsweep_table(OpoParams(0.5), z_grid=[0.5, z])
 

@@ -52,11 +52,12 @@ from .fileio import read_model, read_state, write_csv
 from .measurement import GeneralDyneSetting, heterodyne
 from .opo import (
     OpoParams,
+    _daemonic,
+    _unconditional_energy,
     zsweep_table,
     transient_table,
     opo_conditional_ss,
     opo_model,
-    opo_steady_daemonic,
     opo_unconditional_ergotropy,
     opo_unconditional_ss,
     opo_zopt,
@@ -206,7 +207,8 @@ def cmd_opo_ss(args) -> int:
     print(f"sigma_c [{_describe(setting)}]:")
     print(f"  [[{_fmt(sig_c[0, 0])}, {_fmt(sig_c[0, 1])}], [{_fmt(sig_c[1, 0])}, {_fmt(sig_c[1, 1])}]]")
     print(f"det sigma_c = {_fmt(np.linalg.det(sig_c))}")
-    print(f"daemonic ergotropy = {_fmt(opo_steady_daemonic(params, setting))}")
+    # opo_steady_daemonic's value, from the steady state solved above rather than a second solve.
+    print(f"daemonic ergotropy = {_fmt(_daemonic(_unconditional_energy(params), sig_c))}")
     print(f"z_opt (phase 0) = {_fmt(opo_zopt(params))}")
     return 0
 

@@ -76,11 +76,13 @@ Hamiltonian (in closed form for one mode, with no LAPACK call; from one
 ordered Schur decomposition for more, where the Schur form and the spectral
 abscissae come from LAPACK's dgees and dgeev called directly, _stable_schur
 and _spectral_abscissa; Newton-Kleinman steps refine it only when its
-residual is above round-off).  That Hamiltonian is built in one place
-(_hamiltonian), balanced so that its norm does not grow with the
-environment noise.  Where the filter decouples, the steady state is the
+residual is above round-off).  That Hamiltonian is balanced so that its
+norm does not grow with the environment noise (_hamiltonian; the steady
+solve builds -H from the same blocks negated, with the balance read off the
+filter's float entries).  Where the filter decouples, the steady state is the
 stabilizing root of each coordinate's scalar Riccati equation
-(_decoupled_roots).
+(_decoupled_roots).  Both routes test the drift with the same Hurwitz margin
+(_require_hurwitz_drift), so just below threshold they give one verdict.
 
 The filter terms are written in the pointer frame, where homodyne is the exact
 w = z_m / nu_m = 0 member of the general-dyne family (see MonitoredModel).
@@ -93,8 +95,10 @@ its filter store read-only copies of their arrays.  One system and one input
 mode (n = m = 1, the OPO among them) are built in float arithmetic on the 2x2
 entries, with the checks and messages of the general route and the products
 it takes (_one_mode_model, MonitoredModel); the zeros numpy's matmul leaves as
-+0.0 stay +0.0, and B B^T is numpy's product for every n.  The steady solve
-of one mode builds its Hamiltonian as a nested list alike.
++0.0 stay +0.0, and B B^T is numpy's product for every n.  A filter keeps the
+float entries of At, Dt and B B^T (MonitoredModel.entries), read once; the
+steady solve of one mode builds its Hamiltonian from them as a nested list
+and stays in float arithmetic to the end.
 """
 
 from __future__ import annotations
@@ -115,8 +119,9 @@ from .symplectic import (
     TOL_HURWITZ,
     TOL_SYM,
     GaussianState,
-    _check_moments,
+    _check_one_mode,
     _omega,
+    _one_mode_violation,
     _physicality_violation,
     symplectic_eigenvalues,
     validate_state,
@@ -258,9 +263,10 @@ def _one_mode_model(h_s, c, sigma_in, mean_in) -> tuple:
     """_model for n = m = 1 in float arithmetic on the entries (small numpy calls cost more).
 
     The checks, their order and their messages are _model's, and sigma_in is
-    checked by the same predicates (symplectic._check_moments).  A non-isotropic
-    sigma_in is folded by _normalize_environment, as on that route.  The
-    products are _model's, written out: Omega X permutes and negates rows,
+    checked by the same predicates, on the entries unpacked here
+    (symplectic._check_one_mode).  A non-isotropic sigma_in is folded by
+    _normalize_environment, as on that route.  The products are _model's,
+    written out: Omega X permutes and negates rows,
     C Omega C^T = det(C) Omega, so the coupling adds -det(C) / 2 to the diagonal
     of A, and D = (nu Omega C) (Omega C)^T.  Adding 0.0 to the derived entries
     leaves a zero as +0.0, as numpy's matmul does.
@@ -272,13 +278,12 @@ def _one_mode_model(h_s, c, sigma_in, mean_in) -> tuple:
     if abs(h01 - h10) > TOL_SYM:
         raise SymmetryError("Hamiltonian matrix H_S must be symmetric")
     _require_environment_shapes(sigma_in, mean_in, 1)
-    _check_moments(mean_in, sigma_in)
-    (s00, s01), (s10, s11) = sigma_in.tolist()
+    (r0, r1), ((s00, s01), (s10, s11)) = mean_in.tolist(), sigma_in.tolist()
+    _check_one_mode(r0, r1, s00, s01, s10, s11)
     nu = 0.5 * (s00 + s11)
     if _anisotropy((s00, s01, s10, s11), nu) > _ISOTROPIC_TOL:
         c, sigma_in, mean_in = _normalize_environment(c, sigma_in, mean_in, 1)
-        ((c00, c01), (c10, c11)), nu = c.tolist(), float(sigma_in[0, 0])
-    r0, r1 = mean_in.tolist()
+        ((c00, c01), (c10, c11)), nu, (r0, r1) = c.tolist(), float(sigma_in[0, 0]), mean_in.tolist()
     h00, h01, h11 = 0.5 * (h00 + h00), 0.5 * (h01 + h10), 0.5 * (h11 + h11)  # H_S symmetrized
     k = 0.5 * (c01 * c10 - c00 * c11)
     g00, g01, g10, g11 = c10 * nu, c11 * nu, -c00 * nu, -c01 * nu  # nu Omega C
@@ -316,18 +321,27 @@ def _spectral_abscissa(a: np.ndarray) -> float:
     called directly: the eigenvalues np.linalg.eigvals gives, bit for bit,
     with its LinAlgError on a non-finite matrix or a nonzero info.
     """
-    if a.shape == (2, 2):
-        (a00, a01), (a10, a11) = a.tolist()
-        half = 0.5 * (a00 - a11)
-        alpha = 0.5 * (a00 + a11) + math.sqrt(max(half * half + a01 * a10, 0.0))
-        if math.isfinite(alpha):
-            return alpha
+    if a.shape == (2, 2) and math.isfinite(alpha := _abscissa2(*a.ravel().tolist())):
+        return alpha
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     wr, _, _, _, info = dgeev(a, compute_vl=0, compute_vr=0)
     if info:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return float(wr.max())
+    return max(wr.tolist())
+
+
+def _abscissa2(a00: float, a01: float, a10: float, a11: float) -> float:
+    """_spectral_abscissa's closed form for the 2x2 [[a00, a01], [a10, a11]], inf or NaN where it is not finite."""
+    half = 0.5 * (a00 - a11)
+    return 0.5 * (a00 + a11) + math.sqrt(max(half * half + a01 * a10, 0.0))
+
+
+def _is_hurwitz2(a00: float, a01: float, a10: float, a11: float) -> bool:
+    """is_hurwitz of the 2x2 [[a00, a01], [a10, a11]] from its entries, building the array only for dgeev."""
+    if math.isfinite(alpha := _abscissa2(a00, a01, a10, a11)):
+        return alpha < -TOL_HURWITZ
+    return is_hurwitz(np.array([[a00, a01], [a10, a11]]))
 
 
 def is_hurwitz(a: np.ndarray) -> bool:
@@ -372,6 +386,13 @@ class MonitoredModel:
     I - sigma_m M is within a rounding of 1, as close as At can hold it.
     One system and one input mode take the same products in float arithmetic
     on the 2x2 entries, zeros left as +0.0 as numpy's matmul leaves them.
+    From two modes on, the pointer blocks of all input modes are placed in
+    their block-diagonal matrices by one indexed assignment (_block_positions),
+    and each product is one matmul.  ``entries`` holds the row-major entries
+    of At, Dt and B B^T as float lists: one mode has At and Dt as floats
+    already and reads B B^T off its array, more modes read all three, once,
+    here.  The steady solves (_decoupled, steady_state_conditional) read
+    these instead of converting arrays.
     """
 
     base: DiffusiveModel
@@ -382,6 +403,7 @@ class MonitoredModel:
     at: np.ndarray = field(init=False, repr=False)
     dtilde: np.ndarray = field(init=False, repr=False)
     bbt: np.ndarray = field(init=False, repr=False)
+    entries: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         n, m = self.base.n, self.base.m
@@ -398,24 +420,43 @@ class MonitoredModel:
             at = [x + y for x, y in zip(dd.a.ravel().tolist(), _mul2(_mul2(oc, p3), co_t))]
             x00, x01, x10, x11 = _mul2(_mul2(oc, p2), oc_t)
             dtilde = (0.5 * (x00 + x00), 0.5 * (x01 + x10), 0.5 * (x10 + x01), 0.5 * (x11 + x11))
-            stack = (np.array([*_mul2(co, p0), *_mul2(oc, p1), *at, *dtilde]) + 0.0).reshape(4, 2, 2)
+            flat = [x + 0.0 for x in (*_mul2(co, p0), *_mul2(oc, p1), *at, *dtilde)]
+            stack = np.array(flat).reshape(4, 2, 2)
             stack.flags.writeable = False  # and so are the views unpacked from it
+            at_dt = flat[8:12], flat[12:]
         else:
             # Per mode, the pointer-frame diagonals of M^(1/2), sigma_in M^(1/2), sigma_in M sigma_m and sigma_in M.
-            blocks = np.zeros((4, 2 * m, 2 * m))
-            for j, setting in enumerate(settings):
-                nu, sl = float(self.base.sigma_in[2 * j, 2 * j]), slice(2 * j, 2 * j + 2)
-                blocks[:, sl, sl] = np.reshape(_pointer_blocks(nu, setting), (4, 2, 2))
+            nus = self.base.sigma_in.diagonal()[::2].tolist()
+            blocks = np.zeros(16 * m * m)
+            values = [x for nu, setting in zip(nus, settings) for block in _pointer_blocks(nu, setting) for x in block]
+            blocks[_block_positions(m)] = values
+            blocks = blocks.reshape(4, 2 * m, 2 * m)
             oc, co = _omega(n) @ self.base.c, self.base.c @ _omega(m)
             b, (e, in_m_m, in_m) = co @ blocks[0], oc @ blocks[1:]
             dtilde = in_m_m @ oc.T
             stack = (b, e, dd.a + in_m @ co.T, 0.5 * (dtilde + dtilde.T))
             for x in stack:
                 x.flags.writeable = False
+            at_dt = stack[2].ravel().tolist(), stack[3].ravel().tolist()
         b, e, at, dtilde = stack
         bbt = b @ b.T  # numpy's matmul for every n, which may fuse multiply-adds: B B^T is b @ b.T bit for bit
         bbt.flags.writeable = False
-        self.__dict__.update(settings=settings, dd=dd, b=b, e=e, at=at, dtilde=dtilde, bbt=bbt)
+        entries = (*at_dt, bbt.ravel().tolist())
+        self.__dict__.update(settings=settings, dd=dd, b=b, e=e, at=at, dtilde=dtilde, bbt=bbt, entries=entries)
+
+
+@lru_cache(maxsize=None)
+def _block_positions(m: int) -> np.ndarray:
+    """Flat positions in the (4, 2m, 2m) block-diagonal matrices of MonitoredModel of each mode's four pointer blocks.
+
+    In the order of their entries: mode by mode, block by block, row-major
+    within a block; (row, col) index the stack as a (4 * 2m, 2m) matrix.
+    """
+    dim = 2 * m
+    rows = [(k * dim + 2 * j + i // 2, 2 * j + i % 2) for j, k, i in itertools.product(range(m), range(4), range(4))]
+    out = np.array([row * dim + col for row, col in rows])
+    out.flags.writeable = False
+    return out
 
 
 def _pointer_blocks(nu: float, setting: GeneralDyneSetting) -> list:
@@ -570,10 +611,15 @@ def _hamiltonian(a, q, r) -> tuple[float, np.ndarray]:
     sqrt(|Q| / |R|) (max-norms) truncated to a power of two towards 1 (1 if Q or R is 0): exact,
     and it leaves the coupling blocks within a factor 4, where unbalanced |H| grows with nu_in.
     Its exponential gives the interval maps of the flow (_interval_map), and
-    its stable invariant subspace the steady state (steady_state_conditional).
+    its stable invariant subspace the steady state (steady_state_conditional, which builds -H itself).
     """
     c = _balance(*(max(map(abs, x.ravel().tolist())) for x in (q, r)))  # float arithmetic: small numpy calls cost more
-    return c, np.concatenate((np.concatenate((-a.T, c * r), 1), np.concatenate((q / c, a), 1)))  # np.block is slower
+    return c, _block_matrix(-a.T, c * r, q / c, a)
+
+
+def _block_matrix(x00, x01, x10, x11) -> np.ndarray:
+    """[[x00, x01], [x10, x11]] from four equal square blocks (np.block is slower)."""
+    return np.concatenate((np.concatenate((x00, x01), 1), np.concatenate((x10, x11), 1)))
 
 
 def _balance(nq: float, nr: float) -> float:
@@ -590,8 +636,8 @@ def _decoupled(mm: MonitoredModel) -> list | None:
     whose steady state _decoupled_roots takes and whose transient one mode
     runs in closed form (_decoupled_flow).
     """
-    # Row-major flat entries, whose diagonal has stride dim + 1 (float arithmetic: small numpy calls cost more).
-    data, stride = [x.ravel().tolist() for x in (mm.at, mm.dtilde, mm.bbt)], mm.at.shape[0] + 1
+    # The row-major entries MonitoredModel keeps, whose diagonal has stride dim + 1 (float arithmetic).
+    data, stride = mm.entries, 2 * mm.base.n + 1
     for x in data:
         if max(abs(v) for k, v in enumerate(x) if k % stride) > _DECOUPLED_TOL * max(map(abs, x)):
             return None
@@ -604,10 +650,13 @@ def _decoupled_roots(mm: MonitoredModel) -> np.ndarray | None:
     Coordinate i solves b s^2 - 2 a s - d = 0, and the stabilizing root, with
     closed loop a - s b = -sqrt(a^2 + b d), is taken in its cancellation-free
     form.  The drift must be Hurwitz, so that an unobserved coordinate
-    (b = 0) has a < 0.
+    (b = 0) has a < 0; it is tested as steady_state_conditional tests it
+    (_require_hurwitz_drift), so the two routes agree just below threshold,
+    and only where the filter decouples, so each route tests it once.
     """
     if (coordinates := _decoupled(mm)) is None:
         return None
+    _require_hurwitz_drift(mm)
     roots = []
     for a, d, b in coordinates:
         r = math.sqrt(a * a + b * d)
@@ -776,15 +825,20 @@ def _relative_residual(a, q, r, sigma) -> float:
     """Max-norm residual of A s + s A^T + Q - s R s at sigma over the largest max-norm of its terms Q, A s and s R s.
 
     That scale is positive for a Hurwitz drift; a correctly rounded sigma leaves about 1e-14.
-    2x2 data, as arrays or as row-major sequences of four floats, take the same products in float arithmetic.
+    sigma is symmetric on every call, so s A^T is taken as (A s)^T, the same bits (each entry sums the
+    same products in the same order, in BLAS as in _mul2), and the four max-norms come from one stacked array.
+    2x2 data, as arrays or all four as row-major sequences of four floats, take the same products in float arithmetic.
     """
-    if not isinstance(sigma, np.ndarray) or sigma.shape == (2, 2):
-        a, q, r, s = (x.ravel().tolist() if isinstance(x, np.ndarray) else x for x in (a, q, r, sigma))
-        a_s, s_at, s_r_s = _mul2(a, s), _mul2(s, (a[0], a[2], a[1], a[3])), _mul2(_mul2(s, r), s)
+    if isinstance(sigma, np.ndarray) and sigma.shape == (2, 2):
+        a, q, r, sigma = (x.ravel().tolist() for x in (a, q, r, sigma))
+    if not isinstance(sigma, np.ndarray):
+        a_s, s_r_s = _mul2(a, sigma), _mul2(_mul2(sigma, r), sigma)
+        s_at = a_s[0], a_s[2], a_s[1], a_s[3]
         return max(abs(x + y + z - w) for x, y, z, w in zip(a_s, s_at, q, s_r_s)) / max(map(abs, (*q, *a_s, *s_r_s)))
     a_s, s_r_s = a @ sigma, sigma @ r @ sigma
-    residual = float(np.abs(a_s + sigma @ a.T + q - s_r_s).max())
-    return residual / max(float(np.abs(x).max()) for x in (q, a_s, s_r_s))
+    terms = np.concatenate((a_s + a_s.T + q - s_r_s, q, a_s, s_r_s))
+    residual, *scale = np.abs(terms).reshape(4, -1).max(1).tolist()
+    return residual / max(scale)
 
 
 def _one_mode_basis(h: list) -> list:
@@ -796,15 +850,21 @@ def _one_mode_basis(h: list) -> list:
     of -H of negative real part), l1 l2 = sqrt(s) and l1 + l2 = sqrt(-p + 2 sqrt(s))
     are real, also for a complex pair, and M = (H + l1)(H + l2) =
     H^2 + (l1 + l2) H + l1 l2 I maps onto their invariant subspace.  Of M's
-    columns the two whose upper 2x2 block has the largest |det| are taken.
+    columns the two whose upper 2x2 block has the largest |det| are taken;
+    of H^2 only the entries these need are formed (rows 0 and 1, the
+    diagonal, rows 2 and 3 at the two columns taken), each as the full
+    product would form it.
     s <= 0 or -p + 2 sqrt(s) <= 0 puts eigenvalues on the imaginary axis
     (one pair for s < 0, both otherwise): LinAlgError, worded as the Schur
     route words a stable subspace of the wrong dimension.
     """
-    cols = tuple(zip(*h))
-    h2 = [[r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3 for c0, c1, c2, c3 in cols] for r0, r1, r2, r3 in h]
-    p = -0.5 * (h2[0][0] + h2[1][1] + h2[2][2] + h2[3][3])
+    h0, h1, h2, h3 = h
     (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = h
+    cols = (a0, b0, c0, d0), (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3)
+    # Rows 0 and 1 of H^2 and its two other diagonal entries, each a row of H times a column summed left to right.
+    sq0 = [a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3 for x0, x1, x2, x3 in cols]
+    sq1 = [b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3 for x0, x1, x2, x3 in cols]
+    p = -0.5 * (sq0[0] + sq1[1] + (c0 * a2 + c1 * b2 + c2 * c2 + c3 * d2) + (d0 * a3 + d1 * b3 + d2 * c3 + d3 * d3))
     # Laplace expansion along the upper two rows: 2x2 minors of rows (0, 1) times their complements in rows (2, 3).
     s = (
         (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
@@ -819,13 +879,21 @@ def _one_mode_basis(h: list) -> list:
         raise np.linalg.LinAlgError(f"the Riccati Hamiltonian has {stable} stable eigenvalues, expected 2")
     prod = math.sqrt(s)
     total = math.sqrt(-p + 2.0 * prod)
-    m = [[x + total * y for x, y in zip(row2, row)] for row2, row in zip(h2, h)]
-    for i in range(4):
-        m[i][i] += prod
-    m0, m1 = m[0], m[1]
+    m0, m1 = [x + total * y for x, y in zip(sq0, h0)], [x + total * y for x, y in zip(sq1, h1)]
+    m0[0] += prod
+    m1[1] += prod
     dets = [abs(m0[j] * m1[k] - m0[k] * m1[j]) for j, k in _COLUMN_PAIRS]
     j, k = _COLUMN_PAIRS[dets.index(max(dets))]
-    return [[row[j], row[k]] for row in m]
+    # Rows 2 and 3 of M at the two columns taken: H^2 there, then + total H, then + prod on the diagonal, as above.
+    (x0, x1, x2, x3), (y0, y1, y2, y3) = cols[j], cols[k]
+    m2 = [c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3 + total * h2[j], c0 * y0 + c1 * y1 + c2 * y2 + c3 * y3 + total * h2[k]]
+    m3 = [d0 * x0 + d1 * x1 + d2 * x2 + d3 * x3 + total * h3[j], d0 * y0 + d1 * y1 + d2 * y2 + d3 * y3 + total * h3[k]]
+    for i, row in ((2, m2), (3, m3)):
+        if j == i:
+            row[0] += prod
+        if k == i:
+            row[1] += prod
+    return [[m0[j], m0[k]], [m1[j], m1[k]], m2, m3]
 
 
 # scipy's schur messages for a nonzero dgees info, by info - n (anything else: "Schur form not found. ...").
@@ -861,33 +929,36 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
     """Steady-state conditional CM from the continuous algebraic Riccati equation.
 
     Solves At s + s At^T + Dt - s B B^T s = 0 from a basis [U; V] of the
-    stable invariant subspace of -H, with (c, H) from _hamiltonian, as
-    s = c V U^-1.  One mode takes the basis in closed form
-    (_one_mode_basis, float arithmetic on H built as a nested list, no LAPACK
-    call) and takes the residual and closed loop below in float arithmetic
-    too; from two modes on the basis is the first n vectors of one ordered
-    real Schur decomposition of -H, a direct LAPACK call (_stable_schur), and
-    the Hurwitz checks of the drift and the closed loop call dgeev directly
-    (_spectral_abscissa).  A stable subspace of any other dimension, or a
-    singular U, raises NumericError, and so does a U so nearly singular that
-    sigma is not finite.  The solve with U loses precision with its condition
-    number, so a solution whose relative residual (_relative_residual)
-    is above SS_REFINE_RTOL is refined by at most SS_NEWTON_STEPS
-    Newton-Kleinman steps, Lyapunov solves with the closed loop At - s B B^T.
-    The result must be the stabilizing solution, have a relative residual
-    within SS_RESIDUAL_TOL and pass symplectic._physicality_violation.
+    stable invariant subspace of -H, with (c, H) as _hamiltonian gives them,
+    as s = c V U^-1.  The balance c comes from the float entries of Dt and
+    B B^T that MonitoredModel keeps.  One mode reads all of At, Dt and B B^T
+    there, builds H as a nested list and takes the basis in closed form
+    (_one_mode_basis, no LAPACK call), and takes the residual, the closed
+    loop and the physicality check (symplectic._one_mode_violation) in float
+    arithmetic too.  From two modes on, -H is built entry by entry negated,
+    the same bits as negating H, and the basis is the first n vectors of one
+    ordered real Schur decomposition of -H, a direct LAPACK call
+    (_stable_schur); the Hurwitz checks of the drift and the closed loop call
+    dgeev directly (_spectral_abscissa).  A stable subspace of any other
+    dimension, or a singular U, raises NumericError, and so does a U so
+    nearly singular that sigma is not finite.  The solve with U loses
+    precision with its condition number, so a solution whose relative
+    residual (_relative_residual) is above SS_REFINE_RTOL is refined by at
+    most SS_NEWTON_STEPS Newton-Kleinman steps, Lyapunov solves with the
+    closed loop At - s B B^T.  The result must be the stabilizing solution,
+    have a relative residual within SS_RESIDUAL_TOL and pass
+    symplectic._physicality_violation.  The drift must be Hurwitz
+    (_require_hurwitz_drift).
     """
-    if not is_hurwitz(mm.dd.a):
-        raise NoSteadyStateError("drift matrix is not Hurwitz; conditional steady state undefined")
+    _require_hurwitz_drift(mm)
     at, dtilde, bbt = mm.at, mm.dtilde, mm.bbt
+    a, q, r = mm.entries
+    dim = at.shape[0]
+    c = _balance(max(map(abs, q)), max(map(abs, r)))
     try:
-        dim = at.shape[0]
         if dim == 2:
             # _hamiltonian's H as a nested list, built from the entries.
-            a00, a01, a10, a11 = a = at.ravel().tolist()
-            q00, q01, q10, q11 = q = dtilde.ravel().tolist()
-            r00, r01, r10, r11 = r = bbt.ravel().tolist()
-            c = _balance(max(abs(q00), abs(q01), abs(q10), abs(q11)), max(abs(r00), abs(r01), abs(r10), abs(r11)))
+            (a00, a01, a10, a11), (q00, q01, q10, q11), (r00, r01, r10, r11) = a, q, r
             ham = [
                 [-a00, -a10, c * r00, c * r01],
                 [-a01, -a11, c * r10, c * r11],
@@ -905,8 +976,8 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
                 raise np.linalg.LinAlgError("the stable basis has a nearly singular upper block (sigma not finite)")
             sigma, rel = np.array([[s00, off], [off, s11]]), _relative_residual(a, q, r, (s00, off, off, s11))
         else:
-            c, ham = _hamiltonian(at, dtilde, bbt)
-            z, sdim = _stable_schur(-ham)
+            # -H: each entry of _hamiltonian's H negated, exactly (-(c R) = R (-c), -(Q / c) = Q / (-c)).
+            z, sdim = _stable_schur(_block_matrix(at.T, bbt * -c, dtilde / -c, -at))
             if sdim != dim:
                 raise np.linalg.LinAlgError(f"the Riccati Hamiltonian has {sdim} stable eigenvalues, expected {dim}")
             sigma = c * np.linalg.solve(z[:dim, :dim].T, z[dim:, :dim].T)
@@ -922,18 +993,25 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
             rel = _relative_residual(at, dtilde, bbt, sigma)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"algebraic Riccati solve failed: {exc}") from exc
-    if dim == 2:  # the closed loop At - sigma B B^T in float arithmetic
-        f00, f01, f10, f11 = (x - y for x, y in zip(a, _mul2(sigma.ravel().tolist(), r)))
-        closed = [[f00, f01], [f10, f11]]
+    if dim == 2:  # the closed loop At - sigma B B^T and the physicality check in float arithmetic
+        s = sigma.ravel().tolist()
+        stable = _is_hurwitz2(*(x - y for x, y in zip(a, _mul2(s, r))))
     else:
-        closed = at - sigma @ bbt
-    if not is_hurwitz(closed):
+        stable = is_hurwitz(at - sigma @ bbt)
+    if not stable:
         raise NumericError("Riccati solution is not stabilizing: At - sigma B B^T is not Hurwitz")
     if rel > SS_RESIDUAL_TOL:
         raise ConvergenceError(f"Riccati steady state has relative residual {rel:.3e} > {SS_RESIDUAL_TOL:.1e}")
-    if (violation := _physicality_violation(sigma)) is not None:
+    violation = _one_mode_violation(s[0], s[1], s[3]) if dim == 2 else _physicality_violation(sigma)
+    if violation is not None:
         raise NumericError(f"Riccati steady state is unphysical: {violation}")
     return sigma
+
+
+def _require_hurwitz_drift(mm: MonitoredModel) -> None:
+    """NoSteadyStateError unless the drift is Hurwitz (is_hurwitz): no conditional steady state exists otherwise."""
+    if not is_hurwitz(mm.dd.a):
+        raise NoSteadyStateError("drift matrix is not Hurwitz; conditional steady state undefined")
 
 
 def _uncoupled(dd: DriftDiffusion) -> bool:

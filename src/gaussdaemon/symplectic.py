@@ -30,6 +30,8 @@ TOL_PSD = 1e-9          # uncertainty-principle slack and eigenvalue clamping
 TOL_SYMPLECTIC = 1e-10  # symplecticity check S Omega S^T = Omega
 TOL_HURWITZ = 1e-12     # strict-stability margin for drift matrices
 
+_ROUNDOFF = 4.0 * math.ulp(1.0)  # the unit of round-off of the closed-form physicality checks
+
 _OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
@@ -114,23 +116,33 @@ def validate_state(mean, cm) -> GaussianState:
 def _check_moments(mean: np.ndarray, cm: np.ndarray) -> None:
     """The checks of :func:`validate_state` on a float mean of length 2n and a (2n, 2n) CM.
 
-    One mode takes them in float arithmetic on the entries (small numpy calls
-    cost more), with the same values: sigma is symmetrized as 0.5 sigma + 0.5 sigma^T.
+    One mode takes them in float arithmetic on the entries (_check_one_mode).
     """
     if cm.shape == (2, 2):
-        m0, m1, s00, s01, s10, s11 = mean.tolist() + cm.ravel().tolist()
-        if not all(map(math.isfinite, (m0, m1, s00, s01, s10, s11))):
-            raise ValueError("mean and covariance matrix must be finite")
-        asym, off = abs(s01 - s10), 0.5 * s01 + 0.5 * s10
-        sym = np.array([[0.5 * s00 + 0.5 * s00, off], [off, 0.5 * s11 + 0.5 * s11]])
-    else:
-        if not (np.isfinite(mean).all() and np.isfinite(cm).all()):
-            raise ValueError("mean and covariance matrix must be finite")
-        asym, sym = np.abs(cm - cm.T).max(), 0.5 * cm + 0.5 * cm.T
+        return _check_one_mode(*mean.tolist(), *cm.ravel().tolist())
+    if not (np.isfinite(mean).all() and np.isfinite(cm).all()):
+        raise ValueError("mean and covariance matrix must be finite")
+    _require_symmetric(np.abs(cm - cm.T).max())
+    if (violation := _physicality_violation(0.5 * cm + 0.5 * cm.T)) is not None:
+        raise UnphysicalStateError(violation)
+
+
+def _check_one_mode(m0: float, m1: float, s00: float, s01: float, s10: float, s11: float) -> None:
+    """_check_moments for one mode, on the entries of its mean and its row-major CM (small numpy calls cost more).
+
+    The values are the general route's: sigma is symmetrized as 0.5 sigma + 0.5 sigma^T.
+    """
+    if not all(map(math.isfinite, (m0, m1, s00, s01, s10, s11))):
+        raise ValueError("mean and covariance matrix must be finite")
+    _require_symmetric(abs(s01 - s10))
+    violation = _one_mode_violation(0.5 * s00 + 0.5 * s00, 0.5 * s01 + 0.5 * s10, 0.5 * s11 + 0.5 * s11)
+    if violation is not None:
+        raise UnphysicalStateError(violation)
+
+
+def _require_symmetric(asym: float) -> None:
     if asym > TOL_SYM:
         raise SymmetryError(f"covariance matrix asymmetric: max |sigma - sigma^T| = {asym:.3e} > {TOL_SYM:.1e}")
-    if (violation := _physicality_violation(sym)) is not None:
-        raise UnphysicalStateError(violation)
 
 
 def _indefinite_min_eig(s00: float, s01: float, s11: float) -> float | None:
@@ -172,34 +184,59 @@ def _physicality_violation(sigma: np.ndarray) -> str | None:
     round-off of its own terms.  The smallest eigenvalues of sigma and
     sigma + i Omega decide the rest, and are reported: three or more modes,
     terms that overflow, and a sigma or sigma' that is not positive definite.
-    They come from LAPACK's dsyevd and zheevd called directly (_smallest_eigenvalue),
+    One mode takes the closed form on its entries (_one_mode_violation).  The
+    eigenvalues come from LAPACK's dsyevd and zheevd called directly (_smallest_eigenvalue),
     as np.linalg.eigvalsh computes them.  A non-finite sigma never passes
     the closed form (NaN fails Sylvester's criterion, and any other non-finite
     entry makes the round-off bound non-finite), so it is reported by its
     entries just before the eigensolvers would run on it.
     """
-    t, n, u = TOL_PSD, sigma.shape[0] // 2, 4.0 * math.ulp(1.0)  # u: the unit of round-off
+    n = sigma.shape[0] // 2
     (b00, b01), (_, b11) = sigma[-2:, -2:].tolist()
-    if n <= 2 and _indefinite_min_eig(b00, b01, b11) is None:
+    if n == 1:
+        return _one_mode_violation(b00, b01, b11)
+    if n == 2 and _indefinite_min_eig(b00, b01, b11) is None:
+        t, u = TOL_PSD, _ROUNDOFF
         q00, q11 = b00 + t, b11 + t
-        det = delta = q00 * q11 - b01 * b01
+        det_b = q00 * q11 - b01 * b01
         err = u * (q00 * q11 + b01 * b01)
-        if n == 2:
-            (a00, a01, c00, c01), (_, a11, c10, c11) = sigma[:2].tolist()
-            det_b, p00, p11, s, v0, v1 = det, a00 + t, a11 + t, math.sqrt(det), math.sqrt(q11), math.sqrt(q00)
-            g00, g01 = c00 * q11 - c01 * b01, c01 * q00 - c00 * b01  # rows of sigma_AB adj(sigma_B')
-            g10, g11 = c10 * q11 - c11 * b01, c11 * q00 - c10 * b01
-            m00, m11 = s * p00 - (g00 * c00 + g01 * c01) / s, s * p11 - (g10 * c10 + g11 * c11) / s
-            m01 = s * a01 - (g00 * c10 + g01 * c11) / s
-            # Round-off of the m's: |sigma_AB| |adj sigma_B'| |sigma_AB|^T <= r r^T, and s carries det sigma_B''s.
-            k, r0, r1 = u + err / det_b, abs(c00) * v0 + abs(c01) * v1, abs(c10) * v0 + abs(c11) * v1
-            e00, e11, e01 = k * (s * p00 + r0 * r0 / s), k * (s * p11 + r1 * r1 / s), k * (s * abs(a01) + r0 * r1 / s)
-            det, delta = m00 * m11 - m01 * m01, p00 * p11 - a01 * a01 + det_b + 2.0 * (c00 * c11 - c01 * c10)
-            err += u * (abs(m00 * m11) + m01 * m01 + p00 * p11 + a01 * a01 + 2.0 * (abs(c00 * c11) + abs(c01 * c10)))
-            err += e00 * (abs(m11) + e11) + abs(m00) * e11 + e01 * (2.0 * abs(m01) + e01)  # carried from the m's
-        if math.isfinite(err) and (n == 1 or (m00 + m11 > -(e00 + e11) and det > -err)):
+        (a00, a01, c00, c01), (_, a11, c10, c11) = sigma[:2].tolist()
+        p00, p11, s, v0, v1 = a00 + t, a11 + t, math.sqrt(det_b), math.sqrt(q11), math.sqrt(q00)
+        g00, g01 = c00 * q11 - c01 * b01, c01 * q00 - c00 * b01  # rows of sigma_AB adj(sigma_B')
+        g10, g11 = c10 * q11 - c11 * b01, c11 * q00 - c10 * b01
+        m00, m11 = s * p00 - (g00 * c00 + g01 * c01) / s, s * p11 - (g10 * c10 + g11 * c11) / s
+        m01 = s * a01 - (g00 * c10 + g01 * c11) / s
+        # Round-off of the m's: |sigma_AB| |adj sigma_B'| |sigma_AB|^T <= r r^T, and s carries det sigma_B''s.
+        k, r0, r1 = u + err / det_b, abs(c00) * v0 + abs(c01) * v1, abs(c10) * v0 + abs(c11) * v1
+        e00, e11, e01 = k * (s * p00 + r0 * r0 / s), k * (s * p11 + r1 * r1 / s), k * (s * abs(a01) + r0 * r1 / s)
+        det, delta = m00 * m11 - m01 * m01, p00 * p11 - a01 * a01 + det_b + 2.0 * (c00 * c11 - c01 * c10)
+        err += u * (abs(m00 * m11) + m01 * m01 + p00 * p11 + a01 * a01 + 2.0 * (abs(c00 * c11) + abs(c01 * c10)))
+        err += e00 * (abs(m11) + e11) + abs(m00) * e11 + e01 * (2.0 * abs(m01) + e01)  # carried from the m's
+        if math.isfinite(err) and m00 + m11 > -(e00 + e11) and det > -err:
             ok = det >= 1.0 - err and delta <= 1.0 + det + err
             return None if ok else f"uncertainty principle violated: det sigma' = {det:.6e}, Delta' = {delta:.6e}"
+    return _spectral_violation(sigma)
+
+
+def _one_mode_violation(s00: float, s01: float, s11: float) -> str | None:
+    """_physicality_violation of the one-mode CM [[s00, s01], [s01, s11]], from its entries.
+
+    Where sigma passes Sylvester's criterion and the round-off bound is
+    finite, the closed form decides in float arithmetic: Delta' = det sigma'
+    for one mode, so det sigma' >= 1 is the whole test.  Otherwise the CM is
+    built as an array for _spectral_violation.
+    """
+    if _indefinite_min_eig(s00, s01, s11) is None:
+        q00, q11 = s00 + TOL_PSD, s11 + TOL_PSD
+        det, err = q00 * q11 - s01 * s01, _ROUNDOFF * (q00 * q11 + s01 * s01)
+        if math.isfinite(err):
+            ok = det >= 1.0 - err
+            return None if ok else f"uncertainty principle violated: det sigma' = {det:.6e}, Delta' = {det:.6e}"
+    return _spectral_violation(np.array([[s00, s01], [s01, s11]]))
+
+
+def _spectral_violation(sigma: np.ndarray) -> str | None:
+    """_physicality_violation from the entries and the smallest eigenvalues, where the closed form does not decide."""
     if not np.isfinite(sigma).all():
         listed = ", ".join(f"sigma[{i}, {j}] = {sigma[i, j]}" for i, j in np.argwhere(~np.isfinite(sigma)).tolist())
         return f"covariance matrix not finite: {listed}"
@@ -207,9 +244,11 @@ def _physicality_violation(sigma: np.ndarray) -> str | None:
     # package's peak RSS at import by about 3 MB.
     from scipy.linalg.lapack import dsyevd, zheevd
 
-    ws, w = _smallest_eigenvalue(dsyevd, sigma), _smallest_eigenvalue(zheevd, sigma + 1j * _omega(n))
+    omega = _omega(sigma.shape[0] // 2)
+    ws, w = _smallest_eigenvalue(dsyevd, sigma), _smallest_eigenvalue(zheevd, sigma + 1j * omega)
     if not ws > 0.0:
         return f"covariance matrix not positive definite: min eig = {ws:.3e}"
+    t = TOL_PSD
     return None if w >= -t else f"uncertainty principle violated: min eig(sigma + i Omega) = {w:.3e} < -{t:.1e}"
 
 

@@ -1,6 +1,7 @@
 """Unit tests for monitored Gaussian dynamics: drift/diffusion, Riccati, trajectories."""
 
 import collections
+import itertools
 import math
 import signal
 from contextlib import contextmanager
@@ -23,6 +24,7 @@ from gaussdaemon import (
 )
 from gaussdaemon.cli import main
 from gaussdaemon.dynamics import _grid_walk, _interval_map
+from gaussdaemon.measurement import _from_pointer_frame, _pointer_inverse
 from gaussdaemon.symplectic import TOL_HURWITZ, _omega, _smallest_eigenvalue
 from euler_reference import euler_trajectories
 from riccati_oracle import DPS, riccati_data, steady_state, transient
@@ -647,6 +649,7 @@ def test_unphysical_riccati_solution_is_a_numeric_error(monkeypatch, capsys):
     monkeypatch.setattr(gd.dynamics, "_one_mode_basis", lambda h: basis)
     monkeypatch.setattr(gd.dynamics, "_relative_residual", lambda *args: 0.0)
     monkeypatch.setattr(gd.dynamics, "is_hurwitz", lambda a: True)
+    monkeypatch.setattr(gd.dynamics, "_is_hurwitz2", lambda *entries: True)  # the one-mode closed loop, on floats
     message = r"Riccati steady state is unphysical: uncertainty principle violated: det sigma' = 2\.5"
     with pytest.raises(gd.NumericError, match=message):
         gd.steady_state_conditional(mm)
@@ -2111,6 +2114,218 @@ def test_monitored_model_holds_the_filter_terms():
         assert np.abs(mm.dtilde - (dd.d - mm.e @ mm.e.T)).max() <= 1e-14 * np.abs(dd.d).max()
         assert np.array_equal(mm.dtilde, mm.dtilde.T)
         assert np.array_equal(mm.bbt, mm.b @ mm.b.T)
+
+
+def _efficient_noisy_or_homodyne(rng, m):
+    """One setting per input mode, each an efficient general-dyne, a noisy one (nu_m > 1) or an exact homodyne."""
+    out = []
+    for kind in rng.integers(0, 3, size=m):
+        theta = float(rng.uniform(0.0, np.pi))
+        if kind == 0:
+            out.append(gd.homodyne(theta))
+        else:
+            nu_m, z_m = 1.0 if kind == 1 else float(rng.uniform(1.0, 5.0)), float(math.exp(rng.uniform(-14.0, 0.0)))
+            out.append(GeneralDyneSetting(nu_m=nu_m, theta_m=theta, z_m=z_m))
+    return out
+
+
+def _filter_terms_by_mode(model, settings):
+    """B, E, At, Dt and B B^T of MonitoredModel's docstring, from measurement._pointer_inverse, mode by mode.
+
+    Per input mode, with M = (sigma_in + sigma_m)^-1 = N / det and M sigma_m = K / det in the pointer
+    frame: M^(1/2) = sqrt(N / det), sigma_in M^(1/2) = nu M^(1/2), sigma_in M sigma_m = nu K / det and
+    sigma_in M = I - K / det, each rotated back by R_theta and placed on the block diagonal by a slice.
+    """
+    n, m = model.n, model.m
+    blocks = np.zeros((4, 2 * m, 2 * m))
+    for j, setting in enumerate(settings):
+        nu, mode = float(model.sigma_in[2 * j, 2 * j]), slice(2 * j, 2 * j + 2)
+        (det, n11, _, n22), (k11, _, _, k22) = _pointer_inverse(nu, 0.0, nu, setting)
+        r11, r22, k11, k22 = math.sqrt(n11 / det), math.sqrt(n22 / det), k11 / det, k22 / det
+        c, s = math.cos(setting.theta_m), math.sin(setting.theta_m)
+        diagonals = ((r11, r22), (nu * r11, nu * r22), (nu * k11, nu * k22), (1.0 - k11, 1.0 - k22))
+        for k, (d1, d2) in enumerate(diagonals):
+            blocks[k, mode, mode] = np.reshape(_from_pointer_frame(c, s, d1, 0.0, d2), (2, 2))
+    oc, co = _omega(n) @ model.c, model.c @ _omega(m)  # Omega C and C Omega_m
+    b, e, dtilde = co @ blocks[0], oc @ blocks[1], (oc @ blocks[2]) @ oc.T
+    return b, e, model.dd.a + (oc @ blocks[3]) @ co.T, 0.5 * (dtilde + dtilde.T), b @ b.T
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(seed=st_.integers(0, 2**32 - 1), n=st_.sampled_from([2, 3]))
+def test_monitored_multimode_filter_terms_bit_for_bit(seed, n):
+    """From two modes on, b, e, at, dtilde and bbt are the docstring's products byte for byte; entries are their floats.
+
+    The model places every mode's pointer blocks with one indexed assignment;
+    the reference places them mode by mode (_filter_terms_by_mode).
+    Efficient, noisy and homodyne settings are mixed over the input modes.
+    """
+    rng = np.random.default_rng(seed)
+    model = _random_hurwitz_model(rng, n, driven=False)
+    mm = gd.monitored(model, _efficient_noisy_or_homodyne(rng, n))
+    for got, want in zip((mm.b, mm.e, mm.at, mm.dtilde, mm.bbt), _filter_terms_by_mode(model, mm.settings)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert mm.entries == tuple(x.ravel().tolist() for x in (mm.at, mm.dtilde, mm.bbt))
+
+
+def _kronecker_lyapunov(f, q):
+    """X with F X + X F^T + Q = 0 from the Kronecker-sum solve, as the Newton-Kleinman steps take it."""
+    eye = np.eye(f.shape[0])
+    return np.linalg.solve(np.kron(f, eye) + np.kron(eye, f), -q.ravel()).reshape(q.shape)
+
+
+def _refined(mm, sigma, residual) -> tuple:
+    """(sigma, steps): Newton-Kleinman steps while residual(sigma) > SS_REFINE_RTOL, at most SS_NEWTON_STEPS."""
+    at, q, r = mm.at, mm.dtilde, mm.bbt
+    steps = 0
+    while steps < gd.dynamics.SS_NEWTON_STEPS and residual(sigma) > gd.dynamics.SS_REFINE_RTOL:
+        sigma = _kronecker_lyapunov(at - sigma @ r, q + sigma @ r @ sigma)
+        sigma, steps = 0.5 * (sigma + sigma.T), steps + 1
+    return sigma, steps
+
+
+def _balance(q, r) -> float:
+    nq, nr = float(np.abs(q).max()), float(np.abs(r).max())
+    return 2.0 ** int(0.5 * (math.log2(nq) - math.log2(nr))) if nq > 0.0 and nr > 0.0 else 1.0
+
+
+def _schur_reference(mm) -> tuple:
+    """(sigma, Newton steps) of the n >= 2 solve spelled out: balance, schur of -H, solve, symmetrize, refine."""
+    at, q, r = mm.at, mm.dtilde, mm.bbt
+    dim, c = at.shape[0], _balance(q, r)
+    _, z, sdim = schur(-np.block([[-at.T, c * r], [q / c, at]]), output="real", sort="lhp")
+    assert sdim == dim
+    sigma = c * np.linalg.solve(z[:dim, :dim].T, z[dim:, :dim].T)
+
+    def residual(s):
+        terms = (q, at @ s, s @ r @ s)
+        return float(np.abs(at @ s + s @ at.T + q - s @ r @ s).max()) / max(float(np.abs(x).max()) for x in terms)
+
+    return _refined(mm, 0.5 * (sigma + sigma.T), residual)
+
+
+def _two_opos(chi_tildes, nu_in, settings):
+    """Two uncoupled OPOs (kappa = 1) in one bath, as a two-mode model: its steady state takes the Schur route."""
+    h_s = block_diag(*([[0.0, -0.5 * ct], [-0.5 * ct, 0.0]] for ct in chi_tildes))
+    return gd.monitored(DiffusiveModel(h_s, _omega(2), nu_in * np.eye(4), np.zeros(4)), settings)
+
+
+def test_multimode_steady_states_pinned_to_the_spelled_out_route():
+    """From two modes on, steady_state_conditional gives the bytes of the solve written out in _schur_reference.
+
+    40 random 2- and 3-mode models with mixed settings, and pairs of OPOs at
+    generic phases at nu_in = 1e8, where Newton-Kleinman steps refine the
+    Schur solution.
+    """
+    rng = np.random.default_rng(2029)
+    for i in range(40):
+        n = 2 + i % 2
+        mm = gd.monitored(_random_hurwitz_model(rng, n, driven=False), _efficient_noisy_or_homodyne(rng, n))
+        assert gd.steady_state_conditional(mm).tobytes() == _schur_reference(mm)[0].tobytes()
+    refined = 0
+    for chi_tildes in ((0.3, 0.9), (0.6, 0.99), (0.99, 0.6)):
+        for theta in (0.3, 0.7, 1.2, 2.5):
+            for z_m in (0.0, 1e-5, 0.02, 0.3):
+                pair = [GeneralDyneSetting(theta_m=theta, z_m=z_m), GeneralDyneSetting(theta_m=theta + 0.4, z_m=0.3)]
+                mm = _two_opos(chi_tildes, 1e8, pair)
+                sigma, steps = _schur_reference(mm)
+                assert gd.steady_state_conditional(mm).tobytes() == sigma.tobytes()
+                refined += steps > 0
+    assert refined >= 3
+
+
+def _mul2(x, y):
+    """Row-major 2x2 product in float arithmetic, each entry x_i0 y_0j + x_i1 y_1j."""
+    return [x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3], x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3]]
+
+
+def _full_one_mode_basis(h):
+    """[U; V] of dynamics._one_mode_basis from every entry of H^2 and of M = H^2 + (l1 + l2) H + l1 l2 I."""
+    cols = list(zip(*h))
+    h2 = [[r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3 for c0, c1, c2, c3 in cols] for r0, r1, r2, r3 in h]
+    p = -0.5 * (h2[0][0] + h2[1][1] + h2[2][2] + h2[3][3])
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = h
+    s = (
+        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+    )
+    if s <= 0.0 or -p + 2.0 * math.sqrt(s) <= 0.0:
+        return None
+    prod = math.sqrt(s)
+    total = math.sqrt(-p + 2.0 * prod)
+    m = [[x + total * y for x, y in zip(row2, row)] for row2, row in zip(h2, h)]
+    for i in range(4):
+        m[i][i] += prod
+    pairs = list(itertools.combinations(range(4), 2))
+    dets = [abs(m[0][j] * m[1][k] - m[0][k] * m[1][j]) for j, k in pairs]
+    j, k = pairs[dets.index(max(dets))]
+    return [[row[j], row[k]] for row in m]
+
+
+def _one_mode_hamiltonian(mm) -> tuple:
+    """(c, H) of _hamiltonian as a nested list, from the filter's arrays."""
+    a, q, r = (x.ravel().tolist() for x in (mm.at, mm.dtilde, mm.bbt))
+    (a00, a01, a10, a11), (q00, q01, q10, q11), (r00, r01, r10, r11) = a, q, r
+    c = _balance(mm.dtilde, mm.bbt)
+    return c, [
+        [-a00, -a10, c * r00, c * r01],
+        [-a01, -a11, c * r10, c * r11],
+        [q00 / c, q01 / c, a00, a01],
+        [q10 / c, q11 / c, a10, a11],
+    ]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(entries=st_.lists(st_.floats(-1e3, 1e3), min_size=16, max_size=16))
+def test_one_mode_basis_forms_the_entries_the_full_product_forms(entries):
+    """_one_mode_basis forms only the entries of H^2 it needs, each with the bits the full product gives it."""
+    h = [entries[4 * i : 4 * i + 4] for i in range(4)]
+    want = _full_one_mode_basis(h)
+    if want is None:
+        with pytest.raises(np.linalg.LinAlgError, match="stable eigenvalues, expected 2"):
+            gd.dynamics._one_mode_basis(h)
+    else:
+        got = gd.dynamics._one_mode_basis(h)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def _one_mode_reference(mm) -> tuple:
+    """(sigma, Newton steps) of the one-mode solve spelled out: the full-product basis, c V U^-1, float residual."""
+    c, h = _one_mode_hamiltonian(mm)
+    (u00, u01), (u10, u11), (v00, v01), (v10, v11) = _full_one_mode_basis(h)
+    k = c / (u00 * u11 - u01 * u10)
+    off = 0.5 * k * ((v01 * u00 - v00 * u01) + (v10 * u11 - v11 * u10))
+    sigma = np.array([[k * (v00 * u11 - v01 * u10), off], [off, k * (v11 * u00 - v10 * u01)]])
+    a, q, r = (x.ravel().tolist() for x in (mm.at, mm.dtilde, mm.bbt))
+
+    def residual(sigma):
+        s = sigma.ravel().tolist()
+        a_s, s_at, s_r_s = _mul2(a, s), _mul2(s, [a[0], a[2], a[1], a[3]]), _mul2(_mul2(s, r), s)
+        return max(abs(x + y + z - w) for x, y, z, w in zip(a_s, s_at, q, s_r_s)) / max(map(abs, (*q, *a_s, *s_r_s)))
+
+    return _refined(mm, sigma, residual)
+
+
+def test_one_mode_steady_states_pinned_to_the_spelled_out_route():
+    """The OPO at generic phases gives the bytes of the one-mode solve written out in _one_mode_reference.
+
+    At nu_in = 3 and 1e8, over efficient, noisy and homodyne settings.  The
+    closed form leaves every residual here within SS_REFINE_RTOL, so no
+    Newton-Kleinman step runs; those are pinned on the Schur route, with two
+    OPOs at nu_in = 1e8 (test_multimode_steady_states_pinned_to_the_spelled_out_route).
+    """
+    for nu_in in (3.0, 1e8):
+        for chi_tilde in (0.3, 0.6, 0.9, 0.99):
+            for theta in (0.3, 0.7, 1.2, 2.5):
+                for nu_m, z_m in ((1.0, 0.0), (1.0, 1e-5), (1.0, 0.3), (5.0, 0.02)):
+                    model = gd.opo_model(gd.OpoParams(chi_tilde, nu_in))
+                    mm = gd.monitored(model, GeneralDyneSetting(nu_m, theta, z_m))
+                    sigma, steps = _one_mode_reference(mm)
+                    assert steps == 0 and gd.steady_state_conditional(mm).tobytes() == sigma.tobytes()
 
 
 @pytest.mark.parametrize("nu_in", [1.0, 3.0])

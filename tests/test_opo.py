@@ -12,6 +12,7 @@ from hypothesis import strategies as st_
 
 import gaussdaemon as gd
 from gaussdaemon import GeneralDyneSetting, NoSteadyStateError, NumericError, OpoParams
+from gaussdaemon.cli import main
 from scalar_riccati import opo_filter_diagonals, opo_quadrature_gains, scalar_riccati_transient
 from zopt_search import opo_zopt_numeric
 
@@ -361,3 +362,47 @@ def test_opo_params_range_check():
     for kwargs in ({"nu_in": 1.001 * 0.5 * bound}, {"nu_in": 1e300}, {"nu_in": 3.0, "nu_0": 1.001 * bound}):
         with pytest.raises(ValueError, match="is out of range"):
             OpoParams(0.5, **kwargs)
+
+
+@pytest.mark.parametrize("gap, solves", [(1e-12, False), (3e-12, True)])
+def test_one_verdict_just_below_threshold(gap, solves, tmp_path, capsys):
+    """At chi~ = 1 - gap the slow rate (1 - chi~) / 2 is 5e-13 or 1.5e-12, against TOL_HURWITZ = 1e-12.
+
+    Every steady-state route gives the same verdict: the per-quadrature roots
+    (hom0, hom90, het) and the Riccati solver (a generic phase) all raise
+    NoSteadyStateError below the margin and all solve above it, and opo-ss and
+    opo-zsweep exit 2 or 0 alike.  The transient table needs no steady state
+    and is computed either way.
+    """
+    p, chi_tilde = OpoParams(1.0 - gap, nu_in=3.0), repr(1.0 - gap)
+    strategies = {name: gd.strategy_setting(name) for name in ("hom0", "hom90", "het")}
+    strategies["gendyne"] = gd.strategy_setting("gendyne", z_m=0.3, theta_m=0.7)
+    for name, setting in strategies.items():
+        if solves:
+            assert np.isfinite(gd.opo_conditional_ss(p, setting)).all()
+        else:
+            with pytest.raises(NoSteadyStateError, match="drift matrix is not Hurwitz"):
+                gd.opo_conditional_ss(p, setting)
+        args = ["opo-ss", "--chi-tilde", chi_tilde, "--nu-in", "3", "--strategy", name]
+        assert main(args + (["--z-m", "0.3", "--theta-m", "0.7"] if name == "gendyne" else [])) == (0 if solves else 2)
+    sweep = ["opo-zsweep", "--chi-tilde", chi_tilde, "--nu-in", "3", "--out", str(tmp_path / "z.csv")]
+    assert main(sweep) == (0 if solves else 2)
+    if not solves:
+        assert capsys.readouterr().err.count("drift matrix is not Hurwitz") == len(strategies) + 1
+    args = ["opo-transient", "--chi-tilde", chi_tilde, "--nu-in", "3", "--T", "1", "--dt", "0.1"]
+    assert main(args + ["--out", str(tmp_path / "t.csv")]) == 0
+
+
+def test_decoupled_roots_refuse_a_drift_that_is_not_hurwitz():
+    """Above threshold (chi~ = 1.2, built as a model) the per-coordinate roots refuse, as the Riccati solve does.
+
+    Under hom0 the unstable quadrature is unobserved (b = 0 with a > 0), where
+    the root's formula divides by zero; under hom90 and heterodyne it would
+    return roots of a filter with no steady state.
+    """
+    model = gd.DiffusiveModel([[0.0, -0.6], [-0.6, 0.0]], gd.symplectic_form(1), 3.0 * np.eye(2), np.zeros(2))
+    for name in ("hom0", "hom90", "het"):
+        mm = gd.monitored(model, gd.strategy_setting(name))
+        for solve in (gd.dynamics._decoupled_roots, gd.dynamics._conditional_steady_state, gd.steady_state_conditional):
+            with pytest.raises(NoSteadyStateError, match="drift matrix is not Hurwitz"):
+                solve(mm)

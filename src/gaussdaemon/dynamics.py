@@ -50,26 +50,28 @@ drive, and the means ride along as vectors carried by each span's Phi
 Both flows follow one rule: a one-mode flow that decouples into one scalar
 flow per coordinate takes their closed form, elementwise over the grid with
 no expm, no doubling and no steady state; every other flow walks the grid.
-The unconditional flow of a diagonal Hurwitz drift with no drive (_uncoupled,
-as in the OPO below threshold) relaxes as r_i(t) = e^{a_i t} r0_i and, with
-a = a_i + a_j, sigma_ij(t) = e^{at} sigma0_ij + D_ij expm1(at) / a
-(_uncoupled_moments).  The conditional flow of a filter whose At, Dt and
+The two closed forms share one kernel (_relaxation): x' = a x + s gives
+x(t) = e^{at} x0 + s expm1(at) / a (s t at a = 0).  Every moment of a one-mode
+diagonal drift (_uncoupled: the OPO at any chi~, driven or not) takes it
+(_uncoupled_moments): a = a_i and the drive for the mean r_i, a = a_i + a_j
+and D_ij for sigma_ij.  The conditional flow of a filter whose At, Dt and
 B B^T are diagonal (_decoupled, as in the OPO at phase 0 or pi/2 or
 heterodyne) is s' = 2 a s + d - b s^2 per coordinate, whose Hamiltonian
 [[-a, b], [d, a]] squares to k^2 = a^2 + b d: sigma = V U^-1 is then a ratio
-of sums of non-negative terms (_decoupled_flow), exact at any horizon, near
-threshold and on a non-Hurwitz drift alike.  The k filters of one model (a
-table of strategies) share one pass (_conditional_blocks): sigma0 and the
-grid are checked once, each filter's scalars (_riccati_scalars) are stacked
-as (k, 1) columns, and the closed form runs on (k, block) arrays in blocks
-of at most _BLOCK_FLOATS values, where numpy's temporaries stay small; every
-operation is elementwise, so each point is the same bits whatever the
-blocking or k.  One filter (evolve_conditional_cm) is k = 1, and a daemonic
-ergotropy curve (_daemonic_curve) takes the unconditional energy of an
-_uncoupled flow in the same blocks.  Every other conditional flow (a coupled
-filter, two or more modes) walks the grid from sigma0, about a tiny multiple
-of it (_MAP_BASE), filter by filter.  Either way the results do not depend
-on the time grid.
+of sums of non-negative terms on the kernel at rate -2k (_decoupled_flow).
+Both are exact at any horizon, near threshold and on a non-Hurwitz drift
+alike.  The k filters of one model (a table of strategies) share one pass
+(_conditional_blocks): sigma0 and the grid are checked once, each filter's
+scalars (_riccati_scalars) are stacked as (k, 1) columns, and the closed
+form runs on (k, block) arrays in blocks of at most _BLOCK_FLOATS values,
+where numpy's temporaries stay small; every operation is elementwise, so
+each point is the same bits whatever the blocking or k.  One filter
+(evolve_conditional_cm) is k = 1, and a daemonic ergotropy curve
+(_daemonic_curve) takes the unconditional energy of an _uncoupled flow in
+the same blocks.  Every other conditional flow (a coupled filter, two or
+more modes) walks the grid from sigma0, about a tiny multiple of it
+(_MAP_BASE), filter by filter.  Either way the results do not depend on the
+time grid.
 
 The conditional steady state is the stable invariant subspace of the same
 Hamiltonian (in closed form for one mode, with no LAPACK call; from one
@@ -561,8 +563,9 @@ def _flow_norm(ham: np.ndarray) -> float:
     return na + math.sqrt(nq * nr)
 
 
-def _grid_walk(a, q, r, t_grid, x0: np.ndarray, v0: np.ndarray | None = None) -> tuple:
-    """(states, vectors) of _interval_map's flow from x0 at the first point of a time grid, at every point.
+@np.errstate(all="ignore")
+def _grid_walk(a, q, r, t: np.ndarray, x0: np.ndarray, v0: np.ndarray | None = None) -> tuple:
+    """(states, vectors) of _interval_map's flow from x0 at the first point of a checked time grid, at every point.
 
     Each span's map carries states already computed, one solve per point,
     symmetrized.  A uniform grid doubles: the map over m h carries points
@@ -573,9 +576,10 @@ def _grid_walk(a, q, r, t_grid, x0: np.ndarray, v0: np.ndarray | None = None) ->
     points).  Grids within _UNIFORM_TOL of uniform count as uniform
     (np.linspace grids are not bitwise uniform); other grids chain their
     steps, one expm per distinct step length.  The vectors v0 (or None) ride
-    along by each span's Phi, for R = 0 the linear flow.
+    along by each span's Phi, for R = 0 the linear flow.  t is checked by
+    _flow_start.  A flow that overflows comes out inf or NaN, with no warning.
     """
-    steps = _grid_steps(t_grid)
+    steps = np.diff(t)
     n, eye = steps.size, np.eye(a.shape[0])
     states = np.repeat(x0[None], n + 1, axis=0)
     vectors = None if v0 is None else np.repeat(v0[None], n + 1, axis=0)
@@ -587,7 +591,7 @@ def _grid_walk(a, q, r, t_grid, x0: np.ndarray, v0: np.ndarray | None = None) ->
         if vectors is not None:
             vectors[dst] = vectors[src] @ phi.T
 
-    h = _uniform_step(np.asarray(t_grid, dtype=float), n)
+    h = _uniform_step(t, n)
     if h is not None:
         norm = _flow_norm(_hamiltonian(a, q, r)[1])
         step, m = _interval_map(a, q, r, h), 1
@@ -712,7 +716,7 @@ def _decoupled_flow(columns, start, tau) -> np.ndarray:
     """
     (k0, cp0, cm0, b0, d0, k1, cp1, cm1, b1, d1), (s00, s01, s11, det) = columns, start
     with np.errstate(all="ignore"):
-        (e0, h0), (e1, h1) = _relaxation(k0, tau), _relaxation(k1, tau)
+        (e0, h0), (e1, h1) = _relaxation(-2.0 * k0, tau), _relaxation(-2.0 * k1, tau)
         u0, u1, g0, g1 = cm0 + cp0 * e0, cm1 + cp1 * e1, b0 * h0, b1 * h1
         w0, w1 = u0 + g0 * s00, u1 + g1 * s11
         y0, y1 = s11 * u0 + g0 * det, s00 * u1 + g1 * det
@@ -723,14 +727,16 @@ def _decoupled_flow(columns, start, tau) -> np.ndarray:
     return np.stack((o00, o01, o01, o11), axis=-1).reshape(*o00.shape, 2, 2)
 
 
-def _relaxation(k, tau) -> tuple:
-    """(e, h) of _decoupled_flow for (k, 1) columns k, under its errstate: e^{-2k tau} and -expm1(-2k tau) / 2k.
+def _relaxation(rate, tau) -> tuple:
+    """(e, h) = (e^{rate tau}, expm1(rate tau) / rate) for (k, 1) columns of rates, under the caller's errstate.
 
-    Where k = 0 the quotient is 0 / 0, and h is tau.
+    x' = rate x + s relaxes as x(tau) = e x0 + h s, of any sign of rate;
+    where the rate is 0 the quotient is 0 / 0, and h is tau.
     """
-    x = -2.0 * k * tau
-    h = np.expm1(x) / (-2.0 * k)
-    return np.exp(x), h if k.all() else np.where(k > 0.0, h, tau)
+    x = rate * tau
+    h = np.expm1(x)
+    h /= rate
+    return np.exp(x, out=x), h if rate.all() else np.where(rate != 0.0, h, tau)
 
 
 def evolve_conditional_cm(mm: MonitoredModel, sigma0: np.ndarray, t_grid) -> np.ndarray:
@@ -746,8 +752,7 @@ def evolve_conditional_cm(mm: MonitoredModel, sigma0: np.ndarray, t_grid) -> np.
     """
     sigma = np.asarray(sigma0, dtype=float)
     t = _flow_start(mm.base.n, GaussianState(np.zeros(sigma.shape[0]), sigma), t_grid)
-    blocks = [cms[0] for _, cms in _conditional_blocks((mm,), sigma, t)]
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return np.concatenate([cms[0] for _, cms in _conditional_blocks((mm,), sigma, t)])
 
 
 def _flow_start(n: int, state0: GaussianState, t_grid) -> np.ndarray:
@@ -1015,53 +1020,51 @@ def _require_hurwitz_drift(mm: MonitoredModel) -> None:
 
 
 def _uncoupled(dd: DriftDiffusion) -> bool:
-    """Whether unconditional_path takes the closed form per coordinate: one mode, a diagonal Hurwitz drift, no drive.
-
-    The OPO below threshold is such a flow (_uncoupled_moments); every other
-    drift walks the grid (_grid_walk).
-    """
-    if dd.a.shape != (2, 2):
-        return False
-    (a00, a01), (a10, a11) = dd.a.tolist()
-    return a01 == a10 == 0.0 and max(a00, a11) < -TOL_HURWITZ and not dd.drive.any()
+    """Whether unconditional_path takes the closed form (_uncoupled_moments): one mode, a diagonal drift."""
+    return dd.a.shape == (2, 2) and dd.a.ravel().tolist()[1:3] == [0.0, 0.0]
 
 
 def _uncoupled_moments(dd: DriftDiffusion, state0: GaussianState, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """unconditional_path for a flow that _uncoupled admits, at the times tau >= 0 from the first grid point.
 
-    The closed form of the module docstring makes each variance a sum of two
-    non-negative terms with a few roundings at every t, near threshold too;
-    the expansion sigma_inf + e^{At} (sigma0 - sigma_inf) e^{A^T t} would
-    cancel sigma_inf against itself instead.  Every operation is elementwise,
+    Each moment is e x0 + h s, (e, h) from _relaxation on the five stacked
+    rates of the module docstring: a variance of rate a < 0 is a sum of two
+    non-negative terms, near threshold too.  Every operation is elementwise,
     so a point's moments depend on its own tau alone, bit for bit, and
     tau = 0 gives state0.
     """
     (a0, _), (_, a1) = dd.a.tolist()
-    (r0, r1), ((s00, s01), (s10, s11)), ((d00, d01), (_, d11)) = state0.mean.tolist(), state0.cm.tolist(), dd.d.tolist()
-    # One array of len(tau) per entry: a stacked (5, len(tau)) exponent page-faults on fine grids.
-    means, cms = np.empty((tau.size, 2)), np.empty((tau.size, 4))
-    means[:, 0], means[:, 1] = np.exp(a0 * tau) * r0, np.exp(a1 * tau) * r1
-    for i, a, s, d in ((0, a0 + a0, s00, d00), (1, a0 + a1, 0.5 * (s01 + s10), d01), (3, a1 + a1, s11, d11)):
-        x = a * tau
-        cms[:, i] = np.exp(x) * s + np.expm1(x) / a * d
-    cms[:, 2] = cms[:, 1]
-    return means, cms.reshape(-1, 2, 2)
+    (s00, s01), (s10, s11), (d00, d01), (_, d11) = *state0.cm.tolist(), *dd.d.tolist()
+    rates = [a0, a1, a0 + a0, a0 + a1, a1 + a1]
+    starts, sources = [*state0.mean.tolist(), s00, 0.5 * (s01 + s10), s11], [*dd.drive.tolist(), d00, d01, d11]
+    rates, starts, sources = np.array([rates, starts, sources])[..., None]  # (5, 1) columns
+    with np.errstate(all="ignore"):
+        x, h = _relaxation(rates, tau)
+        x *= starts
+        h *= sources
+        x += h
+    del h  # freed before the CM's copy is made: on a 1e6-point grid that keeps the peak 35 MB lower
+    return _finite_moments(x[:2].T, x[[2, 3, 3, 4]].T.reshape(-1, 2, 2))
+
+
+def _finite_moments(means: np.ndarray, cms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(means, cms) unless either is not finite (_finite), the CM first: its inf times 0 can make a mean of 0 NaN."""
+    _finite("unconditional CM", cms)
+    return _finite("unconditional mean", means), cms
 
 
 def unconditional_path(dd: DriftDiffusion, state0: GaussianState, t_grid) -> tuple[np.ndarray, np.ndarray]:
     """Unconditional first and second moments along a time grid, exactly, for any drift.
 
-    One mode with a diagonal Hurwitz drift and no drive (_uncoupled, the
-    OPO's) takes the closed form per coordinate (_uncoupled_moments), with
-    no expm and no doubling.  Every other drift, of one mode or more, walks
-    the R = 0 flow of the augmented drift [[A, d], [0, 0]] and padded
-    diffusion (_grid_walk) from [[sigma0, 0], [0, 0]], whose upper block is
-    e^{At} sigma0 e^{A^T t} + G(t).  Unlike a closed-form e^{At} = e^{lam t} (c0 I + c1 N),
-    whose decaying entries are a difference of terms of size e^{lam t}, the walk keeps
-    the decaying coordinates of an unstable diagonal drift exact.  The means r(t) = e^{At} r0 + int_0^t e^{As} d ds ride along as
-    the vectors [r(t); 1] = Phi [r0; 1], so r0 enters no matrix and cannot
-    overflow one.  state0 must be a valid state (validate_state).  Moments
-    that leave the floating-point range raise NumericError.
+    One mode with a diagonal drift (_uncoupled: the OPO at any chi~, driven
+    or not) takes the closed form per coordinate (_uncoupled_moments).  Every
+    other drift walks the R = 0 flow of the augmented drift [[A, d], [0, 0]]
+    and padded diffusion (_grid_walk) from [[sigma0, 0], [0, 0]], whose upper
+    block is e^{At} sigma0 e^{A^T t} + G(t), and the means
+    r(t) = e^{At} r0 + int_0^t e^{As} d ds ride along as the vectors
+    [r(t); 1] = Phi [r0; 1], so r0 enters no matrix and cannot overflow one.
+    state0 must be a valid state (validate_state).  Moments that leave the
+    floating-point range raise NumericError, the CM's first.
     """
     return _unconditional_path(dd, state0, _flow_start(dd.a.shape[0] // 2, state0, t_grid))
 
@@ -1069,15 +1072,13 @@ def unconditional_path(dd: DriftDiffusion, state0: GaussianState, t_grid) -> tup
 def _unconditional_path(dd: DriftDiffusion, state0: GaussianState, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """unconditional_path on a grid t that _flow_start has checked with state0."""
     if _uncoupled(dd):
-        means, cms = _uncoupled_moments(dd, state0, t - t[0])
-    else:
-        dim = dd.a.shape[0]
-        aug, diff = np.zeros((dim + 1, dim + 1)), np.zeros((dim + 1, dim + 1))
-        aug[:dim, :dim], aug[:dim, dim], diff[:dim, :dim] = dd.a, dd.drive, dd.d
-        start = np.pad(0.5 * (state0.cm + state0.cm.T), (0, 1))  # [[sigma0, 0], [0, 0]]
-        cms, vectors = _grid_walk(aug, diff, np.zeros_like(aug), t, start, np.append(state0.mean, 1.0))
-        means, cms = vectors[:, :dim], cms[:, :dim, :dim]
-    return _finite("unconditional mean", means), _finite("unconditional CM", cms)
+        return _uncoupled_moments(dd, state0, t - t[0])
+    dim = dd.a.shape[0]
+    aug, diff = np.zeros((dim + 1, dim + 1)), np.zeros((dim + 1, dim + 1))
+    aug[:dim, :dim], aug[:dim, dim], diff[:dim, :dim] = dd.a, dd.drive, dd.d
+    start = np.pad(0.5 * (state0.cm + state0.cm.T), (0, 1))  # [[sigma0, 0], [0, 0]]
+    cms, vectors = _grid_walk(aug, diff, np.zeros_like(aug), t, start, np.append(state0.mean, 1.0))
+    return _finite_moments(vectors[:, :dim], cms[:, :dim, :dim])
 
 
 @dataclass(frozen=True, eq=False)
@@ -1215,16 +1216,14 @@ def simulate_trajectories(
     stride = int(store_stride)
     if stride < 1 or n_steps % stride:
         raise ValueError(f"store_stride = {store_stride} must divide the {n_steps} steps")
-    validate_state(state0.mean, state0.cm)
-    _require_modes(state0.n, mm.base.n)
+    full_times = _flow_start(mm.base.n, state0, np.arange(n_steps + 1) * dt)
 
     two_n = 2 * mm.base.n
     two_m = mm.b.shape[1]
     n_windows = n_steps // stride
 
     # Shared deterministic CM path at full resolution; the per-step gains enter the window maps.
-    full_times = np.arange(n_steps + 1) * dt
-    sigma_path = evolve_conditional_cm(mm, state0.cm, full_times)
+    sigma_path = np.concatenate([cms[0] for _, cms in _conditional_blocks((mm,), state0.cm, full_times)])
     maps_t = _window_maps(mm, sigma_path, dt, stride)
 
     means = np.empty((n_traj, n_windows + 1, two_n))
@@ -1306,12 +1305,12 @@ def _daemonic_curve(mms, state0: GaussianState, t_grid) -> np.ndarray:
     and the grid are checked and the energy taken once, and the conditional
     CMs of each block of _conditional_blocks (the closed form per coordinate
     where every filter decouples, else the interval maps) go to one stacked
-    symplectic-spectrum call.  Where _uncoupled admits the drift, the energy
-    comes from the closed form in the same blocks (_uncoupled_moments);
-    otherwise the whole grid is walked first (_unconditional_path, with
-    no second check of state0).
-    Either way each point is the bits of unconditional_path and
-    evolve_conditional_cm.
+    symplectic-spectrum call.  Where _uncoupled admits the drift (one mode, a
+    diagonal drift, as the OPO's at any chi~), the energy comes from the
+    closed form in the same blocks (_uncoupled_moments, which checks each
+    block's moments are finite); otherwise the whole grid is walked first
+    (_unconditional_path, with no second check of state0).  Either way each
+    point is the bits of unconditional_path and evolve_conditional_cm.
     Returns a (k, len(t_grid)) array, row i the curve of mms[i].  A negative
     beyond round-off raises NumericError naming the time and the filter's
     settings (theta_m, z_m).

@@ -595,17 +595,22 @@ def test_generic_phase_solves_at_large_bath_noise(nu_in, capsys):
 def test_wrong_stable_subspace_dimension_is_a_numeric_error(monkeypatch):
     """A Hamiltonian whose stable invariant subspace is not n-dimensional gives no steady state: NumericError.
 
-    The one-mode basis step reads the dimension off det H and tr H^2; it is
-    handed Hamiltonians with one stable eigenvalue and with none.
+    The one-mode basis step reads the dimension off s = det H and
+    p = -tr H^2 / 2, and names how many eigenvalues have negative real part.
+    It is handed Hamiltonians with one stable eigenvalue and with none:
+    s < 0 (+-1 and +-i, two ways), s > 0 with -p + 2 sqrt(s) <= 0 (+-i twice,
+    and +-i and +-2i), and s = 0 with p < 0 (+-1 and a double 0).
     """
     basis = gd.dynamics._one_mode_basis
     mm = gd.monitored(gd.opo_model(gd.OpoParams(0.6, nu_in=3.0)), GeneralDyneSetting(theta_m=0.7, z_m=0.4))
-    monkeypatch.setattr(gd.dynamics, "_one_mode_basis", lambda h: basis(_ONE_STABLE))
-    with pytest.raises(gd.NumericError, match="algebraic Riccati solve failed: .* 1 stable eigenvalues, expected 2"):
-        gd.steady_state_conditional(mm)
-    monkeypatch.setattr(gd.dynamics, "_one_mode_basis", lambda h: basis(_NONE_STABLE))
-    with pytest.raises(gd.NumericError, match="algebraic Riccati solve failed: .* 0 stable eigenvalues, expected 2"):
-        gd.steady_state_conditional(mm)
+    swapped = [[1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]]
+    two_pairs = block_diag([[0.0, 1.0], [-1.0, 0.0]], [[0.0, 2.0], [-2.0, 0.0]]).tolist()
+    singular = np.diag([1.0, -1.0, 0.0, 0.0]).tolist()
+    for h, stable in [(_ONE_STABLE, 1), (swapped, 1), (_NONE_STABLE, 0), (two_pairs, 0), (singular, 1)]:
+        assert sum(x.real < 0.0 for x in np.linalg.eigvals(np.array(h))) == stable
+        monkeypatch.setattr(gd.dynamics, "_one_mode_basis", lambda _, h=h: basis(h))
+        with pytest.raises(gd.NumericError, match=f"solve failed: .* has {stable} stable eigenvalues, expected 2"):
+            gd.steady_state_conditional(mm)
 
 
 def test_wrong_stable_subspace_dimension_on_the_schur_route(monkeypatch):
@@ -1149,6 +1154,47 @@ def test_unstable_drift_keeps_its_decaying_quadrature_exact():
                 assert abs(mean - decay / 2) <= (1e-14 + eps * abs(a) * t) * decay / 2 + tiny, (horizon, t, mean)
 
 
+# Diagonal drifts (a0, a1) for test_diagonal_drifts_match_60_digit_moments: unstable, zero-rate, a zero cross
+# rate a0 + a1, and rates inside the Hurwitz margin; 24 random ones follow.
+_DIAGONAL_RATES = ((-1.3, 0.3), (0.0, 0.0), (0.4, -0.4), (0.0, -0.7), (2.2, 1e-3), (-5e-13, -1.0), (1e-13, 5e-14))
+
+
+def test_diagonal_drifts_match_60_digit_moments(monkeypatch):
+    """Every one-mode diagonal drift takes the closed form per moment, to 1e-15 max(1, |a| t) of 60 digits.
+
+    Each moment obeys x' = a x + s (the mean r_i: a = a_i, s = d_i; sigma_ij:
+    a = a_i + a_j, s = D_ij), so x(t) = e^{at} x0 + s (e^{at} - 1) / a, and
+    x0 + s t at a = 0.  31 drifts, driven or not, stable, unstable, of zero
+    rate and within the Hurwitz margin, from random states on a 31-point
+    grid to t = 150 and on [0, 0.3, 0.35, 2, 9], and none walks the grid.
+    The error is relative to the sum of the magnitudes of the two terms,
+    which may cancel, and may grow as |a| t, the conditioning of e^{at}
+    whose exponent a t is itself rounded.
+    """
+    monkeypatch.setattr(gd.dynamics, "_grid_walk", lambda *args: pytest.fail("a diagonal drift walked the grid"))
+    rng = np.random.default_rng(331)
+    rates = [*_DIAGONAL_RATES, *(tuple(rng.uniform(-2.3, 2.3, 2)) for _ in range(24))]
+    for i, (a0, a1) in enumerate(rates):
+        x = rng.standard_normal((2, 2))
+        drive = rng.standard_normal(2) if i % 2 else np.zeros(2)
+        dd = gd.DriftDiffusion(a=np.diag([a0, a1]), d=x @ x.T, drive=drive)
+        y = rng.standard_normal((2, 2))
+        state0 = gd.validate_state(rng.standard_normal(2), y @ y.T + 2.0 * np.eye(2))
+        starts = [*state0.mean.tolist(), state0.cm[0, 0], state0.cm[0, 1], state0.cm[1, 1]]
+        moments = list(zip([a0, a1, a0 + a0, a0 + a1, a1 + a1], starts, [*drive.tolist(), *dd.d[[0, 0, 1], [0, 1, 1]]]))
+        for grid in (np.linspace(0.0, 150.0, 31), np.array([0.0, 0.3, 0.35, 2.0, 9.0])):
+            means, cms = gd.unconditional_path(dd, state0, grid)
+            got = [means[:, 0], means[:, 1], cms[:, 0, 0], cms[:, 0, 1], cms[:, 1, 1]]
+            assert np.array_equal(cms[:, 0, 1], cms[:, 1, 0]), i
+            with mp.workdps(DPS):
+                for values, (a, x0, src) in zip(got, moments):
+                    for t, v in zip(grid.tolist(), values.tolist()):
+                        growth, rate, src = mp.exp(mp.mpf(a) * t), mp.mpf(a), mp.mpf(src)
+                        gain = (growth - 1) / rate if a else mp.mpf(t)
+                        bound = 1e-15 * max(1.0, abs(a) * t) * (abs(growth * x0) + abs(gain * src))
+                        assert abs(v - (growth * x0 + gain * src)) <= bound, (i, a, t)
+
+
 def _mp_unconditional(dd, state0, grid) -> list:
     """(mean, CM) at each point of grid in 60 digits, from state0 at grid[0], as mpmath matrices.
 
@@ -1227,8 +1273,9 @@ def test_uncoupled_flows_take_the_closed_form(monkeypatch):
     (hom0, hom90, het, whose filters decouple) all take their closed forms
     per coordinate.  A generic-phase setting couples the filter, so its
     daemonic_ergotropy_path walks the grid once, for the conditional CM.  A
-    driven OPO (a displaced input) walks once, for the unconditional
-    moments, and a coupled random drift twice, for both.
+    driven OPO (a displaced input) still has a diagonal drift: its moments
+    take the closed form too, and it walks nowhere.  A coupled random drift
+    walks twice, for both flows.
     """
     p = gd.OpoParams(0.8, nu_in=3.0, nu_0=5.0)
     model, state0, grid = gd.opo_model(p), gd.thermal(5.0), np.linspace(0.0, 2.0, 201)
@@ -1251,9 +1298,10 @@ def test_uncoupled_flows_take_the_closed_form(monkeypatch):
     driven = DiffusiveModel(model.h_s, model.c, model.sigma_in, np.array([0.3, -0.2]))
     coupled = _random_one_mode_complex_pair(np.random.default_rng(5))
     assert not gd.dynamics._uncoupled(coupled.dd)
-    for mm, walks in ((gd.monitored(driven, gd.heterodyne()), 1), (coupled, 2)):
+    assert gd.dynamics._uncoupled(driven.dd) and driven.dd.drive.all()
+    for mm, want in ((gd.monitored(driven, gd.heterodyne()), {"_uncoupled_moments": 1}), (coupled, {"_grid_walk": 2})):
         gd.daemonic_ergotropy_path(mm, state0, grid)
-        assert counts == {"_grid_walk": walks}, counts
+        assert counts == want, counts
         counts.clear()
 
 
@@ -1261,9 +1309,9 @@ def test_uncoupled_flows_take_the_closed_form(monkeypatch):
 def test_daemonic_path_is_energy_minus_passive_energy(chi_tilde):
     """daemonic_ergotropy_path is tr sigma_unc / 4 + |r|^2 / 2 - nu(sigma_c) / 2 from the public flows, bit for bit.
 
-    At chi~ = 0.8 the unconditional moments come in the blocks of the
-    conditional closed form, and near threshold on the whole grid before the
-    interval maps; either way the curve must be unconditional_path and
+    At both chi~ the unconditional moments come in closed form in the blocks
+    of the conditional flows, which the generic setting walks instead of
+    taking the closed form; either way the curve must be unconditional_path and
     evolve_conditional_cm combined, here from a displaced state on a grid of
     several blocks, for the three strategies and a generic setting.
     """
@@ -1288,9 +1336,14 @@ def test_unconditional_opo_variances_hold_near_threshold_at_any_horizon():
     `opo-transient --T 1e300 --dt 1e299` is the steady daemonic ergotropy of
     each strategy to 1e-15 (2.0e-7 off through the doubling at
     chi~ = 1 - 1e-10; 3.8e-16 off with only the conditional flows walked,
-    0 with both in closed form).
+    0 with both in closed form).  Within 2e-12 of threshold the slow rate is
+    inside the Hurwitz margin, where the unconditional moments once walked:
+    sigma_pp was 1.1e-4 and 1.0e-3 off at chi~ = 1 - 1e-12 and 1 - 1e-13.
+    There no steady solve exists (NoSteadyStateError), and each last row is
+    checked against the 60-digit steady daemonic ergotropy of the same
+    float data (_steady_daemonic_60), as it is at every chi~.
     """
-    for chi_tilde in (1.0 - 1e-6, 1.0 - 1e-10):
+    for chi_tilde in (1.0 - 1e-6, 1.0 - 1e-10, 1.0 - 1e-12, 1.0 - 1e-13):
         dd = gd.opo_model(gd.OpoParams(chi_tilde, nu_in=3.0)).dd
         _, cms = gd.unconditional_path(dd, gd.thermal(5.0), [0.0, 1e3, 1e300])
         with mp.workdps(DPS):
@@ -1300,8 +1353,30 @@ def test_unconditional_opo_variances_hold_near_threshold_at_any_horizon():
         p = gd.OpoParams(chi_tilde, nu_in=1.0, nu_0=5.0)
         table = gd.transient_table(p, t_max=1e300, dt=1e299)
         for name in ("hom0", "hom90", "het"):
+            last = getattr(table, name)[-1]
+            exact = _steady_daemonic_60(gd.monitored(gd.opo_model(p), gd.strategy_setting(name)))
+            assert abs(last - exact) <= 1e-15 * exact, (chi_tilde, name, float(abs(last - exact) / exact))
+            if chi_tilde > 1.0 - 1e-11:
+                continue
             steady = gd.opo_steady_daemonic(p, gd.strategy_setting(name))
-            assert abs(getattr(table, name)[-1] - steady) <= 1e-15 * steady, (chi_tilde, name)
+            assert abs(last - steady) <= 1e-15 * steady, (chi_tilde, name)
+
+
+def _steady_daemonic_60(mm) -> mp.mpf:
+    """The steady daemonic ergotropy of a zero-mean filter that decouples, in 60 digits, from its float data.
+
+    sigma_unc is diag(D_ii / (-2 a_i)) for the diagonal drift A, and sigma_c
+    takes per coordinate the stabilizing root of b s^2 - 2 a s - d = 0 from
+    the diagonals (a, d, b) of At, Dt and B B^T: (a + sqrt(a^2 + b d)) / b,
+    or d / (-2 a) where b = 0.  The value is tr sigma_unc / 4 - sqrt(det sigma_c) / 2.
+    """
+    with mp.workdps(DPS):
+        energy = sum(mp.mpf(d) / (-2 * mp.mpf(a)) for a, d in zip(np.diag(mm.dd.a).tolist(), np.diag(mm.dd.d).tolist()))
+        roots = []
+        for a, d, b in gd.dynamics._decoupled(mm):
+            a, d, b = mp.mpf(a), mp.mpf(d), mp.mpf(b)
+            roots.append((a + mp.sqrt(a * a + b * d)) / b if b else d / (-2 * a))
+        return energy / 4 - mp.sqrt(roots[0] * roots[1]) / 2
 
 
 def test_decoupled_roots():
@@ -1826,6 +1901,51 @@ def test_daemonic_curve_checks_the_start_state_once(monkeypatch):
     monkeypatch.setattr(gd.dynamics, "validate_state", lambda *args: calls.append(args) or check(*args))
     gd.daemonic_ergotropy_path(mm, state0, [0.0, 0.5, 1.0])
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("flow", ["trajectories", "conditional", "unconditional"])
+def test_walked_flows_check_the_start_state_and_grid_once(monkeypatch, flow):
+    """Each walked flow checks state0 (validate_state) and its grid (_grid_steps) once, not again in the walk.
+
+    simulate_trajectories checked state0 itself and again through
+    evolve_conditional_cm, and _grid_walk checked the grid _flow_start had
+    checked.  A generic phase couples the OPO's filter and a random drift its
+    unconditional flow, so each takes _grid_walk once.
+    """
+    mm = gd.monitored(gd.opo_model(gd.OpoParams(0.6, nu_in=3.0)), GeneralDyneSetting(theta_m=0.7, z_m=0.3))
+    state0 = GaussianState(np.array([1.0, -0.5]), 3.0 * np.eye(2))
+    dd = _random_hurwitz_model(np.random.default_rng(7), 1).dd
+    calls = {
+        "trajectories": lambda: gd.simulate_trajectories(mm, state0, dt=0.1, T=1.0, n_traj=3, master_seed=0),
+        "conditional": lambda: gd.evolve_conditional_cm(mm, state0.cm, np.linspace(0.0, 1.0, 11)),
+        "unconditional": lambda: gd.unconditional_path(dd, state0, np.linspace(0.0, 1.0, 11)),
+    }
+    counts = _count_calls(monkeypatch, "validate_state", "_grid_steps", "_grid_walk")
+    calls[flow]()
+    assert counts == {"validate_state": 1, "_grid_steps": 1, "_grid_walk": 1}, counts
+
+
+def test_flows_past_the_float_range_warn_nothing():
+    """A walked flow and the closed-form energy of a curve that overflow raise NumericError, with no RuntimeWarning.
+
+    The suite turns every warning into an error.  The coupled drift
+    [[0.3, 0.2], [0, -1]] is walked: its CM overflowed in matmul with three
+    warnings, and inf 0 made its mean NaN, so the mean, exactly 0, was named.
+    Above threshold (chi~ = 1.2, built as a model) heterodyne keeps the
+    conditional CM finite while the unconditional energy takes the closed
+    form and overflows by t = 4000: the curve must raise, not return inf.
+    """
+    dd = gd.DriftDiffusion(a=np.array([[0.3, 0.2], [0.0, -1.0]]), d=np.eye(2), drive=np.zeros(2))
+    assert not gd.dynamics._uncoupled(dd)
+    with pytest.raises(gd.NumericError, match="the unconditional CM flow left"):
+        gd.unconditional_path(dd, gd.vacuum(1), [0.0, 4000.0])
+    model = gd.DiffusiveModel([[0.0, -0.6], [-0.6, 0.0]], gd.symplectic_form(1), 3.0 * np.eye(2), np.zeros(2))
+    mm = gd.monitored(model, gd.heterodyne())
+    assert gd.dynamics._uncoupled(mm.dd) and not gd.is_hurwitz(mm.dd.a)
+    assert np.isfinite(gd.evolve_conditional_cm(mm, 2.0 * np.eye(2), [0.0, 4000.0])).all()
+    for grid in ([0.0, 4000.0], np.linspace(0.0, 4000.0, 9)):
+        with pytest.raises(gd.NumericError, match="the unconditional CM flow left"):
+            gd.daemonic_ergotropy_path(mm, gd.thermal(2.0), grid)
 
 
 @pytest.mark.parametrize("case", ["opo", "driven"])

@@ -1,5 +1,7 @@
 """Unit tests for Gaussian states and symplectic linear algebra."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from gaussdaemon import (
     SymplecticityError,
     UnphysicalStateError,
 )
+from gaussdaemon.symplectic import TOL_PSD
 
 N_RANDOM = 50
 
@@ -76,6 +79,10 @@ def test_validate_state_physicality():
     # squeezed vacuum saturates the bound and must pass
     z = 0.1
     gd.validate_state(np.zeros(2), np.diag([z, 1.0 / z]))
+    # det sigma' - 1 = -2.2e-16 with sigma' = sigma + TOL_PSD I: within the closed form's round-off allowance
+    s = math.sqrt(1.0 - 2.0**-53) - TOL_PSD
+    assert (s + TOL_PSD) ** 2 - 1.0 == -(2.0**-52)
+    gd.validate_state(np.zeros(2), s * np.eye(2))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -261,3 +268,8 @@ def test_williamson_single_mode():
         gd.williamson_single_mode(np.eye(4))
     with pytest.raises(gd.SymmetryError, match="asymmetric"):
         gd.williamson_single_mode(np.array([[2.0, 0.5], [0.4, 2.0]]))
+    # The smallest eigenvalue is reported as det / lam_max where tr / 2 - radius cancels (eigenvalues 1e16
+    # apart), and as tr / 2 - radius where lam_max is 0.
+    for cm in ([[1e16, 0.0], [0.0, -1.0]], [[0.0, 0.0], [0.0, -1.0]]):
+        with pytest.raises(UnphysicalStateError, match=r"not positive definite: min eig = -1\.000e\+00$"):
+            gd.williamson_single_mode(np.array(cm))

@@ -28,7 +28,12 @@ matrices are anticommutator-based without the conventional 1/2, which doubles
 the innovation covariance to E[{dw, dw^T}] = I dt.  This is the single place
 the convention enters; it is guarded by the ensemble identity
 sigma_unc = sigma_c + Sigma with Sigma the excess noise of the conditional
-means across trajectories.
+means across trajectories.  Trajectories are sampled exactly in distribution,
+with no time step inside a stored window: given the mean at a stored time,
+the next mean and the window's summed record are jointly Gaussian, with the
+covariance of one interval map of the state and the record, corrected by
+sigma_c at the window's two ends (_window_maps).  An ensemble therefore
+depends on dt only through its stored grid.
 
 Covariances are propagated exactly, not by a fixed-step integrator.  Both
 flows are Riccati flows sigma' = A sigma + sigma A^T + Q - sigma R sigma, and
@@ -141,6 +146,8 @@ SS_REFINE_RTOL = 1e-12
 SS_NEWTON_STEPS = 3
 # Trajectories advanced together per vectorized chunk.
 _TRAJ_CHUNK = 256
+# A window covariance eigenvalue below -_WINDOW_CLIP times the size of its terms is not round-off (_window_maps).
+_WINDOW_CLIP = 1e-12
 # A time grid whose points lie within this fraction of its largest |t| of an
 # exactly uniform grid is propagated as uniform (about 45 ulp).
 _UNIFORM_TOL = 1e-14
@@ -1064,9 +1071,12 @@ def unconditional_path(dd: DriftDiffusion, state0: GaussianState, t_grid) -> tup
     r(t) = e^{At} r0 + int_0^t e^{As} d ds ride along as the vectors
     [r(t); 1] = Phi [r0; 1], so r0 enters no matrix and cannot overflow one.
     state0 must be a valid state (validate_state).  Moments that leave the
-    floating-point range raise NumericError, the CM's first.
+    floating-point range raise NumericError, the CM's first.  The means are
+    returned as an array of their own, not as a view that would keep the
+    route's larger moment array alive.
     """
-    return _unconditional_path(dd, state0, _flow_start(dd.a.shape[0] // 2, state0, t_grid))
+    means, cms = _unconditional_path(dd, state0, _flow_start(dd.a.shape[0] // 2, state0, t_grid))
+    return means.copy(), cms
 
 
 def _unconditional_path(dd: DriftDiffusion, state0: GaussianState, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1101,38 +1111,68 @@ class TrajectoryBatch:
         return self.means.shape[0]
 
 
-def _window_maps(mm: MonitoredModel, sigma_path: np.ndarray, dt: float, s: int) -> np.ndarray:
-    """Transposed maps of the Euler-Maruyama scheme over each storage window of s steps.
+def _window_maps(mm: MonitoredModel, sigma_c: np.ndarray, h: float) -> np.ndarray:
+    """Exact maps of the conditional means and records over each storage window of length h.
 
-    The scheme is the row recursion r_{j+1} = r_j P^T + d dt + dW_j G_j^T with
-    P = I + A dt and gains G_j = E - sigma_c(t_j) B, and records
-    dy_j = dW_j - dt r_j B.  Over a window both are affine in the start mean r_0
-    and the window's s draws: with S_j = sum_{i<j} P^T^i (so P^T^s - I = dt S_s A^T),
+    In the innovations picture the state x that the filter estimates, the
+    record Y and a constant input c (the drive d) follow a linear SDE with
+    constant coefficients: z = (x, Y, c) has dz = F z dt plus noise of
+    covariance N dt / 2, with
 
-        r_s - r_0 = r_0 dt S_s A^T + dt d S_s + sum_k dW_k G_k^T P^T^(s-1-k),
-        sum_k dy_k = -r_0 dt S_s B - dt^2 d (sum_{j<s} S_j) B + sum_k dW_k (I - dt G_k^T S_{s-1-k} B).
+        F = [[A, 0, I], [-B^T, 0, 0], [0, 0, 0]],   N = [[D, E, 0], [E^T, I, 0], [0, 0, 0]].
 
-    Row w of the result, C-contiguous and transposed, maps [r_0, 1, z_0, ..., z_{s-1}]
-    (unit normal draws z_k = dW_k / sqrt(dt / 2); the 1 carries the drive) to
-    (r_s - r_0, sum_k dy_k).
+    One R = 0 interval map of this flow (_interval_map, doubled up to h)
+    gives Phi = e^{Fh} and the Gramian Q.  Phi's c columns hold
+    S = int_0^h e^{As} ds, so the window moves a start [x; 0; 0] by
+    [A; -B^T] S x, with none of the rounding of e^{Ah} - I.  Given the record
+    up to the stored time t_w, x(t_w) has mean r_w and covariance
+    sigma_c(t_w) / 2, and x(t_w+1) is r_w+1 plus an error of covariance
+    sigma_c(t_w+1) / 2 independent of the record.  So (r_w+1, sum dy) has
+    mean Phi [r_w; 0; d] and covariance
+
+        C_w = (Q - diag(sigma_c(t_w+1), 0) + Phi diag(sigma_c(t_w), 0) Phi^T) / 2,
+
+    exactly, however many steps the window holds.  sigma_c(t_w) - sigma_c(t_w+1)
+    is one difference and the rest comes from [A; -B^T] S, so C_w is off by
+    about eps s_w, s_w half the largest max-norm of its terms (on a short
+    window, that of sigma_c).  It is factored rank-revealingly, by its
+    symmetric square root from one stacked eigh, which does not depend on
+    how a repeated eigenspace is split: an eigenvalue below 2n eps s_w is
+    taken as 0 (hom0 leaves one quadrature of the mean deterministic), and
+    one below -_WINDOW_CLIP s_w, or a map that leaves the floating-point
+    range, raises NumericError.  Row w of the result, C-contiguous, maps
+    [r_w, 1, z_w] (z_w: 2n + 2m unit normals) to (r_w+1 - r_w, sum dy).
     """
     two_n, two_m = mm.dd.a.shape[0], mm.b.shape[1]
-    a_t, b, drive = mm.dd.a.T, mm.b, mm.dd.drive
-    # powers[j] = P^T^j, each an Euler step of the last so the identity is never rounded; sums[j] = S_j.
-    powers = np.empty((s + 1, two_n, two_n))
-    powers[0] = np.eye(two_n)
-    for j in range(s):
-        powers[j + 1] = powers[j] + (powers[j] @ a_t) * dt
-    sums = np.concatenate((np.zeros((1, two_n, two_n)), np.cumsum(powers[:-1], axis=0)))
-    g_t = np.swapaxes(mm.e - sigma_path[:-1] @ b, 1, 2).reshape(-1, s, two_m, two_n)
-    to_mean = g_t @ powers[s - 1 :: -1]
-    to_record = np.eye(two_m) - (g_t @ (sums[s - 1 :: -1] @ b)) * dt
-    noise = math.sqrt(0.5 * dt) * np.concatenate((to_mean, to_record), 3).reshape(g_t.shape[0], s * two_m, -1)
-    start = np.concatenate((sums[s] @ a_t, -(sums[s] @ b)), 1) * dt
-    drive_row = np.concatenate((drive @ sums[s] * dt, -((drive @ sums[:s].sum(axis=0)) @ b) * dt**2))
-    fixed = np.concatenate((start, drive_row[None]))  # the rows for r_0 and the 1, alike in every window
-    maps = np.concatenate((np.broadcast_to(fixed, (noise.shape[0], *fixed.shape)), noise), 1)
-    return np.ascontiguousarray(np.swapaxes(maps, 1, 2))
+    dim = two_n + two_m
+    f, diffusion = np.zeros((2, dim + two_n, dim + two_n))
+    f[:two_n, :two_n], f[two_n:dim, :two_n], f[:two_n, dim:] = mm.dd.a, -mm.b.T, np.eye(two_n)
+    diffusion[:two_n, :two_n], diffusion[:two_n, two_n:dim] = mm.dd.d, mm.e
+    diffusion[two_n:dim, :dim] = np.concatenate((mm.e.T, np.eye(two_m)), 1)
+    with np.errstate(all="ignore"):
+        phi, _, q = _interval_map(f, diffusion, np.zeros_like(f), h)
+        response = phi[:dim, dim:]
+        step = f[:dim, :two_n] @ response[:two_n]  # Phi [x; 0; 0] - [x; 0; 0] = [A; -B^T] S x
+        spread = step @ sigma_c[:-1]
+        cov = spread @ step.T + q[:dim, :dim]
+        terms = (sigma_c[:-1], sigma_c[1:], spread, cov)
+        scale = 0.5 * np.max([np.abs(x).max((1, 2)) for x in terms], axis=0)[:, None]
+        cov[:, :, :two_n] += spread
+        cov[:, :two_n] += np.swapaxes(spread, 1, 2)
+        cov[:, :two_n, :two_n] += sigma_c[:-1] - sigma_c[1:]
+        drive = response @ mm.dd.drive
+    _finite("trajectory window", np.append(cov, drive))
+    lam, vec = np.linalg.eigh(0.25 * (cov + np.swapaxes(cov, 1, 2)))
+    if (lam < -_WINDOW_CLIP * scale).any():
+        w = int(np.argmin((lam / scale).min(1)))
+        raise NumericError(
+            f"the window covariance from t = {w * h:.6g} has eigenvalue {lam[w].min():.3e}, beyond the "
+            f"round-off of its terms ({scale[w, 0]:.3e})"
+        )
+    root = np.sqrt(np.where(lam > (two_n * np.finfo(float).eps) * scale, lam, 0.0))
+    factor = (vec * root[:, None, :]) @ np.swapaxes(vec, 1, 2)
+    fixed = np.concatenate((step, drive[:, None]), 1)  # the rows for r_w and the 1
+    return np.concatenate((np.broadcast_to(fixed, (factor.shape[0], *fixed.shape)), factor), 2)
 
 
 def _entropy_words(entropy) -> int:
@@ -1190,25 +1230,27 @@ def simulate_trajectories(
     *,
     store_stride: int = 1,
 ) -> TrajectoryBatch:
-    """Euler-Maruyama ensemble of conditional means with the shared Riccati CM path.
+    """Ensemble of conditional means and records with the shared Riccati CM path, exact in distribution.
 
-    Trajectory k draws its Wiener increments from an independent substream
-    keyed by (master_seed, k): numpy's default_rng(SeedSequence(master_seed,
+    Trajectory k draws its normals from an independent substream keyed by
+    (master_seed, k): numpy's default_rng(SeedSequence(master_seed,
     spawn_key=(k,))), bit for bit.  The PCG64 seeds of a chunk's substreams
     are derived in one vectorized pass (_substream_seeds) and loaded into one
     generator in turn; numpy seeds the chunk's first trajectory itself, and a
-    mismatch raises NumericError naming numpy's version.  Increments have
-    per-component variance dt/2 (see module docstring).  ``store_stride``
-    decimates storage: means are stored every ``store_stride`` steps and
-    records are summed over each storage window.
+    mismatch raises NumericError naming numpy's version.  ``store_stride``
+    sets the stored grid: means are stored every ``store_stride`` steps of dt
+    and records are the measured dy summed over each storage window.
 
-    Over a storage window the scheme is affine in the start mean and the
-    window's draws, so its maps are built once per call (_window_maps) and
-    each window is one product of [start mean, 1, draws] with its map instead
-    of ``store_stride`` steps; stride 1 runs the same lines.  The product is
-    an einsum rather than a BLAS matmul because each of its rows then does
-    not depend on how many trajectories share it: results are byte-identical
-    for a fixed seed whatever the chunk size.
+    Over a storage window of length h = store_stride dt the means and the
+    summed records are Gaussian given the start mean, with a mean affine in
+    it and a covariance that the CM path at the window's two ends fixes
+    exactly (_window_maps, one interval map per call).  So each window draws
+    2n + 2m normals and takes one product of [start mean, 1, draws] with its
+    map; sigma_c is computed at the stored times only, and the distribution
+    depends on dt only through the stored grid.  The product is an einsum
+    rather than a BLAS matmul because each of its rows then does not depend
+    on how many trajectories share it: results are byte-identical for a fixed
+    seed whatever the chunk size.
     """
     if n_traj < 1:
         raise ValueError(f"need at least one trajectory, got {n_traj}")
@@ -1216,25 +1258,25 @@ def simulate_trajectories(
     stride = int(store_stride)
     if stride < 1 or n_steps % stride:
         raise ValueError(f"store_stride = {store_stride} must divide the {n_steps} steps")
-    full_times = _flow_start(mm.base.n, state0, np.arange(n_steps + 1) * dt)
+    # Points of the full step grid, so runs with different strides share times.
+    times = _flow_start(mm.base.n, state0, np.arange(0, n_steps + 1, stride) * dt)
 
     two_n = 2 * mm.base.n
-    two_m = mm.b.shape[1]
+    dim = two_n + mm.b.shape[1]
     n_windows = n_steps // stride
 
-    # Shared deterministic CM path at full resolution; the per-step gains enter the window maps.
-    sigma_path = np.concatenate([cms[0] for _, cms in _conditional_blocks((mm,), state0.cm, full_times)])
-    maps_t = _window_maps(mm, sigma_path, dt, stride)
+    sigma_c = np.concatenate([cms[0] for _, cms in _conditional_blocks((mm,), state0.cm, times)])
+    maps = _window_maps(mm, sigma_c, stride * dt)
 
     means = np.empty((n_traj, n_windows + 1, two_n))
-    records = np.empty((n_traj, n_windows, two_m))
+    records = np.empty((n_traj, n_windows, dim - two_n))
 
     parent = np.random.SeedSequence(master_seed)  # numpy's own checks of the seed
 
     def run_chunk(k0: int, k1: int) -> None:
         # Row w of a trajectory is [mean at stored time w, 1, draws of window w], so each
         # product writes the start of the next one in place; the last writes the final mean.
-        x = np.empty((k1 - k0, n_windows, two_n + 1 + stride * two_m))
+        x = np.empty((k1 - k0, n_windows, two_n + 1 + dim))
         seeds = _substream_seeds(parent, k0, k1)
         # The chunk's first generator is seeded by numpy itself, the check on the vectorized seeding.
         bg = np.random.PCG64(np.random.SeedSequence(entropy=parent.entropy, spawn_key=(k0,)))
@@ -1247,11 +1289,11 @@ def simulate_trajectories(
         rng = np.random.Generator(bg)
         for i, (state, inc) in enumerate(seeds):
             bg.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-            x[i, :, two_n + 1 :] = rng.standard_normal((n_steps, two_m)).reshape(n_windows, -1)
+            x[i, :, two_n + 1 :] = rng.standard_normal((n_windows, dim))
         x[:, 0, :two_n] = state0.mean
         x[:, :, two_n] = 1.0
         for w in range(n_windows):
-            out = np.einsum("ik,jk->ij", x[:, w], maps_t[w])
+            out = np.einsum("ik,jk->ij", x[:, w], maps[w])
             start = x[:, w + 1, :two_n] if w + 1 < n_windows else means[k0:k1, -1]
             np.add(x[:, w, :two_n], out[:, :two_n], out=start)
             records[k0:k1, w] = out[:, two_n:]
@@ -1260,14 +1302,7 @@ def simulate_trajectories(
     for k0 in range(0, n_traj, _TRAJ_CHUNK):
         run_chunk(k0, min(k0 + _TRAJ_CHUNK, n_traj))
 
-    # Slices of the full step grid, so runs with different strides share times.
-    return TrajectoryBatch(
-        times=full_times[::stride],
-        means=means,
-        records=records,
-        sigma_c=sigma_path[::stride],
-        seed=master_seed,
-    )
+    return TrajectoryBatch(times=times, means=means, records=records, sigma_c=sigma_c, seed=master_seed)
 
 
 def excess_noise(batch: TrajectoryBatch, t_index: int = -1) -> np.ndarray:
@@ -1276,12 +1311,13 @@ def excess_noise(batch: TrajectoryBatch, t_index: int = -1) -> np.ndarray:
     The anticommutator convention doubles the classical covariance, so the
     ensemble identity reads sigma_unc = sigma_c + Sigma.  The covariance is
     np.cov's arithmetic written out (centre, one product, scale by
-    1 / (n - 1)), the same bits without its argument handling.
+    1 / (n - 1)), the same bits without its argument handling; the centre is
+    the sum over n, as ndarray.mean takes it, without mean's own overhead.
     """
     if batch.n_traj < 2:
         raise ValueError("excess noise needs at least two trajectories")
     x = batch.means[:, t_index, :]
-    xc = x - x.mean(axis=0)
+    xc = x - np.add.reduce(x, axis=0) / batch.n_traj
     c = xc.T @ xc
     c *= 1.0 / (batch.n_traj - 1)
     return 2.0 * c

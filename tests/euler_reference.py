@@ -1,43 +1,32 @@
-"""Step-by-step Euler-Maruyama reference for monitored trajectory ensembles.
+"""First-order Euler-Maruyama reference for the storage windows of monitored trajectories.
 
-A cross-check of ``simulate_trajectories``, which advances a whole storage
-window with one product: this helper takes the same scheme one time step at a
-time, from the same per-trajectory substreams, through the public API only.
+``simulate_trajectories`` draws each storage window from its exact Gaussian
+law.  This helper takes the Euler-Maruyama scheme of the conditional means
+one time step at a time, through the public API only, and gives the
+covariance it assigns to a window; that covariance converges to the exact one
+at first order in the step.
 """
-
-import math
 
 import numpy as np
 
-from gaussdaemon import GaussianState, MonitoredModel, evolve_conditional_cm
+from gaussdaemon import MonitoredModel
 
 
-def euler_trajectories(
-    mm: MonitoredModel, state0: GaussianState, dt: float, T: float, n_traj: int, master_seed: int, store_stride: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """(means, records) of the ensemble, shaped as in ``TrajectoryBatch``, stepped one dt at a time.
+def euler_window_covariance(mm: MonitoredModel, sigma_path: np.ndarray, dt: float) -> np.ndarray:
+    """Covariance of (mean at the window's end, records summed over it) under Euler-Maruyama from a fixed mean.
 
-    r <- r + (r A^T + d) dt + dW G_t^T with gains G_t = E - sigma_c(t) B, and
-    records sum dW - dt r B over each window of ``store_stride`` steps.
+    ``sigma_path`` holds the conditional CM at the window's steps, one more
+    than the steps.  The scheme r <- r + (A r + d) dt + G_j dW_j with gains
+    G_j = E - sigma_c(t_j) B and records y <- y + dW_j - dt B^T r, with
+    E[dW dW^T] = I dt / 2, carries the covariance of (r, y) as
+    C <- K C K^T + (dt / 2) [G_j; I] [G_j; I]^T, K = [[I + A dt, 0], [-dt B^T, I]].
     """
-    n_steps = int(round(T / dt))
-    sigma_path = evolve_conditional_cm(mm, state0.cm, np.arange(n_steps + 1) * dt)
-    gains = mm.e - sigma_path[:-1] @ mm.b
-    two_m = mm.b.shape[1]
-    dw = np.empty((n_traj, n_steps, two_m))
-    for k in range(n_traj):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(k,)))
-        dw[k] = rng.standard_normal((n_steps, two_m))
-    dw *= math.sqrt(0.5 * dt)
-
-    r = np.tile(state0.mean, (n_traj, 1))
-    means, records = [r], []
-    acc = np.zeros((n_traj, two_m))
-    for t in range(n_steps):
-        acc = acc + dw[:, t] - (r @ mm.b) * dt
-        r = r + (r @ mm.dd.a.T + mm.dd.drive) * dt + dw[:, t] @ gains[t].T
-        if (t + 1) % store_stride == 0:
-            means.append(r)
-            records.append(acc)
-            acc = np.zeros((n_traj, two_m))
-    return np.stack(means, axis=1), np.stack(records, axis=1)
+    two_n, two_m = mm.dd.a.shape[0], mm.b.shape[1]
+    k = np.eye(two_n + two_m)
+    k[:two_n, :two_n] += mm.dd.a * dt
+    k[two_n:, :two_n] = -dt * mm.b.T
+    cov = np.zeros_like(k)
+    for sigma in sigma_path[:-1]:
+        noise = np.concatenate((mm.e - sigma @ mm.b, np.eye(two_m)))
+        cov = k @ cov @ k.T + (0.5 * dt) * (noise @ noise.T)
+    return cov

@@ -26,7 +26,7 @@ from gaussdaemon.cli import main
 from gaussdaemon.dynamics import _grid_walk, _interval_map
 from gaussdaemon.measurement import _from_pointer_frame, _pointer_inverse
 from gaussdaemon.symplectic import TOL_HURWITZ, _omega, _smallest_eigenvalue
-from euler_reference import euler_trajectories
+from euler_reference import euler_window_covariance
 from riccati_oracle import DPS, riccati_data, steady_state, transient
 from scalar_riccati import opo_filter_diagonals
 
@@ -1017,6 +1017,20 @@ def _random_two_mode_model(rng):
     return _random_hurwitz_model(rng)
 
 
+def test_unconditional_path_returns_means_of_their_own():
+    """The public means own their memory on both routes, so keeping them does not keep the route's moment arrays.
+
+    The OPO's closed form stacks five moment rows and a coupled drift walks
+    the augmented flow; a view of either kept its whole array alive.
+    """
+    state0 = GaussianState(np.array([0.7, -1.2]), 3.0 * np.eye(2))
+    rotated = gd.DriftDiffusion(a=np.array([[-0.5, 0.2], [-0.1, -0.8]]), d=np.eye(2), drive=np.array([0.3, 0.0]))
+    for dd in (gd.opo_model(gd.OpoParams(0.6, nu_in=3.0)).dd, rotated):
+        means, cms = gd.unconditional_path(dd, state0, np.linspace(0.0, 2.0, 21))
+        assert means.flags.owndata and means.shape == (21, 2)
+        assert np.array_equal(means, gd.dynamics._unconditional_path(dd, state0, np.linspace(0.0, 2.0, 21))[0])
+
+
 def test_unconditional_path_is_grid_independent():
     """A single step of any length gives F (s0 - s_inf) F^T + s_inf and F (r0 - r_inf) + r_inf.
 
@@ -1755,17 +1769,28 @@ class TestTrajectories:
         b3 = gd.simulate_trajectories(self.mm, self.state0, dt=1e-3, T=0.5, n_traj=64, master_seed=12)
         assert not np.array_equal(b1.means, b3.means)
 
-    def test_stride_decimation(self):
-        """Strided storage matches the stride-1 run at the common times."""
+    def test_stride_decimation(self, monkeypatch):
+        """The stored grid and sigma_c do not depend on the stride, and 25 stride-1 windows compose to one of stride 25.
+
+        Both properties hold whatever the sampling method.  The filter
+        decouples, so sigma_c at the common times is the same bits.  Over 25
+        windows the joint (mean, summed record) state is affine in the start
+        mean with a covariance that composes as C <- K C K^T + C_w; composed
+        from the kernel's stride-1 maps it must be the stride-25 map.
+        """
         kw = dict(dt=1e-3, T=0.5, n_traj=8, master_seed=3)
-        full = gd.simulate_trajectories(self.mm, self.state0, **kw)
-        dec = gd.simulate_trajectories(self.mm, self.state0, store_stride=25, **kw)
+        full, one = _trajectories_and_maps(monkeypatch, self.mm, self.state0, **kw)
+        dec, many = _trajectories_and_maps(monkeypatch, self.mm, self.state0, store_stride=25, **kw)
+        assert gd.dynamics._decoupled(self.mm) is not None
         assert np.array_equal(dec.times, full.times[::25])
-        assert np.abs(dec.means - full.means[:, ::25, :]).max() <= 1e-13 * np.abs(full.means).max()
         assert np.array_equal(dec.sigma_c, full.sigma_c[::25])
-        # records sum over each storage window
-        summed = full.records.reshape(8, 20, 25, 2).sum(axis=2)
-        assert np.allclose(dec.records, summed, atol=1e-12)
+        assert dec.means.shape == (8, 21, 2) and dec.records.shape == (8, 20, 2)
+        for w in range(20):
+            affine, cov = _compose_windows(one[25 * w : 25 * w + 25])
+            exact_affine, noise = many[w, :, :3], many[w, :, 3:]
+            assert np.abs(affine - exact_affine).max() <= 1e-13 * np.abs(exact_affine).max(), w
+            exact = noise @ noise.T
+            assert np.abs(cov - exact).max() <= 1e-13 * np.abs(exact).max(), w
 
     def test_moment_consistency(self):
         """Ensemble mean and sigma_c + Sigma track the unconditional moments."""
@@ -1948,20 +1973,159 @@ def test_flows_past_the_float_range_warn_nothing():
             gd.daemonic_ergotropy_path(mm, gd.thermal(2.0), grid)
 
 
+def _trajectories_and_maps(monkeypatch, mm, state0, **kw):
+    """(batch, maps): simulate_trajectories' result and the window maps it drew with (_window_maps)."""
+    build, maps = gd.dynamics._window_maps, []
+    monkeypatch.setattr(gd.dynamics, "_window_maps", lambda *args: maps.append(build(*args)) or maps[-1])
+    batch = gd.simulate_trajectories(mm, state0, **kw)
+    return batch, maps[0]
+
+
+def _compose_windows(maps):
+    """(affine rows, covariance) of consecutive windows composed: the joint (mean, summed record) state.
+
+    Each map sends (r, 1, z) to (r' - r, y), so the state (r, y) moves by
+    K = I + [step, 0] plus the drive column and the noise L z.
+    """
+    dim = maps.shape[1]
+    two_n = maps.shape[2] - dim - 1
+    affine, cov = np.zeros((dim, two_n + 1)), np.zeros((dim, dim))
+    affine[:two_n, :two_n] = np.eye(two_n)
+    for x in maps:
+        k = np.eye(dim)
+        k[:, :two_n] += x[:, :two_n]
+        affine = k @ affine
+        affine[:, two_n] += x[:, two_n]
+        cov = k @ cov @ k.T + x[:, two_n + 1 :] @ x[:, two_n + 1 :].T
+    affine[:two_n, :two_n] -= np.eye(two_n)
+    return affine, cov
+
+
+def _trajectory_cases():
+    """(name, filter, start state): the OPO under het, hom0 and a generic phase, and a driven two-mode filter."""
+    opo = gd.opo_model(gd.OpoParams(0.6, nu_in=3.0))
+    state0 = GaussianState(np.array([1.0, -0.5]), 3.0 * np.eye(2))
+    yield "het", gd.monitored(opo, gd.heterodyne()), state0
+    yield "hom0", gd.monitored(opo, gd.homodyne(0.0)), state0
+    yield "generic", gd.monitored(opo, GeneralDyneSetting(theta_m=0.7, z_m=0.3)), state0
+    yield "driven", *_driven_mixed_case()
+
+
 @pytest.mark.parametrize("case", ["opo", "driven"])
-@pytest.mark.parametrize("stride", [1, 7, 50])
-def test_windows_match_stepwise_euler(case, stride):
-    """One product per storage window reproduces the step-by-step scheme up to summation order."""
-    if case == "opo":
-        mm = gd.monitored(gd.opo_model(gd.OpoParams(0.6, nu_in=3.0)), _CHUNK_SETTINGS[0])
-        state0 = GaussianState(np.array([1.0, -0.5]), 3.0 * np.eye(2))
-    else:
-        mm, state0 = _driven_mixed_case()
-    kw = dict(dt=1e-2, T=3.5, n_traj=40, master_seed=8)
-    batch = gd.simulate_trajectories(mm, state0, store_stride=stride, **kw)
-    means, records = euler_trajectories(mm, state0, **kw, store_stride=stride)
-    assert np.abs(batch.means - means).max() <= 1e-13 * np.abs(means).max()
-    assert np.abs(batch.records - records).max() <= 1e-13 * np.abs(records).max()
+@pytest.mark.parametrize("window", [1, 7, 50])
+def test_windows_match_stepwise_euler(case, window):
+    """The Euler-Maruyama covariance of a window converges to the kernel's at first order in dt.
+
+    Window `window` of length h = 0.03 of the OPO under het, hom0 and a
+    generic phase ("opo"), or of a driven two-mode filter ("driven"): the
+    means block and the records block of the scheme's covariance
+    (euler_reference, stepped through the exact sigma_c) differ from the
+    kernel's by a gap that falls 10 +- 0.5 times per decade of dt, from
+    dt = 1e-3 to 1e-5.
+    """
+    h, names = 0.03, ("het", "hom0", "generic") if case == "opo" else ("driven",)
+    for name, mm, state0 in (x for x in _trajectory_cases() if x[0] in names):
+        two_n = 2 * mm.base.n
+        stored = np.arange(window + 2) * h
+        sigma_c = gd.evolve_conditional_cm(mm, state0.cm, stored)
+        noise = gd.dynamics._window_maps(mm, sigma_c, h)[window, :, two_n + 1 :]
+        exact, gaps = noise @ noise.T, []
+        for dt in (1e-3, 1e-4, 1e-5):
+            fine = gd.evolve_conditional_cm(mm, sigma_c[window], stored[window] + np.arange(round(h / dt) + 1) * dt)
+            euler = euler_window_covariance(mm, fine, dt)
+            blocks = (np.s_[:two_n, :two_n], np.s_[two_n:, two_n:])
+            gaps.append([np.abs(euler[b] - exact[b]).max() / np.abs(exact[b]).max() for b in blocks])
+        gaps = np.array(gaps)
+        ratios = gaps[:-1] / gaps[1:]
+        assert np.all(np.abs(ratios - 10.0) <= 0.5), (name, gaps)
+
+
+@pytest.mark.parametrize("case", ["het", "hom0", "generic", "driven"])
+def test_window_maps_give_the_exact_excess_noise(case):
+    """The covariance of the means that the window maps imply is (sigma_unc - sigma_c) / 2 at every stored time.
+
+    Cov(r_w+1) = K Cov(r_w) K^T + L L^T with K = I + step and L the noise
+    rows of the mean, from Cov(r_0) = 0; within 1e-12 of sigma_unc's scale,
+    for dt from 1e-2 to 1e-4 and strides 1, 7 and 50 over T = 3.5.
+    """
+    name, mm, state0 = next(x for x in _trajectory_cases() if x[0] == case)
+    for dt, stride in itertools.product((1e-2, 1e-3, 1e-4), (1, 7, 50)):
+        _check_excess_noise(mm, state0, dt, stride, round(3.5 / dt))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(seed=st_.integers(0, 2**32 - 1), dt=st_.sampled_from([1e-2, 1e-3, 1e-4]), stride=st_.sampled_from([1, 7, 50]))
+def test_window_maps_give_the_exact_excess_noise_on_random_two_mode_filters(seed, dt, stride):
+    """As above, for random driven two-mode models under random settings, whose flows walk the grid, over 350 steps."""
+    rng = np.random.default_rng(seed)
+    mm = gd.monitored(_random_two_mode_model(rng), (gd.random_setting(rng), gd.random_setting(rng)))
+    _check_excess_noise(mm, GaussianState(rng.standard_normal(4), 2.0 * np.eye(4)), dt, stride, 350)
+
+
+def _check_excess_noise(mm, state0, dt, stride, n_steps):
+    two_n = 2 * mm.base.n
+    times = np.arange(0, n_steps + 1, stride) * dt
+    sigma_c = gd.evolve_conditional_cm(mm, state0.cm, times)
+    _, sigma_unc = gd.unconditional_path(mm.dd, state0, times)
+    cov = np.zeros((two_n, two_n))
+    for w, x in enumerate(gd.dynamics._window_maps(mm, sigma_c, stride * dt), start=1):
+        # The increment form of K C K^T, K = I + step, as the kernel adds the step to the mean: I + step
+        # rounded once and applied 35000 times would drift by about 35000 eps.
+        step, noise = x[:two_n, :two_n], x[:two_n, two_n + 1 :]
+        moved = step @ cov
+        cov = cov + (moved + moved.T + moved @ step.T + noise @ noise.T)
+        gap = np.abs(cov - 0.5 * (sigma_unc[w] - sigma_c[w])).max() / np.abs(sigma_unc[w]).max()
+        assert gap <= 1e-12, (dt, stride, w, gap)
+
+
+@pytest.mark.parametrize("case", ["het", "hom0", "generic", "driven"])
+def test_trajectories_depend_on_dt_only_through_the_stored_grid(case):
+    """(dt, stride s) and (dt s, stride 1) draw the same normals and give the same means and records to 1e-12."""
+    name, mm, state0 = next(x for x in _trajectory_cases() if x[0] == case)
+    for dt, stride in ((1e-2, 7), (1e-3, 50)):
+        kw = dict(T=10 * stride * dt, n_traj=20, master_seed=6)
+        fine = gd.simulate_trajectories(mm, state0, dt=dt, store_stride=stride, **kw)
+        coarse = gd.simulate_trajectories(mm, state0, dt=dt * stride, **kw)
+        assert np.abs(fine.times - coarse.times).max() <= 1e-15 * coarse.times[-1]
+        for field in ("means", "records"):
+            x, y = getattr(fine, field), getattr(coarse, field)
+            assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max(), (name, dt, field)
+
+
+def test_window_covariance_beyond_round_off_is_a_numeric_error():
+    """A sigma_c path that no filter produces (its CM at t = 0.2 doubled) makes a window covariance negative: NumericError."""
+    _, mm, state0 = next(_trajectory_cases())
+    sigma_c = gd.evolve_conditional_cm(mm, state0.cm, [0.0, 0.1, 0.2])
+    sigma_c[2] *= 2.0
+    with pytest.raises(gd.NumericError, match=r"window covariance from t = 0.1 has eigenvalue .* beyond"):
+        gd.dynamics._window_maps(mm, sigma_c, 0.1)
+
+
+def test_trajectory_windows_past_the_float_range_are_a_numeric_error():
+    """Above threshold one window of 1e4 grows a quadrature by e^1000: NumericError, with no RuntimeWarning.
+
+    Heterodyne keeps the conditional CM finite, so only the window's
+    interval map overflows.  A window of 1000 (growth e^100) still samples.
+    """
+    model = gd.DiffusiveModel([[0.0, -0.6], [-0.6, 0.0]], gd.symplectic_form(1), 3.0 * np.eye(2), np.zeros(2))
+    mm = gd.monitored(model, gd.heterodyne())
+    assert not gd.is_hurwitz(mm.dd.a)
+    batch = gd.simulate_trajectories(mm, gd.vacuum(1), dt=1e3, T=5e3, n_traj=3, master_seed=0)
+    assert np.isfinite(batch.means).all() and np.isfinite(batch.records).all()
+    with pytest.raises(gd.NumericError, match="the trajectory window flow left the floating-point range"):
+        gd.simulate_trajectories(mm, gd.vacuum(1), dt=1e4, T=1e5, n_traj=3, master_seed=0)
+
+
+def test_hom0_leaves_the_unmeasured_mean_deterministic():
+    """hom0 at phase 0 never moves the p mean at random, so its window covariance is singular.
+
+    The rank-revealing factor draws no noise along it: every trajectory's p
+    mean is the same up to round-off, and its ensemble spread is not noise.
+    """
+    _, mm, state0 = next(x for x in _trajectory_cases() if x[0] == "hom0")
+    batch = gd.simulate_trajectories(mm, state0, dt=1e-3, T=1.0, n_traj=50, master_seed=2, store_stride=10)
+    assert np.ptp(batch.means[:, :, 1], axis=0).max() <= 1e-13
+    assert np.ptp(batch.means[:, -1, 0]) > 0.1
 
 
 def test_daemonic_path_reaches_steady_value():

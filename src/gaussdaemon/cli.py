@@ -192,12 +192,8 @@ def cmd_tmsts_sweep(args) -> int:
     return 0
 
 
-def _opo_params(args) -> OpoParams:
-    return OpoParams(args.chi_tilde, nu_in=args.nu_in, nu_0=args.nu0)
-
-
 def cmd_opo_ss(args) -> int:
-    params = _opo_params(args)
+    params = OpoParams(args.chi_tilde, nu_in=args.nu_in)
     setting = _setting_from_args(args, default=heterodyne())
     unc = opo_unconditional_ss(params)
     sig_c = opo_conditional_ss(params, setting)
@@ -214,7 +210,7 @@ def cmd_opo_ss(args) -> int:
 
 
 def cmd_opo_transient(args) -> int:
-    params = _opo_params(args)
+    params = OpoParams(args.chi_tilde, nu_in=args.nu_in, nu_0=args.nu0)
     table = transient_table(params, t_max=args.T, dt=args.dt)
     rows = np.column_stack([table.times, table.hom0, table.hom90, table.het])
     write_csv(
@@ -236,7 +232,7 @@ def cmd_opo_transient(args) -> int:
 
 
 def cmd_opo_zsweep(args) -> int:
-    params = _opo_params(args)
+    params = OpoParams(args.chi_tilde, nu_in=args.nu_in)
     data = zsweep_table(params)
     rows = np.vstack([data.table, [data.z_opt, data.z_opt_value]])
     write_csv(
@@ -269,7 +265,7 @@ def cmd_trajectories(args) -> int:
         setting = _setting_from_args(args, default=file_setting or heterodyne())
         state0 = read_state(args.state) if args.state else GaussianState(np.zeros(2 * model.n), np.eye(2 * model.n))
     elif args.chi_tilde is not None:
-        params = _opo_params(args)
+        params = OpoParams(args.chi_tilde, nu_in=args.nu_in, nu_0=args.nu0)
         model = opo_model(params)
         setting = _setting_from_args(args, default=heterodyne())
         state0 = read_state(args.state) if args.state else GaussianState(np.zeros(2), params.nu_0 * np.eye(2))
@@ -333,10 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--z-m", type=float, default=None, help="general-dyne parameter in [0, 1]; 0 = homodyne")
         p.add_argument("--theta-m", type=float, default=None, help="general-dyne measurement phase (default 0)")
 
-    def add_opo(p, chi_default=None, nu0_default=1.0, required=True):
+    def add_opo(p, chi_default=None, nu0_default=None, required=True):
         p.add_argument("--chi-tilde", type=float, default=chi_default, required=required and chi_default is None)
         p.add_argument("--nu-in", type=float, default=1.0, help="environment thermal parameter (default 1)")
-        p.add_argument("--nu0", type=float, default=nu0_default, help=f"initial thermal scale (default {nu0_default})")
+        if nu0_default is not None:  # only the commands that start from a thermal state read it
+            p.add_argument("--nu0", type=float, default=nu0_default, help=f"initial thermal scale (default {nu0_default})")
 
     p = sub.add_parser("validate", help="validate files or run the randomized invariant suites")
     p.add_argument("--state", default=None)
@@ -381,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trajectories", help="stochastic trajectory ensemble (CSV)")
     p.add_argument("--model", default=None, help="model file; alternative to --chi-tilde")
     p.add_argument("--state", default=None, help="optional initial state file")
-    add_opo(p, required=False)
+    add_opo(p, nu0_default=1.0, required=False)
     add_strategy(p)
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--T", type=float, default=1.0)

@@ -16,6 +16,7 @@ collected in the 2n-vector mean.  The free Hamiltonian is the sum of
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -238,8 +239,7 @@ def _one_mode_violation(s00: float, s01: float, s11: float) -> str | None:
 def _spectral_violation(sigma: np.ndarray) -> str | None:
     """_physicality_violation from the entries and the smallest eigenvalues, where the closed form does not decide."""
     if not np.isfinite(sigma).all():
-        listed = ", ".join(f"sigma[{i}, {j}] = {sigma[i, j]}" for i, j in np.argwhere(~np.isfinite(sigma)).tolist())
-        return f"covariance matrix not finite: {listed}"
+        return f"covariance matrix not finite: {_non_finite_entries(sigma)}"
     # Imported here: the package loads scipy with dynamics; loading it first, from this module, raised the
     # package's peak RSS at import by about 3 MB.
     from scipy.linalg.lapack import dsyevd, zheevd
@@ -250,6 +250,10 @@ def _spectral_violation(sigma: np.ndarray) -> str | None:
         return f"covariance matrix not positive definite: min eig = {ws:.3e}"
     t = TOL_PSD
     return None if w >= -t else f"uncertainty principle violated: min eig(sigma + i Omega) = {w:.3e} < -{t:.1e}"
+
+
+def _non_finite_entries(sigma: np.ndarray) -> str:
+    return ", ".join(f"sigma[{i}, {j}] = {sigma[i, j]}" for i, j in np.argwhere(~np.isfinite(sigma)).tolist())
 
 
 def vacuum(n: int = 1) -> GaussianState:
@@ -309,44 +313,48 @@ def reduce(state: GaussianState, modes) -> GaussianState:
 def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix, sorted descending.
 
-    Computed from the symmetric matrix sigma^{1/2} (Omega sigma Omega^T) sigma^{1/2},
-    whose eigenvalues are the squared symplectic eigenvalues, each doubly
-    degenerate; pairs are matched by sorting.  Values within ``TOL_PSD`` below 1
-    are clamped to exactly 1 so that pure states report unit eigenvalues.
+    One mode takes sqrt(det sigma).  From two modes on, with sigma = L L^T by
+    Cholesky, it is one value of each equal pair of singular values of the real
+    antisymmetric L^T Omega L, which is similar to i Omega sigma: exact to working
+    precision relative to nu_max.  Values within ``TOL_PSD`` below 1 are clamped to 1.
 
-    ``cm`` may also be a stack of shape (*lead, 2n, 2n), with any leading
-    shape; the spectra are then computed in one batched pass and returned as
-    a (*lead, n) array, entry idx being the spectrum of ``cm[idx]``.  A
-    non-positive member raises, naming the first (in C order) by its index,
-    a tuple where lead has more than one axis.  For one mode the spectrum is
-    the closed form sqrt(det sigma).
+    ``cm`` may also be a (*lead, 2n, 2n) stack, computed in one batched pass into a (*lead, n)
+    array, entry idx the spectrum of ``cm[idx]``.  A non-finite member raises with its
+    non-finite entries; if none is, one that Sylvester's criterion (one mode) or Cholesky
+    rejects raises with its smallest eigenvalue.  The first (in C order) is named by its
+    index, a tuple where lead has more than one axis.
     """
     cm = np.asarray(cm, dtype=float)
     lead, n = cm.shape[:-2], cm.shape[-1] // 2
-    flat = cm.reshape(-1, *cm.shape[-2:]) if len(lead) > 1 else cm  # numpy runs one stacked axis faster
-    sym = 0.5 * (flat + np.swapaxes(flat, -1, -2))
-    if n == 1:
-        a, b, d = sym[..., 0, 0], sym[..., 0, 1], sym[..., 1, 1]
-        det = a * d - b * b
-        ok = (a > 0.0) & (det > 0.0)  # Sylvester's criterion, member by member
+    if not np.isfinite(cm).all():  # the first non-finite member is named below, before any positivity test
+        ok = np.isfinite(cm).all(axis=(-2, -1))
     else:
-        w, Q = np.linalg.eigh(sym)
-        ok = w[..., 0] > 0.0
+        sym = 0.5 * (cm + np.swapaxes(cm, -1, -2))
+        if n == 1:
+            a, b, d = sym[..., 0, 0], sym[..., 0, 1], sym[..., 1, 1]
+            det = a * d - b * b
+            ok = (a > 0.0) & (det > 0.0)  # Sylvester's criterion, member by member
+        else:
+            try:
+                chol, ok = np.linalg.cholesky(sym), np.True_
+            except np.linalg.LinAlgError:  # ok: the members before the first that Cholesky rejects
+                ok = np.zeros(lead, dtype=bool)
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    for i in np.ndindex(lead):
+                        np.linalg.cholesky(sym[i])
+                        ok[i] = True
     if not ok.all():
-        i = int(np.argmin(ok))  # the first member that fails
-        lam = _indefinite_min_eig(a.flat[i], b.flat[i], d.flat[i]) if n == 1 else w[..., 0].flat[i]
-        index = tuple(int(j) for j in np.unravel_index(i, lead)) if len(lead) > 1 else i
-        where = f" at stack index {index}" if lead else ""
+        i = next(i for i in np.ndindex(lead) if not ok[i])  # the first member that fails
+        where = f" at stack index {i if len(lead) > 1 else i[0]}" if lead else ""
+        if not np.isfinite(cm[i]).all():
+            raise UnphysicalStateError(f"covariance matrix not finite{where}: {_non_finite_entries(cm[i])}")
+        lam = _indefinite_min_eig(a[i], b[i], d[i]) if n == 1 else np.linalg.eigvalsh(sym[i])[0]
         raise UnphysicalStateError(f"covariance matrix not positive definite{where}: min eig = {lam:.3e}")
     if n == 1:
         nus = np.sqrt(det)[..., None]  # one value: nothing to sort
     else:
-        root = (Q * np.sqrt(w)[..., None, :]) @ np.swapaxes(Q, -1, -2)
-        m = root @ _omega(n) @ root
-        w2 = np.sort(np.linalg.eigvalsh(-m @ m), axis=-1)  # = (Omega sigma)^2 spectrum, made symmetric
-        nus = np.sort(np.sqrt(0.5 * (w2[..., 0::2] + w2[..., 1::2])), axis=-1)[..., ::-1]
-    nus = np.where((nus < 1.0) & (nus > 1.0 - TOL_PSD), 1.0, nus)  # monotone, so the order stands
-    return nus.reshape(*lead, n) if len(lead) > 1 else nus
+        nus = np.linalg.svd(np.swapaxes(chol, -1, -2) @ _omega(n) @ chol, compute_uv=False)[..., ::2]
+    return np.where((nus < 1.0) & (nus > 1.0 - TOL_PSD), 1.0, nus)  # monotone, so the order stands
 
 
 def energy(state: GaussianState) -> float:

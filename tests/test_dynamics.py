@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+import re
 import signal
 from contextlib import contextmanager
 
@@ -429,6 +430,13 @@ def test_unconditional_steady_state_by_integration():
         gd.steady_state_unconditional(gd.DriftDiffusion(np.eye(2), np.eye(2), np.zeros(2)))
 
 
+def test_random_stable_model_gives_up_after_its_draws(monkeypatch):
+    """random_stable_model raises once every one of its draws has a drift that is not Hurwitz."""
+    monkeypatch.setattr(gd.randomized, "is_hurwitz", lambda a: False)
+    with pytest.raises(gd.NumericError, match="no Hurwitz model found in 1000 draws"):
+        gd.random_stable_model(np.random.default_rng(0))
+
+
 def test_unconditional_steady_state_at_large_noise():
     """The Lyapunov residual is gated relative to its largest term, so large but valid noise solves.
 
@@ -682,6 +690,7 @@ def test_unphysical_riccati_solution_on_the_schur_route(monkeypatch):
         pytest.param(2, 1e-320, "nearly singular upper block", id="1e-320-nearly singular upper block"),
         pytest.param(2, 0.0, "Singular matrix", id="0.0-Singular matrix"),
         pytest.param(1, 1e-160, "nearly singular upper block", id="one-mode-1e-160-nearly singular upper block"),
+        pytest.param(1, 0.0, "singular upper block (det U = 0.0", id="one-mode-0.0-singular upper block"),
     ],
 )
 def test_degenerate_schur_basis_is_a_numeric_error(monkeypatch, capsys, n, scale, cause):
@@ -689,7 +698,7 @@ def test_degenerate_schur_basis_is_a_numeric_error(monkeypatch, capsys, n, scale
 
     Two modes take a Schur basis with upper block 1e-320 I (sigma overflows)
     or 0.  One mode takes a closed-form basis with upper block 1e-160 I, whose
-    determinant 1e-320 is not 0; there opo-ss exits 3.  The non-finite sigma
+    determinant 1e-320 is not 0, or 0; there opo-ss exits 3.  The non-finite sigma
     is caught right after the solve, before the closed loop's eigenvalues
     would raise numpy's LinAlgError (a ValueError) on it, and with no
     RuntimeWarning.
@@ -706,7 +715,27 @@ def test_degenerate_schur_basis_is_a_numeric_error(monkeypatch, capsys, n, scale
         z[:4, :4], z[4:, :4] = scale * np.eye(4), np.eye(4)
         monkeypatch.setattr(gd.dynamics, "_stable_schur", lambda h: (z, 4))
         mm = _two_mode_generic()
-    with pytest.raises(gd.NumericError, match=f"algebraic Riccati solve failed: .*{cause}"):
+    with pytest.raises(gd.NumericError, match=f"algebraic Riccati solve failed: .*{re.escape(cause)}"):
+        gd.steady_state_conditional(mm)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_anti_stabilizing_riccati_solution_is_a_numeric_error(monkeypatch, capsys, n):
+    """A basis of the anti-stable subspace of -H solves the Riccati equation, but its closed loop is not Hurwitz.
+
+    The basis is patched into _one_mode_basis (one mode, which is handed H)
+    or _stable_schur (two modes, handed -H); opo-ss exits 3 on it.
+    """
+    if n == 1:
+        monkeypatch.setattr(gd.dynamics, "_one_mode_basis", lambda h: schur(np.array(h), sort="lhp")[0][:, :2].tolist())
+        mm = gd.monitored(gd.opo_model(gd.OpoParams(0.6, nu_in=3.0)), GeneralDyneSetting(theta_m=0.7, z_m=0.4))
+        args = ["opo-ss", "--chi-tilde", "0.6", "--nu-in", "3", "--strategy", "gendyne", "--z-m", "0.4"]
+        assert main(args + ["--theta-m", "0.7"]) == 3
+        assert "Riccati solution is not stabilizing" in capsys.readouterr().err
+    else:
+        monkeypatch.setattr(gd.dynamics, "_stable_schur", lambda h: (schur(h, sort="rhp")[0], 4))
+        mm = _two_mode_generic()
+    with pytest.raises(gd.NumericError, match="Riccati solution is not stabilizing"):
         gd.steady_state_conditional(mm)
 
 

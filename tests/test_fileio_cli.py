@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import gaussdaemon as gd
 from gaussdaemon import ParseError
 from gaussdaemon.bipartite import _LOG_MAX_CM_ENTRY
-from gaussdaemon.cli import _describe, main
+from gaussdaemon.cli import _describe, _pick_stride, main
 from scalar_riccati import opo_quadrature_gains, scalar_riccati_transient
 from standard_form_reference import degenerate_states
 
@@ -424,7 +424,7 @@ class TestCli:
     [
         ["opo-ss", "--chi-tilde", "nan"],
         ["opo-ss", "--chi-tilde", "0.6", "--nu-in", "nan"],
-        ["opo-ss", "--chi-tilde", "0.6", "--nu0", "inf"],
+        ["opo-transient", "--chi-tilde", "0.6", "--nu0", "inf", "--out", "OUT"],
         ["opo-ss", "--chi-tilde", "0.6", "--strategy", "gendyne", "--z-m", "0.5", "--theta-m", "nan"],
         ["daemonic", "--state", "STATE", "--strategy", "gendyne", "--z-m", "0.5", "--theta-m", "inf"],
         ["ergotropy", "--state", "INF_STATE"],
@@ -446,11 +446,40 @@ def test_non_finite_input_exits_2(args, tmp_path, capsys):
             path = tmp_path / f"{arg.lower()}.txt"
             path.write_text(files[arg])
             arg = str(path)
-        argv.append(arg)
+        argv.append(str(tmp_path / "out.csv") if arg == "OUT" else arg)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "finite" in captured.err
     assert "nan" not in captured.out
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["opo-ss", "opo-zsweep"])
+def test_steady_commands_take_no_initial_scale(command, tmp_path, capsys):
+    """--nu0 belongs to the commands that start from a thermal state; the steady ones reject it as an unknown option."""
+    with pytest.raises(SystemExit) as info:
+        main([command, "--chi-tilde", "0.5", "--nu0", "1e100", "--out", str(tmp_path / "out.csv")])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --nu0 1e100" in capsys.readouterr().err
+
+
+def test_pick_stride_steps_down_to_a_divisor():
+    """The stride is the largest divisor of the step count at most n_steps // 200."""
+    assert _pick_stride(1205) == 5  # 1205 // 200 = 6 does not divide 1205
+    assert _pick_stride(1200) == 6
+    assert _pick_stride(150) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ergotropy_of_a_widely_spread_spectrum(seed, tmp_path, capsys):
+    """A two-mode state with nu = (1e8, 1) prints passive energy (1e8 + 1) / 2 to all 12 digits."""
+    s = gd.random_symplectic(np.random.default_rng(seed), 2, max_squeeze=1.5)
+    cm = s @ np.diag([1e8, 1e8, 1.0, 1.0]) @ s.T
+    rows = "\n".join(" ".join(repr(float(v)) for v in row) for row in 0.5 * (cm + cm.T))
+    path = tmp_path / "wide.txt"
+    path.write_text(f"2\n0 0 0 0\n{rows}\n")
+    assert main(["ergotropy", "--state", str(path)]) == 0
+    assert "passive_energy = 50000000.5\n" in capsys.readouterr().out
 
 
 def _readme_block(readme: str, marker: str) -> str:

@@ -282,6 +282,21 @@ def test_inverse_sum_requires_a_2x2_block(shape):
         gd.inverse_sum(np.full(shape, 2.0), gd.heterodyne())
 
 
+@pytest.mark.parametrize(
+    "sigma_b, setting",
+    [
+        (np.diag([-2.0, 1.0]), gd.heterodyne()),
+        (np.diag([-2.0, 1.0]), gd.homodyne(0.0)),
+        (np.zeros((2, 2)), gd.homodyne(0.0)),
+    ],
+    ids=["indefinite-het", "indefinite-hom0", "zero-hom0"],
+)
+def test_inverse_sum_of_a_singular_sum_is_a_numeric_error(sigma_b, setting):
+    """A sigma_B + sigma_m that is not positive definite raises instead of returning an inverse."""
+    with pytest.raises(gd.NumericError, match="sigma_B \\+ sigma_m is singular"):
+        gd.inverse_sum(sigma_b, setting)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(
     seed=st_.integers(min_value=0, max_value=2**32 - 1),

@@ -1,6 +1,8 @@
 """Unit tests for Gaussian states and symplectic linear algebra."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -94,13 +96,15 @@ def test_validate_state_accepts_large_isotropic_states(n, c):
 
 
 def test_validate_state_rejects_non_finite():
-    """An infinite variance or a NaN anywhere in the moments is rejected."""
-    for cm in (np.diag([np.inf, 1.0]), np.array([[1.0, np.nan], [np.nan, 1.0]])):
+    """An infinite variance or a NaN anywhere in the moments is rejected, for one mode and from two modes on."""
+    multimode = [np.diag([1.0, 1.0, 1.0, -np.inf]), np.eye(6)]
+    multimode[1][0, 5] = multimode[1][5, 0] = np.nan
+    for cm in (np.diag([np.inf, 1.0]), np.array([[1.0, np.nan], [np.nan, 1.0]]), *multimode):
         with pytest.raises(ValueError, match="must be finite"):
-            gd.validate_state(np.zeros(2), cm)
-    for mean in ([np.nan, 0.0], [0.0, -np.inf]):
+            gd.validate_state(np.zeros(cm.shape[0]), cm)
+    for mean in ([np.nan, 0.0], [0.0, -np.inf], [0.0, np.inf, 0.0, 0.0], [0.0] * 5 + [np.nan]):
         with pytest.raises(ValueError, match="must be finite"):
-            gd.validate_state(mean, np.eye(2))
+            gd.validate_state(mean, np.eye(len(mean)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -234,6 +238,68 @@ def test_multi_axis_stacks_name_members_by_index_tuple(n):
         gd.symplectic_eigenvalues(bad[None])
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("ratio", [1e2, 1e4, 1e6, 1e8, 1e10])
+def test_symplectic_spectrum_is_exact_across_wide_spectra(n, ratio):
+    """nu_j within 1e-13 nu_max, with no warning, for nu_max / nu_min up to 1e10 and squeezing up to 1.5.
+
+    The states are S (diag nu_j I) S^T with nu_min = 1 and nu_max = ratio.  A
+    route through the squared spectrum loses (nu_max / nu_min)^2 eps on nu_min,
+    and takes the square root of a negative number once that passes 1.
+    """
+    rng = np.random.default_rng(340 + n)
+    inner = np.exp(rng.uniform(0.0, math.log(ratio), size=(200, n - 2)))
+    nus = -np.sort(-np.column_stack([np.full(200, ratio), np.ones(200), inner]), axis=1)
+    maps = [gd.random_symplectic(rng, n, max_squeeze=1.5) for _ in nus]
+    cms = np.stack([s @ np.diag(np.repeat(nu, 2)) @ s.T for nu, s in zip(nus, maps)])
+    cms = 0.5 * (cms + np.swapaxes(cms, 1, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spectra = gd.symplectic_eigenvalues(cms)
+    assert np.abs(spectra - nus).max() <= 1e-13 * ratio
+
+
+def test_cholesky_rejection_at_round_off_names_the_first_rejected_member():
+    """The first member Cholesky rejects is named, with eigvalsh's smallest eigenvalue, round-off rejections included.
+
+    The members before -I have eigenvalues 1 and 1e15 to 1e18: positive
+    definite, but Cholesky may reject them at round-off, and eigvalsh's
+    smallest eigenvalue may come out on either side of 0.  With numpy 2.4's
+    OpenBLAS, 3e16 is the first rejected, with a positive eigvalsh value 1.341.
+    """
+    q = gd.random_orthogonal_symplectic(np.random.default_rng(10), 2)
+    cms = [np.eye(4)] + [q @ np.diag([big, big, 1.0, 1.0]) @ q.T for big in (1e15, 1e16, 3e16, 1e17, 1e18)]
+    cms = np.stack([0.5 * (cm + cm.T) for cm in cms] + [-np.eye(4)])
+    rejected = []
+    for k, cm in enumerate(cms):
+        try:
+            np.linalg.cholesky(cm)
+        except np.linalg.LinAlgError:
+            rejected.append(k)
+    k = rejected[0]
+    lam = np.linalg.eigvalsh(cms[k])[0]
+    with pytest.raises(UnphysicalStateError, match=re.escape(f"at stack index {k}: min eig = {lam:.3e}")):
+        gd.symplectic_eigenvalues(cms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+def test_symplectic_eigenvalues_name_non_finite_members(n, bad, where):
+    """A non-finite member is named by its stack index and entries, before any positivity test, with no warning."""
+    i, j = (0, 0) if where == "diagonal" else (0, 2 * n - 1)
+    cms = np.stack([(k + 1.0) * np.eye(2 * n) for k in range(6)]).reshape(2, 3, 2 * n, 2 * n)
+    cms[1, 2] = -np.eye(2 * n)  # not positive definite, but after the non-finite member in C order
+    cms[1, 0, i, j] = cms[1, 0, j, i] = bad
+    entries = ", ".join(f"sigma[{a}, {b}] = {bad}" for a, b in sorted({(i, j), (j, i)}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stack, index in ((cms, " at stack index (1, 0)"), (cms[1], " at stack index 0"), (cms[1, 0], "")):
+            with pytest.raises(UnphysicalStateError) as info:
+                gd.symplectic_eigenvalues(stack)
+            assert str(info.value) == f"covariance matrix not finite{index}: {entries}"
+
+
 def test_one_mode_positivity_survives_widely_spread_eigenvalues():
     """Eigenvalues 1e24 apart pass the one-mode check, which tr/2 - hypot((a - d)/2, b) cancelled to 0."""
     cms = np.stack([np.eye(2), np.diag([1e-4, 1e20]), np.diag([1e20, 1e-4])])
@@ -253,6 +319,10 @@ def test_energy_and_purity():
     # pure squeezed state: purity 1 regardless of squeezing
     sq = gd.apply_symplectic(gd.vacuum(1), gd.squeezer(2.0))
     assert gd.purity(sq) == pytest.approx(1.0)
+    # det sigma <= 0 raises instead of returning nan or inf
+    for cm in (np.diag([1.0, -1.0]), np.diag([1.0, 0.0]), np.diag([1.0, 1.0, 1.0, -2.0])):
+        with pytest.raises(gd.NumericError, match="non-positive determinant"):
+            gd.purity(GaussianState(np.zeros(cm.shape[0]), cm))
 
 
 def test_williamson_single_mode():

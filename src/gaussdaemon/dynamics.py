@@ -94,10 +94,9 @@ stabilizing root of each coordinate's scalar Riccati equation
 The filter terms are written in the pointer frame, where homodyne is the exact
 w = z_m / nu_m = 0 member of the general-dyne family (see MonitoredModel).
 
-The environment is normalized at model construction: a symplectic pre-pass
-brings sigma_in to thermal-diagonal form (nu_j I per mode), folding the
-transformation into C and mean_in; (A, D, d) are invariant under the fold and
-measurement settings are interpreted in the normalized basis.  A model and
+The environment is taken as given: each input mode's sigma_in block may be
+any physical 2x2 CM, and a measurement setting refers to that mode's own
+basis, the one sigma_in and C are written in.  A model and
 its filter store read-only copies of their arrays.  One system and one input
 mode (n = m = 1, the OPO among them) are built in float arithmetic on the 2x2
 entries, with the checks and messages of the general route and the products
@@ -121,7 +120,7 @@ from scipy.linalg.lapack import dgees, dgeev
 
 from .ergotropy import clamp_ergotropy
 from .exceptions import ConvergenceError, NoSteadyStateError, NumericError, SymmetryError
-from .measurement import GeneralDyneSetting, _from_pointer_frame, _pointer_inverse
+from .measurement import GeneralDyneSetting, _from_pointer_frame, _pointer_frame_entries, _pointer_inverse
 from .symplectic import (
     TOL_HURWITZ,
     TOL_SYM,
@@ -132,7 +131,6 @@ from .symplectic import (
     _physicality_violation,
     symplectic_eigenvalues,
     validate_state,
-    williamson_single_mode,
 )
 
 # Gate on the residual of a steady state (Lyapunov or Riccati) relative to its largest term (_relative_residual).
@@ -158,8 +156,6 @@ _MAP_BASE = 2.0**-52
 # Filter data whose off-diagonal entries are within this fraction of each matrix's largest entry decouple
 # (_decoupled): each coordinate then has its own scalar Riccati flow and steady state.
 _DECOUPLED_TOL = 1e-12
-# A sigma_in block within this of nu I (entrywise) is stored as exactly nu I (_normalize_environment).
-_ISOTROPIC_TOL = 1e-13
 # Grid points times filters in one block of the per-coordinate closed form (_conditional_blocks), so that each
 # array of matrix entries holds at most 64 KB.  Larger ones page-fault on every call: on a 2-core AMD
 # EPYC VM (numpy 2.4, resource.getrusage) transient_table at 30001 points took 5371 minor faults and
@@ -179,9 +175,9 @@ _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 class DiffusiveModel:
     """System-environment model (H_S, C, sigma_in, mean_in) for n system and m input modes.
 
-    The constructor validates shapes, finiteness and physicality and normalizes the
-    environment to thermal-diagonal form; the stored ``c``, ``sigma_in`` and
-    ``mean_in`` refer to the normalized basis.  Correlations between input
+    The constructor validates shapes, finiteness and physicality, and stores
+    ``c``, ``sigma_in`` and ``mean_in`` as given.  Each input mode's sigma_in
+    block may be any physical CM, squeezed or not; correlations between input
     modes are not supported.  ``dd``, the unconditional dynamics, is derived
     once.  Every stored array is a read-only copy, so a caller that later
     writes to its own arrays leaves the model as it was.  One system and one
@@ -214,7 +210,7 @@ def _require_environment_shapes(sigma_in, mean_in, m: int) -> None:
 
 
 def _model(h_s, c, sigma_in, mean_in) -> tuple:
-    """(h_s, c, sigma_in, mean_in, dd) of DiffusiveModel: checks, normalization and the unconditional dynamics."""
+    """(h_s, c, sigma_in, mean_in, dd) of DiffusiveModel: the checks and the unconditional dynamics."""
     if h_s.ndim != 2 or h_s.shape[0] != h_s.shape[1] or h_s.shape[0] % 2:
         raise ValueError(f"H_S must be square of even size, got {h_s.shape}")
     n = h_s.shape[0] // 2
@@ -227,8 +223,9 @@ def _model(h_s, c, sigma_in, mean_in) -> tuple:
     m = c.shape[1] // 2
     _require_environment_shapes(sigma_in, mean_in, m)
     validate_state(mean_in, sigma_in)
-
-    c, sigma_in, mean_in = _normalize_environment(c, sigma_in, mean_in, m)
+    rows = sigma_in.tolist()
+    if any(abs(v) > 1e-12 for i, row in enumerate(rows) for j, v in enumerate(row) if i // 2 != j // 2):
+        raise ValueError("correlated input modes are not supported; sigma_in must be block-diagonal")
     h_s = 0.5 * (h_s + h_s.T)
     # Products with the symplectic forms only permute and negate entries, so they are exact in any order.
     oc = _omega(n) @ c
@@ -239,45 +236,15 @@ def _model(h_s, c, sigma_in, mean_in) -> tuple:
     return h_s, c, sigma_in, mean_in, dd
 
 
-def _normalize_environment(c, sigma_in, mean_in, m):
-    """Fold a per-mode symplectic into (c, mean_in) so that sigma_in = nu_j I per mode.
-
-    Leaves A, D and d invariant: C sigma_in C^T, C Omega_m C^T and C mean_in
-    are unchanged when C -> C S^{-1}, sigma_in -> S sigma_in S^T,
-    mean_in -> S mean_in with S symplectic.  Blocks within _ISOTROPIC_TOL of
-    isotropic need no fold and are stored as exactly nu_j I, nu_j = tr / 2.  Both
-    decisions are float arithmetic on the entries (small numpy calls cost more).
-    """
-    rows = sigma_in.tolist()
-    if any(abs(v) > 1e-12 for i, row in enumerate(rows) for j, v in enumerate(row) if i // 2 != j // 2):
-        raise ValueError("correlated input modes are not supported; sigma_in must be block-diagonal")
-    blocks = [(*rows[2 * j][2 * j : 2 * j + 2], *rows[2 * j + 1][2 * j : 2 * j + 2]) for j in range(m)]
-    nus = [0.5 * (b00 + b11) for b00, _, _, b11 in blocks]
-    if any(_anisotropy(block, nu) > _ISOTROPIC_TOL for block, nu in zip(blocks, nus)):
-        s_full = np.zeros((2 * m, 2 * m))
-        for j in range(m):
-            block = slice(2 * j, 2 * j + 2)
-            nus[j], s_full[block, block] = williamson_single_mode(sigma_in[block, block])
-        c, mean_in = c @ np.linalg.inv(s_full), s_full @ mean_in
-    return c, np.diag([nu for nu in nus for _ in range(2)]), mean_in
-
-
-def _anisotropy(block, nu: float) -> float:
-    """Largest entry of |B - nu I| for a 2x2 block B given as four row-major floats."""
-    b00, b01, b10, b11 = block
-    return max(abs(b00 - nu), abs(b01), abs(b10), abs(b11 - nu))
-
-
 def _one_mode_model(h_s, c, sigma_in, mean_in) -> tuple:
     """_model for n = m = 1 in float arithmetic on the entries (small numpy calls cost more).
 
     The checks, their order and their messages are _model's, and sigma_in is
     checked by the same predicates, on the entries unpacked here
-    (symplectic._check_one_mode).  A non-isotropic sigma_in is folded by
-    _normalize_environment, as on that route.  The products are _model's,
-    written out: Omega X permutes and negates rows,
-    C Omega C^T = det(C) Omega, so the coupling adds -det(C) / 2 to the diagonal
-    of A, and D = (nu Omega C) (Omega C)^T.  Adding 0.0 to the derived entries
+    (symplectic._check_one_mode).  The products are _model's, written out:
+    Omega X permutes and negates rows, C Omega C^T = det(C) Omega, so the
+    coupling adds -det(C) / 2 to the diagonal of A, and
+    D = (Omega C sigma_in) (Omega C)^T.  Adding 0.0 to the derived entries
     leaves a zero as +0.0, as numpy's matmul does.
     """
     (h00, h01), (h10, h11) = h_s.tolist()
@@ -289,17 +256,14 @@ def _one_mode_model(h_s, c, sigma_in, mean_in) -> tuple:
     _require_environment_shapes(sigma_in, mean_in, 1)
     (r0, r1), ((s00, s01), (s10, s11)) = mean_in.tolist(), sigma_in.tolist()
     _check_one_mode(r0, r1, s00, s01, s10, s11)
-    nu = 0.5 * (s00 + s11)
-    if _anisotropy((s00, s01, s10, s11), nu) > _ISOTROPIC_TOL:
-        c, sigma_in, mean_in = _normalize_environment(c, sigma_in, mean_in, 1)
-        ((c00, c01), (c10, c11)), nu, (r0, r1) = c.tolist(), float(sigma_in[0, 0]), mean_in.tolist()
     h00, h01, h11 = 0.5 * (h00 + h00), 0.5 * (h01 + h10), 0.5 * (h11 + h11)  # H_S symmetrized
     k = 0.5 * (c01 * c10 - c00 * c11)
-    g00, g01, g10, g11 = c10 * nu, c11 * nu, -c00 * nu, -c01 * nu  # nu Omega C
+    g00, g01 = c10 * s00 + c11 * s10, c10 * s01 + c11 * s11  # Omega C sigma_in
+    g10, g11 = -c00 * s00 - c01 * s10, -c00 * s01 - c01 * s11
     d00, d11 = g00 * c10 + g01 * c11, g10 * -c00 + g11 * -c01
     d01 = 0.5 * ((g00 * -c00 + g01 * -c01) + (g10 * c10 + g11 * c11))
     a_d = (h01 + k, h11, -h00, k - h01, 0.5 * (d00 + d00), d01, d01, 0.5 * (d11 + d11))
-    entries = [h00, h01, h01, h11, c00, c01, c10, c11, nu, 0.0, 0.0, nu, *(x + 0.0 for x in a_d)]
+    entries = [h00, h01, h01, h11, c00, c01, c10, c11, s00, s01, s10, s11, *(x + 0.0 for x in a_d)]
     matrices = np.array(entries).reshape(5, 2, 2)
     vectors = np.array([r0, r1, c10 * r0 + c11 * r1 + 0.0, -c00 * r0 - c01 * r1 + 0.0]).reshape(2, 2)
     matrices.flags.writeable = vectors.flags.writeable = False  # and so are the views unpacked from them
@@ -328,7 +292,8 @@ def _spectral_abscissa(a: np.ndarray) -> float:
     disc = ((a - d) / 2)^2 + b c, in float arithmetic; larger matrices, and a 2x2
     whose closed form is not finite, take LAPACK's dgeev without eigenvectors,
     called directly: the eigenvalues np.linalg.eigvals gives, bit for bit,
-    with its LinAlgError on a non-finite matrix or a nonzero info.
+    with its LinAlgError on a non-finite matrix.  A nonzero info is a numeric
+    failure, NumericError with eigvals' text.
     """
     if a.shape == (2, 2) and math.isfinite(alpha := _abscissa2(*a.ravel().tolist())):
         return alpha
@@ -336,7 +301,7 @@ def _spectral_abscissa(a: np.ndarray) -> float:
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     wr, _, _, _, info = dgeev(a, compute_vl=0, compute_vr=0)
     if info:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        raise NumericError("Eigenvalues did not converge")
     return max(wr.tolist())
 
 
@@ -386,8 +351,8 @@ class MonitoredModel:
 
     The unconditional dynamics ``dd`` and the terms of the filter flow
     At s + s At^T + Dt - s B B^T s are built once, as read-only arrays, from
-    M = (sigma_in + sigma_m)^-1 per input mode in the pointer frame
-    (measurement._pointer_inverse, _pointer_blocks):
+    M = (sigma_in + sigma_m)^-1 per input mode, with sigma_m in that mode's own
+    basis, in the pointer frame (measurement._pointer_inverse, _pointer_blocks):
     B = C Omega_m M^(1/2), E = Omega C sigma_in M^(1/2),
     At = A + Omega C (sigma_in M) Omega_m^T C^T, Dt = Omega C (sigma_in M sigma_m) C^T Omega^T.
     These are A + E B^T and D - E E^T without the cancellation: a quadrature
@@ -425,7 +390,7 @@ class MonitoredModel:
             c00, c01, c10, c11 = self.base.c.ravel().tolist()
             oc, oc_t = (c10, c11, -c00, -c01), (c10, -c00, c11, -c01)
             co, co_t = (-c01, c00, -c11, c10), (-c01, -c11, c00, c10)
-            p0, p1, p2, p3 = _pointer_blocks(float(self.base.sigma_in[0, 0]), settings[0])
+            p0, p1, p2, p3 = _pointer_blocks(self.base.sigma_in.ravel().tolist(), settings[0])
             at = [x + y for x, y in zip(dd.a.ravel().tolist(), _mul2(_mul2(oc, p3), co_t))]
             x00, x01, x10, x11 = _mul2(_mul2(oc, p2), oc_t)
             dtilde = (0.5 * (x00 + x00), 0.5 * (x01 + x10), 0.5 * (x10 + x01), 0.5 * (x11 + x11))
@@ -434,11 +399,11 @@ class MonitoredModel:
             stack.flags.writeable = False  # and so are the views unpacked from it
             at_dt = flat[8:12], flat[12:]
         else:
-            # Per mode, the pointer-frame diagonals of M^(1/2), sigma_in M^(1/2), sigma_in M sigma_m and sigma_in M.
-            nus = self.base.sigma_in.diagonal()[::2].tolist()
+            # Per bath mode, M^(1/2), sigma_in M^(1/2), sigma_in M sigma_m and sigma_in M from its sigma_in block.
+            positions, baths = _block_positions(m)
+            baths = zip(self.base.sigma_in.take(baths).tolist(), settings)
             blocks = np.zeros(16 * m * m)
-            values = [x for nu, setting in zip(nus, settings) for block in _pointer_blocks(nu, setting) for x in block]
-            blocks[_block_positions(m)] = values
+            blocks[positions] = [x for bath, st in baths for block in _pointer_blocks(bath, st) for x in block]
             blocks = blocks.reshape(4, 2 * m, 2 * m)
             oc, co = _omega(n) @ self.base.c, self.base.c @ _omega(m)
             b, (e, in_m_m, in_m) = co @ blocks[0], oc @ blocks[1:]
@@ -455,30 +420,55 @@ class MonitoredModel:
 
 
 @lru_cache(maxsize=None)
-def _block_positions(m: int) -> np.ndarray:
+def _block_positions(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat positions in the (4, 2m, 2m) block-diagonal matrices of MonitoredModel of each mode's four pointer blocks.
 
     In the order of their entries: mode by mode, block by block, row-major
     within a block; (row, col) index the stack as a (4 * 2m, 2m) matrix.
+    A mode's first block sits where its sigma_in block sits in a 2m x 2m
+    matrix, so those positions, as an (m, 4) array, come second.
     """
     dim = 2 * m
     rows = [(k * dim + 2 * j + i // 2, 2 * j + i % 2) for j, k, i in itertools.product(range(m), range(4), range(4))]
     out = np.array([row * dim + col for row, col in rows])
-    out.flags.writeable = False
-    return out
+    baths = out.reshape(m, 4, 4)[:, 0].copy()
+    out.flags.writeable = baths.flags.writeable = False
+    return out, baths
 
 
-def _pointer_blocks(nu: float, setting: GeneralDyneSetting) -> list:
-    """M^(1/2), sigma_in M^(1/2), sigma_in M sigma_m and sigma_in M for sigma_in = nu I, each as four row-major floats.
+def _pointer_blocks(block, setting: GeneralDyneSetting) -> list:
+    """M^(1/2), sigma_in M^(1/2), sigma_in M sigma_m and sigma_in M for one bath block, each as four row-major floats.
 
-    Each is diagonal in the pointer frame (measurement._pointer_inverse) and
-    rotated back by R_theta (measurement._from_pointer_frame).
+    block holds the bath's 2x2 sigma_in entries, row-major, and
+    M = (sigma_in + sigma_m)^-1 with sigma_m in the bath's own basis.  All
+    four are formed in the pointer frame, S = R^T sigma_in R
+    (measurement._pointer_inverse), and rotated back by R_theta
+    (measurement._from_pointer_frame).  A block that is exactly nu I is the
+    same in every frame, and there the four are diagonal.  Any other takes
+    the symmetric root M^(1/2) = (M + t I) / sqrt(tr M + 2 t), t = sqrt(det M)
+    = sqrt(w / det) (det N = w det, nothing cancels), and S M^(1/2),
+    S M sigma_m = S K / det and S M = I - K^T / det as 2x2 products.  Their
+    antisymmetric part a J, J = [[0, 1], [-1, 0]], is the same in every frame
+    (R J R^T = J), so only the symmetric part is rotated.
     """
-    (det, n11, _, n22), (k11, _, _, k22) = _pointer_inverse(nu, 0.0, nu, setting)
+    b11, b12, b21, b22 = block
     c, s = math.cos(setting.theta_m), math.sin(setting.theta_m)
-    r11, r22, k11, k22 = math.sqrt(n11 / det), math.sqrt(n22 / det), k11 / det, k22 / det
-    diagonals = ((r11, r22), (nu * r11, nu * r22), (nu * k11, nu * k22), (1.0 - k11, 1.0 - k22))
-    return [_from_pointer_frame(c, s, d1, 0.0, d2) for d1, d2 in diagonals]
+    if b12 == b21 == 0.0 and b11 == b22:
+        (det, n11, _, n22), (k11, _, _, k22) = _pointer_inverse(b11, 0.0, b11, setting)
+        r11, r22, k11, k22 = math.sqrt(n11 / det), math.sqrt(n22 / det), k11 / det, k22 / det
+        diagonals = ((r11, r22), (b11 * r11, b11 * r22), (b11 * k11, b11 * k22), (1.0 - k11, 1.0 - k22))
+        return [_from_pointer_frame(c, s, d1, 0.0, d2) for d1, d2 in diagonals]
+    _, _, s11, s12, s22 = _pointer_frame_entries(b11, 0.5 * (b12 + b21), b22, setting.theta_m)
+    (det, n11, n12, n22), k = _pointer_inverse(s11, s12, s22, setting)
+    t = math.sqrt(setting.z_m / setting.nu_m / det)
+    norm = math.sqrt((n11 + n22) / det + 2.0 * t)
+    r12 = n12 / det / norm
+    root = ((n11 / det + t) / norm, r12, r12, (n22 / det + t) / norm)
+    pointer_s = (s11, s12, s12, s22)
+    blocks = (root, _mul2(pointer_s, root), [x / det for x in _mul2(pointer_s, k)],
+              (1.0 - k[0] / det, -k[2] / det, -k[1] / det, 1.0 - k[3] / det))
+    rotated = [(_from_pointer_frame(c, s, w, 0.5 * (x + y), z), 0.5 * (x - y)) for w, x, y, z in blocks]
+    return [(y00, y01 + a, y01 - a, y11) for (y00, y01, _, y11), a in rotated]
 
 
 def monitored(model: DiffusiveModel, setting) -> MonitoredModel:

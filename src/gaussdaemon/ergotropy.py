@@ -79,9 +79,16 @@ def _cross_check(closed: float, independent: float, what: str, cancelled: float 
 
 
 def ergotropy_report(state: GaussianState) -> ErgotropyReport:
-    """Full energy/passive-energy/ergotropy report for a state."""
-    e = energy(state)
-    passive = 0.5 * float(symplectic_eigenvalues(state.cm).sum())
+    """Full energy/passive-energy/ergotropy report for a state.
+
+    The passive energy is summed over 0.5 nu_j, term by term, as the energy
+    is over 0.25 sigma_ii.  Either one that still overflows raises NumericError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = energy(state)
+        passive = float((0.5 * symplectic_eigenvalues(state.cm)).sum())
+    if not (math.isfinite(e) and math.isfinite(passive)):
+        raise NumericError(f"energy {e!r} or passive energy {passive!r} is not finite")
     return ErgotropyReport(ergotropy=clamp_ergotropy(e - passive, energy=e), energy=e, passive_energy=passive)
 
 

@@ -9,6 +9,7 @@ whitespace-separated matrix rows, plus an optional ``[measurement]`` section
 with ``key = value`` entries (keys nu_m, theta_m, z_m, homodyne): z_m in
 [0, 1] with 0 for homodyne, and ``homodyne = true`` is shorthand for z_m = 0.
 A key may appear once, and a ``homodyne`` flag must agree with any z_m given.
+The setting refers to the basis ``[C]`` and ``[sigma_in]`` are written in.
 
 CSV output: optional ``#`` comment header lines, one header row, then data
 rows with 12 significant digits -- byte-identical for identical inputs.

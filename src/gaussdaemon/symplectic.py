@@ -163,11 +163,11 @@ def _smallest_eigenvalue(evd, a: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric (evd = dsyevd) or Hermitian (zheevd) a, from its lower triangle.
 
     The values np.linalg.eigvalsh gives, bit for bit, without its wrapper;
-    a nonzero LAPACK info raises its LinAlgError.
+    a nonzero LAPACK info is a numeric failure, NumericError with eigvalsh's text.
     """
     w, _, info = evd(a, compute_v=0, lower=1)
     if info:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        raise NumericError("Eigenvalues did not converge")
     return float(w[0])
 
 
@@ -328,21 +328,20 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     lead, n = cm.shape[:-2], cm.shape[-1] // 2
     if not np.isfinite(cm).all():  # the first non-finite member is named below, before any positivity test
         ok = np.isfinite(cm).all(axis=(-2, -1))
+    elif n == 1:  # symmetrizing leaves the diagonal as it is; halves first, so that no sum overflows
+        a, b, d = cm[..., 0, 0], 0.5 * cm[..., 0, 1] + 0.5 * cm[..., 1, 0], cm[..., 1, 1]
+        det = a * d - b * b
+        ok = (a > 0.0) & (det > 0.0)  # Sylvester's criterion, member by member
     else:
-        sym = 0.5 * (cm + np.swapaxes(cm, -1, -2))
-        if n == 1:
-            a, b, d = sym[..., 0, 0], sym[..., 0, 1], sym[..., 1, 1]
-            det = a * d - b * b
-            ok = (a > 0.0) & (det > 0.0)  # Sylvester's criterion, member by member
-        else:
-            try:
-                chol, ok = np.linalg.cholesky(sym), np.True_
-            except np.linalg.LinAlgError:  # ok: the members before the first that Cholesky rejects
-                ok = np.zeros(lead, dtype=bool)
-                with contextlib.suppress(np.linalg.LinAlgError):
-                    for i in np.ndindex(lead):
-                        np.linalg.cholesky(sym[i])
-                        ok[i] = True
+        sym = 0.5 * cm + 0.5 * np.swapaxes(cm, -1, -2)
+        try:
+            chol, ok = np.linalg.cholesky(sym), np.True_
+        except np.linalg.LinAlgError:  # ok: the members before the first that Cholesky rejects
+            ok = np.zeros(lead, dtype=bool)
+            with contextlib.suppress(np.linalg.LinAlgError):
+                for i in np.ndindex(lead):
+                    np.linalg.cholesky(sym[i])
+                    ok[i] = True
     if not ok.all():
         i = next(i for i in np.ndindex(lead) if not ok[i])  # the first member that fails
         where = f" at stack index {i if len(lead) > 1 else i[0]}" if lead else ""
@@ -358,8 +357,12 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
 
 
 def energy(state: GaussianState) -> float:
-    """Mean energy |mean|^2/2 + tr(sigma)/4 for the free Hamiltonian sum (x^2+p^2)/2."""
-    return 0.5 * float(state.mean @ state.mean) + 0.25 * float(np.trace(state.cm))
+    """Mean energy |mean|^2/2 + tr(sigma)/4 for the free Hamiltonian sum (x^2+p^2)/2.
+
+    The trace is summed over 0.25 sigma_ii, term by term: a trace beyond the float range does not overflow
+    while tr(sigma)/4 is within it.
+    """
+    return 0.5 * float(state.mean @ state.mean) + float((0.25 * state.cm.diagonal()).sum())
 
 
 def purity(state: GaussianState) -> float:
@@ -375,15 +378,17 @@ def williamson_single_mode(cm: np.ndarray) -> tuple[float, np.ndarray]:
 
     Closed form: nu = sqrt(det sigma) and S = sqrt(nu) sigma^{-1/2}
     = (adj sigma + nu I) / sqrt(nu (tr sigma + 2 nu)), symmetric with unit
-    determinant, hence symplectic.  Positive definiteness is Sylvester's
-    criterion (:func:`_indefinite_min_eig`).  Only the one-mode case is
-    supported; multimode reduction to normal form is not needed anywhere (the
-    symplectic spectrum alone suffices there).
+    determinant, hence symplectic.  A non-finite entry is named first;
+    positive definiteness is Sylvester's criterion (:func:`_indefinite_min_eig`).
+    Only the one-mode case is supported; multimode reduction to normal form is
+    not needed anywhere (the symplectic spectrum alone suffices there).
     """
     cm = np.asarray(cm, dtype=float)
     if cm.shape != (2, 2):
         raise ValueError(f"normal-form symplectic factor is only available for one mode, got shape {cm.shape}")
     (s00, s01), (s10, s11) = cm.tolist()
+    if not all(map(math.isfinite, (s00, s01, s10, s11))):
+        raise UnphysicalStateError(f"covariance matrix not finite: {_non_finite_entries(cm)}")
     if abs(s01 - s10) > TOL_SYM:
         raise SymmetryError("covariance matrix asymmetric")
     off = 0.5 * (s01 + s10)

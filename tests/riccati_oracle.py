@@ -2,8 +2,8 @@
 
 It shares no code with the library.  The Riccati data are assembled in
 mpmath from floats the library stores, which are exact inputs here: the
-drift A, the coupling C and the normalized input sigma_in.  The measurement
-enters through its definition.  Per input mode j,
+drift A, the coupling C and the input sigma_in, as given.  The measurement
+enters through its definition, in the basis sigma_in is written in.  Per input mode j,
 
     M_j = (sigma_in_j + sigma_m_j)^-1,   sigma_m = nu_m R_theta diag(z_m, 1/z_m) R_theta^T,
 
@@ -62,7 +62,7 @@ def _lyapunov(f, q):
 
 
 def riccati_data(a, c, sigma_in, settings):
-    """(At, Dt, R) in mpmath from the float drift, coupling and normalized input, and one setting per input mode."""
+    """(At, Dt, R) in mpmath from the float drift, coupling and input, and one setting per input mode."""
     n, m = a.shape[0] // 2, c.shape[1] // 2
     a, c, sigma_in = _mp(a), _mp(c), _mp(sigma_in)
     inv = mp.zeros(2 * m, 2 * m)

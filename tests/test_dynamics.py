@@ -156,6 +156,22 @@ def test_schur_failure_keeps_scipys_message(monkeypatch, info, message):
         gd.steady_state_conditional(_two_mode_generic())
 
 
+def test_eigenvalue_non_convergence_is_a_numeric_error(monkeypatch):
+    """A nonzero dgeev info in the drift's Hurwitz test fails both steady solves with NumericError, not LinAlgError.
+
+    A non-finite matrix is still numpy's LinAlgError: that is invalid input.
+    """
+    mm = _two_mode_generic()
+    dgeev = gd.dynamics.dgeev
+    monkeypatch.setattr(gd.dynamics, "dgeev", lambda *args, **kwargs: (*dgeev(*args, **kwargs)[:-1], 3))
+    with pytest.raises(gd.NumericError, match="^Eigenvalues did not converge$"):
+        gd.steady_state_conditional(mm)
+    with pytest.raises(gd.NumericError, match="^Eigenvalues did not converge$"):
+        gd.steady_state_unconditional(mm.dd)
+    with pytest.raises(np.linalg.LinAlgError, match="Array must not contain infs or NaNs"):
+        gd.is_hurwitz(np.full((4, 4), np.nan))
+
+
 def test_model_rejects_non_finite():
     """NaN or infinite entries in H_S, C, sigma_in or mean_in are rejected."""
     good = (np.zeros((2, 2)), np.eye(2), np.eye(2), np.zeros(2))
@@ -168,7 +184,7 @@ def test_model_rejects_non_finite():
 
 
 def test_environment_normalization_preserves_dynamics():
-    """A squeezed-thermal input folds to nu I without changing A, D or the drive."""
+    """A squeezed-thermal input is stored as given, and A, D and the drive are the products of the inputs."""
     rng = np.random.default_rng(61)
     h_s = np.array([[0.4, 0.1], [0.1, -0.2]])
     for _ in range(20):
@@ -178,8 +194,8 @@ def test_environment_normalization_preserves_dynamics():
         c = rng.normal(size=(2, 2))
         mean_in = rng.normal(size=2)
         model = DiffusiveModel(h_s, c, sigma_in, mean_in)
-        # normalized input is thermal-diagonal
-        assert np.allclose(model.sigma_in, model.sigma_in[0, 0] * np.eye(2), atol=1e-10)
+        # stored as given
+        assert np.array_equal(model.sigma_in, sigma_in)
         dd = gd.drift_diffusion(model)
         omega = gd.symplectic_form(1)
         a_ref = omega @ h_s + 0.5 * omega @ c @ omega @ c.T
@@ -218,7 +234,7 @@ def _one_mode_arrays(model, setting):
     """The eight arrays of _filter_products as the model and its filter store them, and as numpy products."""
     mm = gd.monitored(model, setting)
     got = (mm.dd.a, mm.dd.d, mm.dd.drive, mm.b, mm.e, mm.at, mm.dtilde, mm.bbt)
-    blocks = [np.reshape(x, (2, 2)) for x in gd.dynamics._pointer_blocks(float(model.sigma_in[0, 0]), setting)]
+    blocks = [np.reshape(x, (2, 2)) for x in gd.dynamics._pointer_blocks(model.sigma_in.ravel().tolist(), setting)]
     inputs = (model.h_s, model.c, model.sigma_in, model.mean_in, blocks, gd.symplectic_form(1))
     want = _filter_products(*inputs)
     scale = _filter_products(*(np.abs(x) if isinstance(x, np.ndarray) else [np.abs(y) for y in x] for x in inputs))
@@ -248,8 +264,8 @@ def test_one_mode_model_matches_numpy_products(h, c, nu, squeeze, phi, mean, kin
     multiply-add numpy's matmul may use, differ by a few ulp of the terms
     summed, not of the sum: each entry lies within 4 ulp of the largest entry
     of the same products taken on absolute values.  B B^T is numpy's own
-    product of the stored B.  The input is thermal (nu I) or squeezed thermal
-    (folded into C and the mean), and its mean is drawn like the other entries.
+    product of the stored B.  The input is thermal (nu I) or squeezed thermal,
+    stored as given, and its mean is drawn like the other entries.
     """
     h_s = np.array([[h[0], h[1]], [h[1], h[2]]])
     sigma_in = nu * np.eye(2)
@@ -264,7 +280,7 @@ def test_one_mode_model_matches_numpy_products(h, c, nu, squeeze, phi, mean, kin
     got, want, scale = _one_mode_arrays(model, setting)
     for name, x, y, size in zip(("a", "d", "drive", "b", "e", "at", "dtilde", "bbt"), got, want, scale):
         assert np.abs(x - y).max() <= 4.0 * np.spacing(size.max()), (name, x, y)
-    assert np.array_equal(model.sigma_in, model.sigma_in[0, 0] * np.eye(2))
+    assert np.array_equal(model.sigma_in, sigma_in)
 
 
 def test_opo_model_matches_numpy_products_bit_for_bit():
@@ -2401,13 +2417,93 @@ def test_homodyne_gains_are_exact(nu_in):
         assert np.abs(b - ref).max() <= 1e-14 * np.abs(ref).max(), (theta, np.abs(b - ref).max())
 
 
-def test_near_isotropic_input_is_stored_as_nu_identity():
-    """Input blocks within 1e-14 of isotropic are stored as exactly nu_j I, nu_j = trace / 2."""
+def test_near_isotropic_input_is_stored_as_given():
+    """Input blocks within 1e-14 of isotropic are stored as given, and filtered as their isotropic neighbours are.
+
+    An exactly isotropic block takes the diagonal pointer-frame arithmetic, any
+    other the general 2x2 products: across that seam the filter terms move by
+    round-off, not by a jump.
+    """
     jitter = np.array([[4e-15, 3e-15], [3e-15, -2e-15]])
     sigma_in = block_diag(2.5 * np.eye(2) + jitter, np.eye(2) - jitter)
-    model = DiffusiveModel(np.zeros((2, 2)), np.ones((2, 4)), sigma_in, np.zeros(4))
-    nus = [0.5 * np.trace(sigma_in[:2, :2]), 0.5 * np.trace(sigma_in[2:, 2:])]
-    assert np.array_equal(model.sigma_in, block_diag(nus[0] * np.eye(2), nus[1] * np.eye(2)))
+    c = np.array([[1.0, 0.3, -0.2, 0.5], [0.1, 1.0, 0.4, -0.6]])
+    model = DiffusiveModel(np.zeros((2, 2)), c, sigma_in, np.zeros(4))
+    assert np.array_equal(model.sigma_in, sigma_in)
+    isotropic = DiffusiveModel(np.zeros((2, 2)), c, block_diag(2.5 * np.eye(2), np.eye(2)), np.zeros(4))
+    for setting in (gd.homodyne(0.3), gd.heterodyne(), GeneralDyneSetting(nu_m=1.5, theta_m=2.0, z_m=0.2)):
+        mm, iso = gd.monitored(model, setting), gd.monitored(isotropic, setting)
+        for got, want in zip((mm.b, mm.e, mm.at, mm.dtilde), (iso.b, iso.e, iso.at, iso.dtilde)):
+            assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max()), (setting, got, want)
+
+
+def _squeezed_bath(rng, m):
+    """Block-diagonal sigma_in of m independent squeezed thermal modes nu R diag(z, 1/z) R^T, none isotropic."""
+    blocks = []
+    for _ in range(m):
+        r, z = gd.rotation(rng.uniform(0.0, np.pi)), math.exp(rng.uniform(-1.0, 1.0))
+        blocks.append((1.0 + rng.exponential(1.0)) * r @ np.diag([z, 1.0 / z]) @ r.T)
+    return block_diag(*blocks)
+
+
+def _setting_of_kind(rng, kind):
+    theta = float(rng.uniform(0.0, np.pi))
+    if kind == "homodyne":
+        return gd.homodyne(theta)
+    if kind == "heterodyne":
+        return gd.heterodyne()
+    nu_m = 1.0 if kind == "efficient" else float(rng.uniform(1.5, 3.0))
+    return GeneralDyneSetting(nu_m=nu_m, theta_m=theta, z_m=float(rng.uniform(0.05, 0.9)))
+
+
+def _max_rel(got, want) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+@pytest.mark.parametrize("kind", ["homodyne", "heterodyne", "efficient", "noisy"])
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_squeezed_baths_match_the_60_digit_oracle(n, m, kind):
+    """A squeezed bath is stored as given and filtered in its own basis: the 60-digit oracle agrees to 1e-12.
+
+    tests/riccati_oracle.py builds (sigma_in + sigma_m)^-1 from the stored
+    sigma_in and C, with sigma_m in the same basis.  The steady state and the
+    flow from a thermal state at t = 0.7 are compared in max-norm, relative to
+    the oracle's largest entry.
+    """
+    rng = np.random.default_rng([n, m, ["homodyne", "heterodyne", "efficient", "noisy"].index(kind)])
+    while True:
+        h_s = rng.standard_normal((2 * n, 2 * n))
+        h_s, c = 0.5 * (h_s + h_s.T), rng.standard_normal((2 * n, 2 * m))
+        sigma_in, mean_in = _squeezed_bath(rng, m), rng.standard_normal(2 * m)
+        model = DiffusiveModel(h_s, c, sigma_in, mean_in)
+        if gd.is_hurwitz(model.dd.a):
+            break
+    for got, want in ((model.c, c), (model.sigma_in, sigma_in), (model.mean_in, mean_in)):
+        assert np.array_equal(got, want)
+    mm = gd.monitored(model, [_setting_of_kind(rng, kind) for _ in range(m)])
+    want = np.array(steady_state(model.dd.a, c, sigma_in, mm.settings).tolist(), dtype=float)
+    assert _max_rel(gd.steady_state_conditional(mm), want) <= 1e-12
+    sigma0 = 1.5 * np.eye(2 * n)
+    want = np.array(transient(model.dd.a, c, sigma_in, mm.settings, sigma0, 0.7).tolist(), dtype=float)
+    assert _max_rel(gd.evolve_conditional_cm(mm, sigma0, [0.0, 0.7])[-1], want) <= 1e-12
+
+
+def test_heterodyne_on_a_squeezed_bath_is_heterodyne():
+    """The chi~ = 0.6 OPO on the bath 2 R(0.4) diag(0.5, 2) R(0.4)^T: det sigma_c = 3.65226980224512 under heterodyne.
+
+    Read in a folded basis, as a Williamson pre-pass would, the same setting
+    measures another pointer and gives det sigma_c = 3.5707; homodyne at phase 0
+    then keeps det sigma_c = 4 but moves sigma_c by 2.7.
+    """
+    opo = gd.opo_model(gd.OpoParams(0.6))
+    r = gd.rotation(0.4)
+    model = DiffusiveModel(opo.h_s, opo.c, 2.0 * r @ np.diag([0.5, 2.0]) @ r.T, np.zeros(2))
+    for setting, det in ((gd.heterodyne(), "3.65226980224512"), (gd.homodyne(0.0), "4")):
+        sigma_c = gd.steady_state_conditional(gd.monitored(model, setting))
+        with mp.workdps(DPS):
+            oracle = steady_state(model.dd.a, model.c, model.sigma_in, [setting])
+            assert abs(mp.det(oracle) - mp.mpf(det)) <= 1e-14
+        assert abs(np.linalg.det(sigma_c) - float(mp.det(oracle))) <= 1e-12 * float(mp.det(oracle))
+        assert _max_rel(sigma_c, np.array(oracle.tolist(), dtype=float)) <= 1e-12
 
 
 def test_monitored_model_holds_the_filter_terms():

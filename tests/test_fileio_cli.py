@@ -6,6 +6,7 @@ import os
 import shlex
 import signal
 import tempfile
+import warnings
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -480,6 +481,28 @@ def test_ergotropy_of_a_widely_spread_spectrum(seed, tmp_path, capsys):
     path.write_text(f"2\n0 0 0 0\n{rows}\n")
     assert main(["ergotropy", "--state", str(path)]) == 0
     assert "passive_energy = 50000000.5\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "n, code, out",
+    [
+        (1, 3, "energy 5e+307 or passive energy inf is not finite"),
+        (2, 0, "energy = 1e+308\npassive_energy = 1e+308\nergotropy = 0\n"),
+    ],
+)
+def test_ergotropy_near_the_float_maximum(n, code, out, tmp_path, capsys):
+    """1e308 I is a valid state: two modes print its energy and ergotropy 0; one mode, whose det overflows, exits 3.
+
+    Warnings are errors here, so no step may pass through an overflow warning.
+    """
+    rows = "\n".join(" ".join("1e308" if i == j else "0" for j in range(2 * n)) for i in range(2 * n))
+    path = tmp_path / "huge.txt"
+    path.write_text(f"{n}\n{' '.join(['0'] * (2 * n))}\n{rows}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["ergotropy", "--state", str(path)]) == code
+    captured = capsys.readouterr()
+    assert out in (captured.err if code else captured.out)
 
 
 def _readme_block(readme: str, marker: str) -> str:

@@ -300,6 +300,41 @@ def test_symplectic_eigenvalues_name_non_finite_members(n, bad, where):
             assert str(info.value) == f"covariance matrix not finite{index}: {entries}"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+def test_williamson_single_mode_names_non_finite_entries(bad, where):
+    """A non-finite entry is named before the symmetry and positivity checks, with no warning."""
+    cm = 2.0 * np.eye(2)
+    pairs = [(0, 0)] if where == "diagonal" else [(0, 1), (1, 0)]
+    for i, j in pairs:
+        cm[i, j] = bad
+    entries = ", ".join(f"sigma[{i}, {j}] = {bad}" for i, j in pairs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnphysicalStateError) as info:
+            gd.williamson_single_mode(cm)
+    assert str(info.value) == f"covariance matrix not finite: {entries}"
+
+
+def test_symplectic_eigenvalues_near_the_float_maximum():
+    """Entries of 1e308 are symmetrized without overflow: 1e308 I on two modes has nu = 1e308 and energy 1e308."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(gd.symplectic_eigenvalues(1e308 * np.eye(4)), [1e308, 1e308])
+        assert gd.energy(gd.validate_state(np.zeros(4), 1e308 * np.eye(4))) == 1e308
+
+
+@pytest.mark.parametrize("name", ["dsyevd", "zheevd"])
+def test_eigenvalue_non_convergence_in_the_physicality_check_is_a_numeric_error(monkeypatch, name):
+    """A nonzero dsyevd or zheevd info is a numeric failure (NumericError), not numpy's LinAlgError (a ValueError)."""
+    import scipy.linalg.lapack
+
+    evd = getattr(scipy.linalg.lapack, name)
+    monkeypatch.setattr(scipy.linalg.lapack, name, lambda *args, **kwargs: (*evd(*args, **kwargs)[:-1], 3))
+    with pytest.raises(gd.NumericError, match="^Eigenvalues did not converge$"):
+        gd.validate_state(np.zeros(6), np.eye(6))
+
+
 def test_one_mode_positivity_survives_widely_spread_eigenvalues():
     """Eigenvalues 1e24 apart pass the one-mode check, which tr/2 - hypot((a - d)/2, b) cancelled to 0."""
     cms = np.stack([np.eye(2), np.diag([1e-4, 1e20]), np.diag([1e20, 1e-4])])

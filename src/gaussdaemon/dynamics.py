@@ -163,12 +163,6 @@ _DECOUPLED_TOL = 1e-12
 _BLOCK_FLOATS = 8192
 # Column pairs of a 4x4 matrix, in the order the one-mode stable basis tries them (_one_mode_basis).
 _COLUMN_PAIRS = tuple(itertools.combinations(range(4), 2))
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and PCG64's 128-bit LCG multiplier,
-# which _substream_seeds reproduces; simulate_trajectories checks it against numpy on every chunk.
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +218,7 @@ def _model(h_s, c, sigma_in, mean_in) -> tuple:
     _require_environment_shapes(sigma_in, mean_in, m)
     validate_state(mean_in, sigma_in)
     rows = sigma_in.tolist()
-    if any(abs(v) > 1e-12 for i, row in enumerate(rows) for j, v in enumerate(row) if i // 2 != j // 2):
+    if any(v != 0.0 for i, row in enumerate(rows) for j, v in enumerate(row) if i // 2 != j // 2):
         raise ValueError("correlated input modes are not supported; sigma_in must be block-diagonal")
     h_s = 0.5 * (h_s + h_s.T)
     # Products with the symplectic forms only permute and negate entries, so they are exact in any order.
@@ -1088,6 +1082,9 @@ class TrajectoryBatch:
     ``means`` has shape (n_traj, n_stored, 2n); ``records`` holds the measured
     dy increments summed over each storage window, shape
     (n_traj, n_stored - 1, 2m); ``sigma_c`` is the common conditional CM path.
+    ``seed`` is the master seed: trajectory k is driven by the standard
+    normals [k W D, (k + 1) W D) of default_rng(seed), with W = n_stored - 1
+    windows and D = 2n + 2m normals per window (simulate_trajectories).
     """
 
     times: np.ndarray
@@ -1165,51 +1162,6 @@ def _window_maps(mm: MonitoredModel, sigma_c: np.ndarray, h: float) -> np.ndarra
     return np.concatenate((np.broadcast_to(fixed, (factor.shape[0], *fixed.shape)), factor), 2)
 
 
-def _entropy_words(entropy) -> int:
-    """How many uint32 words SeedSequence makes of its entropy: an int, or a sequence of ints and int strings."""
-    if isinstance(entropy, str):  # read as numpy reads it: 0x... hexadecimal, else decimal
-        entropy = int(entropy, 16 if entropy.startswith("0x") else 10)
-    if isinstance(entropy, (int, np.integer)):
-        return max(1, -(-int(entropy).bit_length() // 32))
-    return sum(map(_entropy_words, entropy))
-
-
-def _substream_seeds(parent: np.random.SeedSequence, k0: int, k1: int) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) of PCG64(SeedSequence(parent.entropy, spawn_key=(k,))) for k in [k0, k1), in one pass.
-
-    The child's entropy is the parent's padded to 4 words with the key word k
-    after it, so its pool is the parent's pool mixed with k, the hash constant
-    going on from the 16 + 4 max(0, words - 4) hashmix calls of the parent.
-    The 8 words of generate_state(4, uint64) follow on uint32 arrays over k,
-    read little-endian as 4 uint64 (seed[0:2] the initial state, seed[2:4]
-    the sequence), and PCG64's seeding step is done on Python ints:
-    inc = 2 initseq + 1, state = (inc + initstate) M + inc mod 2^128.
-    """
-    hc = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, _entropy_words(parent.entropy) - 4), 1 << 32) & _MASK32
-    keys, words = np.arange(k0, k1, dtype=np.uint32), np.empty((k1 - k0, 8), np.uint32)
-    pool = []
-    for p in parent.pool.tolist():
-        h = keys ^ np.uint32(hc)  # hashmix(k) with the next hash constant
-        hc = hc * _MULT_A & _MASK32
-        h *= np.uint32(hc)
-        h ^= h >> np.uint32(16)
-        x = np.uint32(_MIX_L * p & _MASK32) - np.uint32(_MIX_R) * h  # mix(pool word, hashmix(k))
-        x ^= x >> np.uint32(16)
-        pool.append(x)
-    hb = _INIT_B
-    for i in range(8):
-        x = pool[i % 4] ^ np.uint32(hb)
-        hb = hb * _MULT_B & _MASK32
-        x *= np.uint32(hb)
-        x ^= x >> np.uint32(16)
-        words[:, i] = x
-    seeds = []
-    for s0, s1, q0, q1 in words.astype("<u4").view("<u8").tolist():
-        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
-        seeds.append(((((s0 << 64 | s1) + inc) * _PCG64_MULT + inc) & _MASK128, inc))
-    return seeds
-
-
 def simulate_trajectories(
     mm: MonitoredModel,
     state0: GaussianState,
@@ -1222,14 +1174,14 @@ def simulate_trajectories(
 ) -> TrajectoryBatch:
     """Ensemble of conditional means and records with the shared Riccati CM path, exact in distribution.
 
-    Trajectory k draws its normals from an independent substream keyed by
-    (master_seed, k): numpy's default_rng(SeedSequence(master_seed,
-    spawn_key=(k,))), bit for bit.  The PCG64 seeds of a chunk's substreams
-    are derived in one vectorized pass (_substream_seeds) and loaded into one
-    generator in turn; numpy seeds the chunk's first trajectory itself, and a
-    mismatch raises NumericError naming numpy's version.  ``store_stride``
-    sets the stored grid: means are stored every ``store_stride`` steps of dt
-    and records are the measured dy summed over each storage window.
+    The ensemble draws from one stream, numpy's default_rng(master_seed):
+    with W stored windows and D = 2n + 2m, trajectory k takes its standard
+    normals [k W D, (k + 1) W D), window w the D of them from k W D + w D.
+    Each chunk of trajectories draws its block in one call, chunks in
+    trajectory order, so trajectory k depends on (master_seed, k, W) and not
+    on n_traj or the chunk size.  ``store_stride`` sets the stored grid:
+    means are stored every ``store_stride`` steps of dt and records are the
+    measured dy summed over each storage window.
 
     Over a storage window of length h = store_stride dt the means and the
     summed records are Gaussian given the start mean, with a mean affine in
@@ -1261,25 +1213,13 @@ def simulate_trajectories(
     means = np.empty((n_traj, n_windows + 1, two_n))
     records = np.empty((n_traj, n_windows, dim - two_n))
 
-    parent = np.random.SeedSequence(master_seed)  # numpy's own checks of the seed
+    rng = np.random.default_rng(np.random.SeedSequence(master_seed))  # numpy's own checks of the seed
 
     def run_chunk(k0: int, k1: int) -> None:
         # Row w of a trajectory is [mean at stored time w, 1, draws of window w], so each
         # product writes the start of the next one in place; the last writes the final mean.
         x = np.empty((k1 - k0, n_windows, two_n + 1 + dim))
-        seeds = _substream_seeds(parent, k0, k1)
-        # The chunk's first generator is seeded by numpy itself, the check on the vectorized seeding.
-        bg = np.random.PCG64(np.random.SeedSequence(entropy=parent.entropy, spawn_key=(k0,)))
-        numpy_seed = bg.state["state"]
-        if (numpy_seed["state"], numpy_seed["inc"]) != seeds[0]:
-            raise NumericError(
-                f"vectorized seeding of trajectory {k0} gave PCG64 (state, inc) = {seeds[0]}, but numpy "
-                f"{np.__version__}'s SeedSequence gives {(numpy_seed['state'], numpy_seed['inc'])}"
-            )
-        rng = np.random.Generator(bg)
-        for i, (state, inc) in enumerate(seeds):
-            bg.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-            x[i, :, two_n + 1 :] = rng.standard_normal((n_windows, dim))
+        x[:, :, two_n + 1 :] = rng.standard_normal((k1 - k0, n_windows, dim))
         x[:, 0, :two_n] = state0.mean
         x[:, :, two_n] = 1.0
         for w in range(n_windows):

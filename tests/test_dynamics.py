@@ -211,6 +211,11 @@ def test_correlated_input_rejected():
     sigma_in = gd.tmsts(0.0, 0.3).cm  # physical, but correlated across modes
     with pytest.raises(ValueError, match="correlated input modes"):
         DiffusiveModel(np.zeros((2, 2)), c, sigma_in, np.zeros(4))
+    # However small: D would keep an off-block pair that the filter, built from the blocks, drops.
+    sigma_in = np.diag([2.0, 2.0, 3.0, 3.0])
+    sigma_in[0, 2] = sigma_in[2, 0] = 9e-13
+    with pytest.raises(ValueError, match="correlated input modes"):
+        DiffusiveModel(np.zeros((4, 4)), np.eye(4), sigma_in, np.zeros(4))
 
 
 def _filter_products(h_s, c, sigma_in, mean_in, blocks, omega):
@@ -1897,50 +1902,35 @@ def test_trajectories_do_not_depend_on_chunk_size(monkeypatch, setting):
                 assert np.array_equal(getattr(batches[0], field), getattr(other, field)), (stride, field)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=80)
-@given(
-    words=st_.sampled_from([0, 1, 2, 4, 5, 8]),
-    top=st_.integers(1, 2**32 - 1),
-    low=st_.integers(0, 2**256 - 1),
-    edge=st_.integers(1, 6),
-    second=st_.sampled_from([None, int, str, hex]),
-)
-def test_substream_seeds_match_numpy(words, top, low, edge, second):
-    """The vectorized PCG64 (state, inc) of every key is numpy's PCG64(SeedSequence(master, spawn_key=(k,))).
+@pytest.mark.parametrize("stride", [1, 20])
+def test_trajectories_take_consecutive_blocks_of_one_normal_stream(monkeypatch, stride):
+    """Trajectory k is driven by the normals [k W D, (k + 1) W D) of default_rng(seed), across a chunk boundary.
 
-    Master seeds of 0 and of 1, 2, 4, 5 and 8 uint32 words, alone or in a
-    list with a second entry (an int, or a decimal or 0x string), keys 0 and
-    1 and keys across a chunk boundary.
+    With window maps that copy the draws to the outputs (zero columns for the
+    start mean and the 1, I on the draws), the records are the last 2m draws
+    of each window bit for bit, and the means the start mean plus the running
+    sum of the first 2n, added one window at a time.
     """
-    master = 0 if words == 0 else top << 32 * (words - 1) | low % (1 << 32 * (words - 1))
-    if second is not None:
-        master = [master, second(top)]
-    parent, chunk = np.random.SeedSequence(master), gd.dynamics._TRAJ_CHUNK
-    keys = [0, 1, *range(chunk - edge, chunk + edge)]
-    seeds = gd.dynamics._substream_seeds(parent, 0, 2) + gd.dynamics._substream_seeds(parent, chunk - edge, chunk + edge)
-    for k, seed in zip(keys, seeds, strict=True):
-        numpy_seed = np.random.PCG64(np.random.SeedSequence(entropy=master, spawn_key=(k,))).state["state"]
-        assert seed == (numpy_seed["state"], numpy_seed["inc"]), (master, k)
-
-
-@pytest.mark.parametrize("chunk_start", [0, gd.dynamics._TRAJ_CHUNK])
-def test_seeding_that_differs_from_numpy_is_a_numeric_error(monkeypatch, tmp_path, chunk_start):
-    """A vectorized seed off numpy's at the start of any chunk stops the run with NumericError (exit 3)."""
-    derive = gd.dynamics._substream_seeds
-
-    def one_wrong_state(parent, k0, k1):
-        seeds = derive(parent, k0, k1)
-        if k0 == chunk_start:
-            seeds[0] = (seeds[0][0] ^ 1, seeds[0][1])
-        return seeds
-
-    monkeypatch.setattr(gd.dynamics, "_substream_seeds", one_wrong_state)
     mm = gd.monitored(gd.opo_model(gd.OpoParams(0.6, nu_in=3.0)), gd.heterodyne())
     state0 = GaussianState(np.array([1.0, -0.5]), 3.0 * np.eye(2))
-    with pytest.raises(gd.NumericError, match=f"seeding of trajectory {chunk_start} .* numpy {np.__version__}'s"):
-        gd.simulate_trajectories(mm, state0, dt=0.1, T=0.2, n_traj=chunk_start + 2, master_seed=4)
-    argv = ["trajectories", "--chi-tilde", "0.6", "--n-traj", str(chunk_start + 2), "--T", "0.2", "--dt", "0.1", "--seed", "4"]
-    assert main([*argv, "--out", str(tmp_path / "traj.csv")]) == 3
+    two_n, dim = 2, 4
+
+    def copy_maps(mm_, sigma_c, h):
+        maps = np.zeros((sigma_c.shape[0] - 1, dim, two_n + 1 + dim))
+        maps[:, :, two_n + 1 :] = np.eye(dim)
+        return maps
+
+    monkeypatch.setattr(gd.dynamics, "_window_maps", copy_maps)
+    monkeypatch.setattr(gd.dynamics, "_TRAJ_CHUNK", 256)
+    batch = gd.simulate_trajectories(mm, state0, dt=1e-2, T=1.0, n_traj=300, master_seed=17, store_stride=stride)
+    n_windows = 100 // stride
+    z = np.random.default_rng(17).standard_normal((300, n_windows, dim))
+    assert np.array_equal(batch.records, z[:, :, two_n:])
+    means = np.empty((300, n_windows + 1, two_n))
+    means[:, 0] = state0.mean
+    for w in range(n_windows):
+        means[:, w + 1] = means[:, w] + z[:, w, :two_n]
+    assert np.array_equal(batch.means, means)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)

@@ -278,18 +278,15 @@ def cmd_trajectories(args) -> int:
     batch = simulate_trajectories(mm, state0, args.dt, args.T, args.n_traj, seed, store_stride=stride)
 
     two_n = batch.means.shape[2]
-    ensemble = batch.means.mean(axis=0)
+    i_up, j_up = np.triu_indices(two_n)  # the upper triangle row by row: (0, 0), (0, 1), ..., (1, 1), ...
+    excess = excess_noise(batch, slice(None)) if batch.n_traj > 1 else np.zeros_like(batch.sigma_c)
     columns = ["kappa_t"]
     columns += [f"mean_{i}" for i in range(two_n)]
-    columns += [f"sc_{i}_{j}" for i in range(two_n) for j in range(i, two_n)]
-    columns += [f"ex_{i}_{j}" for i in range(two_n) for j in range(i, two_n)]
-    rows = np.empty((batch.times.size, len(columns)))
-    for t in range(batch.times.size):
-        sig = batch.sigma_c[t]
-        exc = excess_noise(batch, t) if batch.n_traj > 1 else np.zeros_like(sig)
-        upper_sc = [sig[i, j] for i in range(two_n) for j in range(i, two_n)]
-        upper_ex = [exc[i, j] for i in range(two_n) for j in range(i, two_n)]
-        rows[t] = [batch.times[t], *ensemble[t], *upper_sc, *upper_ex]
+    columns += [f"sc_{i}_{j}" for i, j in zip(i_up, j_up)]
+    columns += [f"ex_{i}_{j}" for i, j in zip(i_up, j_up)]
+    rows = np.column_stack(
+        (batch.times, batch.means.mean(axis=0), batch.sigma_c[:, i_up, j_up], excess[:, i_up, j_up])
+    )
     write_csv(
         args.out,
         columns,
@@ -304,7 +301,7 @@ def cmd_trajectories(args) -> int:
     print(f"wrote {args.out}")
 
     means_unc, cms_unc = unconditional_path(mm.dd, state0, batch.times)
-    sig_sum = batch.sigma_c[-1] + (excess_noise(batch, -1) if batch.n_traj > 1 else 0.0)
+    sig_sum = batch.sigma_c[-1] + excess[-1]
     dev_cm = np.abs(sig_sum - cms_unc[-1]).max()
     dev_mean = np.abs(batch.means[:, -1, :].mean(axis=0) - means_unc[-1]).max()
     print(f"n_traj = {batch.n_traj}, stored points = {batch.times.size}")

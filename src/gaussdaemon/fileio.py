@@ -160,5 +160,5 @@ def write_csv(path: str, columns, rows, comments=()) -> None:
         for comment in comments:
             fh.write(f"# {comment}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows.tolist():  # Python floats format faster than numpy scalars, to the same text
-            fh.write(",".join(format(v, ".12g") for v in row) + "\n")
+        line = ",".join(["%.12g"] * rows.shape[1]) + "\n"  # the text of format(v, ".12g"), one % per row
+        fh.writelines(line % tuple(row) for row in rows.tolist())

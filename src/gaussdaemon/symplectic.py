@@ -31,6 +31,7 @@ TOL_PSD = 1e-9          # uncertainty-principle slack and eigenvalue clamping
 TOL_SYMPLECTIC = 1e-10  # symplecticity check S Omega S^T = Omega
 TOL_HURWITZ = 1e-12     # strict-stability margin for drift matrices
 
+_TINY = np.finfo(float).tiny  # the smallest normal double
 _ROUNDOFF = 4.0 * math.ulp(1.0)  # the unit of round-off of the closed-form physicality checks
 
 _OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -313,7 +314,8 @@ def reduce(state: GaussianState, modes) -> GaussianState:
 def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix, sorted descending.
 
-    One mode takes sqrt(det sigma).  From two modes on, with sigma = L L^T by
+    One mode takes sqrt(det sigma); where det sigma over- or underflows, that of sigma
+    scaled by a power of two, scaled back.  From two modes on, with sigma = L L^T by
     Cholesky, it is one value of each equal pair of singular values of the real
     antisymmetric L^T Omega L, which is similar to i Omega sigma: exact to working
     precision relative to nu_max.  Values within ``TOL_PSD`` below 1 are clamped to 1.
@@ -326,12 +328,21 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     """
     cm = np.asarray(cm, dtype=float)
     lead, n = cm.shape[:-2], cm.shape[-1] // 2
-    if not np.isfinite(cm).all():  # the first non-finite member is named below, before any positivity test
-        ok = np.isfinite(cm).all(axis=(-2, -1))
-    elif n == 1:  # symmetrizing leaves the diagonal as it is; halves first, so that no sum overflows
+    if n == 1:  # symmetrizing leaves the diagonal as it is; halves first, so that no sum overflows
         a, b, d = cm[..., 0, 0], 0.5 * cm[..., 0, 1] + 0.5 * cm[..., 1, 0], cm[..., 1, 1]
-        det = a * d - b * b
-        ok = (a > 0.0) & (det > 0.0)  # Sylvester's criterion, member by member
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            det, shift = a * d - b * b, None
+        ok = (a > 0.0) & (det >= _TINY) & (det < math.inf)  # Sylvester's, det normal: a non-finite entry fails
+    if n == 1 and ok.all():
+        ok = np.True_  # checked once, as Cholesky's below
+    elif not np.isfinite(cm).all():  # the first non-finite member is named below, before any positivity test
+        ok = np.isfinite(cm).all(axis=(-2, -1))
+    elif n == 1:  # where det left the normal range it is 4^k det(sigma 2^-k), 2^k near max(a, d): no rounding
+        shift = np.where(ok, 0, np.frexp(np.maximum(a, d))[1])
+        a_k, b_k, d_k = (np.ldexp(x, -shift) for x in (a, b, d))
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            det = a_k * d_k - b_k * b_k
+        ok = (a > 0.0) & (det > 0.0)
     else:
         sym = 0.5 * cm + 0.5 * np.swapaxes(cm, -1, -2)
         try:
@@ -350,7 +361,7 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
         lam = _indefinite_min_eig(a[i], b[i], d[i]) if n == 1 else np.linalg.eigvalsh(sym[i])[0]
         raise UnphysicalStateError(f"covariance matrix not positive definite{where}: min eig = {lam:.3e}")
     if n == 1:
-        nus = np.sqrt(det)[..., None]  # one value: nothing to sort
+        nus = (np.sqrt(det) if shift is None else np.ldexp(np.sqrt(det), shift))[..., None]  # nothing to sort
     else:
         nus = np.linalg.svd(np.swapaxes(chol, -1, -2) @ _omega(n) @ chol, compute_uv=False)[..., ::2]
     return np.where((nus < 1.0) & (nus > 1.0 - TOL_PSD), 1.0, nus)  # monotone, so the order stands

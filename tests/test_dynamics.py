@@ -1934,15 +1934,84 @@ def test_trajectories_take_consecutive_blocks_of_one_normal_stream(monkeypatch, 
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
-@given(seed=st_.integers(0, 2**32 - 1), n=st_.integers(2, 2048), modes=st_.integers(1, 3), log_scale=st_.floats(-8.0, 8.0))
-def test_excess_noise_is_twice_numpy_cov(seed, n, modes, log_scale):
-    """excess_noise is 2 np.cov(means, rowvar=False) bit for bit, offset means and any ensemble size."""
+@given(
+    seed=st_.integers(0, 2**32 - 1),
+    n=st_.integers(2, 3000),
+    modes=st_.integers(1, 3),
+    n_stored=st_.integers(1, 12),
+    log_scale=st_.floats(-8.0, 8.0),
+)
+def test_excess_noise_is_twice_numpy_cov(seed, n, modes, n_stored, log_scale):
+    """excess_noise is 2 np.cov(means, rowvar=False) bit for bit, offset means and any ensemble size.
+
+    Int, negative and slice indices all index the one stack the batch computes.
+    """
     rng = np.random.default_rng(seed)
     dim = 2 * modes
-    means = (rng.standard_normal((n, 3, dim)) + 100.0 * rng.standard_normal(dim)) * 10.0**log_scale
-    batch = gd.TrajectoryBatch(np.arange(3.0), means, np.zeros((n, 2, 2)), np.zeros((3, dim, dim)), seed)
-    for t in range(3):
-        assert np.array_equal(gd.excess_noise(batch, t), 2.0 * np.cov(means[:, t, :], rowvar=False))
+    means = (rng.standard_normal((n, n_stored, dim)) + 100.0 * rng.standard_normal(dim)) * 10.0**log_scale
+    batch = gd.TrajectoryBatch(
+        np.arange(float(n_stored)), means, np.zeros((n, n_stored - 1, 2)), np.zeros((n_stored, dim, dim)), seed
+    )
+    expected = np.stack([2.0 * np.cov(means[:, t, :], rowvar=False) for t in range(n_stored)])
+    for t in range(n_stored):
+        assert np.array_equal(gd.excess_noise(batch, t), expected[t])
+        assert np.array_equal(gd.excess_noise(batch, t - n_stored), expected[t])
+    assert np.array_equal(gd.excess_noise(batch), expected[-1])
+    for index in (slice(None), slice(1, None), slice(None, None, -2), slice(-1, None)):
+        assert np.array_equal(gd.excess_noise(batch, index), expected[index])
+    assert gd.excess_noise(batch, slice(None)).shape == (n_stored, dim, dim)
+
+
+def _small_batch(means, **fields):
+    n, n_stored, dim = means.shape
+    arrays = dict(times=np.arange(float(n_stored)), records=np.zeros((n, n_stored - 1, 2)))
+    arrays.update(sigma_c=np.zeros((n_stored, dim, dim)), **fields)
+    return gd.TrajectoryBatch(means=means, seed=0, **arrays)
+
+
+def test_excess_noise_needs_two_trajectories():
+    """One trajectory has no sample covariance, at any index; two have one."""
+    batch = _small_batch(np.ones((1, 3, 2)))
+    for index in (0, -1, slice(None)):
+        with pytest.raises(ValueError, match="at least two trajectories"):
+            gd.excess_noise(batch, index)
+    assert np.array_equal(gd.excess_noise(_small_batch(np.ones((2, 3, 2))), slice(None)), np.zeros((3, 2, 2)))
+
+
+def test_trajectory_batch_keeps_its_statistics_when_the_caller_writes():
+    """Writes to the caller's arrays, before or after the first excess_noise call, or to a result, change nothing."""
+    rng = np.random.default_rng(4)
+    means, times = rng.standard_normal((50, 4, 2)), np.arange(4.0)
+    expected = np.stack([2.0 * np.cov(means[:, t, :], rowvar=False) for t in range(4)])
+    batch = _small_batch(means, times=times)
+    late = _small_batch(means[:, ::2])  # a writeable view
+    kept = means.copy()
+    means += 1e3
+    times[:] = -1.0
+    assert np.array_equal(batch.means, kept) and np.array_equal(batch.times, np.arange(4.0))
+    assert np.array_equal(gd.excess_noise(batch, slice(None)), expected)
+    assert np.array_equal(gd.excess_noise(late, slice(None)), expected[::2])
+    means[:] = 0.0
+    out = gd.excess_noise(batch, 1)
+    out[:] = np.nan
+    gd.excess_noise(batch, slice(None))[:] = np.nan
+    assert np.array_equal(gd.excess_noise(batch, slice(None)), expected)
+    assert np.array_equal(gd.excess_noise(late, slice(None)), expected[::2])
+
+
+def test_trajectory_batch_arrays_refuse_writes():
+    """Every stored array is read-only; simulate_trajectories hands its fresh arrays over without a copy."""
+    batch = _small_batch(np.random.default_rng(5).standard_normal((6, 3, 2)))
+    mm = gd.monitored(gd.opo_model(gd.OpoParams(0.6, nu_in=3.0)), gd.heterodyne())
+    simulated = gd.simulate_trajectories(mm, gd.vacuum(1), dt=1e-2, T=0.1, n_traj=8, master_seed=1)
+    for b in (batch, simulated):
+        for name in ("times", "means", "records", "sigma_c"):
+            x = getattr(b, name)
+            assert not x.flags.writeable and x.base is None, name
+            with pytest.raises(ValueError, match="read-only"):
+                x[...] = 0.0
+    frozen = simulated.means
+    assert _small_batch(frozen).means is frozen  # read-only arrays that own their data are kept as given
 
 
 def _driven_mixed_case():

@@ -218,6 +218,17 @@ class TestCsv:
         expected = b"a,b,c,d\n0,-0,inf,-inf\nnan,4.94065645841e-324,-1.79769313486e+308,0.333333333333\n"
         assert path.read_bytes() == expected
 
+    def test_text_is_format_12g(self, tmp_path):
+        """Each value's text is format(v, ".12g"): special values, extremes and 12-digit rounding ties."""
+        values = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 2.2250738585072014e-308]
+        values += [0.1234567890125, 1.0000000000005, 2.5e-13, 123456789012.5, 9.9999999999995e22, -0.3, 1 / 3]
+        values += [1e16, 1e-5, 1e11, 1e12, 123456789012345.0, 1234567.0, 100000000000.5, 100000000001.5, 999999999999.5]
+        rows = np.array(values + [7.0] * (-len(values) % 4)).reshape(-1, 4)
+        path = tmp_path / "values.csv"
+        gd.write_csv(str(path), ["a", "b", "c", "d"], rows)
+        expected = "a,b,c,d\n" + "".join(",".join(format(v, ".12g") for v in row) + "\n" for row in rows.tolist())
+        assert path.read_text(encoding="utf-8") == expected
+
     def test_rewrite_replaces_the_file_and_writes_through_a_link(self, tmp_path):
         """A rewrite is a new file with only the new table; a symbolic link stays a link to the rewritten target."""
         path = tmp_path / "out.csv"
@@ -471,6 +482,45 @@ def test_pick_stride_steps_down_to_a_divisor():
     assert _pick_stride(150) == 1
 
 
+
+def _per_time_csv_body(batch) -> str:
+    """The trajectory CSV's header and rows built one stored time at a time: 2 np.cov and format(v, ".12g")."""
+    two_n = batch.means.shape[2]
+    pairs = [(i, j) for i in range(two_n) for j in range(i, two_n)]
+    columns = ["kappa_t", *(f"mean_{i}" for i in range(two_n))]
+    columns += [f"sc_{i}_{j}" for i, j in pairs] + [f"ex_{i}_{j}" for i, j in pairs]
+    lines = [",".join(columns)]
+    ensemble = batch.means.mean(axis=0)
+    for t in range(batch.times.size):
+        sig = batch.sigma_c[t]
+        exc = 2.0 * np.cov(batch.means[:, t, :], rowvar=False) if batch.n_traj > 1 else np.zeros_like(sig)
+        row = [batch.times[t], *ensemble[t], *(sig[p] for p in pairs), *(exc[p] for p in pairs)]
+        lines.append(",".join(format(float(v), ".12g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("source, n_traj", [("opo", 40), ("opo", 1), ("two-mode", 30), ("two-mode", 1)])
+def test_trajectories_csv_is_the_per_time_statistics(source, n_traj, tmp_path):
+    """The trajectories CSV is byte for byte the table built from per-time 2 np.cov rows, and 0 for one trajectory."""
+    t_end, dt, seed, out = 0.5, 1e-3, 7, tmp_path / "traj.csv"
+    if source == "opo":
+        params = gd.OpoParams(0.6, nu_in=3.0)
+        mm = gd.monitored(gd.opo_model(params), gd.heterodyne())
+        state0 = gd.GaussianState(np.zeros(2), params.nu_0 * np.eye(2))
+        args = ["--chi-tilde", "0.6", "--nu-in", "3"]
+    else:
+        model = tmp_path / "model.txt"
+        model.write_text(MODEL_TWO_MODE)
+        mm = gd.monitored(*gd.read_model(str(model)))
+        state0 = gd.GaussianState(np.zeros(4), np.eye(4))
+        args = ["--model", str(model)]
+    args += ["--T", str(t_end), "--dt", str(dt), "--n-traj", str(n_traj), "--seed", str(seed), "--out", str(out)]
+    assert main(["trajectories", *args]) == 0
+    stride = _pick_stride(gd.dynamics._uniform_steps(t_end, dt))
+    batch = gd.simulate_trajectories(mm, state0, dt, t_end, n_traj, seed, store_stride=stride)
+    text = out.read_text(encoding="utf-8")
+    assert text[text.index("\nkappa_t") + 1 :] == _per_time_csv_body(batch)
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_ergotropy_of_a_widely_spread_spectrum(seed, tmp_path, capsys):
     """A two-mode state with nu = (1e8, 1) prints passive energy (1e8 + 1) / 2 to all 12 digits."""
@@ -486,12 +536,14 @@ def test_ergotropy_of_a_widely_spread_spectrum(seed, tmp_path, capsys):
 @pytest.mark.parametrize(
     "n, code, out",
     [
-        (1, 3, "energy 5e+307 or passive energy inf is not finite"),
+        (1, 0, "energy = 5e+307\npassive_energy = 5e+307\nergotropy = 0\n"),
         (2, 0, "energy = 1e+308\npassive_energy = 1e+308\nergotropy = 0\n"),
     ],
 )
 def test_ergotropy_near_the_float_maximum(n, code, out, tmp_path, capsys):
-    """1e308 I is a valid state: two modes print its energy and ergotropy 0; one mode, whose det overflows, exits 3.
+    """1e308 I is a valid state: one and two modes alike print its energy and ergotropy 0.
+
+    One mode's det sigma = 1e616 overflows; its symplectic eigenvalue is taken from sigma scaled by a power of two.
 
     Warnings are errors here, so no step may pass through an overflow warning.
     """

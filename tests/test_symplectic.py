@@ -324,6 +324,37 @@ def test_symplectic_eigenvalues_near_the_float_maximum():
         assert gd.energy(gd.validate_state(np.zeros(4), 1e308 * np.eye(4))) == 1e308
 
 
+@pytest.mark.parametrize("k", [-1000, -540, -520, -500, 500, 510, 520, 1000, 1021])
+def test_one_mode_spectrum_beyond_the_determinant_range_scales_exactly(k):
+    """Scaling sigma by 2^k scales nu by 2^k bit for bit, also where det sigma over- or underflows.
+
+    det sigma leaves the normal range from about 2^511 and 2^-511 entries; there the
+    determinant is taken of sigma scaled by a power of two, and no warning is raised.
+    """
+    r, squeeze = np.array([[0.6, -0.8], [0.8, 0.6]]), np.diag([1.7, 0.3])
+    cms = np.stack([r @ squeeze @ r.T, np.array([[2.5, 0.75], [0.75, 1.25]]), 3.0 * np.eye(2)])
+    ref = gd.symplectic_eigenvalues(cms)
+    assert np.array_equal(ref, np.sqrt(cms[:, 0, 0] * cms[:, 1, 1] - cms[:, 0, 1] ** 2)[:, None])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(gd.symplectic_eigenvalues(np.ldexp(cms, k)), np.ldexp(ref, k))
+        assert np.array_equal(gd.symplectic_eigenvalues(np.ldexp(cms[1], k)), np.ldexp(ref[1], k))
+        mixed = np.stack([cms[0], np.ldexp(cms[1], k), cms[2]])  # only the far member is scaled
+        assert np.array_equal(gd.symplectic_eigenvalues(mixed), [ref[0], np.ldexp(ref[1], k), ref[2]])
+
+
+def test_one_and_two_modes_near_the_float_maximum_give_one_verdict():
+    """1e308 I on one mode, whose det overflows, has nu = 1e308 and ergotropy 0, as on two modes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(gd.symplectic_eigenvalues(1e308 * np.eye(2)), [1e308])
+        for n in (1, 2):
+            report = gd.ergotropy_report(gd.validate_state(np.zeros(2 * n), 1e308 * np.eye(2 * n)))
+            assert (report.energy, report.passive_energy, report.ergotropy) == (n * 5e307, n * 5e307, 0.0)
+    with pytest.raises(UnphysicalStateError, match="not positive definite"):
+        gd.symplectic_eigenvalues(np.array([[1e-200, 0.0], [0.0, -1e-200]]))
+
+
 @pytest.mark.parametrize("name", ["dsyevd", "zheevd"])
 def test_eigenvalue_non_convergence_in_the_physicality_check_is_a_numeric_error(monkeypatch, name):
     """A nonzero dsyevd or zheevd info is a numeric failure (NumericError), not numpy's LinAlgError (a ValueError)."""

@@ -112,7 +112,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -1085,12 +1085,6 @@ class TrajectoryBatch:
     ``seed`` is the master seed: trajectory k is driven by the standard
     normals [k W D, (k + 1) W D) of default_rng(seed), with W = n_stored - 1
     windows and D = 2n + 2m normals per window (simulate_trajectories).
-
-    Every stored array is read-only: one passed in writeable, or as a view,
-    is copied first, so a caller that later writes to its own arrays leaves
-    the batch, and the statistics computed from it, as they were.  The excess
-    noise at every stored time is computed once per batch, on the first
-    excess_noise call.
     """
 
     times: np.ndarray
@@ -1099,33 +1093,9 @@ class TrajectoryBatch:
     sigma_c: np.ndarray
     seed: int
 
-    def __post_init__(self):
-        for name in ("times", "means", "records", "sigma_c"):
-            x = getattr(self, name)
-            if not isinstance(x, np.ndarray) or x.flags.writeable or x.base is not None:
-                x = np.array(x)
-                x.flags.writeable = False
-                self.__dict__[name] = x
-
     @property
     def n_traj(self) -> int:
         return self.means.shape[0]
-
-    @cached_property
-    def _excess_stack(self) -> np.ndarray:
-        """(n_stored, 2n, 2n) excess noise, time t's slice the bits of np.cov's arithmetic on means[:, t, :].
-
-        The centre is the sum over the ensemble, as ndarray.mean takes it; the
-        product of each time's centred (n_traj, 2n) slice, a view into the one
-        centred stack, with its transpose is one batched matmul.
-        """
-        xc = self.means - np.add.reduce(self.means, axis=0) / self.n_traj
-        xc = np.swapaxes(xc, 0, 1)
-        c = np.swapaxes(xc, 1, 2) @ xc
-        c *= 1.0 / (self.n_traj - 1)
-        c *= 2.0
-        c.flags.writeable = False
-        return c
 
 
 def _window_maps(mm: MonitoredModel, sigma_c: np.ndarray, h: float) -> np.ndarray:
@@ -1211,8 +1181,7 @@ def simulate_trajectories(
     trajectory order, so trajectory k depends on (master_seed, k, W) and not
     on n_traj or the chunk size.  ``store_stride`` sets the stored grid:
     means are stored every ``store_stride`` steps of dt and records are the
-    measured dy summed over each storage window.  The batch's arrays are
-    made read-only here and kept by the batch without a copy.
+    measured dy summed over each storage window.
 
     Over a storage window of length h = store_stride dt the means and the
     summed records are Gaussian given the start mean, with a mean affine in
@@ -1263,8 +1232,6 @@ def simulate_trajectories(
     for k0 in range(0, n_traj, _TRAJ_CHUNK):
         run_chunk(k0, min(k0 + _TRAJ_CHUNK, n_traj))
 
-    for x in (times, means, records, sigma_c):
-        x.flags.writeable = False  # fresh arrays that own their data: the batch keeps them without a copy
     return TrajectoryBatch(times=times, means=means, records=records, sigma_c=sigma_c, seed=master_seed)
 
 
@@ -1272,16 +1239,25 @@ def excess_noise(batch: TrajectoryBatch, t_index: int | slice = -1) -> np.ndarra
     """Excess noise Sigma at stored times: twice the sample covariance of the means.
 
     The anticommutator convention doubles the classical covariance, so the
-    ensemble identity reads sigma_unc = sigma_c + Sigma.  Each time's value
-    is the bits of 2 np.cov(batch.means[:, t, :], rowvar=False).  The batch
-    computes every stored time at once, on the first call, and ``t_index``
-    indexes that (n_stored, 2n, 2n) stack: an int (negative counts from the
-    end) gives one (2n, 2n) matrix, a slice a (k, 2n, 2n) stack.  Each call
-    returns a fresh writeable copy.
+    ensemble identity reads sigma_unc = sigma_c + Sigma.  ``t_index`` picks
+    stored times as the second axis of batch.means does: an int (negative
+    counts from the end) gives one (2n, 2n) matrix, a slice a (k, 2n, 2n)
+    stack, and only the times picked are computed.  Each time's value is the
+    bits of 2 np.cov(batch.means[:, t, :], rowvar=False): np.cov's arithmetic
+    written out (centre, one product, scale by 1 / (n - 1)), with the centre
+    the sum over n in trajectory order, as ndarray.mean takes it.  That sum is
+    the last row of an accumulate, which numpy runs as one loop along n per
+    coordinate rather than one loop over the coordinates per trajectory.  (It
+    keeps the sign of a sum of -0.0s, which a reduce makes +0.0; the centred
+    coordinate's products are zeros either way.)
     """
     if batch.n_traj < 2:
         raise ValueError("excess noise needs at least two trajectories")
-    return batch._excess_stack[t_index].copy()
+    x = batch.means[:, t_index, :]
+    xc = x - np.add.accumulate(x, axis=0)[-1] / batch.n_traj
+    c = xc.transpose(*range(1, xc.ndim), 0) @ xc.swapaxes(0, -2)  # per time, centred^T centred
+    c *= 1.0 / (batch.n_traj - 1)
+    return 2.0 * c
 
 
 def daemonic_ergotropy_path(mm: MonitoredModel, state0: GaussianState, t_grid) -> np.ndarray:

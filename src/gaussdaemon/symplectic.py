@@ -337,10 +337,11 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
         ok = np.True_  # checked once, as Cholesky's below
     elif not np.isfinite(cm).all():  # the first non-finite member is named below, before any positivity test
         ok = np.isfinite(cm).all(axis=(-2, -1))
-    elif n == 1:  # where det left the normal range it is 4^k det(sigma 2^-k), 2^k near max(a, d): no rounding
-        shift = np.where(ok, 0, np.frexp(np.maximum(a, d))[1])
-        a_k, b_k, d_k = (np.ldexp(x, -shift) for x in (a, b, d))
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+    elif n == 1:  # with a > 0 and det not normal, det sigma = 4^k det(sigma 2^-k), 2^k near max(a, d)
+        mag = np.abs(det)
+        shift = np.where((a > 0.0) & ~((mag >= _TINY) & (mag < math.inf)), np.frexp(np.maximum(a, d))[1], 0)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # exact where a, b, d stay normal
+            a_k, b_k, d_k = (np.ldexp(x, -shift) for x in (a, b, d))
             det = a_k * d_k - b_k * b_k
         ok = (a > 0.0) & (det > 0.0)
     else:

@@ -1944,7 +1944,7 @@ def test_trajectories_take_consecutive_blocks_of_one_normal_stream(monkeypatch, 
 def test_excess_noise_is_twice_numpy_cov(seed, n, modes, n_stored, log_scale):
     """excess_noise is 2 np.cov(means, rowvar=False) bit for bit, offset means and any ensemble size.
 
-    Int, negative and slice indices all index the one stack the batch computes.
+    Int, negative and slice indices pick stored times as means' second axis does.
     """
     rng = np.random.default_rng(seed)
     dim = 2 * modes
@@ -1962,11 +1962,10 @@ def test_excess_noise_is_twice_numpy_cov(seed, n, modes, n_stored, log_scale):
     assert gd.excess_noise(batch, slice(None)).shape == (n_stored, dim, dim)
 
 
-def _small_batch(means, **fields):
+def _small_batch(means):
     n, n_stored, dim = means.shape
-    arrays = dict(times=np.arange(float(n_stored)), records=np.zeros((n, n_stored - 1, 2)))
-    arrays.update(sigma_c=np.zeros((n_stored, dim, dim)), **fields)
-    return gd.TrajectoryBatch(means=means, seed=0, **arrays)
+    times, records, sigma_c = np.arange(float(n_stored)), np.zeros((n, n_stored - 1, 2)), np.zeros((n_stored, dim, dim))
+    return gd.TrajectoryBatch(times, means, records, sigma_c, 0)
 
 
 def test_excess_noise_needs_two_trajectories():
@@ -1978,40 +1977,23 @@ def test_excess_noise_needs_two_trajectories():
     assert np.array_equal(gd.excess_noise(_small_batch(np.ones((2, 3, 2))), slice(None)), np.zeros((3, 2, 2)))
 
 
-def test_trajectory_batch_keeps_its_statistics_when_the_caller_writes():
-    """Writes to the caller's arrays, before or after the first excess_noise call, or to a result, change nothing."""
+def test_excess_noise_reads_the_batch_as_it_stands():
+    """Each call computes from the batch's means as they are then; it writes to neither them nor a past result."""
     rng = np.random.default_rng(4)
-    means, times = rng.standard_normal((50, 4, 2)), np.arange(4.0)
-    expected = np.stack([2.0 * np.cov(means[:, t, :], rowvar=False) for t in range(4)])
-    batch = _small_batch(means, times=times)
-    late = _small_batch(means[:, ::2])  # a writeable view
-    kept = means.copy()
+    means = rng.standard_normal((50, 4, 2))
+    means[:, 1, 0] = -0.0  # a centre of -0.0, where np.cov's is +0.0: the covariance is the same
+    frozen = means.copy()
+    frozen.flags.writeable = False
+    batch, fixed = _small_batch(means), _small_batch(frozen)
+    first = gd.excess_noise(batch, slice(None))
+    expected = np.stack([2.0 * np.cov(frozen[:, t, :], rowvar=False) for t in range(4)])
+    assert np.array_equal(first, expected) and np.array_equal(gd.excess_noise(fixed, slice(None)), expected)
+    assert np.array_equal(np.signbit(first), np.signbit(expected))
+    assert np.array_equal(means, frozen)
     means += 1e3
-    times[:] = -1.0
-    assert np.array_equal(batch.means, kept) and np.array_equal(batch.times, np.arange(4.0))
-    assert np.array_equal(gd.excess_noise(batch, slice(None)), expected)
-    assert np.array_equal(gd.excess_noise(late, slice(None)), expected[::2])
-    means[:] = 0.0
-    out = gd.excess_noise(batch, 1)
-    out[:] = np.nan
-    gd.excess_noise(batch, slice(None))[:] = np.nan
-    assert np.array_equal(gd.excess_noise(batch, slice(None)), expected)
-    assert np.array_equal(gd.excess_noise(late, slice(None)), expected[::2])
-
-
-def test_trajectory_batch_arrays_refuse_writes():
-    """Every stored array is read-only; simulate_trajectories hands its fresh arrays over without a copy."""
-    batch = _small_batch(np.random.default_rng(5).standard_normal((6, 3, 2)))
-    mm = gd.monitored(gd.opo_model(gd.OpoParams(0.6, nu_in=3.0)), gd.heterodyne())
-    simulated = gd.simulate_trajectories(mm, gd.vacuum(1), dt=1e-2, T=0.1, n_traj=8, master_seed=1)
-    for b in (batch, simulated):
-        for name in ("times", "means", "records", "sigma_c"):
-            x = getattr(b, name)
-            assert not x.flags.writeable and x.base is None, name
-            with pytest.raises(ValueError, match="read-only"):
-                x[...] = 0.0
-    frozen = simulated.means
-    assert _small_batch(frozen).means is frozen  # read-only arrays that own their data are kept as given
+    moved = np.stack([2.0 * np.cov(means[:, t, :], rowvar=False) for t in range(4)])
+    assert np.array_equal(gd.excess_noise(batch, slice(None)), moved)
+    assert np.array_equal(gd.excess_noise(batch, 2), moved[2]) and np.array_equal(first, expected)
 
 
 def _driven_mixed_case():

@@ -355,6 +355,21 @@ def test_one_and_two_modes_near_the_float_maximum_give_one_verdict():
         gd.symplectic_eigenvalues(np.array([[1e-200, 0.0], [0.0, -1e-200]]))
 
 
+@pytest.mark.parametrize(
+    "cm",
+    [
+        [[1e-200, 1e150], [1e150, 1e-200]],  # det -1e300: normal, so not rescaled
+        [[1e-300, 1e-300], [1e-300, 1e-300]],  # det underflows to 0: singular after the scaling
+    ],
+)
+def test_one_mode_indefinite_far_from_one_is_unphysical_without_a_warning(cm):
+    """Indefinite one-mode members far from 1 raise UnphysicalStateError, not a floating-point warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnphysicalStateError, match="not positive definite"):
+            gd.symplectic_eigenvalues(np.stack([np.eye(2), np.array(cm)]))
+
+
 @pytest.mark.parametrize("name", ["dsyevd", "zheevd"])
 def test_eigenvalue_non_convergence_in_the_physicality_check_is_a_numeric_error(monkeypatch, name):
     """A nonzero dsyevd or zheevd info is a numeric failure (NumericError), not numpy's LinAlgError (a ValueError)."""

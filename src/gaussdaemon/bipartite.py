@@ -182,12 +182,6 @@ def standard_form(state: GaussianState) -> tuple[TwoModeStandardForm, np.ndarray
     return sf, np.array([[cp, sp], [-sp, cp]]), s_b
 
 
-class _DetCoefficients(NamedTuple):
-    c0: float
-    p: float
-    q: float
-
-
 def _det_invariants(sf: TwoModeStandardForm) -> tuple[float, float, float, float]:
     """The z_m-independent parts (S/2, P0, Q0, w) of C0, P and Q (see the module docstring).
 
@@ -204,8 +198,8 @@ def _det_invariants(sf: TwoModeStandardForm) -> tuple[float, float, float, float
     return s_half, p0, q0, cp2 * cm2
 
 
-def _det_coefficients(sf: TwoModeStandardForm, z_m: float) -> _DetCoefficients:
-    """Coefficients of det sigma_A^c = C0 + P cos(2 theta) + Q sin(2 theta).
+def _det_coefficients(sf: TwoModeStandardForm, z_m: float) -> tuple[float, float, float]:
+    """Coefficients (C0, P, Q) of det sigma_A^c = C0 + P cos(2 theta) + Q sin(2 theta).
 
     ``z_m = 0`` gives the exact homodyne limit; ``z_m = 1`` is heterodyne
     (g1 = g2, so P = Q = 0).  See :func:`_det_invariants`.
@@ -214,7 +208,7 @@ def _det_coefficients(sf: TwoModeStandardForm, z_m: float) -> _DetCoefficients:
     g1 = 1.0 / (sf.b + z_m)
     g2 = z_m / (1.0 + sf.b * z_m)
     dlt = g1 - g2
-    return _DetCoefficients(sf.a * sf.a - (g1 + g2) * s_half + w * g1 * g2, dlt * p0, dlt * q0)
+    return sf.a * sf.a - (g1 + g2) * s_half + w * g1 * g2, dlt * p0, dlt * q0
 
 
 def conditional_determinant(sf: TwoModeStandardForm, theta_m: float, z_m: float) -> float:

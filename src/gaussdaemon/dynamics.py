@@ -104,7 +104,8 @@ it takes (_one_mode_model, MonitoredModel); the zeros numpy's matmul leaves as
 +0.0 stay +0.0, and B B^T is numpy's product for every n.  A filter keeps the
 float entries of At, Dt and B B^T (MonitoredModel.entries), read once; the
 steady solve of one mode builds its Hamiltonian from them as a nested list
-and stays in float arithmetic to the end.
+and takes its basis and residual in float arithmetic, then the closed-loop
+and physicality checks that every mode count takes.
 """
 
 from __future__ import annotations
@@ -127,7 +128,6 @@ from .symplectic import (
     GaussianState,
     _check_one_mode,
     _omega,
-    _one_mode_violation,
     _physicality_violation,
     symplectic_eigenvalues,
     validate_state,
@@ -303,13 +303,6 @@ def _abscissa2(a00: float, a01: float, a10: float, a11: float) -> float:
     """_spectral_abscissa's closed form for the 2x2 [[a00, a01], [a10, a11]], inf or NaN where it is not finite."""
     half = 0.5 * (a00 - a11)
     return 0.5 * (a00 + a11) + math.sqrt(max(half * half + a01 * a10, 0.0))
-
-
-def _is_hurwitz2(a00: float, a01: float, a10: float, a11: float) -> bool:
-    """is_hurwitz of the 2x2 [[a00, a01], [a10, a11]] from its entries, building the array only for dgeev."""
-    if math.isfinite(alpha := _abscissa2(a00, a01, a10, a11)):
-        return alpha < -TOL_HURWITZ
-    return is_hurwitz(np.array([[a00, a01], [a10, a11]]))
 
 
 def is_hurwitz(a: np.ndarray) -> bool:
@@ -899,23 +892,19 @@ _GEES_FAILURES = {
 }
 
 
-@lru_cache(maxsize=None)
-def _gees_lwork(dim: int) -> int:
-    """dgees's optimal workspace for a dim x dim matrix, queried once per dim as scipy's schur queries it per call."""
-    return int(dgees(lambda x, y: None, np.zeros((dim, dim)), lwork=-1)[-2][0])
-
-
 def _stable_schur(h: np.ndarray) -> tuple[np.ndarray, int]:
     """(Z, sdim): Schur vectors of h's real Schur form with its sdim eigenvalues of negative real part leading.
 
-    One direct LAPACK dgees call with the select, workspace and checks of
-    scipy's schur(h, output="real", sort="lhp"), so Z is schur's bit for bit:
-    a non-finite h raises its ValueError and a nonzero info its LinAlgError.
+    One direct LAPACK dgees call with the select and checks of scipy's
+    schur(h, output="real", sort="lhp"), at the wrapper's default workspace
+    (3 dim) where schur queries the optimal one; on the Hamiltonians of one
+    to six modes the two give the same Z, schur's bit for bit.  A non-finite
+    h raises schur's ValueError and a nonzero info its LinAlgError.
     """
     if not np.isfinite(h).all():
         raise ValueError("array must not contain infs or NaNs")
     dim = h.shape[0]
-    _, sdim, _, _, z, _, info = dgees(lambda x, y: x < 0.0, h, lwork=_gees_lwork(dim), sort_t=1)
+    _, sdim, _, _, z, _, info = dgees(lambda x, y: x < 0.0, h, sort_t=1)
     if info:
         raise np.linalg.LinAlgError(_GEES_FAILURES.get(info - dim, "Schur form not found. Possibly ill-conditioned."))
     return z, sdim
@@ -929,22 +918,22 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
     as s = c V U^-1.  The balance c comes from the float entries of Dt and
     B B^T that MonitoredModel keeps.  One mode reads all of At, Dt and B B^T
     there, builds H as a nested list and takes the basis in closed form
-    (_one_mode_basis, no LAPACK call), and takes the residual, the closed
-    loop and the physicality check (symplectic._one_mode_violation) in float
-    arithmetic too.  From two modes on, -H is built entry by entry negated,
-    the same bits as negating H, and the basis is the first n vectors of one
-    ordered real Schur decomposition of -H, a direct LAPACK call
-    (_stable_schur); the Hurwitz checks of the drift and the closed loop call
-    dgeev directly (_spectral_abscissa).  A stable subspace of any other
-    dimension, or a singular U, raises NumericError, and so does a U so
-    nearly singular that sigma is not finite.  The solve with U loses
-    precision with its condition number, so a solution whose relative
-    residual (_relative_residual) is above SS_REFINE_RTOL is refined by at
-    most SS_NEWTON_STEPS Newton-Kleinman steps, Lyapunov solves with the
-    closed loop At - s B B^T.  The result must be the stabilizing solution,
-    have a relative residual within SS_RESIDUAL_TOL and pass
-    symplectic._physicality_violation.  The drift must be Hurwitz
-    (_require_hurwitz_drift).
+    (_one_mode_basis, no LAPACK call) and the residual in float arithmetic.
+    From two modes on, -H is built entry by entry negated, the same bits as
+    negating H, and the basis is the first n vectors of one ordered real
+    Schur decomposition of -H, a direct LAPACK call (_stable_schur).  A
+    stable subspace of any other dimension, or a singular U, raises
+    NumericError, and so does a U so nearly singular that sigma is not
+    finite.  The solve with U loses precision with its condition number, so
+    a solution whose relative residual (_relative_residual) is above
+    SS_REFINE_RTOL is refined by at most SS_NEWTON_STEPS Newton-Kleinman
+    steps, Lyapunov solves with the closed loop At - s B B^T.  Every mode
+    count then takes the same checks: the drift must be Hurwitz
+    (_require_hurwitz_drift), and the result must be the stabilizing
+    solution, have a relative residual within SS_RESIDUAL_TOL and pass
+    symplectic._physicality_violation.  The Hurwitz checks take
+    _spectral_abscissa's closed form for one mode and call dgeev directly
+    from two modes on.
     """
     _require_hurwitz_drift(mm)
     at, dtilde, bbt = mm.at, mm.dtilde, mm.bbt
@@ -989,17 +978,11 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
             rel = _relative_residual(at, dtilde, bbt, sigma)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"algebraic Riccati solve failed: {exc}") from exc
-    if dim == 2:  # the closed loop At - sigma B B^T and the physicality check in float arithmetic
-        s = sigma.ravel().tolist()
-        stable = _is_hurwitz2(*(x - y for x, y in zip(a, _mul2(s, r))))
-    else:
-        stable = is_hurwitz(at - sigma @ bbt)
-    if not stable:
+    if not is_hurwitz(at - sigma @ bbt):
         raise NumericError("Riccati solution is not stabilizing: At - sigma B B^T is not Hurwitz")
     if rel > SS_RESIDUAL_TOL:
         raise ConvergenceError(f"Riccati steady state has relative residual {rel:.3e} > {SS_RESIDUAL_TOL:.1e}")
-    violation = _one_mode_violation(s[0], s[1], s[3]) if dim == 2 else _physicality_violation(sigma)
-    if violation is not None:
+    if (violation := _physicality_violation(sigma)) is not None:
         raise NumericError(f"Riccati steady state is unphysical: {violation}")
     return sigma
 

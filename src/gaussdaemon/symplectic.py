@@ -323,8 +323,9 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     ``cm`` may also be a (*lead, 2n, 2n) stack, computed in one batched pass into a (*lead, n)
     array, entry idx the spectrum of ``cm[idx]``.  A non-finite member raises with its
     non-finite entries; if none is, one that Sylvester's criterion (one mode) or Cholesky
-    rejects raises with its smallest eigenvalue.  The first (in C order) is named by its
-    index, a tuple where lead has more than one axis.
+    rejects raises with the smallest eigenvalue of its symmetrized form (eigvalsh, for every
+    n).  The first (in C order) is named by its index, a tuple where lead has more than one
+    axis.
     """
     cm = np.asarray(cm, dtype=float)
     lead, n = cm.shape[:-2], cm.shape[-1] // 2
@@ -359,7 +360,7 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
         where = f" at stack index {i if len(lead) > 1 else i[0]}" if lead else ""
         if not np.isfinite(cm[i]).all():
             raise UnphysicalStateError(f"covariance matrix not finite{where}: {_non_finite_entries(cm[i])}")
-        lam = _indefinite_min_eig(a[i], b[i], d[i]) if n == 1 else np.linalg.eigvalsh(sym[i])[0]
+        lam = np.linalg.eigvalsh(0.5 * cm[i] + 0.5 * cm[i].T)[0]
         raise UnphysicalStateError(f"covariance matrix not positive definite{where}: min eig = {lam:.3e}")
     if n == 1:
         nus = (np.sqrt(det) if shift is None else np.ldexp(np.sqrt(det), shift))[..., None]  # nothing to sort

@@ -115,18 +115,22 @@ def test_two_by_two_hurwitz_at_the_margin(complex_pair, side, q, r):
 def test_direct_lapack_calls_match_the_wrappers():
     """The multi-mode route's direct LAPACK calls give the wrappers' values bit for bit, and their input errors.
 
-    On random two- and three-mode filters: _stable_schur against scipy's
-    schur(output="real", sort="lhp") of -H, _spectral_abscissa against
-    np.linalg.eigvals on the drift and on H, and _smallest_eigenvalue against
-    np.linalg.eigvalsh on the steady state and on sigma + i Omega.
+    On random filters of one to four modes: _stable_schur, at dgees's default
+    workspace, against scipy's schur(output="real", sort="lhp") of -H, which
+    queries the optimal one.  On the two- and three-mode filters also
+    _spectral_abscissa against np.linalg.eigvals on the drift and on H, and
+    _smallest_eigenvalue against np.linalg.eigvalsh on the steady state and on
+    sigma + i Omega.
     """
     rng = np.random.default_rng(7)
-    for n in (2, 3, 2, 3):
+    for n in (2, 3, 2, 3, 1, 4, 1, 4):
         mm = gd.monitored(_random_hurwitz_model(rng, n, driven=False), _mixed_settings(rng, n))
         _, ham = gd.dynamics._hamiltonian(mm.at, mm.dtilde, mm.bbt)
         _, z, sdim = schur(-ham, output="real", sort="lhp")
         got_z, got_sdim = gd.dynamics._stable_schur(-ham)
         assert np.array_equal(got_z, z) and got_sdim == sdim == 2 * n
+        if n in (1, 4):
+            continue  # the Schur check only: one mode's drift takes the abscissa's closed form, not dgeev
         for a in (mm.dd.a, ham):
             assert gd.dynamics._spectral_abscissa(a) == float(np.linalg.eigvals(a).real.max())
         sigma = gd.steady_state_conditional(mm)
@@ -683,7 +687,6 @@ def test_unphysical_riccati_solution_is_a_numeric_error(monkeypatch, capsys):
     monkeypatch.setattr(gd.dynamics, "_one_mode_basis", lambda h: basis)
     monkeypatch.setattr(gd.dynamics, "_relative_residual", lambda *args: 0.0)
     monkeypatch.setattr(gd.dynamics, "is_hurwitz", lambda a: True)
-    monkeypatch.setattr(gd.dynamics, "_is_hurwitz2", lambda *entries: True)  # the one-mode closed loop, on floats
     message = r"Riccati steady state is unphysical: uncertainty principle violated: det sigma' = 2\.5"
     with pytest.raises(gd.NumericError, match=message):
         gd.steady_state_conditional(mm)

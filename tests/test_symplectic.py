@@ -370,6 +370,22 @@ def test_one_mode_indefinite_far_from_one_is_unphysical_without_a_warning(cm):
             gd.symplectic_eigenvalues(np.stack([np.eye(2), np.array(cm)]))
 
 
+@pytest.mark.parametrize("cm", [[[1e308, 1e308], [1e308, 1e308]], [[1e308, 2e307], [2e307, -1e308]]])
+def test_one_mode_rejection_near_the_float_maximum_reports_validate_states_eigenvalue(cm):
+    """A rejected one-mode member near the float maximum reports validate_state's smallest eigenvalue, with no warning."""
+    cm = np.array(cm)
+    with pytest.raises(UnphysicalStateError) as info:
+        gd.validate_state(np.zeros(2), cm)
+    lam = str(info.value).rpartition("min eig = ")[2]
+    assert lam in ("0.000e+00", "-1.020e+308")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stack, where in ((cm, ""), (np.stack([np.eye(2), cm]), " at stack index 1")):
+            with pytest.raises(UnphysicalStateError) as info:
+                gd.symplectic_eigenvalues(stack)
+            assert str(info.value) == f"covariance matrix not positive definite{where}: min eig = {lam}"
+
+
 @pytest.mark.parametrize("name", ["dsyevd", "zheevd"])
 def test_eigenvalue_non_convergence_in_the_physicality_check_is_a_numeric_error(monkeypatch, name):
     """A nonzero dsyevd or zheevd info is a numeric failure (NumericError), not numpy's LinAlgError (a ValueError)."""

@@ -14,6 +14,7 @@ nu (z^2 + 1/z^2 - 2)/4 + |mean|^2/2, independent of the rotation phase.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,17 +66,20 @@ def _single_mode_ergotropy(energy: float, det: float, what: str = "ergotropy") -
     return clamp_ergotropy(energy - 0.5 * math.sqrt(det), what, energy)
 
 
-def _cross_check(closed: float, independent: float, what: str, cancelled: float = 0.0) -> None:
+def _cross_check(closed: float, independent: float, what: str | Callable[[], str], cancelled: float = 0.0) -> None:
     """Raise NumericError if a closed form and its independent route differ beyond round-off.
 
     The allowed gap is max(_CROSS_CHECK_TOL, _CROSS_CHECK_RTOL max(|closed|, |independent|, cancelled)),
     so the check keeps its meaning for large but valid values.  ``cancelled``
     is the size of the terms that cancel down to the values, where the
     routes form them by cancellation: their round-off is what the routes carry.
+    ``what`` labels the error: a string, or a zero-argument callable returning
+    one, which hot callers pass so that the label is formatted only on failure.
     """
     scale = max(abs(closed), abs(independent), cancelled)
     if abs(closed - independent) > max(_CROSS_CHECK_TOL, _CROSS_CHECK_RTOL * scale):
-        raise NumericError(f"{what}: closed form {closed!r} and independent route {independent!r} disagree")
+        label = what() if callable(what) else what
+        raise NumericError(f"{label}: closed form {closed!r} and independent route {independent!r} disagree")
 
 
 def ergotropy_report(state: GaussianState) -> ErgotropyReport:

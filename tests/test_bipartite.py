@@ -357,6 +357,73 @@ def test_degenerate_phase_cases():
     assert not gd.optimal_phase(sf, 0.0).degenerate
 
 
+def _atan2_phase(sf, z_m):
+    """optimal_phase written out: 2 theta* = atan2(-Q, -P) in [0, pi), with its degenerate cases."""
+    if sf.c_plus == 0.0:
+        return (0.5 * math.pi, True)
+    c0, p, q = bipartite._det_coefficients(sf, z_m)
+    if math.hypot(p, q) <= bipartite._TIE_TOL * max(1.0, abs(c0)):
+        return (0.0, True)
+    return (0.5 * math.atan2(-q, -p) % math.pi, False)
+
+
+def test_optimal_phase_is_the_atan2_form_bit_for_bit():
+    """The z_m = 0 phase stored on the form, and the phase computed at z_m > 0, are the atan2 form's bits."""
+    rng = np.random.default_rng(233)
+    forms = [gd.random_standard_form(rng) for _ in range(N_RANDOM)]
+    forms += [
+        gd.TwoModeStandardForm(a=2.0, z_a=1.3, b=1.5, c_plus=0.0, c_minus=0.0, eta=0.0),
+        gd.standard_form(gd.tmsts(1.0, 0.5))[0],
+        gd.TwoModeStandardForm(a=2.0, z_a=1.0, b=1.5, c_plus=1.0, c_minus=0.0, eta=0.0),
+    ]
+    for sf in forms:
+        assert gd.optimal_phase(sf, 0.0) is sf._phase0
+        assert gd.optimal_phase(sf, 0.0) == _atan2_phase(sf, 0.0), sf
+        for z in (1e-9, 0.05, 0.3, 1.0):
+            assert gd.optimal_phase(sf, z) == _atan2_phase(sf, z), (sf, z)
+
+
+def test_daemonic_result_is_an_immutable_named_tuple():
+    """DaemonicResult keeps its fields, keyword constructor, repr and equality, and refuses assignment."""
+    sf, _, _ = gd.standard_form(gd.tmsts(1.0, 0.5))
+    assert gd.DaemonicResult._fields == ("value", "setting", "conditional_purity")
+    best = gd.max_daemonic(sf)
+    value, setting, purity = best
+    assert (value, setting, purity) == (best.value, best.setting, best.conditional_purity)
+    same = gd.DaemonicResult(value=value, setting=setting, conditional_purity=purity)
+    assert same == best and hash(same) == hash(best)
+    assert repr(same) == f"DaemonicResult(value={value!r}, setting={setting!r}, conditional_purity={purity!r})"
+    assert repr(best) == repr(same)
+    with pytest.raises(AttributeError):
+        best.value = 0.0
+    st = gd.tmsts(1.0, 0.5)
+    setting = GeneralDyneSetting(theta_m=0.3, z_m=0.2)
+    assert gd.daemonic_ergotropy(st, setting) == gd.daemonic_ergotropy(st, setting)
+
+
+def test_closed_form_label_is_built_only_on_failure(monkeypatch):
+    """_closed_form names its setting in the cross-check error, with the text it always had."""
+    sf = gd.TwoModeStandardForm(a=2.0, z_a=1.4, b=2.0, c_plus=1.0, c_minus=0.5, eta=0.2)
+    setting = GeneralDyneSetting(theta_m=0.7, z_m=0.25)
+    labels = []
+    check = bipartite._cross_check
+
+    def spy(closed, independent, what, cancelled):
+        labels.append(what)
+        check(closed, independent, what, cancelled)
+
+    monkeypatch.setattr(bipartite, "_cross_check", spy)
+    result, pipeline = bipartite._closed_form(sf, (0.1, 0.2), setting)
+    assert callable(labels[0])
+    assert labels[0]() == "daemonic ergotropy at theta=0.7, z_m=0.25"
+    pipeline_route = bipartite._pipeline
+    monkeypatch.setattr(bipartite, "_pipeline", lambda *args: (pipeline_route(*args)[0] + 1e-6, None))
+    message = f"daemonic ergotropy at theta=0.7, z_m=0.25: closed form {result.value!r} and independent route "
+    with pytest.raises(NumericError) as info:
+        bipartite._closed_form(sf, (0.1, 0.2), setting)
+    assert str(info.value) == message + f"{pipeline + 1e-6!r} disagree"
+
+
 def test_max_daemonic_dominates_random_settings():
     """The reported maximum beats every sampled efficient setting."""
     rng = np.random.default_rng(127)
@@ -432,6 +499,18 @@ class TestOptimumSelection:
         homodyne may win the tie.
         """
         for r in (0.7, 1.0324, 1.8404):
+            sf, _, _ = gd.standard_form(gd.tmsts(0.0, r))
+            assert gd.max_daemonic(sf).setting == gd.heterodyne(), r
+
+    def test_interior_tie_goes_to_heterodyne(self, monkeypatch):
+        """An interior candidate that only ties heterodyne does not win, by the _TIE_TOL margin.
+
+        Every efficient setting purifies a pure TMSTS, so an interior point
+        forced at z_m = 0.5 ties heterodyne to round-off; comparing against
+        value - _TIE_TOL instead would report it.
+        """
+        monkeypatch.setattr(bipartite, "_interior_minimum", lambda sf: 0.5)
+        for r in (0.3, 0.7, 1.8404):
             sf, _, _ = gd.standard_form(gd.tmsts(0.0, r))
             assert gd.max_daemonic(sf).setting == gd.heterodyne(), r
 

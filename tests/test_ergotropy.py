@@ -111,6 +111,28 @@ def test_cross_check_gate_is_absolute_then_relative():
             _cross_check(value * (1.0 + 1.1e-12), value, "x")
 
 
+def test_cross_check_label_callable_is_called_only_on_failure():
+    """A callable label is formatted only when the check raises, into the text a string label gives."""
+    from gaussdaemon.ergotropy import _cross_check
+
+    calls = []
+
+    def label():
+        calls.append(None)
+        return "x at theta=0.5"
+
+    _cross_check(1.0, 1.0 + 0.9e-9, label)
+    _cross_check(1.0, 1.0 + 0.9e-3, label, 1e9)
+    assert calls == []
+    with pytest.raises(gd.NumericError) as from_callable:
+        _cross_check(1.0, 1.5, label)
+    assert len(calls) == 1
+    with pytest.raises(gd.NumericError) as from_string:
+        _cross_check(1.0, 1.5, "x at theta=0.5")
+    assert str(from_callable.value) == str(from_string.value)
+    assert str(from_string.value) == "x at theta=0.5: closed form 1.0 and independent route 1.5 disagree"
+
+
 def test_clamp_floor_is_absolute_then_relative():
     """Negatives down to max(CLAMP_NEG, 1e-12 E) are round-off and clamp to 0; below that they raise."""
     from gaussdaemon.ergotropy import CLAMP_NEG, clamp_ergotropy

@@ -68,12 +68,11 @@ _LOG_MAX_CM_ENTRY = 0.25 * math.log(np.finfo(float).max)
 class TwoModeStandardForm:
     """Standard-form parameters (a, z_a, b, c_plus, c_minus, eta) of a two-mode state.
 
-    ``cm`` is the read-only 4x4 covariance matrix of the form,
+    ``cm`` is the read-only 4x4 covariance matrix of the form and
     ``_invariants`` the measurement-independent terms of its conditional
-    determinant (:func:`_det_invariants`) and ``_phase0`` its optimal
-    measurement phase at z_m = 0 (:func:`optimal_phase`); all three are built
-    once.  ``cm`` must pass symplectic._physicality_violation, and a, b, c_+
-    above about 1.2e77 (where the invariants overflow) raise NumericError.
+    determinant (:func:`_det_invariants`); both are built once.  ``cm`` must pass
+    symplectic._physicality_violation, and a, b, c_+ above about 1.2e77 (where
+    the invariants overflow) raise NumericError.
     """
 
     a: float
@@ -84,7 +83,6 @@ class TwoModeStandardForm:
     eta: float
     cm: np.ndarray = field(init=False, repr=False, compare=False)
     _invariants: tuple = field(init=False, repr=False, compare=False)
-    _phase0: OptimalPhase = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, z_a, b, c_plus, c_minus, eta = self.a, self.z_a, self.b, self.c_plus, self.c_minus, self.eta
@@ -111,7 +109,6 @@ class TwoModeStandardForm:
         if (violation := _physicality_violation(cm)) is not None:
             raise UnphysicalStateError(f"standard form is unphysical: {violation}")
         object.__setattr__(self, "_invariants", _det_invariants(self))
-        object.__setattr__(self, "_phase0", _optimal_phase(self, 0.0))
 
     def to_state(self, mean_a=(0.0, 0.0)) -> GaussianState:
         """The two-mode state (mode 0 = A, mode 1 = B, B with zero mean); its CM is read-only."""
@@ -221,8 +218,13 @@ def conditional_determinant(sf: TwoModeStandardForm, theta_m: float, z_m: float)
     """
     if not 0.0 <= z_m <= 1.0:
         raise ValueError(f"z_m must lie in [0, 1] (0 = homodyne), got {z_m}")
+    return _det_at(sf, z_m, math.cos(2.0 * theta_m), math.sin(2.0 * theta_m))
+
+
+def _det_at(sf: TwoModeStandardForm, z_m: float, cos2: float, sin2: float) -> float:
+    """C0 + P cos2 + Q sin2 at a z_m already in [0, 1], given cos(2 theta) and sin(2 theta)."""
     c0, p, q = _det_coefficients(sf, z_m)
-    return c0 + p * math.cos(2.0 * theta_m) + q * math.sin(2.0 * theta_m)
+    return c0 + p * cos2 + q * sin2
 
 
 class OptimalPhase(NamedTuple):
@@ -237,17 +239,10 @@ def optimal_phase(sf: TwoModeStandardForm, z_m: float) -> OptimalPhase:
     2 theta* = atan2(-Q, -P), reduced to [0, pi); it is independent of z_m.
     Phase-invariant cases set the ``degenerate`` flag: no correlations
     (c_+ = 0, reported at angle pi/2 by convention), heterodyne z_m = 1,
-    and z_A = 1 with |c_+| = |c_-| (both reported at angle 0).  The z_m = 0
-    phase is the one the form computed at construction (``sf._phase0``, the
-    same function), which the maxima read too.
+    and z_A = 1 with |c_+| = |c_-| (both reported at angle 0).
     """
     if not 0.0 <= z_m <= 1.0:
         raise ValueError(f"z_m must lie in [0, 1] (0 = homodyne), got {z_m}")
-    return sf._phase0 if z_m == 0.0 else _optimal_phase(sf, z_m)
-
-
-def _optimal_phase(sf: TwoModeStandardForm, z_m: float) -> OptimalPhase:
-    """:func:`optimal_phase` computed, for a z_m already in [0, 1]."""
     if sf.c_plus == 0.0:
         return OptimalPhase(0.5 * math.pi, True)
     c0, p, q = _det_coefficients(sf, z_m)
@@ -358,7 +353,7 @@ def daemonic_heterodyne(sf: TwoModeStandardForm, mean_a=(0.0, 0.0)) -> DaemonicR
 
 def max_daemonic_homodyne(sf: TwoModeStandardForm, mean_a=(0.0, 0.0)) -> DaemonicResult:
     """Closed-form daemonic ergotropy under phase-optimized efficient homodyne."""
-    return _closed_form(sf, mean_a, homodyne(sf._phase0.angle))[0]
+    return _closed_form(sf, mean_a, homodyne(optimal_phase(sf, 0.0).angle))[0]
 
 
 def _optimal_det_coefficients(sf: TwoModeStandardForm) -> tuple[float, float, float]:
@@ -405,17 +400,15 @@ def max_daemonic(sf: TwoModeStandardForm, mean_a=(0.0, 0.0)) -> DaemonicResult:
     in (0, 1), the exact homodyne limit z_m = 0 and heterodyne z_m = 1.  Ties
     against heterodyne resolve toward z_m = 1; homodyne wins only when
     strictly better.  The returned value is cross-checked against the
-    conditioning pipeline.  The candidates are C0 + P cos 2theta* + Q sin 2theta*,
-    the bits of :func:`conditional_determinant` at theta*, with the phase's
-    cosine and sine taken once.
+    conditioning pipeline.  The candidates are :func:`conditional_determinant`'s
+    bits at theta*, with the phase's cosine and sine taken once (:func:`_det_at`).
     """
-    theta = sf._phase0.angle
+    theta = optimal_phase(sf, 0.0).angle
     cos2, sin2 = math.cos(2.0 * theta), math.sin(2.0 * theta)
     energy = _energy_a(sf, *_pair(mean_a))
 
     def value_at(z: float) -> float:
-        c0, p, q = _det_coefficients(sf, z)
-        return _single_mode_ergotropy(energy, c0 + p * cos2 + q * sin2, "daemonic ergotropy")
+        return _single_mode_ergotropy(energy, _det_at(sf, z, cos2, sin2), "daemonic ergotropy")
 
     z_m, value = 1.0, value_at(1.0)
     z_int = _interior_minimum(sf)

@@ -1228,20 +1228,16 @@ def excess_noise(batch: TrajectoryBatch, t_index: int | slice = -1) -> np.ndarra
     stack, and only the times picked are computed.  Each time's value is the
     bits of 2 np.cov(batch.means[:, t, :], rowvar=False): np.cov's arithmetic
     written out (centre, one product, scale by 1 / (n - 1)), with the centre
-    the sum over n in trajectory order, as ndarray.mean takes it.  Both ways
-    of taking that sum add the trajectories in order, so they give the same
-    bits; each index kind takes the faster one.  A slice sums along n
-    (x.sum(axis=0)), with each trajectory's whole (k, 2n) row in the inner
-    loop.  One time's (n, 2n) view is strided, and there the last row of an
-    accumulate, one loop along n per coordinate, is faster than the reduce.
-    (The accumulate keeps the sign of a sum of -0.0s, which the reduce makes
-    +0.0; the centred coordinate's products are zeros either way.)
+    the sum over n in trajectory order, as ndarray.mean takes it.  That sum is
+    the last row of an accumulate, which numpy runs as one loop along n per
+    coordinate rather than one loop over the coordinates per trajectory.  (It
+    keeps the sign of a sum of -0.0s, which a reduce makes +0.0; the centred
+    coordinate's products are zeros either way.)
     """
     if batch.n_traj < 2:
         raise ValueError("excess noise needs at least two trajectories")
     x = batch.means[:, t_index, :]
-    total = x.sum(axis=0) if isinstance(t_index, slice) else np.add.accumulate(x, axis=0)[-1]
-    xc = x - total / batch.n_traj
+    xc = x - np.add.accumulate(x, axis=0)[-1] / batch.n_traj
     c = xc.transpose(*range(1, xc.ndim), 0) @ xc.swapaxes(0, -2)  # per time, centred^T centred
     c *= 1.0 / (batch.n_traj - 1)
     return 2.0 * c

@@ -184,7 +184,7 @@ def zsweep_table(params: OpoParams, z_grid=None) -> ZSweepData:
         mm = monitored(model, setting)
         closed, riccati = np.diag(_decoupled_roots(mm)), steady_state_conditional(mm)
         dets = (float(np.linalg.det(x)) for x in (closed, riccati))
-        _cross_check(*dets, lambda: f"OPO conditional determinant at {setting}")
+        _cross_check(*dets, f"OPO conditional determinant at {setting}")
         references.append(_daemonic(energy, closed))
     z_opt_value, het_value = references
     return ZSweepData(np.column_stack([z_grid, values]), z_opt=z_opt, z_opt_value=z_opt_value, het_value=het_value)

@@ -325,22 +325,6 @@ def test_zsweep_guard_compares_with_riccati_solver(monkeypatch):
     assert calls == [GeneralDyneSetting(theta_m=0.0, z_m=gd.opo_zopt(p))]
 
 
-def test_zsweep_labels_its_checks_only_on_failure(monkeypatch):
-    """zsweep_table hands each cross-check its label as a callable, which names the setting checked."""
-    labels = []
-    check = gd.opo._cross_check
-
-    def spy(closed, independent, what):
-        labels.append(what() if callable(what) else None)  # as _cross_check formats it, during the check
-        check(closed, independent, what)
-
-    p = OpoParams(0.9, nu_in=2.0)
-    monkeypatch.setattr(gd.opo, "_cross_check", spy)
-    gd.zsweep_table(p, z_grid=np.logspace(-3, 0, 5))
-    expected = [GeneralDyneSetting(theta_m=0.0, z_m=gd.opo_zopt(p)), gd.heterodyne()]
-    assert labels == [f"OPO conditional determinant at {s}" for s in expected]
-
-
 @pytest.mark.parametrize("nu_in", [1.0, 3.0])
 def test_transients_match_scalar_riccati(nu_in):
     """hom0, hom90 and het from evolve_conditional_cm equal the scalar closed form on the criterion-7 grid."""

@@ -70,10 +70,13 @@ alike.  The k filters of one model (a table of strategies) share one pass
 scalars (_riccati_scalars) are stacked as (k, 1) columns, and the closed
 form runs on (k, block) arrays in blocks of at most _BLOCK_FLOATS values,
 where numpy's temporaries stay small; every operation is elementwise, so
-each point is the same bits whatever the blocking or k.  One filter
-(evolve_conditional_cm) is k = 1, and a daemonic ergotropy curve
-(_daemonic_curve) takes the unconditional energy of an _uncoupled flow in
-the same blocks.  Every other conditional flow (a coupled filter, two or
+each point is the same bits whatever the blocking or k.  A block is the
+filters' entry rows sigma00, sigma01 and sigma11, as the unconditional closed
+form gives five moment rows (r0, r1, sigma00, sigma01, sigma11); a daemonic
+ergotropy curve (_daemonic_curve) reads the energy and nu = sqrt(det sigma_c)
+(symplectic._one_mode_spectrum) off them, with no 2x2 stack.  CM stacks are
+built only where a public function returns them (_conditional_path for k = 1,
+unconditional_path).  Every other conditional flow (a coupled filter, two or
 more modes) walks the grid from sigma0, about a tiny multiple of it
 (_MAP_BASE), filter by filter.  Either way the results do not depend on the
 time grid.
@@ -128,6 +131,7 @@ from .symplectic import (
     GaussianState,
     _check_one_mode,
     _omega,
+    _one_mode_spectrum,
     _physicality_violation,
     symplectic_eigenvalues,
     validate_state,
@@ -627,7 +631,10 @@ def _decoupled(mm: MonitoredModel) -> list | None:
     # The row-major entries MonitoredModel keeps, whose diagonal has stride dim + 1 (float arithmetic).
     data, stride = mm.entries, 2 * mm.base.n + 1
     for x in data:
-        if max(abs(v) for k, v in enumerate(x) if k % stride) > _DECOUPLED_TOL * max(map(abs, x)):
+        mags = list(map(abs, x))
+        scale = _DECOUPLED_TOL * max(mags)
+        del mags[::stride]  # the off-diagonal magnitudes remain
+        if max(mags) > scale:
             return None
     return list(zip(*(x[::stride] for x in data)))
 
@@ -696,19 +703,20 @@ def _decoupled_flow(columns, start, tau) -> np.ndarray:
     Every operation is elementwise on (k, len(tau)) arrays, so a point's CM
     depends on its own tau alone, bit for bit.  A flow that leaves the
     floating-point range comes out inf or NaN, with no warning.  Returns the
-    (k, len(tau), 2, 2) CMs.
+    entry rows sigma00, sigma01 and sigma11 as one (3, k, len(tau)) array.
     """
     (k0, cp0, cm0, b0, d0, k1, cp1, cm1, b1, d1), (s00, s01, s11, det) = columns, start
+    rows = np.empty((3, k0.shape[0], tau.size))
     with np.errstate(all="ignore"):
         (e0, h0), (e1, h1) = _relaxation(-2.0 * k0, tau), _relaxation(-2.0 * k1, tau)
         u0, u1, g0, g1 = cm0 + cp0 * e0, cm1 + cp1 * e1, b0 * h0, b1 * h1
         w0, w1 = u0 + g0 * s00, u1 + g1 * s11
         y0, y1 = s11 * u0 + g0 * det, s00 * u1 + g1 * det
         delta = u0 * w1 + g0 * y1
-        o00 = (d0 * h0 * w1 + (cp0 + cm0 * e0) * y1) / delta
-        o11 = (d1 * h1 * w0 + (cp1 + cm1 * e1) * y0) / delta
-        o01 = s01 * np.exp(-(k0 + k1) * tau) / delta if s01 else np.zeros_like(o00)
-    return np.stack((o00, o01, o01, o11), axis=-1).reshape(*o00.shape, 2, 2)
+        np.divide(d0 * h0 * w1 + (cp0 + cm0 * e0) * y1, delta, out=rows[0])
+        np.divide(d1 * h1 * w0 + (cp1 + cm1 * e1) * y0, delta, out=rows[2])
+        rows[1] = s01 * np.exp(-(k0 + k1) * tau) / delta if s01 else 0.0
+    return rows
 
 
 def _relaxation(rate, tau) -> tuple:
@@ -735,8 +743,7 @@ def evolve_conditional_cm(mm: MonitoredModel, sigma0: np.ndarray, t_grid) -> np.
     leaves the floating-point range raises NumericError.
     """
     sigma = np.asarray(sigma0, dtype=float)
-    t = _flow_start(mm.base.n, GaussianState(np.zeros(sigma.shape[0]), sigma), t_grid)
-    return np.concatenate([cms[0] for _, cms in _conditional_blocks((mm,), sigma, t)])
+    return _conditional_path(mm, sigma, _flow_start(mm.base.n, GaussianState(np.zeros(sigma.shape[0]), sigma), t_grid))
 
 
 def _flow_start(n: int, state0: GaussianState, t_grid) -> np.ndarray:
@@ -750,31 +757,48 @@ def _flow_start(n: int, state0: GaussianState, t_grid) -> np.ndarray:
 def _conditional_blocks(mms, sigma: np.ndarray, t: np.ndarray):
     """Conditional CMs of the filters mms of one model from sigma along the grid t (checked by _flow_start).
 
-    Yields (lo, cms), cms of shape (k, b, 2n, 2n) holding the k flows at
-    t[lo : lo + b].  One mode whose k filters all decouple takes the closed
-    form per coordinate (_decoupled_flow), each filter's scalars computed
-    once, on equal blocks of at most _BLOCK_FLOATS / k points; the first
-    grid point carries sigma itself.  Every other flow (a coupled filter
-    among them, two or more modes) walks the grid with its interval maps
-    (_mapped_flow), one filter at a time, all points in one block.  A flow
-    that leaves the floating-point range raises NumericError.
+    Yields (span, flows), flows the k flows at t[span], a slice of the grid.
+    One mode whose k filters all decouple takes the closed form per
+    coordinate (_decoupled_flow), each filter's scalars computed once, on
+    equal blocks of at most _BLOCK_FLOATS / k points: flows is its tuple of
+    (k, b) entry rows (sigma00, sigma01, sigma11), whose first point is sigma,
+    symmetrized as symplectic_eigenvalues takes it.  Every other flow (a
+    coupled filter among them, two or more modes) walks the grid with its
+    interval maps (_mapped_flow), one filter at a time, all points in one
+    block of (k, len(t), 2n, 2n) CMs.  A flow that leaves the floating-point
+    range raises NumericError.
     """
     coordinates = [_decoupled(mm) for mm in mms] if sigma.shape == (2, 2) else [None]  # two or more modes walk
     if None in coordinates:
         flows = [_finite("conditional CM", _mapped_flow(mm, sigma, t)) for mm in mms]
-        yield 0, np.stack(flows)
+        yield slice(0, t.size), np.stack(flows)
         return
     columns = np.array([_riccati_scalars(x) for x in coordinates]).T[..., None]  # (k, 1) columns
     (s00, s01), (s10, s11) = sigma.tolist()
+    first = [[s00], [0.5 * s01 + 0.5 * s10], [s11]]  # the closed form at tau = 0 need not round back to sigma0
     s01 = 0.5 * (s01 + s10)
     start = s00, s01, s11, s00 * s11 - s01 * s01
     blocks = -(-t.size * len(mms) // _BLOCK_FLOATS)  # as few as fit, of equal size
     tau, size = t - t[0], -(-t.size // blocks)
     for lo in range(0, t.size, size):
-        cms = _decoupled_flow(columns, start, tau[lo : lo + size])
+        rows = _decoupled_flow(columns, start, tau[lo : lo + size])
         if lo == 0:
-            cms[:, 0] = sigma  # the closed form at tau = 0 need not round back to sigma0
-        yield lo, _finite("conditional CM", cms)
+            rows[:, :, 0] = first
+        yield slice(lo, lo + rows.shape[2]), tuple(_finite("conditional CM", rows))
+
+
+def _conditional_path(mm: MonitoredModel, sigma: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """evolve_conditional_cm on a grid t that _flow_start has checked, the closed form's CMs written from its rows."""
+    out = np.empty((t.size, *sigma.shape))
+    entries = out.reshape(t.size, -1)
+    for span, flows in _conditional_blocks((mm,), sigma, t):
+        if isinstance(flows, tuple):
+            ((o00,), (o01,), (o11,)), block = flows, entries[span]
+            block[:, 0], block[:, 1], block[:, 2], block[:, 3] = o00, o01, o01, o11
+        else:
+            out[span] = flows[0]
+    out[0] = sigma
+    return out
 
 
 def _mapped_flow(mm: MonitoredModel, sigma: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -998,14 +1022,15 @@ def _uncoupled(dd: DriftDiffusion) -> bool:
     return dd.a.shape == (2, 2) and dd.a.ravel().tolist()[1:3] == [0.0, 0.0]
 
 
-def _uncoupled_moments(dd: DriftDiffusion, state0: GaussianState, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """unconditional_path for a flow that _uncoupled admits, at the times tau >= 0 from the first grid point.
+def _uncoupled_moments(dd: DriftDiffusion, state0: GaussianState, tau: np.ndarray) -> np.ndarray:
+    """The moment rows (r0, r1, sigma00, sigma01, sigma11) of a flow that _uncoupled admits, at the times tau >= 0.
 
-    Each moment is e x0 + h s, (e, h) from _relaxation on the five stacked
-    rates of the module docstring: a variance of rate a < 0 is a sum of two
-    non-negative terms, near threshold too.  Every operation is elementwise,
-    so a point's moments depend on its own tau alone, bit for bit, and
-    tau = 0 gives state0.
+    tau counts from the first grid point.  Each moment is e x0 + h s, (e, h)
+    from _relaxation on the five stacked rates of the module docstring: a
+    variance of rate a < 0 is a sum of two non-negative terms, near threshold
+    too.  Every operation is elementwise, so a point's moments depend on its
+    own tau alone, bit for bit, and tau = 0 gives state0.  Returns a
+    (5, len(tau)) array, once it is checked finite (_finite_moments).
     """
     (a0, _), (_, a1) = dd.a.tolist()
     (s00, s01), (s10, s11), (d00, d01), (_, d11) = *state0.cm.tolist(), *dd.d.tolist()
@@ -1017,8 +1042,9 @@ def _uncoupled_moments(dd: DriftDiffusion, state0: GaussianState, tau: np.ndarra
         x *= starts
         h *= sources
         x += h
-    del h  # freed before the CM's copy is made: on a 1e6-point grid that keeps the peak 35 MB lower
-    return _finite_moments(x[:2].T, x[[2, 3, 3, 4]].T.reshape(-1, 2, 2))
+    del h  # freed before the checks' temporaries, which would add to the peak of x and h (3 MB at 1e6 points)
+    _finite_moments(x[:2], x[2:])
+    return x
 
 
 def _finite_moments(means: np.ndarray, cms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1038,24 +1064,25 @@ def unconditional_path(dd: DriftDiffusion, state0: GaussianState, t_grid) -> tup
     r(t) = e^{At} r0 + int_0^t e^{As} d ds ride along as the vectors
     [r(t); 1] = Phi [r0; 1], so r0 enters no matrix and cannot overflow one.
     state0 must be a valid state (validate_state).  Moments that leave the
-    floating-point range raise NumericError, the CM's first.  The means are
-    returned as an array of their own, not as a view that would keep the
+    floating-point range raise NumericError, the CM's first.  Either way the
+    means and the CMs are arrays of their own, not views that would keep a
     route's larger moment array alive.
     """
-    means, cms = _unconditional_path(dd, state0, _flow_start(dd.a.shape[0] // 2, state0, t_grid))
-    return means.copy(), cms
+    return _unconditional_path(dd, state0, _flow_start(dd.a.shape[0] // 2, state0, t_grid))
 
 
 def _unconditional_path(dd: DriftDiffusion, state0: GaussianState, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """unconditional_path on a grid t that _flow_start has checked with state0."""
     if _uncoupled(dd):
-        return _uncoupled_moments(dd, state0, t - t[0])
+        x = _uncoupled_moments(dd, state0, t - t[0])
+        return x[:2].T.copy(), np.stack((x[2], x[3], x[3], x[4]), axis=-1).reshape(-1, 2, 2)
     dim = dd.a.shape[0]
     aug, diff = np.zeros((dim + 1, dim + 1)), np.zeros((dim + 1, dim + 1))
     aug[:dim, :dim], aug[:dim, dim], diff[:dim, :dim] = dd.a, dd.drive, dd.d
     start = np.pad(0.5 * (state0.cm + state0.cm.T), (0, 1))  # [[sigma0, 0], [0, 0]]
     cms, vectors = _grid_walk(aug, diff, np.zeros_like(aug), t, start, np.append(state0.mean, 1.0))
-    return _finite_moments(vectors[:, :dim], cms[:, :dim, :dim])
+    means, cms = _finite_moments(vectors[:, :dim], cms[:, :dim, :dim])
+    return means.copy(), cms.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -1190,7 +1217,7 @@ def simulate_trajectories(
     dim = two_n + mm.b.shape[1]
     n_windows = n_steps // stride
 
-    sigma_c = np.concatenate([cms[0] for _, cms in _conditional_blocks((mm,), state0.cm, times)])
+    sigma_c = _conditional_path(mm, state0.cm, times)
     maps = _window_maps(mm, sigma_c, stride * dt)
 
     means = np.empty((n_traj, n_windows + 1, two_n))
@@ -1258,13 +1285,14 @@ def _daemonic_curve(mms, state0: GaussianState, t_grid) -> np.ndarray:
 
     The unconditional moments do not depend on the measurement, so callers
     comparing strategies pass all the filters at once: state0 (validate_state)
-    and the grid are checked and the energy taken once, and the conditional
-    CMs of each block of _conditional_blocks (the closed form per coordinate
-    where every filter decouples, else the interval maps) go to one stacked
-    symplectic-spectrum call.  Where _uncoupled admits the drift (one mode, a
-    diagonal drift, as the OPO's at any chi~), the energy comes from the
-    closed form in the same blocks (_uncoupled_moments, which checks each
-    block's moments are finite); otherwise the whole grid is walked first
+    and the grid are checked and the energy taken once, in the blocks of
+    _conditional_blocks.  nu = sqrt(det sigma_c) comes off the closed form's
+    entry rows where every filter decouples (symplectic._one_mode_spectrum),
+    else from one stacked symplectic_eigenvalues call on the walked CMs.
+    Where _uncoupled admits the drift (one mode, a diagonal drift, as the
+    OPO's at any chi~), the energy comes off the closed form's moment rows in
+    the same blocks (_uncoupled_moments, which checks each block's moments
+    are finite); otherwise the whole grid is walked first
     (_unconditional_path, with no second check of state0).  Either way each
     point is the bits of unconditional_path and evolve_conditional_cm.
     Returns a (k, len(t_grid)) array, row i the curve of mms[i].  A negative
@@ -1272,13 +1300,28 @@ def _daemonic_curve(mms, state0: GaussianState, t_grid) -> np.ndarray:
     settings (theta_m, z_m).
     """
     t, dd = _flow_start(mms[0].base.n, state0, t_grid), mms[0].dd
-    path = None if _uncoupled(dd) else _unconditional_path(dd, state0, t)
-    energy, out = np.empty(t.size), np.empty((len(mms), t.size))
-    for lo, sig_c in _conditional_blocks(mms, state0.cm, t):
-        hi = lo + sig_c.shape[1]
-        means, cms = _uncoupled_moments(dd, state0, t[lo:hi] - t[0]) if path is None else (x[lo:hi] for x in path)
-        energy[lo:hi] = 0.25 * np.trace(cms, axis1=1, axis2=2) + 0.5 * np.einsum("ij,ij->i", means, means)
-        out[:, lo:hi] = energy[lo:hi] - 0.5 * symplectic_eigenvalues(sig_c).sum(axis=-1)
+    uncoupled = _uncoupled(dd)
+    if uncoupled:
+        energy = np.empty(t.size)
+    else:
+        means, cms = _unconditional_path(dd, state0, t)
+        energy = 0.25 * np.trace(cms, axis1=1, axis2=2) + 0.5 * np.einsum("ij,ij->i", means, means)
+    out = np.empty((len(mms), t.size))
+    for span, flows in _conditional_blocks(mms, state0.cm, t):
+        if uncoupled:
+            r0, r1, s00, _, s11 = _uncoupled_moments(dd, state0, t[span] - t[0])
+            energy[span] = 0.25 * (s00 + s11) + 0.5 * (r0 * r0 + r1 * r1)
+        if isinstance(flows, tuple):
+            # The closed form's entry rows.  symplectic_eigenvalues takes b = 0.5 sigma01 + 0.5 sigma01, which is
+            # sigma01 but below 2 tiny, where b b underflows to 0 either way (det sigma_c >= 1 is never scaled up).
+            # Where a member fails, symplectic_eigenvalues decides on the stack and names it.
+            passive, ok = _one_mode_spectrum(*flows)
+            if not ok.all():
+                o00, o01, o11 = flows
+                passive = symplectic_eigenvalues(np.stack((o00, o01, o01, o11), -1).reshape(*o00.shape, 2, 2))[..., 0]
+        else:
+            passive = symplectic_eigenvalues(flows).sum(axis=-1)
+        out[:, span] = energy[span] - 0.5 * passive
     for row, i in (divmod(j, t.size) for j in np.flatnonzero(out < 0.0).tolist()):
         settings = ", ".join(f"theta_m = {x.theta_m:.6g}, z_m = {x.z_m:.6g}" for x in mms[row].settings)
         what = f"daemonic ergotropy at t = {t[i]:.6g} ({settings})"

@@ -210,8 +210,10 @@ def transient_table(params: OpoParams, t_max: float = 10.0, dt: float = 1e-3) ->
     per quadrature (the drift is diagonal), with no matrix exponential.  The
     three filters decouple, so each conditional flow takes the closed form of
     its per-quadrature scalar Riccati flows, near threshold too, and no
-    steady state or Riccati solver is needed.  Each curve is the same bits as
-    that filter's own daemonic_ergotropy_path.
+    steady state or Riccati solver is needed.  Each point is then the energy
+    minus half of nu = sqrt(det sigma_c), both read off the closed forms'
+    entries with no 2x2 CM stack.  Each curve is the same bits as that
+    filter's own daemonic_ergotropy_path.
     """
     n_steps = _uniform_steps(t_max, dt, "t_max")
     grid = np.linspace(0.0, t_max, n_steps + 1)

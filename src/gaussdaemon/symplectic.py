@@ -315,9 +315,9 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix, sorted descending.
 
     One mode takes sqrt(det sigma); where det sigma over- or underflows, that of sigma
-    scaled by a power of two, scaled back.  From two modes on, with sigma = L L^T by
-    Cholesky, it is one value of each equal pair of singular values of the real
-    antisymmetric L^T Omega L, which is similar to i Omega sigma: exact to working
+    scaled by a power of two, scaled back (_one_mode_spectrum).  From two modes on, with
+    sigma = L L^T by Cholesky, it is one value of each equal pair of singular values of the
+    real antisymmetric L^T Omega L, which is similar to i Omega sigma: exact to working
     precision relative to nu_max.  Values within ``TOL_PSD`` below 1 are clamped to 1.
 
     ``cm`` may also be a (*lead, 2n, 2n) stack, computed in one batched pass into a (*lead, n)
@@ -330,22 +330,8 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     cm = np.asarray(cm, dtype=float)
     lead, n = cm.shape[:-2], cm.shape[-1] // 2
     if n == 1:  # symmetrizing leaves the diagonal as it is; halves first, so that no sum overflows
-        a, b, d = cm[..., 0, 0], 0.5 * cm[..., 0, 1] + 0.5 * cm[..., 1, 0], cm[..., 1, 1]
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            det, shift = a * d - b * b, None
-        ok = (a > 0.0) & (det >= _TINY) & (det < math.inf)  # Sylvester's, det normal: a non-finite entry fails
-    if n == 1 and ok.all():
-        ok = np.True_  # checked once, as Cholesky's below
-    elif not np.isfinite(cm).all():  # the first non-finite member is named below, before any positivity test
-        ok = np.isfinite(cm).all(axis=(-2, -1))
-    elif n == 1:  # with a > 0 and det not normal, det sigma = 4^k det(sigma 2^-k), 2^k near max(a, d)
-        mag = np.abs(det)
-        shift = np.where((a > 0.0) & ~((mag >= _TINY) & (mag < math.inf)), np.frexp(np.maximum(a, d))[1], 0)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # exact where a, b, d stay normal
-            a_k, b_k, d_k = (np.ldexp(x, -shift) for x in (a, b, d))
-            det = a_k * d_k - b_k * b_k
-        ok = (a > 0.0) & (det > 0.0)
-    else:
+        nus, ok = _one_mode_spectrum(cm[..., 0, 0], 0.5 * cm[..., 0, 1] + 0.5 * cm[..., 1, 0], cm[..., 1, 1])
+    elif np.isfinite(cm).all():
         sym = 0.5 * cm + 0.5 * np.swapaxes(cm, -1, -2)
         try:
             chol, ok = np.linalg.cholesky(sym), np.True_
@@ -355,18 +341,47 @@ def symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
                 for i in np.ndindex(lead):
                     np.linalg.cholesky(sym[i])
                     ok[i] = True
+    else:
+        ok = np.zeros(lead, dtype=bool)
     if not ok.all():
+        if not (finite := np.isfinite(cm).all(axis=(-2, -1))).all():
+            ok = finite  # the first non-finite member is named, before any positivity test
         i = next(i for i in np.ndindex(lead) if not ok[i])  # the first member that fails
         where = f" at stack index {i if len(lead) > 1 else i[0]}" if lead else ""
-        if not np.isfinite(cm[i]).all():
+        if not finite[i]:
             raise UnphysicalStateError(f"covariance matrix not finite{where}: {_non_finite_entries(cm[i])}")
         lam = np.linalg.eigvalsh(0.5 * cm[i] + 0.5 * cm[i].T)[0]
         raise UnphysicalStateError(f"covariance matrix not positive definite{where}: min eig = {lam:.3e}")
     if n == 1:
-        nus = (np.sqrt(det) if shift is None else np.ldexp(np.sqrt(det), shift))[..., None]  # nothing to sort
-    else:
-        nus = np.linalg.svd(np.swapaxes(chol, -1, -2) @ _omega(n) @ chol, compute_uv=False)[..., ::2]
-    return np.where((nus < 1.0) & (nus > 1.0 - TOL_PSD), 1.0, nus)  # monotone, so the order stands
+        return nus[..., None]  # nothing to sort
+    return _clamp_to_one(np.linalg.svd(np.swapaxes(chol, -1, -2) @ _omega(n) @ chol, compute_uv=False)[..., ::2])
+
+
+def _one_mode_spectrum(a, b, d) -> tuple:
+    """(nu, ok): nu = sqrt(a d - b^2), clamped (_clamp_to_one), of the one-mode CMs [[a, b], [b, d]], entry by entry.
+
+    Where det sigma over- or underflows, nu is that of sigma scaled by a power
+    of two, scaled back.  ok is np.True_ where every member passes Sylvester's
+    criterion, else a mask that no member with a non-finite entry passes.
+    symplectic_eigenvalues and dynamics._daemonic_curve take nu here.
+    """
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        det = a * d - b * b
+    ok = (a > 0.0) & (det >= _TINY) & (det < math.inf)  # Sylvester's, det normal: a non-finite entry fails
+    if ok.all():
+        return _clamp_to_one(np.sqrt(det)), np.True_
+    mag = np.abs(det)  # with a > 0 and det not normal, det sigma = 4^k det(sigma 2^-k), 2^k near max(a, d)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # exact where a, b, d stay normal
+        shift = np.where((a > 0.0) & ~((mag >= _TINY) & (mag < math.inf)), np.frexp(np.maximum(a, d))[1], 0)
+        a_k, b_k, d_k = (np.ldexp(x, -shift) for x in (a, b, d))
+        det = a_k * d_k - b_k * b_k
+        nus = np.ldexp(np.sqrt(det), shift)
+    return _clamp_to_one(nus), (a > 0.0) & (det > 0.0) & (det < math.inf)  # an inf entry leaves det inf or NaN
+
+
+def _clamp_to_one(nus: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues within TOL_PSD below 1 set to 1 (monotone, so an order stands)."""
+    return np.where((nus < 1.0) & (nus > 1.0 - TOL_PSD), 1.0, nus)
 
 
 def energy(state: GaussianState) -> float:

@@ -5,6 +5,7 @@ import itertools
 import math
 import re
 import signal
+import tracemalloc
 from contextlib import contextmanager
 
 import mpmath as mp
@@ -1394,6 +1395,116 @@ def test_daemonic_path_is_energy_minus_passive_energy(chi_tilde):
         assert np.array_equal(gd.daemonic_ergotropy_path(mm, state0, grid), energy - passive), setting
 
 
+def _curve_from_public_stacks(mm, state0, grid) -> np.ndarray:
+    """tr sigma_unc / 4 + |r|^2 / 2 - (1/2) sum nu_j(sigma_c), from unconditional_path and evolve_conditional_cm."""
+    means, cms = gd.unconditional_path(mm.dd, state0, grid)
+    energy = 0.25 * (cms[:, 0, 0] + cms[:, 1, 1]) + 0.5 * (means[:, 0] * means[:, 0] + means[:, 1] * means[:, 1])
+    return energy - 0.5 * gd.symplectic_eigenvalues(gd.evolve_conditional_cm(mm, state0.cm, grid)).sum(axis=-1)
+
+
+def test_curves_from_entry_rows_are_the_public_stacks_bit_for_bit():
+    """Curves read off the closed forms' entry rows are energy minus passive energy of the public stacks, bit for bit.
+
+    Where the drift is diagonal and every filter decouples, _daemonic_curve
+    takes nu and the energy from the rows of _decoupled_flow and
+    _uncoupled_moments and builds no CM stack.  Its rows (one filter and
+    four at once) and transient_table must still be unconditional_path and
+    evolve_conditional_cm combined: for a driven OPO, a general-dyne filter
+    at phase 0 with nu_m = 2 and z_m = 0.3, and the drift diag(-1, 0) at
+    threshold, whose efficient homodyne at phase 0 has k = 0 rows, on grids
+    of several blocks from a displaced start with an off-diagonal entry.
+    """
+    opo = gd.opo_model(gd.OpoParams(0.8, nu_in=3.0))
+    driven = DiffusiveModel(opo.h_s, opo.c, opo.sigma_in, np.array([0.3, -0.2]))
+    noisy = GeneralDyneSetting(theta_m=0.0, nu_m=2.0, z_m=0.3)
+    settings_ = [gd.strategy_setting(name) for name in ("hom0", "hom90", "het")] + [noisy]
+    # sigma0 as validate_state admits it, asymmetric within TOL_SYM: the spectrum symmetrizes it at t = 0.
+    state0 = GaussianState(np.array([0.7, -1.2]), np.array([[4.0, 0.5 + 3e-11], [0.5, 2.0]]))
+    grid = np.linspace(0.0, 20.0, 9001)  # two blocks for one filter, five for four
+    hom0_at_threshold = gd.dynamics._decoupled(gd.monitored(_at_threshold_opo(), settings_[0]))
+    assert driven.dd.drive.all() and 0.0 in gd.dynamics._riccati_scalars(hom0_at_threshold)[::5]
+    for model in (driven, _at_threshold_opo()):
+        mms = [gd.monitored(model, setting) for setting in settings_]
+        assert gd.dynamics._uncoupled(model.dd) and all(gd.dynamics._decoupled(mm) is not None for mm in mms)
+        expected = np.stack([_curve_from_public_stacks(mm, state0, grid) for mm in mms])
+        assert np.array_equal(gd.dynamics._daemonic_curve(mms, state0, grid), expected)
+        for mm, row in zip(mms, expected):
+            assert np.array_equal(gd.dynamics._daemonic_curve((mm,), state0, grid)[0], row), mm.settings
+            assert np.array_equal(gd.evolve_conditional_cm(mm, state0.cm, grid[:3])[0], state0.cm)
+    params = gd.OpoParams(0.8, nu_in=3.0, nu_0=5.0)
+    table = gd.transient_table(params, t_max=3.0, dt=1e-3)  # 3001 points, two blocks of three filters
+    for name in ("hom0", "hom90", "het"):
+        mm = gd.monitored(gd.opo_model(params), gd.strategy_setting(name))
+        expected = _curve_from_public_stacks(mm, gd.thermal(5.0), table.times)
+        assert np.array_equal(getattr(table, name), expected), name
+
+
+def test_daemonic_curve_keeps_the_spectrum_rescale():
+    """A curve from 1e160 I reads nu off the one-mode spectrum's power-of-two rescale: 0 at t = 0, with no warning.
+
+    det sigma = 1e320 overflows, so nu = sqrt(det sigma) is taken on sigma
+    scaled by a power of two and scaled back (symplectic._one_mode_spectrum);
+    the energy tr sigma / 4 = 5e159 then leaves exactly 0.  The suite turns
+    every warning into an error.
+    """
+    mm = gd.monitored(gd.opo_model(gd.OpoParams(0.6, nu_in=3.0)), gd.heterodyne())
+    state0 = GaussianState(np.zeros(2), 1e160 * np.eye(2))
+    assert gd.dynamics._decoupled(mm) is not None and gd.dynamics._uncoupled(mm.dd)
+    assert np.array_equal(gd.daemonic_ergotropy_path(mm, state0, [0.0]), [0.0])
+
+
+def test_daemonic_curve_names_a_conditional_cm_that_is_not_positive_definite(monkeypatch):
+    """A member of the closed form's rows that fails the one-mode spectrum raises as symplectic_eigenvalues names it.
+
+    The curve then hands the block's rows, as a (k, b, 2, 2) stack, to
+    symplectic_eigenvalues, so the error names the member by its (filter,
+    point) index in the block.  The closed form is forged to give filter 1
+    the CM [[1, 2], [2, 1]] (min eig -1) at point 3.
+    """
+    flow = gd.dynamics._decoupled_flow
+
+    def forged(columns, start, tau):
+        rows = flow(columns, start, tau)
+        rows[:, 1, 3] = [1.0, 2.0, 1.0]
+        return rows
+
+    model = gd.opo_model(gd.OpoParams(0.8, nu_in=3.0))
+    mms = [gd.monitored(model, gd.strategy_setting(name)) for name in ("hom0", "hom90", "het")]
+    monkeypatch.setattr(gd.dynamics, "_decoupled_flow", forged)
+    with pytest.raises(gd.UnphysicalStateError, match=r"definite at stack index \(1, 3\): min eig = -1\.000e\+00$"):
+        gd.dynamics._daemonic_curve(mms, gd.thermal(5.0), np.linspace(0.0, 1.0, 11))
+
+
+@pytest.mark.parametrize("route", ["closed form", "walked"])
+def test_unconditional_path_holds_only_its_results(route):
+    """unconditional_path returns arrays of their own on both routes: nothing else stays held after the call.
+
+    The walked route returned its CMs as a view of the (N, 2n + 1, 2n + 1)
+    augmented moments: on the OPO rotated by 0.4 rad, 1e5 points held
+    8.81 MB for 4.8 MB of results.  Measured with tracemalloc after a warm-up
+    call, the memory held is at most means.nbytes + cms.nbytes and 4 KB.  The
+    closed form peaks at 11 floats a point, as it did when it returned a view:
+    the time offsets, the five moment rows and either the relaxation's five
+    source terms or the six floats of the results.
+    """
+    opo, r = gd.opo_model(gd.OpoParams(0.6, nu_in=3.0)), gd.rotation(0.4)
+    rotated = DiffusiveModel(r @ opo.h_s @ r.T, r @ opo.c, opo.sigma_in, opo.mean_in)
+    model = opo if route == "closed form" else rotated
+    assert gd.dynamics._uncoupled(model.dd) == (route == "closed form")
+    state0, grid = GaussianState(np.array([0.5, -0.3]), 3.0 * np.eye(2)), np.linspace(0.0, 10.0, 20001)
+    gd.unconditional_path(model.dd, state0, grid[:3])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        means, cms = gd.unconditional_path(model.dd, state0, grid)
+        held, peak = (x - before for x in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert means.shape == (grid.size, 2) and cms.shape == (grid.size, 2, 2)
+    assert held <= means.nbytes + cms.nbytes + 4096, (held, means.nbytes + cms.nbytes)
+    assert route == "walked" or peak <= 11 * grid.size * 8 + 4096, peak
+
+
 def test_unconditional_opo_variances_hold_near_threshold_at_any_horizon():
     """Near threshold the unconditional variances reach nu_in / (1 +- chi~) to round-off, also at t = 1e300.
 
@@ -2386,9 +2497,10 @@ def test_daemonic_clamp_names_time_and_setting(monkeypatch):
     moments = gd.dynamics._uncoupled_moments
 
     def forged(dd, state, tau):
-        means, cms = moments(dd, state, tau)
-        cms[tau == grid[i] - grid[0]] = (passive[middle] + passive[top]) * np.eye(2)  # energy tr / 4 halfway between
-        return means, cms
+        rows = moments(dd, state, tau)  # (r0, r1, sigma00, sigma01, sigma11)
+        value = passive[middle] + passive[top]  # the CM value I, of energy tr / 4 halfway between
+        rows[2:, tau == grid[i] - grid[0]] = [[value], [0.0], [value]]
+        return rows
 
     monkeypatch.setattr(gd.dynamics, "_uncoupled_moments", forged)
     with pytest.raises(gd.NumericError, match="daemonic ergotropy at t = ") as info:

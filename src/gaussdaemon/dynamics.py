@@ -92,7 +92,9 @@ solve builds -H from the same blocks negated, with the balance read off the
 filter's float entries).  Where the filter decouples, the steady state is the
 stabilizing root of each coordinate's scalar Riccati equation
 (_decoupled_roots).  Both routes test the drift with the same Hurwitz margin
-(_require_hurwitz_drift), so just below threshold they give one verdict.
+(_require_hurwitz_drift), so just below threshold they give one verdict; the
+drift keeps it (DriftDiffusion._hurwitz), so the steady solves of every
+filter of one model, and its unconditional steady state, share one test.
 
 The filter terms are written in the pointer frame, where homodyne is the exact
 w = z_m / nu_m = 0 member of the general-dyne family (see MonitoredModel).
@@ -116,7 +118,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -180,7 +182,11 @@ class DiffusiveModel:
     once.  Every stored array is a read-only copy, so a caller that later
     writes to its own arrays leaves the model as it was.  One system and one
     input mode (n = m = 1) take the same checks and products in float
-    arithmetic on the 2x2 entries (_one_mode_model).
+    arithmetic on the 2x2 entries (_one_mode_model).  ``_filter_inputs``
+    holds what every filter of the model (MonitoredModel) reads and no
+    setting changes, taken once here: for one mode the float entries of C,
+    sigma_in and A, row-major; for more modes the read-only Omega C and
+    C Omega_m and the entries of each bath's sigma_in block.
     """
 
     h_s: np.ndarray
@@ -190,14 +196,16 @@ class DiffusiveModel:
     n: int = field(init=False)
     m: int = field(init=False)
     dd: DriftDiffusion = field(init=False, repr=False)
+    _filter_inputs: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        h_s, c, sigma_in = (np.array(x, dtype=float) for x in (self.h_s, self.c, self.sigma_in))
+        h_s, c = np.array(self.h_s, dtype=float), np.array(self.c, dtype=float)
+        sigma_in = np.array(self.sigma_in, dtype=float)
         mean_in = np.array(self.mean_in, dtype=float).reshape(-1)
         build = _one_mode_model if h_s.shape == c.shape == (2, 2) else _model
-        h_s, c, sigma_in, mean_in, dd = build(h_s, c, sigma_in, mean_in)
+        h_s, c, sigma_in, mean_in, dd, inputs = build(h_s, c, sigma_in, mean_in)
         n, m = h_s.shape[0] // 2, c.shape[1] // 2
-        self.__dict__.update(h_s=h_s, c=c, sigma_in=sigma_in, mean_in=mean_in, n=n, m=m, dd=dd)
+        self.__dict__.update(h_s=h_s, c=c, sigma_in=sigma_in, mean_in=mean_in, n=n, m=m, dd=dd, _filter_inputs=inputs)
 
 
 def _require_environment_shapes(sigma_in, mean_in, m: int) -> None:
@@ -208,7 +216,7 @@ def _require_environment_shapes(sigma_in, mean_in, m: int) -> None:
 
 
 def _model(h_s, c, sigma_in, mean_in) -> tuple:
-    """(h_s, c, sigma_in, mean_in, dd) of DiffusiveModel: the checks and the unconditional dynamics."""
+    """(h_s, c, sigma_in, mean_in, dd, _filter_inputs) of DiffusiveModel: the checks and the unconditional dynamics."""
     if h_s.ndim != 2 or h_s.shape[0] != h_s.shape[1] or h_s.shape[0] % 2:
         raise ValueError(f"H_S must be square of even size, got {h_s.shape}")
     n = h_s.shape[0] // 2
@@ -226,12 +234,12 @@ def _model(h_s, c, sigma_in, mean_in) -> tuple:
         raise ValueError("correlated input modes are not supported; sigma_in must be block-diagonal")
     h_s = 0.5 * (h_s + h_s.T)
     # Products with the symplectic forms only permute and negate entries, so they are exact in any order.
-    oc = _omega(n) @ c
+    oc, co = _omega(n) @ c, c @ _omega(m)
     d = oc @ sigma_in @ oc.T
     dd = DriftDiffusion(a=_omega(n) @ h_s + 0.5 * (oc @ _omega(m)) @ c.T, d=0.5 * (d + d.T), drive=oc @ mean_in)
-    for x in (h_s, c, sigma_in, mean_in, dd.a, dd.d, dd.drive):
+    for x in (h_s, c, sigma_in, mean_in, oc, co, dd.a, dd.d, dd.drive):
         x.flags.writeable = False
-    return h_s, c, sigma_in, mean_in, dd
+    return h_s, c, sigma_in, mean_in, dd, (oc, co, sigma_in.take(_block_positions(m)[1]).tolist())
 
 
 def _one_mode_model(h_s, c, sigma_in, mean_in) -> tuple:
@@ -261,21 +269,33 @@ def _one_mode_model(h_s, c, sigma_in, mean_in) -> tuple:
     d00, d11 = g00 * c10 + g01 * c11, g10 * -c00 + g11 * -c01
     d01 = 0.5 * ((g00 * -c00 + g01 * -c01) + (g10 * c10 + g11 * c11))
     a_d = (h01 + k, h11, -h00, k - h01, 0.5 * (d00 + d00), d01, d01, 0.5 * (d11 + d11))
-    entries = [h00, h01, h01, h11, c00, c01, c10, c11, s00, s01, s10, s11, *(x + 0.0 for x in a_d)]
-    matrices = np.array(entries).reshape(5, 2, 2)
-    vectors = np.array([r0, r1, c10 * r0 + c11 * r1 + 0.0, -c00 * r0 - c01 * r1 + 0.0]).reshape(2, 2)
-    matrices.flags.writeable = vectors.flags.writeable = False  # and so are the views unpacked from them
-    (h_s, c, sigma_in, a, d), (mean_in, drive) = matrices, vectors
-    return h_s, c, sigma_in, mean_in, DriftDiffusion(a=a, d=d, drive=drive)
+    entries = [h00, h01, h01, h11, c00, c01, c10, c11, s00, s01, s10, s11, *[x + 0.0 for x in a_d]]
+    flat = np.array([*entries, r0, r1, c10 * r0 + c11 * r1 + 0.0, -c00 * r0 - c01 * r1 + 0.0])
+    flat.flags.writeable = False  # and so are the views taken from it (indexed: unpacking a stack is slower)
+    matrices, vectors = flat[:20].reshape(5, 2, 2), flat[20:].reshape(2, 2)
+    h_s, c, sigma_in, a, d = matrices[0], matrices[1], matrices[2], matrices[3], matrices[4]
+    inputs = entries[4:8], entries[8:12], entries[12:]  # C, sigma_in and A
+    return h_s, c, sigma_in, vectors[0], DriftDiffusion(a=a, d=d, drive=vectors[1]), inputs
 
 
 @dataclass(frozen=True, eq=False)
 class DriftDiffusion:
-    """Unconditional dynamics: drift matrix ``a``, diffusion matrix ``d``, drive vector."""
+    """Unconditional dynamics: drift matrix ``a``, diffusion matrix ``d``, drive vector.
+
+    ``_hurwitz`` is is_hurwitz(a), tested on first read and kept, so the
+    steady solves of every filter of one model share one test (a model's
+    arrays are read-only; one built here directly must not be written
+    after).  A test that raises keeps nothing and raises again on the next
+    read.
+    """
 
     a: np.ndarray
     d: np.ndarray
     drive: np.ndarray
+
+    @cached_property
+    def _hurwitz(self) -> bool:
+        return is_hurwitz(self.a)
 
 
 def drift_diffusion(model: DiffusiveModel) -> DriftDiffusion:
@@ -325,7 +345,7 @@ def _lyapunov(a, q) -> np.ndarray:
 
 def steady_state_unconditional(dd: DriftDiffusion) -> GaussianState:
     """Steady state of the unconditional dynamics (Lyapunov equation, gated by _relative_residual, + linear solve)."""
-    if not is_hurwitz(dd.a):
+    if not dd._hurwitz:
         raise NoSteadyStateError("drift matrix is not Hurwitz; the unconditional dynamics has no steady state")
     sigma = _lyapunov(dd.a, dd.d)
     sigma = 0.5 * (sigma + sigma.T)
@@ -353,7 +373,12 @@ class MonitoredModel:
     on the 2x2 entries, zeros left as +0.0 as numpy's matmul leaves them.
     From two modes on, the pointer blocks of all input modes are placed in
     their block-diagonal matrices by one indexed assignment (_block_positions),
-    and each product is one matmul.  ``entries`` holds the row-major entries
+    and each product is one matmul.  What does not depend on the setting
+    (the entries of C, sigma_in and A for one mode; Omega C, C Omega_m and
+    the bath blocks' entries for more) is read from the model
+    (DiffusiveModel._filter_inputs), which takes it once for all its
+    filters; those products only permute and negate entries, so the bits
+    are those of forming them here.  ``entries`` holds the row-major entries
     of At, Dt and B B^T as float lists: one mode has At and Dt as floats
     already and reads B B^T off its array, more modes read all three, once,
     here.  The steady solves (_decoupled, steady_state_conditional) read
@@ -375,28 +400,28 @@ class MonitoredModel:
         settings = (self.settings,) * m if isinstance(self.settings, GeneralDyneSetting) else tuple(self.settings)
         if len(settings) != m:
             raise ValueError(f"expected {m} measurement settings, got {len(settings)}")
-        dd = self.base.dd
+        dd, inputs = self.base.dd, self.base._filter_inputs
         if n == m == 1:
             # Omega C and C Omega_m permute and negate the entries of C; so do their transposes.
-            c00, c01, c10, c11 = self.base.c.ravel().tolist()
+            (c00, c01, c10, c11), bath, a = inputs
             oc, oc_t = (c10, c11, -c00, -c01), (c10, -c00, c11, -c01)
             co, co_t = (-c01, c00, -c11, c10), (-c01, -c11, c00, c10)
-            p0, p1, p2, p3 = _pointer_blocks(self.base.sigma_in.ravel().tolist(), settings[0])
-            at = [x + y for x, y in zip(dd.a.ravel().tolist(), _mul2(_mul2(oc, p3), co_t))]
+            p0, p1, p2, p3 = _pointer_blocks(bath, settings[0])
+            at = [x + y for x, y in zip(a, _mul2(_mul2(oc, p3), co_t))]
             x00, x01, x10, x11 = _mul2(_mul2(oc, p2), oc_t)
             dtilde = (0.5 * (x00 + x00), 0.5 * (x01 + x10), 0.5 * (x10 + x01), 0.5 * (x11 + x11))
             flat = [x + 0.0 for x in (*_mul2(co, p0), *_mul2(oc, p1), *at, *dtilde)]
             stack = np.array(flat).reshape(4, 2, 2)
-            stack.flags.writeable = False  # and so are the views unpacked from it
-            at_dt = flat[8:12], flat[12:]
+            stack.flags.writeable = False  # and so are the views taken from it
+            stack, at_dt = (stack[0], stack[1], stack[2], stack[3]), (flat[8:12], flat[12:])
         else:
             # Per bath mode, M^(1/2), sigma_in M^(1/2), sigma_in M sigma_m and sigma_in M from its sigma_in block.
-            positions, baths = _block_positions(m)
-            baths = zip(self.base.sigma_in.take(baths).tolist(), settings)
+            oc, co, baths = inputs
             blocks = np.zeros(16 * m * m)
-            blocks[positions] = [x for bath, st in baths for block in _pointer_blocks(bath, st) for x in block]
+            blocks[_block_positions(m)[0]] = [
+                x for bath, st in zip(baths, settings) for block in _pointer_blocks(bath, st) for x in block
+            ]
             blocks = blocks.reshape(4, 2 * m, 2 * m)
-            oc, co = _omega(n) @ self.base.c, self.base.c @ _omega(m)
             b, (e, in_m_m, in_m) = co @ blocks[0], oc @ blocks[1:]
             dtilde = in_m_m @ oc.T
             stack = (b, e, dd.a + in_m @ co.T, 0.5 * (dtilde + dtilde.T))
@@ -1012,8 +1037,12 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
 
 
 def _require_hurwitz_drift(mm: MonitoredModel) -> None:
-    """NoSteadyStateError unless the drift is Hurwitz (is_hurwitz): no conditional steady state exists otherwise."""
-    if not is_hurwitz(mm.dd.a):
+    """NoSteadyStateError unless the drift is Hurwitz: no conditional steady state exists otherwise.
+
+    It reads the verdict the drift keeps (DriftDiffusion._hurwitz), so the
+    filters of one model share one is_hurwitz test of it.
+    """
+    if not mm.dd._hurwitz:
         raise NoSteadyStateError("drift matrix is not Hurwitz; conditional steady state undefined")
 
 

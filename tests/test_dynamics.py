@@ -177,6 +177,71 @@ def test_eigenvalue_non_convergence_is_a_numeric_error(monkeypatch):
         gd.is_hurwitz(np.full((4, 4), np.nan))
 
 
+def _counting_dgeev(monkeypatch) -> list:
+    """Replace dynamics' dgeev by a wrapper that records each call; the list it returns grows by one per call."""
+    calls, dgeev = [], gd.dynamics.dgeev
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return dgeev(*args, **kwargs)
+
+    monkeypatch.setattr(gd.dynamics, "dgeev", counted)
+    return calls
+
+
+def test_filters_of_one_model_share_the_drift_verdict(monkeypatch):
+    """Two steady solves of two filters of one two-mode model test the drift once: 3 dgeev calls, not 4.
+
+    Each solve also tests its closed loop, At - sigma B B^T, which depends on
+    the setting.  The unconditional steady state reads the same verdict and
+    takes no further call.
+    """
+    rng = np.random.default_rng(131)
+    model = _random_hurwitz_model(rng, 2, driven=False)
+    first, second = (gd.monitored(model, _mixed_settings(rng, 2)) for _ in range(2))
+    calls = _counting_dgeev(monkeypatch)
+    gd.steady_state_conditional(first)
+    assert calls == [(4, 4), (4, 4)]
+    gd.steady_state_conditional(second)
+    assert len(calls) == 3
+    gd.steady_state_unconditional(model.dd)
+    assert len(calls) == 3
+
+
+def test_a_drift_that_is_not_hurwitz_fails_every_solve(monkeypatch):
+    """A kept verdict that the drift is not Hurwitz fails every steady solve again, conditional and unconditional."""
+    # Per mode the OPO's drift above threshold: A = diag(-1.1, 0.1).
+    model = DiffusiveModel(np.kron(np.eye(2), [[0.0, -0.6], [-0.6, 0.0]]), np.eye(4), 3.0 * np.eye(4), np.zeros(4))
+    calls = _counting_dgeev(monkeypatch)
+    for setting in (gd.heterodyne(), GeneralDyneSetting(theta_m=0.7, z_m=0.3), gd.heterodyne()):
+        mm = gd.monitored(model, setting)
+        for solve in (gd.steady_state_conditional, gd.dynamics._conditional_steady_state):
+            with pytest.raises(NoSteadyStateError, match="drift matrix is not Hurwitz"):
+                solve(mm)
+    for _ in range(2):
+        with pytest.raises(NoSteadyStateError, match="drift matrix is not Hurwitz"):
+            gd.steady_state_unconditional(model.dd)
+    assert calls == [(4, 4)]
+
+
+def test_a_failed_drift_test_is_not_kept(monkeypatch):
+    """A nonzero dgeev info fails two consecutive solves with NumericError; once dgeev converges, the solve succeeds.
+
+    The drift's verdict is kept only when the test returns one, so a failed
+    test runs again on the next solve.
+    """
+    mm = _two_mode_generic()
+    dgeev = gd.dynamics.dgeev
+    with monkeypatch.context() as patch:
+        patch.setattr(gd.dynamics, "dgeev", lambda *args, **kwargs: (*dgeev(*args, **kwargs)[:-1], 3))
+        for solve in (gd.steady_state_conditional, gd.steady_state_conditional, gd.steady_state_unconditional):
+            with pytest.raises(gd.NumericError, match="^Eigenvalues did not converge$"):
+                solve(mm.dd if solve is gd.steady_state_unconditional else mm)
+    calls = _counting_dgeev(monkeypatch)
+    sigma = gd.steady_state_conditional(mm)
+    assert len(calls) == 2 and sigma.tobytes() == gd.steady_state_conditional(_two_mode_generic()).tobytes()
+
+
 def test_model_rejects_non_finite():
     """NaN or infinite entries in H_S, C, sigma_in or mean_in are rejected."""
     good = (np.zeros((2, 2)), np.eye(2), np.eye(2), np.zeros(2))
@@ -422,8 +487,11 @@ def test_models_compare_by_identity(n):
     Their fields are arrays, which have no single truth value and no hash: a
     generated __eq__ raised ValueError and a generated __hash__ TypeError.
     """
-    p = gd.OpoParams(0.6, nu_in=3.0)
-    build = (lambda: gd.opo_model(p)) if n == 1 else (lambda: _random_hurwitz_model(np.random.default_rng(7)))
+    build = (
+        (lambda: gd.opo_model(gd.OpoParams(0.6, nu_in=3.0)))  # one model per params object: a second, equal params
+        if n == 1
+        else (lambda: _random_hurwitz_model(np.random.default_rng(7)))
+    )
     model, other = build(), build()
     mm, other_mm = (gd.monitored(m, gd.heterodyne()) for m in (model, other))
     batch = gd.simulate_trajectories(mm, gd.thermal(1.0, n), dt=0.1, T=0.2, n_traj=2, master_seed=0)

@@ -418,9 +418,8 @@ def max_daemonic(sf: TwoModeStandardForm, mean_a=(0.0, 0.0)) -> DaemonicResult:
             z_m, value = z_int, v_int
     if value_at(0.0) > value:
         z_m = 0.0
-    # heterodyne is phase-free and reported as heterodyne(), at theta = 0
-    setting = heterodyne() if z_m == 1.0 else GeneralDyneSetting(nu_m=1.0, theta_m=theta, z_m=z_m)
-    return _closed_form(sf, mean_a, setting)[0]
+    # heterodyne is phase-free and reported at theta = 0
+    return _closed_form(sf, mean_a, GeneralDyneSetting(nu_m=1.0, theta_m=theta if z_m < 1.0 else 0.0, z_m=z_m))[0]
 
 
 def tmsts(n_th: float, r: float) -> GaussianState:

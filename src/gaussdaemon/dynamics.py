@@ -92,9 +92,10 @@ solve builds -H from the same blocks negated, with the balance read off the
 filter's float entries).  Where the filter decouples, the steady state is the
 stabilizing root of each coordinate's scalar Riccati equation
 (_decoupled_roots).  Both routes test the drift with the same Hurwitz margin
-(_require_hurwitz_drift), so just below threshold they give one verdict; the
-drift keeps it (DriftDiffusion._hurwitz), so the steady solves of every
-filter of one model, and its unconditional steady state, share one test.
+(_require_hurwitz_drift), so just below threshold they give one verdict; a
+model's read-only drift keeps it (DriftDiffusion._hurwitz), so the steady
+solves of every filter of one model, and its unconditional steady state,
+share one test.
 
 The filter terms are written in the pointer frame, where homodyne is the exact
 w = z_m / nu_m = 0 member of the general-dyne family (see MonitoredModel).
@@ -118,7 +119,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -184,9 +185,11 @@ class DiffusiveModel:
     input mode (n = m = 1) take the same checks and products in float
     arithmetic on the 2x2 entries (_one_mode_model).  ``_filter_inputs``
     holds what every filter of the model (MonitoredModel) reads and no
-    setting changes, taken once here: for one mode the float entries of C,
-    sigma_in and A, row-major; for more modes the read-only Omega C and
-    C Omega_m and the entries of each bath's sigma_in block.
+    setting changes, taken once here, as three items whose kind depends on
+    the mode count, as MonitoredModel's two branches do: for one mode the
+    row-major float entries of C, sigma_in and A, four each; for more modes
+    the read-only Omega C and C Omega_m and a list of each bath's four
+    row-major sigma_in entries.
     """
 
     h_s: np.ndarray
@@ -274,7 +277,7 @@ def _one_mode_model(h_s, c, sigma_in, mean_in) -> tuple:
     flat.flags.writeable = False  # and so are the views taken from it (indexed: unpacking a stack is slower)
     matrices, vectors = flat[:20].reshape(5, 2, 2), flat[20:].reshape(2, 2)
     h_s, c, sigma_in, a, d = matrices[0], matrices[1], matrices[2], matrices[3], matrices[4]
-    inputs = entries[4:8], entries[8:12], entries[12:]  # C, sigma_in and A
+    inputs = entries[4:8], entries[8:12], entries[12:16]  # C, sigma_in and A
     return h_s, c, sigma_in, vectors[0], DriftDiffusion(a=a, d=d, drive=vectors[1]), inputs
 
 
@@ -282,20 +285,25 @@ def _one_mode_model(h_s, c, sigma_in, mean_in) -> tuple:
 class DriftDiffusion:
     """Unconditional dynamics: drift matrix ``a``, diffusion matrix ``d``, drive vector.
 
-    ``_hurwitz`` is is_hurwitz(a), tested on first read and kept, so the
-    steady solves of every filter of one model share one test (a model's
-    arrays are read-only; one built here directly must not be written
-    after).  A test that raises keeps nothing and raises again on the next
-    read.
+    ``_hurwitz`` is is_hurwitz(a).  Where ``a`` is a read-only array, as
+    every model's is, the verdict is kept on first read, so the steady solves
+    of every filter of one model share one test; a writeable ``a`` is tested
+    on every read, so a caller that edits it in place gets a fresh verdict.
+    A test that raises keeps nothing and raises again on the next read.
     """
 
     a: np.ndarray
     d: np.ndarray
     drive: np.ndarray
 
-    @cached_property
+    @property
     def _hurwitz(self) -> bool:
-        return is_hurwitz(self.a)
+        verdict = self.__dict__.get("_verdict")
+        if verdict is None:
+            verdict = is_hurwitz(self.a)
+            if isinstance(self.a, np.ndarray) and not self.a.flags.writeable:
+                self.__dict__["_verdict"] = verdict
+        return verdict
 
 
 def drift_diffusion(model: DiffusiveModel) -> DriftDiffusion:
@@ -1039,8 +1047,8 @@ def steady_state_conditional(mm: MonitoredModel) -> np.ndarray:
 def _require_hurwitz_drift(mm: MonitoredModel) -> None:
     """NoSteadyStateError unless the drift is Hurwitz: no conditional steady state exists otherwise.
 
-    It reads the verdict the drift keeps (DriftDiffusion._hurwitz), so the
-    filters of one model share one is_hurwitz test of it.
+    It reads DriftDiffusion._hurwitz, which a model's read-only drift keeps,
+    so the filters of one model share one is_hurwitz test of it.
     """
     if not mm.dd._hurwitz:
         raise NoSteadyStateError("drift matrix is not Hurwitz; conditional steady state undefined")

@@ -81,13 +81,9 @@ class GeneralDyneSetting:
         return self.z_m == 0.0
 
 
-# The one efficient heterodyne setting heterodyne() returns: a setting is frozen, so it is shared, not rebuilt.
-_HETERODYNE = GeneralDyneSetting(nu_m=1.0, theta_m=0.0, z_m=1.0)
-
-
 def heterodyne() -> GeneralDyneSetting:
-    """Efficient heterodyne detection (sigma_m = identity), one shared frozen instance."""
-    return _HETERODYNE
+    """Efficient heterodyne detection (sigma_m = identity)."""
+    return GeneralDyneSetting(nu_m=1.0, theta_m=0.0, z_m=1.0)
 
 
 def homodyne(theta_m: float = 0.0) -> GeneralDyneSetting:

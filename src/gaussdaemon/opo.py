@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -62,10 +61,7 @@ class OpoParams:
     """OPO in units of kappa = 1: pump ratio chi_tilde = 2 chi / kappa, bath noise nu_in.
 
     Stability requires 0 <= chi_tilde < 1; nu_in = 2 n_th + 1 >= 1.  ``nu_0``
-    scales the initial thermal covariance used by transient sweeps.  The
-    diffusive model (opo_model) is built on first use and kept, one per
-    params object, so every steady solve, sweep and table of one params
-    shares it; an equal but distinct params builds its own.
+    scales the initial thermal covariance used by transient sweeps.
     """
 
     chi_tilde: float
@@ -73,7 +69,7 @@ class OpoParams:
     nu_0: float = 1.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.chi_tilde, self.nu_in, self.nu_0))):
+        if not all(math.isfinite(v) for v in (self.chi_tilde, self.nu_in, self.nu_0)):
             raise ValueError(
                 f"OPO parameters must be finite, got chi_tilde = {self.chi_tilde}, "
                 f"nu_in = {self.nu_in}, nu_0 = {self.nu_0}"
@@ -97,20 +93,11 @@ class OpoParams:
         """Alias of the constructor, kept for callers written against it."""
         return cls(chi_tilde, nu_in, nu_0)
 
-    @cached_property
-    def _diffusive_model(self) -> DiffusiveModel:
-        h, nu = -0.5 * self.chi_tilde, self.nu_in
-        h_s, sigma_in = [[0.0, h], [h, 0.0]], [[nu, 0.0], [0.0, nu]]
-        return DiffusiveModel(h_s=h_s, c=_omega(1), sigma_in=sigma_in, mean_in=[0.0, 0.0])
-
 
 def opo_model(params: OpoParams) -> DiffusiveModel:
-    """Diffusive model of the OPO (kappa = 1): A = diag(-(1 + chi~)/2, -(1 - chi~)/2), D = nu_in I.
-
-    The model params keeps (OpoParams): the same object on every call with
-    one params, so its filters share its arrays and its drift's Hurwitz verdict.
-    """
-    return params._diffusive_model
+    """Diffusive model of the OPO (kappa = 1): A = diag(-(1 + chi~)/2, -(1 - chi~)/2), D = nu_in I."""
+    h, nu = -0.5 * params.chi_tilde, params.nu_in
+    return DiffusiveModel(h_s=[[0.0, h], [h, 0.0]], c=_omega(1), sigma_in=[[nu, 0.0], [0.0, nu]], mean_in=[0.0, 0.0])
 
 
 def strategy_setting(name: str, z_m: float | None = None, theta_m: float = 0.0) -> GeneralDyneSetting:

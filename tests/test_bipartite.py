@@ -487,14 +487,6 @@ class TestOptimumSelection:
             sf, _, _ = gd.standard_form(gd.tmsts(0.0, r))
             assert gd.max_daemonic(sf).setting == gd.heterodyne(), r
 
-    def test_heterodyne_is_reported_as_the_shared_setting(self):
-        """heterodyne() is one frozen instance, and max_daemonic reports that instance when heterodyne wins."""
-        assert gd.heterodyne() is gd.heterodyne()
-        assert (gd.heterodyne().nu_m, gd.heterodyne().theta_m, gd.heterodyne().z_m) == (1.0, 0.0, 1.0)
-        sf, _, _ = gd.standard_form(gd.tmsts(0.5, 0.7))
-        assert gd.max_daemonic(sf).setting is gd.heterodyne()
-        assert gd.daemonic_heterodyne(sf).setting is gd.heterodyne()
-
     def test_interior_tie_goes_to_heterodyne(self, monkeypatch):
         """An interior candidate that only ties heterodyne does not win, by the _TIE_TOL margin.
 

@@ -242,6 +242,25 @@ def test_a_failed_drift_test_is_not_kept(monkeypatch):
     assert len(calls) == 2 and sigma.tobytes() == gd.steady_state_conditional(_two_mode_generic()).tobytes()
 
 
+@pytest.mark.parametrize("before, after", [(-1.0, 0.5), (0.5, -1.0)])
+def test_a_writeable_drift_is_tested_on_every_solve(before, after):
+    """A drift built with a writeable ``a`` gets a fresh verdict after the caller edits ``a`` in place.
+
+    A model's drift is read-only and keeps its verdict; a caller's own
+    writeable array is tested again on every solve, both ways across the
+    Hurwitz boundary.
+    """
+    dd = gd.DriftDiffusion(a=np.diag([-1.0, before]), d=np.eye(2), drive=np.zeros(2))
+    for diagonal in (before, after):
+        dd.a[1, 1] = diagonal
+        if diagonal < 0.0:
+            assert gd.steady_state_unconditional(dd).cm.tobytes() == np.diag([0.5, -0.5 / diagonal]).tobytes()
+        else:
+            with pytest.raises(NoSteadyStateError, match="drift matrix is not Hurwitz"):
+                gd.steady_state_unconditional(dd)
+    assert "_verdict" not in dd.__dict__
+
+
 def test_model_rejects_non_finite():
     """NaN or infinite entries in H_S, C, sigma_in or mean_in are rejected."""
     good = (np.zeros((2, 2)), np.eye(2), np.eye(2), np.zeros(2))
@@ -487,11 +506,8 @@ def test_models_compare_by_identity(n):
     Their fields are arrays, which have no single truth value and no hash: a
     generated __eq__ raised ValueError and a generated __hash__ TypeError.
     """
-    build = (
-        (lambda: gd.opo_model(gd.OpoParams(0.6, nu_in=3.0)))  # one model per params object: a second, equal params
-        if n == 1
-        else (lambda: _random_hurwitz_model(np.random.default_rng(7)))
-    )
+    p = gd.OpoParams(0.6, nu_in=3.0)
+    build = (lambda: gd.opo_model(p)) if n == 1 else (lambda: _random_hurwitz_model(np.random.default_rng(7)))
     model, other = build(), build()
     mm, other_mm = (gd.monitored(m, gd.heterodyne()) for m in (model, other))
     batch = gd.simulate_trajectories(mm, gd.thermal(1.0, n), dt=0.1, T=0.2, n_traj=2, master_seed=0)

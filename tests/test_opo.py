@@ -393,46 +393,22 @@ def test_one_verdict_just_below_threshold(gap, solves, tmp_path, capsys):
     assert main(args + ["--out", str(tmp_path / "t.csv")]) == 0
 
 
-def test_opo_model_is_kept_per_params_object():
-    """opo_model returns one model per OpoParams object; an equal but distinct params builds its own."""
-    p, q = OpoParams(0.6, nu_in=3.0), OpoParams(0.6, nu_in=3.0)
-    model = gd.opo_model(p)
-    assert gd.opo_model(p) is model and gd.opo_model(p).dd is model.dd
-    assert q == p and hash(q) == hash(p)
-    other = gd.opo_model(q)
-    assert other is not model and other.dd is not model.dd
-    for name in ("h_s", "c", "sigma_in", "mean_in"):
-        assert getattr(other, name).tobytes() == getattr(model, name).tobytes()
-
-
-def _bits(x) -> tuple:
-    """A value's exact bits, the signs of zeros included: arrays by their bytes, tuples entry by entry."""
-    if isinstance(x, tuple):
-        return tuple(map(_bits, x))
-    return np.asarray(x).tobytes()
-
-
 @pytest.mark.parametrize("chi_tilde, nu_in", [(0.0, 1.0), (0.6, 3.0), (0.99, 3.0), (1.0 - 1e-6, 1e4)])
-def test_reused_params_give_the_bits_of_fresh_ones(chi_tilde, nu_in):
-    """Steady states, z sweeps and transient tables are the same bits through a reused and a fresh OpoParams.
+def test_filters_of_one_model_give_the_bits_of_fresh_models(chi_tilde, nu_in):
+    """Steady states of filters of one OPO model are the bits of those opo_conditional_ss builds a model for.
 
-    The reused params serves every call after its first from the model it
-    keeps, with its drift's Hurwitz verdict; a fresh params builds both anew.
+    zsweep_table solves every setting on one model, whose drift keeps its
+    Hurwitz verdict after the first solve; opo_conditional_ss builds a model
+    per call.
     """
-    p = OpoParams(chi_tilde, nu_in=nu_in, nu_0=5.0)
-
-    def fresh():
-        return OpoParams(chi_tilde, nu_in=nu_in, nu_0=5.0)
-
+    model = gd.opo_model(OpoParams(chi_tilde, nu_in=nu_in))
     settings = [gd.strategy_setting(name) for name in ("hom0", "hom90", "het")]
     settings += [GeneralDyneSetting(theta_m=0.7, z_m=0.3), GeneralDyneSetting(nu_m=2.0, theta_m=1.3, z_m=1e-3)]
     for _ in range(2):
         for setting in settings:
-            assert _bits(gd.opo_conditional_ss(p, setting)) == _bits(gd.opo_conditional_ss(fresh(), setting))
-        z_grid = np.logspace(-4.0, 0.0, 6)
-        assert _bits(tuple(gd.zsweep_table(p, z_grid))) == _bits(tuple(gd.zsweep_table(fresh(), z_grid)))
-        table = gd.transient_table(p, t_max=1.5, dt=1e-2)
-        assert _bits(tuple(table)) == _bits(tuple(gd.transient_table(fresh(), t_max=1.5, dt=1e-2)))
+            shared = gd.dynamics._conditional_steady_state(gd.monitored(model, setting))
+            assert shared.tobytes() == gd.opo_conditional_ss(OpoParams(chi_tilde, nu_in=nu_in), setting).tobytes()
+    assert "_verdict" in model.dd.__dict__
 
 
 def test_decoupled_roots_refuse_a_drift_that_is_not_hurwitz():
